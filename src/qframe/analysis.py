@@ -8,8 +8,10 @@ CHSH-type inequality evaluated on the singlet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+import numpy.random
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
@@ -72,6 +74,16 @@ class TeleportOutcome:
     state_out: np.ndarray
 
 
+@lru_cache(maxsize=16)
+def _lattice(dims: tuple[int, ...]) -> Representation:
+    """The Wootters lattice over ``dims``, built once per process.
+
+    Sharing one build between calls is safe because a family's operator
+    stack is read-only.
+    """
+    return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
+
+
 def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
     ok = (
         mu.representation == "wootters"
@@ -122,7 +134,7 @@ def ppt_separability_two_qubit(rho: np.ndarray) -> EntanglementVerdict:
         raise DimensionMismatchError("state must be 4 x 4")
     rho_pt = partial_transpose(rho, (2, 2), 1)
     eig_min = float(np.linalg.eigvalsh(rho_pt).min())
-    rep = wootters_composite([2, 2])
+    rep = _lattice((2, 2))
     dwf_min = float(rep.represent(rho).values.min())
     dwf_min_pt = float(rep.represent(rho_pt).values.min())
     verdict = "separable" if eig_min >= -1e-10 else "entangled"
@@ -193,7 +205,7 @@ def stabilizer_positivity_check(seed: int = 0, mixtures: int = 100) -> dict:
     The six stabilizer states and their random convex mixtures stay
     nonnegative; the Bloch-(1,1,1)/sqrt(3) state does not.
     """
-    rep = wootters(2)
+    rep = _lattice((2,))
     stab = qubit_stabilizer_states()
     stab_min = min(float(rep.represent(s).values.min()) for s in stab)
     c = 1.0 / np.sqrt(3.0)
@@ -308,7 +320,7 @@ def teleport_phase_space(
     post = proj @ total @ proj
     prob = float(np.trace(post).real)
     rho_out = partial_trace(post, (d, d, d), keep=(2,)) / prob
-    rep = wootters(d)
+    rep = _lattice((d,))
     mu_in = rep.represent(rho_in)
     mu_out = rep.represent(rho_out)
     index = {lab: i for i, lab in enumerate(rep.labels)}

@@ -139,6 +139,14 @@ def build_representation(name: str, args) -> Representation:
     raise UnsupportedDimensionError(f"unknown representation {name!r}")
 
 
+def _samples(args, default: int) -> int:
+    if args.samples is None:
+        return default
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
 def _load_state(args, dim: int) -> np.ndarray:
     sources = [args.state is not None, args.mixed, args.pure is not None]
     if sum(sources) != 1:
@@ -289,6 +297,7 @@ def _label_list(label):
 
 
 def cmd_verify(args) -> int:
+    samples = _samples(args, 200)
     try:
         rep = build_representation(args.representation, args)
     except FiducialSearchError as exc:
@@ -306,9 +315,7 @@ def cmd_verify(args) -> int:
         _emit_doc(args, doc)
         _say(f"verify {args.representation}: no fiducial found")
         return EXIT_PROPERTY
-    report = verify_representation(
-        rep, seed=_seed(args), samples=args.samples if args.samples else 200
-    )
+    report = verify_representation(rep, seed=_seed(args), samples=samples)
     _emit_doc(args, report)
     status = "all passed" if report["all_passed"] else "FAILED"
     _say(f"verify {rep.name} d={rep.dim}: {len(report['checks'])} checks, {status}")
@@ -372,7 +379,7 @@ def _demo_bell(args):
 
 
 def _demo_entanglement(args):
-    samples = args.samples if args.samples else 100
+    samples = _samples(args, 100)
     seed = _seed(args)
     from .operators import tensor  # local import keeps the hot path light
 

@@ -9,12 +9,15 @@ quasi-probability values ``mu(lam) = Tr[rho F(lam)]`` and effects to
 
 Superoperators act on the real d^2-dimensional space of Hermitian matrices,
 expanded in a fixed generalized Gell-Mann basis.
+
+Every trace pairing is one matrix product on the zero-copy ``(n, d^2)`` view
+of an operator stack: ``Tr[F(lam) A] = flat(F)[lam] . vec(A^T)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,15 +51,31 @@ PINV_RCOND = 1e-10
 
 
 def _as_stack(operators) -> np.ndarray:
-    ops = np.asarray(operators, dtype=complex)
+    ops = np.ascontiguousarray(operators, dtype=complex)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
     return ops
 
 
+def _flat(ops: np.ndarray) -> np.ndarray:
+    """``(n, d^2)`` view of a C-contiguous stack, one row-major operator per row."""
+    return ops.reshape(len(ops), -1)
+
+
+def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Real part of ``Tr[A_n B_m]`` over two operator stacks, as one GEMM."""
+    Bt = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(len(B), -1)
+    return np.real(_flat(A) @ Bt.T)
+
+
 @dataclass(frozen=True, eq=False)
 class _OperatorFamily:
-    """Labeled family of Hermitian operators on C^d."""
+    """Labeled family of Hermitian operators on C^d.
+
+    The family takes the operator stack over read-only (a C-contiguous
+    complex array passed in is frozen in place, anything else is converted
+    first), so the facts it caches about the stack cannot go stale.
+    """
 
     dim: int
     labels: tuple
@@ -74,6 +93,7 @@ class _OperatorFamily:
         herm = np.linalg.norm(ops - np.conj(np.swapaxes(ops, 1, 2)), axis=(1, 2))
         if np.any(herm > tol_for(ops)):
             raise DimensionMismatchError("family contains a non-Hermitian operator")
+        ops.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -90,6 +110,22 @@ class _OperatorFamily:
     def traces(self) -> np.ndarray:
         return np.real(np.trace(self.operators, axis1=1, axis2=2))
 
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Read-only ``(n, d^2)`` view of the stack; no copy."""
+        return _flat(self.operators)
+
+    @cached_property
+    def resolves_identity(self) -> bool:
+        """Whether the operators sum to the identity, tested once per family."""
+        total = self.sum()
+        return not np.linalg.norm(total - np.eye(self.dim)) > tol_for(total)
+
+    @cached_property
+    def unit_traces(self) -> bool:
+        """Whether every operator has trace one, tested once per family."""
+        return not np.max(np.abs(self.traces() - 1.0)) > EQ_TOL
+
     @property
     def minimal(self) -> bool:
         return len(self) == self.dim**2
@@ -103,6 +139,16 @@ class DualFrame(_OperatorFamily):
     """Synthesis family: operators are rebuilt as ``sum Tr[F A] D``."""
 
 
+def _check_values(fn) -> None:
+    object.__setattr__(fn, "labels", tuple(fn.labels))
+    vals = np.asarray(fn.values, dtype=float)
+    if vals.shape != (len(fn.labels),):
+        raise DimensionMismatchError(f"{len(fn.labels)} labels for {vals.shape} values")
+    if not np.isfinite(vals).all():
+        raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
+    object.__setattr__(fn, "values", vals)
+
+
 @dataclass(frozen=True)
 class QuasiDistribution:
     """Real-valued phase-space function representing a state."""
@@ -114,11 +160,7 @@ class QuasiDistribution:
     warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.labels),):
-            raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
-        object.__setattr__(self, "values", vals)
+        _check_values(self)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -138,11 +180,7 @@ class EffectFunction:
     warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.labels),):
-            raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
-        object.__setattr__(self, "values", vals)
+        _check_values(self)
 
 
 @dataclass(frozen=True)
@@ -185,9 +223,7 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def _coefficients(family: _OperatorFamily) -> np.ndarray:
     """Real expansion coefficients ``Tr[F(lam) B_a]`` of a Hermitian family."""
-    B = hermitian_basis(family.dim)
-    coeff = np.einsum("nij,aji->na", family.operators, B)
-    return np.real(coeff)
+    return _pairings(family.operators, hermitian_basis(family.dim))
 
 
 def frame_operator_matrix(frame: Frame) -> np.ndarray:
@@ -209,12 +245,10 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
 def canonical_dual(frame: Frame) -> DualFrame:
     """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator."""
     frame_bounds(frame)
-    B = hermitian_basis(frame.dim)
     V = _coefficients(frame)
     S = V.T @ V
     Sinv = np.linalg.pinv(S, rcond=PINV_RCOND, hermitian=True)
-    dual_coeff = V @ Sinv
-    ops = np.einsum("na,aij->nij", dual_coeff, B)
+    ops = (V @ Sinv @ _flat(hermitian_basis(frame.dim))).reshape(len(frame), frame.dim, frame.dim)
     return DualFrame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 
@@ -225,12 +259,12 @@ def gram_dual(frame: Frame) -> DualFrame:
             f"Gram dual needs exactly d^2 = {frame.dim**2} operators, got {len(frame)}"
         )
     ops = frame.operators
-    G = np.real(np.einsum("nij,mji->nm", ops, ops))
+    G = _pairings(ops, ops)
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")
     Ginv = np.linalg.inv(G)
-    dual_ops = np.einsum("nm,nij->mij", Ginv, ops)
+    dual_ops = (Ginv.T @ frame.flat).reshape(ops.shape)
     return DualFrame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
 
 
@@ -249,44 +283,40 @@ def is_dual_pair(frame: Frame, dual: DualFrame, tol: float | None = None) -> tup
     return residual <= tol, residual
 
 
+def _trace_values(family: _OperatorFamily, A: np.ndarray, kind: str) -> np.ndarray:
+    """Real values ``Tr[A F(lam)]`` over a family: one GEMV on its flat view."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (family.dim, family.dim):
+        raise DimensionMismatchError(f"{kind} shape {A.shape} does not match dim {family.dim}")
+    raw = family.flat @ A.T.reshape(-1)
+    imag = np.abs(raw.imag).max()
+    # tol_for(A) >= EQ_TOL, so A's norm is only needed above EQ_TOL
+    if imag > EQ_TOL and imag > tol_for(A):
+        raise DimensionMismatchError(f"{kind} values are not real; check hermiticity")
+    return raw.real
+
+
 def represent_state(rho: np.ndarray, frame: Frame, name: str | None = None) -> QuasiDistribution:
     """Quasi-probability values ``Tr[rho F(lam)]`` of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (frame.dim, frame.dim):
-        raise DimensionMismatchError(f"state shape {rho.shape} does not match dim {frame.dim}")
-    raw = np.einsum("nij,ji->n", frame.operators, rho)
-    if np.max(np.abs(raw.imag)) > tol_for(rho):
-        raise DimensionMismatchError("representation values are not real; check hermiticity")
-    warnings = []
-    resolution = frame.sum()
-    if np.linalg.norm(resolution - np.eye(frame.dim)) > tol_for(resolution):
-        warnings.append("frame-sum-not-identity")
+    values = _trace_values(frame, rho, "state")
     return QuasiDistribution(
         representation=name if name is not None else frame.name,
         dim=frame.dim,
         labels=frame.labels,
-        values=raw.real,
-        warnings=tuple(warnings),
+        values=values,
+        warnings=() if frame.resolves_identity else ("frame-sum-not-identity",),
     )
 
 
 def represent_effect(E: np.ndarray, dual: DualFrame, name: str | None = None) -> EffectFunction:
     """Effect values ``Tr[E D(lam)]`` against the dual family."""
-    E = np.asarray(E, dtype=complex)
-    if E.shape != (dual.dim, dual.dim):
-        raise DimensionMismatchError(f"effect shape {E.shape} does not match dim {dual.dim}")
-    raw = np.einsum("nij,ji->n", dual.operators, E)
-    if np.max(np.abs(raw.imag)) > tol_for(E):
-        raise DimensionMismatchError("effect values are not real; check hermiticity")
-    warnings = []
-    if np.max(np.abs(dual.traces() - 1.0)) > EQ_TOL:
-        warnings.append("dual-traces-not-one")
+    values = _trace_values(dual, E, "effect")
     return EffectFunction(
         representation=name if name is not None else dual.name,
         dim=dual.dim,
         labels=dual.labels,
-        values=raw.real,
-        warnings=tuple(warnings),
+        values=values,
+        warnings=() if dual.unit_traces else ("dual-traces-not-one",),
     )
 
 
@@ -294,14 +324,14 @@ def reconstruct_state(dist: QuasiDistribution, dual: DualFrame) -> np.ndarray:
     """Rebuild the operator ``sum mu(lam) D(lam)``."""
     if dist.labels != dual.labels:
         raise DimensionMismatchError("distribution labels do not match the dual family")
-    return np.einsum("n,nij->ij", dist.values, dual.operators)
+    return (dist.values @ dual.flat).reshape(dual.dim, dual.dim)
 
 
 def reconstruct_effect(fn: EffectFunction, frame: Frame) -> np.ndarray:
     """Rebuild the effect ``sum xi(lam) F(lam)``."""
     if fn.labels != frame.labels:
         raise DimensionMismatchError("effect labels do not match the frame")
-    return np.einsum("n,nij->ij", fn.values, frame.operators)
+    return (fn.values @ frame.flat).reshape(frame.dim, frame.dim)
 
 
 def born_pair(mu: QuasiDistribution, xi: EffectFunction) -> float:
@@ -319,7 +349,7 @@ def deformed_born(mu: QuasiDistribution, xi: EffectFunction, dual: DualFrame) ->
     """
     if mu.labels != dual.labels or xi.labels != dual.labels:
         raise DimensionMismatchError("distributions do not match the dual family")
-    K = np.real(np.einsum("nij,mji->nm", dual.operators, dual.operators))
+    K = _pairings(dual.operators, dual.operators)
     return float(mu.values @ K @ xi.values)
 
 
@@ -330,7 +360,7 @@ def transform_matrix(source_dual: DualFrame, target_frame: Frame) -> np.ndarray:
     """
     if source_dual.dim != target_frame.dim:
         raise DimensionMismatchError("representations live in different dimensions")
-    return np.real(np.einsum("nij,mji->nm", source_dual.operators, target_frame.operators))
+    return _pairings(source_dual.operators, target_frame.operators)
 
 
 def apply_transform(dist: QuasiDistribution, T: np.ndarray, target_frame: Frame) -> QuasiDistribution:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 

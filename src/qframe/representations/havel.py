@@ -42,7 +42,7 @@ def pauli_matrix_entry(n_qubits: int, k: int, j: int) -> np.ndarray:
 
 def havel_rep(n_qubits: int) -> Representation:
     """Frame of the d^2 Pauli words P_kj; the dual rescales by 1/d."""
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise UnsupportedDimensionError(f"need at least one qubit, got {n_qubits}")
     if n_qubits > MAX_QUBITS:
         raise UnsupportedDimensionError(f"register capped at {MAX_QUBITS} qubits")

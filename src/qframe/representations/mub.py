@@ -95,7 +95,7 @@ def mub_table(rho: np.ndarray, family: MubFamily) -> QuasiDistribution:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (family.d, family.d):
         raise DimensionMismatchError("state does not match the family dimension")
-    values = np.einsum("aij,ji->a", family.projectors, rho)
+    values = family.projectors.reshape(len(family.labels), -1) @ rho.T.reshape(-1)
     if np.max(np.abs(values.imag)) > 1e-9:
         raise ValueError("input must be Hermitian")
     return QuasiDistribution(
@@ -111,8 +111,8 @@ def mub_reconstruct(table: QuasiDistribution, family: MubFamily) -> np.ndarray:
     """Invert a probability table: rho = sum mu(n,k) P(n,k) - I."""
     if tuple(table.labels) != family.labels:
         raise DimensionMismatchError("table labels do not match the family")
-    acc = np.einsum("a,aij->ij", table.values, family.projectors)
-    return acc - np.eye(family.d)
+    acc = table.values @ family.projectors.reshape(len(family.labels), -1)
+    return acc.reshape(family.d, family.d) - np.eye(family.d)
 
 
 def mub_transition(t1: QuasiDistribution, t2: QuasiDistribution) -> float:

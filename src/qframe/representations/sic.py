@@ -9,7 +9,7 @@ and effect probabilities follow from a quasi-classical update rule.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
+import numpy.random
 
 from ..errors import (
     DimensionMismatchError,
@@ -95,6 +95,8 @@ def sic_fiducial(
         )
     if d == 2:
         return _qubit_fiducial()
+    from scipy.optimize import minimize  # slow to import, so only a search pays for it
+
     stack = _orbit_stack(d)
     fun = _search_objective(stack, 1.0 / (d + 1))
     rng = np.random.default_rng(seed)
@@ -177,7 +179,7 @@ def sic_conditional(rep: Representation, effect: np.ndarray) -> np.ndarray:
     E = np.asarray(effect, dtype=complex)
     if E.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"effect must be {rep.dim} x {rep.dim}")
-    return rep.dim * np.real(np.einsum("kij,ji->k", rep.frame.operators, E))
+    return rep.dim * np.real(rep.frame.flat @ E.T.reshape(-1))
 
 
 def sic_born(mu, xi) -> float:

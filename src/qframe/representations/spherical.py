@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial
+import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
 from ..frames import DualFrame, Frame, gram_dual

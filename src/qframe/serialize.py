@@ -173,8 +173,10 @@ def distribution_to_doc(dist: QuasiDistribution) -> dict:
 
 
 def distribution_from_doc(doc) -> QuasiDistribution:
+    """Parse a distribution document; well-formed but invalid values raise
+    ``DimensionMismatchError`` from ``QuasiDistribution`` itself."""
     try:
-        return QuasiDistribution(
+        fields = dict(
             representation=str(doc["representation"]),
             dim=int(doc["dim"]),
             labels=tuple(label_from_doc(x) for x in doc["labels"]),
@@ -183,6 +185,7 @@ def distribution_from_doc(doc) -> QuasiDistribution:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad distribution document: {exc}") from exc
+    return QuasiDistribution(**fields)
 
 
 # geometry

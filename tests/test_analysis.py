@@ -269,6 +269,22 @@ def test_register_and_epsilon_validation():
 # phase-space teleportation
 
 
+def test_lattices_are_built_once_per_process(monkeypatch):
+    import qframe.analysis as A
+
+    builds = []
+    monkeypatch.setattr(A, "wootters", lambda d: builds.append(d) or wootters(d))
+    A._lattice.cache_clear()
+    try:
+        rho = random_state(3, rank=1, seed=4)
+        for a in range(3):
+            for b in range(3):
+                teleport_phase_space(3, rho, (a, b))
+        assert builds == [3]
+    finally:
+        A._lattice.cache_clear()
+
+
 def test_identity_outcome_reproduces_input():
     rho = random_state(3, seed=11)
     out = teleport_phase_space(3, rho, (0, 0))

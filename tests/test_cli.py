@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +316,63 @@ def test_demo_entanglement(capsys):
     assert doc["samples"] == 20
     assert doc["disagreements"] == 0
     assert doc["conclusive"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "entanglement", "--samples", "-1"],
+        ["demo", "entanglement", "--samples", "0"],
+        ["verify", "wootters", "--d", "3", "--samples", "0"],
+        ["verify", "wootters", "--d", "3", "--samples", "-5"],
+    ],
+)
+def test_non_positive_samples_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_state_file_exits_4(tmp_path, capsys, bad):
+    path = tmp_path / "state.json"
+    rho = maximally_mixed(3).astype(complex)
+    rho[1, 1] = bad
+    path.write_text(json.dumps(matrix_to_doc(rho)))
+    code, out, err = run(capsys, "represent", "wootters", "--d", "3", "--state", str(path))
+    assert code == 4
+    assert out == ""
+    assert "finite" in err
+
+
+def test_non_finite_distribution_file_exits_4(tmp_path, capsys):
+    mu = wootters(3).represent(maximally_mixed(3))
+    doc = {
+        "representation": "wootters",
+        "dim": 3,
+        "labels": [list(lab) for lab in mu.labels],
+        "values": [float("nan")] + [float(v) for v in mu.values[1:]],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", "wootters", "--d", "3", "--dist", str(path))
+    assert code == 4
+    assert "finite" in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    probe = (
+        "import sys, qframe.cli; "
+        "print('scipy.optimize' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 # determinism

@@ -214,6 +214,28 @@ def test_label_mismatch_raises():
         reconstruct_state(bad, dual)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+def test_non_finite_state_or_effect_raises(bad):
+    fr = _random_minimal_frame(2, 3)
+    dual = canonical_dual(fr)
+    A = random_state(2, seed=0)
+    A[0, 1] = bad
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        represent_state(A, fr)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        represent_effect(A, dual)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_distribution_raises(bad):
+    values = np.full(4, 0.25)
+    values[2] = bad
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        QuasiDistribution("x", 2, tuple(range(4)), values)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        EffectFunction("x", 2, tuple(range(4)), values)
+
+
 def test_frame_operator_matrix_is_gram_of_coefficients():
     d = 2
     fr = _random_minimal_frame(d, 5)

@@ -166,6 +166,8 @@ def test_table_rejects_non_power_of_two():
 def test_word_factory_validates_register():
     with pytest.raises(UnsupportedDimensionError):
         havel_rep(0)
+    with pytest.raises(UnsupportedDimensionError):
+        havel_rep(True)
 
 
 # equal-overlap POVM

@@ -1,0 +1,221 @@
+"""Flat-view GEMM paths against the dense einsum formulas they replaced.
+
+The einsum forms below are the oracle: each library result must agree with
+them to 1e-12 for every representation the CLI can build.  States, effects
+and distributions are drawn by hypothesis.
+"""
+
+from argparse import Namespace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qframe.cli import REPRESENTATION_NAMES, build_representation
+from qframe.errors import DimensionMismatchError
+from qframe.frames import (
+    DualFrame,
+    EffectFunction,
+    Frame,
+    QuasiDistribution,
+    canonical_dual,
+    deformed_born,
+    gram_dual,
+    hermitian_basis,
+    reconstruct_effect,
+    represent_effect,
+    represent_state,
+    transform_matrix,
+)
+from qframe.representations import wootters
+
+ORACLE_TOL = 1e-12
+
+# (case id, CLI representation name, dimension flags), small sizes
+CASES = [
+    ("wootters-3", "wootters", {"d": 3}),
+    ("wootters-2x2", "wootters", {"dims": [2, 2]}),
+    ("ghw-2-2", "ghw", {"p": 2, "n": 2}),
+    ("cohendet-3", "cohendet", {"d": 3}),
+    ("leonhardt-3", "leonhardt", {"d": 3}),
+    ("leonhardt-2", "leonhardt", {"d": 2}),
+    ("stratonovich-0.5", "stratonovich", {"s": 0.5}),
+    ("stratonovich-1", "stratonovich", {"s": 1.0}),
+    ("ruzzi-3", "ruzzi", {"d": 3}),
+    ("mub-3", "mub", {"d": 3}),
+    ("hardy-3", "hardy", {"d": 3}),
+    ("havel-2", "havel", {"n": 2}),
+    ("sic-2", "sic", {"d": 2}),
+    ("sic-3", "sic", {"d": 3}),
+]
+IDS = [case[0] for case in CASES]
+
+
+@lru_cache(maxsize=None)
+def _rep(case_id: str):
+    _, name, flags = CASES[IDS.index(case_id)]
+    args = Namespace(d=None, dims=None, p=None, n=None, s=None, seed=0, starts=None)
+    for key, value in flags.items():
+        setattr(args, key, value)
+    return build_representation(name, args)
+
+
+# oracle
+
+
+def oracle_values(ops, A):
+    return np.real(np.einsum("nij,ji->n", ops, A))
+
+
+def oracle_synthesis(values, ops):
+    return np.einsum("n,nij->ij", values, ops)
+
+
+def oracle_pairings(A, B):
+    return np.real(np.einsum("nij,mji->nm", A, B))
+
+
+def oracle_gram_dual(ops):
+    return np.einsum("nm,nij->mij", np.linalg.inv(oracle_pairings(ops, ops)), ops)
+
+
+def oracle_canonical_dual(ops):
+    B = hermitian_basis(ops.shape[1])
+    V = np.real(np.einsum("nij,aji->na", ops, B))
+    Sinv = np.linalg.pinv(V.T @ V, rcond=1e-10, hermitian=True)
+    return np.einsum("na,aij->nij", V @ Sinv, B)
+
+
+def close(got, want, scale=1.0):
+    np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL * scale)
+
+
+# drawn inputs
+
+
+def _ginibre(data, d: int) -> np.ndarray:
+    parts = data.draw(arrays(np.float64, (2, d, d), elements=st.floats(-1, 1)))
+    G = parts[0] + 1j * parts[1]
+    return G @ G.conj().T
+
+
+@st.composite
+def state_and_effect(draw, d: int):
+    data = draw(st.data())
+    rho = _ginibre(data, d) + 1e-3 * np.eye(d)
+    rho /= np.trace(rho).real
+    E = _ginibre(data, d)
+    E /= max(1.0, float(np.linalg.eigvalsh(E)[-1]))
+    return rho, E
+
+
+def test_cases_cover_every_cli_representation():
+    assert {case[1] for case in CASES} == set(REPRESENTATION_NAMES)
+
+
+@pytest.mark.parametrize("case", IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_represent_effect_reconstruct_match_oracle(case, data):
+    rep = _rep(case)
+    rho, E = data.draw(state_and_effect(rep.dim))
+    mu = rep.represent(rho)
+    xi = rep.effect(E)
+    close(mu.values, oracle_values(rep.frame.operators, rho))
+    close(xi.values, oracle_values(rep.dual.operators, E))
+    close(rep.reconstruct(mu), oracle_synthesis(mu.values, rep.dual.operators))
+    close(reconstruct_effect(xi, rep.frame), oracle_synthesis(xi.values, rep.frame.operators))
+
+
+@pytest.mark.parametrize("case", IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_deformed_born_matches_oracle(case, data):
+    rep = _rep(case)
+    rho, E = data.draw(state_and_effect(rep.dim))
+    mu = rep.represent(rho)
+    xi = represent_state(E, rep.frame)
+    K = oracle_pairings(rep.dual.operators, rep.dual.operators)
+    want = float(mu.values @ K @ xi.values)
+    close(deformed_born(mu, xi, rep.dual), want, scale=max(1.0, np.abs(K).max()))
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_transform_matrix_matches_oracle(case):
+    rep = _rep(case)
+    ref = wootters(rep.dim) if rep.dim in (2, 3) else rep
+    close(transform_matrix(rep.dual, ref.frame), oracle_pairings(rep.dual.operators, ref.frame.operators))
+    close(transform_matrix(ref.dual, rep.frame), oracle_pairings(ref.dual.operators, rep.frame.operators))
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_canonical_dual_matches_oracle(case):
+    rep = _rep(case)
+    close(canonical_dual(rep.frame).operators, oracle_canonical_dual(rep.frame.operators))
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_gram_dual_matches_oracle(case):
+    rep = _rep(case)
+    if not rep.frame.minimal:
+        with pytest.raises(DimensionMismatchError):
+            gram_dual(rep.frame)
+        return
+    close(gram_dual(rep.frame).operators, oracle_gram_dual(rep.frame.operators))
+
+
+# per-family invariants and read-only stacks
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_flat_view_is_zero_copy_and_stacks_are_read_only(case):
+    rep = _rep(case)
+    for family in (rep.frame, rep.dual):
+        assert np.shares_memory(family.flat, family.operators)
+        assert family.flat.shape == (len(family), rep.dim**2)
+        assert not family.operators.flags.writeable
+    with pytest.raises(ValueError):
+        rep.frame.operators[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        rep.dual.flat[0, 0] = 1
+
+
+def test_family_freezes_the_stack_it_is_given():
+    ops = np.array(wootters(3).dual.operators)
+    assert ops.flags.writeable
+    family = DualFrame(dim=3, labels=tuple(range(9)), operators=ops)
+    assert family.operators is ops
+    with pytest.raises(ValueError):
+        ops[0, 0, 0] = 1
+
+
+def test_invariants_checked_once_still_warn_on_every_call():
+    rep = wootters(3)
+    doubled = Frame(dim=3, labels=rep.labels, operators=2 * rep.frame.operators)
+    halved = DualFrame(dim=3, labels=rep.labels, operators=rep.dual.operators / 2)
+    for _ in range(2):
+        assert represent_state(np.eye(3) / 3, doubled).warnings == ("frame-sum-not-identity",)
+        assert represent_effect(np.eye(3) / 2, halved).warnings == ("dual-traces-not-one",)
+        assert rep.represent(np.eye(3) / 3).warnings == ()
+        assert rep.effect(np.eye(3) / 2).warnings == ()
+    assert not doubled.resolves_identity and not halved.unit_traces
+    assert rep.frame.resolves_identity and rep.dual.unit_traces
+
+
+def test_per_call_checks_remain():
+    rep = wootters(3)
+    with pytest.raises(ValueError, match="not real"):
+        rep.represent(np.triu(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="not real"):
+        rep.effect(np.triu(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="shape"):
+        rep.represent(np.eye(2))
+    other = QuasiDistribution("x", 3, tuple(range(9)), np.full(9, 1 / 9))
+    with pytest.raises(ValueError, match="labels"):
+        rep.reconstruct(other)
+    fn = EffectFunction("x", 3, tuple(range(9)), np.ones(9))
+    with pytest.raises(ValueError, match="labels"):
+        reconstruct_effect(fn, rep.frame)
