@@ -1,8 +1,10 @@
 """Arithmetic in GF(p^n) with trace maps and dual bases.
 
-Elements are polynomials over Z_p reduced modulo a monic irreducible
-polynomial, stored as little-endian coefficient tuples ``(c_0, ..., c_{n-1})``
-and canonically ordered by the integer encoding ``sum c_i p^i``.
+Elements are polynomials over Z_p modulo a monic irreducible polynomial,
+coded by the integer ``sum c_i p^i`` of their coefficients.  A field keeps
+integer tables, built on first use: digits, log/antilog, traces and
+dual-basis coordinates of every code.  ``add`` and ``mul`` act on codes or
+arrays of codes; ``FieldElement`` is a thin view over one code.
 
 The default modulus comes from a built-in Conway-polynomial table for the
 small fields this package exercises; outside the table a deterministic
@@ -13,7 +15,9 @@ Any monic irreducible modulus can be supplied explicitly instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import ParseError, UnsupportedDimensionError
 
@@ -173,6 +177,11 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{n})")
 
 
+def _readonly(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class FiniteField:
     """GF(p^n) defined by a monic irreducible modulus of degree n."""
@@ -203,6 +212,85 @@ class FiniteField:
     def order(self) -> int:
         return self.p**self.n
 
+    # Integer tables, built on first use and cached on the field.
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """``(q, n)`` base-p digits of every code: coordinates in 1, x, ..., x^(n-1)."""
+        return _readonly((np.arange(self.order)[:, None] // self.p ** np.arange(self.n)) % self.p)
+
+    def _encode(self, digits) -> np.ndarray:
+        """Codes of digit vectors (last axis), reduced mod p."""
+        return (np.asarray(digits) % self.p) @ (self.p ** np.arange(self.n))
+
+    @cached_property
+    def _times_x(self) -> np.ndarray:
+        """Code of x * c for every code c: shift the digits up, reduce by the modulus."""
+        D = self.coords
+        top = D[:, -1:]
+        shifted = np.hstack([np.zeros_like(top), D[:, :-1]])
+        return self._encode(shifted - top * np.array(self.modulus[:-1]))
+
+    @cached_property
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """Antilog and log tables over a primitive element.
+
+        The primitive element is x when the modulus is primitive; otherwise
+        the smallest code of multiplicative order q - 1.
+        """
+        D, q = self.coords, self.order
+        for g in sorted(range(1, q), key=lambda c: c != self.p):  # code p is x when n > 1
+            step = np.zeros(q, dtype=np.int64)  # step[c] = g * c by Horner's rule over g's digits
+            for digit in D[g][::-1]:
+                step = self._encode(D[self._times_x[step]] + digit * D)
+            step, powers = step.tolist(), [1]
+            while step[powers[-1]] != 1:
+                powers.append(step[powers[-1]])
+            if len(powers) == q - 1:
+                exp = np.array(powers)
+                log = np.zeros(q, dtype=np.int64)
+                log[exp] = np.arange(q - 1)
+                return exp, log
+        raise RuntimeError(f"no primitive element in GF({self.p}^{self.n})")
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Trace into Z_p of every code: tr(c) = sum_j c^(p^j), by the log tables."""
+        exp, log = self._exp_log
+        frobenius = exp[(log[:, None] * self.p ** np.arange(self.n)) % (self.order - 1)]
+        total = self.coords[frobenius].sum(axis=1) % self.p
+        total[0] = 0  # log[0] is a placeholder
+        if total[:, 1:].any():
+            raise RuntimeError("trace did not land in the prime subfield")
+        return _readonly(total[:, 0])
+
+    def _trace_rows(self, codes) -> np.ndarray:
+        """``(q, len(codes))`` table of tr(c * b) over every code c."""
+        return self.traces[self.mul(np.arange(self.order)[:, None], np.asarray(codes))]
+
+    @cached_property
+    def dual_coords(self) -> np.ndarray:
+        """``(q, n)`` coordinates of every code in the trace-dual of 1, x, ..., x^(n-1).
+
+        The coordinate of c along the dual of x^j is tr(c * x^j).
+        """
+        return _readonly(self._trace_rows(self.p ** np.arange(self.n)))
+
+    def add(self, a, b):
+        """Sum of codes; ints or arrays, broadcast."""
+        return self._encode(self.coords[a] + self.coords[b])
+
+    def sub(self, a, b):
+        """Difference of codes; ints or arrays, broadcast."""
+        return self._encode(self.coords[a] - self.coords[b])
+
+    def mul(self, a, b):
+        """Product of codes through the log/antilog tables; ints or arrays, broadcast."""
+        exp, log = self._exp_log
+        a, b = np.asarray(a), np.asarray(b)
+        prod = exp[(log[a] + log[b]) % (self.order - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
     def element(self, value) -> "FieldElement":
         """Coerce an int code, coefficient sequence or element into the field."""
         if isinstance(value, FieldElement):
@@ -210,85 +298,57 @@ class FiniteField:
                 raise ParseError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            if not 0 <= value < self.order:
-                value %= self.order
-            coeffs = []
-            k = value
-            for _ in range(self.n):
-                coeffs.append(k % self.p)
-                k //= self.p
-            return FieldElement(self, tuple(coeffs))
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.n:
-            red = _poly_mod(coeffs, list(self.modulus), self.p)
-            coeffs = red
-        coeffs = coeffs + [0] * (self.n - len(coeffs))
-        return FieldElement(self, tuple(coeffs[: self.n]))
+            return FieldElement(self, int(value) % self.order)
+        # Horner's rule reduces a polynomial of any degree modulo the modulus.
+        code = 0
+        for c in reversed([int(c) for c in value]):
+            code = int(self.add(self._times_x[code], c % self.p))
+        return FieldElement(self, code)
 
     @property
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, 1)
 
     @property
     def generator(self) -> "FieldElement":
         """The class x of the modulus variable."""
-        if self.n == 1:
-            return self.element(1)
-        return self.element([0, 1])
+        return FieldElement(self, 1 if self.n == 1 else self.p)
 
     def elements(self) -> list["FieldElement"]:
         """All field elements in canonical integer order."""
-        return [self.element(k) for k in range(self.order)]
+        return [FieldElement(self, k) for k in range(self.order)]
 
     def polynomial_basis(self) -> list["FieldElement"]:
         """The basis 1, x, ..., x^(n-1)."""
-        out = []
-        for i in range(self.n):
-            coeffs = [0] * self.n
-            coeffs[i] = 1
-            out.append(FieldElement(self, tuple(coeffs)))
-        return out
+        return [FieldElement(self, self.p**i) for i in range(self.n)]
 
     def dual_basis(self, basis: list["FieldElement"] | None = None) -> list["FieldElement"]:
-        """The unique basis with ``tr(dual_i * basis_j) = delta_ij``."""
+        """The unique basis with ``tr(dual_i * basis_j) = delta_ij``.
+
+        Row c of the table tr(c * basis_j) holds c's coordinates in the dual
+        basis, so dual_i is the element whose row is the i-th unit vector.
+        """
         if basis is None:
             basis = self.polynomial_basis()
         if len(basis) != self.n:
             raise ParseError(f"a basis of GF({self.p}^{self.n}) needs {self.n} elements")
-        n, p = self.n, self.p
-        # Trace Gram matrix over Z_p; invert by Gauss-Jordan mod p.
-        M = [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
-        A = [row[:] + [1 if k == i else 0 for k in range(n)] for i, row in enumerate(M)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if A[r][col] % p), None)
-            if piv is None:
-                raise ParseError("given elements do not form a basis")
-            A[col], A[piv] = A[piv], A[col]
-            inv = pow(A[col][col], p - 2, p)
-            A[col] = [(v * inv) % p for v in A[col]]
-            for r in range(n):
-                if r != col and A[r][col]:
-                    f = A[r][col]
-                    A[r] = [(A[r][k] - f * A[col][k]) % p for k in range(2 * n)]
-        Minv = [row[n:] for row in A]
-        out = []
-        for j in range(n):
-            acc = self.zero
-            for i in range(n):
-                acc = acc + self.element(Minv[i][j]) * basis[i]
-            out.append(acc)
-        return out
+        rows = self._encode(self._trace_rows([self.element(b).code for b in basis]))
+        if len(np.unique(rows)) != self.order:
+            raise ParseError("given elements do not form a basis")
+        where = np.empty(self.order, dtype=np.int64)
+        where[rows] = np.arange(self.order)
+        return [FieldElement(self, int(where[self.p**i])) for i in range(self.n)]
 
     def expand(self, x: "FieldElement", basis: list["FieldElement"] | None = None) -> tuple[int, ...]:
         """Coordinates of x in the given basis (prime-subfield integers)."""
         if basis is None:
             basis = self.polynomial_basis()
-        dual = self.dual_basis(basis)
-        return tuple((x * e).trace() for e in dual)
+        dual = [e.code for e in self.dual_basis(basis)]
+        return tuple(int(t) for t in self.traces[self.mul(self.element(x).code, dual)])
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
@@ -303,75 +363,55 @@ class FiniteField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of GF(p^n), little-endian coefficient tuple over Z_p."""
+    """An element of GF(p^n): a thin view over its integer code."""
 
     field: FiniteField
-    coeffs: tuple[int, ...]
+    code: int
 
-    def _like(self, other) -> "FieldElement":
-        return self.field.element(other)
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Little-endian polynomial coefficients over Z_p."""
+        return tuple(int(c) for c in self.field.coords[self.code])
+
+    def _like(self, other) -> int:
+        return self.field.element(other).code
 
     def __add__(self, other) -> "FieldElement":
-        o = self._like(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.field, int(self.field.add(self.code, self._like(other))))
 
     def __sub__(self, other) -> "FieldElement":
-        o = self._like(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.field, int(self.field.sub(self.code, self._like(other))))
 
     def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.field, int(self.field.sub(0, self.code)))
 
     def __mul__(self, other) -> "FieldElement":
-        o = self._like(other)
-        p = self.field.p
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs), p)
-        red = _poly_mod(prod, list(self.field.modulus), p)
-        red = red + [0] * (self.field.n - len(red))
-        return FieldElement(self.field, tuple(red[: self.field.n]))
+        return FieldElement(self.field, int(self.field.mul(self.code, self._like(other))))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        F = self.field
+        if self.is_zero():
+            if e < 0:
+                raise ZeroDivisionError("zero has no multiplicative inverse")
+            return F.one if e == 0 else self
+        exp, log = F._exp_log
+        return FieldElement(F, int(exp[(int(log[self.code]) * e) % (F.order - 1)]))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self ** (self.field.order - 2)
+        return self ** -1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.code == 0
 
     def trace(self) -> int:
         """Field trace into Z_p: sum of x^(p^i) for i < n."""
-        acc = self.field.zero
-        term = self
-        for _ in range(self.field.n):
-            acc = acc + term
-            term = term**self.field.p
-        if any(c != 0 for c in acc.coeffs[1:]):
-            raise RuntimeError("trace did not land in the prime subfield")
-        return acc.coeffs[0]
+        return int(self.field.traces[self.code])
 
     def to_int(self) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.field.p + c
-        return out
+        return self.code
 
     def __repr__(self) -> str:
-        return f"GF({self.field.p}^{self.field.n}):{self.to_int()}"
+        return f"GF({self.field.p}^{self.field.n}):{self.code}"

@@ -90,6 +90,8 @@ class _OperatorFamily:
             raise DimensionMismatchError(f"operators are {ops.shape[1]}x{ops.shape[1]}, dim says {self.dim}")
         if len(self.labels) != ops.shape[0]:
             raise DimensionMismatchError(f"{len(self.labels)} labels for {ops.shape[0]} operators")
+        if not np.isfinite(ops).all():
+            raise DimensionMismatchError("operators must be finite; the family has a NaN or inf entry")
         herm = np.linalg.norm(ops - np.conj(np.swapaxes(ops, 1, 2)), axis=(1, 2))
         if np.any(herm > tol_for(ops)):
             raise DimensionMismatchError("family contains a non-Hermitian operator")
@@ -232,9 +234,8 @@ def frame_operator_matrix(frame: Frame) -> np.ndarray:
     return V.T @ V
 
 
-def frame_bounds(frame: Frame) -> tuple[float, float]:
-    """Tightest frame constants (a, b); raises when the family does not span."""
-    S = frame_operator_matrix(frame)
+def _bounds(S: np.ndarray) -> tuple[float, float]:
+    """Frame constants from the frame-operator matrix S; raises when S is singular."""
     vals = np.linalg.eigvalsh(S)
     a, b = float(vals[0]), float(vals[-1])
     if a <= EQ_TOL * max(1.0, b):
@@ -242,24 +243,33 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
     return a, b
 
 
+def frame_bounds(frame: Frame) -> tuple[float, float]:
+    """Tightest frame constants (a, b); raises when the family does not span."""
+    return _bounds(frame_operator_matrix(frame))
+
+
 def canonical_dual(frame: Frame) -> DualFrame:
     """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator."""
-    frame_bounds(frame)
     V = _coefficients(frame)
     S = V.T @ V
+    _bounds(S)
     Sinv = np.linalg.pinv(S, rcond=PINV_RCOND, hermitian=True)
     ops = (V @ Sinv @ _flat(hermitian_basis(frame.dim))).reshape(len(frame), frame.dim, frame.dim)
     return DualFrame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 
-def gram_dual(frame: Frame) -> DualFrame:
-    """Dual of a minimal frame through the inverse Gram matrix."""
+def gram_dual(frame: Frame, gram: np.ndarray | None = None) -> DualFrame:
+    """Dual of a minimal frame through the inverse Gram matrix.
+
+    ``gram`` is the frame's Gram matrix ``Tr[F(lam) F(lam')]`` when the
+    caller has already computed it.
+    """
     if not frame.minimal:
         raise DimensionMismatchError(
             f"Gram dual needs exactly d^2 = {frame.dim**2} operators, got {len(frame)}"
         )
     ops = frame.operators
-    G = _pairings(ops, ops)
+    G = _pairings(ops, ops) if gram is None else gram
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")

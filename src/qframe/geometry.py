@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UnsupportedDimensionError
-from .finitefield import FiniteField
+from .finitefield import FiniteField, _is_prime
 
 __all__ = [
     "PhaseSpaceGeometry",
@@ -43,15 +45,21 @@ class PhaseSpaceGeometry:
         return [self.lines[i] for i in self.striations[index]]
 
 
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % k == 0:
-            return False
-        k += 1
-    return True
+def _sloped_lattice(kind: str, ys: np.ndarray, meta: dict) -> PhaseSpaceGeometry:
+    """The d x d lattice whose striation 0 holds the vertical lines and
+    striation 1 + m the lines ``(a, ys[m, c, a])``, each in intercept order c.
+    """
+    d = len(ys)
+    xs = list(range(d))
+    lines = [tuple((c, b) for b in xs) for c in xs]
+    lines += [tuple(zip(xs, row)) for rows in ys.tolist() for row in rows]
+    return PhaseSpaceGeometry(
+        kind=kind,
+        points=tuple((a, b) for a in xs for b in xs),
+        lines=tuple(lines),
+        striations=tuple(tuple(range(s * d, (s + 1) * d)) for s in range(d + 1)),
+        meta={**meta, "d": d, "directions": [(0, 1)] + [(1, m) for m in xs]},
+    )
 
 
 def prime_lattice(d: int) -> PhaseSpaceGeometry:
@@ -62,56 +70,19 @@ def prime_lattice(d: int) -> PhaseSpaceGeometry:
     """
     if not _is_prime(d):
         raise UnsupportedDimensionError(f"lattice striations need prime d, got {d}")
-    points = tuple((q, p) for q in range(d) for p in range(d))
-    lines: list[tuple] = []
-    striations: list[tuple[int, ...]] = []
-    vertical = []
-    for c in range(d):
-        lines.append(tuple((c, p) for p in range(d)))
-        vertical.append(len(lines) - 1)
-    striations.append(tuple(vertical))
-    for m in range(d):
-        idxs = []
-        for c in range(d):
-            lines.append(tuple((q, (m * q + c) % d) for q in range(d)))
-            idxs.append(len(lines) - 1)
-        striations.append(tuple(idxs))
-    directions = [(0, 1)] + [(1, m) for m in range(d)]
-    return PhaseSpaceGeometry(
-        kind="prime-lattice",
-        points=points,
-        lines=tuple(lines),
-        striations=tuple(striations),
-        meta={"d": d, "directions": directions},
-    )
+    k = np.arange(d)
+    return _sloped_lattice("prime-lattice", (k[:, None, None] * k + k[:, None]) % d, {})
 
 
 def field_lattice(fieldobj: FiniteField) -> PhaseSpaceGeometry:
-    """The (x, y) lattice over GF(p^n), labels by canonical integer code."""
+    """The (x, y) lattice over GF(p^n), labels by canonical integer code.
+
+    Striation 0 collects the vertical lines x = c; striation 1 + m the lines
+    (a, m a + c), computed over whole arrays of codes.
+    """
     F = fieldobj
-    elems = F.elements()
-    points = tuple((a.to_int(), b.to_int()) for a in elems for b in elems)
-    lines: list[tuple] = []
-    striations: list[tuple[int, ...]] = []
-    vertical = []
-    for c in elems:
-        lines.append(tuple((c.to_int(), b.to_int()) for b in elems))
-        vertical.append(len(lines) - 1)
-    striations.append(tuple(vertical))
-    for m in elems:
-        idxs = []
-        for c in elems:
-            lines.append(tuple((a.to_int(), (m * a + c).to_int()) for a in elems))
-            idxs.append(len(lines) - 1)
-        striations.append(tuple(idxs))
-    directions = [(F.zero.to_int(), F.one.to_int())] + [(F.one.to_int(), m.to_int()) for m in elems]
-    return PhaseSpaceGeometry(
-        kind="field-lattice",
-        points=points,
-        lines=tuple(lines),
-        striations=tuple(striations),
-        meta={"field": F, "d": F.order, "directions": directions},
-    )
+    k = np.arange(F.order)
+    return _sloped_lattice("field-lattice", F.add(F.mul(k[:, None, None], k), k[:, None]), {"field": F})
 
 
 def composite_lattice(parts: list[PhaseSpaceGeometry]) -> PhaseSpaceGeometry:

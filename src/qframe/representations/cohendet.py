@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
+from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, QuasiDistribution
-from ..geometry import extended_lattice, plain_lattice, prime_lattice, _is_prime
+from ..geometry import extended_lattice, plain_lattice, prime_lattice
 from ..operators import omega, parity_matrix
 from .base import Representation
 

@@ -27,7 +27,7 @@ from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
 from ..frames import DualFrame, Frame
 from ..geometry import field_lattice
-from ..operators import clock_matrix, eigh_fixed, shift_matrix, tensor
+from ..operators import eigh_fixed, omega
 from .base import Representation, striation_pvms
 from .wootters import wootters
 
@@ -38,99 +38,77 @@ __all__ = [
     "match_phase_points",
 ]
 
+# Largest frame + dual stack (2 d^4 complex entries) ghw will allocate.
+MAX_STACK_BYTES = 1 << 30
+
+
+def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and phases of T(q, p) over arrays of codes.
+
+    Every T(q, p) is monomial: with j_i the digits of a basis index (tensor
+    factor 0 first), q_i the polynomial coordinates of q and p_i the
+    dual-basis coordinates of p, it sends |j> to omega^(p.j) |j + q>.  So
+    ``T[perm[k, j], j] = phase[k, j]`` for the k-th pair.
+    """
+    p, n = F.p, F.n
+    j = F.coords[:, ::-1]
+    qc = F.coords[np.asarray(qs)][..., None, :]
+    pc = F.dual_coords[np.asarray(ps)][..., None, :]
+    perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
+    phase = omega(p) ** ((j * pc).sum(axis=-1) % p)
+    return perm, phase
+
+
+def _dense(perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The ``(k, d, d)`` matrices of monomials given as by ``_monomials``."""
+    k, d = perm.shape
+    T = np.zeros((k, d, d), dtype=complex)
+    T[np.arange(k)[:, None], perm, np.arange(d)] = phase
+    return T
+
 
 def translation_operator(field: FiniteField, q, p) -> np.ndarray:
-    """Tensor-product shift/clock word for the phase-space point (q, p)."""
-    F = field
-    qe, pe = F.element(q), F.element(p)
-    basis = F.polynomial_basis()
-    dual = F.dual_basis(basis)
-    qc = F.expand(qe, basis)
-    pc = F.expand(pe, dual)
-    X, Z = shift_matrix(F.p), clock_matrix(F.p)
-    factors = [
-        np.linalg.matrix_power(X, qi) @ np.linalg.matrix_power(Z, pi)
-        for qi, pi in zip(qc, pc)
-    ]
-    return tensor(*factors)
+    """Tensor-product shift/clock word X^{q_0} Z^{p_0} (x) ... for the point (q, p)."""
+    perm, phase = _monomials(field, [field.element(q).code], [field.element(p).code])
+    return _dense(perm, phase)[0]
 
 
-def _phase_key(angle: float, p: int) -> int:
-    """Quantize an eigenvalue phase to the admissible root-of-unity grid."""
-    quantum = 2 * np.pi / (4 * p * p)
-    k = int(round(angle / quantum)) % (4 * p * p)
-    if abs(angle - round(angle / quantum) * quantum) > 1e-6:
-        raise RuntimeError(f"eigenvalue phase {angle} off the root-of-unity grid")
-    return k
-
-
-def _joint_eigenbasis(ops: list[np.ndarray], p: int) -> np.ndarray:
-    """Common eigenvectors of commuting unitaries, deterministically ordered.
+def _joint_eigenbasis(ops: np.ndarray, p: int) -> np.ndarray:
+    """Common eigenvectors of a stack of commuting unitaries, deterministically ordered.
 
     Columns are sorted by the tuple of eigenvalue phases against the given
-    operator list and gauge-fixed (first sizable component real positive).
+    operator order and gauge-fixed (first sizable component real positive).
     """
-    d = ops[0].shape[0]
+    k = np.arange(len(ops))
+    quantum = 2 * np.pi / (4 * p * p)
     for attempt in range(4):
-        H = np.zeros((d, d), dtype=complex)
-        for k, U in enumerate(ops):
-            a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
-            H += a * U + np.conj(a) * U.conj().T
-        _, vecs = eigh_fixed(H)
-        keys = []
-        good = True
-        for i in range(d):
-            v = vecs[:, i]
-            key = []
-            for U in ops:
-                lam = np.vdot(v, U @ v)
-                if np.linalg.norm(U @ v - lam * v) > 1e-8:
-                    good = False
-                    break
-                ang = float(np.angle(lam)) % (2 * np.pi)
-                key.append(_phase_key(ang, p))
-            if not good:
-                break
-            keys.append(tuple(key))
-        if good:
-            order = sorted(range(d), key=lambda i: keys[i])
-            out = vecs[:, order]
-            for i in range(d):
-                col = out[:, i]
-                nz = np.flatnonzero(np.abs(col) > 1e-12)
-                out[:, i] = col / (col[nz[0]] / abs(col[nz[0]]))
-            return out
+        a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
+        M = np.tensordot(a, ops, axes=1)
+        _, vecs = eigh_fixed(M + M.conj().T)
+        Uv = ops @ vecs
+        lam = np.einsum("ji,kji->ki", vecs.conj(), Uv)
+        if np.max(np.linalg.norm(Uv - lam[:, None, :] * vecs, axis=1)) > 1e-8:
+            continue
+        # eigenvalue phases, quantized to the admissible root-of-unity grid
+        angles = np.angle(lam) % (2 * np.pi)
+        steps = np.round(angles / quantum)
+        if np.max(np.abs(angles - steps * quantum)) > 1e-6:
+            raise RuntimeError("eigenvalue phase off the root-of-unity grid")
+        keys = steps.astype(np.int64) % (4 * p * p)
+        out = vecs[:, np.lexsort(keys[::-1])]
+        pivot = out[np.argmax(np.abs(out) > 1e-12, axis=0), np.arange(out.shape[1])]
+        return out / (pivot / np.abs(pivot))
     raise RuntimeError("failed to split a degenerate commuting family")
 
 
 def _build_structure(field: FiniteField):
-    """Geometry, striation eigenbases and line translations for a field."""
+    """Geometry and the joint eigenbasis of every striation's ray translations."""
     F = field
     geom = field_lattice(F)
-    elems = F.elements()
-    nonzero = elems[1:]
-    directions = geom.meta["directions"]
-    striations = []
-    for s, (dq, dp) in enumerate(directions):
-        dqe, dpe = F.element(dq), F.element(dp)
-        ray_ops = [translation_operator(F, (t * dqe).to_int(), (t * dpe).to_int()) for t in nonzero]
-        basis = _joint_eigenbasis(ray_ops, F.p)
-        # Transversal translations reaching each line, in intercept order.
-        if s == 0:
-            trans = [translation_operator(F, c.to_int(), 0) for c in elems]
-        else:
-            trans = [translation_operator(F, 0, c.to_int()) for c in elems]
-        striations.append({"basis": basis, "translations": trans})
-    return geom, striations
-
-
-def _net_projectors(striations, net: tuple[int, ...]) -> list[list[np.ndarray]]:
-    out = []
-    for s, data in enumerate(striations):
-        v = data["basis"][:, net[s]]
-        Q0 = np.outer(v, v.conj())
-        out.append([T @ Q0 @ T.conj().T for T in data["translations"]])
-    return out
+    t = np.arange(1, F.order)
+    bases = [_joint_eigenbasis(_dense(*_monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
+             for dq, dp in geom.meta["directions"]]
+    return geom, bases
 
 
 def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
@@ -140,34 +118,37 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     if (F.p, F.n) != (p, n):
         raise UnsupportedDimensionError("field does not match the requested (p, n)")
     d = F.order
-    geom, striations = _build_structure(F)
+    need = 2 * d**4 * np.dtype(complex).itemsize
+    if need > MAX_STACK_BYTES:
+        raise UnsupportedDimensionError(
+            f"ghw({p}, {n}) needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"
+        )
     if net is None:
         net = (0,) * (d + 1)
     net = tuple(int(t) % d for t in net)
     if len(net) != d + 1:
         raise UnsupportedDimensionError(f"a net needs {d + 1} shifts, got {len(net)}")
-    line_proj = _net_projectors(striations, net)
+    geom, bases = _build_structure(F)
 
-    # Map each point to its containing line within every striation.
-    line_of = {pt: {} for pt in geom.points}
-    for s, lines in enumerate(geom.striations):
-        for c, li in enumerate(lines):
-            for pt in geom.lines[li]:
-                line_of[pt][s] = c
+    # W[s, c] = T_c v_s: the net vector of striation s translated to its line
+    # with intercept c, by T(c, 0) across the vertical striation and T(0, c)
+    # across the others.  Line s*d + c projects onto W[s, c].
+    v = np.array([basis[:, t] for basis, t in zip(bases, net)])
+    codes, zeros = np.arange(d), np.zeros(d, dtype=np.int64)
+    W = np.empty((d + 1, d, d), dtype=complex)
+    perm, phase = _monomials(F, codes, zeros)
+    W[0][codes[:, None], perm] = phase * v[0]
+    perm, phase = _monomials(F, zeros, codes)
+    W[1:, codes[:, None], perm] = phase * v[1:, None, :]
+    line_proj = W[..., :, None] * W[..., None, :].conj()
 
-    eye = np.eye(d, dtype=complex)
-    ops = []
-    for pt in geom.points:
-        A = -eye.copy()
-        for s in range(d + 1):
-            A += line_proj[s][line_of[pt][s]]
-        ops.append(A)
-    ops = np.array(ops)
-
-    flat_proj = [None] * len(geom.lines)
-    for s, lines in enumerate(geom.striations):
-        for c, li in enumerate(lines):
-            flat_proj[li] = line_proj[s][c]
+    # Point (a, b) lies on the vertical line a and on the line b - m a of slope m;
+    # its operator is the sum of those d + 1 projectors minus the identity.
+    a, b = np.divmod(np.arange(d * d), d)
+    intercept = np.vstack([a, F.sub(b, F.mul(codes[:, None], a))])
+    S = W[np.arange(d + 1)[:, None], intercept].transpose(1, 2, 0)
+    ops = S @ S.conj().transpose(0, 2, 1)
+    ops[:, codes, codes] -= 1.0
 
     frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="ghw")
     dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="ghw")
@@ -180,8 +161,8 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
         meta={
             "field": F,
             "net": net,
-            "line_projectors": flat_proj,
-            "striation_bases": [s["basis"] for s in striations],
+            "line_projectors": list(line_proj.reshape(-1, d, d)),
+            "striation_bases": bases,
         },
     )
 
@@ -195,11 +176,10 @@ def wootters_aligned_net(p: int) -> tuple[int, ...]:
     woo = wootters(p)
     pvms = striation_pvms(woo)
     F = FiniteField(p, 1)
-    _, striations = _build_structure(F)
+    _, bases = _build_structure(F)
     net = []
-    for s, data in enumerate(striations):
+    for s, basis in enumerate(bases):
         target = pvms[s][0]
-        basis = data["basis"]
         overlaps = [np.real(np.vdot(basis[:, t], target @ basis[:, t])) for t in range(p)]
         best = int(np.argmax(overlaps))
         if overlaps[best] < 1 - 1e-8:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
+from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, canonical_dual
-from ..geometry import plain_lattice, prime_lattice, _is_prime
+from ..geometry import plain_lattice, prime_lattice
 from ..operators import clock_matrix, omega, parity_matrix, shift_matrix, tau
 from .base import Representation
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
+from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, QuasiDistribution
-from ..geometry import _is_prime
 from ..operators import finite_fourier, omega
 from .base import Representation
 

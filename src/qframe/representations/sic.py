@@ -50,7 +50,7 @@ def overlap_deviation(d: int, phi: np.ndarray) -> float:
     """Largest deviation of |<phi|U_pq phi>|^2 from 1/(d+1), (p,q) != (0,0)."""
     phi = np.asarray(phi, dtype=complex).reshape(d)
     phi = phi / np.linalg.norm(phi)
-    overlaps = np.abs(np.einsum("i,kij,j->k", phi.conj(), _orbit_stack(d), phi)) ** 2
+    overlaps = np.abs((_orbit_stack(d).reshape(-1, d) @ phi).reshape(-1, d) @ phi.conj()) ** 2
     return float(np.max(np.abs(overlaps - 1.0 / (d + 1))))
 
 

@@ -10,7 +10,7 @@ import numpy.polynomial
 import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
-from ..frames import DualFrame, Frame, gram_dual
+from ..frames import DualFrame, Frame, _pairings, gram_dual
 from .base import Representation
 
 GRAM_CONDITION_LIMIT = 1e8
@@ -210,12 +210,12 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
     ops = np.array([kernel.point(n) for n in points])
     labels = tuple(range(d * d))
     frame = Frame(dim=d, labels=labels, operators=ops, name="stratonovich")
-    gram = np.einsum("aij,bji->ab", ops, ops).real
+    gram = _pairings(frame.operators, frame.operators)
     if np.linalg.cond(gram) > GRAM_CONDITION_LIMIT:
         raise SingularBasisError(
             "constellation kernel Gram matrix is ill conditioned; redraw the points"
         )
-    dual = gram_dual(frame)
+    dual = gram_dual(frame, gram)
     return Representation(
         name="stratonovich",
         dim=d,
@@ -239,8 +239,7 @@ def random_constellation(s: float, seed=None, gammas=None, max_draws: int = 50):
         raw = rng.normal(size=(d * d, 3))
         pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         ops = np.array([kernel.point(n) for n in pts])
-        gram = np.einsum("aij,bji->ab", ops, ops).real
-        if np.linalg.cond(gram) <= GRAM_CONDITION_LIMIT:
+        if np.linalg.cond(_pairings(ops, ops)) <= GRAM_CONDITION_LIMIT:
             return pts, draw
     raise SingularBasisError(f"no well conditioned constellation in {max_draws} draws")
 

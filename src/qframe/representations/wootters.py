@@ -25,16 +25,13 @@ import itertools
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
+from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import make_pauli_family, omega, tensor
 from .base import Representation
 
 __all__ = ["phase_point_operators", "wootters", "wootters_composite"]
-
-
-def _is_prime(d: int) -> bool:
-    return d >= 2 and all(d % k for k in range(2, int(d**0.5) + 1))
 
 
 def _prime_points_odd(d: int) -> dict[tuple[int, int], np.ndarray]:

@@ -1,0 +1,181 @@
+"""Slow reference implementations of GF(p^n) arithmetic and the GHW build.
+
+``PolyField`` is polynomial arithmetic on integer codes: coefficient lists
+multiplied and reduced modulo the modulus, powers by squaring, the trace as
+a sum of Frobenius powers and the dual basis by Gauss-Jordan elimination of
+the trace Gram matrix.  ``dense_ghw`` builds the GHW representation on top
+of it the direct way: every translation a Kronecker product of shift and
+clock matrix powers, each line projector a dense conjugation, and each
+phase-point operator a Python sum over the lines through its point.  The
+table-driven field and the index-arithmetic GHW build must agree with them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qframe.finitefield import _poly_mod, _poly_mul, default_modulus
+from qframe.operators import clock_matrix, eigh_fixed, shift_matrix, tensor
+
+
+class PolyField:
+    def __init__(self, p: int, n: int, modulus=None):
+        self.p, self.n = p, n
+        self.modulus = list(modulus if modulus is not None else default_modulus(p, n))
+        self.order = p**n
+        self._duals: dict[tuple, list[int]] = {}
+
+    def coeffs(self, code: int) -> list[int]:
+        return [(code // self.p**i) % self.p for i in range(self.n)]
+
+    def code(self, coeffs) -> int:
+        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
+
+    def add(self, a: int, b: int) -> int:
+        return self.code([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def mul(self, a: int, b: int) -> int:
+        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
+        return self.code(_poly_mod(prod, self.modulus, self.p))
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.pow(self.inverse(a), -e)
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def inverse(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self.pow(a, self.order - 2)
+
+    def trace(self, a: int) -> int:
+        acc, term = 0, a
+        for _ in range(self.n):
+            acc = self.add(acc, term)
+            term = self.pow(term, self.p)
+        assert acc < self.p, "trace outside the prime subfield"
+        return acc
+
+    def polynomial_basis(self) -> list[int]:
+        return [self.p**i for i in range(self.n)]
+
+    def dual_basis(self, basis: list[int]) -> list[int] | None:
+        if tuple(basis) not in self._duals:
+            self._duals[tuple(basis)] = self._solve_dual(basis)
+        return self._duals[tuple(basis)]
+
+    def _solve_dual(self, basis: list[int]) -> list[int] | None:
+        n, p = self.n, self.p
+        M = [[self.trace(self.mul(basis[i], basis[j])) for j in range(n)] for i in range(n)]
+        A = [row[:] + [1 if k == i else 0 for k in range(n)] for i, row in enumerate(M)]
+        for col in range(n):
+            piv = next((r for r in range(col, n) if A[r][col] % p), None)
+            if piv is None:
+                return None  # not a basis
+            A[col], A[piv] = A[piv], A[col]
+            inv = pow(A[col][col], p - 2, p)
+            A[col] = [(v * inv) % p for v in A[col]]
+            for r in range(n):
+                if r != col and A[r][col]:
+                    f = A[r][col]
+                    A[r] = [(A[r][k] - f * A[col][k]) % p for k in range(2 * n)]
+        out = []
+        for j in range(n):
+            acc = 0
+            for i in range(n):
+                acc = self.add(acc, self.mul(A[i][n + j], basis[i]))
+            out.append(acc)
+        return out
+
+    def expand(self, x: int, basis: list[int]) -> tuple[int, ...]:
+        return tuple(self.trace(self.mul(x, e)) for e in self.dual_basis(basis))
+
+
+def translation_operator(F: PolyField, q: int, r: int) -> np.ndarray:
+    basis = F.polynomial_basis()
+    qc = F.expand(q, basis)
+    pc = F.expand(r, F.dual_basis(basis))
+    X, Z = shift_matrix(F.p), clock_matrix(F.p)
+    return tensor(*[np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b) for a, b in zip(qc, pc)])
+
+
+def _phase_key(angle: float, p: int) -> int:
+    quantum = 2 * np.pi / (4 * p * p)
+    k = int(round(angle / quantum)) % (4 * p * p)
+    assert abs(angle - round(angle / quantum) * quantum) <= 1e-6
+    return k
+
+
+def joint_eigenbasis(ops: list[np.ndarray], p: int) -> np.ndarray:
+    d = ops[0].shape[0]
+    for attempt in range(4):
+        H = np.zeros((d, d), dtype=complex)
+        for k, U in enumerate(ops):
+            a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
+            H += a * U + np.conj(a) * U.conj().T
+        _, vecs = eigh_fixed(H)
+        keys = []
+        good = True
+        for i in range(d):
+            v = vecs[:, i]
+            key = []
+            for U in ops:
+                lam = np.vdot(v, U @ v)
+                if np.linalg.norm(U @ v - lam * v) > 1e-8:
+                    good = False
+                    break
+                key.append(_phase_key(float(np.angle(lam)) % (2 * np.pi), p))
+            if not good:
+                break
+            keys.append(tuple(key))
+        if good:
+            out = vecs[:, sorted(range(d), key=lambda i: keys[i])]
+            for i in range(d):
+                col = out[:, i]
+                nz = np.flatnonzero(np.abs(col) > 1e-12)
+                out[:, i] = col / (col[nz[0]] / abs(col[nz[0]]))
+            return out
+    raise RuntimeError("failed to split a degenerate commuting family")
+
+
+def lattice(F: PolyField):
+    """Points, lines (striation-major, intercept order) and ray directions."""
+    E = range(F.order)
+    points = [(a, b) for a in E for b in E]
+    lines = [[(c, b) for b in E] for c in E]
+    lines += [[(a, F.add(F.mul(m, a), c)) for a in E] for m in E for c in E]
+    directions = [(0, 1)] + [(1, m) for m in E]
+    return points, lines, directions
+
+
+def dense_ghw(p: int, n: int, net=None):
+    """Labels, dual operators and line projectors of ghw(p, n)."""
+    F = PolyField(p, n)
+    d = F.order
+    net = net if net is not None else (0,) * (d + 1)
+    points, lines, directions = lattice(F)
+    projectors = []
+    for s, (dq, dr) in enumerate(directions):
+        ray = [translation_operator(F, F.mul(t, dq), F.mul(t, dr)) for t in range(1, d)]
+        v = joint_eigenbasis(ray, p)[:, net[s]]
+        Q0 = np.outer(v, v.conj())
+        for c in range(d):
+            T = translation_operator(F, c, 0) if s == 0 else translation_operator(F, 0, c)
+            projectors.append(T @ Q0 @ T.conj().T)
+    through = {pt: [] for pt in points}
+    for li, line in enumerate(lines):
+        for pt in line:
+            through[pt].append(li)
+    ops = []
+    for pt in points:
+        A = -np.eye(d, dtype=complex)
+        for li in through[pt]:
+            A += projectors[li]
+        ops.append(A)
+    return points, np.array(ops), projectors

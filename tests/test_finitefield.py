@@ -1,16 +1,31 @@
 """GF(p^n) arithmetic, traces, dual bases and modulus selection."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gf_oracle import PolyField
 from qframe.errors import ParseError, UnsupportedDimensionError
 from qframe.finitefield import (
+    CONWAY_POLYNOMIALS,
     FiniteField,
     default_modulus,
     is_irreducible,
     is_primitive_modulus,
 )
+
+# Every built-in field of order <= 64, plus x^2 + 1 over GF(3): irreducible,
+# but x has order 4, so the log tables must search for a generator.
+ORACLE_FIELDS = sorted((p, n, None) for p, n in CONWAY_POLYNOMIALS if p**n <= 64) + [(3, 2, (1, 0, 1))]
+
+
+@lru_cache(maxsize=None)
+def _fields(case):
+    p, n, modulus = case
+    return FiniteField(p, n, modulus), PolyField(p, n, modulus)
 
 
 def test_gf4_structure():
@@ -130,3 +145,71 @@ def test_json_round_trip():
     assert FiniteField.from_json(F.to_json()) == F
     with pytest.raises(ParseError):
         FiniteField.from_json({"p": 2})
+
+
+# table arithmetic against the polynomial oracle
+
+
+def test_non_primitive_modulus_is_accepted():
+    F = FiniteField(3, 2, (1, 0, 1))
+    assert not is_primitive_modulus(F.modulus, 3)
+    assert (F.generator**4).to_int() == 1  # x^2 = -1
+    assert any(len({(g**k).to_int() for k in range(8)}) == 8 for g in F.elements())
+
+
+@pytest.mark.parametrize("case", ORACLE_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_table_arithmetic_matches_polynomial_oracle(case, data):
+    F, P = _fields(case)
+    a, b = (data.draw(st.integers(0, F.order - 1)) for _ in range(2))
+    e = data.draw(st.integers(-70, 70))
+    x, y = F.element(a), F.element(b)
+    assert (x + y).to_int() == P.add(a, b)
+    assert (x - y).to_int() == P.add(a, P.mul(P.p - 1, b))
+    assert (-x).to_int() == P.mul(P.p - 1, a)
+    assert (x * y).to_int() == P.mul(a, b)
+    assert x.coeffs == tuple(P.coeffs(a))
+    assert x.trace() == P.trace(a)
+    if a == 0:
+        assert x**0 == F.one
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert (x**e).to_int() == P.pow(a, e)
+    assert x.inverse().to_int() == P.inverse(a)
+
+
+@pytest.mark.parametrize("case", ORACLE_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_expand_and_dual_basis_match_polynomial_oracle(case, data):
+    F, P = _fields(case)
+    codes = st.lists(st.integers(1, F.order - 1), min_size=F.n, max_size=F.n)
+    basis = [F.element(c) for c in data.draw(codes)]
+    x = F.element(data.draw(st.integers(0, F.order - 1)))
+    bases = [F.polynomial_basis(), F.dual_basis(), basis]
+    want = P.dual_basis([b.to_int() for b in basis])
+    if want is None:
+        with pytest.raises(ParseError):
+            F.dual_basis(basis)
+        bases.pop()
+    else:
+        assert [e.to_int() for e in F.dual_basis(basis)] == want
+    for B in bases:
+        assert F.expand(x, B) == P.expand(x.to_int(), [b.to_int() for b in B])
+
+
+def test_tables_are_built_lazily_and_read_only():
+    F = FiniteField(2, 4)
+    assert not {"coords", "traces", "dual_coords", "_exp_log"} & set(vars(F))
+    assert F.element(5).trace() == PolyField(2, 4).trace(5)
+    for table in (F.coords, F.traces, F.dual_coords):
+        assert not table.flags.writeable
+
+
+def test_long_coefficient_sequences_reduce_by_the_modulus():
+    F, P = _fields((2, 3, None))
+    # x^3 = x + 1 and x^5 = x^2 + x + 1 under x^3 + x + 1
+    assert F.element([0, 0, 0, 1]).to_int() == 3
+    assert F.element([0, 0, 0, 0, 0, 1]).to_int() == P.pow(2, 5) == 7

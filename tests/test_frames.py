@@ -242,3 +242,13 @@ def test_frame_operator_matrix_is_gram_of_coefficients():
     S = frame_operator_matrix(fr)
     assert np.allclose(S, S.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(S)) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_operator_rejected_at_construction(bad):
+    ops = np.array(hermitian_basis(2))
+    ops[3, 0, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        Frame(dim=2, labels=tuple(range(4)), operators=ops)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        DualFrame(dim=2, labels=tuple(range(4)), operators=ops)

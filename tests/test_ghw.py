@@ -1,8 +1,14 @@
 """Finite-field phase space: translation operators, quantum nets, point operators."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from gf_oracle import PolyField, dense_ghw
+from gf_oracle import translation_operator as dense_translation
+from qframe.cli import main
+from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import FiniteField
 from qframe.frames import is_dual_pair
 from qframe.geometry import check_geometry_axioms
@@ -197,3 +203,66 @@ def test_net_changes_point_operators_but_not_postulates():
 def test_net_length_validated():
     with pytest.raises(ValueError):
         ghw(3, 1, net=[0, 0])
+
+
+# index-arithmetic build against the dense construction it replaced
+
+ghw_module = importlib.import_module("qframe.representations.ghw")
+ORACLE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
+def test_ghw_matches_dense_oracle(p, n):
+    labels, ops, projectors = dense_ghw(p, n)
+    rep = ghw(p, n)
+    assert rep.labels == tuple(labels)
+    assert np.max(np.abs(rep.dual.operators - ops)) <= ORACLE_TOL
+    assert np.max(np.abs(rep.frame.operators - ops / p**n)) <= ORACLE_TOL
+    assert len(rep.meta["line_projectors"]) == len(projectors)
+    assert np.max(np.abs(np.array(rep.meta["line_projectors"]) - np.array(projectors))) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("p,n,net", [(3, 1, (1, 0, 2, 1)), (2, 2, (3, 1, 0, 2, 1))])
+def test_ghw_nets_match_dense_oracle(p, n, net):
+    _, ops, _ = dense_ghw(p, n, net)
+    assert np.max(np.abs(ghw(p, n, net=net).dual.operators - ops)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+def test_translation_operators_match_dense_oracle(p, n):
+    F, P = FiniteField(p, n), PolyField(p, n)
+    for q in range(F.order):
+        for r in range(F.order):
+            T = translation_operator(F, q, r)
+            assert np.max(np.abs(T - dense_translation(P, q, r))) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 5)])
+def test_larger_fields_build_dual_pairs(p, n):
+    rep = ghw(p, n)
+    assert rep.dim == p**n and len(rep.labels) == p ** (2 * n)
+    ok, residual = is_dual_pair(rep.frame, rep.dual)
+    assert ok, residual
+
+
+def test_dual_basis_at_most_once_per_field(monkeypatch):
+    calls = []
+    real = FiniteField.dual_basis
+    monkeypatch.setattr(FiniteField, "dual_basis", lambda self, *a: calls.append(self) or real(self, *a))
+    ghw(2, 4)
+    assert len(calls) <= 1
+
+
+def test_oversized_request_refused_before_building(monkeypatch):
+    monkeypatch.setattr(ghw_module, "_build_structure", lambda F: pytest.fail("built past the budget"))
+    with pytest.raises(UnsupportedDimensionError, match="budget"):
+        ghw(3, 4)  # d = 81: 2 d^4 complex entries are 1.4 GB
+    monkeypatch.setattr(ghw_module, "MAX_STACK_BYTES", 2 * 4**4 * 16 - 1)
+    with pytest.raises(UnsupportedDimensionError, match="budget"):
+        ghw(2, 2)
+    assert main(["build", "ghw", "--p", "2", "--n", "2"]) == 2
+
+
+def test_budget_admits_a_request_that_fits(monkeypatch):
+    monkeypatch.setattr(ghw_module, "MAX_STACK_BYTES", 2 * 4**4 * 16)
+    assert ghw(2, 2).dim == 4

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qframe.cli import REPRESENTATION_NAMES, build_representation
-from qframe.errors import DimensionMismatchError
+from qframe.errors import DimensionMismatchError, NotAFrameError, SingularBasisError
 from qframe.frames import (
     DualFrame,
     EffectFunction,
@@ -30,7 +30,8 @@ from qframe.frames import (
     represent_state,
     transform_matrix,
 )
-from qframe.representations import wootters
+from qframe.representations import overlap_deviation, stratonovich_discrete, wootters
+from qframe.representations.sic import _orbit_stack
 
 ORACLE_TOL = 1e-12
 
@@ -165,6 +166,36 @@ def test_gram_dual_matches_oracle(case):
             gram_dual(rep.frame)
         return
     close(gram_dual(rep.frame).operators, oracle_gram_dual(rep.frame.operators))
+
+
+@pytest.mark.parametrize("case", ["stratonovich-0.5", "stratonovich-1"])
+def test_stratonovich_dual_matches_oracle(case):
+    rep = _rep(case)
+    close(rep.dual.operators, oracle_gram_dual(rep.frame.operators))
+    gram = oracle_pairings(rep.frame.operators, rep.frame.operators)
+    close(gram_dual(rep.frame, gram).operators, rep.dual.operators)
+
+
+def test_dual_error_messages_kept():
+    B = hermitian_basis(2)
+    with pytest.raises(NotAFrameError, match="lower frame bound .* vanishes; family does not span"):
+        canonical_dual(Frame(dim=2, labels=(0, 1), operators=B[:2]))
+    with pytest.raises(SingularBasisError, match="ill conditioned; redraw the points"):
+        stratonovich_discrete(0.5, np.tile([0.0, 0.0, 1.0], (4, 1)))
+    ops = np.array([B[0], B[0], B[1], B[2]])
+    with pytest.raises(SingularBasisError, match="Gram matrix condition number"):
+        gram_dual(Frame(dim=2, labels=tuple(range(4)), operators=ops))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_overlap_deviation_matches_oracle(d, data):
+    parts = data.draw(arrays(np.float64, (2, d), elements=st.floats(-1, 1)))
+    phi = parts[0] + 1j * parts[1] + 2.0 * (np.arange(d) == 0)  # nonzero
+    v = phi / np.linalg.norm(phi)
+    overlaps = np.abs(np.einsum("i,kij,j->k", v.conj(), _orbit_stack(d), v)) ** 2
+    assert abs(overlap_deviation(d, phi) - np.max(np.abs(overlaps - 1 / (d + 1)))) <= ORACLE_TOL
 
 
 # per-family invariants and read-only stacks

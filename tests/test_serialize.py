@@ -1,9 +1,11 @@
 """Canonical JSON/CSV serialization and document round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
-from qframe.errors import ParseError
+from qframe.errors import DimensionMismatchError, ParseError, QframeError
 from qframe.frames import DualFrame, Frame, QuasiDistribution
 from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
 from qframe.serialize import (
@@ -112,6 +114,15 @@ def test_frame_doc_round_trip(d):
 def test_frame_doc_validation():
     with pytest.raises(ParseError):
         frame_from_doc({"dim": 2, "labels": [0]})
+
+
+def test_frame_doc_with_nan_is_a_dimension_error():
+    doc = frame_to_doc(wootters(2).frame)
+    doc["operators"][1]["re"][0][0] = float("nan")
+    doc = json.loads(json.dumps(doc))  # Python's json writes and reads NaN
+    with pytest.raises(QframeError) as info:
+        frame_from_doc(doc)
+    assert isinstance(info.value, DimensionMismatchError)  # exit code 4
 
 
 def test_distribution_doc_round_trip():
