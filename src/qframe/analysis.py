@@ -1,8 +1,8 @@
 """Diagnostics built on the representations.
 
 Negativity-based entanglement tests for two qubits, classicality of noisy
-NMR-style states, stabilizer positivity, phase-space teleportation, and a
-CHSH-type inequality evaluated on the singlet.
+NMR-style states, stabilizer positivity, phase-space teleportation, and the
+three-angle Bell-Wigner inequality evaluated on the singlet.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .representations import (
 
 FRANCO_PENNA_THRESHOLD = (1.0 - np.sqrt(3.0)) / 8.0
 EQ_GUARD = 1e-12
+# Frame eigenvalues and quasi-probabilities this close count as tied.
+WITNESS_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,25 +155,28 @@ def ppt_separability_two_qubit(rho: np.ndarray) -> EntanglementVerdict:
     )
 
 
+def _first_minimum(values: np.ndarray) -> int:
+    """Index of the first value within WITNESS_TIE_TOL of the minimum."""
+    return int(np.flatnonzero(values <= values.min() + WITNESS_TIE_TOL)[0])
+
+
 def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     """Exhibit nonclassicality of a frame/dual pair.
 
     Searches for a pure state with a quasi-probability below -tol; failing
     that (positive frames), for a rank-1 projector whose effect function
     leaves [0, 1].  Extremal eigenvectors of the frame and dual operators
-    realize both bounds, so the scan is exhaustive.
+    realize both bounds, so the scan is exhaustive.  Values tied with the
+    minimum up to WITNESS_TIE_TOL go to the first label, so round-off cannot
+    pick the witness.
     """
-    best_val = 0.0
-    best_vec = None
-    for F in rep.frame.operators:
-        vals, vecs = eigh_fixed(F)
-        if vals[0] < best_val:
-            best_val = vals[0]
-            best_vec = vecs[:, 0]
-    if best_val < -tol and best_vec is not None:
-        state = np.outer(best_vec, best_vec.conj())
+    lowest = np.linalg.eigvalsh(rep.frame.operators)[:, 0]
+    i = _first_minimum(lowest)
+    if lowest[i] < -tol:
+        vec = eigh_fixed(rep.frame.operators[i])[1][:, 0]
+        state = np.outer(vec, vec.conj())
         mu = rep.represent(state)
-        idx = int(np.argmin(mu.values))
+        idx = _first_minimum(mu.values)
         return {
             "found": True,
             "kind": "state",
@@ -337,8 +342,8 @@ def teleport_phase_space(
     )
 
 
-def bell_chsh_demo(a: float, b: float, c: float) -> dict:
-    """Singlet correlations for three coplanar spin axes and the CHSH bound.
+def bell_wigner_demo(a: float, b: float, c: float) -> dict:
+    """Singlet correlations for three coplanar spin axes and the Bell-Wigner bound.
 
     Correlation C(s, t) is computed by the Born rule from the +-1 outcome
     probabilities; the inequality compares |C(a,b) - C(a,c)| to 1 + C(b,c).
@@ -377,3 +382,7 @@ def bell_chsh_demo(a: float, b: float, c: float) -> dict:
         "rhs": rhs,
         "violated": bool(lhs > rhs + 1e-10),
     }
+
+
+# Former name, kept for callers; the inequality is not CHSH.
+bell_chsh_demo = bell_wigner_demo

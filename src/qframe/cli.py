@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .analysis import (
-    bell_chsh_demo,
+    bell_wigner_demo,
     franco_penna,
     negativity_witness,
     nmr_classicality,
@@ -66,7 +66,7 @@ from .serialize import (
     table_to_csv,
     write_json,
 )
-from .verify import verify_representation
+from .verify import fiducial_search_stats, verify_representation
 
 REPRESENTATION_NAMES = (
     "wootters",
@@ -210,8 +210,7 @@ def cmd_build(args) -> int:
         "duality_ok": bool(ok),
         "files": files,
     }
-    if "overlap_deviation" in rep.meta:
-        doc["overlap_deviation"] = float(rep.meta["overlap_deviation"])
+    doc.update(fiducial_search_stats(rep))
     sys.stdout.write(render_json(doc) + "\n")
     _say(
         f"build {rep.name} d={rep.dim}: bounds [{lo:.6g}, {hi:.6g}], "
@@ -369,7 +368,7 @@ def _demo_bell(args):
     if len(degs) != 3:
         raise ValueError("--angles needs three comma-separated degrees")
     a, b, c = (np.deg2rad(x) for x in degs)
-    result = bell_chsh_demo(a, b, c)
+    result = bell_wigner_demo(a, b, c)
     doc = {"demo": "bell", "angles_degrees": degs, **result}
     csv = table_to_csv(["key", "value"], sorted(result.items()))
     return doc, csv, (

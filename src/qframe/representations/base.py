@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import UnsupportedDimensionError
 from ..frames import (
     DualFrame,
     EffectFunction,
@@ -17,7 +18,24 @@ from ..frames import (
 )
 from ..geometry import PhaseSpaceGeometry
 
-__all__ = ["Representation", "striation_pvms"]
+__all__ = ["Representation", "striation_pvms", "MAX_STACK_BYTES", "check_stack_budget"]
+
+# Largest total of complex d x d operator stacks one factory call will allocate.
+MAX_STACK_BYTES = 1 << 30
+
+
+def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
+    """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
+
+    Two stacks are the frame and the dual; factories that also build the SIC
+    orbit, the unbiased-basis projectors or an n x n Gram matrix (n = d^2)
+    count three.
+    """
+    need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
+    if need > MAX_STACK_BYTES:
+        raise UnsupportedDimensionError(
+            f"{what} needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"
+        )
 
 
 @dataclass(frozen=True, eq=False)

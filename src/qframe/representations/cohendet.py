@@ -9,7 +9,7 @@ from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, QuasiDistribution
 from ..geometry import extended_lattice, plain_lattice, prime_lattice
 from ..operators import omega, parity_matrix
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 
 def cohendet_displacement(d: int, m: int, n: int) -> np.ndarray:
@@ -34,6 +34,7 @@ def cohendet(d: int) -> Representation:
         raise UnsupportedDimensionError("parity displacement splits only odd d")
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
+    check_stack_budget(f"cohendet({d})", d * d, d)
     geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
     ops = np.array([fano_operator(d, q, p) for q, p in geom.points])
     frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="cohendet")

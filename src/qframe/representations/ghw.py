@@ -28,7 +28,7 @@ from ..finitefield import FiniteField
 from ..frames import DualFrame, Frame
 from ..geometry import field_lattice
 from ..operators import eigh_fixed, omega
-from .base import Representation, striation_pvms
+from .base import Representation, check_stack_budget, striation_pvms
 from .wootters import wootters
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
     "wootters_aligned_net",
     "match_phase_points",
 ]
-
-# Largest frame + dual stack (2 d^4 complex entries) ghw will allocate.
-MAX_STACK_BYTES = 1 << 30
-
 
 def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     """Permutations and phases of T(q, p) over arrays of codes.
@@ -118,11 +114,7 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     if (F.p, F.n) != (p, n):
         raise UnsupportedDimensionError("field does not match the requested (p, n)")
     d = F.order
-    need = 2 * d**4 * np.dtype(complex).itemsize
-    if need > MAX_STACK_BYTES:
-        raise UnsupportedDimensionError(
-            f"ghw({p}, {n}) needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"
-        )
+    check_stack_budget(f"ghw({p}, {n})", d * d, d)
     if net is None:
         net = (0,) * (d + 1)
     net = tuple(int(t) % d for t in net)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..frames import DualFrame, Frame, gram_dual
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 
 def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
@@ -32,6 +32,8 @@ def hardy_rep(d: int) -> Representation:
     """Vector representation over alpha = d k + j with the Gram-inverse dual."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
+    # frame, Gram matrix (n x n = one more stack's worth) and dual
+    check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
     labels = []
     ops = []
     for k in range(d):

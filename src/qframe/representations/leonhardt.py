@@ -9,7 +9,7 @@ from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, canonical_dual
 from ..geometry import plain_lattice, prime_lattice
 from ..operators import clock_matrix, omega, parity_matrix, shift_matrix, tau
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 
 def _odd_point(d: int, q: int, p: int) -> np.ndarray:
@@ -29,6 +29,7 @@ def leonhardt(d: int) -> Representation:
     """Minimal lattice representation for odd d, doubled-lattice one for even d."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
+    check_stack_budget(f"leonhardt({d})", d * d if d % 2 else 4 * d * d, d)
     if d % 2 == 1:
         geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
         ops = np.array([_odd_point(d, q, p) for q, p in geom.points])

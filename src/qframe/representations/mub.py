@@ -8,7 +8,7 @@ from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame, QuasiDistribution
 from ..operators import finite_fourier, omega
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 # order-three rotation that cycles the Z, X and Y eigenbases of a qubit
 _QUBIT_V = 0.5 * np.array([[1 - 1j, -(1 + 1j)], [1 - 1j, 1 + 1j]])
@@ -54,6 +54,8 @@ class MubFamily:
     """The d+1 unbiased bases with their rank-one projectors."""
 
     def __init__(self, d: int):
+        # the family's projectors plus the frame and dual of ``representation``
+        check_stack_budget(f"mub_family({d})", d * (d + 1), d, stacks=3)
         self.d = d
         self.bases = mub_bases(d)
         labels = []

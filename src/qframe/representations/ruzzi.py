@@ -9,7 +9,7 @@ from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame
 from ..geometry import plain_lattice, prime_lattice
 from ..operators import omega, schwinger_basis
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 
 def ruzzi_point(d: int, q: int, p: int) -> np.ndarray:
@@ -28,6 +28,7 @@ def ruzzi_s0(d: int) -> Representation:
         raise UnsupportedDimensionError("the symmetric basis needs odd d")
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
+    check_stack_budget(f"ruzzi_s0({d})", d * d, d)
     geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
     ops = np.array([ruzzi_point(d, q, p) for q, p in geom.points])
     frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="ruzzi")

@@ -18,11 +18,23 @@ from ..errors import (
 )
 from ..frames import DualFrame, Frame, QuasiDistribution
 from ..operators import weyl_operator
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 SEARCH_TOL = 1e-8
 PROVIDED_TOL = 1e-6
 MAX_SEARCH_DIM = 8
+
+# Levenberg-Marquardt schedule of the fiducial search.  Dampings are in
+# units of the largest diagonal entry of J^T J at the start point.
+MAX_TRIALS = 200  # trial steps per start, accepted or not
+DAMPING = 1e-3
+DAMPING_DOWN = 1.0 / 3.0  # after a step that lowers the summed squares
+DAMPING_UP = 4.0  # after one that does not
+# J^T J is singular along the norm and the global phase of phi, so the
+# damping stays above MIN_DAMPING to keep the step solvable.
+MIN_DAMPING = 1e-12
+MAX_DAMPING = 1e8  # a start that needs more sits at a nonzero minimum
+CONVERGED = 1e-14  # every overlap within this of 1/(d+1)
 
 
 def _phase_gauge(phi: np.ndarray) -> np.ndarray:
@@ -46,36 +58,93 @@ def _orbit_stack(d: int) -> np.ndarray:
     )
 
 
-def overlap_deviation(d: int, phi: np.ndarray) -> float:
-    """Largest deviation of |<phi|U_pq phi>|^2 from 1/(d+1), (p,q) != (0,0)."""
-    phi = np.asarray(phi, dtype=complex).reshape(d)
-    phi = phi / np.linalg.norm(phi)
-    overlaps = np.abs((_orbit_stack(d).reshape(-1, d) @ phi).reshape(-1, d) @ phi.conj()) ** 2
+def _deviation(stack: np.ndarray, phi: np.ndarray) -> float:
+    d = stack.shape[1]
+    overlaps = np.abs((stack.reshape(-1, d) @ phi).reshape(-1, d) @ phi.conj()) ** 2
     return float(np.max(np.abs(overlaps - 1.0 / (d + 1))))
 
 
-def _search_objective(stack: np.ndarray, target: float):
-    # Wirtinger gradient of sum_k (|v_k|^2 - t)^2 with v_k = phi+ U_k phi / n
+def overlap_deviation(d: int, phi: np.ndarray) -> float:
+    """Largest deviation of |<phi|U_pq phi>|^2 from 1/(d+1), (p,q) != (0,0)."""
+    phi = np.asarray(phi, dtype=complex).reshape(d)
+    return _deviation(_orbit_stack(d), phi / np.linalg.norm(phi))
+
+
+def _residuals(stack: np.ndarray, phi: np.ndarray, target: float):
+    """Overlap residuals r_k = |v_k|^2 - target, v_k = phi+ U_k phi / n, and their Jacobian.
+
+    The Wirtinger gradient dr_k/d(conj phi) gives the derivatives in the
+    real coordinates (Re phi, Im phi) as twice its real and imaginary parts.
+    """
+    n = float(np.real(np.vdot(phi, phi)))
+    uphi = stack @ phi
+    udphi = (phi.conj() @ stack).conj()
+    v = uphi @ phi.conj() / n
+    w = np.abs(v) ** 2
+    grad_phi = (
+        v.conj()[:, None] * uphi
+        + v[:, None] * udphi
+        - 2.0 * w[:, None] * phi[None, :]
+    ) / n
+    return w - target, 2.0 * np.hstack([grad_phi.real, grad_phi.imag])
+
+
+def _descend(stack: np.ndarray, phi: np.ndarray, target: float) -> np.ndarray:
+    """Levenberg-Marquardt descent of sum_k r_k^2 from phi, renormalised every step.
+
+    A fiducial is a zero-residual solution, so near one the Gauss-Newton
+    steps converge quadratically.
+    """
+    d = phi.size
+    phi = phi / np.linalg.norm(phi)
+    r, J = _residuals(stack, phi, target)
+    cost = r @ r
+    A, g = J.T @ J, J.T @ r
+    unit = np.max(np.diag(A)) * np.eye(2 * d)
+    lam = DAMPING
+    for _ in range(MAX_TRIALS):
+        if np.max(np.abs(r)) <= CONVERGED or lam > MAX_DAMPING:
+            break
+        step = np.linalg.solve(A + lam * unit, -g)
+        trial = phi + step[:d] + 1j * step[d:]
+        trial = trial / np.linalg.norm(trial)
+        r_trial, J_trial = _residuals(stack, trial, target)
+        if r_trial @ r_trial < cost:
+            phi, r, J = trial, r_trial, J_trial
+            cost = r @ r
+            A, g = J.T @ J, J.T @ r
+            lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
+        else:
+            lam *= DAMPING_UP
+    return phi
+
+
+def _check_search_dim(d: int) -> None:
+    if d < 2:
+        raise UnsupportedDimensionError(f"need dimension >= 2, got {d}")
+    if d > MAX_SEARCH_DIM:
+        raise UnsupportedDimensionError(
+            f"fiducial search supports d <= {MAX_SEARCH_DIM}, got {d}"
+        )
+
+
+def _search(stack: np.ndarray, seed: int, starts: int, tol: float) -> tuple[np.ndarray, int]:
+    """Fiducial for the orbit ``stack`` and the number of starts the search used."""
     d = stack.shape[1]
-
-    def fun(x):
-        phi = x[:d] + 1j * x[d:]
-        n = float(np.real(np.vdot(phi, phi)))
-        uphi = stack @ phi
-        udphi = (phi.conj() @ stack).conj()
-        v = uphi @ phi.conj() / n
-        w = np.abs(v) ** 2
-        dev = w - target
-        f = float(np.sum(dev**2))
-        grad_phi = (
-            v.conj()[:, None] * uphi
-            + v[:, None] * udphi
-            - 2.0 * w[:, None] * phi[None, :]
-        ) / n
-        g = 2.0 * np.sum(dev[:, None] * grad_phi, axis=0)
-        return f, np.concatenate([2.0 * g.real, 2.0 * g.imag])
-
-    return fun
+    if d == 2:
+        return _qubit_fiducial(), 0
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for k in range(starts):
+        x0 = rng.standard_normal(2 * d)
+        phi = _descend(stack, x0[:d] + 1j * x0[d:], 1.0 / (d + 1))
+        dev = _deviation(stack, phi)
+        if dev < tol:
+            return _phase_gauge(phi), k + 1
+        best = min(best, dev)
+    raise FiducialSearchError(
+        f"no fiducial found in dimension {d}: best overlap deviation {best:.3e}"
+    )
 
 
 def sic_fiducial(
@@ -84,43 +153,11 @@ def sic_fiducial(
     """Unit vector whose Weyl orbit has all pairwise overlaps 1/(d+1).
 
     d=2 has a closed form; larger dimensions run a seeded multi-start
-    quasi-Newton minimization of the summed squared overlap deviations and
-    accept the first minimizer below ``tol``.
+    Levenberg-Marquardt search over the d^2 - 1 overlap residuals and accept
+    the first start whose overlap deviation is below ``tol``.
     """
-    if d < 2:
-        raise UnsupportedDimensionError(f"need dimension >= 2, got {d}")
-    if d > MAX_SEARCH_DIM:
-        raise UnsupportedDimensionError(
-            f"fiducial search supports d <= {MAX_SEARCH_DIM}, got {d}"
-        )
-    if d == 2:
-        return _qubit_fiducial()
-    from scipy.optimize import minimize  # slow to import, so only a search pays for it
-
-    stack = _orbit_stack(d)
-    fun = _search_objective(stack, 1.0 / (d + 1))
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(starts):
-        x0 = rng.standard_normal(2 * d)
-        # ftol=0 disables the relative-reduction stop; the quartic objective
-        # bottoms out near machine precision only under the gradient test
-        res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 3000, "ftol": 0.0, "gtol": 1e-20},
-        )
-        phi = res.x[:d] + 1j * res.x[d:]
-        phi = phi / np.linalg.norm(phi)
-        dev = overlap_deviation(d, phi)
-        if dev < tol:
-            return _phase_gauge(phi)
-        best = min(best, dev)
-    raise FiducialSearchError(
-        f"no fiducial found in dimension {d}: best overlap deviation {best:.3e}"
-    )
+    _check_search_dim(d)
+    return _search(_orbit_stack(d), seed, starts, tol)[0]
 
 
 def sic_rep(
@@ -129,11 +166,15 @@ def sic_rep(
     seed: int = 11,
     starts: int = 50,
 ) -> Representation:
-    """POVM frame P_k over the Weyl orbit with dual D_k = d(d+1)P_k - I."""
+    """POVM frame P_k over the Weyl orbit with dual D_k = d(d+1)P_k - I.
+
+    ``meta`` records the fiducial, its overlap deviation and the search
+    starts used (0 for d = 2 and for a provided fiducial).
+    """
     if d < 2:
         raise UnsupportedDimensionError(f"need dimension >= 2, got {d}")
     if fiducial is None:
-        phi = sic_fiducial(d, seed=seed, starts=starts)
+        _check_search_dim(d)
     else:
         phi = np.asarray(fiducial, dtype=complex).reshape(-1)
         if phi.shape != (d,):
@@ -141,24 +182,24 @@ def sic_rep(
         norm = np.linalg.norm(phi)
         if norm < 1e-12:
             raise ValueError("fiducial must be nonzero")
-        phi = phi / norm
-    dev = overlap_deviation(d, phi)
+        phi, used = phi / norm, 0
+    # the orbit, the frame and the dual
+    check_stack_budget(f"sic_rep({d})", d * d, d, stacks=3)
+    stack = _orbit_stack(d)
+    if fiducial is None:
+        phi, used = _search(stack, seed, starts, SEARCH_TOL)
+    dev = _deviation(stack, phi)
     if dev > PROVIDED_TOL:
         raise FiducialSearchError(
             f"fiducial overlap deviation {dev:.3e} exceeds {PROVIDED_TOL:.0e}"
         )
-    labels = []
-    ops = []
-    for p in range(d):
-        for q in range(d):
-            v = weyl_operator(p, q, d) @ phi
-            labels.append((p, q))
-            ops.append(np.outer(v, v.conj()) / d)
-    ops = np.array(ops)
-    frame = Frame(dim=d, labels=tuple(labels), operators=ops, name="sic")
+    labels = tuple((p, q) for p in range(d) for q in range(d))
+    vecs = np.vstack([phi, stack @ phi])  # U_00 = I, then the orbit in label order
+    ops = vecs[:, :, None] * vecs[:, None, :].conj() / d
+    frame = Frame(dim=d, labels=labels, operators=ops, name="sic")
     dual = DualFrame(
         dim=d,
-        labels=tuple(labels),
+        labels=labels,
         operators=d * (d + 1) * ops - np.eye(d),
         name="sic",
     )
@@ -168,7 +209,7 @@ def sic_rep(
         frame=frame,
         dual=dual,
         geometry=None,
-        meta={"fiducial": phi, "overlap_deviation": dev},
+        meta={"fiducial": phi, "overlap_deviation": dev, "search_starts": used},
     )
 
 

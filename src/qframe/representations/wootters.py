@@ -29,7 +29,7 @@ from ..finitefield import _is_prime
 from ..frames import DualFrame, Frame
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import make_pauli_family, omega, tensor
-from .base import Representation
+from .base import Representation, check_stack_budget
 
 __all__ = ["phase_point_operators", "wootters", "wootters_composite"]
 
@@ -74,6 +74,7 @@ def phase_point_operators(d: int) -> dict[tuple[int, int], np.ndarray]:
 
 def wootters(d: int) -> Representation:
     """Discrete Wigner representation for a single prime dimension."""
+    check_stack_budget(f"wootters({d})", d * d, d)
     points = phase_point_operators(d)
     geom = prime_lattice(d)
     ops = np.array([points[pt] for pt in geom.points])
@@ -94,9 +95,10 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
     for x in dims:
         if not _is_prime(x):
             raise UnsupportedDimensionError(f"every factor must be prime, got {x}")
+    d = int(np.prod(dims))
+    check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
     parts = [phase_point_operators(x) for x in dims]
     geom = composite_lattice([prime_lattice(x) for x in dims])
-    d = int(np.prod(dims))
     ops = []
     for label in geom.points:
         ops.append(tensor(*[part[pt] for part, pt in zip(parts, label)]))

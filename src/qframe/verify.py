@@ -98,6 +98,16 @@ def _extended_nonnegativity(rep: Representation, seed: int, states: int) -> floa
     return worst
 
 
+def fiducial_search_stats(rep: Representation) -> dict:
+    """The SIC fiducial's overlap deviation and the search starts it took, if any."""
+    if "search_starts" not in rep.meta:
+        return {}
+    return {
+        "overlap_deviation": float(rep.meta["overlap_deviation"]),
+        "search_starts": int(rep.meta["search_starts"]),
+    }
+
+
 def verify_representation(
     rep: Representation, seed: int = 0, samples: int = 200
 ) -> dict:
@@ -147,4 +157,5 @@ def verify_representation(
         "seed": int(seed),
         "checks": checks,
         "all_passed": bool(all(c["passed"] for c in checks)),
+        **fiducial_search_stats(rep),
     }

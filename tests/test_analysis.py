@@ -6,6 +6,7 @@ import pytest
 from qframe.analysis import (
     FRANCO_PENNA_THRESHOLD,
     bell_chsh_demo,
+    bell_wigner_demo,
     franco_penna,
     negativity_witness,
     nmr_classicality,
@@ -13,7 +14,9 @@ from qframe.analysis import (
     stabilizer_positivity_check,
     teleport_phase_space,
 )
+from qframe.cli import main
 from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
+from qframe.frames import Frame
 from qframe.operators import (
     bloch_state,
     maximally_mixed,
@@ -23,6 +26,7 @@ from qframe.operators import (
     weyl_operator,
 )
 from qframe.representations import (
+    Representation,
     cohendet,
     ghw,
     hardy_rep,
@@ -197,6 +201,26 @@ def test_positive_frames_witness_on_the_effect_side():
         assert negativity_witness(rep)["kind"] == "effect"
 
 
+def _perturbed(rep, seed, size=1e-15):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(rep.frame.operators.shape) + 1j * rng.standard_normal(rep.frame.operators.shape)
+    noise = size * (X + X.conj().transpose(0, 2, 1)) / 2
+    frame = Frame(dim=rep.dim, labels=rep.labels, operators=rep.frame.operators + noise, name=rep.name)
+    return Representation(name=rep.name, dim=rep.dim, frame=frame, dual=rep.dual, geometry=rep.geometry)
+
+
+def test_witness_ties_go_to_the_first_label():
+    # all 16 ghw(2,2) frame operators share the lowest eigenvalue -1/8 up to round-off
+    rep = ghw(2, 2)
+    lowest = np.linalg.eigvalsh(rep.frame.operators)[:, 0]
+    assert np.ptp(lowest) < 1e-14
+    w = negativity_witness(rep)
+    assert w["label"] == rep.labels[0]
+    assert abs(w["value"] + 0.125) < 1e-12
+    for seed in range(8):
+        assert negativity_witness(_perturbed(rep, seed))["label"] == w["label"]
+
+
 def test_witness_values_qubit_lattice():
     w = negativity_witness(wootters(2))
     assert w["kind"] == "state"
@@ -326,21 +350,21 @@ def test_even_and_composite_dimensions_rejected():
 
 
 def test_demo_violation_angles():
-    r = bell_chsh_demo(0.0, np.pi / 3, 2 * np.pi / 3)
+    r = bell_wigner_demo(0.0, np.pi / 3, 2 * np.pi / 3)
     assert abs(r["lhs"] - 1.0) < 1e-10
     assert abs(r["rhs"] - 0.5) < 1e-10
     assert r["violated"]
 
 
 def test_demo_no_violation_angles():
-    r = bell_chsh_demo(0.0, np.pi / 2, np.pi)
+    r = bell_wigner_demo(0.0, np.pi / 2, np.pi)
     assert abs(r["lhs"] - 1.0) < 1e-10
     assert abs(r["rhs"] - 1.0) < 1e-10
     assert not r["violated"]
 
 
 def test_equal_axes_saturate():
-    r = bell_chsh_demo(0.7, 0.7, 1.9)
+    r = bell_wigner_demo(0.7, 0.7, 1.9)
     assert abs(r["C_ab"] + 1.0) < 1e-12
     assert abs(r["lhs"] - r["rhs"]) < 1e-12
     assert not r["violated"]
@@ -350,7 +374,7 @@ def test_correlations_match_cosine():
     rng = np.random.default_rng(5)
     for _ in range(10):
         a, b, c = rng.uniform(0, 2 * np.pi, size=3)
-        r = bell_chsh_demo(a, b, c)
+        r = bell_wigner_demo(a, b, c)
         assert abs(r["C_ab"] + np.cos(a - b)) < 1e-12
         assert abs(r["C_bc"] + np.cos(b - c)) < 1e-12
 
@@ -359,6 +383,19 @@ def test_violation_exists_on_degree_grid():
     gaps = []
     for deg in range(1, 180):
         b = np.deg2rad(deg)
-        r = bell_chsh_demo(0.0, b, 2 * b)
+        r = bell_wigner_demo(0.0, b, 2 * b)
         gaps.append(r["lhs"] - r["rhs"])
     assert max(gaps) > 0
+
+
+def test_former_name_is_an_alias():
+    assert bell_chsh_demo is bell_wigner_demo
+
+
+def test_demo_bell_stdout_is_pinned(capsys):
+    assert main(["demo", "bell"]) == 0
+    assert capsys.readouterr().out == (
+        '{"C_ab": -5.000000000000e-01, "C_ac": 5.000000000000e-01, "C_bc": -5.000000000000e-01, '
+        '"angles_degrees": [0.000000000000e+00, 6.000000000000e+01, 1.200000000000e+02], '
+        '"demo": "bell", "lhs": 1.000000000000e+00, "rhs": 5.000000000000e-01, "violated": true}\n'
+    )

@@ -1,0 +1,96 @@
+"""Every factory refuses, before it allocates, a build over the operator-stack budget."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from qframe.cli import main
+from qframe.errors import UnsupportedDimensionError
+from qframe.representations import (
+    cohendet,
+    ghw,
+    hardy_rep,
+    leonhardt,
+    mub_family,
+    ruzzi_s0,
+    sic_rep,
+    wootters,
+    wootters_composite,
+)
+
+base = importlib.import_module("qframe.representations.base")
+
+C16 = np.dtype(complex).itemsize
+
+# (id, build, module whose first allocating step is stubbed out, its name,
+#  bytes of operator stacks the build is charged)
+BUDGETED = [
+    ("wootters-3", lambda: wootters(3), "wootters", "phase_point_operators", 2 * 9 * 9 * C16),
+    ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "phase_point_operators",
+     2 * 36 * 36 * C16),
+    ("cohendet-3", lambda: cohendet(3), "cohendet", "fano_operator", 2 * 9 * 9 * C16),
+    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "_odd_point", 2 * 9 * 9 * C16),
+    ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "_even_point", 2 * 16 * 4 * C16),
+    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "ruzzi_point", 2 * 9 * 9 * C16),
+    ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
+    ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
+    ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
+    ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 2 * 16 * 16 * C16),
+]
+IDS = [case[0] for case in BUDGETED]
+
+
+def _stub(monkeypatch, module, name):
+    mod = importlib.import_module(f"qframe.representations.{module}")
+    monkeypatch.setattr(mod, name, lambda *a, **k: pytest.fail("allocated past the budget"))
+
+
+@pytest.mark.parametrize("name,build,module,builder,need", BUDGETED, ids=IDS)
+def test_over_budget_refused_before_building(monkeypatch, name, build, module, builder, need):
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    _stub(monkeypatch, module, builder)
+    with pytest.raises(UnsupportedDimensionError, match="budget"):
+        build()
+
+
+@pytest.mark.parametrize("name,build,module,builder,need", BUDGETED, ids=IDS)
+def test_request_at_the_budget_builds(monkeypatch, name, build, module, builder, need):
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", need)
+    assert build() is not None
+
+
+def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
+    # no search bounds d here, so only the budget stands before the orbit stack
+    _stub(monkeypatch, "sic", "_orbit_stack")
+    with pytest.raises(UnsupportedDimensionError, match="budget"):
+        sic_rep(70, fiducial=np.ones(70))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wootters(79),  # 2 * 79^4 complex entries: 1.25 GB
+    lambda: wootters_composite([7, 11]),
+    lambda: hardy_rep(70),
+    lambda: mub_family(71),
+], ids=["wootters-79", "composite-7x11", "hardy-70", "mub-71"])
+def test_default_budget_refuses_large_requests(monkeypatch, build):
+    for module, builder in [("wootters", "phase_point_operators"), ("hardy", "hardy_projector"),
+                            ("mub", "mub_bases")]:
+        _stub(monkeypatch, module, builder)
+    with pytest.raises(UnsupportedDimensionError, match="budget"):
+        build()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "wootters", "--d", "3"],
+    ["build", "cohendet", "--d", "3"],
+    ["represent", "leonhardt", "--d", "3", "--mixed"],
+    ["represent", "ruzzi", "--d", "3", "--mixed"],
+    ["verify", "mub", "--d", "3"],
+    ["verify", "hardy", "--d", "3"],
+    ["build", "sic", "--d", "3"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_exits_2_over_budget(monkeypatch, capsys, argv):
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 1)
+    assert main(argv) == 2
+    assert "budget" in capsys.readouterr().err

@@ -1,7 +1,16 @@
 """Projector-grid, Pauli-word, and equal-overlap POVM representations."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qframe.cli import main
 
 from qframe.errors import (
     DimensionMismatchError,
@@ -29,6 +38,7 @@ from qframe.representations import (
     sic_fiducial,
     sic_rep,
 )
+from qframe.representations.sic import SEARCH_TOL
 
 
 # projector grid
@@ -272,3 +282,75 @@ def test_fiducial_shape_checked():
 def test_search_dimension_capped():
     with pytest.raises(UnsupportedDimensionError):
         sic_fiducial(9)
+
+
+# Levenberg-Marquardt fiducial search
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 8), seed=st.integers(0, 10**6))
+@example(d=8, seed=133)  # undamped, J^T J turns singular along the phase of phi
+def test_search_meets_tolerance_and_is_seeded(d, seed):
+    rep = sic_rep(d, seed=seed)
+    phi = rep.meta["fiducial"]
+    assert overlap_deviation(d, phi) <= SEARCH_TOL
+    assert rep.meta["overlap_deviation"] <= SEARCH_TOL
+    ok, residual = is_dual_pair(rep.frame, rep.dual)
+    assert ok, residual
+    assert np.array_equal(sic_fiducial(d, seed=seed), phi)
+    used = rep.meta["search_starts"]
+    assert used >= 1
+    if used > 1:  # the starts before the last one all failed
+        with pytest.raises(FiducialSearchError):
+            sic_fiducial(d, seed=seed, starts=used - 1)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_default_search_reaches_round_off(d):
+    assert overlap_deviation(d, sic_fiducial(d)) < 1e-13
+
+
+def test_search_runs_without_scipy():
+    probe = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from qframe.representations import sic_rep, overlap_deviation\n"
+        "for d in range(3, 9):\n"
+        "    assert overlap_deviation(d, sic_rep(d).meta['fiducial']) < 1e-8\n"
+        "loaded = [m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None]\n"
+        "print(loaded)"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_starts_still_raises():
+    with pytest.raises(FiducialSearchError):
+        sic_fiducial(3, starts=0)
+
+
+def test_search_statistics_in_meta():
+    assert sic_rep(2).meta["search_starts"] == 0
+    phi = sic_fiducial(4)
+    provided = sic_rep(4, fiducial=phi)
+    assert provided.meta["search_starts"] == 0
+    searched = sic_rep(4)
+    assert searched.meta["search_starts"] >= 1
+    assert searched.meta["overlap_deviation"] == overlap_deviation(4, searched.meta["fiducial"])
+
+
+def test_search_statistics_in_build_and_verify(tmp_path, capsys):
+    assert main(["build", "sic", "--d", "3", "--out", str(tmp_path)]) == 0
+    built = json.loads(capsys.readouterr().out)
+    assert main(["verify", "sic", "--d", "3", "--samples", "5"]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    rep = sic_rep(3, seed=0)
+    for doc in (built, verified):
+        assert doc["search_starts"] == rep.meta["search_starts"] >= 1
+        assert doc["overlap_deviation"] == pytest.approx(rep.meta["overlap_deviation"], rel=1e-11)
+    assert main(["verify", "wootters", "--d", "3", "--samples", "5"]) == 0
+    assert "search_starts" not in json.loads(capsys.readouterr().out)
