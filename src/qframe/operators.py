@@ -34,6 +34,9 @@ __all__ = [
     "shift_matrix",
     "clock_matrix",
     "parity_matrix",
+    "tau_powers",
+    "monomial_stack",
+    "displaced_parity",
     "PauliFamily",
     "make_pauli_family",
     "weyl_operator",
@@ -113,6 +116,42 @@ def parity_matrix(d: int) -> np.ndarray:
     for k in range(d):
         P[(-k) % d, k] = 1.0
     return P
+
+
+def tau_powers(d: int, exps) -> np.ndarray:
+    """``tau**exps`` elementwise, exponents taken mod 2d.
+
+    The table of 2d roots is conjugate-symmetric bit for bit (tau**d is
+    exactly -1), so monomials built from it are exactly Hermitian where
+    their exponents say so.
+    """
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    roots[d] = -1.0
+    roots[d + 1:] = roots[1:d][::-1].conj()
+    return roots[np.asarray(exps) % (2 * d)]
+
+
+def monomial_stack(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The ``(k, d, d)`` matrices with ``M[i, rows[i, c], c] = phases[i, c]``, zero elsewhere."""
+    k, d = rows.shape
+    M = np.zeros((k, d, d), dtype=complex)
+    M[np.arange(k)[:, None], rows, np.arange(d)] = phases
+    return M
+
+
+def displaced_parity(d: int, s, t) -> np.ndarray:
+    """The displaced parity monomials K(s, t) for arrays of integer labels.
+
+    ``K(s, t)[(s - c) mod d, c] = tau**(t (s - 2c))``, i.e. the word
+    ``tau**(s t) X^s Z^t P``.  The odd-lattice phase-point operators of the
+    Wootters, Cohendet, Leonhardt and Ruzzi constructions are all K under a
+    relabeling of (q, p), and Leonhardt's even-d operators are K(q, p)/(2d).
+    Returns the ``(len(s), d, d)`` stack.
+    """
+    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
+    t = np.asarray(t, dtype=np.int64).reshape(-1, 1)
+    c = np.arange(d)
+    return monomial_stack((s - c) % d, tau_powers(d, t * (s - 2 * c)))
 
 
 @dataclass(frozen=True)

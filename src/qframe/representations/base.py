@@ -18,7 +18,13 @@ from ..frames import (
 )
 from ..geometry import PhaseSpaceGeometry
 
-__all__ = ["Representation", "striation_pvms", "MAX_STACK_BYTES", "check_stack_budget"]
+__all__ = [
+    "Representation",
+    "striation_pvms",
+    "MAX_STACK_BYTES",
+    "check_stack_budget",
+    "phase_point_representation",
+]
 
 # Largest total of complex d x d operator stacks one factory call will allocate.
 MAX_STACK_BYTES = 1 << 30
@@ -66,6 +72,15 @@ class Representation:
 
     def reconstruct(self, dist: QuasiDistribution) -> np.ndarray:
         return reconstruct_state(dist, self.dual)
+
+
+def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndarray,
+                               meta: dict) -> Representation:
+    """The lattice families' pair over the points of ``geom``: frame {A/d}, dual {A}."""
+    d = ops.shape[1]
+    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name=name)
+    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name=name)
+    return Representation(name=name, dim=d, frame=frame, dual=dual, geometry=geom, meta=meta)
 
 
 def striation_pvms(rep: Representation) -> list[list[np.ndarray]]:

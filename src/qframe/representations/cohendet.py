@@ -1,4 +1,7 @@
-"""Fano-operator representation on the odd lattice and its doubled extension."""
+"""Fano-operator representation on the odd lattice and its doubled extension.
+
+W_qp P is K(-2q, 2p) of the displaced-parity kernel ``operators.displaced_parity``.
+"""
 
 from __future__ import annotations
 
@@ -6,26 +9,22 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import DualFrame, Frame, QuasiDistribution
+from ..frames import QuasiDistribution
 from ..geometry import extended_lattice, plain_lattice, prime_lattice
-from ..operators import omega, parity_matrix
-from .base import Representation, check_stack_budget
+from ..operators import displaced_parity
+from .base import Representation, check_stack_budget, phase_point_representation
 
 
 def cohendet_displacement(d: int, m: int, n: int) -> np.ndarray:
     """The displacement W_mn acting as phi_k -> w^{2n(k-m)} phi_{k-2m}."""
-    if d % 2 == 0:
-        raise UnsupportedDimensionError("displacements need odd d")
-    W = np.zeros((d, d), dtype=complex)
-    w = omega(d)
-    for k in range(d):
-        W[(k - 2 * m) % d, k] = w ** ((2 * n * (k - m)) % d)
-    return W
+    return fano_operator(d, m, n)[:, (-np.arange(d)) % d]  # W P P, as P^2 = I
 
 
 def fano_operator(d: int, q: int, p: int) -> np.ndarray:
     """Hermitian point operator W_qp P."""
-    return cohendet_displacement(d, q, p) @ parity_matrix(d)
+    if d % 2 == 0:
+        raise UnsupportedDimensionError("displacements need odd d")
+    return displaced_parity(d, -2 * q, 2 * p)[0]
 
 
 def cohendet(d: int) -> Representation:
@@ -36,12 +35,9 @@ def cohendet(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"cohendet({d})", d * d, d)
     geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
-    ops = np.array([fano_operator(d, q, p) for q, p in geom.points])
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="cohendet")
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="cohendet")
-    return Representation(
-        name="cohendet", dim=d, frame=frame, dual=dual, geometry=geom, meta={"d": d}
-    )
+    q, p = np.array(geom.points).T
+    ops = displaced_parity(d, -2 * q, 2 * p)
+    return phase_point_representation("cohendet", geom, ops, {"d": d})
 
 
 def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:

@@ -25,10 +25,9 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
-from ..frames import DualFrame, Frame
 from ..geometry import field_lattice
-from ..operators import eigh_fixed, omega
-from .base import Representation, check_stack_budget, striation_pvms
+from ..operators import eigh_fixed, monomial_stack, omega
+from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
 from .wootters import wootters
 
 __all__ = [
@@ -55,18 +54,10 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def _dense(perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """The ``(k, d, d)`` matrices of monomials given as by ``_monomials``."""
-    k, d = perm.shape
-    T = np.zeros((k, d, d), dtype=complex)
-    T[np.arange(k)[:, None], perm, np.arange(d)] = phase
-    return T
-
-
 def translation_operator(field: FiniteField, q, p) -> np.ndarray:
     """Tensor-product shift/clock word X^{q_0} Z^{p_0} (x) ... for the point (q, p)."""
     perm, phase = _monomials(field, [field.element(q).code], [field.element(p).code])
-    return _dense(perm, phase)[0]
+    return monomial_stack(perm, phase)[0]
 
 
 def _joint_eigenbasis(ops: np.ndarray, p: int) -> np.ndarray:
@@ -102,7 +93,7 @@ def _build_structure(field: FiniteField):
     F = field
     geom = field_lattice(F)
     t = np.arange(1, F.order)
-    bases = [_joint_eigenbasis(_dense(*_monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
+    bases = [_joint_eigenbasis(monomial_stack(*_monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
              for dq, dp in geom.meta["directions"]]
     return geom, bases
 
@@ -142,21 +133,12 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     ops = S @ S.conj().transpose(0, 2, 1)
     ops[:, codes, codes] -= 1.0
 
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="ghw")
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="ghw")
-    return Representation(
-        name="ghw",
-        dim=d,
-        frame=frame,
-        dual=dual,
-        geometry=geom,
-        meta={
-            "field": F,
-            "net": net,
-            "line_projectors": list(line_proj.reshape(-1, d, d)),
-            "striation_bases": bases,
-        },
-    )
+    return phase_point_representation("ghw", geom, ops, {
+        "field": F,
+        "net": net,
+        "line_projectors": list(line_proj.reshape(-1, d, d)),
+        "striation_bases": bases,
+    })
 
 
 def wootters_aligned_net(p: int) -> tuple[int, ...]:

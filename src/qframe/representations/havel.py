@@ -18,10 +18,10 @@ from .base import Representation
 MAX_QUBITS = 5
 
 
-def _qubit_grid() -> list[list[np.ndarray]]:
+def _qubit_grid() -> np.ndarray:
+    """The 2x2 grid of 2x2 matrices ``[[I, X], [Y, Z]]`` as one (2, 2, 2, 2) array."""
     fam = make_pauli_family(2)
-    eye = np.eye(2, dtype=complex)
-    return [[eye, fam.X], [fam.Y, fam.Z]]
+    return np.array([[np.eye(2, dtype=complex), fam.X], [fam.Y, fam.Z]])
 
 
 def _log2_exact(d: int) -> int:
@@ -31,12 +31,29 @@ def _log2_exact(d: int) -> int:
     return n
 
 
+def _pauli_words(n_qubits: int) -> np.ndarray:
+    """All d^2 words P_kj as one (d^2, d, d) stack, row-major in (k, j).
+
+    Each qubit appends the next lower bit of k and j with one batched
+    Kronecker product of the words so far and the grid.
+    """
+    grid = _qubit_grid()
+    words = np.ones((1, 1, 1, 1), dtype=complex)  # [k, j, row, col]
+    d = 1
+    for _ in range(n_qubits):
+        d *= 2
+        words = (
+            words[:, None, :, None, :, None, :, None] * grid[None, :, None, :, None, :, None, :]
+        ).reshape(d, d, d, d)
+    return words.reshape(d * d, d, d)
+
+
 def pauli_matrix_entry(n_qubits: int, k: int, j: int) -> np.ndarray:
     """P_kj as the tensor of grid entries over the bits of k and j, MSB first."""
     grid = _qubit_grid()
     out = np.array([[1.0 + 0j]])
     for a in range(n_qubits - 1, -1, -1):
-        out = tensor(out, grid[(k >> a) & 1][(j >> a) & 1])
+        out = tensor(out, grid[(k >> a) & 1, (j >> a) & 1])
     return out
 
 
@@ -47,15 +64,10 @@ def havel_rep(n_qubits: int) -> Representation:
     if n_qubits > MAX_QUBITS:
         raise UnsupportedDimensionError(f"register capped at {MAX_QUBITS} qubits")
     d = 2**n_qubits
-    labels = []
-    ops = []
-    for k in range(d):
-        for j in range(d):
-            labels.append((k, j))
-            ops.append(pauli_matrix_entry(n_qubits, k, j))
-    ops = np.array(ops)
-    frame = Frame(dim=d, labels=tuple(labels), operators=ops, name="havel")
-    dual = DualFrame(dim=d, labels=tuple(labels), operators=ops / d, name="havel")
+    labels = tuple((k, j) for k in range(d) for j in range(d))
+    ops = _pauli_words(n_qubits)
+    frame = Frame(dim=d, labels=labels, operators=ops, name="havel")
+    dual = DualFrame(dim=d, labels=labels, operators=ops / d, name="havel")
     return Representation(
         name="havel",
         dim=d,
@@ -73,14 +85,11 @@ def real_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("state must be a square matrix")
     d = rho.shape[0]
     n = _log2_exact(d)
-    out = np.empty((d, d))
-    for k in range(d):
-        for j in range(d):
-            val = np.trace(rho @ pauli_matrix_entry(n, k, j))
-            if abs(val.imag) > 1e-9:
-                raise ValueError("state must be Hermitian")
-            out[k, j] = val.real
-    return out
+    # Tr(rho P) pairs rho[a, b] with P[b, a]: one GEMV on the flat words
+    vals = _pauli_words(n).reshape(d * d, -1) @ rho.T.reshape(-1)
+    if np.max(np.abs(vals.imag)) > 1e-9:
+        raise ValueError("state must be Hermitian")
+    return vals.real.reshape(d, d)
 
 
 def reconstruct_from_real(sigma: np.ndarray) -> np.ndarray:
@@ -90,8 +99,4 @@ def reconstruct_from_real(sigma: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("table must be a square matrix")
     d = sigma.shape[0]
     n = _log2_exact(d)
-    acc = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for j in range(d):
-            acc += sigma[k, j] * pauli_matrix_entry(n, k, j)
-    return acc / d
+    return (sigma.reshape(-1) @ _pauli_words(n).reshape(d * d, -1)).reshape(d, d) / d

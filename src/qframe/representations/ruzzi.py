@@ -1,4 +1,7 @@
-"""Fourier transform of the symmetric operator basis on the odd lattice."""
+"""Fourier transform of the symmetric operator basis on the odd lattice.
+
+T(q, p) is K(2p, -2q) of the displaced-parity kernel ``operators.displaced_parity``.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +9,16 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import DualFrame, Frame
 from ..geometry import plain_lattice, prime_lattice
-from ..operators import omega, schwinger_basis
-from .base import Representation, check_stack_budget
+from ..operators import displaced_parity
+from .base import Representation, check_stack_budget, phase_point_representation
 
 
 def ruzzi_point(d: int, q: int, p: int) -> np.ndarray:
     """T(q,p) = (1/sqrt d) sum_{eta,xi} S(eta,xi) w^{-(eta q + xi p)}."""
-    S = schwinger_basis(d)
-    w = omega(d)
-    acc = np.zeros((d, d), dtype=complex)
-    for (eta, xi), op in S.items():
-        acc += op * w ** (-(eta * q + xi * p) % d)
-    return acc / np.sqrt(d)
+    if d % 2 == 0:
+        raise UnsupportedDimensionError("the symmetric operator basis needs odd d")
+    return displaced_parity(d, 2 * p, -2 * q)[0]
 
 
 def ruzzi_s0(d: int) -> Representation:
@@ -30,9 +29,6 @@ def ruzzi_s0(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"ruzzi_s0({d})", d * d, d)
     geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
-    ops = np.array([ruzzi_point(d, q, p) for q, p in geom.points])
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="ruzzi")
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="ruzzi")
-    return Representation(
-        name="ruzzi", dim=d, frame=frame, dual=dual, geometry=geom, meta={"d": d}
-    )
+    q, p = np.array(geom.points).T
+    ops = displaced_parity(d, 2 * p, -2 * q)
+    return phase_point_representation("ruzzi", geom, ops, {"d": d})

@@ -4,15 +4,17 @@ Phase-point operators for odd prime d:
 
     A(q,p) = (1/d) sum_{j,m} omega**(p j - q m + j m / 2) X^j Z^m,
 
-with the half exponent resolved by the inverse of 2 mod d.  For d = 2 that
-inverse does not exist; the qubit operators are instead the unique solution
-(up to relabeling) of the phase-point postulates with vertical lines carrying
-the Z eigenbasis and horizontal lines the X eigenbasis:
+with the half exponent resolved by the inverse of 2 mod d: the displaced
+parity K(2q, 2p) of the kernel ``operators.displaced_parity`` shared with
+the Cohendet, Leonhardt and Ruzzi constructions.  For d = 2 that inverse
+does not exist; the qubit operators are instead the unique solution (up to
+relabeling) of the phase-point postulates with vertical lines carrying the Z
+eigenbasis and horizontal lines the X eigenbasis:
 
     A(q,p) = (I + (-1)^q Z + (-1)^p X + (-1)^(q+p) Y) / 2.
 
 Composite dimensions take tensor products of prime-lattice operators point
-by point, so product states factorize.
+by point (one batched Kronecker product), so product states factorize.
 
 The frame is ``{A/d}`` and the dual ``{A}``: states are represented by
 ``mu(q,p) = Tr[rho A(q,p)]/d`` and recovered as ``rho = sum mu A``.
@@ -20,69 +22,54 @@ The frame is ``{A/d}`` and the dual ``{A}``: states are represented by
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import DualFrame, Frame
 from ..geometry import composite_lattice, prime_lattice
-from ..operators import make_pauli_family, omega, tensor
-from .base import Representation, check_stack_budget
+from ..operators import displaced_parity, make_pauli_family
+from .base import Representation, check_stack_budget, phase_point_representation
 
 __all__ = ["phase_point_operators", "wootters", "wootters_composite"]
 
 
-def _prime_points_odd(d: int) -> dict[tuple[int, int], np.ndarray]:
-    fam = make_pauli_family(d)
-    inv2 = (d + 1) // 2
-    w = omega(d)
-    # Precompute X^j Z^m once.
-    xs = [np.linalg.matrix_power(fam.X, j) for j in range(d)]
-    zs = [np.linalg.matrix_power(fam.Z, m) for m in range(d)]
-    words = {(j, m): xs[j] @ zs[m] for j in range(d) for m in range(d)}
-    out = {}
-    for q in range(d):
-        for p in range(d):
-            A = np.zeros((d, d), dtype=complex)
-            for j in range(d):
-                for m in range(d):
-                    A += w ** ((p * j - q * m + j * m * inv2) % d) * words[(j, m)]
-            out[(q, p)] = A / d
-    return out
-
-
-def _qubit_points() -> dict[tuple[int, int], np.ndarray]:
+def _qubit_points() -> np.ndarray:
     fam = make_pauli_family(2)
     eye = np.eye(2, dtype=complex)
-    out = {}
-    for q in range(2):
-        for p in range(2):
-            out[(q, p)] = 0.5 * (
-                eye + (-1) ** q * fam.Z + (-1) ** p * fam.X + (-1) ** (q + p) * fam.Y
-            )
-    return out
+    return np.array([
+        0.5 * (eye + (-1) ** q * fam.Z + (-1) ** p * fam.X + (-1) ** (q + p) * fam.Y)
+        for q in range(2) for p in range(2)
+    ])
+
+
+def _prime_stack(d: int) -> np.ndarray:
+    """A(q, p) for prime d, stacked over the row-major points of ``prime_lattice(d)``."""
+    if not _is_prime(d):
+        raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
+    if d == 2:
+        return _qubit_points()
+    q, p = np.divmod(np.arange(d * d), d)
+    return displaced_parity(d, 2 * q, 2 * p)
+
+
+def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron(a[i], b[j])`` for every pair, i major: one batched product."""
+    (n, da, _), (m, db, _) = a.shape, b.shape
+    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return out.reshape(n * m, da * db, da * db)
 
 
 def phase_point_operators(d: int) -> dict[tuple[int, int], np.ndarray]:
     """The d^2 phase-point operators A(q,p) for prime d."""
-    if not _is_prime(d):
-        raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
-    return _qubit_points() if d == 2 else _prime_points_odd(d)
+    ops = _prime_stack(d)
+    return dict(zip(prime_lattice(d).points, ops))
 
 
 def wootters(d: int) -> Representation:
     """Discrete Wigner representation for a single prime dimension."""
     check_stack_budget(f"wootters({d})", d * d, d)
-    points = phase_point_operators(d)
-    geom = prime_lattice(d)
-    ops = np.array([points[pt] for pt in geom.points])
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="wootters")
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="wootters")
-    return Representation(
-        name="wootters", dim=d, frame=frame, dual=dual, geometry=geom, meta={"dims": (d,)}
-    )
+    ops = _prime_stack(d)
+    return phase_point_representation("wootters", prime_lattice(d), ops, {"dims": (d,)})
 
 
 def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
@@ -97,14 +84,8 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
             raise UnsupportedDimensionError(f"every factor must be prime, got {x}")
     d = int(np.prod(dims))
     check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
-    parts = [phase_point_operators(x) for x in dims]
+    ops = _prime_stack(dims[0])
+    for x in dims[1:]:
+        ops = _kron_stacks(ops, _prime_stack(x))
     geom = composite_lattice([prime_lattice(x) for x in dims])
-    ops = []
-    for label in geom.points:
-        ops.append(tensor(*[part[pt] for part, pt in zip(parts, label)]))
-    ops = np.array(ops)
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name="wootters")
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name="wootters")
-    return Representation(
-        name="wootters", dim=d, frame=frame, dual=dual, geometry=geom, meta={"dims": dims}
-    )
+    return phase_point_representation("wootters", geom, ops, {"dims": dims})

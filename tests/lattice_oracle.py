@@ -1,0 +1,153 @@
+"""Slow reference constructions of the displaced-parity lattice families and the Pauli words.
+
+Each function is the direct construction the index-arithmetic code
+replaces, one operator at a time: the Wootters operator as a phase-weighted
+sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
+the parity matrix, the Leonhardt operators as matrix powers times parity,
+the Ruzzi operator as a Fourier sum over the Schwinger basis, composite
+points as Kronecker products, the Weyl orbit from ``weyl_operator`` and the
+Pauli words and their real table as loops over bits and words.  The Weyl
+words and the Schwinger basis are cached per d so the oracle can be sampled
+at a few points of a large lattice.  ``dense_ops`` stacks any family over
+its labels.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from qframe.operators import (
+    clock_matrix,
+    make_pauli_family,
+    omega,
+    parity_matrix,
+    schwinger_basis,
+    shift_matrix,
+    tau,
+    tensor,
+    weyl_operator,
+)
+
+
+@lru_cache(maxsize=None)
+def _words(d: int) -> dict[tuple[int, int], np.ndarray]:
+    fam = make_pauli_family(d)
+    xs = [np.linalg.matrix_power(fam.X, j) for j in range(d)]
+    zs = [np.linalg.matrix_power(fam.Z, m) for m in range(d)]
+    return {(j, m): xs[j] @ zs[m] for j in range(d) for m in range(d)}
+
+
+def wootters_point(d: int, q: int, p: int) -> np.ndarray:
+    """A(q,p) = (1/d) sum_{j,m} omega**(p j - q m + j m / 2) X^j Z^m, odd prime d."""
+    inv2 = (d + 1) // 2
+    w = omega(d)
+    words = _words(d)
+    A = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        for m in range(d):
+            A += w ** ((p * j - q * m + j * m * inv2) % d) * words[(j, m)]
+    return A / d
+
+
+def qubit_point(q: int, p: int) -> np.ndarray:
+    fam = make_pauli_family(2)
+    eye = np.eye(2, dtype=complex)
+    return 0.5 * (eye + (-1) ** q * fam.Z + (-1) ** p * fam.X + (-1) ** (q + p) * fam.Y)
+
+
+def prime_point(d: int, q: int, p: int) -> np.ndarray:
+    return qubit_point(q, p) if d == 2 else wootters_point(d, q, p)
+
+
+def composite_point(dims, label) -> np.ndarray:
+    return tensor(*[prime_point(x, q, p) for x, (q, p) in zip(dims, label)])
+
+
+def cohendet_displacement(d: int, m: int, n: int) -> np.ndarray:
+    W = np.zeros((d, d), dtype=complex)
+    w = omega(d)
+    for k in range(d):
+        W[(k - 2 * m) % d, k] = w ** ((2 * n * (k - m)) % d)
+    return W
+
+
+def fano_point(d: int, q: int, p: int) -> np.ndarray:
+    return cohendet_displacement(d, q, p) @ parity_matrix(d)
+
+
+def leonhardt_odd_point(d: int, q: int, p: int) -> np.ndarray:
+    X, Z, P = shift_matrix(d), clock_matrix(d), parity_matrix(d)
+    word = np.linalg.matrix_power(X, (2 * q) % d) @ np.linalg.matrix_power(Z, (2 * p) % d)
+    return word @ P * omega(d) ** ((2 * q * p) % d)
+
+
+def leonhardt_even_point(d: int, q: int, p: int) -> np.ndarray:
+    X, Z, P = shift_matrix(d), clock_matrix(d), parity_matrix(d)
+    word = np.linalg.matrix_power(X, q % d) @ np.linalg.matrix_power(Z, p % d)
+    return word @ P * tau(d) ** ((q * p) % (2 * d)) / (2 * d)
+
+
+_schwinger = lru_cache(maxsize=None)(schwinger_basis)
+
+
+def ruzzi_point(d: int, q: int, p: int) -> np.ndarray:
+    """T(q,p) = (1/sqrt d) sum_{eta,xi} S(eta,xi) w^{-(eta q + xi p)}."""
+    w = omega(d)
+    acc = np.zeros((d, d), dtype=complex)
+    for (eta, xi), op in _schwinger(d).items():
+        acc += op * w ** (-(eta * q + xi * p) % d)
+    return acc / np.sqrt(d)
+
+
+def leonhardt_point(d: int, q: int, p: int) -> np.ndarray:
+    return leonhardt_odd_point(d, q, p) if d % 2 else leonhardt_even_point(d, q, p)
+
+
+# The dual operator of each family at a label, as the loop constructions stored it
+# (for even Leonhardt: the frame operator, whose dual is the canonical one).
+POINT = {
+    "wootters": prime_point,
+    "cohendet": fano_point,
+    "leonhardt": leonhardt_point,
+    "ruzzi": ruzzi_point,
+}
+
+
+def dense_ops(family: str, d: int, labels) -> np.ndarray:
+    return np.array([POINT[family](d, q, p) for q, p in labels])
+
+
+def orbit_stack(d: int) -> np.ndarray:
+    """The d^2 - 1 Weyl operators U_(p,q), (p,q) != (0,0), row-major."""
+    return np.array([weyl_operator(p, q, d) for p in range(d) for q in range(d)][1:])
+
+
+def pauli_word(n_qubits: int, k: int, j: int) -> np.ndarray:
+    fam = make_pauli_family(2)
+    grid = [[np.eye(2, dtype=complex), fam.X], [fam.Y, fam.Z]]
+    out = np.array([[1.0 + 0j]])
+    for a in range(n_qubits - 1, -1, -1):
+        out = tensor(out, grid[(k >> a) & 1][(j >> a) & 1])
+    return out
+
+
+def real_density_matrix(rho: np.ndarray) -> np.ndarray:
+    d = rho.shape[0]
+    n = d.bit_length() - 1
+    out = np.empty((d, d))
+    for k in range(d):
+        for j in range(d):
+            out[k, j] = np.trace(rho @ pauli_word(n, k, j)).real
+    return out
+
+
+def reconstruct_from_real(sigma: np.ndarray) -> np.ndarray:
+    d = sigma.shape[0]
+    n = d.bit_length() - 1
+    acc = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        for j in range(d):
+            acc += sigma[k, j] * pauli_word(n, k, j)
+    return acc / d

@@ -26,13 +26,13 @@ C16 = np.dtype(complex).itemsize
 # (id, build, module whose first allocating step is stubbed out, its name,
 #  bytes of operator stacks the build is charged)
 BUDGETED = [
-    ("wootters-3", lambda: wootters(3), "wootters", "phase_point_operators", 2 * 9 * 9 * C16),
-    ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "phase_point_operators",
+    ("wootters-3", lambda: wootters(3), "wootters", "displaced_parity", 2 * 9 * 9 * C16),
+    ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "displaced_parity",
      2 * 36 * 36 * C16),
-    ("cohendet-3", lambda: cohendet(3), "cohendet", "fano_operator", 2 * 9 * 9 * C16),
-    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "_odd_point", 2 * 9 * 9 * C16),
-    ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "_even_point", 2 * 16 * 4 * C16),
-    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "ruzzi_point", 2 * 9 * 9 * C16),
+    ("cohendet-3", lambda: cohendet(3), "cohendet", "displaced_parity", 2 * 9 * 9 * C16),
+    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "displaced_parity", 2 * 9 * 9 * C16),
+    ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "displaced_parity", 2 * 16 * 4 * C16),
+    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "displaced_parity", 2 * 9 * 9 * C16),
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
@@ -70,13 +70,18 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
 @pytest.mark.parametrize("build", [
     lambda: wootters(79),  # 2 * 79^4 complex entries: 1.25 GB
     lambda: wootters_composite([7, 11]),
+    lambda: cohendet(81),
+    lambda: leonhardt(56),  # even: 2 * 4 * 56^4 complex entries
+    lambda: ruzzi_s0(81),
     lambda: hardy_rep(70),
     lambda: mub_family(71),
-], ids=["wootters-79", "composite-7x11", "hardy-70", "mub-71"])
+], ids=["wootters-79", "composite-7x11", "cohendet-81", "leonhardt-56", "ruzzi-81", "hardy-70",
+        "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
-    for module, builder in [("wootters", "phase_point_operators"), ("hardy", "hardy_projector"),
-                            ("mub", "mub_bases")]:
-        _stub(monkeypatch, module, builder)
+    for module, step in [("wootters", "displaced_parity"), ("cohendet", "displaced_parity"),
+                         ("leonhardt", "displaced_parity"), ("ruzzi", "displaced_parity"),
+                         ("hardy", "hardy_projector"), ("mub", "mub_bases")]:
+        _stub(monkeypatch, module, step)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         build()
 

@@ -1,0 +1,205 @@
+"""The displaced-parity kernel: every lattice family against the dense constructions, and its invariants.
+
+The Wootters (odd prime), Cohendet, Leonhardt and Ruzzi operators are stacks
+of one kernel under a relabeling; ``tests/lattice_oracle.py`` keeps the
+direct per-point constructions they replaced.  Property tests draw odd d in
+3..31 (primes and the composites 9, 15, 21, 25, 27) and even Leonhardt d.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lattice_oracle as oracle
+from qframe.errors import UnsupportedDimensionError
+from qframe.frames import DualFrame, Frame, canonical_dual, is_dual_pair
+from qframe.operators import (
+    clock_matrix,
+    displaced_parity,
+    random_state,
+    shift_matrix,
+)
+from qframe.representations import (
+    cohendet,
+    cohendet_displacement,
+    fano_operator,
+    havel_rep,
+    leonhardt,
+    phase_point_operators,
+    real_density_matrix,
+    reconstruct_from_real,
+    ruzzi_point,
+    ruzzi_s0,
+    wootters,
+    wootters_composite,
+)
+from qframe.representations.sic import _orbit_stack
+
+ORACLE_TOL = 1e-12
+
+ODD = list(range(3, 32, 2))
+ODD_PRIMES = [d for d in ODD if all(d % k for k in range(3, d, 2))]
+EVEN = list(range(2, 17, 2))
+
+FACTORY = {"wootters": wootters, "cohendet": cohendet, "leonhardt": leonhardt, "ruzzi": ruzzi_s0}
+
+# Where X^a Z^b (conjugating) sends the label (q, p) of each family: the kernel
+# label (s, t) moves by (2a, 2b), read back through the family's label map.
+COVARIANCE = {
+    "wootters": lambda d, q, p, a, b: ((q + a) % d, (p + b) % d),
+    "cohendet": lambda d, q, p, a, b: ((q - a) % d, (p + b) % d),
+    "ruzzi": lambda d, q, p, a, b: ((q - b) % d, (p + a) % d),
+    "leonhardt": lambda d, q, p, a, b: (
+        ((q + a) % d, (p + b) % d) if d % 2 else ((q + 2 * a) % (2 * d), (p + 2 * b) % (2 * d))
+    ),
+}
+
+family_and_dim = st.one_of(
+    st.tuples(st.just("wootters"), st.sampled_from(ODD_PRIMES)),
+    st.tuples(st.sampled_from(["cohendet", "leonhardt", "ruzzi"]), st.sampled_from(ODD)),
+    st.tuples(st.just("leonhardt"), st.sampled_from(EVEN)),
+)
+
+
+@lru_cache(maxsize=4)
+def build(family: str, d: int):
+    return FACTORY[family](d)
+
+
+def _grid(side: int) -> tuple:
+    return tuple((q, p) for q in range(side) for p in range(side))
+
+
+def check_against_oracle(rep, family: str, d: int, idx) -> None:
+    """Operators at the label indices ``idx`` equal the dense oracle's."""
+    side = d if d % 2 else 2 * d
+    assert rep.labels == _grid(side)
+    want = oracle.dense_ops(family, d, [rep.labels[i] for i in idx])
+    if d % 2:
+        np.testing.assert_allclose(rep.dual.operators[idx], want, rtol=0, atol=ORACLE_TOL)
+        np.testing.assert_allclose(rep.frame.operators[idx], want / d, rtol=0, atol=ORACLE_TOL / d)
+    else:
+        np.testing.assert_allclose(rep.frame.operators[idx], want, rtol=0, atol=ORACLE_TOL)
+
+
+# whole stacks at fixed dimensions
+
+
+FULL = [("wootters", d) for d in (3, 5, 7, 11)] + [
+    (family, d) for family in ("cohendet", "leonhardt", "ruzzi") for d in (3, 5, 7, 9, 15)
+] + [("leonhardt", d) for d in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("family,d", FULL, ids=[f"{f}-{d}" for f, d in FULL])
+def test_whole_stack_matches_dense_oracle(family, d):
+    rep = build(family, d)
+    check_against_oracle(rep, family, d, np.arange(len(rep.labels)))
+    if d % 2 == 0:
+        # the even case keeps the canonical dual of the oracle's frame
+        ops = oracle.dense_ops(family, d, rep.labels)
+        ref = canonical_dual(Frame(dim=d, labels=rep.labels, operators=ops))
+        np.testing.assert_allclose(rep.dual.operators, ref.operators, rtol=0, atol=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 5], [2, 2, 3]], ids=str)
+def test_composite_is_the_kron_of_dense_points(dims):
+    rep = wootters_composite(dims)
+    want = np.array([oracle.composite_point(dims, label) for label in rep.labels])
+    np.testing.assert_allclose(rep.dual.operators, want, rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(rep.frame.operators, want / rep.dim, rtol=0, atol=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_point_helpers_match_dense_oracle(d):
+    for (q, p), A in phase_point_operators(d).items():
+        np.testing.assert_allclose(A, oracle.prime_point(d, q, p), rtol=0, atol=ORACLE_TOL)
+    if d == 2:
+        return
+    for q in range(d):
+        for p in range(d):
+            np.testing.assert_allclose(fano_operator(d, q, p), oracle.fano_point(d, q, p),
+                                       rtol=0, atol=ORACLE_TOL)
+            np.testing.assert_allclose(cohendet_displacement(d, q, p),
+                                       oracle.cohendet_displacement(d, q, p), rtol=0, atol=ORACLE_TOL)
+            np.testing.assert_allclose(ruzzi_point(d, q, p), oracle.ruzzi_point(d, q, p),
+                                       rtol=0, atol=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("d", [3, 4, 9])
+def test_kernel_stacks_are_exactly_hermitian(d):
+    s, t = np.divmod(np.arange(4 * d * d), 2 * d)
+    if d % 2:
+        s, t = 2 * s, 2 * t
+    K = displaced_parity(d, s, t)
+    assert np.array_equal(K, K.conj().transpose(0, 2, 1))
+
+
+def test_point_helpers_refuse_even_d():
+    for helper in (fano_operator, cohendet_displacement, ruzzi_point):
+        with pytest.raises(UnsupportedDimensionError):
+            helper(4, 1, 1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_orbit_stack_matches_weyl_operators(d):
+    np.testing.assert_allclose(_orbit_stack(d), oracle.orbit_stack(d), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_words_and_real_table_match_dense_oracle(n):
+    d = 2**n
+    rep = havel_rep(n)
+    want = np.array([oracle.pauli_word(n, k, j) for k in range(d) for j in range(d)])
+    np.testing.assert_array_equal(rep.frame.operators, want)
+    rho = random_state(d, seed=n)
+    sigma = real_density_matrix(rho)
+    np.testing.assert_allclose(sigma, oracle.real_density_matrix(rho), rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(reconstruct_from_real(sigma), oracle.reconstruct_from_real(sigma),
+                               rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(reconstruct_from_real(sigma), rho, rtol=0, atol=ORACLE_TOL)
+
+
+def test_real_table_still_refuses_non_hermitian_states():
+    with pytest.raises(ValueError, match="Hermitian"):
+        real_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+# properties over drawn dimensions
+
+
+@settings(max_examples=30, deadline=None)
+@given(fd=family_and_dim, data=st.data())
+def test_drawn_points_match_dense_oracle(fd, data):
+    family, d = fd
+    rep = build(family, d)
+    idx = data.draw(st.lists(st.integers(0, len(rep.labels) - 1), min_size=1, max_size=4, unique=True))
+    check_against_oracle(rep, family, d, np.array(idx))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fd=family_and_dim, a=st.integers(0, 40), b=st.integers(0, 40))
+def test_weyl_covariance_permutes_labels(fd, a, b):
+    family, d = fd
+    rep = build(family, d)
+    U = np.linalg.matrix_power(shift_matrix(d), a % d) @ np.linalg.matrix_power(clock_matrix(d), b % d)
+    index = {label: i for i, label in enumerate(rep.labels)}
+    perm = [index[COVARIANCE[family](d, q, p, a, b)] for q, p in rep.labels]
+    for family_ops in (rep.frame.operators, rep.dual.operators):
+        moved = U @ family_ops @ U.conj().T
+        np.testing.assert_allclose(moved, family_ops[perm], rtol=0, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fd=family_and_dim, seed=st.integers(0, 10**6))
+def test_dual_pair_and_round_trip(fd, seed):
+    family, d = fd
+    rep = build(family, d)
+    ok, residual = is_dual_pair(rep.frame, rep.dual)
+    assert ok and residual < 1e-9
+    assert isinstance(rep.frame, Frame) and isinstance(rep.dual, DualFrame)
+    rho = random_state(d, rank=1 + seed % d, seed=seed)
+    back = rep.reconstruct(rep.represent(rho))
+    assert np.max(np.abs(back - rho)) < 1e-9
