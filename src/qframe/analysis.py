@@ -18,7 +18,6 @@ from .finitefield import _is_prime
 from .frames import QuasiDistribution
 from .operators import (
     bloch_state,
-    eigh_fixed,
     is_density,
     partial_trace,
     partial_transpose,
@@ -38,6 +37,8 @@ FRANCO_PENNA_THRESHOLD = (1.0 - np.sqrt(3.0)) / 8.0
 EQ_GUARD = 1e-12
 # Frame eigenvalues and quasi-probabilities this close count as tied.
 WITNESS_TIE_TOL = 1e-12
+# Eigenvalues of one operator this close span one eigenspace for a witness vector.
+EIGENSPACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,19 @@ def _first_minimum(values: np.ndarray) -> int:
     return int(np.flatnonzero(values <= values.min() + WITNESS_TIE_TOL)[0])
 
 
+def _canonical_eigenvector(vals: np.ndarray, vecs: np.ndarray, j: int) -> np.ndarray:
+    """A unit vector of the eigenspace of ``vals[j]`` that depends on the eigenspace alone.
+
+    The first standard basis vector e_k of weight P[k, k] > 1e-6 is projected
+    onto the eigenspace and normalised, so its k-th entry is real positive and
+    round-off inside a degenerate eigenspace cannot move it.
+    """
+    V = vecs[:, np.abs(vals - vals[j]) <= EIGENSPACE_TOL]
+    P = V @ V.conj().T
+    k = int(np.flatnonzero(P.diagonal().real > 1e-6)[0])
+    return P[:, k] / np.sqrt(P[k, k].real)
+
+
 def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     """Exhibit nonclassicality of a frame/dual pair.
 
@@ -167,13 +181,13 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     that (positive frames), for a rank-1 projector whose effect function
     leaves [0, 1].  Extremal eigenvectors of the frame and dual operators
     realize both bounds, so the scan is exhaustive.  Values tied with the
-    minimum up to WITNESS_TIE_TOL go to the first label, so round-off cannot
-    pick the witness.
+    minimum up to WITNESS_TIE_TOL go to the first label, and the vector is
+    the canonical one of its eigenspace, so round-off cannot pick the witness.
     """
     lowest = np.linalg.eigvalsh(rep.frame.operators)[:, 0]
     i = _first_minimum(lowest)
     if lowest[i] < -tol:
-        vec = eigh_fixed(rep.frame.operators[i])[1][:, 0]
+        vec = _canonical_eigenvector(*np.linalg.eigh(rep.frame.operators[i]), 0)
         state = np.outer(vec, vec.conj())
         mu = rep.represent(state)
         idx = _first_minimum(mu.values)
@@ -186,11 +200,11 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
             "witness": state,
         }
     for i, D in enumerate(rep.dual.operators):
-        vals, vecs = eigh_fixed(D)
+        vals, vecs = np.linalg.eigh(D)
         for j in (0, len(vals) - 1):
             lam = float(vals[j])
             if lam < -tol or lam > 1.0 + tol:
-                vec = vecs[:, j]
+                vec = _canonical_eigenvector(vals, vecs, j)
                 effect = np.outer(vec, vec.conj())
                 xi = rep.effect(effect)
                 return {

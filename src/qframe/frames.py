@@ -16,7 +16,7 @@ of an operator stack: ``Tr[F(lam) A] = flat(F)[lam] . vec(A^T)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -141,16 +141,6 @@ class DualFrame(_OperatorFamily):
     """Synthesis family: operators are rebuilt as ``sum Tr[F A] D``."""
 
 
-def _check_values(fn) -> None:
-    object.__setattr__(fn, "labels", tuple(fn.labels))
-    vals = np.asarray(fn.values, dtype=float)
-    if vals.shape != (len(fn.labels),):
-        raise DimensionMismatchError(f"{len(fn.labels)} labels for {vals.shape} values")
-    if not np.isfinite(vals).all():
-        raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
-    object.__setattr__(fn, "values", vals)
-
-
 @dataclass(frozen=True)
 class QuasiDistribution:
     """Real-valued phase-space function representing a state."""
@@ -162,7 +152,13 @@ class QuasiDistribution:
     warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        _check_values(self)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        vals = np.asarray(self.values, dtype=float)
+        if vals.shape != (len(self.labels),):
+            raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
+        if not np.isfinite(vals).all():
+            raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
+        object.__setattr__(self, "values", vals)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -171,18 +167,8 @@ class QuasiDistribution:
         return float(self.values.min())
 
 
-@dataclass(frozen=True)
-class EffectFunction:
+class EffectFunction(QuasiDistribution):
     """Real-valued phase-space function representing an effect."""
-
-    representation: str
-    dim: int
-    labels: tuple
-    values: np.ndarray
-    warnings: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        _check_values(self)
 
 
 @dataclass(frozen=True)
@@ -395,6 +381,3 @@ def negativity(dist: QuasiDistribution | EffectFunction) -> NegativityReport:
         negativity=float(np.clip(-vals, 0, None).sum()),
     )
 
-
-def rename(dist: QuasiDistribution, name: str) -> QuasiDistribution:
-    return replace(dist, representation=name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .finitefield import FiniteField, _is_prime
 __all__ = [
     "PhaseSpaceGeometry",
     "prime_lattice",
+    "odd_lattice",
     "field_lattice",
     "composite_lattice",
     "extended_lattice",
@@ -38,11 +40,14 @@ class PhaseSpaceGeometry:
     striations: tuple
     meta: dict = field(default_factory=dict, compare=False)
 
-    def line_points(self, index: int) -> tuple:
-        return self.lines[index]
-
-    def striation_lines(self, index: int) -> list[tuple]:
-        return [self.lines[i] for i in self.striations[index]]
+    @cached_property
+    def line_index(self) -> np.ndarray:
+        """Point indices of the lines, shape (striations, lines per striation, points per line)."""
+        at = {pt: i for i, pt in enumerate(self.points)}
+        idx = np.array([[[at[pt] for pt in self.lines[li]] for li in lines] for lines in self.striations],
+                       dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
 
 
 def _sloped_lattice(kind: str, ys: np.ndarray, meta: dict) -> PhaseSpaceGeometry:
@@ -72,6 +77,11 @@ def prime_lattice(d: int) -> PhaseSpaceGeometry:
         raise UnsupportedDimensionError(f"lattice striations need prime d, got {d}")
     k = np.arange(d)
     return _sloped_lattice("prime-lattice", (k[:, None, None] * k + k[:, None]) % d, {})
+
+
+def odd_lattice(d: int) -> PhaseSpaceGeometry:
+    """The Z_d x Z_d lattice of an odd-d family: with striations for prime d, a bare grid otherwise."""
+    return prime_lattice(d) if _is_prime(d) else plain_lattice(d)
 
 
 def field_lattice(fieldobj: FiniteField) -> PhaseSpaceGeometry:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UnsupportedDimensionError
+from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import (
     DualFrame,
     EffectFunction,
@@ -59,6 +59,13 @@ class Representation:
     dual: DualFrame
     geometry: PhaseSpaceGeometry | None = None
     meta: dict = field(default_factory=dict)
+    # the factory's own identities, each (name, tolerance, residual(rep, seed) -> float)
+    checks: tuple = ()
+
+    def __post_init__(self):
+        # so the geometry's point indices are frame indices
+        if self.geometry is not None and self.geometry.points != self.frame.labels:
+            raise DimensionMismatchError("frame labels must be the geometry's points")
 
     @property
     def labels(self) -> tuple:
@@ -83,20 +90,19 @@ def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndar
     return Representation(name=name, dim=d, frame=frame, dual=dual, geometry=geom, meta=meta)
 
 
-def striation_pvms(rep: Representation) -> list[list[np.ndarray]]:
-    """Line-sum operators per striation, ``P(lam) = sum_{alpha in lam} F(alpha)``.
+def striation_pvms(rep: Representation) -> np.ndarray:
+    """Line-sum operators ``P(lam) = sum_{alpha in lam} F(alpha)``, shape (striations, lines, d, d).
 
     For the lattice representations whose frame elements are phase-point
     operators over d these are rank-1 projective measurements.
     """
     if rep.geometry is None or not rep.geometry.striations:
         raise ValueError(f"representation {rep.name!r} has no striations")
-    index = {pt: i for i, pt in enumerate(rep.frame.labels)}
-    out = []
-    for lines in rep.geometry.striations:
-        pvm = []
-        for li in lines:
-            ops = [rep.frame.operators[index[pt]] for pt in rep.geometry.lines[li]]
-            pvm.append(np.sum(ops, axis=0))
-        out.append(pvm)
+    idx = rep.geometry.line_index
+    ops = rep.frame.operators
+    # point by point per striation: frame.operators[idx] would gather d + 1 frames
+    out = ops[idx[..., 0]]
+    for s, lines in enumerate(idx):
+        for k in range(1, idx.shape[2]):
+            out[s] += ops[lines[:, k]]
     return out

@@ -5,13 +5,14 @@ W_qp P is K(-2q, 2p) of the displaced-parity kernel ``operators.displaced_parity
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..finitefield import _is_prime
 from ..frames import QuasiDistribution
-from ..geometry import extended_lattice, plain_lattice, prime_lattice
-from ..operators import displaced_parity
+from ..geometry import extended_lattice, odd_lattice
+from ..operators import displaced_parity, random_state
 from .base import Representation, check_stack_budget, phase_point_representation
 
 
@@ -34,10 +35,25 @@ def cohendet(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"cohendet({d})", d * d, d)
-    geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
+    geom = odd_lattice(d)
     q, p = np.array(geom.points).T
     ops = displaced_parity(d, -2 * q, 2 * p)
-    return phase_point_representation("cohendet", geom, ops, {"d": d})
+    rep = phase_point_representation("cohendet", geom, ops, {"d": d})
+    return replace(rep, checks=(("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
+
+
+def _extended_nonnegativity(rep: Representation, seed: int) -> float:
+    """Most negative doubled-lattice value over 20 seeded states (seeds from seed + 30000)."""
+    worst = 0.0
+    for k in range(20):
+        mu = rep.represent(random_state(rep.dim, seed=seed + 30_000 + k))
+        worst = max(worst, -float(_doubled(rep.dim, mu.values).min()))
+    return worst
+
+
+def _doubled(d: int, values: np.ndarray) -> np.ndarray:
+    """(1/4d)(2/d + sigma * mu(q, p)), the sigma = +1 half first."""
+    return np.concatenate([2.0 / d + values, 2.0 / d - values]) / (4.0 * d)
 
 
 def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
@@ -50,9 +66,7 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
         raise ValueError("expected values from the odd-lattice representation")
     d = mu.dim
     geom = extended_lattice(d)
-    plus = (2.0 / d + mu.values) / (4.0 * d)
-    minus = (2.0 / d - mu.values) / (4.0 * d)
-    values = np.concatenate([plus, minus])
+    values = _doubled(d, mu.values)
     warnings = tuple(mu.warnings)
     if values.min() < -1e-12:
         warnings = warnings + ("extended-negative",)
@@ -72,7 +86,7 @@ def from_extended(ext: QuasiDistribution) -> QuasiDistribution:
     d = ext.dim
     half = d * d
     values = 2.0 * d * (ext.values[:half] - ext.values[half:])
-    geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
+    geom = odd_lattice(d)
     return QuasiDistribution(
         representation="cohendet",
         dim=d,

@@ -9,9 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..finitefield import _is_prime
 from ..frames import Frame, canonical_dual
-from ..geometry import plain_lattice, prime_lattice
+from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
@@ -22,7 +21,7 @@ def leonhardt(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 2")
     check_stack_budget(f"leonhardt({d})", d * d if d % 2 else 4 * d * d, d)
     if d % 2 == 1:
-        geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
+        geom = odd_lattice(d)
         q, p = np.array(geom.points).T
         ops = displaced_parity(d, 2 * q, 2 * p)
         return phase_point_representation("leonhardt", geom, ops, {"case": "odd"})

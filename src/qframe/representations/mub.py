@@ -84,8 +84,16 @@ class MubFamily:
             name="mub",
         )
         return Representation(
-            name="mub", dim=d, frame=frame, dual=dual, geometry=None, meta={"family": self}
+            name="mub", dim=d, frame=frame, dual=dual, geometry=None, meta={"family": self},
+            checks=(("pairwise_unbiasedness", 1e-9, _unbiasedness_residual),),
         )
+
+
+def _unbiasedness_residual(rep: Representation, seed: int) -> float:
+    """Largest deviation of |<b_i|b'_j>|^2 from 1/d over pairs of distinct bases."""
+    B = rep.meta["family"].bases
+    return max(float(np.max(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim)))
+               for i in range(len(B)) for j in range(i + 1, len(B)))
 
 
 def mub_family(d: int) -> MubFamily:

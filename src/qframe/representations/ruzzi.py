@@ -8,8 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..finitefield import _is_prime
-from ..geometry import plain_lattice, prime_lattice
+from ..geometry import odd_lattice
 from ..operators import displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
@@ -28,7 +27,7 @@ def ruzzi_s0(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"ruzzi_s0({d})", d * d, d)
-    geom = prime_lattice(d) if _is_prime(d) else plain_lattice(d)
+    geom = odd_lattice(d)
     q, p = np.array(geom.points).T
     ops = displaced_parity(d, 2 * p, -2 * q)
     return phase_point_representation("ruzzi", geom, ops, {"d": d})

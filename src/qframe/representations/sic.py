@@ -217,6 +217,7 @@ def sic_rep(
         dual=dual,
         geometry=None,
         meta={"fiducial": phi, "overlap_deviation": dev, "search_starts": used},
+        checks=(("overlap_deviation", 1e-8, lambda rep, seed: float(rep.meta["overlap_deviation"])),),
     )
 
 

@@ -223,7 +223,13 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
         dual=dual,
         geometry=None,
         meta={"s": s, "constellation": points, "gammas": kernel.gammas},
+        checks=(("dual_resolves_identity", 1e-8, _dual_sum_residual),),
     )
+
+
+def _dual_sum_residual(rep: Representation, seed: int) -> float:
+    """Largest entry of sum_n D(n) - I: the Stratonovich dual resolves the identity."""
+    return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
 
 
 def random_constellation(s: float, seed=None, gammas=None, max_draws: int = 50):

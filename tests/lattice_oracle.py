@@ -6,10 +6,11 @@ sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
 the parity matrix, the Leonhardt operators as matrix powers times parity,
 the Ruzzi operator as a Fourier sum over the Schwinger basis, composite
 points as Kronecker products, the Weyl orbit from ``weyl_operator`` and the
-Pauli words and their real table as loops over bits and words.  The Weyl
-words and the Schwinger basis are cached per d so the oracle can be sampled
-at a few points of a large lattice.  ``dense_ops`` stacks any family over
-its labels.
+Pauli words and their real table as loops over bits and words, and the
+striation measurements as one sum of frame operators per line, found by
+label.  The Weyl words and the Schwinger basis are cached per d so the
+oracle can be sampled at a few points of a large lattice.  ``dense_ops``
+stacks any family over its labels.
 """
 
 from __future__ import annotations
@@ -151,3 +152,16 @@ def reconstruct_from_real(sigma: np.ndarray) -> np.ndarray:
         for j in range(d):
             acc += sigma[k, j] * pauli_word(n, k, j)
     return acc / d
+
+
+def striation_pvms(rep) -> list[list[np.ndarray]]:
+    """Per striation, per line, the sum of the frame operators at the line's points."""
+    index = {pt: i for i, pt in enumerate(rep.frame.labels)}
+    out = []
+    for lines in rep.geometry.striations:
+        pvm = []
+        for li in lines:
+            ops = [rep.frame.operators[index[pt]] for pt in rep.geometry.lines[li]]
+            pvm.append(np.sum(ops, axis=0))
+        out.append(pvm)
+    return out

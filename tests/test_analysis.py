@@ -202,11 +202,16 @@ def test_positive_frames_witness_on_the_effect_side():
 
 
 def _perturbed(rep, seed, size=1e-15):
+    """The pair with Hermitian noise of the given size added to every frame and dual operator."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal(rep.frame.operators.shape) + 1j * rng.standard_normal(rep.frame.operators.shape)
-    noise = size * (X + X.conj().transpose(0, 2, 1)) / 2
-    frame = Frame(dim=rep.dim, labels=rep.labels, operators=rep.frame.operators + noise, name=rep.name)
-    return Representation(name=rep.name, dim=rep.dim, frame=frame, dual=rep.dual, geometry=rep.geometry)
+
+    def noisy(fam):
+        X = rng.standard_normal(fam.operators.shape) + 1j * rng.standard_normal(fam.operators.shape)
+        ops = fam.operators + size * (X + X.conj().transpose(0, 2, 1)) / 2
+        return fam.__class__(dim=rep.dim, labels=rep.labels, operators=ops, name=rep.name)
+
+    return Representation(name=rep.name, dim=rep.dim, frame=noisy(rep.frame), dual=noisy(rep.dual),
+                          geometry=rep.geometry)
 
 
 def test_witness_ties_go_to_the_first_label():
@@ -219,6 +224,39 @@ def test_witness_ties_go_to_the_first_label():
     assert abs(w["value"] + 0.125) < 1e-12
     for seed in range(8):
         assert negativity_witness(_perturbed(rep, seed))["label"] == w["label"]
+
+
+# each picks its witness in a degenerate eigenspace: the Wootters, Ruzzi and
+# GHW point operators and the SIC and MUB duals
+@pytest.mark.parametrize("build", [
+    lambda: wootters(5), lambda: wootters(7), lambda: ruzzi_s0(5), lambda: ghw(2, 2),
+    lambda: sic_rep(4), lambda: sic_rep(5), lambda: mub_family(3).representation(),
+], ids=["wootters-5", "wootters-7", "ruzzi-5", "ghw-4", "sic-4", "sic-5", "mub-3"])
+def test_witness_is_stable_under_round_off(build):
+    rep = build()
+    w = negativity_witness(rep)
+    for seed in range(3):
+        v = negativity_witness(_perturbed(rep, seed, size=1e-14))
+        assert (v["kind"], v["label"]) == (w["kind"], w["label"])
+        assert np.max(np.abs(v["witness"] - w["witness"])) < 1e-9
+
+
+def test_witness_vector_is_canonical_in_its_eigenspace():
+    # sic_rep(4)'s duals have eigenvalue -1 three times; the witness is the
+    # eigenvector closest to the first standard basis vector with weight on
+    # that eigenspace: |<e_k|v>|^2 equals the eigenspace projector's P[k, k]
+    rep = sic_rep(4)
+    w = negativity_witness(rep)
+    assert w["kind"] == "effect"
+    vals, vecs = np.linalg.eigh(rep.dual.operator(w["label"]))
+    V = vecs[:, np.abs(vals - vals[0]) < 1e-9]
+    assert V.shape[1] == 3
+    P = V @ V.conj().T
+    k = int(np.flatnonzero(np.diag(P).real > 1e-6)[0])
+    W = w["witness"]
+    assert np.allclose(W @ W, W, atol=1e-12) and abs(np.trace(W).real - 1) < 1e-12
+    assert np.allclose(P @ W, W, atol=1e-12)
+    assert abs(W[k, k].real - P[k, k].real) < 1e-12
 
 
 def test_witness_values_qubit_lattice():

@@ -1,7 +1,11 @@
 """Frame bounds, duals, representation maps and their algebra."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qframe.errors import DimensionMismatchError, NotAFrameError
 from qframe.frames import (
@@ -26,6 +30,19 @@ from qframe.frames import (
     transform_matrix,
 )
 from qframe.operators import random_effect, random_state, random_unitary, trace_inner
+from qframe.representations import (
+    cohendet,
+    ghw,
+    hardy_rep,
+    havel_rep,
+    leonhardt,
+    ruzzi_s0,
+    sic_rep,
+    stratonovich_discrete,
+    tetrahedral_constellation,
+    wootters,
+    wootters_composite,
+)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -252,3 +269,32 @@ def test_non_finite_operator_rejected_at_construction(bad):
         Frame(dim=2, labels=tuple(range(4)), operators=ops)
     with pytest.raises(DimensionMismatchError, match="finite"):
         DualFrame(dim=2, labels=tuple(range(4)), operators=ops)
+
+
+# minimal (d^2-outcome) representations by dimension
+MINIMAL = {
+    2: [lambda: wootters(2), lambda: ghw(2), lambda: hardy_rep(2), lambda: havel_rep(1),
+        lambda: sic_rep(2), lambda: stratonovich_discrete(0.5, tetrahedral_constellation())],
+    3: [lambda: wootters(3), lambda: ghw(3), lambda: cohendet(3), lambda: leonhardt(3),
+        lambda: ruzzi_s0(3), lambda: hardy_rep(3), lambda: sic_rep(3)],
+    4: [lambda: ghw(2, 2), lambda: wootters_composite([2, 2]), lambda: hardy_rep(4),
+        lambda: havel_rep(2), lambda: sic_rep(4)],
+    5: [lambda: wootters(5), lambda: cohendet(5), lambda: leonhardt(5), lambda: ruzzi_s0(5),
+        lambda: hardy_rep(5), lambda: sic_rep(5)],
+}
+
+
+@lru_cache(maxsize=None)
+def _minimal(d, i):
+    return MINIMAL[d][i]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.sampled_from(sorted(MINIMAL)))
+def test_transforms_compose(data, d):
+    # T_{A->C} = T_{A->B} T_{B->C}, applied as mu_C = mu_A T
+    a, b, c = (_minimal(d, data.draw(st.integers(0, len(MINIMAL[d]) - 1))) for _ in range(3))
+    T_ac = transform_matrix(a.dual, c.frame)
+    T_ab_bc = transform_matrix(a.dual, b.frame) @ transform_matrix(b.dual, c.frame)
+    assert a.frame.minimal and b.frame.minimal and c.frame.minimal
+    assert np.max(np.abs(T_ab_bc - T_ac)) < 1e-9

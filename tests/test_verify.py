@@ -1,5 +1,7 @@
 """Property-verification suite reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,19 +38,33 @@ FACTORIES = [
 ]
 
 
+UNIVERSAL = [("hermitian_families", 1e-10), ("duality", 1e-9), ("born_consistency", 1e-8),
+             ("round_trip", 1e-8)]
+LINES = [("striation_projectors", 1e-9), ("line_sums_match_born", 1e-9)]
+# (name, tolerance) of every check, in report order
+EXPECTED_CHECKS = {
+    "wootters-2": UNIVERSAL + LINES,
+    "wootters-22": UNIVERSAL + LINES,
+    "ghw-9": UNIVERSAL + LINES,
+    "cohendet-3": UNIVERSAL + LINES + [("extended_nonnegativity", 1e-10)],
+    "leonhardt-2": UNIVERSAL,
+    "leonhardt-3": UNIVERSAL + LINES,
+    "stratonovich-half": UNIVERSAL + [("dual_resolves_identity", 1e-8)],
+    "ruzzi-3": UNIVERSAL + LINES,
+    "mub-3": UNIVERSAL + [("pairwise_unbiasedness", 1e-9)],
+    "hardy-2": UNIVERSAL,
+    "havel-1": UNIVERSAL,
+    "sic-2": UNIVERSAL + [("overlap_deviation", 1e-8)],
+}
+
+
 @pytest.mark.parametrize("name,make", FACTORIES, ids=[n for n, _ in FACTORIES])
 def test_suite_passes(name, make):
     report = verify_representation(make(), seed=3, samples=40)
     assert report["all_passed"], [c for c in report["checks"] if not c["passed"]]
     assert report["seed"] == 3
     assert report["samples"] == 40
-    names = [c["name"] for c in report["checks"]]
-    assert names[:4] == [
-        "hermitian_families",
-        "duality",
-        "born_consistency",
-        "round_trip",
-    ]
+    assert [(c["name"], c["tolerance"]) for c in report["checks"]] == EXPECTED_CHECKS[name]
     for c in report["checks"]:
         assert set(c) == {"name", "residual", "tolerance", "passed"}
         assert c["residual"] >= 0.0
@@ -67,6 +83,31 @@ def test_conditional_checks_present():
     hv = names(havel_rep(1))
     assert "striation_projectors" not in hv
     assert "pairwise_unbiasedness" not in hv
+
+
+def test_identity_checks_travel_with_the_representation():
+    # the factory's identities follow the pair, not its name
+    for rep, check in [(mub_family(3).representation(), "pairwise_unbiasedness"),
+                       (cohendet(3), "extended_nonnegativity")]:
+        report = verify_representation(replace(rep, name="renamed"), samples=5)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name[check]["passed"]
+        assert report["representation"] == "renamed"
+
+
+def test_attached_check_runs_after_the_line_checks():
+    seen = []
+
+    def residual(rep, seed):
+        seen.append((rep.dim, seed))
+        return 0.5
+
+    rep = replace(wootters(3), checks=(("custom", 1.0, residual),))
+    report = verify_representation(rep, seed=4, samples=5)
+    names = [c["name"] for c in report["checks"]]
+    assert names[-3:] == ["striation_projectors", "line_sums_match_born", "custom"]
+    assert report["checks"][-1] == {"name": "custom", "residual": 0.5, "tolerance": 1.0, "passed": True}
+    assert seen == [(3, 4)]
 
 
 def test_corrupted_dual_fails_duality():

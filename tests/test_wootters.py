@@ -1,5 +1,7 @@
 """Phase-point operator factories for prime and prime-product dimensions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,11 @@ from qframe.operators import (
     shift_matrix,
     tensor,
 )
-from qframe.representations import striation_pvms, wootters, wootters_composite
-from qframe.errors import UnsupportedDimensionError
+from qframe.geometry import prime_lattice
+from qframe.representations import ghw, striation_pvms, wootters, wootters_composite
+from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
+
+import lattice_oracle
 
 SQ3 = np.sqrt(3.0)
 
@@ -116,6 +121,23 @@ def test_striations_are_pvms(d):
         assert np.allclose(total, np.eye(d), atol=1e-10)
         for proj in pvm:
             assert np.allclose(proj @ proj, proj, atol=1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wootters(5), lambda: wootters_composite([2, 3]), lambda: ghw(2, 2), lambda: ghw(3, 2),
+], ids=["wootters-5", "wootters-2x3", "ghw-4", "ghw-9"])
+def test_striation_pvms_match_the_per_line_oracle(build):
+    rep = build()
+    want = np.array(lattice_oracle.striation_pvms(rep))
+    got = striation_pvms(rep)
+    assert got.shape == want.shape == (len(rep.geometry.striations), rep.dim, rep.dim, rep.dim)
+    assert np.array_equal(got, want)
+
+
+def test_geometry_points_must_be_the_frame_labels():
+    # line indices into the geometry's points are used as frame indices
+    with pytest.raises(DimensionMismatchError):
+        replace(wootters(3), geometry=prime_lattice(5))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
