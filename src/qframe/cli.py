@@ -59,6 +59,7 @@ from .serialize import (
     distribution_to_doc,
     frame_to_doc,
     geometry_to_doc,
+    label_to_doc,
     load_json,
     matrix_from_doc,
     matrix_to_doc,
@@ -274,7 +275,7 @@ def cmd_negativity(args) -> int:
             "found": w["found"],
             "kind": w.get("kind"),
             "value": w.get("value"),
-            "label": None if "label" not in w else list(_label_list(w["label"])),
+            "label": None if "label" not in w else label_to_doc(w["label"]),
         }
         if "witness" in w:
             doc["witness"]["operator"] = matrix_to_doc(w["witness"])
@@ -287,12 +288,6 @@ def cmd_negativity(args) -> int:
     _emit_doc(args, doc)
     _say(f"negativity {rep.name}: min {report.min_value:.6e}")
     return EXIT_OK
-
-
-def _label_list(label):
-    if isinstance(label, tuple):
-        return [_label_list(x) for x in label]
-    return label
 
 
 def cmd_verify(args) -> int:

@@ -8,16 +8,19 @@ quasi-probability values ``mu(lam) = Tr[rho F(lam)]`` and effects to
 ``xi(lam) = Tr[E D(lam)]``, so that ``Tr(rho E) = sum mu xi``.
 
 Superoperators act on the real d^2-dimensional space of Hermitian matrices,
-expanded in a fixed generalized Gell-Mann basis.
+in orthonormal coordinates read straight off the entries: the diagonal, then
+``sqrt(2) Re A[j, k]`` and ``-sqrt(2) Im A[j, k]`` over the pairs j < k.  The
+map is an isometry, so ``Tr[A B]`` is the dot product of two coordinate rows
+and every pairing between two operator families is one real GEMM.
 
-Every trace pairing is one matrix product on the zero-copy ``(n, d^2)`` view
-of an operator stack: ``Tr[F(lam) A] = flat(F)[lam] . vec(A^T)``.
+A state or effect meets a family as one matrix-vector product on the
+zero-copy ``(n, d^2)`` view of the stack: ``Tr[F(lam) A] = flat(F)[lam] . vec(A^T)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "QuasiDistribution",
     "EffectFunction",
     "NegativityReport",
-    "hermitian_basis",
     "frame_operator_matrix",
     "frame_bounds",
     "canonical_dual",
@@ -57,15 +59,37 @@ def _as_stack(operators) -> np.ndarray:
     return ops
 
 
-def _flat(ops: np.ndarray) -> np.ndarray:
-    """``(n, d^2)`` view of a C-contiguous stack, one row-major operator per row."""
-    return ops.reshape(len(ops), -1)
+def _coordinates(ops: np.ndarray) -> np.ndarray:
+    """Real ``(n, d^2)`` coordinate rows of a Hermitian stack.
+
+    Each row is the diagonal, then ``sqrt(2) Re F[j, k]`` and then
+    ``-sqrt(2) Im F[j, k]`` over j < k in ``np.triu_indices`` order, so
+    ``Tr[A B]`` is the dot product of the rows of A and B.
+    """
+    d = ops.shape[1]
+    j, k = np.triu_indices(d, 1)
+    upper = ops[:, j, k]
+    return np.concatenate(
+        [ops.diagonal(axis1=1, axis2=2).real, np.sqrt(2) * upper.real, -np.sqrt(2) * upper.imag], axis=1
+    )
+
+
+def _from_coordinates(V: np.ndarray, d: int) -> np.ndarray:
+    """Hermitian ``(n, d, d)`` stack with coordinate rows V; inverse of ``_coordinates``."""
+    j, k = np.triu_indices(d, 1)
+    re, im = np.split(V[:, d:], 2, axis=1)
+    ops = np.zeros((len(V), d, d), dtype=complex)
+    ops[:, np.arange(d), np.arange(d)] = V[:, :d]
+    upper = (re - 1j * im) / np.sqrt(2)
+    ops[:, j, k] = upper
+    ops[:, k, j] = upper.conj()
+    return ops
 
 
 def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Real part of ``Tr[A_n B_m]`` over two operator stacks, as one GEMM."""
-    Bt = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(len(B), -1)
-    return np.real(_flat(A) @ Bt.T)
+    """``Tr[A_n B_m]`` over two Hermitian stacks, as one real GEMM on their coordinates."""
+    VA = _coordinates(A)
+    return VA @ (VA if B is A else _coordinates(B)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +138,8 @@ class _OperatorFamily:
 
     @cached_property
     def flat(self) -> np.ndarray:
-        """Read-only ``(n, d^2)`` view of the stack; no copy."""
-        return _flat(self.operators)
+        """Read-only ``(n, d^2)`` view of the stack, one row-major operator per row; no copy."""
+        return self.operators.reshape(len(self.operators), -1)
 
     @cached_property
     def resolves_identity(self) -> bool:
@@ -178,45 +202,13 @@ class NegativityReport:
     negativity: float
 
 
-@lru_cache(maxsize=32)
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of the d x d matrices.
-
-    Ordering: identity/sqrt(d); symmetric pair elements (j<k, row-major);
-    antisymmetric pair elements (same order); then the d-1 diagonal
-    (generalized Gell-Mann) elements.
-    """
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            M = np.zeros((d, d), dtype=complex)
-            M[j, k] = M[k, j] = 1 / np.sqrt(2)
-            mats.append(M)
-    for j in range(d):
-        for k in range(j + 1, d):
-            M = np.zeros((d, d), dtype=complex)
-            M[j, k] = -1j / np.sqrt(2)
-            M[k, j] = 1j / np.sqrt(2)
-            mats.append(M)
-    for l in range(1, d):
-        M = np.zeros((d, d), dtype=complex)
-        for m in range(l):
-            M[m, m] = 1.0
-        M[l, l] = -float(l)
-        mats.append(M / np.sqrt(l * (l + 1)))
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
-
-
-def _coefficients(family: _OperatorFamily) -> np.ndarray:
-    """Real expansion coefficients ``Tr[F(lam) B_a]`` of a Hermitian family."""
-    return _pairings(family.operators, hermitian_basis(family.dim))
-
-
 def frame_operator_matrix(frame: Frame) -> np.ndarray:
-    """Matrix of ``S(A) = sum Tr[F A] F`` in the fixed Hermitian basis."""
-    V = _coefficients(frame)
+    """Matrix of ``S(A) = sum Tr[F A] F`` in the orthonormal basis of ``_coordinates``.
+
+    That basis is the diagonal units E_jj, then (E_jk + E_kj)/sqrt(2) and
+    i(E_kj - E_jk)/sqrt(2) over the pairs j < k.
+    """
+    V = _coordinates(frame.operators)
     return V.T @ V
 
 
@@ -236,11 +228,10 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
 
 def canonical_dual(frame: Frame) -> DualFrame:
     """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator."""
-    V = _coefficients(frame)
+    V = _coordinates(frame.operators)
     S = V.T @ V
     _bounds(S)
-    Sinv = np.linalg.pinv(S, rcond=PINV_RCOND, hermitian=True)
-    ops = (V @ Sinv @ _flat(hermitian_basis(frame.dim))).reshape(len(frame), frame.dim, frame.dim)
+    ops = _from_coordinates(V @ np.linalg.pinv(S, rcond=PINV_RCOND, hermitian=True), frame.dim)
     return DualFrame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 
@@ -272,7 +263,7 @@ def is_dual_pair(frame: Frame, dual: DualFrame, tol: float | None = None) -> tup
     """
     if frame.dim != dual.dim or frame.labels != dual.labels:
         raise DimensionMismatchError("frame and dual must share dimension and labels")
-    R = _coefficients(dual).T @ _coefficients(frame)
+    R = _coordinates(dual.operators).T @ _coordinates(frame.operators)
     residual = float(np.max(np.abs(R - np.eye(frame.dim**2))))
     if tol is None:
         tol = EQ_TOL

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
+from ..frames import _pairings
 from ..geometry import field_lattice
 from ..operators import eigh_fixed, monomial_stack, omega
 from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
@@ -173,7 +174,7 @@ def match_phase_points(rep_a: Representation, rep_b: Representation,
         return None
     d = rep_a.dim
     A, B = rep_a.dual.operators, rep_b.dual.operators
-    overlap = np.real(np.einsum("nij,mji->nm", A, B)) / d
+    overlap = _pairings(A, B) / d
     mapping = {}
     used = set()
     for i, la in enumerate(rep_a.labels):

@@ -61,11 +61,12 @@ def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float,
     pvm_worst = max(float(np.max(np.abs(pvms.sum(axis=1) - np.eye(rep.dim)))),
                     float(np.max(np.abs(pvms @ pvms - pvms))))
     idx = rep.geometry.line_index
+    flat = pvms.reshape(*pvms.shape[:2], -1)
     sum_worst = 0.0
     for k in range(states):
         rho = random_state(rep.dim, seed=seed + k)
         line_sums = rep.represent(rho).values[idx].sum(axis=2)
-        born = np.trace(rho @ pvms, axis1=2, axis2=3).real
+        born = (flat @ rho.T.reshape(-1)).real
         sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))
     return pvm_worst, sum_worst
 

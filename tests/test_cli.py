@@ -236,6 +236,14 @@ def test_negativity_witness_mode(capsys):
     assert "operator" in doc["witness"]
 
 
+@pytest.mark.parametrize("argv", [("hardy", "--d", "3"), ("stratonovich",)])
+def test_negativity_witness_integer_label(capsys, argv):
+    code, out, _ = run(capsys, "negativity", *argv, "--witness")
+    assert code == 0
+    assert '"label": 0' in out
+    assert json.loads(out)["witness"]["label"] == 0
+
+
 # verify
 
 

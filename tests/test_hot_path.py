@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import frame_oracle
 from qframe.cli import REPRESENTATION_NAMES, build_representation
 from qframe.errors import DimensionMismatchError, NotAFrameError, SingularBasisError
 from qframe.frames import (
@@ -21,10 +22,14 @@ from qframe.frames import (
     EffectFunction,
     Frame,
     QuasiDistribution,
+    _coordinates,
+    _from_coordinates,
+    _pairings,
     canonical_dual,
     deformed_born,
+    frame_bounds,
     gram_dual,
-    hermitian_basis,
+    is_dual_pair,
     reconstruct_effect,
     represent_effect,
     represent_state,
@@ -81,13 +86,6 @@ def oracle_pairings(A, B):
 
 def oracle_gram_dual(ops):
     return np.einsum("nm,nij->mij", np.linalg.inv(oracle_pairings(ops, ops)), ops)
-
-
-def oracle_canonical_dual(ops):
-    B = hermitian_basis(ops.shape[1])
-    V = np.real(np.einsum("nij,aji->na", ops, B))
-    Sinv = np.linalg.pinv(V.T @ V, rcond=1e-10, hermitian=True)
-    return np.einsum("na,aij->nij", V @ Sinv, B)
 
 
 def close(got, want, scale=1.0):
@@ -155,7 +153,7 @@ def test_transform_matrix_matches_oracle(case):
 @pytest.mark.parametrize("case", IDS)
 def test_canonical_dual_matches_oracle(case):
     rep = _rep(case)
-    close(canonical_dual(rep.frame).operators, oracle_canonical_dual(rep.frame.operators))
+    close(canonical_dual(rep.frame).operators, frame_oracle.canonical_dual(rep.frame.operators))
 
 
 @pytest.mark.parametrize("case", IDS)
@@ -177,7 +175,7 @@ def test_stratonovich_dual_matches_oracle(case):
 
 
 def test_dual_error_messages_kept():
-    B = hermitian_basis(2)
+    B = frame_oracle.hermitian_basis(2)
     with pytest.raises(NotAFrameError, match="lower frame bound .* vanishes; family does not span"):
         canonical_dual(Frame(dim=2, labels=(0, 1), operators=B[:2]))
     with pytest.raises(SingularBasisError, match="ill conditioned; redraw the points"):
@@ -250,3 +248,42 @@ def test_per_call_checks_remain():
     fn = EffectFunction("x", 3, tuple(range(9)), np.ones(9))
     with pytest.raises(ValueError, match="labels"):
         reconstruct_effect(fn, rep.frame)
+
+
+# coordinates, bounds and duality against the Gell-Mann oracle
+
+
+@st.composite
+def hermitian_stack(draw, d: int):
+    n = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return scale * (G + G.conj().transpose(0, 2, 1)) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12))
+def test_coordinates_pair_and_invert(data, d):
+    A = data.draw(hermitian_stack(d))
+    B = data.draw(hermitian_stack(d))
+    VA = _coordinates(A)
+    assert VA.shape == (len(A), d * d) and VA.dtype == np.float64
+    close(VA @ _coordinates(B).T, oracle_pairings(A, B), scale=max(1.0, np.abs(A).max() * np.abs(B).max()))
+    close(_pairings(A, B), oracle_pairings(A, B), scale=max(1.0, np.abs(A).max() * np.abs(B).max()))
+    close(_from_coordinates(VA, d), A, scale=max(1.0, np.abs(A).max()))
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_frame_bounds_and_duality_match_oracle(case):
+    rep = _rep(case)
+    ops = rep.frame.operators
+    vals = np.linalg.eigvalsh(frame_oracle.frame_operator_matrix(ops))
+    a, b = frame_bounds(rep.frame)
+    close([a, b], [vals[0], vals[-1]], scale=max(1.0, vals[-1]))
+    ok, residual = is_dual_pair(rep.frame, rep.dual)
+    want_ok, want_residual = frame_oracle.is_dual_pair(ops, rep.dual.operators)
+    assert ok == want_ok is True
+    assert residual <= ORACLE_TOL and want_residual <= ORACLE_TOL
+    rolled = DualFrame(dim=rep.dim, labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
+    assert is_dual_pair(rep.frame, rolled)[0] == frame_oracle.is_dual_pair(ops, rolled.operators)[0] is False
