@@ -19,11 +19,10 @@ from .frames import QuasiDistribution
 from .operators import (
     bloch_state,
     is_density,
-    partial_trace,
     partial_transpose,
     qubit_stabilizer_states,
     tensor,
-    weyl_operator,
+    weyl_monomials,
 )
 from .representations import (
     Representation,
@@ -35,6 +34,8 @@ from .representations import (
 
 FRANCO_PENNA_THRESHOLD = (1.0 - np.sqrt(3.0)) / 8.0
 EQ_GUARD = 1e-12
+# A partial-transpose eigenvalue or lattice value above -PPT_TOL counts as nonnegative.
+PPT_TOL = 1e-10
 # Frame eigenvalues and quasi-probabilities this close count as tied.
 WITNESS_TIE_TOL = 1e-12
 # Eigenvalues of one operator this close span one eigenspace for a witness vector.
@@ -87,11 +88,11 @@ def _lattice(dims: tuple[int, ...]) -> Representation:
     return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
 
 
-def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
+def _check_two_qubit_lattice(name: str, dim: int, labels: tuple) -> None:
     ok = (
-        mu.representation == "wootters"
-        and mu.dim == 4
-        and len(mu.labels) == 16
+        name == "wootters"
+        and dim == 4
+        and len(labels) == 16
         and all(
             isinstance(lab, tuple)
             and len(lab) == 2
@@ -99,7 +100,7 @@ def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
                 isinstance(f, tuple) and len(f) == 2 and set(f) <= {0, 1}
                 for f in lab
             )
-            for lab in mu.labels
+            for lab in labels
         )
     )
     if not ok:
@@ -108,19 +109,26 @@ def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
         )
 
 
+def _lattice_verdict(min_value: float) -> str:
+    return "entangled" if min_value < FRANCO_PENNA_THRESHOLD - EQ_GUARD else "inconclusive"
+
+
+def _ppt_verdict(min_eig: float) -> str:
+    return "separable" if min_eig >= -PPT_TOL else "entangled"
+
+
 def franco_penna(mu: QuasiDistribution) -> EntanglementVerdict:
     """Entanglement witness from two-qubit lattice negativity.
 
     Separable states never dip below (1 - sqrt 3)/8, so a strictly smaller
     minimum certifies entanglement; anything else is inconclusive.
     """
-    _check_two_qubit_lattice(mu)
+    _check_two_qubit_lattice(mu.representation, mu.dim, mu.labels)
     mn = float(mu.values.min())
-    verdict = "entangled" if mn < FRANCO_PENNA_THRESHOLD - EQ_GUARD else "inconclusive"
     return EntanglementVerdict(
         min_value=mn,
         threshold=FRANCO_PENNA_THRESHOLD,
-        verdict=verdict,
+        verdict=_lattice_verdict(mn),
         method="lattice-negativity",
     )
 
@@ -140,20 +148,41 @@ def ppt_separability_two_qubit(rho: np.ndarray) -> EntanglementVerdict:
     rep = _lattice((2, 2))
     dwf_min = float(rep.represent(rho).values.min())
     dwf_min_pt = float(rep.represent(rho_pt).values.min())
-    verdict = "separable" if eig_min >= -1e-10 else "entangled"
     return EntanglementVerdict(
         min_value=eig_min,
         threshold=0.0,
-        verdict=verdict,
+        verdict=_ppt_verdict(eig_min),
         method="ppt",
         diagnostics={
             "dwf_min": dwf_min,
             "dwf_min_partial_transpose": dwf_min_pt,
             "dwf_criterion_separable": bool(
-                dwf_min >= -1e-10 and dwf_min_pt >= -1e-10
+                dwf_min >= -PPT_TOL and dwf_min_pt >= -PPT_TOL
             ),
         },
     )
+
+
+def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]:
+    """Franco-Penna and PPT verdicts for a ``(k, 4, 4)`` stack of two-qubit states.
+
+    Row k is (lattice minimum, its verdict, smallest partial-transpose
+    eigenvalue, its verdict), what ``franco_penna`` and
+    ``ppt_separability_two_qubit`` decide for state k.  The lattice values
+    of the whole stack are one GEMM on the two-qubit frame and the spectra
+    one ``eigvalsh``.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
+    rep = _lattice((2, 2))
+    _check_two_qubit_lattice(rep.name, rep.dim, rep.labels)
+    values = (np.swapaxes(rhos, 1, 2).reshape(len(rhos), -1) @ rep.frame.flat.T).real
+    # transpose the second qubit: swap its row and column axes
+    pt = rhos.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
+    eig_min = np.linalg.eigvalsh(pt)[:, 0]
+    return [(float(m), _lattice_verdict(m), float(e), _ppt_verdict(e))
+            for m, e in zip(values.min(axis=1), eig_min)]
 
 
 def _first_minimum(values: np.ndarray) -> int:
@@ -250,7 +279,7 @@ _NMR_DEFAULT_GRID = {1: 10014, 2: 114, 3: 26}
 
 
 def _nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.ndarray:
-    uppers = np.array([qubit_kernel_upper(n) for n in grid])
+    uppers = qubit_kernel_upper(grid)
     shape = (2,) * (2 * n_qubits)
     R = rho.reshape(shape)
     if n_qubits == 1:
@@ -309,13 +338,6 @@ def nmr_classicality(
     )
 
 
-def _bell_pair(d: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        v[k * d + k] = 1.0
-    return v / np.sqrt(d)
-
-
 def teleport_phase_space(
     d: int, rho_in: np.ndarray, outcome: tuple[int, int]
 ) -> TeleportOutcome:
@@ -325,6 +347,10 @@ def teleport_phase_space(
     1,2 projects onto (I x U_(a,b))|pair>.  Conditioned on outcome (a,b) the
     output distribution is the input one displaced by (q,p) -> (q-a, p+b);
     the residual reports the worst deviation from that identity.
+
+    The Bell projector has rank one on systems 1,2, so the branch of the
+    three-system simulation is exactly M rho M^dag on system 3, with
+    M[k, i] = sum_j conj(bell[i, j]) pair[j, k]: O(d^3), not O(d^9).
     """
     if not _is_prime(d) or d % 2 == 0:
         raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
@@ -332,21 +358,21 @@ def teleport_phase_space(
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"state must be {d} x {d}")
     alpha, beta = (int(outcome[0]) % d, int(outcome[1]) % d)
-    pair = _bell_pair(d)
-    bell = np.kron(np.eye(d), weyl_operator(alpha, beta, d)) @ pair
-    total = tensor(rho_in, np.outer(pair, pair.conj()))
-    proj = tensor(np.outer(bell, bell.conj()), np.eye(d))
-    post = proj @ total @ proj
+    # amplitude matrices: pair[j, k] of |pair> on systems 2,3, and
+    # bell[i, j] = U[j, i] / sqrt(d) of (I x U)|pair> on systems 1,2
+    pair = np.eye(d) / np.sqrt(d)
+    bell = weyl_monomials(d, alpha, beta)[0].T / np.sqrt(d)
+    M = (bell.conj() @ pair).T
+    post = M @ rho_in @ M.conj().T
     prob = float(np.trace(post).real)
-    rho_out = partial_trace(post, (d, d, d), keep=(2,)) / prob
+    rho_out = post / prob
     rep = _lattice((d,))
     mu_in = rep.represent(rho_in)
     mu_out = rep.represent(rho_out)
-    index = {lab: i for i, lab in enumerate(rep.labels)}
-    displaced = np.array(
-        [mu_in.values[index[((q - alpha) % d, (p + beta) % d)]] for q, p in rep.labels]
-    )
-    residual = float(np.max(np.abs(mu_out.values - displaced)))
+    # labels run (q, p) in row-major order, so values.reshape(d, d)[q, p] is mu(q, p)
+    r = np.arange(d)
+    displaced = mu_in.values.reshape(d, d)[np.ix_((r - alpha) % d, (r + beta) % d)]
+    residual = float(np.max(np.abs(mu_out.values - displaced.reshape(-1))))
     return TeleportOutcome(
         outcome=(alpha, beta),
         probability=prob,

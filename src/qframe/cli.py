@@ -18,11 +18,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .analysis import (
+    _entanglement_sweep,
     bell_wigner_demo,
-    franco_penna,
     negativity_witness,
     nmr_classicality,
-    ppt_separability_two_qubit,
     teleport_phase_space,
 )
 from .errors import (
@@ -375,23 +374,14 @@ def _demo_bell(args):
 def _demo_entanglement(args):
     samples = _samples(args, 100)
     seed = _seed(args)
-    from .operators import tensor  # local import keeps the hot path light
-
-    rep = wootters_composite([2, 2])
-    rows = []
-    conclusive = 0
-    agreements = 0
-    for k in range(samples):
-        rho = random_state(4, rank=1 + (seed + k) % 4, seed=seed + k)
-        fp = franco_penna(rep.represent(rho))
-        ppt = ppt_separability_two_qubit(rho)
-        if fp.verdict == "entangled":
-            conclusive += 1
-            if ppt.verdict == "entangled":
-                agreements += 1
-        rows.append(
-            [seed + k, 1 + (seed + k) % 4, fp.min_value, fp.verdict, ppt.min_value, ppt.verdict]
-        )
+    seeds = [seed + k for k in range(samples)]
+    ranks = [1 + s % 4 for s in seeds]
+    rhos = np.stack([random_state(4, rank=r, seed=s) for s, r in zip(seeds, ranks)])
+    # each verdict row is (lattice min, lattice verdict, partial-transpose min eigenvalue, ppt verdict)
+    verdicts = _entanglement_sweep(rhos)
+    conclusive = sum(v[1] == "entangled" for v in verdicts)
+    agreements = sum(v[1] == v[3] == "entangled" for v in verdicts)
+    rows = [[s, r, *v] for s, r, v in zip(seeds, ranks, verdicts)]
     doc = {
         "demo": "entanglement",
         "samples": samples,
@@ -450,66 +440,90 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pure", type=int, default=None, help="seed for a random pure state")
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qframe",
-        description="Quasi-probability representations of finite-dimensional quantum theory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="construct a frame/dual pair and write artifacts")
+def _build_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("representation", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     p.add_argument("--starts", type=int, default=None, help="fiducial search starts")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("represent", help="state -> quasi-probability distribution")
+
+def _represent_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("representation", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     _add_state_flags(p)
-    p.set_defaults(func=cmd_represent)
 
-    p = sub.add_parser("reconstruct", help="distribution -> operator")
+
+def _reconstruct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("representation", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("transform", help="map a distribution between representations")
+
+def _transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", choices=REPRESENTATION_NAMES)
     p.add_argument("target", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("negativity", help="negativity of a represented state")
+
+def _negativity_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("representation", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     _add_state_flags(p)
     p.add_argument("--witness", action="store_true", help="search for a nonclassicality witness")
-    p.set_defaults(func=cmd_negativity)
 
-    p = sub.add_parser("verify", help="run the property suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("representation", choices=REPRESENTATION_NAMES)
     _add_dim_flags(p)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--starts", type=int, default=None, help="fiducial search starts")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("demo", help="run a bundled demonstration")
+
+def _demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=["teleport", "nmr", "bell", "entanglement"])
     _add_dim_flags(p)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--angles", help="three comma-separated degrees")
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_demo)
 
+
+# (verb, help, flag-adder, handler), in the order of the usage line
+VERBS = (
+    ("build", "construct a frame/dual pair and write artifacts", _build_args, cmd_build),
+    ("represent", "state -> quasi-probability distribution", _represent_args, cmd_represent),
+    ("reconstruct", "distribution -> operator", _reconstruct_args, cmd_reconstruct),
+    ("transform", "map a distribution between representations", _transform_args, cmd_transform),
+    ("negativity", "negativity of a represented state", _negativity_args, cmd_negativity),
+    ("verify", "run the property suite", _verify_args, cmd_verify),
+    ("demo", "run a bundled demonstration", _demo_args, cmd_demo),
+)
+
+
+def make_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The ``qframe`` parser with all seven sub-parsers.
+
+    With ``verb`` given, only that sub-parser gets its arguments: the usage
+    line and the verb choices stay whole, and argparse never reaches the
+    other sub-parsers when the command line starts with ``verb``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qframe",
+        description="Quasi-probability representations of finite-dimensional quantum theory.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args, handler in VERBS:
+        p = sub.add_parser(name, help=help_text)
+        if verb is None or verb == name:
+            add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the verb from argv[0]; anything else (-h, nothing, a typo) gets the whole parser
+    verb = argv[0] if argv and argv[0] in {row[0] for row in VERBS} else None
+    args = make_parser(verb).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -212,9 +212,8 @@ def frame_operator_matrix(frame: Frame) -> np.ndarray:
     return V.T @ V
 
 
-def _bounds(S: np.ndarray) -> tuple[float, float]:
-    """Frame constants from the frame-operator matrix S; raises when S is singular."""
-    vals = np.linalg.eigvalsh(S)
+def _bounds(vals: np.ndarray) -> tuple[float, float]:
+    """Frame constants from the ascending spectrum of the frame operator; raises when it is singular."""
     a, b = float(vals[0]), float(vals[-1])
     if a <= EQ_TOL * max(1.0, b):
         raise NotAFrameError(f"lower frame bound {a:.3e} vanishes; family does not span")
@@ -223,15 +222,21 @@ def _bounds(S: np.ndarray) -> tuple[float, float]:
 
 def frame_bounds(frame: Frame) -> tuple[float, float]:
     """Tightest frame constants (a, b); raises when the family does not span."""
-    return _bounds(frame_operator_matrix(frame))
+    return _bounds(np.linalg.eigvalsh(frame_operator_matrix(frame)))
 
 
 def canonical_dual(frame: Frame) -> DualFrame:
-    """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator."""
+    """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator.
+
+    One ``eigh`` of S gives both the bounds check and the pseudo-inverse,
+    which drops eigenvalues below ``PINV_RCOND`` times the largest.
+    """
     V = _coordinates(frame.operators)
-    S = V.T @ V
-    _bounds(S)
-    ops = _from_coordinates(V @ np.linalg.pinv(S, rcond=PINV_RCOND, hermitian=True), frame.dim)
+    vals, vecs = np.linalg.eigh(V.T @ V)
+    _bounds(vals)
+    keep = vals > PINV_RCOND * vals[-1]
+    W = vecs[:, keep]
+    ops = _from_coordinates(V @ ((W / vals[keep]) @ W.T), frame.dim)
     return DualFrame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 

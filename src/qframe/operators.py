@@ -37,6 +37,7 @@ __all__ = [
     "tau_powers",
     "monomial_stack",
     "displaced_parity",
+    "weyl_monomials",
     "PauliFamily",
     "make_pauli_family",
     "weyl_operator",
@@ -152,6 +153,21 @@ def displaced_parity(d: int, s, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.int64).reshape(-1, 1)
     c = np.arange(d)
     return monomial_stack((s - c) % d, tau_powers(d, t * (s - 2 * c)))
+
+
+def weyl_monomials(d: int, p, q) -> np.ndarray:
+    """The Weyl operators ``U_(p,q) = omega**(pq/2) X^p Z^q`` for arrays of labels, by index arithmetic.
+
+    U_(p,q) sends |c> to omega**(pq/2 + qc) |c + p>: a monomial whose phase
+    is tau**(2qc) times omega**(pq/2), which is tau**(pq (d+1)) for odd d
+    and tau**(pq) for even d, as ``half_exponent_phase`` resolves it.
+    Returns the ``(len(p), d, d)`` stack.
+    """
+    p = np.asarray(p, dtype=np.int64).reshape(-1, 1)
+    q = np.asarray(q, dtype=np.int64).reshape(-1, 1)
+    c = np.arange(d)
+    half = p * q * (d + 1 if d % 2 else 1)
+    return monomial_stack((c + p) % d, tau_powers(d, half + 2 * q * c))
 
 
 @dataclass(frozen=True)
@@ -384,18 +400,41 @@ def qubit_stabilizer_states() -> list[np.ndarray]:
     return out
 
 
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussians: the real parts are drawn first, then the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _haar_from_gaussian(A: np.ndarray) -> np.ndarray:
+    """Q of A = QR with the standard phase fix; Haar when A is complex Gaussian.
+
+    A may be a stack ``(..., d, d)``: the QR and the phase fix run per matrix.
+    """
+    Q, R = np.linalg.qr(A)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag)).conj()[..., None, :]
+
+
+def _density_from_gaussian(G: np.ndarray) -> np.ndarray:
+    """``G G^dag`` at unit trace; G may be a stack ``(..., d, r)``."""
+    rho = G @ np.conj(np.swapaxes(G, -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _rotated_diagonal(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``U diag(vals) U^dag``; U ``(..., d, d)`` and vals ``(..., d)`` may be stacks."""
+    return (U * vals[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+
+
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(A)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag)).conj()
+    return _haar_from_gaussian(_complex_gaussian(rng, (d, d)))
 
 
 def random_pure_state(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized complex-Gaussian state vector."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v = _complex_gaussian(rng, d)
     return v / np.linalg.norm(v)
 
 
@@ -409,14 +448,28 @@ def random_state(d: int, rank: int | None = None, seed: int | np.random.Generato
     r = d if rank is None else int(rank)
     if not 1 <= r:
         raise ValueError(f"rank must be >= 1, got {r}")
-    G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    rho = G @ G.conj().T
-    return rho / np.trace(rho).real
+    return _density_from_gaussian(_complex_gaussian(rng, (d, r)))
 
 
 def random_effect(d: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     """Random effect: Haar-rotated diagonal with entries uniform in [0, 1]."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     U = random_unitary(d, rng)
-    vals = rng.uniform(0.0, 1.0, size=d)
-    return (U * vals) @ U.conj().T
+    return _rotated_diagonal(U, rng.uniform(0.0, 1.0, size=d))
+
+
+def _random_states(d: int, seeds) -> np.ndarray:
+    """``random_state(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack."""
+    return _density_from_gaussian(
+        np.stack([_complex_gaussian(np.random.default_rng(s), (d, d)) for s in seeds]))
+
+
+def _random_effects(d: int, seeds) -> np.ndarray:
+    """``random_effect(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack.
+
+    Each generator draws its Gaussians and then its uniforms, as in
+    ``random_effect``; the QR and the rotations run over the stack.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    U = _haar_from_gaussian(np.stack([_complex_gaussian(rng, (d, d)) for rng in rngs]))
+    return _rotated_diagonal(U, np.stack([rng.uniform(0.0, 1.0, size=d) for rng in rngs]))

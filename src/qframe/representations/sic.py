@@ -17,7 +17,7 @@ from ..errors import (
     UnsupportedDimensionError,
 )
 from ..frames import DualFrame, Frame, QuasiDistribution
-from ..operators import monomial_stack, tau_powers
+from ..operators import weyl_monomials
 from .base import Representation, check_stack_budget
 
 SEARCH_TOL = 1e-8
@@ -53,16 +53,9 @@ def _qubit_fiducial() -> np.ndarray:
 
 
 def _orbit_stack(d: int) -> np.ndarray:
-    """The d^2 - 1 Weyl operators U_(p,q) = omega**(pq/2) X^p Z^q, (p,q) != (0,0), row-major.
-
-    U_(p,q) sends |c> to omega**(pq/2 + qc) |c + p>: a monomial whose phase
-    is tau**(2qc) times omega**(pq/2), which is tau**(pq (d+1)) for odd d
-    and tau**(pq) for even d.
-    """
+    """The d^2 - 1 Weyl operators U_(p,q) = omega**(pq/2) X^p Z^q, (p,q) != (0,0), row-major."""
     p, q = np.divmod(np.arange(1, d * d), d)
-    p, q, c = p[:, None], q[:, None], np.arange(d)
-    half = p * q * (d + 1 if d % 2 else 1)
-    return monomial_stack((c + p) % d, tau_powers(d, half + 2 * q * c))
+    return weyl_monomials(d, p, q)
 
 
 def _deviation(stack: np.ndarray, phi: np.ndarray) -> float:

@@ -250,19 +250,22 @@ def random_constellation(s: float, seed=None, gammas=None, max_draws: int = 50):
     raise SingularBasisError(f"no well conditioned constellation in {max_draws} draws")
 
 
-def qubit_kernel_lower(n) -> np.ndarray:
-    """(1/2)(I + n . sigma)."""
+def _n_dot_sigma(n) -> np.ndarray:
+    """n . sigma for a direction ``(3,)`` or a stack of directions ``(k, 3)``: shape ``(2, 2)`` or ``(k, 2, 2)``."""
     n = np.asarray(n, dtype=float)
     _check_unit_rows(n)
-    return 0.5 * (np.eye(2) + n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
+    x, y, z = (n[..., i, None, None] for i in range(3))
+    return x * SIGMA[0] + y * SIGMA[1] + z * SIGMA[2]
+
+
+def qubit_kernel_lower(n) -> np.ndarray:
+    """(1/2)(I + n . sigma); a ``(k, 3)`` array of directions gives ``(k, 2, 2)``."""
+    return 0.5 * (np.eye(2) + _n_dot_sigma(n))
 
 
 def qubit_kernel_upper(n) -> np.ndarray:
-    """(1/4pi)(I + 3 n . sigma)."""
-    n = np.asarray(n, dtype=float)
-    _check_unit_rows(n)
-    core = np.eye(2) + 3 * (n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
-    return core / (4 * np.pi)
+    """(1/4pi)(I + 3 n . sigma); a ``(k, 3)`` array of directions gives ``(k, 2, 2)``."""
+    return (np.eye(2) + 3 * _n_dot_sigma(n)) / (4 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import born_pair, is_dual_pair
-from .operators import frobenius, random_effect, random_state, trace_inner
+from .frames import is_dual_pair
+from .operators import _random_effects, _random_states
 from .representations import Representation, striation_pvms
 
 DUALITY_TOL = 1e-9
@@ -36,39 +36,39 @@ def _hermiticity_residual(rep: Representation) -> float:
     return worst
 
 
+def _values(flat: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``Tr[A_k F_n]`` of a Hermitian ``(k, d, d)`` stack against a flat Hermitian ``(n, d^2)`` family.
+
+    For Hermitian A and F, Tr[A F] = sum_ij conj(A_ij) F_ij is real, and it is
+    the dot product of the two rows read as interleaved floats: one real GEMM
+    on zero-copy views, half the work of the complex one.
+    """
+    return A.reshape(len(A), -1).view(float) @ flat.view(float).T
+
+
 def _born_residual(rep: Representation, seed: int, samples: int) -> float:
-    worst = 0.0
-    for k in range(samples):
-        rho = random_state(rep.dim, seed=seed + 2 * k)
-        E = random_effect(rep.dim, seed=seed + 2 * k + 1)
-        mu = rep.represent(rho)
-        xi = rep.effect(E)
-        worst = max(worst, abs(born_pair(mu, xi) - trace_inner(rho, E)))
-    return worst
+    k = np.arange(samples)
+    rho = _random_states(rep.dim, seed + 2 * k)
+    E = _random_effects(rep.dim, seed + 2 * k + 1)
+    born = np.einsum("kn,kn->k", _values(rep.frame.flat, rho), _values(rep.dual.flat, E))
+    exact = np.einsum("kij,kji->k", rho, E).real
+    return float(np.max(np.abs(born - exact)))
 
 
 def _round_trip_residual(rep: Representation, seed: int, samples: int) -> float:
-    worst = 0.0
-    for k in range(samples):
-        rho = random_state(rep.dim, seed=seed + k)
-        back = rep.reconstruct(rep.represent(rho))
-        worst = max(worst, frobenius(back - rho))
-    return worst
+    rho = _random_states(rep.dim, seed + np.arange(samples))
+    back = (_values(rep.frame.flat, rho) @ rep.dual.flat).reshape(rho.shape)
+    return float(np.max(np.linalg.norm(back - rho, axis=(1, 2))))
 
 
 def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float, float]:
     pvms = striation_pvms(rep)
     pvm_worst = max(float(np.max(np.abs(pvms.sum(axis=1) - np.eye(rep.dim)))),
                     float(np.max(np.abs(pvms @ pvms - pvms))))
-    idx = rep.geometry.line_index
-    flat = pvms.reshape(*pvms.shape[:2], -1)
-    sum_worst = 0.0
-    for k in range(states):
-        rho = random_state(rep.dim, seed=seed + k)
-        line_sums = rep.represent(rho).values[idx].sum(axis=2)
-        born = (flat @ rho.T.reshape(-1)).real
-        sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))
-    return pvm_worst, sum_worst
+    rho = _random_states(rep.dim, seed + np.arange(states))
+    line_sums = _values(rep.frame.flat, rho)[:, rep.geometry.line_index].sum(axis=3)
+    born = _values(pvms.reshape(-1, rep.dim**2), rho).reshape(line_sums.shape)
+    return pvm_worst, float(np.max(np.abs(line_sums - born)))
 
 
 def fiducial_search_stats(rep: Representation) -> dict:
@@ -91,6 +91,8 @@ def verify_representation(
     trips.  Lattice geometries add striation-projector and line-sum laws,
     and the factory's own identities in ``rep.checks`` come last.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     checks = [
         _check("hermitian_families", _hermiticity_residual(rep), 1e-10),
         _check("duality", is_dual_pair(rep.frame, rep.dual)[1], DUALITY_TOL),

@@ -1,0 +1,139 @@
+"""One-sample-at-a-time reference versions of the batched verify and analysis code.
+
+Each function is the loop the array code replaces: the seeded draw of one
+random state and of one random effect, the three verify residuals
+drawing one (state, effect) pair per seed and going through
+``represent``/``effect``/``reconstruct``; the teleportation branch as the
+dense three-system simulation, ``proj @ total @ proj`` on d^3 x d^3
+matrices, with the displaced comparison through a label dict; the
+entanglement sweep as one Franco-Penna and one PPT test per state; and the
+spin-1/2 NMR kernel built per direction.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qframe.analysis import franco_penna, ppt_separability_two_qubit
+from qframe.frames import born_pair
+from qframe.operators import frobenius, partial_trace, tensor, trace_inner, weyl_operator
+from qframe.representations import striation_pvms, wootters, wootters_composite
+from qframe.representations.spherical import SIGMA, _check_unit_rows
+
+
+def random_state(d: int, rank: int | None = None, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    r = d if rank is None else int(rank)
+    G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_effect(d: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    Q, R = np.linalg.qr(A)
+    diag = np.diagonal(R)
+    U = Q * (diag / np.abs(diag)).conj()
+    vals = rng.uniform(0.0, 1.0, size=d)
+    return (U * vals) @ U.conj().T
+
+
+def born_residual(rep, seed: int, samples: int) -> float:
+    worst = 0.0
+    for k in range(samples):
+        rho = random_state(rep.dim, seed=seed + 2 * k)
+        E = random_effect(rep.dim, seed=seed + 2 * k + 1)
+        mu = rep.represent(rho)
+        xi = rep.effect(E)
+        worst = max(worst, abs(born_pair(mu, xi) - trace_inner(rho, E)))
+    return worst
+
+
+def round_trip_residual(rep, seed: int, samples: int) -> float:
+    worst = 0.0
+    for k in range(samples):
+        rho = random_state(rep.dim, seed=seed + k)
+        back = rep.reconstruct(rep.represent(rho))
+        worst = max(worst, frobenius(back - rho))
+    return worst
+
+
+def line_residuals(rep, seed: int, states: int) -> tuple[float, float]:
+    pvms = striation_pvms(rep)
+    pvm_worst = max(float(np.max(np.abs(pvms.sum(axis=1) - np.eye(rep.dim)))),
+                    float(np.max(np.abs(pvms @ pvms - pvms))))
+    idx = rep.geometry.line_index
+    flat = pvms.reshape(*pvms.shape[:2], -1)
+    sum_worst = 0.0
+    for k in range(states):
+        rho = random_state(rep.dim, seed=seed + k)
+        line_sums = rep.represent(rho).values[idx].sum(axis=2)
+        born = (flat @ rho.T.reshape(-1)).real
+        sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))
+    return pvm_worst, sum_worst
+
+
+def teleport_branch(d: int, rho_in: np.ndarray, outcome: tuple[int, int]):
+    """(probability, output state, output values, displacement residual) of one branch."""
+    alpha, beta = (int(outcome[0]) % d, int(outcome[1]) % d)
+    pair = np.zeros(d * d, dtype=complex)
+    pair[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
+    bell = np.kron(np.eye(d), weyl_operator(alpha, beta, d)) @ pair
+    total = tensor(rho_in, np.outer(pair, pair.conj()))
+    proj = tensor(np.outer(bell, bell.conj()), np.eye(d))
+    post = proj @ total @ proj
+    prob = float(np.trace(post).real)
+    rho_out = partial_trace(post, (d, d, d), keep=(2,)) / prob
+    rep = wootters(d)
+    mu_in = rep.represent(rho_in)
+    mu_out = rep.represent(rho_out)
+    index = {lab: i for i, lab in enumerate(rep.labels)}
+    displaced = np.array(
+        [mu_in.values[index[((q - alpha) % d, (p + beta) % d)]] for q, p in rep.labels]
+    )
+    return prob, rho_out, mu_out.values, float(np.max(np.abs(mu_out.values - displaced)))
+
+
+def entanglement_sweep(seed: int, samples: int):
+    """(conclusive, agreements, rows) of the two-qubit sweep, one state at a time."""
+    rep = wootters_composite([2, 2])
+    rows = []
+    conclusive = agreements = 0
+    for k in range(samples):
+        rho = random_state(4, rank=1 + (seed + k) % 4, seed=seed + k)
+        fp = franco_penna(rep.represent(rho))
+        ppt = ppt_separability_two_qubit(rho)
+        if fp.verdict == "entangled":
+            conclusive += 1
+            if ppt.verdict == "entangled":
+                agreements += 1
+        rows.append([seed + k, 1 + (seed + k) % 4, fp.min_value, fp.verdict, ppt.min_value, ppt.verdict])
+    return conclusive, agreements, rows
+
+
+def qubit_kernel_upper(n) -> np.ndarray:
+    """(1/4pi)(I + 3 n . sigma) for one direction."""
+    n = np.asarray(n, dtype=float)
+    _check_unit_rows(n)
+    core = np.eye(2) + 3 * (n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
+    return core / (4 * np.pi)
+
+
+def qubit_kernel_lower(n) -> np.ndarray:
+    """(1/2)(I + n . sigma) for one direction."""
+    n = np.asarray(n, dtype=float)
+    _check_unit_rows(n)
+    return 0.5 * (np.eye(2) + n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
+
+
+def nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.ndarray:
+    uppers = np.array([qubit_kernel_upper(n) for n in grid])
+    R = rho.reshape((2,) * (2 * n_qubits))
+    if n_qubits == 1:
+        out = np.einsum("ab,kba->k", rho, uppers)
+    elif n_qubits == 2:
+        out = np.einsum("abcd,ica,jdb->ij", R, uppers, uppers)
+    else:
+        out = np.einsum("abcdef,ida,jeb,kfc->ijk", R, uppers, uppers, uppers)
+    return np.real(out).reshape(-1)

@@ -1,0 +1,222 @@
+"""The batched verify and analysis code against its one-sample-at-a-time oracle.
+
+``tests/batch_oracle.py`` keeps the loops the array code replaced: the three
+verify residuals, the dense three-system teleportation branch, the
+per-state entanglement sweep and the per-direction NMR kernel.  Property
+tests draw odd primes up to 31 for the teleport identity and the line-sum
+law.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import batch_oracle as oracle
+from qframe import verify
+from qframe.analysis import _entanglement_sweep, _nmr_distribution, teleport_phase_space
+from qframe.cli import main
+from qframe.errors import DimensionMismatchError
+from qframe.frames import DualFrame, _coordinates, _from_coordinates, canonical_dual
+from qframe.operators import (
+    _random_effects,
+    _random_states,
+    random_effect,
+    random_state,
+    weyl_monomials,
+    weyl_operator,
+)
+from qframe.representations import (
+    hardy_rep,
+    havel_rep,
+    leonhardt,
+    mub_family,
+    nmr_sample_directions,
+    qubit_kernel_lower,
+    qubit_kernel_upper,
+    sic_rep,
+    stratonovich_discrete,
+    tetrahedral_constellation,
+    wootters,
+)
+
+ORACLE_TOL = 1e-12
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+FAMILIES = {
+    "wootters-3": lambda: wootters(3),
+    "wootters-5": lambda: wootters(5),
+    "wootters-7": lambda: wootters(7),
+    "mub-5": lambda: mub_family(5).representation(),
+    "sic-4": lambda: sic_rep(4),
+    "hardy-3": lambda: hardy_rep(3),
+    "stratonovich": lambda: stratonovich_discrete(0.5, tetrahedral_constellation()),
+    "havel-2": lambda: havel_rep(2),
+}
+
+
+def _skewed(rep):
+    """``rep`` with its dual scaled by 1.001, so the residuals are of order 1e-3, not round-off."""
+    dual = DualFrame(dim=rep.dim, labels=rep.labels, operators=rep.dual.operators * 1.001, name=rep.name)
+    return replace(rep, dual=dual)
+
+
+# sample stacks
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_sample_stacks_are_the_seeded_draws(d):
+    seeds = 11 + 2 * np.arange(6)
+    rho = _random_states(d, seeds)
+    E = _random_effects(d, seeds + 1)
+    for k, s in enumerate(seeds):
+        np.testing.assert_allclose(rho[k], oracle.random_state(d, seed=int(s)), atol=ORACLE_TOL, rtol=0)
+        np.testing.assert_allclose(E[k], oracle.random_effect(d, seed=int(s) + 1), atol=ORACLE_TOL, rtol=0)
+        # the one-at-a-time draws are the same arithmetic as before, so equal to the bit
+        assert np.array_equal(random_state(d, seed=int(s)), oracle.random_state(d, seed=int(s)))
+        assert np.array_equal(random_effect(d, seed=int(s) + 1), oracle.random_effect(d, seed=int(s) + 1))
+
+
+# verify residuals
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["exact", "skewed"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_verify_residuals_match_the_loops(name, skew):
+    rep = FAMILIES[name]()
+    rep = _skewed(rep) if skew else rep
+    assert abs(verify._born_residual(rep, 7, 30) - oracle.born_residual(rep, 7, 30)) <= ORACLE_TOL
+    assert abs(verify._round_trip_residual(rep, 10_007, 25)
+               - oracle.round_trip_residual(rep, 10_007, 25)) <= ORACLE_TOL
+    if rep.geometry is not None and rep.geometry.striations:
+        got, want = verify._line_residuals(rep, 20_007, 10), oracle.line_residuals(rep, 20_007, 10)
+        assert np.allclose(got, want, atol=ORACLE_TOL, rtol=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_refuses_no_samples(samples):
+    # the CLI refuses --samples < 1 with exit 2; the library says why instead of failing to stack nothing
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify.verify_representation(wootters(3), samples=samples)
+
+
+def test_skewed_residuals_are_not_round_off():
+    # the comparison above would be empty if the skewed residuals were ~1e-16 too
+    rep = _skewed(wootters(5))
+    assert verify._born_residual(rep, 7, 30) > 1e-5
+    assert verify._round_trip_residual(rep, 10_007, 25) > 1e-5
+
+
+# teleportation
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_teleport_branches_match_the_dense_simulation(d):
+    rho = random_state(d, seed=d)
+    for outcome in [(0, 0), (1, d - 1), (d - 1, 2), (2, 1)]:
+        out = teleport_phase_space(d, rho, outcome)
+        prob, rho_out, values, residual = oracle.teleport_branch(d, rho, outcome)
+        assert abs(out.probability - prob) <= ORACLE_TOL
+        np.testing.assert_allclose(out.state_out, rho_out, atol=ORACLE_TOL, rtol=0)
+        np.testing.assert_allclose(out.mu_out.values, values, atol=ORACLE_TOL, rtol=0)
+        assert abs(out.displacement_residual - residual) <= ORACLE_TOL
+
+
+def test_teleport_labels_are_row_major():
+    # the displaced comparison reads values.reshape(d, d)[q, p] as mu(q, p)
+    for d in (3, 5, 7, 11):
+        assert wootters(d).labels == tuple((q, p) for q in range(d) for p in range(d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), d=st.sampled_from(ODD_PRIMES))
+def test_teleport_identity_over_odd_primes(data, d):
+    rho = random_state(d, rank=data.draw(st.integers(1, d)), seed=data.draw(st.integers(0, 2**31)))
+    for _ in range(3):
+        outcome = (data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1)))
+        out = teleport_phase_space(d, rho, outcome)
+        assert abs(out.probability - 1.0 / d**2) <= 1e-12
+        assert out.displacement_residual <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_weyl_monomials_match_the_matrix_powers(d):
+    p, q = (a.ravel() for a in np.meshgrid(np.arange(-d, 2 * d), np.arange(-d, 2 * d)))
+    want = np.array([weyl_operator(int(a), int(b), d) for a, b in zip(p, q)])
+    np.testing.assert_allclose(weyl_monomials(d, p, q), want, atol=ORACLE_TOL, rtol=0)
+
+
+# line-sum law
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from(ODD_PRIMES), seed=st.integers(0, 2**31))
+def test_line_sum_law_over_odd_primes(d, seed):
+    pvm_worst, sum_worst = verify._line_residuals(wootters(d), seed, 3)
+    assert pvm_worst <= verify.LINE_TOL
+    assert sum_worst <= verify.LINE_TOL
+
+
+# entanglement sweep
+
+
+@pytest.mark.parametrize("seed,samples", [(0, 20), (2, 20), (5, 40)])
+def test_entanglement_sweep_matches_the_loop(seed, samples):
+    seeds = [seed + k for k in range(samples)]
+    rhos = np.stack([random_state(4, rank=1 + s % 4, seed=s) for s in seeds])
+    rows = _entanglement_sweep(rhos)
+    conclusive, agreements, want = oracle.entanglement_sweep(seed, samples)
+    for (fp_min, fp_verdict, pt_min, ppt_verdict), row in zip(rows, want):
+        assert (fp_verdict, ppt_verdict) == (row[3], row[5])
+        assert abs(fp_min - row[2]) <= ORACLE_TOL
+        assert abs(pt_min - row[4]) <= ORACLE_TOL
+    assert sum(r[1] == "entangled" for r in rows) == conclusive
+    assert sum(r[1] == r[3] == "entangled" for r in rows) == agreements
+
+
+def test_entanglement_demo_counts_match_the_loop(capsys):
+    assert main(["demo", "entanglement", "--samples", "30", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    conclusive, agreements, _ = oracle.entanglement_sweep(3, 30)
+    assert (doc["conclusive"], doc["agreements"]) == (conclusive, agreements)
+
+
+def test_entanglement_sweep_refuses_other_shapes():
+    with pytest.raises(DimensionMismatchError):
+        _entanglement_sweep(np.eye(4)[None, :3, :3])
+
+
+# NMR kernel
+
+
+def test_qubit_kernels_take_a_stack_of_directions():
+    grid = nmr_sample_directions(200)
+    assert qubit_kernel_upper(grid).shape == (200, 2, 2)
+    assert np.array_equal(qubit_kernel_upper(grid), np.array([oracle.qubit_kernel_upper(n) for n in grid]))
+    assert np.array_equal(qubit_kernel_lower(grid), np.array([oracle.qubit_kernel_lower(n) for n in grid]))
+    assert np.array_equal(qubit_kernel_upper(grid[7]), oracle.qubit_kernel_upper(grid[7]))
+    with pytest.raises(ValueError, match="unit vectors"):
+        qubit_kernel_upper(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("n,count", [(1, 500), (2, 40), (3, 12)])
+def test_nmr_distribution_matches_the_loop(n, count):
+    grid = nmr_sample_directions(count)
+    rho = random_state(2**n, seed=n)
+    np.testing.assert_allclose(_nmr_distribution(rho, n, grid), oracle.nmr_distribution(rho, n, grid),
+                               atol=ORACLE_TOL, rtol=0)
+
+
+# canonical dual
+
+
+@pytest.mark.parametrize("make", [lambda: leonhardt(4), lambda: leonhardt(6), lambda: wootters(5), lambda: hardy_rep(3)])
+def test_canonical_dual_matches_the_pseudo_inverse(make):
+    frame = make().frame
+    V = _coordinates(frame.operators)
+    want = _from_coordinates(V @ np.linalg.pinv(V.T @ V, rcond=1e-10, hermitian=True), frame.dim)
+    np.testing.assert_allclose(canonical_dual(frame).operators, want, atol=ORACLE_TOL, rtol=0)
+

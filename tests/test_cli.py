@@ -419,3 +419,68 @@ def test_argparse_rejects_unknown_representation():
     with pytest.raises(SystemExit) as exc:
         main(["build", "nonsense", "--d", "2"])
     assert exc.value.code == 2
+
+
+# the parser builds only the invoked verb's arguments
+
+
+VERB_NAMES = ("build", "represent", "reconstruct", "transform", "negativity", "verify", "demo")
+
+
+def _full_parse(capsys, argv):
+    """(exit code, stdout, stderr) of the parser with every verb's arguments on ``argv``."""
+    from qframe.cli import make_parser
+
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _main_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_parser_table_names_every_verb():
+    from qframe.cli import VERBS
+
+    assert tuple(row[0] for row in VERBS) == VERB_NAMES
+
+
+@pytest.mark.parametrize("verb", VERB_NAMES)
+def test_per_verb_parser_has_the_full_help(capsys, verb):
+    from qframe.cli import make_parser
+
+    assert make_parser(verb).format_usage() == make_parser().format_usage()
+    assert make_parser(verb).format_help() == make_parser().format_help()
+    full = _full_parse(capsys, [verb, "--help"])
+    assert full[0] == 0 and full[1].startswith(f"usage: qframe {verb}")
+    assert _main_exit(capsys, [verb, "--help"]) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["verif", "wootters"],
+        ["verify", "--bogus"],
+        ["verify"],
+        ["verify", "wootters", "--d", "x"],
+        ["transform", "wootters"],
+        ["reconstruct", "wootters", "--d", "3"],
+        ["demo", "teleportation"],
+        ["represent", "wootters", "--dims", "a,b"],
+        ["build", "nope"],
+        ["negativity", "wootters", "--witness", "extra"],
+        ["--", "verify", "wootters"],
+    ],
+)
+def test_bad_arguments_keep_their_errors(capsys, argv):
+    want = _full_parse(capsys, argv)
+    assert want[0] in (0, 2)
+    assert _main_exit(capsys, argv) == want
