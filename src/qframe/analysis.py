@@ -177,7 +177,7 @@ def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]
         raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
     rep = _lattice((2, 2))
     _check_two_qubit_lattice(rep.name, rep.dim, rep.labels)
-    values = (np.swapaxes(rhos, 1, 2).reshape(len(rhos), -1) @ rep.frame.flat.T).real
+    values = rep.frame.analyze(rhos, "state")
     # transpose the second qubit: swap its row and column axes
     pt = rhos.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
     eig_min = np.linalg.eigvalsh(pt)[:, 0]
@@ -253,17 +253,15 @@ def stabilizer_positivity_check(seed: int = 0, mixtures: int = 100) -> dict:
     The six stabilizer states and their random convex mixtures stay
     nonnegative; the Bloch-(1,1,1)/sqrt(3) state does not.
     """
-    rep = _lattice((2,))
-    stab = qubit_stabilizer_states()
-    stab_min = min(float(rep.represent(s).values.min()) for s in stab)
+    stab = np.array(qubit_stabilizer_states())
     c = 1.0 / np.sqrt(3.0)
-    magic_min = float(rep.represent(bloch_state(c, c, c)).values.min())
-    rng = np.random.default_rng(seed)
-    mix_min = np.inf
-    for _ in range(mixtures):
-        w = rng.dirichlet(np.ones(len(stab)))
-        rho = sum(wi * si for wi, si in zip(w, stab))
-        mix_min = min(mix_min, float(rep.represent(rho).values.min()))
+    # one dirichlet draw of ``mixtures`` rows is the same stream as that many single draws
+    w = np.random.default_rng(seed).dirichlet(np.ones(len(stab)), size=mixtures)
+    mixed = sum(w[:, i, None, None] * s for i, s in enumerate(stab))
+    states = np.concatenate([stab, bloch_state(c, c, c)[None], mixed])
+    lows = _lattice((2,)).frame.analyze(states).min(axis=1)
+    stab_min, magic_min = float(lows[:len(stab)].min()), float(lows[len(stab)])
+    mix_min = lows[len(stab) + 1:].min(initial=np.inf)
     return {
         "stabilizer_min": stab_min,
         "magic_state_min": magic_min,

@@ -47,9 +47,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "trace_inner",
-    "dagger",
     "frobenius",
-    "mat_close",
     "eigh_fixed",
     "is_hermitian",
     "is_density",
@@ -112,11 +110,8 @@ def clock_matrix(d: int) -> np.ndarray:
 
 
 def parity_matrix(d: int) -> np.ndarray:
-    """Parity operator with ``P |k> = |-k mod d>``."""
-    P = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        P[(-k) % d, k] = 1.0
-    return P
+    """Parity operator with ``P |k> = |-k mod d>``, the displaced parity K(0, 0)."""
+    return displaced_parity(d, 0, 0)[0]
 
 
 def tau_powers(d: int, exps) -> np.ndarray:
@@ -197,10 +192,7 @@ def make_pauli_family(d: int) -> PauliFamily:
 
 def weyl_operator(p: int, q: int, d: int) -> np.ndarray:
     """Weyl displacement ``U_(p,q) = omega**(pq/2) X^p Z^q``."""
-    X = shift_matrix(d)
-    Z = clock_matrix(d)
-    U = np.linalg.matrix_power(X, p % d) @ np.linalg.matrix_power(Z, q % d)
-    return half_exponent_phase(d, p * q) * U
+    return weyl_monomials(d, p, q)[0]
 
 
 def schwinger_basis(d: int) -> dict[tuple[int, int], np.ndarray]:
@@ -212,16 +204,9 @@ def schwinger_basis(d: int) -> dict[tuple[int, int], np.ndarray]:
     """
     if d % 2 == 0:
         raise UnsupportedDimensionError("the symmetric operator basis needs odd d")
-    l = (d - 1) // 2
-    X = shift_matrix(d)
-    Z = clock_matrix(d)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for eta in range(-l, l + 1):
-        Xp = np.linalg.matrix_power(X, eta % d)
-        for xi in range(-l, l + 1):
-            Zp = np.linalg.matrix_power(Z, xi % d)
-            out[(eta, xi)] = half_exponent_phase(d, eta * xi) * (Xp @ Zp) / np.sqrt(d)
-    return out
+    eta, xi = np.divmod(np.arange(d * d), d) - np.array((d - 1) // 2)
+    ops = weyl_monomials(d, eta, xi) / np.sqrt(d)
+    return dict(zip(zip(eta.tolist(), xi.tolist()), ops))
 
 
 def finite_fourier(d: int) -> np.ndarray:
@@ -288,21 +273,8 @@ def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.real(val))
 
 
-def dagger(A: np.ndarray) -> np.ndarray:
-    return np.asarray(A).conj().T
-
-
 def frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
-
-
-def mat_close(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> bool:
-    """Frobenius-norm equality at the scaled default tolerance."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if tol is None:
-        tol = tol_for(A)
-    return float(np.linalg.norm(A - B)) <= tol
 
 
 def eigh_fixed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
 
     Two stacks are the frame and the dual; factories that also build the SIC
     orbit, the unbiased-basis projectors or an n x n Gram matrix (n = d^2)
-    count three.
+    count three, and GHW, with its line projectors and their gather, four.
     """
     need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:

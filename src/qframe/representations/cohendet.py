@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..frames import QuasiDistribution
 from ..geometry import extended_lattice, odd_lattice
-from ..operators import displaced_parity, random_state
+from ..operators import _random_states, displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
 
@@ -44,11 +44,8 @@ def cohendet(d: int) -> Representation:
 
 def _extended_nonnegativity(rep: Representation, seed: int) -> float:
     """Most negative doubled-lattice value over 20 seeded states (seeds from seed + 30000)."""
-    worst = 0.0
-    for k in range(20):
-        mu = rep.represent(random_state(rep.dim, seed=seed + 30_000 + k))
-        worst = max(worst, -float(_doubled(rep.dim, mu.values).min()))
-    return worst
+    values = rep.frame.analyze(_random_states(rep.dim, seed + 30_000 + np.arange(20)))
+    return max(0.0, -float(_doubled(rep.dim, values).min()))
 
 
 def _doubled(d: int, values: np.ndarray) -> np.ndarray:

@@ -106,7 +106,8 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     if (F.p, F.n) != (p, n):
         raise UnsupportedDimensionError("field does not match the requested (p, n)")
     d = F.order
-    check_stack_budget(f"ghw({p}, {n})", d * d, d)
+    # the frame, the dual, the d(d + 1) line projectors kept in meta and the gather S below
+    check_stack_budget(f"ghw({p}, {n})", d * d, d, stacks=4)
     if net is None:
         net = (0,) * (d + 1)
     net = tuple(int(t) % d for t in net)

@@ -8,6 +8,8 @@ information as the density matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
@@ -78,25 +80,24 @@ def havel_rep(n_qubits: int) -> Representation:
     )
 
 
+# one build per register size and process; sharing it is safe because its stacks are read-only
+_register_rep = lru_cache(maxsize=MAX_QUBITS)(havel_rep)
+
+
+def _square_rep(M: np.ndarray, what: str) -> Representation:
+    """``havel_rep`` on as many qubits as the square matrix M's side; refused past ``MAX_QUBITS``."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatchError(f"{what} must be a square matrix")
+    return _register_rep(_log2_exact(M.shape[0]))
+
+
 def real_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Table sigma[k, j] = Tr(rho P_kj); real whenever rho is Hermitian."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError("state must be a square matrix")
-    d = rho.shape[0]
-    n = _log2_exact(d)
-    # Tr(rho P) pairs rho[a, b] with P[b, a]: one GEMV on the flat words
-    vals = _pauli_words(n).reshape(d * d, -1) @ rho.T.reshape(-1)
-    if np.max(np.abs(vals.imag)) > 1e-9:
-        raise ValueError("state must be Hermitian")
-    return vals.real.reshape(d, d)
+    return _square_rep(rho, "state").frame.analyze(rho, "state").reshape(rho.shape)
 
 
 def reconstruct_from_real(sigma: np.ndarray) -> np.ndarray:
-    """Invert the table: rho = (1/d) sum_kj sigma[k, j] P_kj."""
+    """Invert the table: rho = (1/d) sum_kj sigma[k, j] P_kj, the dual P_kj/d synthesizing sigma."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatchError("table must be a square matrix")
-    d = sigma.shape[0]
-    n = _log2_exact(d)
-    return (sigma.reshape(-1) @ _pauli_words(n).reshape(d * d, -1)).reshape(d, d) / d
+    return _square_rep(sigma, "table").dual.synthesize(sigma.reshape(-1))

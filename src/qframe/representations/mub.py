@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import DualFrame, Frame, QuasiDistribution
+from ..frames import DualFrame, Frame, QuasiDistribution, _OperatorFamily
 from ..operators import finite_fourier, omega
 from .base import Representation, check_stack_budget
 
@@ -51,21 +51,26 @@ def mub_bases(d: int) -> np.ndarray:
 
 
 class MubFamily:
-    """The d+1 unbiased bases with their rank-one projectors."""
+    """The d+1 unbiased bases with their rank-one projectors, kept as one operator family."""
 
     def __init__(self, d: int):
         # the family's projectors plus the frame and dual of ``representation``
         check_stack_budget(f"mub_family({d})", d * (d + 1), d, stacks=3)
         self.d = d
         self.bases = mub_bases(d)
-        labels = []
-        projectors = []
-        for n, B in enumerate(self.bases):
-            for k in range(d):
-                labels.append((n, k))
-                projectors.append(np.outer(B[:, k], B[:, k].conj()))
-        self.labels = tuple(labels)
-        self.projectors = np.array(projectors)
+        # projector (n, k) is the outer product of column k of basis n
+        columns = self.bases.transpose(0, 2, 1).reshape(-1, d)
+        self.outcomes = _OperatorFamily(
+            dim=d,
+            labels=[(n, k) for n in range(d + 1) for k in range(d)],
+            operators=columns[:, :, None] * columns[:, None, :].conj(),
+            name="mub-table",
+        )
+        self.labels = self.outcomes.labels
+
+    @property
+    def projectors(self) -> np.ndarray:
+        return self.outcomes.operators
 
     def projector(self, n: int, k: int) -> np.ndarray:
         return self.projectors[n * self.d + k]
@@ -73,15 +78,11 @@ class MubFamily:
     def representation(self) -> Representation:
         """Normalized frame P/(d+1) with the exact dual (d+1)P - I."""
         d = self.d
-        eye = np.eye(d)
         frame = Frame(
             dim=d, labels=self.labels, operators=self.projectors / (d + 1), name="mub"
         )
         dual = DualFrame(
-            dim=d,
-            labels=self.labels,
-            operators=np.array([(d + 1) * P - eye for P in self.projectors]),
-            name="mub",
+            dim=d, labels=self.labels, operators=(d + 1) * self.projectors - np.eye(d), name="mub"
         )
         return Representation(
             name="mub", dim=d, frame=frame, dual=dual, geometry=None, meta={"family": self},
@@ -102,17 +103,11 @@ def mub_family(d: int) -> MubFamily:
 
 def mub_table(rho: np.ndarray, family: MubFamily) -> QuasiDistribution:
     """Raw outcome probabilities mu(n, k) = Tr(rho P(n,k)); each basis sums to one."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (family.d, family.d):
-        raise DimensionMismatchError("state does not match the family dimension")
-    values = family.projectors.reshape(len(family.labels), -1) @ rho.T.reshape(-1)
-    if np.max(np.abs(values.imag)) > 1e-9:
-        raise ValueError("input must be Hermitian")
     return QuasiDistribution(
         representation="mub-table",
         dim=family.d,
         labels=family.labels,
-        values=values.real,
+        values=family.outcomes.analyze(rho, "state"),
         warnings=(),
     )
 
@@ -121,8 +116,7 @@ def mub_reconstruct(table: QuasiDistribution, family: MubFamily) -> np.ndarray:
     """Invert a probability table: rho = sum mu(n,k) P(n,k) - I."""
     if tuple(table.labels) != family.labels:
         raise DimensionMismatchError("table labels do not match the family")
-    acc = table.values @ family.projectors.reshape(len(family.labels), -1)
-    return acc.reshape(family.d, family.d) - np.eye(family.d)
+    return family.outcomes.synthesize(table.values) - np.eye(family.d)
 
 
 def mub_transition(t1: QuasiDistribution, t2: QuasiDistribution) -> float:

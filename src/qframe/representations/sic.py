@@ -218,10 +218,7 @@ def sic_conditional(rep: Representation, effect: np.ndarray) -> np.ndarray:
     """Conditional outcome weights xi(k) = Tr(E |phi_k><phi_k|) for an effect."""
     if rep.name != "sic":
         raise ValueError(f"expected a sic representation, got {rep.name!r}")
-    E = np.asarray(effect, dtype=complex)
-    if E.shape != (rep.dim, rep.dim):
-        raise DimensionMismatchError(f"effect must be {rep.dim} x {rep.dim}")
-    return rep.dim * np.real(rep.frame.flat @ E.T.reshape(-1))
+    return rep.dim * rep.frame.analyze(effect, "effect")
 
 
 def sic_born(mu, xi) -> float:

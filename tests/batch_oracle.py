@@ -6,8 +6,11 @@ drawing one (state, effect) pair per seed and going through
 ``represent``/``effect``/``reconstruct``; the teleportation branch as the
 dense three-system simulation, ``proj @ total @ proj`` on d^3 x d^3
 matrices, with the displaced comparison through a label dict; the
-entanglement sweep as one Franco-Penna and one PPT test per state; and the
-spin-1/2 NMR kernel built per direction.
+entanglement sweep as one Franco-Penna and one PPT test per state; the
+stabilizer positivity minima one state and one Dirichlet draw at a time; and
+the spin-1/2 NMR kernel built per direction.  ``values`` and
+``hermiticity_residual`` are verify's own pairing and Hermiticity measure
+from before the families analyzed their own stacks.
 """
 
 from __future__ import annotations
@@ -16,9 +19,18 @@ import numpy as np
 
 from qframe.analysis import franco_penna, ppt_separability_two_qubit
 from qframe.frames import born_pair
-from qframe.operators import frobenius, partial_trace, tensor, trace_inner, weyl_operator
+from qframe.operators import (
+    bloch_state,
+    frobenius,
+    partial_trace,
+    qubit_stabilizer_states,
+    tensor,
+    trace_inner,
+)
 from qframe.representations import striation_pvms, wootters, wootters_composite
 from qframe.representations.spherical import SIGMA, _check_unit_rows
+
+from lattice_oracle import weyl_operator
 
 
 def random_state(d: int, rank: int | None = None, seed: int = 0) -> np.ndarray:
@@ -37,6 +49,25 @@ def random_effect(d: int, seed: int = 0) -> np.ndarray:
     U = Q * (diag / np.abs(diag)).conj()
     vals = rng.uniform(0.0, 1.0, size=d)
     return (U * vals) @ U.conj().T
+
+
+def values(flat: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``Tr[A_k F_n]`` of a Hermitian ``(k, d, d)`` stack against a flat Hermitian ``(n, d^2)`` family.
+
+    For Hermitian A and F, Tr[A F] = sum_ij conj(A_ij) F_ij is real, and it is
+    the dot product of the two rows read as interleaved floats.
+    """
+    return A.reshape(len(A), -1).view(float) @ flat.view(float).T
+
+
+def hermiticity_residual(rep) -> float:
+    """Largest entry of F - F^dag over the frame and the dual, in cache-sized blocks."""
+    worst = 0.0
+    for ops in (rep.frame.operators, rep.dual.operators):
+        step = max(1, (1 << 15) // ops[0].size)
+        for blk in (ops[i:i + step] for i in range(0, len(ops), step)):
+            worst = max(worst, float(np.abs(blk - np.conj(blk).transpose(0, 2, 1)).max()))
+    return worst
 
 
 def born_residual(rep, seed: int, samples: int) -> float:
@@ -72,6 +103,21 @@ def line_residuals(rep, seed: int, states: int) -> tuple[float, float]:
         born = (flat @ rho.T.reshape(-1)).real
         sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))
     return pvm_worst, sum_worst
+
+
+def stabilizer_minima(seed: int, mixtures: int) -> tuple[float, float, float]:
+    """(stabilizer, magic-state, mixture) minima of the qubit lattice values, one state at a time."""
+    rep = wootters(2)
+    stab = qubit_stabilizer_states()
+    c = 1.0 / np.sqrt(3.0)
+    rng = np.random.default_rng(seed)
+    mix_min = np.inf
+    for _ in range(mixtures):
+        w = rng.dirichlet(np.ones(len(stab)))
+        rho = sum(wi * si for wi, si in zip(w, stab))
+        mix_min = min(mix_min, float(rep.represent(rho).values.min()))
+    return (min(float(rep.represent(s).values.min()) for s in stab),
+            float(rep.represent(bloch_state(c, c, c)).values.min()), mix_min)
 
 
 def teleport_branch(d: int, rho_in: np.ndarray, outcome: tuple[int, int]):

@@ -1,7 +1,9 @@
 """Slow reference constructions of the displaced-parity lattice families and the Pauli words.
 
 Each function is the direct construction the index-arithmetic code
-replaces, one operator at a time: the Wootters operator as a phase-weighted
+replaces, one operator at a time: the parity matrix as a loop, the Weyl
+operator and the Schwinger basis as matrix powers of the shift and clock
+matrices, the Wootters operator as a phase-weighted
 sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
 the parity matrix, the Leonhardt operators as matrix powers times parity,
 the Ruzzi operator as a Fourier sum over the Schwinger basis, composite
@@ -21,15 +23,43 @@ import numpy as np
 
 from qframe.operators import (
     clock_matrix,
+    half_exponent_phase,
     make_pauli_family,
     omega,
-    parity_matrix,
-    schwinger_basis,
     shift_matrix,
     tau,
     tensor,
-    weyl_operator,
 )
+
+
+def parity_matrix(d: int) -> np.ndarray:
+    """P |k> = |-k mod d>, one entry at a time."""
+    P = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        P[(-k) % d, k] = 1.0
+    return P
+
+
+def weyl_operator(p: int, q: int, d: int) -> np.ndarray:
+    """U_(p,q) = omega**(pq/2) X^p Z^q from matrix powers."""
+    X = shift_matrix(d)
+    Z = clock_matrix(d)
+    U = np.linalg.matrix_power(X, p % d) @ np.linalg.matrix_power(Z, q % d)
+    return half_exponent_phase(d, p * q) * U
+
+
+def schwinger_basis(d: int) -> dict[tuple[int, int], np.ndarray]:
+    """S(eta, xi) = X^eta Z^xi omega**(eta xi/2)/sqrt(d) over eta, xi in [-l, l], odd d."""
+    l = (d - 1) // 2
+    X = shift_matrix(d)
+    Z = clock_matrix(d)
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for eta in range(-l, l + 1):
+        Xp = np.linalg.matrix_power(X, eta % d)
+        for xi in range(-l, l + 1):
+            Zp = np.linalg.matrix_power(Z, xi % d)
+            out[(eta, xi)] = half_exponent_phase(d, eta * xi) * (Xp @ Zp) / np.sqrt(d)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ BUDGETED = [
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
-    ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 2 * 16 * 16 * C16),
+    ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 4 * 16 * 16 * C16),
 ]
 IDS = [case[0] for case in BUDGETED]
 
@@ -58,6 +58,21 @@ def test_over_budget_refused_before_building(monkeypatch, name, build, module, b
 def test_request_at_the_budget_builds(monkeypatch, name, build, module, builder, need):
     monkeypatch.setattr(base, "MAX_STACK_BYTES", need)
     assert build() is not None
+
+
+def test_ghw_charge_still_admits_d_64(monkeypatch):
+    # four stacks of 64^2 operators on C^64 are exactly the default budget
+    assert 4 * 64**2 * 64**2 * C16 == base.MAX_STACK_BYTES
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(importlib.import_module("qframe.representations.ghw"), "_build_structure", reached)
+    with pytest.raises(Reached):
+        ghw(2, 6)
 
 
 def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):

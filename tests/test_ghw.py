@@ -257,13 +257,13 @@ def test_dual_basis_at_most_once_per_field(monkeypatch):
 def test_oversized_request_refused_before_building(monkeypatch):
     monkeypatch.setattr(ghw_module, "_build_structure", lambda F: pytest.fail("built past the budget"))
     with pytest.raises(UnsupportedDimensionError, match="budget"):
-        ghw(3, 4)  # d = 81: 2 d^4 complex entries are 1.4 GB
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 2 * 4**4 * 16 - 1)
+        ghw(3, 4)  # d = 81: 4 d^4 complex entries are 2.8 GB
+    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 4 * 4**4 * 16 - 1)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         ghw(2, 2)
     assert main(["build", "ghw", "--p", "2", "--n", "2"]) == 2
 
 
 def test_budget_admits_a_request_that_fits(monkeypatch):
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 2 * 4**4 * 16)
+    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 4 * 4**4 * 16)
     assert ghw(2, 2).dim == 4

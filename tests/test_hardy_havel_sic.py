@@ -173,6 +173,15 @@ def test_table_rejects_non_power_of_two():
         reconstruct_from_real(np.eye(6))
 
 
+def test_table_refuses_large_registers_before_building_words(monkeypatch):
+    havel = sys.modules["qframe.representations.havel"]
+    monkeypatch.setattr(havel, "_pauli_words", lambda n: pytest.fail("built the words of a 6-qubit register"))
+    with pytest.raises(UnsupportedDimensionError):
+        real_density_matrix(maximally_mixed(64))
+    with pytest.raises(UnsupportedDimensionError):
+        reconstruct_from_real(np.eye(64))
+
+
 def test_word_factory_validates_register():
     with pytest.raises(UnsupportedDimensionError):
         havel_rep(0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import batch_oracle
 import frame_oracle
 from qframe.cli import REPRESENTATION_NAMES, build_representation
 from qframe.errors import DimensionMismatchError, NotAFrameError, SingularBasisError
@@ -35,6 +36,7 @@ from qframe.frames import (
     represent_state,
     transform_matrix,
 )
+from qframe.operators import _random_states
 from qframe.representations import overlap_deviation, stratonovich_discrete, wootters
 from qframe.representations.sic import _orbit_stack
 
@@ -194,6 +196,56 @@ def test_overlap_deviation_matches_oracle(d, data):
     v = phi / np.linalg.norm(phi)
     overlaps = np.abs(np.einsum("i,kij,j->k", v.conj(), _orbit_stack(d), v)) ** 2
     assert abs(overlap_deviation(d, phi) - np.max(np.abs(overlaps - 1 / (d + 1)))) <= ORACLE_TOL
+
+
+# analysis and synthesis on the family
+
+
+@pytest.mark.parametrize("k", [None, 1, 3], ids=["one", "k1", "k3"])
+@pytest.mark.parametrize("case", IDS)
+def test_analyze_and_synthesize_match_the_oracles(case, k):
+    rep = _rep(case)
+    rho = _random_states(rep.dim, 40 + np.arange(1 if k is None else k))
+    for family in (rep.frame, rep.dual):
+        ops = family.operators
+        if k is None:
+            values = family.analyze(rho[0])
+            assert values.shape == (len(family),)
+            close(values, oracle_values(ops, rho[0]))
+            close(family.synthesize(values), oracle_synthesis(values, ops))
+            continue
+        values = family.analyze(rho)
+        assert values.shape == (k, len(family))
+        np.testing.assert_array_equal(values, batch_oracle.values(family.flat, rho))
+        close(values, np.real(np.einsum("nij,kji->kn", ops, rho)))
+        back = family.synthesize(values)
+        assert back.shape == (k, rep.dim, rep.dim)
+        close(back, np.einsum("kn,nij->kij", values, ops))
+    assert max(rep.frame.skew, rep.dual.skew) == batch_oracle.hermiticity_residual(rep)
+
+
+def test_analyze_and_synthesize_refuse_bad_input():
+    frame = wootters(3).frame
+    with pytest.raises(DimensionMismatchError, match="not real") as err:
+        frame.analyze(np.stack([np.eye(3), np.triu(np.ones((3, 3)))]))
+    assert "Hermitian" in str(err.value)
+    for A in (np.ones(3), np.ones((1, 1, 3, 3)), np.eye(2), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            frame.analyze(A)
+    for values in (np.ones(8), np.ones((2, 10)), np.ones((2, 2, 9)), np.float64(1.0)):
+        with pytest.raises(DimensionMismatchError):
+            frame.synthesize(values)
+
+
+@pytest.mark.parametrize("eps,rejected", [(1e-6, True), (1e-8, True), (1e-12, False)])
+def test_family_rejects_non_hermitian_stacks(eps, rejected):
+    ops = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    ops[1, 0, 1] += eps  # F - F^dag has entries eps and -eps: Frobenius norm sqrt(2) eps
+    if rejected:
+        with pytest.raises(DimensionMismatchError, match="non-Hermitian"):
+            Frame(dim=2, labels=(0, 1), operators=ops)
+    else:
+        assert Frame(dim=2, labels=(0, 1), operators=ops).skew == eps
 
 
 # per-family invariants and read-only stacks

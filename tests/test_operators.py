@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import lattice_oracle
+
 from qframe.operators import (
     basis_state,
     bloch_state,
@@ -33,6 +35,20 @@ from qframe.operators import (
 )
 
 DIMS = [2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_weyl_builders_match_the_matrix_powers(d):
+    for p in range(-d, 2 * d):
+        for q in range(-d, 2 * d):
+            np.testing.assert_allclose(weyl_operator(p, q, d), lattice_oracle.weyl_operator(p, q, d),
+                                       rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(parity_matrix(d), lattice_oracle.parity_matrix(d))
+    if d % 2:
+        got, want = schwinger_basis(d), lattice_oracle.schwinger_basis(d)
+        assert list(got) == list(want)
+        for key, op in want.items():
+            np.testing.assert_allclose(got[key], op, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -179,3 +179,12 @@ def test_nonprime_rejected():
         mub_family(4)
     with pytest.raises(UnsupportedDimensionError):
         mub_bases(6)
+
+
+def test_mub_projectors_are_the_family_stack():
+    fam = mub_family(3)
+    assert fam.projectors is fam.outcomes.operators
+    assert fam.labels == fam.outcomes.labels
+    assert not fam.projectors.flags.writeable
+    np.testing.assert_array_equal(
+        fam.projectors, [np.outer(B[:, k], B[:, k].conj()) for B in fam.bases for k in range(3)])
