@@ -350,11 +350,24 @@ def teleport_phase_space(
     three-system simulation is exactly M rho M^dag on system 3, with
     M[k, i] = sum_j conj(bell[i, j]) pair[j, k]: O(d^3), not O(d^9).
     """
+    return _teleport_branches(d, rho_in, [outcome])[0]
+
+
+def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOutcome]:
+    """``teleport_phase_space`` for each outcome, representing the input once."""
     if not _is_prime(d) or d % 2 == 0:
         raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"state must be {d} x {d}")
+    rep = _lattice((d,))
+    mu_in = rep.represent(rho_in)
+    return [_teleport_branch(rep, rho_in, mu_in, outcome) for outcome in outcomes]
+
+
+def _teleport_branch(rep, rho_in: np.ndarray, mu_in, outcome) -> TeleportOutcome:
+    """One branch, given the input state and its distribution ``mu_in`` on ``rep``."""
+    d = rep.dim
     alpha, beta = (int(outcome[0]) % d, int(outcome[1]) % d)
     # amplitude matrices: pair[j, k] of |pair> on systems 2,3, and
     # bell[i, j] = U[j, i] / sqrt(d) of (I x U)|pair> on systems 1,2
@@ -364,8 +377,6 @@ def teleport_phase_space(
     post = M @ rho_in @ M.conj().T
     prob = float(np.trace(post).real)
     rho_out = post / prob
-    rep = _lattice((d,))
-    mu_in = rep.represent(rho_in)
     mu_out = rep.represent(rho_out)
     # labels run (q, p) in row-major order, so values.reshape(d, d)[q, p] is mu(q, p)
     r = np.arange(d)

@@ -10,19 +10,21 @@ transform.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import (
     _entanglement_sweep,
+    _teleport_branches,
     bell_wigner_demo,
     negativity_witness,
     nmr_classicality,
-    teleport_phase_space,
 )
 from .errors import (
     DimensionMismatchError,
@@ -67,6 +69,10 @@ from .serialize import (
     write_json,
 )
 from .verify import fiducial_search_stats, verify_representation
+
+if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable
 
 REPRESENTATION_NAMES = (
     "wootters",
@@ -170,11 +176,12 @@ def _emit(args, payload: str) -> None:
             fh.write(payload)
 
 
-def _emit_doc(args, doc, csv: str | None = None) -> None:
+def _emit_doc(args, doc, csv: Callable[[], str] | None = None) -> None:
+    """Emit ``doc`` as JSON, or the text ``csv()`` renders under ``--format csv``."""
     if getattr(args, "format", "json") == "csv":
         if csv is None:
             raise ValueError("this command has no CSV form")
-        _emit(args, csv)
+        _emit(args, csv())
     else:
         _emit(args, render_json(doc) + "\n")
 
@@ -226,7 +233,7 @@ def cmd_represent(args) -> int:
     err = frobenius(rep.reconstruct(mu) - rho)
     doc = distribution_to_doc(mu)
     doc["round_trip_error"] = float(err)
-    _emit_doc(args, doc, csv=distribution_to_csv(mu))
+    _emit_doc(args, doc, csv=lambda: distribution_to_csv(mu))
     _say(f"represent {rep.name} d={rep.dim}: round-trip error {err:.3e}")
     return EXIT_OK
 
@@ -260,7 +267,7 @@ def cmd_transform(args) -> int:
         raise DimensionMismatchError("distribution labels do not match the source")
     T = transform_matrix(source.dual, target.frame)
     out = apply_transform(dist, T, target.frame)
-    _emit_doc(args, distribution_to_doc(out), csv=distribution_to_csv(out))
+    _emit_doc(args, distribution_to_doc(out), csv=lambda: distribution_to_csv(out))
     _say(f"transform {source.name} -> {target.name} at d={source.dim}")
     return EXIT_OK
 
@@ -318,19 +325,15 @@ def cmd_verify(args) -> int:
 def _demo_teleport(args):
     d = args.d if args.d is not None else 3
     rho = random_state(d, rank=1, seed=_seed(args))
-    outcomes = []
-    worst = 0.0
-    for a in range(d):
-        for b in range(d):
-            out = teleport_phase_space(d, rho, (a, b))
-            outcomes.append(
-                {
-                    "outcome": [a, b],
-                    "probability": out.probability,
-                    "residual": out.displacement_residual,
-                }
-            )
-            worst = max(worst, out.displacement_residual)
+    outcomes = [
+        {
+            "outcome": list(out.outcome),
+            "probability": out.probability,
+            "residual": out.displacement_residual,
+        }
+        for out in _teleport_branches(d, rho, [(a, b) for a in range(d) for b in range(d)])
+    ]
+    worst = max([0.0] + [o["residual"] for o in outcomes])
     doc = {
         "demo": "teleport",
         "d": d,
@@ -338,11 +341,10 @@ def _demo_teleport(args):
         "max_residual": worst,
         "outcomes": outcomes,
     }
-    csv = table_to_csv(
-        ["a", "b", "probability", "residual"],
-        [[o["outcome"][0], o["outcome"][1], o["probability"], o["residual"]] for o in outcomes],
+    rows = [[*o["outcome"], o["probability"], o["residual"]] for o in outcomes]
+    return doc, lambda: table_to_csv(["a", "b", "probability", "residual"], rows), (
+        f"teleport d={d}: max residual {worst:.3e} over {d*d} outcomes"
     )
-    return doc, csv, f"teleport d={d}: max residual {worst:.3e} over {d*d} outcomes"
 
 
 def _demo_nmr(args):
@@ -350,9 +352,8 @@ def _demo_nmr(args):
     eps = args.epsilon if args.epsilon is not None else 0.1
     report = nmr_classicality(n, eps)
     doc = {"demo": "nmr", **asdict(report)}
-    csv = table_to_csv(["key", "value"], sorted(asdict(report).items()))
     verdict = "classical" if report.classical else "nonclassical"
-    return doc, csv, (
+    return doc, lambda: table_to_csv(["key", "value"], sorted(asdict(report).items())), (
         f"nmr n={n} epsilon={eps:.6g}: sampled min {report.sampled_min:.3e} ({verdict})"
     )
 
@@ -364,8 +365,7 @@ def _demo_bell(args):
     a, b, c = (np.deg2rad(x) for x in degs)
     result = bell_wigner_demo(a, b, c)
     doc = {"demo": "bell", "angles_degrees": degs, **result}
-    csv = table_to_csv(["key", "value"], sorted(result.items()))
-    return doc, csv, (
+    return doc, lambda: table_to_csv(["key", "value"], sorted(result.items())), (
         f"bell angles {degs}: lhs {result['lhs']:.4f}, rhs {result['rhs']:.4f}, "
         f"violated {result['violated']}"
     )
@@ -390,11 +390,9 @@ def _demo_entanglement(args):
         "agreements": agreements,
         "disagreements": conclusive - agreements,
     }
-    csv = table_to_csv(
-        ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"],
-        rows,
-    )
-    return doc, csv, (
+    return doc, lambda: table_to_csv(
+        ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"], rows
+    ), (
         f"entanglement sweep: {conclusive}/{samples} conclusive, "
         f"{conclusive - agreements} disagreements"
     )
@@ -415,115 +413,146 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _add_dim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="Hilbert-space dimension")
-    p.add_argument("--dims", type=_dims_arg, help="composite dimensions, e.g. 2,2")
-    p.add_argument("--p", type=int, help="field characteristic")
-    p.add_argument("--n", type=int, help="field power or qubit count")
-    p.add_argument("--s", type=float, help="spin (0.5, 1, 1.5, ...)")
-    p.add_argument("--seed", type=int, default=None, help="seed (default: QFRAME_SEED or 0)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--out", help="output file or directory")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-
 def _dims_arg(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"bad dims {text!r}") from exc
 
 
-def _add_state_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", help="matrix JSON file")
-    p.add_argument("--mixed", action="store_true", help="use the maximally mixed state")
-    p.add_argument("--pure", type=int, default=None, help="seed for a random pure state")
-
-
-def _build_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("representation", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    p.add_argument("--starts", type=int, default=None, help="fiducial search starts")
-
-
-def _represent_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("representation", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    _add_state_flags(p)
-
-
-def _reconstruct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("representation", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-
-
-def _transform_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("source", choices=REPRESENTATION_NAMES)
-    p.add_argument("target", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-
-
-def _negativity_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("representation", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    _add_state_flags(p)
-    p.add_argument("--witness", action="store_true", help="search for a nonclassicality witness")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("representation", choices=REPRESENTATION_NAMES)
-    _add_dim_flags(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--starts", type=int, default=None, help="fiducial search starts")
-
-
-def _demo_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name", choices=["teleport", "nmr", "bell", "entanglement"])
-    _add_dim_flags(p)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--angles", help="three comma-separated degrees")
-    p.add_argument("--samples", type=int, default=None)
-
-
-# (verb, help, flag-adder, handler), in the order of the usage line
-VERBS = (
-    ("build", "construct a frame/dual pair and write artifacts", _build_args, cmd_build),
-    ("represent", "state -> quasi-probability distribution", _represent_args, cmd_represent),
-    ("reconstruct", "distribution -> operator", _reconstruct_args, cmd_reconstruct),
-    ("transform", "map a distribution between representations", _transform_args, cmd_transform),
-    ("negativity", "negativity of a represented state", _negativity_args, cmd_negativity),
-    ("verify", "run the property suite", _verify_args, cmd_verify),
-    ("demo", "run a bundled demonstration", _demo_args, cmd_demo),
+# each flag is its option string and the keyword arguments of its add_argument call
+DIM_FLAGS = (
+    ("--d", {"type": int, "help": "Hilbert-space dimension"}),
+    ("--dims", {"type": _dims_arg, "help": "composite dimensions, e.g. 2,2"}),
+    ("--p", {"type": int, "help": "field characteristic"}),
+    ("--n", {"type": int, "help": "field power or qubit count"}),
+    ("--s", {"type": float, "help": "spin (0.5, 1, 1.5, ...)"}),
+    ("--seed", {"type": int, "default": None, "help": "seed (default: QFRAME_SEED or 0)"}),
+    ("--tol", {"type": float, "default": None, "help": "tolerance override"}),
+    ("--out", {"help": "output file or directory"}),
+    ("--format", {"choices": ["json", "csv"], "default": "json"}),
 )
+STATE_FLAGS = (
+    ("--state", {"help": "matrix JSON file"}),
+    ("--mixed", {"action": "store_true", "help": "use the maximally mixed state"}),
+    ("--pure", {"type": int, "default": None, "help": "seed for a random pure state"}),
+)
+STARTS = ("--starts", {"type": int, "default": None, "help": "fiducial search starts"})
+DIST = ("--dist", {"required": True, "help": "distribution JSON file"})
+SAMPLES = ("--samples", {"type": int, "default": None})
+REPRESENTATION = ("representation", REPRESENTATION_NAMES)
+
+# (verb, help, positionals as (dest, choices), flags, handler), in the order of the usage line
+VERBS = (
+    ("build", "construct a frame/dual pair and write artifacts",
+     (REPRESENTATION,), (*DIM_FLAGS, STARTS), cmd_build),
+    ("represent", "state -> quasi-probability distribution",
+     (REPRESENTATION,), (*DIM_FLAGS, *STATE_FLAGS), cmd_represent),
+    ("reconstruct", "distribution -> operator",
+     (REPRESENTATION,), (*DIM_FLAGS, DIST), cmd_reconstruct),
+    ("transform", "map a distribution between representations",
+     (("source", REPRESENTATION_NAMES), ("target", REPRESENTATION_NAMES)), (*DIM_FLAGS, DIST),
+     cmd_transform),
+    ("negativity", "negativity of a represented state",
+     (REPRESENTATION,),
+     (*DIM_FLAGS, *STATE_FLAGS,
+      ("--witness", {"action": "store_true", "help": "search for a nonclassicality witness"})),
+     cmd_negativity),
+    ("verify", "run the property suite", (REPRESENTATION,), (*DIM_FLAGS, SAMPLES, STARTS), cmd_verify),
+    ("demo", "run a bundled demonstration",
+     (("name", ("teleport", "nmr", "bell", "entanglement")),),
+     (*DIM_FLAGS,
+      ("--epsilon", {"type": float, "default": None}),
+      ("--angles", {"help": "three comma-separated degrees"}),
+      SAMPLES),
+     cmd_demo),
+)
+_VERB_ROWS = {row[0]: row for row in VERBS}
+
+# argparse's test for a token that is a value although it starts with "-"
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def make_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The ``qframe`` parser with all seven sub-parsers.
+def make_parser() -> argparse.ArgumentParser:
+    """The ``qframe`` parser with all seven sub-parsers, built from ``VERBS``."""
+    import argparse
 
-    With ``verb`` given, only that sub-parser gets its arguments: the usage
-    line and the verb choices stay whole, and argparse never reaches the
-    other sub-parsers when the command line starts with ``verb``.
-    """
     parser = argparse.ArgumentParser(
         prog="qframe",
         description="Quasi-probability representations of finite-dimensional quantum theory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_args, handler in VERBS:
+    for name, help_text, positionals, flags, handler in VERBS:
         p = sub.add_parser(name, help=help_text)
-        if verb is None or verb == name:
-            add_args(p)
+        for dest, choices in positionals:
+            p.add_argument(dest, choices=choices)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
 
+def parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line, read straight from ``VERBS``.
+
+    Well-formed: a verb, then only that verb's positionals (each in its
+    choices, as many as it has) and its flags spelled in full, each value
+    taking the next token and passing its flag's type and choices, with the
+    required flags present.  The result holds what ``make_parser()`` would
+    return: ``command``, ``func`` and every dest, unset ones at their
+    default.  Anything else (help, ``--flag=value``, abbreviations, ``--``,
+    bad values) gives None, and argparse parses it and reports the error.
+    """
+    row = _VERB_ROWS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    verb, _, positionals, flags, handler = row
+    values = {"command": verb, "func": handler}
+    for flag, kwargs in flags:
+        values[flag[2:]] = kwargs.get("default", False if "action" in kwargs else None)
+    options = dict(flags)
+    given, seen = 0, set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        kwargs = options.get(token)
+        if kwargs is None:
+            if given == len(positionals) or token.startswith("-"):
+                return None
+            dest, choices = positionals[given]
+            if token not in choices:
+                return None
+            values[dest] = token
+            given += 1
+            continue
+        seen.add(token)
+        if "action" in kwargs:  # store_true
+            values[token[2:]] = True
+            continue
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and not re.match(_NEGATIVE_NUMBER, text)):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse turns this into its own error, or raises it
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[token[2:]] = value
+    if given < len(positionals) or any(
+        kwargs.get("required") and flag not in seen for flag, kwargs in flags
+    ):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads the verb from argv[0]; anything else (-h, nothing, a typo) gets the whole parser
-    verb = argv[0] if argv and argv[0] in {row[0] for row in VERBS} else None
-    args = make_parser(verb).parse_args(argv)
+    # argparse runs only for what the direct parser refuses: it prints help and errors
+    args = parse_direct(argv)
+    if args is None:
+        args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

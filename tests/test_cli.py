@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qframe.cli import main
+from qframe.cli import VERBS, main, make_parser, parse_direct
 from qframe.operators import maximally_mixed, random_state
 from qframe.representations import wootters
 from qframe.serialize import matrix_from_doc, matrix_to_doc, write_json
@@ -326,6 +328,27 @@ def test_demo_entanglement(capsys):
     assert doc["conclusive"] >= 1
 
 
+def test_json_output_renders_no_csv(tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("CSV rendered for JSON output")
+
+    monkeypatch.setattr("qframe.cli.table_to_csv", refuse)
+    monkeypatch.setattr("qframe.cli.distribution_to_csv", refuse)
+    dist_file = tmp_path / "mu.json"
+    commands = [
+        ["represent", "wootters", "--d", "3", "--pure", "2", "--out", str(dist_file)],
+        ["transform", "wootters", "hardy", "--d", "3", "--dist", str(dist_file)],
+        ["demo", "teleport", "--d", "3"],
+        ["demo", "nmr", "--n", "1"],
+        ["demo", "bell"],
+        ["demo", "entanglement", "--samples", "5"],
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        json.loads(out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -383,6 +406,23 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.split() == ["False", "True"]
 
 
+def test_well_formed_command_leaves_argparse_unloaded():
+    probe = (
+        "import contextlib, io, sys, qframe.cli\n"
+        "print('argparse' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qframe.cli.main(['demo', 'bell'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "0", "False"]
+
+
 # determinism
 
 
@@ -421,7 +461,7 @@ def test_argparse_rejects_unknown_representation():
     assert exc.value.code == 2
 
 
-# the parser builds only the invoked verb's arguments
+# the direct parser reads well-formed command lines; argparse prints help and errors
 
 
 VERB_NAMES = ("build", "represent", "reconstruct", "transform", "negativity", "verify", "demo")
@@ -452,10 +492,6 @@ def test_parser_table_names_every_verb():
 
 @pytest.mark.parametrize("verb", VERB_NAMES)
 def test_per_verb_parser_has_the_full_help(capsys, verb):
-    from qframe.cli import make_parser
-
-    assert make_parser(verb).format_usage() == make_parser().format_usage()
-    assert make_parser(verb).format_help() == make_parser().format_help()
     full = _full_parse(capsys, [verb, "--help"])
     assert full[0] == 0 and full[1].startswith(f"usage: qframe {verb}")
     assert _main_exit(capsys, [verb, "--help"]) == full
@@ -484,3 +520,120 @@ def test_bad_arguments_keep_their_errors(capsys, argv):
     want = _full_parse(capsys, argv)
     assert want[0] in (0, 2)
     assert _main_exit(capsys, argv) == want
+
+
+# values every flag of a type accepts, and tokens that some flags refuse (mutations draw them)
+GOOD_VALUES = {
+    int: ["3", "0", "-2", "17"],
+    float: ["0.5", "-.5", "2", "1e-3", "-7"],
+    None: ["out.json", "0,60,120", "-4", "a b", ""],
+}
+ODD_TOKENS = ["x", "-x", "-1,0,1", "1.5", "a,b", "-", "--d", "nan", "2,-1", "xml", "-1e3"]
+
+
+def _good_value(draw, kwargs):
+    if "choices" in kwargs:
+        return draw(st.sampled_from(kwargs["choices"]))
+    if kwargs.get("type") not in GOOD_VALUES:  # --dims
+        return draw(st.sampled_from(["2,2", "3", "2,3,", "-5"]))
+    return draw(st.sampled_from(GOOD_VALUES[kwargs.get("type")]))
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, mutated): a well-formed command line from VERBS, mutated or not."""
+    verb, _, positionals, flags, _ = draw(st.sampled_from(VERBS))
+    units = [[draw(st.sampled_from(choices))] for _, choices in positionals]
+    # a flag may come twice; argparse keeps its last value
+    chosen = draw(st.lists(st.sampled_from(flags), max_size=6))
+    chosen += [flag for flag in flags if flag[1].get("required")]
+    for flag, kwargs in chosen:
+        units.append([flag] if "action" in kwargs else [flag, _good_value(draw, kwargs)])
+    # positionals keep their order; flags go anywhere between them
+    order = draw(st.permutations(range(len(units))))
+    pos = iter(units[: len(positionals)])
+    units = [next(pos) if i < len(positionals) else units[i] for i in order]
+    argv = [verb] + [token for unit in units for token in unit]
+    mutations = draw(st.lists(st.integers(0, 6), max_size=2))
+    for kind in mutations:
+        i = draw(st.integers(1, max(1, len(argv))))
+        flag_at = [j for j, t in enumerate(argv) if t.startswith("--")]
+        if kind == 0 and flag_at:  # abbreviation
+            j = draw(st.sampled_from(flag_at))
+            argv[j] = argv[j][: draw(st.integers(2, len(argv[j])))]
+        elif kind == 1 and flag_at:  # --flag=value
+            j = draw(st.sampled_from(flag_at))
+            argv[j : j + 2] = ["=".join(argv[j : j + 2])]
+        elif kind == 2:  # a bad value, or any other token
+            argv[i:i + 1] = [draw(st.sampled_from(ODD_TOKENS + ["wootters", "bell", "-h"]))]
+        elif kind == 3:
+            argv.insert(i, draw(st.sampled_from(["--", "-h", "--help", "--bogus", "wootters", "3"])))
+        elif kind == 4 and len(argv) > 1:
+            del argv[i if i < len(argv) else -1]
+        elif kind == 5:
+            argv[0] = draw(st.sampled_from(["verif", "--help", "-h", "bogus", ""]))
+        elif kind == 6:
+            argv.insert(i, draw(st.sampled_from(ODD_TOKENS)))
+        else:
+            continue
+        return argv, True
+    return argv, False
+
+
+def _fields(ns):
+    # repr compares nan and -0.0 as argparse produced them, and ints apart from floats
+    return repr(sorted(vars(ns).items()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_direct_parser_agrees_with_argparse(case):
+    argv, mutated = case
+    direct = parse_direct(list(argv))
+    if direct is None:
+        assert mutated, f"refused a well-formed command line: {argv}"
+        return
+    assert _fields(direct) == _fields(make_parser().parse_args(list(argv)))
+
+
+def test_well_formed_commands_never_build_a_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    state = tmp_path / "state.json"
+    write_json(matrix_to_doc(random_state(3, rank=2, seed=1)), state)
+    wootters_mu, cohendet_mu = tmp_path / "mu.json", tmp_path / "cohendet-mu.json"
+    run(capsys, "represent", "wootters", "--d", "3", "--pure", "7", "--out", str(wootters_mu))
+    run(capsys, "represent", "cohendet", "--d", "3", "--pure", "7", "--out", str(cohendet_mu))
+
+    def refuse(*_, **__):
+        raise AssertionError("built an argparse parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    session = [
+        ["represent", "wootters", "--d", "3", "--pure", "3"],
+        ["represent", "hardy", "--d", "3", "--state", str(state)],
+        ["reconstruct", "wootters", "--d", "3", "--dist", str(wootters_mu)],
+        ["transform", "wootters", "hardy", "--d", "3", "--dist", str(wootters_mu)],
+        ["negativity", "wootters", "--d", "3", "--state", str(state)],
+        ["negativity", "mub", "--d", "3", "--witness"],
+        ["verify", "wootters", "--d", "5", "--samples", "50", "--seed", "3"],
+        ["build", "ghw", "--p", "2", "--n", "2", "--out", str(tmp_path / "build")],
+        ["demo", "teleport", "--d", "3", "--seed", "3"],
+        ["demo", "entanglement", "--samples", "20", "--seed", "3"],
+        ["demo", "nmr", "--n", "2", "--epsilon", "0.3"],
+        ["demo", "bell"],
+    ]
+    readme = [
+        ["build", "wootters", "--d", "3", "--out", str(tmp_path / "artifacts")],
+        ["represent", "wootters", "--d", "3", "--pure", "7"],
+        ["reconstruct", "wootters", "--d", "3", "--dist", str(wootters_mu)],
+        ["transform", "cohendet", "wootters", "--d", "3", "--dist", str(cohendet_mu)],
+        ["negativity", "mub", "--d", "3", "--witness"],
+        ["verify", "sic", "--d", "3"],
+        ["demo", "teleport", "--d", "5", "--seed", "1"],
+        ["demo", "bell", "--angles", "0,60,120"],
+    ]
+    for argv in session + readme:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        json.loads(out)
