@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Verbs: build, represent, reconstruct, transform, negativity, verify, demo.
-Output on stdout is canonical JSON (or CSV with --format csv): keys sorted,
-floats as %.12e, so identical invocations are byte-identical.  One-line
-summaries go to stderr.  Exit codes: 0 success, 1 property failure,
-2 invalid arguments, 3 parse error, 4 dimension mismatch, 5 unsupported
-transform.
+Output on stdout is canonical JSON (or CSV with --format csv, for represent,
+transform and demo): keys sorted, floats as %.12e, so identical invocations
+are byte-identical.  One-line summaries go to stderr.  Exit codes:
+0 success, 1 property failure, 2 invalid arguments, 3 parse error,
+4 dimension mismatch, 5 unsupported transform.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .serialize import (
     distribution_from_doc,
     distribution_to_csv,
     distribution_to_doc,
-    frame_to_doc,
     geometry_to_doc,
     label_to_doc,
     load_json,
@@ -66,6 +65,7 @@ from .serialize import (
     matrix_to_doc,
     render_json,
     table_to_csv,
+    write_frame,
     write_json,
 )
 from .verify import fiducial_search_stats, verify_representation
@@ -177,10 +177,11 @@ def _emit(args, payload: str) -> None:
 
 
 def _emit_doc(args, doc, csv: Callable[[], str] | None = None) -> None:
-    """Emit ``doc`` as JSON, or the text ``csv()`` renders under ``--format csv``."""
-    if getattr(args, "format", "json") == "csv":
-        if csv is None:
-            raise ValueError("this command has no CSV form")
+    """Emit ``doc`` as JSON, or the text ``csv()`` renders under ``--format csv``.
+
+    Only a verb whose ``--format`` flag lists ``csv`` in ``VERBS`` gets here with it.
+    """
+    if args.format == "csv":
         _emit(args, csv())
     else:
         _emit(args, render_json(doc) + "\n")
@@ -201,9 +202,9 @@ def cmd_build(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, f"{rep.name}-d{rep.dim}")
     files = {}
-    write_json(frame_to_doc(rep.frame), base + "-frame.json")
+    write_frame(rep.frame, base + "-frame.json")
     files["frame"] = base + "-frame.json"
-    write_json(frame_to_doc(rep.dual), base + "-dual.json")
+    write_frame(rep.dual, base + "-dual.json")
     files["dual"] = base + "-dual.json"
     if rep.geometry is not None:
         write_json(geometry_to_doc(rep.geometry), base + "-geometry.json")
@@ -432,8 +433,10 @@ DIM_FLAGS = (
     ("--seed", {"type": int, "default": None, "help": "seed (default: QFRAME_SEED or 0)"}),
     ("--tol", {"type": float, "default": None, "help": "tolerance override"}),
     ("--out", {"help": "output file or directory"}),
-    ("--format", {"choices": ["json", "csv"], "default": "json"}),
 )
+# a verb has a CSV form when its --format flag lists it; the others refuse csv while parsing
+JSON_ONLY = ("--format", {"choices": ["json"], "default": "json"})
+JSON_OR_CSV = ("--format", {"choices": ["json", "csv"], "default": "json"})
 STATE_FLAGS = (
     ("--state", {"help": "matrix JSON file"}),
     ("--mixed", {"action": "store_true", "help": "use the maximally mixed state"}),
@@ -447,23 +450,24 @@ REPRESENTATION = ("representation", REPRESENTATION_NAMES)
 # (verb, help, positionals as (dest, choices), flags, handler), in the order of the usage line
 VERBS = (
     ("build", "construct a frame/dual pair and write artifacts",
-     (REPRESENTATION,), (*DIM_FLAGS, STARTS), cmd_build),
+     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, STARTS), cmd_build),
     ("represent", "state -> quasi-probability distribution",
-     (REPRESENTATION,), (*DIM_FLAGS, *STATE_FLAGS), cmd_represent),
+     (REPRESENTATION,), (*DIM_FLAGS, JSON_OR_CSV, *STATE_FLAGS), cmd_represent),
     ("reconstruct", "distribution -> operator",
-     (REPRESENTATION,), (*DIM_FLAGS, DIST), cmd_reconstruct),
+     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, DIST), cmd_reconstruct),
     ("transform", "map a distribution between representations",
-     (("source", REPRESENTATION_NAMES), ("target", REPRESENTATION_NAMES)), (*DIM_FLAGS, DIST),
-     cmd_transform),
+     (("source", REPRESENTATION_NAMES), ("target", REPRESENTATION_NAMES)),
+     (*DIM_FLAGS, JSON_OR_CSV, DIST), cmd_transform),
     ("negativity", "negativity of a represented state",
      (REPRESENTATION,),
-     (*DIM_FLAGS, *STATE_FLAGS,
+     (*DIM_FLAGS, JSON_ONLY, *STATE_FLAGS,
       ("--witness", {"action": "store_true", "help": "search for a nonclassicality witness"})),
      cmd_negativity),
-    ("verify", "run the property suite", (REPRESENTATION,), (*DIM_FLAGS, SAMPLES, STARTS), cmd_verify),
+    ("verify", "run the property suite",
+     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, SAMPLES, STARTS), cmd_verify),
     ("demo", "run a bundled demonstration",
      (("name", ("teleport", "nmr", "bell", "entanglement")),),
-     (*DIM_FLAGS,
+     (*DIM_FLAGS, JSON_OR_CSV,
       ("--epsilon", {"type": float, "default": None}),
       ("--angles", {"help": "three comma-separated degrees"}),
       SAMPLES),

@@ -430,18 +430,29 @@ def random_effect(d: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     return _rotated_diagonal(U, rng.uniform(0.0, 1.0, size=d))
 
 
+def _gaussian_stack(rngs: list, d: int) -> np.ndarray:
+    """``_complex_gaussian(rng, (d, d))`` for each generator, drawn into one ``(k, 2, d, d)`` buffer."""
+    buf = np.empty((len(rngs), 2, d, d))
+    for rng, out in zip(rngs, buf):
+        rng.standard_normal(out=out)  # the real parts, then the imaginary
+    return buf[:, 0] + 1j * buf[:, 1]
+
+
 def _random_states(d: int, seeds) -> np.ndarray:
     """``random_state(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack."""
-    return _density_from_gaussian(
-        np.stack([_complex_gaussian(np.random.default_rng(s), (d, d)) for s in seeds]))
+    return _density_from_gaussian(_gaussian_stack([np.random.default_rng(s) for s in seeds], d))
 
 
 def _random_effects(d: int, seeds) -> np.ndarray:
     """``random_effect(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack.
 
     Each generator draws its Gaussians and then its uniforms, as in
-    ``random_effect``; the QR and the rotations run over the stack.
+    ``random_effect`` (``uniform(0, 1)`` is ``random()`` bit for bit); the
+    QR and the rotations run over the stack.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    U = _haar_from_gaussian(np.stack([_complex_gaussian(rng, (d, d)) for rng in rngs]))
-    return _rotated_diagonal(U, np.stack([rng.uniform(0.0, 1.0, size=d) for rng in rngs]))
+    U = _haar_from_gaussian(_gaussian_stack(rngs, d))
+    vals = np.empty((len(rngs), d))
+    for rng, out in zip(rngs, vals):
+        rng.random(out=out)
+    return _rotated_diagonal(U, vals)

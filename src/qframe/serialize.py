@@ -3,12 +3,21 @@
 All floats render as %.12e and object keys are sorted, so identical inputs
 produce byte-identical documents.  Complex matrices travel as
 {"dim", "re", "im"} with row-major coefficient grids.
+
+A list or tuple whose items are all plain floats, or all plain ints, goes
+out with one ``%`` over a template cached per row length, and a CSV line
+with one ``%`` over a template cached per row of cell types; any other
+list is rendered item by item.  The document builders fill their rows with
+``tolist()``, so operator grids and distribution values take the row path.
+Files are streamed: ``write_json`` renders straight into the file, an
+iterator in a document goes out one item at a time, and ``write_frame``
+holds one operator's document at a time.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import os
 
 import numpy as np
 
@@ -18,55 +27,99 @@ from .geometry import PhaseSpaceGeometry
 
 FLOAT_FMT = "%.12e"
 
+# the item formats a JSON row template takes; bool (an int subclass) and numpy scalars go item by item
+_ROW_FORMATS = {float: FLOAT_FMT, int: "%d"}
+# "[f, f, ...]" per (item type, length), and CSV lines per tuple of cell types, built on first use
+_ROW_TEMPLATES: dict = {}
+_CSV_TEMPLATES: dict = {}
+# a longer row is data rather than a shape that recurs, so its template is not kept
+_CACHED_ROW = 1024
+
+
+def _row_template(kind: type, n: int) -> str:
+    template = _ROW_TEMPLATES.get((kind, n))
+    if template is None:
+        template = "[" + ", ".join([_ROW_FORMATS[kind]] * n) + "]"
+        if n <= _CACHED_ROW:
+            _ROW_TEMPLATES[kind, n] = template
+    return template
+
 
 def render_json(obj) -> str:
     """Serialize to a canonical JSON string (sorted keys, fixed floats)."""
-    buf = io.StringIO()
-    _render(obj, buf)
-    return buf.getvalue()
+    parts: list[str] = []
+    _render(obj, parts.append)
+    return "".join(parts)
 
 
-def _render(obj, buf) -> None:
-    if isinstance(obj, dict):
-        buf.write("{")
+def _render(obj, write) -> None:
+    """Write the canonical JSON text of ``obj`` through ``write``, in pieces."""
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if len(kinds) == 1 and (kind := kinds.pop()) in _ROW_FORMATS:
+            write(_row_template(kind, len(obj)) % tuple(obj))
+        else:
+            _render_items(obj, write)
+    elif isinstance(obj, dict):
+        write("{")
         for i, key in enumerate(sorted(obj)):
             if i:
-                buf.write(", ")
+                write(", ")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            buf.write(json.dumps(key))
-            buf.write(": ")
-            _render(obj[key], buf)
-        buf.write("}")
-    elif isinstance(obj, (list, tuple)):
-        buf.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                buf.write(", ")
-            _render(item, buf)
-        buf.write("]")
+            write(json.dumps(key))
+            write(": ")
+            _render(obj[key], write)
+        write("}")
     elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), buf)
+        _render(obj.tolist(), write)
     elif isinstance(obj, (bool, np.bool_)):
-        buf.write("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        buf.write(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        buf.write(FLOAT_FMT % float(obj))
+        write(FLOAT_FMT % float(obj))
     elif isinstance(obj, str):
-        buf.write(json.dumps(obj))
+        write(json.dumps(obj))
     elif obj is None:
-        buf.write("null")
+        write("null")
     elif isinstance(obj, complex):
         raise TypeError("complex values must go through matrix_to_doc")
+    elif hasattr(type(obj), "__next__"):  # an iterator is an array streamed one item at a time
+        _render_items(obj, write)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _render_items(items, write) -> None:
+    write("[")
+    for i, item in enumerate(items):
+        if i:
+            write(", ")
+        _render(item, write)
+    write("]")
+
+
 def write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(obj))
-        fh.write("\n")
+    """Render ``obj`` and a final newline straight into the file at ``path``.
+
+    The text goes to a temporary file beside ``path``, which replaces
+    ``path`` only once the document is complete: a write that fails part
+    way leaves whatever was at ``path`` as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _render(obj, fh.write)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def load_json(path):
@@ -86,8 +139,8 @@ def matrix_to_doc(M: np.ndarray) -> dict:
         raise ParseError("matrices must be square")
     return {
         "dim": int(M.shape[0]),
-        "re": [[float(x) for x in row] for row in M.real],
-        "im": [[float(x) for x in row] for row in M.imag],
+        "re": M.real.tolist(),
+        "im": M.imag.tolist(),
     }
 
 
@@ -136,13 +189,22 @@ def flatten_label(label) -> list:
 # operator families
 
 
-def frame_to_doc(family) -> dict:
+def _frame_doc(family, operators) -> dict:
     return {
         "dim": int(family.dim),
         "name": family.name,
         "labels": [label_to_doc(lab) for lab in family.labels],
-        "operators": [matrix_to_doc(op) for op in family.operators],
+        "operators": operators,
     }
+
+
+def frame_to_doc(family) -> dict:
+    return _frame_doc(family, [matrix_to_doc(op) for op in family.operators])
+
+
+def write_frame(family, path) -> None:
+    """``write_json(frame_to_doc(family), path)``, holding one operator's document at a time."""
+    write_json(_frame_doc(family, map(matrix_to_doc, family.operators)), path)
 
 
 def frame_from_doc(doc, dual: bool = False):
@@ -165,7 +227,7 @@ def distribution_to_doc(dist: QuasiDistribution) -> dict:
         "representation": dist.representation,
         "dim": int(dist.dim),
         "labels": [label_to_doc(lab) for lab in dist.labels],
-        "values": [float(v) for v in dist.values],
+        "values": dist.values.tolist(),
     }
     if dist.warnings:
         doc["warnings"] = list(dist.warnings)
@@ -222,22 +284,26 @@ def distribution_to_csv(dist: QuasiDistribution) -> str:
     else:
         header = [f"l{i}" for i in range(width)]
     lines = [",".join(header + ["value"])]
-    for row, val in zip(rows, dist.values):
-        cells = [str(x) for x in row] + [FLOAT_FMT % float(val)]
-        lines.append(",".join(cells))
+    for row, val in zip(rows, dist.values.tolist()):
+        lines.append(_csv_line([*map(str, row), val]))
     return "\n".join(lines) + "\n"
 
 
 def table_to_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, (float, np.floating)):
-                cells.append(FLOAT_FMT % float(x))
-            elif isinstance(x, (bool, np.bool_)):
-                cells.append("true" if x else "false")
-            else:
-                cells.append(str(x))
-        lines.append(",".join(cells))
+        lines.append(_csv_line([
+            ("true" if x else "false") if isinstance(x, (bool, np.bool_)) else x for x in row
+        ]))
     return "\n".join(lines) + "\n"
+
+
+def _csv_line(cells: list) -> str:
+    """Float cells as FLOAT_FMT and the rest as ``str``, one ``%`` over the template of their types."""
+    kinds = tuple(map(type, cells))
+    template = _CSV_TEMPLATES.get(kinds)
+    if template is None:
+        template = _CSV_TEMPLATES[kinds] = ",".join(
+            FLOAT_FMT if issubclass(kind, (float, np.floating)) else "%s" for kind in kinds
+        )
+    return template % tuple(cells)

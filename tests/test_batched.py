@@ -28,6 +28,7 @@ from qframe.cli import main
 from qframe.errors import DimensionMismatchError
 from qframe.frames import DualFrame, _coordinates, _from_coordinates, canonical_dual
 from qframe.operators import (
+    _gaussian_stack,
     _random_effects,
     _random_states,
     random_effect,
@@ -83,6 +84,25 @@ def test_sample_stacks_are_the_seeded_draws(d):
         # the one-at-a-time draws are the same arithmetic as before, so equal to the bit
         assert np.array_equal(random_state(d, seed=int(s)), oracle.random_state(d, seed=int(s)))
         assert np.array_equal(random_effect(d, seed=int(s) + 1), oracle.random_effect(d, seed=int(s) + 1))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_sample_stacks_draw_each_seed_bit_for_bit(d):
+    from qframe.operators import _complex_gaussian, _haar_from_gaussian, _rotated_diagonal
+
+    seeds = [3, 4, 90]
+    G = _gaussian_stack([np.random.default_rng(s) for s in seeds], d)
+    for k, s in enumerate(seeds):
+        assert np.array_equal(G[k], _complex_gaussian(np.random.default_rng(s), (d, d)))
+    # the stacks as they were built one generator at a time, before the shared buffer
+    rngs = [np.random.default_rng(s) for s in seeds]
+    U = _haar_from_gaussian(np.stack([_complex_gaussian(rng, (d, d)) for rng in rngs]))
+    effects = _rotated_diagonal(U, np.stack([rng.uniform(0.0, 1.0, size=d) for rng in rngs]))
+    assert np.array_equal(_random_effects(d, seeds), effects)
+    states = np.stack([_complex_gaussian(np.random.default_rng(s), (d, d)) for s in seeds])
+    states = states @ np.conj(np.swapaxes(states, -1, -2))
+    states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
+    assert np.array_equal(_random_states(d, seeds), states)
 
 
 # verify residuals

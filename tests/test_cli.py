@@ -514,12 +514,44 @@ def test_per_verb_parser_has_the_full_help(capsys, verb):
         ["build", "nope"],
         ["negativity", "wootters", "--witness", "extra"],
         ["--", "verify", "wootters"],
+        ["verify", "wootters", "--d", "5", "--format", "csv"],
     ],
 )
 def test_bad_arguments_keep_their_errors(capsys, argv):
     want = _full_parse(capsys, argv)
     assert want[0] in (0, 2)
     assert _main_exit(capsys, argv) == want
+
+
+def test_csv_verbs_are_marked_in_the_table():
+    formats = {verb: dict(flags)["--format"]["choices"] for verb, _, _, flags, _ in VERBS}
+    csv = sorted(verb for verb, choices in formats.items() if "csv" in choices)
+    assert csv == ["demo", "represent", "transform"]
+    assert all("json" in choices for choices in formats.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "wootters", "--d", "3"],
+        ["reconstruct", "wootters", "--d", "3", "--dist", "mu.json"],
+        ["negativity", "wootters", "--d", "3", "--mixed"],
+        ["negativity", "mub", "--d", "3", "--witness"],
+        ["verify", "wootters", "--d", "5"],
+    ],
+)
+def test_csv_is_refused_while_parsing_where_a_verb_has_none(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("a factory ran")
+
+    monkeypatch.setattr("qframe.cli.build_representation", refuse)
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out), "--format", "csv"]
+    assert parse_direct(argv) is None
+    code, stdout, err = _main_exit(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert "--format: invalid choice: 'csv'" in err
+    assert not out.exists()
 
 
 # values every flag of a type accepts, and tokens that some flags refuse (mutations draw them)

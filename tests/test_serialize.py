@@ -1,10 +1,23 @@
-"""Canonical JSON/CSV serialization and document round trips."""
+"""Canonical JSON/CSV serialization and document round trips.
 
+``tests/serialize_oracle.py`` keeps the recursive renderer and the
+cell-by-cell CSV writer that row templates and streamed files replaced; the
+rendered text, CSV and every file ``build`` writes must match them byte for
+byte.
+"""
+
+import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import serialize_oracle as oracle
+from qframe.cli import build_representation, main, parse_direct
 from qframe.errors import DimensionMismatchError, ParseError, QframeError
 from qframe.frames import DualFrame, Frame, QuasiDistribution
 from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
@@ -23,6 +36,7 @@ from qframe.serialize import (
     matrix_to_doc,
     render_json,
     table_to_csv,
+    write_frame,
     write_json,
 )
 
@@ -202,3 +216,152 @@ def test_table_to_csv_formats_cells():
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,5.000000000000e-01,true"
     assert lines[2] == "2,-1.000000000000e+00,false"
+
+
+# the renderer against the oracle
+
+# edge floats, numpy scalars (which go item by item) and strings that need escaping
+SCALARS = st.one_of(
+    st.sampled_from([-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e308, -1e308,
+                     True, False, None, 0, -1, 2**70]),
+    st.floats(),
+    st.integers(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "\u00e9\u2028", "\ud800"]),
+)
+# homogeneous rows take the templates; bool rows (bool is an int subclass) and numpy rows must not
+ROWS = st.one_of(
+    st.lists(st.floats(), max_size=8),
+    st.lists(st.sampled_from([-0.0, float("nan"), float("inf"), 5e-324, 1e308]), max_size=4),
+    st.lists(st.integers(), max_size=8),
+    st.lists(st.booleans(), max_size=4),
+    st.lists(st.floats().map(np.float64), max_size=4),
+    st.lists(st.integers(-9, 9).map(np.int64), max_size=4),
+)
+DOCS = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_render_json_matches_the_oracle(doc):
+    assert render_json(doc) == oracle.render_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ROWS, max_size=4), st.lists(st.integers(), max_size=4))
+def test_bool_rows_next_to_int_rows_match_the_oracle(rows, ints):
+    doc = {"rows": rows + [[True, False], ints, []], "t": (tuple(ints), [1.0, 2])}
+    assert render_json(doc) == oracle.render_json(doc)
+
+
+CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.text(max_size=4),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-9, 9).map(np.int64), st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=5))
+def test_table_csv_matches_the_oracle(rows):
+    header = [f"c{i}" for i in range(5)]
+    assert table_to_csv(header, rows) == oracle.table_to_csv(header, rows)
+
+
+@pytest.mark.parametrize("rep", [wootters(3), mub_family(2).representation()], ids=["wootters", "mub"])
+def test_distribution_csv_matches_the_oracle(rep):
+    mu = rep.represent(np.diag(np.arange(1.0, rep.dim + 1)) / (rep.dim * (rep.dim + 1) / 2) + 0j)
+    csv = distribution_to_csv(mu)
+    rows = [[*map(str, flatten_label(lab)), v] for lab, v in zip(mu.labels, mu.values)]
+    assert csv == oracle.table_to_csv(csv.split("\n", 1)[0].split(","), rows)
+
+
+def test_an_iterator_streams_as_an_array():
+    doc = frame_to_doc(wootters(3).frame)
+    streamed = dict(doc, operators=iter(doc["operators"]))
+    assert render_json(streamed) == oracle.render_json(doc)
+
+
+# files
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_written_frame_is_the_oracle_text(tmp_path, d):
+    frame = wootters(d).frame
+    write_frame(frame, tmp_path / "frame.json")
+    write_json(frame_to_doc(frame), tmp_path / "doc.json")
+    want = oracle.file_text(frame_to_doc(frame))
+    assert (tmp_path / "frame.json").read_text(encoding="utf-8") == want
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == want
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json({"kept": True}, path)
+    before = path.read_bytes()
+    # far more text than a file buffer precedes the bad value, so part of it reaches the disk
+    doc = {"a": [0.5] * 20_000, "b": [1.0, object()], "c": list(range(100))}
+    with pytest.raises(TypeError):
+        write_json(doc, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["doc.json"]
+    with pytest.raises(TypeError):
+        write_json(doc, tmp_path / "new.json")
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_streamed_frame_write_peaks_below_its_stack(tmp_path):
+    frame = wootters(13).frame
+    path = tmp_path / "frame.json"
+    tracemalloc.start()
+    try:
+        write_frame(frame, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame.operators.nbytes
+    assert path.read_text(encoding="utf-8") == oracle.file_text(frame_to_doc(frame))
+
+
+# every family at two sizes: build's three files against the oracle
+BUILDS = [
+    ["wootters", "--d", "3"], ["wootters", "--dims", "2,3"],
+    ["ghw", "--p", "2", "--n", "2"], ["ghw", "--p", "3"],
+    ["cohendet", "--d", "3"], ["cohendet", "--d", "5"],
+    ["leonhardt", "--d", "3"], ["leonhardt", "--d", "4"],
+    ["stratonovich", "--s", "0.5"], ["stratonovich", "--s", "1"],
+    ["ruzzi", "--d", "3"], ["ruzzi", "--d", "9"],
+    ["mub", "--d", "2"], ["mub", "--d", "3"],
+    ["hardy", "--d", "2"], ["hardy", "--d", "3"],
+    ["havel", "--n", "1"], ["havel", "--n", "2"],
+    ["sic", "--d", "2"], ["sic", "--d", "3"],
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", BUILDS, ids=lambda argv: "-".join(x.lstrip("-") for x in argv))
+def test_build_files_match_the_oracle(tmp_path, capsys, argv):
+    argv = ["build", *argv, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    rep = build_representation(argv[1], parse_direct(argv))
+    docs = {"frame": frame_to_doc(rep.frame), "dual": frame_to_doc(rep.dual)}
+    if rep.geometry is not None:
+        docs["geometry"] = geometry_to_doc(rep.geometry)
+    assert sorted(files) == sorted(docs)
+    for key, doc in docs.items():
+        with open(files[key], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == _sha256(oracle.file_text(doc)), key
