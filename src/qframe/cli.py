@@ -74,19 +74,6 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Callable
 
-REPRESENTATION_NAMES = (
-    "wootters",
-    "ghw",
-    "cohendet",
-    "leonhardt",
-    "stratonovich",
-    "ruzzi",
-    "mub",
-    "hardy",
-    "havel",
-    "sic",
-)
-
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_ARGS = 2
@@ -101,48 +88,51 @@ def _seed(args) -> int:
     return int(os.environ.get("QFRAME_SEED", "0"))
 
 
-def _require_d(args) -> int:
-    if args.d is None:
-        raise UnsupportedDimensionError("this representation needs --d")
-    return args.d
+def _flag(args, dest: str, missing: str = "this representation needs --d"):
+    """The value of ``--dest``; exit 2 with ``missing`` when it is not given."""
+    value = getattr(args, dest)
+    if value is None:
+        raise UnsupportedDimensionError(missing)
+    return value
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def _stratonovich(args) -> Representation:
+    s = _or(args.s, 0.5)
+    if s == 0.5:
+        return stratonovich_discrete(s, tetrahedral_constellation())
+    points, _ = random_constellation(s, seed=_seed(args))
+    return stratonovich_discrete(s, points)
+
+
+# name -> (the dimension flags its factory reads, the call that builds it from the parsed
+# flags), in the order help and errors list the names.  Each call names its factory at
+# call time, through this module's global, and the factory checks its own domain.
+FAMILIES = {
+    "wootters": (("d", "dims"), lambda a: (
+        wootters_composite(a.dims) if a.dims else wootters(_flag(a, "d")))),
+    "ghw": (("p", "n"), lambda a: ghw(
+        _flag(a, "p", "ghw needs --p (and optionally --n)"), _or(a.n, 1))),
+    "cohendet": (("d",), lambda a: cohendet(_flag(a, "d"))),
+    "leonhardt": (("d",), lambda a: leonhardt(_flag(a, "d"))),
+    "stratonovich": (("s", "seed"), _stratonovich),
+    "ruzzi": (("d",), lambda a: ruzzi_s0(_flag(a, "d"))),
+    "mub": (("d",), lambda a: mub_family(_flag(a, "d")).representation()),
+    "hardy": (("d",), lambda a: hardy_rep(_flag(a, "d"))),
+    "havel": (("n",), lambda a: havel_rep(_flag(a, "n", "havel needs --n qubits"))),
+    "sic": (("d", "seed"), lambda a: sic_rep(
+        _flag(a, "d"), seed=_seed(a), starts=_or(getattr(a, "starts", None), 50))),
+}
 
 
 def build_representation(name: str, args) -> Representation:
-    """Instantiate a factory from parsed dimension flags."""
-    if name not in REPRESENTATION_NAMES:
+    """Instantiate the factory ``FAMILIES[name]`` from parsed dimension flags."""
+    if name not in FAMILIES:
         raise UnsupportedDimensionError(f"unknown representation {name!r}")
-    if name == "wootters":
-        if args.dims:
-            return wootters_composite(args.dims)
-        return wootters(_require_d(args))
-    if name == "ghw":
-        if args.p is None:
-            raise UnsupportedDimensionError("ghw needs --p (and optionally --n)")
-        return ghw(args.p, args.n if args.n is not None else 1)
-    if name == "cohendet":
-        return cohendet(_require_d(args))
-    if name == "leonhardt":
-        return leonhardt(_require_d(args))
-    if name == "stratonovich":
-        s = args.s if args.s is not None else 0.5
-        if s == 0.5:
-            return stratonovich_discrete(s, tetrahedral_constellation())
-        points, _ = random_constellation(s, seed=_seed(args))
-        return stratonovich_discrete(s, points)
-    if name == "ruzzi":
-        return ruzzi_s0(_require_d(args))
-    if name == "mub":
-        return mub_family(_require_d(args)).representation()
-    if name == "hardy":
-        return hardy_rep(_require_d(args))
-    if name == "havel":
-        if args.n is None:
-            raise UnsupportedDimensionError("havel needs --n qubits")
-        return havel_rep(args.n)
-    if name == "sic":
-        starts = args.starts if getattr(args, "starts", None) is not None else 50
-        return sic_rep(_require_d(args), seed=_seed(args), starts=starts)
-    raise UnsupportedDimensionError(f"unknown representation {name!r}")
+    return FAMILIES[name][1](args)
 
 
 def _samples(args, default: int) -> int:
@@ -445,7 +435,7 @@ STATE_FLAGS = (
 STARTS = ("--starts", {"type": int, "default": None, "help": "fiducial search starts"})
 DIST = ("--dist", {"required": True, "help": "distribution JSON file"})
 SAMPLES = ("--samples", {"type": int, "default": None})
-REPRESENTATION = ("representation", REPRESENTATION_NAMES)
+REPRESENTATION = ("representation", tuple(FAMILIES))
 
 # (verb, help, positionals as (dest, choices), flags, handler), in the order of the usage line
 VERBS = (
@@ -456,7 +446,7 @@ VERBS = (
     ("reconstruct", "distribution -> operator",
      (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, DIST), cmd_reconstruct),
     ("transform", "map a distribution between representations",
-     (("source", REPRESENTATION_NAMES), ("target", REPRESENTATION_NAMES)),
+     (("source", tuple(FAMILIES)), ("target", tuple(FAMILIES))),
      (*DIM_FLAGS, JSON_OR_CSV, DIST), cmd_transform),
     ("negativity", "negativity of a represented state",
      (REPRESENTATION,),

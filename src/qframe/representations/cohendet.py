@@ -57,11 +57,11 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
     """Lift the odd-lattice values to the nonnegative doubled-lattice form.
 
     Each point (q, p) splits into (q, p, +1) and (q, p, -1) carrying
-    (1/4d)(2/d + sigma * mu(q, p)).
+    (1/4d)(2/d + sigma * mu(q, p)).  Any values on the odd lattice's points are accepted.
     """
-    if mu.representation != "cohendet":
-        raise ValueError("expected values from the odd-lattice representation")
     d = mu.dim
+    if d % 2 == 0 or mu.labels != odd_lattice(d).points:
+        raise ValueError("expected values from the odd-lattice representation")
     geom = extended_lattice(d)
     values = _doubled(d, mu.values)
     warnings = tuple(mu.warnings)
@@ -78,9 +78,9 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
 
 def from_extended(ext: QuasiDistribution) -> QuasiDistribution:
     """Undo the doubling: mu(q, p) = 2d (mu(q,p,+1) - mu(q,p,-1))."""
-    if ext.representation != "cohendet-extended":
-        raise ValueError("expected values on the doubled lattice")
     d = ext.dim
+    if d % 2 == 0 or ext.labels != extended_lattice(d).points:
+        raise ValueError("expected values on the doubled lattice")
     half = d * d
     values = 2.0 * d * (ext.values[:half] - ext.values[half:])
     geom = odd_lattice(d)

@@ -154,8 +154,11 @@ class SphericalKernel:
         return _two(self.s, "s") + 1
 
     def point(self, n) -> np.ndarray:
+        """Delta(n), exactly Hermitian: the Gram-inverse dual would amplify any skew."""
         V = direction_basis(self.s, n)
-        return (V * self.weights) @ V.conj().T
+        K = (V * self.weights) @ V.conj().T
+        lower = np.tril(K, -1)
+        return lower + lower.conj().T + np.diag(K.diagonal().real)
 
     def dual(self) -> "SphericalKernel":
         return SphericalKernel(self.s, tuple(1.0 / g for g in self.gammas))

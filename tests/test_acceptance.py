@@ -17,6 +17,7 @@ from qframe.analysis import (
     ppt_separability_two_qubit,
     teleport_phase_space,
 )
+from qframe.cli import FAMILIES
 from qframe.cli import main as cli_main
 from qframe.frames import EffectFunction, born_pair, deformed_born, is_dual_pair
 from qframe.operators import (
@@ -79,6 +80,10 @@ FACTORY_INSTANCES = [
     ("sic-2", lambda: sic_rep(2)),
     ("sic-3", lambda: sic_rep(3)),
 ]
+
+
+def test_factory_instances_cover_every_cli_representation():
+    assert {name.split("-")[0] for name, _ in FACTORY_INSTANCES} == set(FAMILIES)
 
 
 @pytest.fixture(scope="module")

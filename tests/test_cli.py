@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qframe.cli import VERBS, main, make_parser, parse_direct
+from qframe.cli import VERBS, build_representation, main, make_parser, parse_direct
+from qframe.errors import UnsupportedDimensionError
 from qframe.operators import maximally_mixed, random_state
 from qframe.representations import wootters
 from qframe.serialize import matrix_from_doc, matrix_to_doc, write_json
@@ -64,6 +65,24 @@ def test_build_missing_dimension_flag(capsys):
     code, _, err = run(capsys, "build", "cohendet")
     assert code == 2
     assert "--d" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "wootters"], "this representation needs --d"),
+    (["represent", "wootters", "--dims", ",", "--mixed"], "this representation needs --d"),
+    (["build", "ghw"], "ghw needs --p (and optionally --n)"),
+    (["verify", "ghw", "--n", "2"], "ghw needs --p (and optionally --n)"),
+    (["represent", "havel", "--mixed"], "havel needs --n qubits"),
+    (["verify", "sic"], "this representation needs --d"),
+])
+def test_missing_dimension_flag_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_representation_is_refused_by_the_table():
+    with pytest.raises(UnsupportedDimensionError, match="unknown representation 'nonsense'"):
+        build_representation("nonsense", parse_direct(["build", "wootters", "--d", "3"]))
 
 
 # represent / reconstruct
@@ -255,6 +274,14 @@ def test_verify_passes_for_wootters(capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert "all passed" in err
+
+
+def test_verify_stratonovich_at_the_spin_cap(capsys):
+    # the Gram-inverse dual amplified last-bit skew of the point kernels past 1e-10 here
+    assert main(["verify", "stratonovich", "--s", "4", "--samples", "20"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"] is True
+    assert doc["checks"][0]["name"] == "hermitian_families" and doc["checks"][0]["tolerance"] == 1e-10
 
 
 def test_verify_fiducial_failure_exits_one(capsys):

@@ -1,5 +1,7 @@
 """Odd-lattice parity displacement operators and the even-lattice extension."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qframe.representations import (
     extended_distribution,
     fano_operator,
     from_extended,
+    hardy_rep,
     leonhardt,
     wootters,
 )
@@ -176,3 +179,23 @@ def test_leonhardt_even_born_pairing():
         mu = rep.represent(rho)
         xi = represent_effect(E, rep.dual)
         assert abs(float(mu.values @ xi.values) - np.trace(rho @ E).real) < 1e-9
+
+
+def test_the_lift_reads_labels_not_the_name():
+    rho = random_state(3, seed=37)
+    mu = replace(cohendet(3), name="x").represent(rho)
+    back = from_extended(extended_distribution(mu))
+    assert np.allclose(back.values, mu.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: hardy_rep(3), lambda: wootters(2), lambda: leonhardt(4)])
+def test_the_lift_refuses_other_labels(make):
+    rep = make()
+    mu = rep.represent(random_state(rep.dim, seed=41))
+    with pytest.raises(ValueError, match="odd-lattice"):
+        extended_distribution(mu)
+    ext = extended_distribution(cohendet(3).represent(random_state(3, seed=43)))
+    with pytest.raises(ValueError, match="doubled lattice"):
+        from_extended(replace(ext, labels=ext.labels[::-1]))
+    with pytest.raises(ValueError, match="doubled lattice"):
+        from_extended(mu)

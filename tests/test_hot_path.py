@@ -5,7 +5,6 @@ them to 1e-12 for every representation the CLI can build.  States, effects
 and distributions are drawn by hypothesis.
 """
 
-from argparse import Namespace
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import batch_oracle
 import frame_oracle
-from qframe.cli import REPRESENTATION_NAMES, build_representation
+from qframe.cli import FAMILIES, build_representation, parse_direct
 from qframe.errors import DimensionMismatchError, NotAFrameError, SingularBasisError
 from qframe.frames import (
     DualFrame,
@@ -42,33 +41,30 @@ from qframe.representations.sic import _orbit_stack
 
 ORACLE_TOL = 1e-12
 
-# (case id, CLI representation name, dimension flags), small sizes
+# (case id, CLI representation name and dimension flags), small sizes
 CASES = [
-    ("wootters-3", "wootters", {"d": 3}),
-    ("wootters-2x2", "wootters", {"dims": [2, 2]}),
-    ("ghw-2-2", "ghw", {"p": 2, "n": 2}),
-    ("cohendet-3", "cohendet", {"d": 3}),
-    ("leonhardt-3", "leonhardt", {"d": 3}),
-    ("leonhardt-2", "leonhardt", {"d": 2}),
-    ("stratonovich-0.5", "stratonovich", {"s": 0.5}),
-    ("stratonovich-1", "stratonovich", {"s": 1.0}),
-    ("ruzzi-3", "ruzzi", {"d": 3}),
-    ("mub-3", "mub", {"d": 3}),
-    ("hardy-3", "hardy", {"d": 3}),
-    ("havel-2", "havel", {"n": 2}),
-    ("sic-2", "sic", {"d": 2}),
-    ("sic-3", "sic", {"d": 3}),
+    ("wootters-3", ["wootters", "--d", "3"]),
+    ("wootters-2x2", ["wootters", "--dims", "2,2"]),
+    ("ghw-2-2", ["ghw", "--p", "2", "--n", "2"]),
+    ("cohendet-3", ["cohendet", "--d", "3"]),
+    ("leonhardt-3", ["leonhardt", "--d", "3"]),
+    ("leonhardt-2", ["leonhardt", "--d", "2"]),
+    ("stratonovich-0.5", ["stratonovich", "--s", "0.5"]),
+    ("stratonovich-1", ["stratonovich", "--s", "1"]),
+    ("ruzzi-3", ["ruzzi", "--d", "3"]),
+    ("mub-3", ["mub", "--d", "3"]),
+    ("hardy-3", ["hardy", "--d", "3"]),
+    ("havel-2", ["havel", "--n", "2"]),
+    ("sic-2", ["sic", "--d", "2"]),
+    ("sic-3", ["sic", "--d", "3"]),
 ]
 IDS = [case[0] for case in CASES]
 
 
 @lru_cache(maxsize=None)
 def _rep(case_id: str):
-    _, name, flags = CASES[IDS.index(case_id)]
-    args = Namespace(d=None, dims=None, p=None, n=None, s=None, seed=0, starts=None)
-    for key, value in flags.items():
-        setattr(args, key, value)
-    return build_representation(name, args)
+    argv = ["build", *CASES[IDS.index(case_id)][1], "--seed", "0"]
+    return build_representation(argv[1], parse_direct(argv))
 
 
 # oracle
@@ -114,7 +110,7 @@ def state_and_effect(draw, d: int):
 
 
 def test_cases_cover_every_cli_representation():
-    assert {case[1] for case in CASES} == set(REPRESENTATION_NAMES)
+    assert {case[1][0] for case in CASES} == set(FAMILIES)
 
 
 @pytest.mark.parametrize("case", IDS)

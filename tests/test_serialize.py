@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serialize_oracle as oracle
-from qframe.cli import build_representation, main, parse_direct
+from qframe.cli import FAMILIES, build_representation, main, parse_direct
 from qframe.errors import DimensionMismatchError, ParseError, QframeError
 from qframe.frames import DualFrame, Frame, QuasiDistribution
 from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
@@ -346,6 +346,10 @@ BUILDS = [
     ["havel", "--n", "1"], ["havel", "--n", "2"],
     ["sic", "--d", "2"], ["sic", "--d", "3"],
 ]
+
+
+def test_builds_cover_every_cli_representation():
+    assert {argv[0] for argv in BUILDS} == set(FAMILIES)
 
 
 def _sha256(text: str) -> str:

@@ -196,6 +196,16 @@ def test_spin_cap():
         SphericalKernel(4.5, (1.0,) * 10)
 
 
+@pytest.mark.parametrize("s,seed", [(4, 0), (4, 1), (2.5, 2)])
+def test_high_spin_constellations_keep_both_families_hermitian(s, seed):
+    # the point kernels are exactly Hermitian: the Gram-inverse dual amplifies any skew by up to
+    # GRAM_CONDITION_LIMIT, which took these duals past verify's 1e-10
+    pts, _ = random_constellation(s, seed=seed)
+    rep = stratonovich_discrete(s, pts)
+    assert rep.frame.skew == 0.0
+    assert rep.dual.skew < 1e-10
+
+
 @pytest.mark.parametrize("s", [0.5, 1])
 def test_discrete_duality(s):
     pts, _ = random_constellation(s, seed=17)
