@@ -6,12 +6,14 @@ vertical one and one per slope.  Composite lattices take Cartesian products
 of component lines and extended lattices adjoin a sign bit to each point.
 
 Point labels are plain tuples of integers so they serialize directly; field
-elements are encoded by their canonical integer code.
+elements are encoded by their canonical integer code.  The lines are one
+integer table of point indices, ``line_index[s, c, k]``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,23 +33,33 @@ __all__ = [
     "check_geometry_axioms",
 ]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceGeometry:
+    """Points and, in ``line_index[s, c, k]``, the index of the k-th point of
+    line c of striation s; a bare grid has shape (0, 0, 0).  Line c of
+    striation s is line ``s * lines_per_striation + c`` of ``lines``.
+    """
+
     kind: str
     points: tuple
-    lines: tuple
-    striations: tuple
-    meta: dict = field(default_factory=dict, compare=False)
+    line_index: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), dtype=np.intp))
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.line_index.setflags(write=False)
 
     @cached_property
-    def line_index(self) -> np.ndarray:
-        """Point indices of the lines, shape (striations, lines per striation, points per line)."""
-        at = {pt: i for i, pt in enumerate(self.points)}
-        idx = np.array([[[at[pt] for pt in self.lines[li]] for li in lines] for lines in self.striations],
-                       dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+    def lines(self) -> tuple:
+        """Each line as a tuple of point labels."""
+        n_s, n_c, n_k = self.line_index.shape
+        pts = self.points
+        return tuple(tuple(pts[i] for i in row) for row in self.line_index.reshape(n_s * n_c, n_k).tolist())
+
+    @property
+    def striations(self) -> tuple:
+        """Each striation as the tuple of its indices into ``lines``."""
+        n_s, n_c, _ = self.line_index.shape
+        return tuple(tuple(range(s * n_c, (s + 1) * n_c)) for s in range(n_s))
 
 
 def _sloped_lattice(kind: str, ys: np.ndarray, meta: dict) -> PhaseSpaceGeometry:
@@ -55,15 +67,14 @@ def _sloped_lattice(kind: str, ys: np.ndarray, meta: dict) -> PhaseSpaceGeometry
     striation 1 + m the lines ``(a, ys[m, c, a])``, each in intercept order c.
     """
     d = len(ys)
-    xs = list(range(d))
-    lines = [tuple((c, b) for b in xs) for c in xs]
-    lines += [tuple(zip(xs, row)) for rows in ys.tolist() for row in rows]
+    idx = np.empty((d + 1, d, d), dtype=np.intp)
+    idx[0] = np.arange(d * d).reshape(d, d)
+    np.add(ys, d * np.arange(d), out=idx[1:])
     return PhaseSpaceGeometry(
         kind=kind,
-        points=tuple((a, b) for a in xs for b in xs),
-        lines=tuple(lines),
-        striations=tuple(tuple(range(s * d, (s + 1) * d)) for s in range(d + 1)),
-        meta={**meta, "d": d, "directions": [(0, 1)] + [(1, m) for m in xs]},
+        points=tuple(itertools.product(range(d), repeat=2)),
+        line_index=idx,
+        meta={**meta, "d": d, "directions": [(0, 1)] + [(1, m) for m in range(d)]},
     )
 
 
@@ -76,7 +87,9 @@ def prime_lattice(d: int) -> PhaseSpaceGeometry:
     if not _is_prime(d):
         raise UnsupportedDimensionError(f"lattice striations need prime d, got {d}")
     k = np.arange(d)
-    return _sloped_lattice("prime-lattice", (k[:, None, None] * k + k[:, None]) % d, {})
+    ys = k[:, None, None] * k + k[:, None]
+    ys %= d
+    return _sloped_lattice("prime-lattice", ys, {})
 
 
 def odd_lattice(d: int) -> PhaseSpaceGeometry:
@@ -98,26 +111,24 @@ def field_lattice(fieldobj: FiniteField) -> PhaseSpaceGeometry:
 def composite_lattice(parts: list[PhaseSpaceGeometry]) -> PhaseSpaceGeometry:
     """Cartesian product of component lattices.
 
-    Points are tuples of component points; each product of component lines is
-    a line, each product of component striations a striation.
+    Points are tuples of component points, row-major; each product of
+    component lines is a line, each product of component striations a
+    striation, both ordered with the last component fastest.
     """
     if not parts:
         raise ValueError("need at least one component geometry")
-    points = tuple(itertools.product(*[g.points for g in parts]))
-    lines: list[tuple] = []
-    striations: list[tuple[int, ...]] = []
-    for combo in itertools.product(*[range(len(g.striations)) for g in parts]):
-        idxs = []
-        for line_ids in itertools.product(*[g.striations[s] for g, s in zip(parts, combo)]):
-            pts = tuple(itertools.product(*[g.lines[i] for g, i in zip(parts, line_ids)]))
-            lines.append(pts)
-            idxs.append(len(lines) - 1)
-        striations.append(tuple(idxs))
+    r = len(parts)
+    # axes (s_1..s_r, c_1..c_r, k_1..k_r); component i enters scaled by its point stride
+    idx, stride = np.zeros((1,) * (3 * r), dtype=np.intp), 1
+    for i in reversed(range(r)):
+        shape = [1] * (3 * r)
+        shape[i::r] = parts[i].line_index.shape
+        idx = idx + parts[i].line_index.reshape(shape) * stride
+        stride *= len(parts[i].points)
     return PhaseSpaceGeometry(
         kind="composite-lattice",
-        points=points,
-        lines=tuple(lines),
-        striations=tuple(striations),
+        points=tuple(itertools.product(*[g.points for g in parts])),
+        line_index=idx.reshape([math.prod(idx.shape[j * r:(j + 1) * r]) for j in range(3)]),
         meta={"dims": [len(g.points) for g in parts]},
     )
 
@@ -127,30 +138,21 @@ def plain_lattice(side_q: int, side_p: int | None = None, kind: str = "lattice")
     if side_p is None:
         side_p = side_q
     points = tuple((q, p) for q in range(side_q) for p in range(side_p))
-    return PhaseSpaceGeometry(
-        kind=kind,
-        points=points,
-        lines=(),
-        striations=(),
-        meta={"shape": [side_q, side_p]},
-    )
+    return PhaseSpaceGeometry(kind=kind, points=points, meta={"shape": [side_q, side_p]})
 
 
 def extended_lattice(d: int) -> PhaseSpaceGeometry:
     """The doubled lattice Z_d x Z_d x {+1, -1}; the +1 block comes first."""
     points = tuple((q, p, s) for s in (1, -1) for q in range(d) for p in range(d))
-    return PhaseSpaceGeometry(
-        kind="extended-lattice",
-        points=points,
-        lines=(),
-        striations=(),
-        meta={"d": d},
-    )
+    return PhaseSpaceGeometry(kind="extended-lattice", points=points, meta={"d": d})
 
 
 def lines_through(geom: PhaseSpaceGeometry, point) -> list[int]:
     """Indices of all lines containing the given point."""
-    return [i for i, line in enumerate(geom.lines) if point in line]
+    if point not in geom.points:
+        return []
+    hits = (geom.line_index == geom.points.index(point)).any(axis=2)
+    return np.flatnonzero(hits).tolist()
 
 
 def check_geometry_axioms(geom: PhaseSpaceGeometry) -> dict[str, bool]:
@@ -158,43 +160,22 @@ def check_geometry_axioms(geom: PhaseSpaceGeometry) -> dict[str, bool]:
 
     Checks that two distinct points share exactly one line, that striations
     partition the points, and that non-parallel lines meet in exactly one
-    point.
+    point, all on the line-point incidence matrix.
     """
-    membership: dict = {pt: set() for pt in geom.points}
-    for i, line in enumerate(geom.lines):
-        for pt in line:
-            membership[pt].add(i)
-
-    unique_join = True
-    for a, b in itertools.combinations(geom.points, 2):
-        if len(membership[a] & membership[b]) != 1:
-            unique_join = False
-            break
-
-    partition = True
-    for lines in geom.striations:
-        seen: list = []
-        for i in lines:
-            seen.extend(geom.lines[i])
-        if sorted(seen) != sorted(geom.points):
-            partition = False
-            break
-
-    single_meet = True
-    line_striation = {}
-    for s, lines in enumerate(geom.striations):
-        for i in lines:
-            line_striation[i] = s
-    for i, j in itertools.combinations(range(len(geom.lines)), 2):
-        if line_striation.get(i) == line_striation.get(j):
-            continue
-        common = set(geom.lines[i]) & set(geom.lines[j])
-        if len(common) != 1:
-            single_meet = False
-            break
-
+    n_s, n_c, n_k = geom.line_index.shape
+    n = len(geom.points)
+    rows = geom.line_index.reshape(n_s * n_c, n_k)
+    incidence = np.zeros((n_s * n_c, n))
+    incidence[np.arange(n_s * n_c)[:, None], rows] = 1.0
+    off = ~np.eye(n, dtype=bool)
+    # lines of one striation are exempt from meeting once
+    striation = np.repeat(np.arange(n_s), n_c)
+    nonparallel = striation[:, None] != striation
+    # how often each striation covers each point
+    counts = np.bincount((rows.reshape(n_s, n_c * n_k) + n * np.arange(n_s)[:, None]).ravel(),
+                         minlength=n_s * n)
     return {
-        "two-points-one-line": unique_join,
-        "striations-partition": partition,
-        "nonparallel-lines-meet-once": single_meet,
+        "two-points-one-line": bool(np.all((incidence.T @ incidence)[off] == 1)),
+        "striations-partition": bool(np.all(counts == 1)),
+        "nonparallel-lines-meet-once": bool(np.all((incidence @ incidence.T)[nonparallel] == 1)),
     }

@@ -34,8 +34,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
 
     Two stacks are the frame and the dual; factories that also build the SIC
-    orbit, the unbiased-basis projectors or an n x n Gram matrix (n = d^2)
-    count three, and GHW, with its line projectors and their gather, four.
+    orbit, the unbiased-basis projectors, an n x n Gram matrix (n = d^2) or,
+    for GHW, the gather of its line vectors count three.
     """
     need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:
@@ -96,7 +96,7 @@ def striation_pvms(rep: Representation) -> np.ndarray:
     For the lattice representations whose frame elements are phase-point
     operators over d these are rank-1 projective measurements.
     """
-    if rep.geometry is None or not rep.geometry.striations:
+    if rep.geometry is None or not rep.geometry.line_index.size:
         raise ValueError(f"representation {rep.name!r} has no striations")
     idx = rep.geometry.line_index
     ops = rep.frame.operators

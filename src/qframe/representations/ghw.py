@@ -106,8 +106,8 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     if (F.p, F.n) != (p, n):
         raise UnsupportedDimensionError("field does not match the requested (p, n)")
     d = F.order
-    # the frame, the dual, the d(d + 1) line projectors kept in meta and the gather S below
-    check_stack_budget(f"ghw({p}, {n})", d * d, d, stacks=4)
+    # the frame, the dual and the gather S below
+    check_stack_budget(f"ghw({p}, {n})", d * d, d, stacks=3)
     if net is None:
         net = (0,) * (d + 1)
     net = tuple(int(t) % d for t in net)
@@ -125,20 +125,20 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
     W[0][codes[:, None], perm] = phase * v[0]
     perm, phase = _monomials(F, zeros, codes)
     W[1:, codes[:, None], perm] = phase * v[1:, None, :]
-    line_proj = W[..., :, None] * W[..., None, :].conj()
 
-    # Point (a, b) lies on the vertical line a and on the line b - m a of slope m;
-    # its operator is the sum of those d + 1 projectors minus the identity.
-    a, b = np.divmod(np.arange(d * d), d)
-    intercept = np.vstack([a, F.sub(b, F.mul(codes[:, None], a))])
-    S = W[np.arange(d + 1)[:, None], intercept].transpose(1, 2, 0)
+    # A point's operator is the sum of the projectors of its d + 1 lines, one
+    # per striation, minus the identity: through[s, i] is the line of
+    # striation s through point i.
+    s = np.arange(d + 1)[:, None]
+    through = np.empty((d + 1, d * d), dtype=np.intp)
+    through[s[..., None], geom.line_index] = codes[:, None]
+    S = W[s, through].transpose(1, 2, 0)
     ops = S @ S.conj().transpose(0, 2, 1)
     ops[:, codes, codes] -= 1.0
 
     return phase_point_representation("ghw", geom, ops, {
         "field": F,
         "net": net,
-        "line_projectors": list(line_proj.reshape(-1, d, d)),
         "striation_bases": bases,
     })
 

@@ -1,7 +1,8 @@
 """Odd and even lattice Wigner constructions with a shared entry point.
 
 Both are stacks of the displaced-parity kernel ``operators.displaced_parity``:
-K(2q, 2p) for odd d, K(q, p)/(2d) on the doubled lattice for even d.
+K(2q, 2p) for odd d, K(q, p)/(2d) on the doubled lattice for even d.  Both
+frames are tight, so each dual is d times its frame.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import Frame, canonical_dual
 from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
@@ -25,13 +25,10 @@ def leonhardt(d: int) -> Representation:
         q, p = np.array(geom.points).T
         ops = displaced_parity(d, 2 * q, 2 * p)
         return phase_point_representation("leonhardt", geom, ops, {"case": "odd"})
-    # half-integer grid: q, p run over Z_2d and the phase uses the 2d-th root
+    # half-integer grid: q, p run over Z_2d and the phase uses the 2d-th root.
+    # The frame {K/(2d)} is tight with both bounds 1/d, so its canonical dual is d F = K/2.
     geom = plain_lattice(2 * d, kind="half-integer-lattice")
     q, p = np.array(geom.points).T
     ops = displaced_parity(d, q, p)
-    ops /= 2 * d
-    frame = Frame(dim=d, labels=geom.points, operators=ops, name="leonhardt")
-    return Representation(
-        name="leonhardt", dim=d, frame=frame, dual=canonical_dual(frame), geometry=geom,
-        meta={"case": "even"},
-    )
+    ops /= 2
+    return phase_point_representation("leonhardt", geom, ops, {"case": "even"})

@@ -86,7 +86,7 @@ def verify_representation(
             ROUND_TRIP_TOL,
         ),
     ]
-    if rep.geometry is not None and rep.geometry.striations:
+    if rep.geometry is not None and rep.geometry.line_index.size:
         pvm_worst, sum_worst = _line_residuals(rep, seed + 20_000, 10)
         checks.append(_check("striation_projectors", pvm_worst, LINE_TOL))
         checks.append(_check("line_sums_match_born", sum_worst, LINE_TOL))

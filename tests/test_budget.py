@@ -36,7 +36,7 @@ BUDGETED = [
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
-    ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 4 * 16 * 16 * C16),
+    ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 3 * 16 * 16 * C16),
 ]
 IDS = [case[0] for case in BUDGETED]
 
@@ -61,8 +61,8 @@ def test_request_at_the_budget_builds(monkeypatch, name, build, module, builder,
 
 
 def test_ghw_charge_still_admits_d_64(monkeypatch):
-    # four stacks of 64^2 operators on C^64 are exactly the default budget
-    assert 4 * 64**2 * 64**2 * C16 == base.MAX_STACK_BYTES
+    # three stacks of 64^2 operators on C^64 fit the default budget
+    assert 3 * 64**2 * 64**2 * C16 <= base.MAX_STACK_BYTES
 
     class Reached(Exception):
         pass

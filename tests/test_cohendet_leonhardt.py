@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qframe.errors import UnsupportedDimensionError
-from qframe.frames import is_dual_pair, represent_effect
+from qframe.frames import canonical_dual, frame_bounds, is_dual_pair, represent_effect
 from qframe.operators import (
     maximally_mixed,
     parity_matrix,
@@ -148,6 +148,14 @@ def test_leonhardt_even_structure(d):
     V = rep.frame.operators.reshape(4 * d * d, -1)
     assert np.linalg.matrix_rank(np.array([v for v in V]), tol=1e-9) == d * d
     assert np.allclose(rep.frame.sum(), np.eye(d), atol=1e-9)
+
+
+@pytest.mark.parametrize("d", range(2, 17, 2))
+def test_leonhardt_even_dual_is_the_canonical_dual(d):
+    rep = leonhardt(d)
+    a, b = frame_bounds(rep.frame)
+    assert abs(a - 1 / d) < 1e-12 and abs(b - 1 / d) < 1e-12
+    assert np.max(np.abs(rep.dual.operators - canonical_dual(rep.frame).operators)) < 1e-12
 
 
 def test_leonhardt_even_frame_operator_rank():

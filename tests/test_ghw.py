@@ -70,12 +70,17 @@ def test_line_sums_are_net_projectors(p, n):
     d = p**n
     geom = rep.geometry
     A = _points(rep)
-    projectors = rep.meta["line_projectors"]
+    pvms = striation_pvms(rep)
+    projectors = pvms.reshape(-1, d, d)
     for line_idx, pts in enumerate(geom.lines):
         Q = projectors[line_idx]
         total = sum(A[pt] for pt in pts)
         # summing the point operators over a line reproduces d times its projector
         assert np.allclose(total, d * Q, atol=1e-8)
+        assert np.allclose(Q @ Q, Q, atol=1e-8) and abs(np.trace(Q) - 1) < 1e-8
+    # the line through the origin projects onto the net's vector of its striation
+    for s, (basis, t) in enumerate(zip(rep.meta["striation_bases"], rep.meta["net"])):
+        assert np.allclose(pvms[s, 0], np.outer(basis[:, t], basis[:, t].conj()), atol=1e-8)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (3, 2)])
@@ -90,7 +95,7 @@ def test_striation_pvms_and_covariance(p, n):
         for proj in pvm:
             assert np.allclose(proj @ proj, proj, atol=1e-8)
     # translation covariance: Q(tau_a lambda) = T_a Q(lambda) T_a^dag
-    projectors = rep.meta["line_projectors"]
+    projectors = pvms.reshape(-1, d, d)
     elems = field.elements()
     rng = np.random.default_rng(29)
     line_lookup = {}
@@ -219,8 +224,9 @@ def test_ghw_matches_dense_oracle(p, n):
     assert rep.labels == tuple(labels)
     assert np.max(np.abs(rep.dual.operators - ops)) <= ORACLE_TOL
     assert np.max(np.abs(rep.frame.operators - ops / p**n)) <= ORACLE_TOL
-    assert len(rep.meta["line_projectors"]) == len(projectors)
-    assert np.max(np.abs(np.array(rep.meta["line_projectors"]) - np.array(projectors))) <= ORACLE_TOL
+    pvms = striation_pvms(rep).reshape(-1, p**n, p**n)
+    assert len(pvms) == len(projectors)
+    assert np.max(np.abs(pvms - np.array(projectors))) <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("p,n,net", [(3, 1, (1, 0, 2, 1)), (2, 2, (3, 1, 0, 2, 1))])
@@ -257,13 +263,13 @@ def test_dual_basis_at_most_once_per_field(monkeypatch):
 def test_oversized_request_refused_before_building(monkeypatch):
     monkeypatch.setattr(ghw_module, "_build_structure", lambda F: pytest.fail("built past the budget"))
     with pytest.raises(UnsupportedDimensionError, match="budget"):
-        ghw(3, 4)  # d = 81: 4 d^4 complex entries are 2.8 GB
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 4 * 4**4 * 16 - 1)
+        ghw(3, 4)  # d = 81: 3 d^4 complex entries are 2.1 GB
+    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 3 * 4**4 * 16 - 1)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         ghw(2, 2)
     assert main(["build", "ghw", "--p", "2", "--n", "2"]) == 2
 
 
 def test_budget_admits_a_request_that_fits(monkeypatch):
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 4 * 4**4 * 16)
+    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 3 * 4**4 * 16)
     assert ghw(2, 2).dim == 4
