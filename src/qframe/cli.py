@@ -46,7 +46,6 @@ from .representations import (
     havel_rep,
     leonhardt,
     mub_family,
-    random_constellation,
     ruzzi_s0,
     sic_rep,
     stratonovich_discrete,
@@ -54,6 +53,7 @@ from .representations import (
     wootters,
     wootters_composite,
 )
+from .representations.spherical import _random_stratonovich
 from .serialize import (
     distribution_from_doc,
     distribution_to_csv,
@@ -81,6 +81,22 @@ EXIT_PARSE = 3
 EXIT_DIMENSION = 4
 EXIT_TRANSFORM = 5
 
+# (error class, exit code), tried in order: every error class derives from QframeError and
+# most from ValueError, so each comes before its bases
+ERROR_EXITS = (
+    (ParseError, EXIT_PARSE),
+    (DimensionMismatchError, EXIT_DIMENSION),
+    (UnsupportedTransformError, EXIT_TRANSFORM),
+    (UnsupportedDimensionError, EXIT_ARGS),
+    (FiducialSearchError, EXIT_PROPERTY),
+    (NotAFrameError, EXIT_PROPERTY),
+    (SingularBasisError, EXIT_PROPERTY),
+    (QframeError, EXIT_ARGS),
+    (ValueError, EXIT_ARGS),
+    (OSError, EXIT_PARSE),
+)
+_HANDLED = tuple(error for error, _ in ERROR_EXITS)
+
 
 def _seed(args) -> int:
     if args.seed is not None:
@@ -104,8 +120,7 @@ def _stratonovich(args) -> Representation:
     s = _or(args.s, 0.5)
     if s == 0.5:
         return stratonovich_discrete(s, tetrahedral_constellation())
-    points, _ = random_constellation(s, seed=_seed(args))
-    return stratonovich_discrete(s, points)
+    return _random_stratonovich(s, seed=_seed(args))[0]
 
 
 # name -> (the dimension flags its factory reads, the call that builds it from the parsed
@@ -549,30 +564,9 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except _HANDLED as exc:
         _say(f"error: {exc}")
-        return EXIT_PARSE
-    except DimensionMismatchError as exc:
-        _say(f"error: {exc}")
-        return EXIT_DIMENSION
-    except UnsupportedTransformError as exc:
-        _say(f"error: {exc}")
-        return EXIT_TRANSFORM
-    except UnsupportedDimensionError as exc:
-        _say(f"error: {exc}")
-        return EXIT_ARGS
-    except (FiducialSearchError, NotAFrameError, SingularBasisError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_PROPERTY
-    except QframeError as exc:
-        _say(f"error: {exc}")
-        return EXIT_ARGS
-    except ValueError as exc:
-        _say(f"error: {exc}")
-        return EXIT_ARGS
-    except OSError as exc:
-        _say(f"error: {exc}")
-        return EXIT_PARSE
+        return next(code for error, code in ERROR_EXITS if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Elements are polynomials over Z_p modulo a monic irreducible polynomial,
 coded by the integer ``sum c_i p^i`` of their coefficients.  A field keeps
 integer tables, built on first use: digits, log/antilog, traces and
-dual-basis coordinates of every code.  ``add`` and ``mul`` act on codes or
-arrays of codes; ``FieldElement`` is a thin view over one code.
+dual-basis coordinates of every code.  ``add``, ``sub`` and ``mul`` act on
+codes or arrays of codes.
 
 The default modulus comes from a built-in Conway-polynomial table for the
 small fields this package exercises; outside the table a deterministic
@@ -23,7 +23,6 @@ from .errors import ParseError, UnsupportedDimensionError
 
 __all__ = [
     "FiniteField",
-    "FieldElement",
     "default_modulus",
     "is_irreducible",
     "is_primitive_modulus",
@@ -264,17 +263,14 @@ class FiniteField:
             raise RuntimeError("trace did not land in the prime subfield")
         return _readonly(total[:, 0])
 
-    def _trace_rows(self, codes) -> np.ndarray:
-        """``(q, len(codes))`` table of tr(c * b) over every code c."""
-        return self.traces[self.mul(np.arange(self.order)[:, None], np.asarray(codes))]
-
     @cached_property
     def dual_coords(self) -> np.ndarray:
         """``(q, n)`` coordinates of every code in the trace-dual of 1, x, ..., x^(n-1).
 
         The coordinate of c along the dual of x^j is tr(c * x^j).
         """
-        return _readonly(self._trace_rows(self.p ** np.arange(self.n)))
+        products = self.mul(np.arange(self.order)[:, None], self.p ** np.arange(self.n))
+        return _readonly(self.traces[products])
 
     def add(self, a, b):
         """Sum of codes; ints or arrays, broadcast."""
@@ -290,128 +286,3 @@ class FiniteField:
         a, b = np.asarray(a), np.asarray(b)
         prod = exp[(log[a] + log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
-
-    def element(self, value) -> "FieldElement":
-        """Coerce an int code, coefficient sequence or element into the field."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ParseError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, int(value) % self.order)
-        # Horner's rule reduces a polynomial of any degree modulo the modulus.
-        code = 0
-        for c in reversed([int(c) for c in value]):
-            code = int(self.add(self._times_x[code], c % self.p))
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def generator(self) -> "FieldElement":
-        """The class x of the modulus variable."""
-        return FieldElement(self, 1 if self.n == 1 else self.p)
-
-    def elements(self) -> list["FieldElement"]:
-        """All field elements in canonical integer order."""
-        return [FieldElement(self, k) for k in range(self.order)]
-
-    def polynomial_basis(self) -> list["FieldElement"]:
-        """The basis 1, x, ..., x^(n-1)."""
-        return [FieldElement(self, self.p**i) for i in range(self.n)]
-
-    def dual_basis(self, basis: list["FieldElement"] | None = None) -> list["FieldElement"]:
-        """The unique basis with ``tr(dual_i * basis_j) = delta_ij``.
-
-        Row c of the table tr(c * basis_j) holds c's coordinates in the dual
-        basis, so dual_i is the element whose row is the i-th unit vector.
-        """
-        if basis is None:
-            basis = self.polynomial_basis()
-        if len(basis) != self.n:
-            raise ParseError(f"a basis of GF({self.p}^{self.n}) needs {self.n} elements")
-        rows = self._encode(self._trace_rows([self.element(b).code for b in basis]))
-        if len(np.unique(rows)) != self.order:
-            raise ParseError("given elements do not form a basis")
-        where = np.empty(self.order, dtype=np.int64)
-        where[rows] = np.arange(self.order)
-        return [FieldElement(self, int(where[self.p**i])) for i in range(self.n)]
-
-    def expand(self, x: "FieldElement", basis: list["FieldElement"] | None = None) -> tuple[int, ...]:
-        """Coordinates of x in the given basis (prime-subfield integers)."""
-        if basis is None:
-            basis = self.polynomial_basis()
-        dual = [e.code for e in self.dual_basis(basis)]
-        return tuple(int(t) for t in self.traces[self.mul(self.element(x).code, dual)])
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "FiniteField":
-        try:
-            return FiniteField(int(doc["p"]), int(doc["n"]), tuple(doc["modulus"]))
-        except KeyError as exc:
-            raise ParseError(f"field document missing key {exc}") from exc
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p^n): a thin view over its integer code."""
-
-    field: FiniteField
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Little-endian polynomial coefficients over Z_p."""
-        return tuple(int(c) for c in self.field.coords[self.code])
-
-    def _like(self, other) -> int:
-        return self.field.element(other).code
-
-    def __add__(self, other) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.add(self.code, self._like(other))))
-
-    def __sub__(self, other) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.sub(self.code, self._like(other))))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.sub(0, self.code)))
-
-    def __mul__(self, other) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.mul(self.code, self._like(other))))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "FieldElement":
-        F = self.field
-        if self.is_zero():
-            if e < 0:
-                raise ZeroDivisionError("zero has no multiplicative inverse")
-            return F.one if e == 0 else self
-        exp, log = F._exp_log
-        return FieldElement(F, int(exp[(int(log[self.code]) * e) % (F.order - 1)]))
-
-    def inverse(self) -> "FieldElement":
-        return self ** -1
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def trace(self) -> int:
-        """Field trace into Z_p: sum of x^(p^i) for i < n."""
-        return int(self.field.traces[self.code])
-
-    def to_int(self) -> int:
-        return self.code
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.p}^{self.field.n}):{self.code}"

@@ -1,8 +1,8 @@
 """Core operator constructions on C^d.
 
 Generalized Pauli (Weyl-Heisenberg) operators, the finite Fourier transform,
-the Schwinger unitary operator basis, tensor-product plumbing, deterministic
-eigendecompositions and seeded random states/effects.
+tensor-product plumbing, deterministic eigendecompositions and seeded random
+states/effects.
 
 Conventions
 -----------
@@ -29,8 +29,6 @@ __all__ = [
     "EQ_TOL",
     "tol_for",
     "omega",
-    "tau",
-    "half_exponent_phase",
     "shift_matrix",
     "clock_matrix",
     "parity_matrix",
@@ -40,8 +38,6 @@ __all__ = [
     "weyl_monomials",
     "PauliFamily",
     "make_pauli_family",
-    "weyl_operator",
-    "schwinger_basis",
     "finite_fourier",
     "tensor",
     "partial_trace",
@@ -76,27 +72,6 @@ def tol_for(*mats: np.ndarray) -> float:
 def omega(d: int) -> complex:
     """Primitive d-th root of unity."""
     return np.exp(2j * np.pi / d)
-
-
-def tau(d: int) -> complex:
-    """Primitive 2d-th root of unity, used for half-integer phases at even d."""
-    return np.exp(1j * np.pi / d)
-
-
-def half_exponent_phase(d: int, m: int) -> complex:
-    """The phase ``omega**(m/2)``.
-
-    For odd d the exponent ``m/2`` is resolved with the multiplicative
-    inverse of 2 mod d, so the result is still a d-th root of unity.  For
-    even d no inverse exists and the phase is taken in the doubled group as
-    ``tau**m``.
-    """
-    if d < 1:
-        raise UnsupportedDimensionError(f"dimension must be positive, got {d}")
-    if d % 2 == 1:
-        inv2 = (d + 1) // 2
-        return omega(d) ** ((m * inv2) % d)
-    return tau(d) ** (m % (2 * d))
 
 
 def shift_matrix(d: int) -> np.ndarray:
@@ -155,7 +130,7 @@ def weyl_monomials(d: int, p, q) -> np.ndarray:
 
     U_(p,q) sends |c> to omega**(pq/2 + qc) |c + p>: a monomial whose phase
     is tau**(2qc) times omega**(pq/2), which is tau**(pq (d+1)) for odd d
-    and tau**(pq) for even d, as ``half_exponent_phase`` resolves it.
+    and tau**(pq) for even d.
     Returns the ``(len(p), d, d)`` stack.
     """
     p = np.asarray(p, dtype=np.int64).reshape(-1, 1)
@@ -188,25 +163,6 @@ def make_pauli_family(d: int) -> PauliFamily:
     Z = clock_matrix(d)
     Y = (X @ Z - Z @ X) / 2j
     return PauliFamily(dim=d, X=X, Z=Z, Y=Y, parity=parity_matrix(d))
-
-
-def weyl_operator(p: int, q: int, d: int) -> np.ndarray:
-    """Weyl displacement ``U_(p,q) = omega**(pq/2) X^p Z^q``."""
-    return weyl_monomials(d, p, q)[0]
-
-
-def schwinger_basis(d: int) -> dict[tuple[int, int], np.ndarray]:
-    """Unitary operator basis ``S(eta, xi) = X^eta Z^xi omega**(eta xi/2)/sqrt(d)``.
-
-    Defined for odd d with symmetric index range ``eta, xi in [-l, l]``,
-    ``l = (d-1)/2``.  The d^2 elements are orthonormal in the trace inner
-    product.
-    """
-    if d % 2 == 0:
-        raise UnsupportedDimensionError("the symmetric operator basis needs odd d")
-    eta, xi = np.divmod(np.arange(d * d), d) - np.array((d - 1) // 2)
-    ops = weyl_monomials(d, eta, xi) / np.sqrt(d)
-    return dict(zip(zip(eta.tolist(), xi.tolist()), ops))
 
 
 def finite_fourier(d: int) -> np.ndarray:

@@ -1,22 +1,20 @@
 """Factories for concrete quasi-probability representations."""
 
 from .base import Representation, striation_pvms
-from .wootters import phase_point_operators, wootters, wootters_composite
+from .wootters import wootters, wootters_composite
 from .ghw import (
     ghw,
     match_phase_points,
-    translation_operator,
     wootters_aligned_net,
 )
 from .cohendet import (
     cohendet,
-    cohendet_displacement,
     extended_distribution,
     fano_operator,
     from_extended,
 )
 from .leonhardt import leonhardt
-from .ruzzi import ruzzi_point, ruzzi_s0
+from .ruzzi import ruzzi_s0
 from .mub import (
     MubFamily,
     mub_bases,
@@ -29,7 +27,6 @@ from .mub import (
 from .hardy import hardy_projector, hardy_rep
 from .havel import (
     havel_rep,
-    pauli_matrix_entry,
     real_density_matrix,
     reconstruct_from_real,
 )
@@ -47,7 +44,6 @@ from .spherical import (
     direction_basis,
     fibonacci_sphere,
     kernel_weights,
-    nmr_kernels,
     nmr_sample_directions,
     qubit_kernel_lower,
     qubit_kernel_upper,
@@ -55,32 +51,26 @@ from .spherical import (
     sphere_quadrature,
     spin_operators,
     stratonovich_discrete,
-    stratonovich_kernel,
     tetrahedral_constellation,
 )
 
 __all__ = [
     "Representation",
     "striation_pvms",
-    "phase_point_operators",
     "wootters",
     "wootters_composite",
     "ghw",
     "match_phase_points",
-    "translation_operator",
     "wootters_aligned_net",
     "cohendet",
-    "cohendet_displacement",
     "extended_distribution",
     "fano_operator",
     "from_extended",
     "leonhardt",
-    "ruzzi_point",
     "ruzzi_s0",
     "hardy_projector",
     "hardy_rep",
     "havel_rep",
-    "pauli_matrix_entry",
     "real_density_matrix",
     "reconstruct_from_real",
     "overlap_deviation",
@@ -101,7 +91,6 @@ __all__ = [
     "direction_basis",
     "fibonacci_sphere",
     "kernel_weights",
-    "nmr_kernels",
     "nmr_sample_directions",
     "qubit_kernel_lower",
     "qubit_kernel_upper",
@@ -109,6 +98,5 @@ __all__ = [
     "sphere_quadrature",
     "spin_operators",
     "stratonovich_discrete",
-    "stratonovich_kernel",
     "tetrahedral_constellation",
 ]

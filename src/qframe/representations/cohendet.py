@@ -16,11 +16,6 @@ from ..operators import _random_states, displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
 
-def cohendet_displacement(d: int, m: int, n: int) -> np.ndarray:
-    """The displacement W_mn acting as phi_k -> w^{2n(k-m)} phi_{k-2m}."""
-    return fano_operator(d, m, n)[:, (-np.arange(d)) % d]  # W P P, as P^2 = I
-
-
 def fano_operator(d: int, q: int, p: int) -> np.ndarray:
     """Hermitian point operator W_qp P."""
     if d % 2 == 0:

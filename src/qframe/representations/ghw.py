@@ -32,7 +32,6 @@ from .base import Representation, check_stack_budget, phase_point_representation
 from .wootters import wootters
 
 __all__ = [
-    "translation_operator",
     "ghw",
     "wootters_aligned_net",
     "match_phase_points",
@@ -53,12 +52,6 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
     phase = omega(p) ** ((j * pc).sum(axis=-1) % p)
     return perm, phase
-
-
-def translation_operator(field: FiniteField, q, p) -> np.ndarray:
-    """Tensor-product shift/clock word X^{q_0} Z^{p_0} (x) ... for the point (q, p)."""
-    perm, phase = _monomials(field, [field.element(q).code], [field.element(p).code])
-    return monomial_stack(perm, phase)[0]
 
 
 def _joint_eigenbasis(ops: np.ndarray, p: int) -> np.ndarray:

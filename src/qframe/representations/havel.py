@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import DualFrame, Frame
-from ..operators import make_pauli_family, tensor
+from ..operators import make_pauli_family
 from .base import Representation
 
 MAX_QUBITS = 5
@@ -48,15 +48,6 @@ def _pauli_words(n_qubits: int) -> np.ndarray:
             words[:, None, :, None, :, None, :, None] * grid[None, :, None, :, None, :, None, :]
         ).reshape(d, d, d, d)
     return words.reshape(d * d, d, d)
-
-
-def pauli_matrix_entry(n_qubits: int, k: int, j: int) -> np.ndarray:
-    """P_kj as the tensor of grid entries over the bits of k and j, MSB first."""
-    grid = _qubit_grid()
-    out = np.array([[1.0 + 0j]])
-    for a in range(n_qubits - 1, -1, -1):
-        out = tensor(out, grid[(k >> a) & 1, (j >> a) & 1])
-    return out
 
 
 def havel_rep(n_qubits: int) -> Representation:

@@ -13,13 +13,6 @@ from ..operators import displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
 
-def ruzzi_point(d: int, q: int, p: int) -> np.ndarray:
-    """T(q,p) = (1/sqrt d) sum_{eta,xi} S(eta,xi) w^{-(eta q + xi p)}."""
-    if d % 2 == 0:
-        raise UnsupportedDimensionError("the symmetric operator basis needs odd d")
-    return displaced_parity(d, 2 * p, -2 * q)[0]
-
-
 def ruzzi_s0(d: int) -> Representation:
     """Self-dual (up to 1/d) lattice representation from the symmetric basis."""
     if d % 2 == 0:

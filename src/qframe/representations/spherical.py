@@ -164,11 +164,6 @@ class SphericalKernel:
         return SphericalKernel(self.s, tuple(1.0 / g for g in self.gammas))
 
 
-def stratonovich_kernel(s: float, gammas, point) -> np.ndarray:
-    """Kernel matrix at one sphere point for the given l-weights (signs give the self-dual case)."""
-    return SphericalKernel(s, tuple(gammas)).point(point)
-
-
 def sphere_quadrature(s: float) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the sphere, exact for the degree reached by kernel pair products.
 
@@ -235,22 +230,30 @@ def _dual_sum_residual(rep: Representation, seed: int) -> float:
     return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
 
 
+def _random_stratonovich(s: float, seed=None, gammas=None, max_draws: int = 50):
+    """``stratonovich_discrete`` on the first seeded draw of uniform sphere points it accepts.
+
+    A draw whose kernel Gram matrix is ill conditioned is redrawn.  Returns
+    (representation, draws) where draws counts the attempts consumed.
+    """
+    rng = np.random.default_rng(seed)
+    d = _two(s, "s") + 1
+    for draw in range(1, max_draws + 1):
+        raw = rng.normal(size=(d * d, 3))
+        try:
+            return stratonovich_discrete(s, raw / np.linalg.norm(raw, axis=1, keepdims=True), gammas), draw
+        except SingularBasisError:
+            continue
+    raise SingularBasisError(f"no well conditioned constellation in {max_draws} draws")
+
+
 def random_constellation(s: float, seed=None, gammas=None, max_draws: int = 50):
     """Uniform sphere points for a spin-s constellation; redraws on bad conditioning.
 
     Returns (points, draws) where draws counts the attempts consumed.
     """
-    rng = np.random.default_rng(seed)
-    ts = _two(s, "s")
-    d = ts + 1
-    kernel = SphericalKernel(s, tuple(gammas) if gammas is not None else (1.0,) * d)
-    for draw in range(1, max_draws + 1):
-        raw = rng.normal(size=(d * d, 3))
-        pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        ops = np.array([kernel.point(n) for n in pts])
-        if np.linalg.cond(_pairings(ops, ops)) <= GRAM_CONDITION_LIMIT:
-            return pts, draw
-    raise SingularBasisError(f"no well conditioned constellation in {max_draws} draws")
+    rep, draws = _random_stratonovich(s, seed, gammas, max_draws)
+    return rep.meta["constellation"], draws
 
 
 def _n_dot_sigma(n) -> np.ndarray:
@@ -293,14 +296,6 @@ class NmrKernels:
 
     def upper(self, directions) -> np.ndarray:
         return self._tensor(directions, qubit_kernel_upper)
-
-
-def nmr_kernels(n_qubits: int, sample_points=None):
-    """Kernel pair evaluator; with sample points, the list of (lower, upper) matrices."""
-    kit = NmrKernels(n_qubits)
-    if sample_points is None:
-        return kit
-    return [(kit.lower(tup), kit.upper(tup)) for tup in sample_points]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from ..geometry import composite_lattice, prime_lattice
 from ..operators import displaced_parity, make_pauli_family
 from .base import Representation, check_stack_budget, phase_point_representation
 
-__all__ = ["phase_point_operators", "wootters", "wootters_composite"]
+__all__ = ["wootters", "wootters_composite"]
 
 
 def _qubit_points() -> np.ndarray:
@@ -57,12 +57,6 @@ def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (n, da, _), (m, db, _) = a.shape, b.shape
     out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
     return out.reshape(n * m, da * db, da * db)
-
-
-def phase_point_operators(d: int) -> dict[tuple[int, int], np.ndarray]:
-    """The d^2 phase-point operators A(q,p) for prime d."""
-    ops = _prime_stack(d)
-    return dict(zip(prime_lattice(d).points, ops))
 
 
 def wootters(d: int) -> Representation:

@@ -258,10 +258,12 @@ def geometry_to_doc(geom: PhaseSpaceGeometry) -> dict:
     for key, val in geom.meta.items():
         if isinstance(val, (int, float, str, bool, list, tuple)):
             meta[key] = val
+    points = [label_to_doc(pt) for pt in geom.points]
+    n_s, n_c, n_k = geom.line_index.shape
     return {
         "kind": geom.kind,
-        "points": [label_to_doc(pt) for pt in geom.points],
-        "lines": [[label_to_doc(pt) for pt in line] for line in geom.lines],
+        "points": points,
+        "lines": [[points[i] for i in row] for row in geom.line_index.reshape(n_s * n_c, n_k).tolist()],
         "striations": [list(map(int, s)) for s in geom.striations],
         "meta": meta,
     }

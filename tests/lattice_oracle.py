@@ -1,9 +1,9 @@
 """Slow reference constructions of the displaced-parity lattice families and the Pauli words.
 
 Each function is the direct construction the index-arithmetic code
-replaces, one operator at a time: the parity matrix as a loop, the Weyl
-operator and the Schwinger basis as matrix powers of the shift and clock
-matrices, the Wootters operator as a phase-weighted
+replaces, one operator at a time: the parity matrix as a loop, the
+half-integer phase omega**(m/2), the Weyl operator and the Schwinger basis as
+matrix powers of the shift and clock matrices, the Wootters operator as a phase-weighted
 sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
 the parity matrix, the Leonhardt operators as matrix powers times parity,
 the Ruzzi operator as a Fourier sum over the Schwinger basis, composite
@@ -21,13 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from qframe.errors import UnsupportedDimensionError
 from qframe.operators import (
     clock_matrix,
-    half_exponent_phase,
     make_pauli_family,
     omega,
     shift_matrix,
-    tau,
     tensor,
 )
 
@@ -38,6 +37,27 @@ def parity_matrix(d: int) -> np.ndarray:
     for k in range(d):
         P[(-k) % d, k] = 1.0
     return P
+
+
+def tau(d: int) -> complex:
+    """Primitive 2d-th root of unity, used for half-integer phases at even d."""
+    return np.exp(1j * np.pi / d)
+
+
+def half_exponent_phase(d: int, m: int) -> complex:
+    """The phase ``omega**(m/2)``.
+
+    For odd d the exponent ``m/2`` is resolved with the multiplicative
+    inverse of 2 mod d, so the result is still a d-th root of unity.  For
+    even d no inverse exists and the phase is taken in the doubled group as
+    ``tau**m``.
+    """
+    if d < 1:
+        raise UnsupportedDimensionError(f"dimension must be positive, got {d}")
+    if d % 2 == 1:
+        inv2 = (d + 1) // 2
+        return omega(d) ** ((m * inv2) % d)
+    return tau(d) ** (m % (2 * d))
 
 
 def weyl_operator(p: int, q: int, d: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 One recursive call per value, dispatched on an ``isinstance`` chain, and
 one ``isinstance`` chain per CSV cell.  The library renders rows of plain
 floats and plain ints, and CSV lines, through cached templates and streams
-files; this is the text it must reproduce byte for byte.
+files; this is the text it must reproduce byte for byte.  ``geometry_to_doc``
+converts every point of every line from its label, where the library
+converts each point once and indexes it through the line table.
 """
 
 from __future__ import annotations
@@ -13,7 +15,23 @@ import json
 
 import numpy as np
 
+from qframe.serialize import label_to_doc
+
 FLOAT_FMT = "%.12e"
+
+
+def geometry_to_doc(geom) -> dict:
+    meta = {}
+    for key, val in geom.meta.items():
+        if isinstance(val, (int, float, str, bool, list, tuple)):
+            meta[key] = val
+    return {
+        "kind": geom.kind,
+        "points": [label_to_doc(pt) for pt in geom.points],
+        "lines": [[label_to_doc(pt) for pt in line] for line in geom.lines],
+        "striations": [list(map(int, s)) for s in geom.striations],
+        "meta": meta,
+    }
 
 
 def render_json(obj) -> str:

@@ -23,7 +23,7 @@ from qframe.operators import (
     random_pure_state,
     random_state,
     tensor,
-    weyl_operator,
+    weyl_monomials,
 )
 from qframe.representations import (
     Representation,
@@ -372,7 +372,7 @@ def test_corrections_complete_the_protocol():
     for a in range(d):
         for b in range(d):
             out = teleport_phase_space(d, rho, (a, b))
-            C = weyl_operator(a, b, d).T
+            C = weyl_monomials(d, a, b)[0].T
             acc += out.probability * (C @ out.state_out @ C.conj().T)
     assert np.allclose(acc, rho, atol=1e-10)
 

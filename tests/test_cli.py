@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qframe import cli, errors
 from qframe.cli import VERBS, build_representation, main, make_parser, parse_direct
 from qframe.errors import UnsupportedDimensionError
 from qframe.operators import maximally_mixed, random_state
@@ -159,6 +160,45 @@ def test_reconstruct_rejects_foreign_distribution(tmp_path, capsys):
     )
     assert code == 4
     assert "cohendet" in err
+
+
+# each error class the CLI maps, with the exit code the module docstring documents for it
+ERROR_CODES = [
+    (errors.ParseError, 3),
+    (errors.DimensionMismatchError, 4),
+    (errors.UnsupportedTransformError, 5),
+    (errors.UnsupportedDimensionError, 2),
+    (errors.FiducialSearchError, 1),
+    (errors.NotAFrameError, 1),
+    (errors.SingularBasisError, 1),
+    (errors.QframeError, 2),
+    (ValueError, 2),
+    (FileNotFoundError, 3),
+    (OSError, 3),
+]
+
+
+@pytest.mark.parametrize("error,code", ERROR_CODES, ids=[e.__name__ for e, _ in ERROR_CODES])
+def test_error_classes_exit_with_their_codes(monkeypatch, capsys, error, code):
+    def fail(name, args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "build_representation", fail)
+    assert run(capsys, "build", "wootters", "--d", "3") == (code, "", "error: boom\n")
+
+
+def test_error_table_covers_every_error_class():
+    classes = {obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes <= {error for error, _ in cli.ERROR_EXITS}
+
+
+def test_unhandled_errors_propagate(monkeypatch):
+    def fail(name, args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "build_representation", fail)
+    with pytest.raises(KeyError):
+        main(["build", "wootters", "--d", "3"])
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

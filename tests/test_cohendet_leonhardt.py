@@ -15,7 +15,6 @@ from qframe.operators import (
 )
 from qframe.representations import (
     cohendet,
-    cohendet_displacement,
     extended_distribution,
     fano_operator,
     from_extended,
@@ -25,13 +24,18 @@ from qframe.representations import (
 )
 
 
+def displacement(d: int, m: int, n: int) -> np.ndarray:
+    """W_mn = (W_mn P) P, as P^2 = I."""
+    return fano_operator(d, m, n) @ parity_matrix(d)
+
+
 @pytest.mark.parametrize("d", [3, 5, 9])
 def test_displacement_unitarity_and_identity(d):
-    assert np.allclose(cohendet_displacement(d, 0, 0), np.eye(d), atol=1e-12)
+    assert np.allclose(displacement(d, 0, 0), np.eye(d), atol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(4):
         m, n = rng.integers(d, size=2)
-        W = cohendet_displacement(d, int(m), int(n))
+        W = displacement(d, int(m), int(n))
         assert np.allclose(W @ W.conj().T, np.eye(d), atol=1e-12)
 
 
@@ -51,7 +55,7 @@ def test_fano_covariance():
     rng = np.random.default_rng(13)
     for _ in range(6):
         q, p, x, k = (int(v) for v in rng.integers(d, size=4))
-        W = cohendet_displacement(d, x, k)
+        W = displacement(d, x, k)
         lhs = W.conj().T @ fano_operator(d, q, p) @ W
         rhs = fano_operator(d, (q - 2 * x) % d, (p - 2 * k) % d)
         assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -1,6 +1,7 @@
 """Finite-field phase space: translation operators, quantum nets, point operators."""
 
 import importlib
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import FiniteField
 from qframe.frames import is_dual_pair
 from qframe.geometry import check_geometry_axioms
-from qframe.operators import maximally_mixed, random_state
+from qframe.operators import maximally_mixed, monomial_stack, random_state
 from qframe.representations import (
     ghw,
     match_phase_points,
     striation_pvms,
-    translation_operator,
     wootters,
     wootters_aligned_net,
 )
@@ -27,27 +27,31 @@ def _points(rep):
     return {lab: rep.dual.operators[i] for i, lab in enumerate(rep.labels)}
 
 
+def translation(F, q: int, p: int) -> np.ndarray:
+    """T(q, p) for the codes q and p: one row of ghw's monomial stack."""
+    return monomial_stack(*ghw_module._monomials(F, [q], [p]))[0]
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_translation_group_law(p, n):
     field = FiniteField(p, n)
-    elems = field.elements()
     rng = np.random.default_rng(11)
     d = field.order
     for _ in range(6):
-        qa, pa, qb, pb = (elems[rng.integers(d)] for _ in range(4))
-        Ta = translation_operator(field, qa, pa)
-        Tb = translation_operator(field, qb, pb)
-        Tc = translation_operator(field, qa + qb, pa + pb)
+        qa, pa, qb, pb = (int(rng.integers(d)) for _ in range(4))
+        Ta = translation(field, qa, pa)
+        Tb = translation(field, qb, pb)
+        Tc = translation(field, int(field.add(qa, qb)), int(field.add(pa, pb)))
         # T_a T_b = w^tr(p_a q_b) T_{a+b} with w the prime-th root
-        phase = np.exp(2j * np.pi * (pa * qb).trace() / p)
+        phase = np.exp(2j * np.pi * field.traces[field.mul(pa, qb)] / p)
         assert np.allclose(Ta @ Tb, phase * Tc, atol=1e-10)
 
 
 def test_translation_unitarity_gf4():
     field = FiniteField(2, 2)
-    for q in field.elements():
-        for r in field.elements():
-            T = translation_operator(field, q, r)
+    for q in range(field.order):
+        for r in range(field.order):
+            T = translation(field, q, r)
             assert np.allclose(T @ T.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -96,19 +100,15 @@ def test_striation_pvms_and_covariance(p, n):
             assert np.allclose(proj @ proj, proj, atol=1e-8)
     # translation covariance: Q(tau_a lambda) = T_a Q(lambda) T_a^dag
     projectors = pvms.reshape(-1, d, d)
-    elems = field.elements()
     rng = np.random.default_rng(29)
     line_lookup = {}
     for idx, pts in enumerate(geom.lines):
         line_lookup[frozenset(pts)] = idx
     for _ in range(10):
-        a = (elems[rng.integers(d)], elems[rng.integers(d)])
+        a = (int(rng.integers(d)), int(rng.integers(d)))
         idx = int(rng.integers(len(geom.lines)))
-        T = translation_operator(field, a[0], a[1])
-        shifted = frozenset(
-            ((field.element(q) + a[0]).to_int(), (field.element(r) + a[1]).to_int())
-            for q, r in geom.lines[idx]
-        )
+        T = translation(field, a[0], a[1])
+        shifted = frozenset((int(field.add(q, a[0])), int(field.add(r, a[1]))) for q, r in geom.lines[idx])
         target = projectors[line_lookup[shifted]]
         assert np.max(np.abs(T @ projectors[idx] @ T.conj().T - target)) < 1e-9
 
@@ -240,7 +240,7 @@ def test_translation_operators_match_dense_oracle(p, n):
     F, P = FiniteField(p, n), PolyField(p, n)
     for q in range(F.order):
         for r in range(F.order):
-            T = translation_operator(F, q, r)
+            T = translation(F, q, r)
             assert np.max(np.abs(T - dense_translation(P, q, r))) <= ORACLE_TOL
 
 
@@ -252,12 +252,14 @@ def test_larger_fields_build_dual_pairs(p, n):
     assert ok, residual
 
 
-def test_dual_basis_at_most_once_per_field(monkeypatch):
+def test_dual_coords_built_once_per_field(monkeypatch):
     calls = []
-    real = FiniteField.dual_basis
-    monkeypatch.setattr(FiniteField, "dual_basis", lambda self, *a: calls.append(self) or real(self, *a))
+    real = FiniteField.dual_coords.func
+    counted = cached_property(lambda self: calls.append(self) or real(self))
+    counted.__set_name__(FiniteField, "dual_coords")
+    monkeypatch.setattr(FiniteField, "dual_coords", counted)
     ghw(2, 4)
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 def test_oversized_request_refused_before_building(monkeypatch):

@@ -23,14 +23,13 @@ from qframe.operators import (
     maximally_mixed,
     random_effect,
     random_state,
-    weyl_operator,
+    weyl_monomials,
 )
 from qframe.representations import (
     hardy_projector,
     hardy_rep,
     havel_rep,
     overlap_deviation,
-    pauli_matrix_entry,
     real_density_matrix,
     reconstruct_from_real,
     sic_born,
@@ -116,21 +115,26 @@ def test_grid_round_trip(d):
 # Pauli-word table
 
 
+def word(n_qubits: int, k: int, j: int) -> np.ndarray:
+    """P_kj, row k * d + j of the Havel frame."""
+    return havel_rep(n_qubits).frame.operators[k * 2**n_qubits + j]
+
+
 def test_word_single_qubit_grid():
     fam = make_pauli_family(2)
-    assert np.allclose(pauli_matrix_entry(1, 0, 0), np.eye(2))
-    assert np.allclose(pauli_matrix_entry(1, 0, 1), fam.X)
-    assert np.allclose(pauli_matrix_entry(1, 1, 0), fam.Y)
-    assert np.allclose(pauli_matrix_entry(1, 1, 1), fam.Z)
+    assert np.allclose(word(1, 0, 0), np.eye(2))
+    assert np.allclose(word(1, 0, 1), fam.X)
+    assert np.allclose(word(1, 1, 0), fam.Y)
+    assert np.allclose(word(1, 1, 1), fam.Z)
 
 
 def test_word_tensor_bit_order():
     # leading bit of the index picks the leading tensor factor
     fam = make_pauli_family(2)
     left = np.kron(fam.X, np.eye(2))
-    assert np.allclose(pauli_matrix_entry(2, 0, 2), left)
+    assert np.allclose(word(2, 0, 2), left)
     right = np.kron(np.eye(2), fam.Z)
-    assert np.allclose(pauli_matrix_entry(2, 1, 1), right)
+    assert np.allclose(word(2, 1, 1), right)
 
 
 def test_table_of_plus_z_state():
@@ -208,7 +212,7 @@ def test_orbit_overlaps(d):
     phi = rep.meta["fiducial"]
     for p in range(d):
         for q in range(d):
-            vecs.append(weyl_operator(p, q, d) @ phi)
+            vecs.append(weyl_monomials(d, p, q)[0] @ phi)
     for a, va in enumerate(vecs):
         for b, vb in enumerate(vecs):
             ov = abs(np.vdot(va, vb)) ** 2

@@ -16,22 +16,21 @@ from hypothesis import strategies as st
 import lattice_oracle as oracle
 from qframe.errors import UnsupportedDimensionError
 from qframe.frames import DualFrame, Frame, canonical_dual, is_dual_pair
+from qframe.geometry import prime_lattice
 from qframe.operators import (
     clock_matrix,
     displaced_parity,
+    parity_matrix,
     random_state,
     shift_matrix,
 )
 from qframe.representations import (
     cohendet,
-    cohendet_displacement,
     fano_operator,
     havel_rep,
     leonhardt,
-    phase_point_operators,
     real_density_matrix,
     reconstruct_from_real,
-    ruzzi_point,
     ruzzi_s0,
     wootters,
     wootters_composite,
@@ -114,7 +113,7 @@ def test_composite_is_the_kron_of_dense_points(dims):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_point_helpers_match_dense_oracle(d):
-    for (q, p), A in phase_point_operators(d).items():
+    for (q, p), A in zip(prime_lattice(d).points, wootters(d).dual.operators):
         np.testing.assert_allclose(A, oracle.prime_point(d, q, p), rtol=0, atol=ORACLE_TOL)
     if d == 2:
         return
@@ -122,9 +121,10 @@ def test_point_helpers_match_dense_oracle(d):
         for p in range(d):
             np.testing.assert_allclose(fano_operator(d, q, p), oracle.fano_point(d, q, p),
                                        rtol=0, atol=ORACLE_TOL)
-            np.testing.assert_allclose(cohendet_displacement(d, q, p),
+            # the displacement W_qp is the Fano operator times the parity, as P^2 = I
+            np.testing.assert_allclose(fano_operator(d, q, p) @ parity_matrix(d),
                                        oracle.cohendet_displacement(d, q, p), rtol=0, atol=ORACLE_TOL)
-            np.testing.assert_allclose(ruzzi_point(d, q, p), oracle.ruzzi_point(d, q, p),
+            np.testing.assert_allclose(displaced_parity(d, 2 * p, -2 * q)[0], oracle.ruzzi_point(d, q, p),
                                        rtol=0, atol=ORACLE_TOL)
 
 
@@ -138,9 +138,8 @@ def test_kernel_stacks_are_exactly_hermitian(d):
 
 
 def test_point_helpers_refuse_even_d():
-    for helper in (fano_operator, cohendet_displacement, ruzzi_point):
-        with pytest.raises(UnsupportedDimensionError):
-            helper(4, 1, 1)
+    with pytest.raises(UnsupportedDimensionError):
+        fano_operator(4, 1, 1)
 
 
 @pytest.mark.parametrize("d", range(2, 9))

@@ -11,7 +11,6 @@ from qframe.operators import (
     clock_matrix,
     eigh_fixed,
     finite_fourier,
-    half_exponent_phase,
     is_density,
     is_effect,
     is_hermitian,
@@ -27,11 +26,10 @@ from qframe.operators import (
     random_pure_state,
     random_state,
     random_unitary,
-    schwinger_basis,
     shift_matrix,
     tensor,
     trace_inner,
-    weyl_operator,
+    weyl_monomials,
 )
 
 DIMS = [2, 3, 4, 5, 6, 7, 8]
@@ -41,14 +39,14 @@ DIMS = [2, 3, 4, 5, 6, 7, 8]
 def test_weyl_builders_match_the_matrix_powers(d):
     for p in range(-d, 2 * d):
         for q in range(-d, 2 * d):
-            np.testing.assert_allclose(weyl_operator(p, q, d), lattice_oracle.weyl_operator(p, q, d),
+            np.testing.assert_allclose(weyl_monomials(d, p, q)[0], lattice_oracle.weyl_operator(p, q, d),
                                        rtol=0, atol=1e-12)
     np.testing.assert_array_equal(parity_matrix(d), lattice_oracle.parity_matrix(d))
     if d % 2:
-        got, want = schwinger_basis(d), lattice_oracle.schwinger_basis(d)
-        assert list(got) == list(want)
-        for key, op in want.items():
-            np.testing.assert_allclose(got[key], op, rtol=0, atol=1e-12)
+        want = lattice_oracle.schwinger_basis(d)
+        eta, xi = np.array(list(want)).T
+        np.testing.assert_allclose(weyl_monomials(d, eta, xi) / np.sqrt(d), np.array(list(want.values())),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -91,31 +89,29 @@ def test_shift_direction():
 
 def test_half_exponent_phase_squares_to_omega():
     for d in DIMS:
-        ph = half_exponent_phase(d, 1)
+        ph = lattice_oracle.half_exponent_phase(d, 1)
         assert abs(ph**2 - omega(d)) < 1e-12
 
 
 def test_weyl_x_at_unit_displacement():
-    assert np.allclose(weyl_operator(1, 0, 3), shift_matrix(3), atol=1e-14)
+    assert np.allclose(weyl_monomials(3, 1, 0)[0], shift_matrix(3), atol=1e-14)
 
 
 def test_weyl_qubit_diagonal_is_hermitian_unitary():
     # tau * X Z at d=2 equals the conventional sigma_y.
-    U = weyl_operator(1, 1, 2)
+    U = weyl_monomials(2, 1, 1)[0]
     assert np.allclose(U, np.array([[0, -1j], [1j, 0]]), atol=1e-14)
     assert np.allclose(U @ U, np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_schwinger_orthonormal(d):
-    basis = schwinger_basis(d)
-    assert len(basis) == d * d
-    keys = sorted(basis)
-    G = np.array([[np.trace(basis[a].conj().T @ basis[b]) for b in keys] for a in keys])
-    assert np.max(np.abs(G - np.eye(d * d))) < 1e-10
     l = (d - 1) // 2
-    assert all(-l <= e <= l and -l <= x <= l for e, x in keys)
-    assert np.allclose(basis[(0, 0)], np.eye(d) / np.sqrt(d), atol=1e-12)
+    eta, xi = np.divmod(np.arange(d * d), d) - np.array(l)  # the symmetric range [-l, l], row-major
+    basis = weyl_monomials(d, eta, xi) / np.sqrt(d)
+    G = np.einsum("aji,bji->ab", basis.conj(), basis)
+    assert np.max(np.abs(G - np.eye(d * d))) < 1e-10
+    assert np.allclose(basis[(d * d) // 2], np.eye(d) / np.sqrt(d), atol=1e-12)  # S(0, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -1,0 +1,105 @@
+"""Every public function and class in ``src/`` has a reason to be public.
+
+A public name is used by another part of ``src/`` (which is how a CLI verb
+reaches it), by an identity in ``tests/test_acceptance.py``, or is one of
+the paper's objects named in ``PAPER_OBJECTS``.  A per-point or dict copy of
+a stack builder is none of these: it goes, or moves into ``tests/`` as an
+oracle.  Methods are not counted.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qframe"
+
+# the paper's objects and the library's helpers on them that are public without a caller in src/
+PAPER_OBJECTS = {
+    # frames and duals
+    "canonical_dual",
+    "reconstruct_effect",
+    # operator and state helpers
+    "basis_state",
+    "is_povm",
+    "partial_trace",
+    # phase-space geometry
+    "check_geometry_axioms",
+    "lines_through",
+    # lattice constructions and their equivalences
+    "extended_distribution",
+    "fano_operator",
+    "from_extended",
+    "match_phase_points",
+    "stabilizer_positivity_check",
+    # unbiased bases, SIC and Pauli-word tables
+    "mub_reconstruct",
+    "overlap_deviation",
+    "real_density_matrix",
+    "reconstruct_from_real",
+    "sic_born",
+    "sic_conditional",
+    "sic_fiducial",
+    # spin and NMR kernels
+    "NmrKernels",
+    "sphere_quadrature",
+    # documents
+    "frame_from_doc",
+    "frame_to_doc",
+}
+
+
+def _public_definitions(src: pathlib.Path = SRC) -> dict[str, str]:
+    """Top-level public function and class names under ``src``, each with its module's path."""
+    out = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[node.name] = str(path.relative_to(src))
+    return out
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names and attribute names a node reads; an import or ``__all__`` entry alone is not a use."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def _used_in_src(src: pathlib.Path = SRC) -> set[str]:
+    """Names some top-level statement under ``src`` reads, a definition's reads of its own name excluded."""
+    out = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            out |= _used_names(node) - {own}
+    return out
+
+
+def _used_in_acceptance() -> set[str]:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    return _used_names(tree) | imported
+
+
+def test_every_public_name_has_a_use():
+    used = _used_in_src() | _used_in_acceptance() | PAPER_OBJECTS
+    orphans = {name: path for name, path in _public_definitions().items() if name not in used}
+    assert not orphans, f"no caller in src/, no acceptance identity, not in PAPER_OBJECTS: {orphans}"
+
+
+def test_named_objects_are_defined():
+    assert PAPER_OBJECTS <= set(_public_definitions())
+
+
+def test_the_guard_sees_an_orphan(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .other import imported\n__all__ = ['orphan']\n\n\n"
+        "def used():\n    return 1\n\n\ndef orphan():\n    return orphan() + used()\n"
+    )
+    assert _public_definitions(tmp_path) == {"used": "mod.py", "orphan": "mod.py"}
+    used = _used_in_src(tmp_path)
+    assert "used" in used and "orphan" not in used and "imported" not in used

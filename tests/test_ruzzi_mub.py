@@ -19,7 +19,6 @@ from qframe.representations import (
     mub_table,
     mub_transition,
     mub_unitary,
-    ruzzi_point,
     ruzzi_s0,
     wootters,
 )
@@ -27,7 +26,8 @@ from qframe.representations import (
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_lattice_kernel_hermitian_orthogonal(d):
-    pts = {(q, p): ruzzi_point(d, q, p) for q in range(d) for p in range(d)}
+    rep = ruzzi_s0(d)
+    pts = dict(zip(rep.labels, rep.dual.operators))
     for a, Ta in pts.items():
         assert np.allclose(Ta, Ta.conj().T, atol=1e-10)
         assert abs(np.trace(Ta) - 1.0) < 1e-10
@@ -40,10 +40,9 @@ def test_lattice_kernel_matches_reflected_prime_points():
     # T(q,p) coincides with the prime-lattice point operator at (p, -q)
     d = 5
     ref = wootters(d)
-    A = {lab: ref.dual.operators[i] for i, lab in enumerate(ref.labels)}
-    for q in range(d):
-        for p in range(d):
-            assert np.max(np.abs(ruzzi_point(d, q, p) - A[(p, (-q) % d)])) < 1e-9
+    A = dict(zip(ref.labels, ref.dual.operators))
+    for (q, p), T in zip(ruzzi_s0(d).labels, ruzzi_s0(d).dual.operators):
+        assert np.max(np.abs(T - A[(p, (-q) % d)])) < 1e-9
 
 
 def test_lattice_representation():

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import serialize_oracle as oracle
 from qframe.cli import FAMILIES, build_representation, main, parse_direct
 from qframe.errors import DimensionMismatchError, ParseError, QframeError
+from qframe.finitefield import FiniteField
 from qframe.frames import DualFrame, Frame, QuasiDistribution
+from qframe.geometry import composite_lattice, field_lattice, prime_lattice
 from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
 from qframe.serialize import (
     distribution_from_doc,
@@ -208,6 +210,17 @@ def test_geometry_doc_shape():
     assert all(len(line) == 2 for line in doc["lines"])
     assert len(doc["striations"]) == 3
     assert render_json(doc) == render_json(doc)
+
+
+@pytest.mark.parametrize("geom", [
+    prime_lattice(13),
+    field_lattice(FiniteField(3, 2)),
+    composite_lattice([prime_lattice(3), prime_lattice(5)]),
+], ids=["prime-13", "field-9", "composite-3x5"])
+def test_geometry_doc_matches_the_per_line_form(geom):
+    doc, want = geometry_to_doc(geom), oracle.geometry_to_doc(geom)
+    assert doc == want
+    assert render_json(doc) == oracle.render_json(want)
 
 
 def test_table_to_csv_formats_cells():

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from qframe.cli import build_representation, parse_direct
 from qframe.errors import SingularBasisError, UnsupportedDimensionError
 from qframe.frames import frame_bounds, is_dual_pair
 from qframe.operators import random_state
 from qframe.representations import (
+    NmrKernels,
     SphericalKernel,
     clebsch_gordan,
     direction_basis,
     fibonacci_sphere,
     kernel_weights,
-    nmr_kernels,
     nmr_sample_directions,
     qubit_kernel_lower,
     qubit_kernel_upper,
@@ -22,7 +23,6 @@ from qframe.representations import (
     sphere_quadrature,
     spin_operators,
     stratonovich_discrete,
-    stratonovich_kernel,
     tetrahedral_constellation,
 )
 
@@ -107,7 +107,7 @@ def test_spin_half_sign_kernel_is_bloch_form():
     for _ in range(5):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        got = stratonovich_kernel(0.5, (1, 1), n)
+        got = SphericalKernel(0.5, (1, 1)).point(n)
         want = 0.5 * (np.eye(2) + SQ3 * (n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]))
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -239,6 +239,22 @@ def test_most_random_constellations_succeed_first_draw():
     assert wins >= 95
 
 
+@pytest.mark.parametrize("s,seed,draws", [(2, 1, 1), (3, 0, 2)])
+def test_kernels_built_once_per_draw(monkeypatch, s, seed, draws):
+    calls = []
+    point = SphericalKernel.point
+    monkeypatch.setattr(SphericalKernel, "point", lambda self, n: calls.append(n) or point(self, n))
+    d = int(2 * s + 1)
+    assert random_constellation(s, seed=seed)[1] == draws
+    assert len(calls) == d * d * draws
+    calls.clear()
+    # the CLI keeps the representation of the accepted draw instead of building it again
+    args = parse_direct(["build", "stratonovich", "--s", str(s), "--seed", str(seed)])
+    rep = build_representation("stratonovich", args)
+    assert len(calls) == d * d * draws
+    np.testing.assert_array_equal(rep.meta["constellation"], calls[-d * d:])
+
+
 def test_constellation_shape_and_units_checked():
     with pytest.raises(ValueError):
         stratonovich_discrete(0.5, np.ones((3, 3)))
@@ -269,7 +285,7 @@ def test_qubit_pair_duality_by_quadrature():
 
 
 def test_nmr_tensor_pair():
-    kit = nmr_kernels(2)
+    kit = NmrKernels(2)
     dirs = [(0, 0, 1), (0, 0, 1)]
     low = kit.lower(dirs)
     up = kit.upper(dirs)
@@ -280,14 +296,14 @@ def test_nmr_tensor_pair():
 
 
 def test_nmr_kernels_with_sample_points():
-    pairs = nmr_kernels(1, [[(0, 0, 1)], [(1, 0, 0)]])
-    assert len(pairs) == 2
-    assert np.allclose(pairs[0][0], np.diag([1.0, 0.0]), atol=1e-12)
+    kit = NmrKernels(1)
+    assert np.allclose(kit.lower([(0, 0, 1)]), np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(kit.lower([(1, 0, 0)]), 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 def test_nmr_input_validation():
     with pytest.raises(UnsupportedDimensionError):
-        nmr_kernels(4)
+        NmrKernels(4)
     with pytest.raises(ValueError):
         qubit_kernel_lower([0, 0, 2])
 
