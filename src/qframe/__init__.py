@@ -24,8 +24,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .frames import (
-    DualFrame,
-    EffectFunction,
     Frame,
     NegativityReport,
     QuasiDistribution,
@@ -63,9 +61,7 @@ __all__ = [
     "FiducialSearchError",
     "ParseError",
     "Frame",
-    "DualFrame",
     "QuasiDistribution",
-    "EffectFunction",
     "NegativityReport",
     "Representation",
     "born_pair",

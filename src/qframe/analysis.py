@@ -17,6 +17,7 @@ from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
 from .frames import QuasiDistribution
 from .operators import (
+    SIGMA,
     bloch_state,
     is_density,
     partial_transpose,
@@ -88,22 +89,14 @@ def _lattice(dims: tuple[int, ...]) -> Representation:
     return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
 
 
-def _check_two_qubit_lattice(name: str, dim: int, labels: tuple) -> None:
-    ok = (
-        name == "wootters"
-        and dim == 4
-        and len(labels) == 16
-        and all(
-            isinstance(lab, tuple)
-            and len(lab) == 2
-            and all(
-                isinstance(f, tuple) and len(f) == 2 and set(f) <= {0, 1}
-                for f in lab
-            )
-            for lab in labels
-        )
-    )
-    if not ok:
+def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
+    """Refuse a distribution that is not over the 16 points of the two-qubit Wootters lattice."""
+    if not (
+        mu.representation == "wootters"
+        and mu.dim == 4
+        and len(mu.labels) == 16
+        and set(mu.labels) == set(_lattice((2, 2)).labels)
+    ):
         raise DimensionMismatchError(
             "expected a distribution from the two-qubit product lattice"
         )
@@ -123,7 +116,7 @@ def franco_penna(mu: QuasiDistribution) -> EntanglementVerdict:
     Separable states never dip below (1 - sqrt 3)/8, so a strictly smaller
     minimum certifies entanglement; anything else is inconclusive.
     """
-    _check_two_qubit_lattice(mu.representation, mu.dim, mu.labels)
+    _check_two_qubit_lattice(mu)
     mn = float(mu.values.min())
     return EntanglementVerdict(
         min_value=mn,
@@ -176,7 +169,6 @@ def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
     rep = _lattice((2, 2))
-    _check_two_qubit_lattice(rep.name, rep.dim, rep.labels)
     values = rep.frame.analyze(rhos, "state")
     # transpose the second qubit: swap its row and column axes
     pt = rhos.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
@@ -397,15 +389,13 @@ def bell_wigner_demo(a: float, b: float, c: float) -> dict:
     Correlation C(s, t) is computed by the Born rule from the +-1 outcome
     probabilities; the inequality compares |C(a,b) - C(a,c)| to 1 + C(b,c).
     """
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0 / np.sqrt(2.0)
     v[2] = -1.0 / np.sqrt(2.0)
     singlet = np.outer(v, v.conj())
 
     def projectors(theta):
-        op = np.cos(theta) * sz + np.sin(theta) * sx
+        op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
         eye = np.eye(2)
         return {+1: (eye + op) / 2, -1: (eye - op) / 2}
 

@@ -31,9 +31,7 @@ from .operators import EQ_TOL, tol_for
 
 __all__ = [
     "Frame",
-    "DualFrame",
     "QuasiDistribution",
-    "EffectFunction",
     "NegativityReport",
     "frame_operator_matrix",
     "frame_bounds",
@@ -111,10 +109,12 @@ def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _OperatorFamily:
+class Frame:
     """Labeled family of Hermitian operators on C^d.
 
-    The family takes the operator stack over read-only (a C-contiguous
+    A representation's analysis family {F(lam)} and its dual {D(lam)} are
+    both frames: the dual of a frame spans the operator space too.  The
+    family takes the operator stack over read-only (a C-contiguous
     complex array passed in is frozen in place, anything else is converted
     first), so the facts it caches about the stack cannot go stale.  One of
     them is ``skew``, the largest entry of ``F - F^dag``.
@@ -213,17 +213,9 @@ class _OperatorFamily:
         return len(self) == self.dim**2
 
 
-class Frame(_OperatorFamily):
-    """Analysis family: states are represented by ``Tr[rho F(lam)]``."""
-
-
-class DualFrame(_OperatorFamily):
-    """Synthesis family: operators are rebuilt as ``sum Tr[F A] D``."""
-
-
 @dataclass(frozen=True)
 class QuasiDistribution:
-    """Real-valued phase-space function representing a state."""
+    """Real-valued phase-space function: a state's ``Tr[rho F(lam)]`` or an effect's ``Tr[E D(lam)]``."""
 
     representation: str
     dim: int
@@ -245,10 +237,6 @@ class QuasiDistribution:
 
     def min(self) -> float:
         return float(self.values.min())
-
-
-class EffectFunction(QuasiDistribution):
-    """Real-valued phase-space function representing an effect."""
 
 
 @dataclass(frozen=True)
@@ -281,7 +269,7 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
     return _bounds(np.linalg.eigvalsh(frame_operator_matrix(frame)))
 
 
-def canonical_dual(frame: Frame) -> DualFrame:
+def canonical_dual(frame: Frame) -> Frame:
     """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator.
 
     One ``eigh`` of S gives both the bounds check and the pseudo-inverse,
@@ -293,10 +281,10 @@ def canonical_dual(frame: Frame) -> DualFrame:
     keep = vals > PINV_RCOND * vals[-1]
     W = vecs[:, keep]
     ops = _from_coordinates(V @ ((W / vals[keep]) @ W.T), frame.dim)
-    return DualFrame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
+    return Frame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 
-def gram_dual(frame: Frame, gram: np.ndarray | None = None) -> DualFrame:
+def gram_dual(frame: Frame, gram: np.ndarray | None = None) -> Frame:
     """Dual of a minimal frame through the inverse Gram matrix.
 
     ``gram`` is the frame's Gram matrix ``Tr[F(lam) F(lam')]`` when the
@@ -312,10 +300,10 @@ def gram_dual(frame: Frame, gram: np.ndarray | None = None) -> DualFrame:
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")
     dual_ops = frame.synthesize(np.linalg.inv(G).T)
-    return DualFrame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
+    return Frame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
 
 
-def is_dual_pair(frame: Frame, dual: DualFrame, tol: float | None = None) -> tuple[bool, float]:
+def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[bool, float]:
     """Check ``A = sum Tr[F A] D`` on the whole operator space.
 
     Returns the verdict and the worst entry-wise residual of the
@@ -342,10 +330,10 @@ def represent_state(rho: np.ndarray, frame: Frame, name: str | None = None) -> Q
     )
 
 
-def represent_effect(E: np.ndarray, dual: DualFrame, name: str | None = None) -> EffectFunction:
+def represent_effect(E: np.ndarray, dual: Frame, name: str | None = None) -> QuasiDistribution:
     """Effect values ``Tr[E D(lam)]`` against the dual family."""
     values = dual.analyze(E, "effect")
-    return EffectFunction(
+    return QuasiDistribution(
         representation=name if name is not None else dual.name,
         dim=dual.dim,
         labels=dual.labels,
@@ -354,28 +342,28 @@ def represent_effect(E: np.ndarray, dual: DualFrame, name: str | None = None) ->
     )
 
 
-def reconstruct_state(dist: QuasiDistribution, dual: DualFrame) -> np.ndarray:
+def reconstruct_state(dist: QuasiDistribution, dual: Frame) -> np.ndarray:
     """Rebuild the operator ``sum mu(lam) D(lam)``."""
     if dist.labels != dual.labels:
         raise DimensionMismatchError("distribution labels do not match the dual family")
     return dual.synthesize(dist.values)
 
 
-def reconstruct_effect(fn: EffectFunction, frame: Frame) -> np.ndarray:
+def reconstruct_effect(fn: QuasiDistribution, frame: Frame) -> np.ndarray:
     """Rebuild the effect ``sum xi(lam) F(lam)``."""
     if fn.labels != frame.labels:
         raise DimensionMismatchError("effect labels do not match the frame")
     return frame.synthesize(fn.values)
 
 
-def born_pair(mu: QuasiDistribution, xi: EffectFunction) -> float:
+def born_pair(mu: QuasiDistribution, xi: QuasiDistribution) -> float:
     """Outcome probability ``sum_lam mu(lam) xi(lam)``."""
     if mu.labels != xi.labels or mu.dim != xi.dim:
         raise DimensionMismatchError("state and effect functions live on different outcome sets")
     return float(mu.values @ xi.values)
 
 
-def deformed_born(mu: QuasiDistribution, xi: EffectFunction, dual: DualFrame) -> float:
+def deformed_born(mu: QuasiDistribution, xi: QuasiDistribution, dual: Frame) -> float:
     """Probability when both state and effect use the frame side.
 
     With ``mu = Tr[rho F]`` and ``xi = Tr[E F]`` the pairing needs the dual
@@ -387,7 +375,7 @@ def deformed_born(mu: QuasiDistribution, xi: EffectFunction, dual: DualFrame) ->
     return float(mu.values @ K @ xi.values)
 
 
-def transform_matrix(source_dual: DualFrame, target_frame: Frame) -> np.ndarray:
+def transform_matrix(source_dual: Frame, target_frame: Frame) -> np.ndarray:
     """Matrix ``T[lam', lam] = Tr[D'(lam') F(lam)]`` mapping representations.
 
     Applied as ``mu_target(lam) = sum_lam' T[lam', lam] mu_source(lam')``.
@@ -410,7 +398,7 @@ def apply_transform(dist: QuasiDistribution, T: np.ndarray, target_frame: Frame)
     )
 
 
-def negativity(dist: QuasiDistribution | EffectFunction) -> NegativityReport:
+def negativity(dist: QuasiDistribution) -> NegativityReport:
     """Minimum value, absolute sum and total negative weight."""
     vals = np.asarray(dist.values, dtype=float)
     return NegativityReport(

@@ -9,7 +9,8 @@ Conventions
 * ``omega = exp(2j*pi/d)`` and the clock operator is ``Z = diag(omega**k)``.
 * The shift operator acts as ``X |k> = |k+1 mod d>``.
 * ``Y`` is defined through the commutator ``[X, Z] = 2i Y``; for d = 2 this
-  gives ``[[0, i], [-i, 0]]``, the negative of the common sigma_y convention.
+  gives ``-SIGMA[1]``, the negative of the common sigma_y convention.  The
+  exact qubit Pauli matrices ``SIGMA`` are the ones every qubit construction uses.
 * The parity operator acts as ``P |k> = |-k mod d>``.
 * Half-integer powers ``omega**(m/2)`` mean ``omega**(m * inv2)`` with
   ``inv2 = (d+1)//2`` when d is odd, and ``tau**m`` with the primitive 2d-th
@@ -18,26 +19,21 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.random
 
-from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .errors import DimensionMismatchError
 
 __all__ = [
     "EQ_TOL",
     "tol_for",
     "omega",
-    "shift_matrix",
-    "clock_matrix",
+    "SIGMA",
     "parity_matrix",
     "tau_powers",
     "monomial_stack",
     "displaced_parity",
     "weyl_monomials",
-    "PauliFamily",
-    "make_pauli_family",
     "finite_fourier",
     "tensor",
     "partial_trace",
@@ -74,14 +70,12 @@ def omega(d: int) -> complex:
     return np.exp(2j * np.pi / d)
 
 
-def shift_matrix(d: int) -> np.ndarray:
-    """Cyclic shift X with ``X |k> = |k+1 mod d>``."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
-def clock_matrix(d: int) -> np.ndarray:
-    """Clock operator Z with spectrum ``{omega**k}``."""
-    return np.diag(omega(d) ** np.arange(d))
+# sigma_x, sigma_y, sigma_z
+SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
 
 
 def parity_matrix(d: int) -> np.ndarray:
@@ -138,31 +132,6 @@ def weyl_monomials(d: int, p, q) -> np.ndarray:
     c = np.arange(d)
     half = p * q * (d + 1 if d % 2 else 1)
     return monomial_stack((c + p) % d, tau_powers(d, half + 2 * q * c))
-
-
-@dataclass(frozen=True)
-class PauliFamily:
-    """The generalized Pauli operators on C^d."""
-
-    dim: int
-    X: np.ndarray
-    Z: np.ndarray
-    Y: np.ndarray
-    parity: np.ndarray
-
-    @property
-    def omega(self) -> complex:
-        return omega(self.dim)
-
-
-def make_pauli_family(d: int) -> PauliFamily:
-    """Build X, Z, the commutator-defined Y and the parity operator."""
-    if d < 2:
-        raise UnsupportedDimensionError(f"need dimension >= 2, got {d}")
-    X = shift_matrix(d)
-    Z = clock_matrix(d)
-    Y = (X @ Z - Z @ X) / 2j
-    return PauliFamily(dim=d, X=X, Z=Z, Y=Y, parity=parity_matrix(d))
 
 
 def finite_fourier(d: int) -> np.ndarray:
@@ -310,14 +279,10 @@ def maximally_mixed(d: int) -> np.ndarray:
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     """Qubit state with the given Bloch vector.
 
-    Uses the common sigma conventions (sigma_y = [[0,-i],[i,0]]), not the
-    commutator-defined Y of this module, so published Bloch coordinates can
-    be pasted in directly.
+    Uses ``SIGMA`` (sigma_y = [[0,-i],[i,0]]), not the commutator-defined Y
+    of this module, so published Bloch coordinates can be pasted in directly.
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return 0.5 * (np.eye(2, dtype=complex) + x * sx + y * sy + z * sz)
+    return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA[0] + y * SIGMA[1] + z * SIGMA[2])
 
 
 def qubit_stabilizer_states() -> list[np.ndarray]:

@@ -8,8 +8,6 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import (
-    DualFrame,
-    EffectFunction,
     Frame,
     QuasiDistribution,
     reconstruct_state,
@@ -56,7 +54,7 @@ class Representation:
     name: str
     dim: int
     frame: Frame
-    dual: DualFrame
+    dual: Frame
     geometry: PhaseSpaceGeometry | None = None
     meta: dict = field(default_factory=dict)
     # the factory's own identities, each (name, tolerance, residual(rep, seed) -> float)
@@ -74,7 +72,7 @@ class Representation:
     def represent(self, rho: np.ndarray) -> QuasiDistribution:
         return represent_state(rho, self.frame, name=self.name)
 
-    def effect(self, E: np.ndarray) -> EffectFunction:
+    def effect(self, E: np.ndarray) -> QuasiDistribution:
         return represent_effect(E, self.dual, name=self.name)
 
     def reconstruct(self, dist: QuasiDistribution) -> np.ndarray:
@@ -86,7 +84,7 @@ def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndar
     """The lattice families' pair over the points of ``geom``: frame {A/d}, dual {A}."""
     d = ops.shape[1]
     frame = Frame(dim=d, labels=geom.points, operators=ops / d, name=name)
-    dual = DualFrame(dim=d, labels=geom.points, operators=ops, name=name)
+    dual = Frame(dim=d, labels=geom.points, operators=ops, name=name)
     return Representation(name=name, dim=d, frame=frame, dual=dual, geometry=geom, meta=meta)
 
 

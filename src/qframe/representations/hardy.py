@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import DualFrame, Frame, gram_dual
+from ..frames import Frame, gram_dual
 from .base import Representation, check_stack_budget
 
 

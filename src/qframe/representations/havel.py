@@ -13,17 +13,16 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
-from ..frames import DualFrame, Frame
-from ..operators import make_pauli_family
+from ..frames import Frame
+from ..operators import SIGMA
 from .base import Representation
 
 MAX_QUBITS = 5
 
 
 def _qubit_grid() -> np.ndarray:
-    """The 2x2 grid of 2x2 matrices ``[[I, X], [Y, Z]]`` as one (2, 2, 2, 2) array."""
-    fam = make_pauli_family(2)
-    return np.array([[np.eye(2, dtype=complex), fam.X], [fam.Y, fam.Z]])
+    """The 2x2 grid of 2x2 matrices ``[[I, X], [Y, Z]]``, Y = -sigma_y, as one (2, 2, 2, 2) array."""
+    return np.array([[np.eye(2, dtype=complex), SIGMA[0]], [-SIGMA[1], SIGMA[2]]])
 
 
 def _log2_exact(d: int) -> int:
@@ -60,7 +59,7 @@ def havel_rep(n_qubits: int) -> Representation:
     labels = tuple((k, j) for k in range(d) for j in range(d))
     ops = _pauli_words(n_qubits)
     frame = Frame(dim=d, labels=labels, operators=ops, name="havel")
-    dual = DualFrame(dim=d, labels=labels, operators=ops / d, name="havel")
+    dual = Frame(dim=d, labels=labels, operators=ops / d, name="havel")
     return Representation(
         name="havel",
         dim=d,

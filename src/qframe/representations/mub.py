@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import DualFrame, Frame, QuasiDistribution, _OperatorFamily
+from ..frames import Frame, QuasiDistribution
 from ..operators import finite_fourier, omega
 from .base import Representation, check_stack_budget
 
@@ -60,7 +60,7 @@ class MubFamily:
         self.bases = mub_bases(d)
         # projector (n, k) is the outer product of column k of basis n
         columns = self.bases.transpose(0, 2, 1).reshape(-1, d)
-        self.outcomes = _OperatorFamily(
+        self.outcomes = Frame(
             dim=d,
             labels=[(n, k) for n in range(d + 1) for k in range(d)],
             operators=columns[:, :, None] * columns[:, None, :].conj(),
@@ -81,7 +81,7 @@ class MubFamily:
         frame = Frame(
             dim=d, labels=self.labels, operators=self.projectors / (d + 1), name="mub"
         )
-        dual = DualFrame(
+        dual = Frame(
             dim=d, labels=self.labels, operators=(d + 1) * self.projectors - np.eye(d), name="mub"
         )
         return Representation(

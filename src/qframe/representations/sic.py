@@ -16,7 +16,7 @@ from ..errors import (
     FiducialSearchError,
     UnsupportedDimensionError,
 )
-from ..frames import DualFrame, Frame, QuasiDistribution
+from ..frames import Frame, QuasiDistribution
 from ..operators import weyl_monomials
 from .base import Representation, check_stack_budget
 
@@ -197,7 +197,7 @@ def sic_rep(
     vecs = np.vstack([phi, stack @ phi])  # U_00 = I, then the orbit in label order
     ops = vecs[:, :, None] * vecs[:, None, :].conj() / d
     frame = Frame(dim=d, labels=labels, operators=ops, name="sic")
-    dual = DualFrame(
+    dual = Frame(
         dim=d,
         labels=labels,
         operators=d * (d + 1) * ops - np.eye(d),

@@ -10,18 +10,12 @@ import numpy.polynomial
 import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
-from ..frames import DualFrame, Frame, _pairings, gram_dual
+from ..frames import Frame, _pairings, gram_dual
+from ..operators import SIGMA
 from .base import Representation
 
 GRAM_CONDITION_LIMIT = 1e8
 MAX_SPIN = 4.0
-
-# standard Pauli matrices; sigma_y differs in sign from the shift/clock Y
-SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 def _two(x: float, name: str) -> int:

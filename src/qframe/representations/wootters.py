@@ -27,17 +27,17 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
 from ..geometry import composite_lattice, prime_lattice
-from ..operators import displaced_parity, make_pauli_family
+from ..operators import SIGMA, displaced_parity
 from .base import Representation, check_stack_budget, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
 
 
 def _qubit_points() -> np.ndarray:
-    fam = make_pauli_family(2)
+    X, Y, Z = SIGMA[0], -SIGMA[1], SIGMA[2]  # Y in the commutator convention
     eye = np.eye(2, dtype=complex)
     return np.array([
-        0.5 * (eye + (-1) ** q * fam.Z + (-1) ** p * fam.X + (-1) ** (q + p) * fam.Y)
+        0.5 * (eye + (-1) ** q * Z + (-1) ** p * X + (-1) ** (q + p) * Y)
         for q in range(2) for p in range(2)
     ])
 

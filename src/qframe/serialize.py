@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .frames import DualFrame, Frame, QuasiDistribution
+from .frames import Frame, QuasiDistribution
 from .geometry import PhaseSpaceGeometry
 
 FLOAT_FMT = "%.12e"
@@ -189,25 +189,17 @@ def flatten_label(label) -> list:
 # operator families
 
 
-def _frame_doc(family, operators) -> dict:
-    return {
+def write_frame(family, path) -> None:
+    """Write the frame document {dim, name, labels, operators}, holding one operator's document at a time."""
+    write_json({
         "dim": int(family.dim),
         "name": family.name,
         "labels": [label_to_doc(lab) for lab in family.labels],
-        "operators": operators,
-    }
+        "operators": map(matrix_to_doc, family.operators),
+    }, path)
 
 
-def frame_to_doc(family) -> dict:
-    return _frame_doc(family, [matrix_to_doc(op) for op in family.operators])
-
-
-def write_frame(family, path) -> None:
-    """``write_json(frame_to_doc(family), path)``, holding one operator's document at a time."""
-    write_json(_frame_doc(family, map(matrix_to_doc, family.operators)), path)
-
-
-def frame_from_doc(doc, dual: bool = False):
+def frame_from_doc(doc) -> Frame:
     try:
         dim = int(doc["dim"])
         labels = [label_from_doc(x) for x in doc["labels"]]
@@ -215,8 +207,7 @@ def frame_from_doc(doc, dual: bool = False):
         name = str(doc.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad frame document: {exc}") from exc
-    cls = DualFrame if dual else Frame
-    return cls(dim=dim, labels=tuple(labels), operators=ops, name=name)
+    return Frame(dim=dim, labels=tuple(labels), operators=ops, name=name)
 
 
 # distributions

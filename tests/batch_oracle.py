@@ -20,6 +20,7 @@ import numpy as np
 from qframe.analysis import franco_penna, ppt_separability_two_qubit
 from qframe.frames import born_pair
 from qframe.operators import (
+    SIGMA,
     bloch_state,
     frobenius,
     partial_trace,
@@ -28,7 +29,7 @@ from qframe.operators import (
     trace_inner,
 )
 from qframe.representations import striation_pvms, wootters, wootters_composite
-from qframe.representations.spherical import SIGMA, _check_unit_rows
+from qframe.representations.spherical import _check_unit_rows
 
 from lattice_oracle import weyl_operator
 

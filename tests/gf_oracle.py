@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from qframe.finitefield import _poly_mod, _poly_mul, default_modulus
-from qframe.operators import clock_matrix, eigh_fixed, shift_matrix, tensor
+from qframe.operators import eigh_fixed, tensor
+
+from lattice_oracle import clock_matrix, shift_matrix
 
 
 class PolyField:

@@ -1,7 +1,8 @@
 """Slow reference constructions of the displaced-parity lattice families and the Pauli words.
 
 Each function is the direct construction the index-arithmetic code
-replaces, one operator at a time: the parity matrix as a loop, the
+replaces, one operator at a time: the shift and clock matrices as a roll and
+a diagonal, the parity matrix as a loop, the
 half-integer phase omega**(m/2), the Weyl operator and the Schwinger basis as
 matrix powers of the shift and clock matrices, the Wootters operator as a phase-weighted
 sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
@@ -22,13 +23,25 @@ from functools import lru_cache
 import numpy as np
 
 from qframe.errors import UnsupportedDimensionError
-from qframe.operators import (
-    clock_matrix,
-    make_pauli_family,
-    omega,
-    shift_matrix,
-    tensor,
+from qframe.operators import omega, tensor
+
+# the qubit I, X, Y, Z written out, Y = [X, Z]/2i in the shift/clock convention
+QUBIT_PAULIS = (
+    np.array([[1, 0], [0, 1]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, 1j], [-1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def shift_matrix(d: int) -> np.ndarray:
+    """Cyclic shift X with ``X |k> = |k+1 mod d>``."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def clock_matrix(d: int) -> np.ndarray:
+    """Clock operator Z with spectrum ``{omega**k}``."""
+    return np.diag(omega(d) ** np.arange(d))
 
 
 def parity_matrix(d: int) -> np.ndarray:
@@ -84,9 +97,8 @@ def schwinger_basis(d: int) -> dict[tuple[int, int], np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _words(d: int) -> dict[tuple[int, int], np.ndarray]:
-    fam = make_pauli_family(d)
-    xs = [np.linalg.matrix_power(fam.X, j) for j in range(d)]
-    zs = [np.linalg.matrix_power(fam.Z, m) for m in range(d)]
+    xs = [np.linalg.matrix_power(shift_matrix(d), j) for j in range(d)]
+    zs = [np.linalg.matrix_power(clock_matrix(d), m) for m in range(d)]
     return {(j, m): xs[j] @ zs[m] for j in range(d) for m in range(d)}
 
 
@@ -103,9 +115,8 @@ def wootters_point(d: int, q: int, p: int) -> np.ndarray:
 
 
 def qubit_point(q: int, p: int) -> np.ndarray:
-    fam = make_pauli_family(2)
-    eye = np.eye(2, dtype=complex)
-    return 0.5 * (eye + (-1) ** q * fam.Z + (-1) ** p * fam.X + (-1) ** (q + p) * fam.Y)
+    eye, X, Y, Z = QUBIT_PAULIS
+    return 0.5 * (eye + (-1) ** q * Z + (-1) ** p * X + (-1) ** (q + p) * Y)
 
 
 def prime_point(d: int, q: int, p: int) -> np.ndarray:
@@ -176,8 +187,8 @@ def orbit_stack(d: int) -> np.ndarray:
 
 
 def pauli_word(n_qubits: int, k: int, j: int) -> np.ndarray:
-    fam = make_pauli_family(2)
-    grid = [[np.eye(2, dtype=complex), fam.X], [fam.Y, fam.Z]]
+    eye, X, Y, Z = QUBIT_PAULIS
+    grid = [[eye, X], [Y, Z]]
     out = np.array([[1.0 + 0j]])
     for a in range(n_qubits - 1, -1, -1):
         out = tensor(out, grid[(k >> a) & 1][(j >> a) & 1])

@@ -3,7 +3,8 @@
 One recursive call per value, dispatched on an ``isinstance`` chain, and
 one ``isinstance`` chain per CSV cell.  The library renders rows of plain
 floats and plain ints, and CSV lines, through cached templates and streams
-files; this is the text it must reproduce byte for byte.  ``geometry_to_doc``
+files; this is the text it must reproduce byte for byte.  ``frame_to_doc`` is
+the whole frame document ``write_frame`` streams, built in memory.  ``geometry_to_doc``
 converts every point of every line from its label, where the library
 converts each point once and indexes it through the line table.
 """
@@ -15,9 +16,18 @@ import json
 
 import numpy as np
 
-from qframe.serialize import label_to_doc
+from qframe.serialize import label_to_doc, matrix_to_doc
 
 FLOAT_FMT = "%.12e"
+
+
+def frame_to_doc(family) -> dict:
+    return {
+        "dim": int(family.dim),
+        "name": family.name,
+        "labels": [label_to_doc(lab) for lab in family.labels],
+        "operators": [matrix_to_doc(op) for op in family.operators],
+    }
 
 
 def geometry_to_doc(geom) -> dict:

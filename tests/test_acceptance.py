@@ -19,7 +19,7 @@ from qframe.analysis import (
 )
 from qframe.cli import FAMILIES
 from qframe.cli import main as cli_main
-from qframe.frames import EffectFunction, born_pair, deformed_born, is_dual_pair
+from qframe.frames import QuasiDistribution, born_pair, deformed_born, is_dual_pair
 from qframe.operators import (
     bloch_state,
     random_effect,
@@ -174,7 +174,7 @@ def test_c05_born_rule_and_deformed_pairing(reps):
             rho = random_state(d, seed=3 * k)
             E = random_effect(d, seed=3 * k + 1)
             mu = rep.represent(rho)
-            xi = EffectFunction(
+            xi = QuasiDistribution(
                 representation=rep.name,
                 dim=d,
                 labels=rep.frame.labels,

@@ -1,5 +1,7 @@
 """Entanglement, classicality, teleportation, and inequality diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,18 @@ def test_rejects_single_qudit_distribution():
     mu = wootters(3).represent(maximally_mixed(3))
     with pytest.raises(DimensionMismatchError):
         franco_penna(mu)
+
+
+@pytest.mark.parametrize("change", [
+    {"labels": (((0, 0), (0, 0)),) * 16},  # 16 copies of one lattice point
+    {"representation": "ghw"},
+    {"dim": 3},
+], ids=["duplicated-labels", "name", "dim"])
+def test_rejects_a_distribution_off_the_two_qubit_lattice(change):
+    mu = wootters_composite([2, 2]).represent(maximally_mixed(4))
+    franco_penna(mu)
+    with pytest.raises(DimensionMismatchError, match="two-qubit product lattice"):
+        franco_penna(replace(mu, **change))
 
 
 # partial-transpose test

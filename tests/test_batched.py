@@ -26,7 +26,7 @@ from qframe.analysis import (
 )
 from qframe.cli import main
 from qframe.errors import DimensionMismatchError
-from qframe.frames import DualFrame, _coordinates, _from_coordinates, canonical_dual
+from qframe.frames import Frame, _coordinates, _from_coordinates, canonical_dual
 from qframe.operators import (
     _gaussian_stack,
     _random_effects,
@@ -66,7 +66,7 @@ FAMILIES = {
 
 def _skewed(rep):
     """``rep`` with its dual scaled by 1.001, so the residuals are of order 1e-3, not round-off."""
-    dual = DualFrame(dim=rep.dim, labels=rep.labels, operators=rep.dual.operators * 1.001, name=rep.name)
+    dual = Frame(dim=rep.dim, labels=rep.labels, operators=rep.dual.operators * 1.001, name=rep.name)
     return replace(rep, dual=dual)
 
 

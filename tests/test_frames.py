@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from frame_oracle import hermitian_basis
 from qframe.errors import DimensionMismatchError, NotAFrameError
 from qframe.frames import (
-    DualFrame,
-    EffectFunction,
     Frame,
     QuasiDistribution,
     apply_transform,
@@ -160,7 +158,7 @@ def test_deformed_born_equals_trace():
     rho = random_state(d, seed=0)
     E = random_effect(d, seed=1)
     mu = represent_state(rho, fr)
-    xi_frame = EffectFunction(
+    xi_frame = QuasiDistribution(
         representation=fr.name,
         dim=d,
         labels=fr.labels,
@@ -249,8 +247,6 @@ def test_non_finite_distribution_raises(bad):
     values[2] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
         QuasiDistribution("x", 2, tuple(range(4)), values)
-    with pytest.raises(DimensionMismatchError, match="finite"):
-        EffectFunction("x", 2, tuple(range(4)), values)
 
 
 def test_frame_operator_matrix_is_gram_of_coefficients():
@@ -267,8 +263,6 @@ def test_non_finite_operator_rejected_at_construction(bad):
     ops[3, 0, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
         Frame(dim=2, labels=tuple(range(4)), operators=ops)
-    with pytest.raises(DimensionMismatchError, match="finite"):
-        DualFrame(dim=2, labels=tuple(range(4)), operators=ops)
 
 
 # minimal (d^2-outcome) representations by dimension

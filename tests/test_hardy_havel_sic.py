@@ -19,7 +19,7 @@ from qframe.errors import (
 )
 from qframe.frames import is_dual_pair
 from qframe.operators import (
-    make_pauli_family,
+    SIGMA,
     maximally_mixed,
     random_effect,
     random_state,
@@ -121,19 +121,18 @@ def word(n_qubits: int, k: int, j: int) -> np.ndarray:
 
 
 def test_word_single_qubit_grid():
-    fam = make_pauli_family(2)
+    X, Y, Z = SIGMA[0], -SIGMA[1], SIGMA[2]  # Y in the commutator convention
     assert np.allclose(word(1, 0, 0), np.eye(2))
-    assert np.allclose(word(1, 0, 1), fam.X)
-    assert np.allclose(word(1, 1, 0), fam.Y)
-    assert np.allclose(word(1, 1, 1), fam.Z)
+    assert np.allclose(word(1, 0, 1), X)
+    assert np.allclose(word(1, 1, 0), Y)
+    assert np.allclose(word(1, 1, 1), Z)
 
 
 def test_word_tensor_bit_order():
     # leading bit of the index picks the leading tensor factor
-    fam = make_pauli_family(2)
-    left = np.kron(fam.X, np.eye(2))
+    left = np.kron(SIGMA[0], np.eye(2))
     assert np.allclose(word(2, 0, 2), left)
-    right = np.kron(np.eye(2), fam.Z)
+    right = np.kron(np.eye(2), SIGMA[2])
     assert np.allclose(word(2, 1, 1), right)
 
 
@@ -186,6 +185,12 @@ def test_table_refuses_large_registers_before_building_words(monkeypatch):
         reconstruct_from_real(np.eye(64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_words_are_exactly_hermitian(n):
+    rep = havel_rep(n)
+    assert rep.frame.skew == 0.0 and rep.dual.skew == 0.0
+
+
 def test_word_factory_validates_register():
     with pytest.raises(UnsupportedDimensionError):
         havel_rep(0)
@@ -199,9 +204,7 @@ def test_word_factory_validates_register():
 def test_qubit_fiducial_bloch_components():
     phi = sic_fiducial(2)
     rho = np.outer(phi, phi.conj())
-    fam = make_pauli_family(2)
-    sy = 1j * fam.X @ fam.Z
-    for axis in (fam.X, sy, fam.Z):
+    for axis in SIGMA:
         assert abs(abs(np.trace(rho @ axis).real) - 1 / np.sqrt(3)) < 1e-12
 
 

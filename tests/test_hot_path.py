@@ -18,8 +18,6 @@ import frame_oracle
 from qframe.cli import FAMILIES, build_representation, parse_direct
 from qframe.errors import DimensionMismatchError, NotAFrameError, SingularBasisError
 from qframe.frames import (
-    DualFrame,
-    EffectFunction,
     Frame,
     QuasiDistribution,
     _coordinates,
@@ -263,7 +261,7 @@ def test_flat_view_is_zero_copy_and_stacks_are_read_only(case):
 def test_family_freezes_the_stack_it_is_given():
     ops = np.array(wootters(3).dual.operators)
     assert ops.flags.writeable
-    family = DualFrame(dim=3, labels=tuple(range(9)), operators=ops)
+    family = Frame(dim=3, labels=tuple(range(9)), operators=ops)
     assert family.operators is ops
     with pytest.raises(ValueError):
         ops[0, 0, 0] = 1
@@ -272,7 +270,7 @@ def test_family_freezes_the_stack_it_is_given():
 def test_invariants_checked_once_still_warn_on_every_call():
     rep = wootters(3)
     doubled = Frame(dim=3, labels=rep.labels, operators=2 * rep.frame.operators)
-    halved = DualFrame(dim=3, labels=rep.labels, operators=rep.dual.operators / 2)
+    halved = Frame(dim=3, labels=rep.labels, operators=rep.dual.operators / 2)
     for _ in range(2):
         assert represent_state(np.eye(3) / 3, doubled).warnings == ("frame-sum-not-identity",)
         assert represent_effect(np.eye(3) / 2, halved).warnings == ("dual-traces-not-one",)
@@ -293,7 +291,7 @@ def test_per_call_checks_remain():
     other = QuasiDistribution("x", 3, tuple(range(9)), np.full(9, 1 / 9))
     with pytest.raises(ValueError, match="labels"):
         rep.reconstruct(other)
-    fn = EffectFunction("x", 3, tuple(range(9)), np.ones(9))
+    fn = QuasiDistribution("x", 3, tuple(range(9)), np.ones(9))
     with pytest.raises(ValueError, match="labels"):
         reconstruct_effect(fn, rep.frame)
 
@@ -333,5 +331,5 @@ def test_frame_bounds_and_duality_match_oracle(case):
     want_ok, want_residual = frame_oracle.is_dual_pair(ops, rep.dual.operators)
     assert ok == want_ok is True
     assert residual <= ORACLE_TOL and want_residual <= ORACLE_TOL
-    rolled = DualFrame(dim=rep.dim, labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
+    rolled = Frame(dim=rep.dim, labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
     assert is_dual_pair(rep.frame, rolled)[0] == frame_oracle.is_dual_pair(ops, rolled.operators)[0] is False

@@ -15,15 +15,9 @@ from hypothesis import strategies as st
 
 import lattice_oracle as oracle
 from qframe.errors import UnsupportedDimensionError
-from qframe.frames import DualFrame, Frame, canonical_dual, is_dual_pair
+from qframe.frames import Frame, canonical_dual, is_dual_pair
 from qframe.geometry import prime_lattice
-from qframe.operators import (
-    clock_matrix,
-    displaced_parity,
-    parity_matrix,
-    random_state,
-    shift_matrix,
-)
+from qframe.operators import displaced_parity, parity_matrix, random_state
 from qframe.representations import (
     cohendet,
     fano_operator,
@@ -183,7 +177,7 @@ def test_drawn_points_match_dense_oracle(fd, data):
 def test_weyl_covariance_permutes_labels(fd, a, b):
     family, d = fd
     rep = build(family, d)
-    U = np.linalg.matrix_power(shift_matrix(d), a % d) @ np.linalg.matrix_power(clock_matrix(d), b % d)
+    U = np.linalg.matrix_power(oracle.shift_matrix(d), a % d) @ np.linalg.matrix_power(oracle.clock_matrix(d), b % d)
     index = {label: i for i, label in enumerate(rep.labels)}
     perm = [index[COVARIANCE[family](d, q, p, a, b)] for q, p in rep.labels]
     for family_ops in (rep.frame.operators, rep.dual.operators):
@@ -198,7 +192,7 @@ def test_dual_pair_and_round_trip(fd, seed):
     rep = build(family, d)
     ok, residual = is_dual_pair(rep.frame, rep.dual)
     assert ok and residual < 1e-9
-    assert isinstance(rep.frame, Frame) and isinstance(rep.dual, DualFrame)
+    assert isinstance(rep.frame, Frame) and isinstance(rep.dual, Frame)
     rho = random_state(d, rank=1 + seed % d, seed=seed)
     back = rep.reconstruct(rep.represent(rho))
     assert np.max(np.abs(back - rho)) < 1e-9

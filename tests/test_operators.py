@@ -6,16 +6,15 @@ import pytest
 import lattice_oracle
 
 from qframe.operators import (
+    SIGMA,
     basis_state,
     bloch_state,
-    clock_matrix,
     eigh_fixed,
     finite_fourier,
     is_density,
     is_effect,
     is_hermitian,
     is_povm,
-    make_pauli_family,
     maximally_mixed,
     omega,
     parity_matrix,
@@ -26,7 +25,6 @@ from qframe.operators import (
     random_pure_state,
     random_state,
     random_unitary,
-    shift_matrix,
     tensor,
     trace_inner,
     weyl_monomials,
@@ -49,30 +47,47 @@ def test_weyl_builders_match_the_matrix_powers(d):
                                    rtol=0, atol=1e-12)
 
 
+def _shift_and_clock(d):
+    """X and Z as the library builds them: the Weyl monomials U_(1,0) and U_(0,1)."""
+    return weyl_monomials(d, 1, 0)[0], weyl_monomials(d, 0, 1)[0]
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_weyl_commutation(d):
-    X, Z = shift_matrix(d), clock_matrix(d)
+    X, Z = _shift_and_clock(d)
+    np.testing.assert_allclose(X, lattice_oracle.shift_matrix(d), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Z, lattice_oracle.clock_matrix(d), rtol=0, atol=1e-14)
     assert np.allclose(Z @ X, omega(d) * X @ Z, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_pauli_orders(d):
-    fam = make_pauli_family(d)
+    X, Z = _shift_and_clock(d)
+    P = parity_matrix(d)
     eye = np.eye(d)
-    assert np.allclose(np.linalg.matrix_power(fam.X, d), eye, atol=1e-10)
-    assert np.allclose(np.linalg.matrix_power(fam.Z, d), eye, atol=1e-10)
-    assert np.allclose(fam.parity @ fam.parity, eye, atol=1e-12)
+    assert np.allclose(np.linalg.matrix_power(X, d), eye, atol=1e-10)
+    assert np.allclose(np.linalg.matrix_power(Z, d), eye, atol=1e-10)
+    assert np.allclose(P @ P, eye, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_commutator_defines_y(d):
-    fam = make_pauli_family(d)
-    assert np.allclose(fam.X @ fam.Z - fam.Z @ fam.X, 2j * fam.Y, atol=1e-12)
+    X, Z = _shift_and_clock(d)
+    Y = (X @ Z - Z @ X) / 2j
+    # Z X = omega X Z, so [X, Z] = (1 - omega) X Z
+    assert np.allclose(2j * Y, (1 - omega(d)) * X @ Z, atol=1e-12)
+    if d == 2:
+        np.testing.assert_array_equal(Y, -SIGMA[1])
 
 
 def test_qubit_y_is_negative_sigma_y():
-    fam = make_pauli_family(2)
-    assert np.allclose(fam.Y, np.array([[0, 1j], [-1j, 0]]), atol=1e-14)
+    X, Y, Z = SIGMA
+    np.testing.assert_array_equal(-Y, np.array([[0, 1j], [-1j, 0]]))
+    np.testing.assert_array_equal((X @ Z - Z @ X) / 2j, -Y)
+    np.testing.assert_array_equal(1j * X @ Z, Y)
+    for P in SIGMA:
+        np.testing.assert_array_equal(P, P.conj().T)
+        np.testing.assert_array_equal(P @ P, np.eye(2))
 
 
 def test_parity_matrix_d3():
@@ -81,7 +96,7 @@ def test_parity_matrix_d3():
 
 
 def test_shift_direction():
-    X = shift_matrix(3)
+    X = weyl_monomials(3, 1, 0)[0]
     v = np.zeros(3)
     v[0] = 1
     assert np.array_equal(X @ v, np.array([0, 1, 0], dtype=complex))
@@ -94,7 +109,7 @@ def test_half_exponent_phase_squares_to_omega():
 
 
 def test_weyl_x_at_unit_displacement():
-    assert np.allclose(weyl_monomials(3, 1, 0)[0], shift_matrix(3), atol=1e-14)
+    assert np.allclose(weyl_monomials(3, 1, 0)[0], lattice_oracle.shift_matrix(3), atol=1e-14)
 
 
 def test_weyl_qubit_diagonal_is_hermitian_unitary():
@@ -118,7 +133,8 @@ def test_schwinger_orthonormal(d):
 def test_fourier_conjugates_shift_to_clock(d):
     F = finite_fourier(d)
     assert np.allclose(F @ F.conj().T, np.eye(d), atol=1e-12)
-    assert np.allclose(F @ shift_matrix(d) @ F.conj().T, clock_matrix(d), atol=1e-12)
+    X, Z = _shift_and_clock(d)
+    assert np.allclose(F @ X @ F.conj().T, Z, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -4,10 +4,13 @@ A public name is used by another part of ``src/`` (which is how a CLI verb
 reaches it), by an identity in ``tests/test_acceptance.py``, or is one of
 the paper's objects named in ``PAPER_OBJECTS``.  A per-point or dict copy of
 a stack builder is none of these: it goes, or moves into ``tests/`` as an
-oracle.  Methods are not counted.
+oracle.  Methods are not counted.  One object has one type: a class that
+derives from another and adds nothing is a second name for its base, so
+only exception classes, which exist to be caught apart, may be empty.
 """
 
 import ast
+import builtins
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -21,6 +24,7 @@ PAPER_OBJECTS = {
     # operator and state helpers
     "basis_state",
     "is_povm",
+    "parity_matrix",
     "partial_trace",
     # phase-space geometry
     "check_geometry_axioms",
@@ -44,7 +48,6 @@ PAPER_OBJECTS = {
     "sphere_quadrature",
     # documents
     "frame_from_doc",
-    "frame_to_doc",
 }
 
 
@@ -93,6 +96,41 @@ def test_every_public_name_has_a_use():
 
 def test_named_objects_are_defined():
     assert PAPER_OBJECTS <= set(_public_definitions())
+
+
+def _empty_subclasses(src: pathlib.Path = SRC) -> dict[str, str]:
+    """Non-exception classes under ``src`` that have a base and a body of only a docstring or ``pass``."""
+    classes = [(node, str(path.relative_to(src))) for path in sorted(src.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while True:
+        derived = {node.name for node, _ in classes if set().union(*map(_used_names, node.bases)) & exceptions}
+        if derived <= exceptions:
+            break
+        exceptions |= derived
+    return {
+        node.name: path for node, path in classes
+        if node.bases and node.name not in exceptions and all(
+            isinstance(stmt, ast.Pass)
+            or isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+            for stmt in node.body
+        )
+    }
+
+
+def test_no_class_is_a_second_name_for_its_base():
+    assert not _empty_subclasses(), "an empty subclass names its base a second time; use the base"
+
+
+def test_the_empty_subclass_guard_sees_one(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Base:\n    x = 1\n\n\nclass Alias(Base):\n    \"\"\"Doc.\"\"\"\n\n\n"
+        "class Other(Base):\n    pass\n\n\nclass Grown(Base):\n    \"\"\"Doc.\"\"\"\n\n    y = 2\n\n\n"
+        "class Bare:\n    \"\"\"Doc.\"\"\"\n\n\nclass Failed(ValueError):\n    \"\"\"Doc.\"\"\"\n\n\n"
+        "class Worse(Failed):\n    pass\n"
+    )
+    assert _empty_subclasses(tmp_path) == {"Alias": "mod.py", "Other": "mod.py"}
 
 
 def test_the_guard_sees_an_orphan(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from qframe.errors import UnsupportedDimensionError
 from qframe.frames import is_dual_pair
 from qframe.operators import (
+    SIGMA,
     basis_state,
     finite_fourier,
-    make_pauli_family,
     maximally_mixed,
     random_state,
 )
@@ -73,13 +73,13 @@ def test_family_pairwise_unbiased(d):
 
 
 def test_qubit_family_hits_the_three_axes():
-    fam = make_pauli_family(2)
+    X, Y, Z = SIGMA
     V = mub_unitary(2)
     assert np.allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
-    assert np.allclose(V @ fam.Z @ V.conj().T, fam.X, atol=1e-12)
+    assert np.allclose(V @ Z @ V.conj().T, X, atol=1e-12)
     bases = mub_bases(2)
     # basis 1 diagonalizes X, basis 2 diagonalizes Y (up to eigenvalue order)
-    for B, op in [(bases[1], fam.X), (bases[2], fam.Y)]:
+    for B, op in [(bases[1], X), (bases[2], Y)]:
         D = B.conj().T @ op @ B
         off = D - np.diag(np.diag(D))
         assert np.max(np.abs(off)) < 1e-10

@@ -20,7 +20,7 @@ import serialize_oracle as oracle
 from qframe.cli import FAMILIES, build_representation, main, parse_direct
 from qframe.errors import DimensionMismatchError, ParseError, QframeError
 from qframe.finitefield import FiniteField
-from qframe.frames import DualFrame, Frame, QuasiDistribution
+from qframe.frames import Frame, QuasiDistribution
 from qframe.geometry import composite_lattice, field_lattice, prime_lattice
 from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
 from qframe.serialize import (
@@ -29,7 +29,6 @@ from qframe.serialize import (
     distribution_to_doc,
     flatten_label,
     frame_from_doc,
-    frame_to_doc,
     geometry_to_doc,
     label_from_doc,
     label_to_doc,
@@ -117,14 +116,25 @@ def test_flatten_label():
 @pytest.mark.parametrize("d", [2, 3])
 def test_frame_doc_round_trip(d):
     rep = wootters(d)
-    frame = frame_from_doc(frame_to_doc(rep.frame))
+    frame = frame_from_doc(oracle.frame_to_doc(rep.frame))
     assert isinstance(frame, Frame)
     assert frame.dim == d
     assert frame.labels == rep.frame.labels
     assert np.allclose(frame.operators, rep.frame.operators, atol=0)
-    dual = frame_from_doc(frame_to_doc(rep.dual), dual=True)
-    assert isinstance(dual, DualFrame)
+    dual = frame_from_doc(oracle.frame_to_doc(rep.dual))
+    assert isinstance(dual, Frame)
     assert np.allclose(dual.operators, rep.dual.operators, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_written_frame_and_dual_load_back(tmp_path, d):
+    rep = wootters(d)
+    for family in (rep.frame, rep.dual):
+        write_frame(family, tmp_path / "family.json")
+        back = frame_from_doc(load_json(tmp_path / "family.json"))
+        assert isinstance(back, Frame)
+        assert (back.dim, back.name, back.labels) == (family.dim, family.name, family.labels)
+        np.testing.assert_allclose(back.operators, family.operators, rtol=0, atol=1e-12)
 
 
 def test_frame_doc_validation():
@@ -133,7 +143,7 @@ def test_frame_doc_validation():
 
 
 def test_frame_doc_with_nan_is_a_dimension_error():
-    doc = frame_to_doc(wootters(2).frame)
+    doc = oracle.frame_to_doc(wootters(2).frame)
     doc["operators"][1]["re"][0][0] = float("nan")
     doc = json.loads(json.dumps(doc))  # Python's json writes and reads NaN
     with pytest.raises(QframeError) as info:
@@ -300,7 +310,7 @@ def test_distribution_csv_matches_the_oracle(rep):
 
 
 def test_an_iterator_streams_as_an_array():
-    doc = frame_to_doc(wootters(3).frame)
+    doc = oracle.frame_to_doc(wootters(3).frame)
     streamed = dict(doc, operators=iter(doc["operators"]))
     assert render_json(streamed) == oracle.render_json(doc)
 
@@ -312,8 +322,8 @@ def test_an_iterator_streams_as_an_array():
 def test_written_frame_is_the_oracle_text(tmp_path, d):
     frame = wootters(d).frame
     write_frame(frame, tmp_path / "frame.json")
-    write_json(frame_to_doc(frame), tmp_path / "doc.json")
-    want = oracle.file_text(frame_to_doc(frame))
+    write_json(oracle.frame_to_doc(frame), tmp_path / "doc.json")
+    want = oracle.file_text(oracle.frame_to_doc(frame))
     assert (tmp_path / "frame.json").read_text(encoding="utf-8") == want
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == want
 
@@ -343,7 +353,7 @@ def test_streamed_frame_write_peaks_below_its_stack(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < frame.operators.nbytes
-    assert path.read_text(encoding="utf-8") == oracle.file_text(frame_to_doc(frame))
+    assert path.read_text(encoding="utf-8") == oracle.file_text(oracle.frame_to_doc(frame))
 
 
 # every family at two sizes: build's three files against the oracle
@@ -375,7 +385,7 @@ def test_build_files_match_the_oracle(tmp_path, capsys, argv):
     assert main(argv) == 0
     files = json.loads(capsys.readouterr().out)["files"]
     rep = build_representation(argv[1], parse_direct(argv))
-    docs = {"frame": frame_to_doc(rep.frame), "dual": frame_to_doc(rep.dual)}
+    docs = {"frame": oracle.frame_to_doc(rep.frame), "dual": oracle.frame_to_doc(rep.dual)}
     if rep.geometry is not None:
         docs["geometry"] = geometry_to_doc(rep.geometry)
     assert sorted(files) == sorted(docs)

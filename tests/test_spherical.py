@@ -92,7 +92,7 @@ def test_spin_operator_algebra():
 
 
 def test_spin_half_is_pauli_over_two():
-    from qframe.representations.spherical import SIGMA
+    from qframe.operators import SIGMA
 
     Jx, Jy, Jz = spin_operators(0.5)
     assert np.allclose(2 * Jx, SIGMA[0], atol=1e-12)
@@ -101,7 +101,7 @@ def test_spin_half_is_pauli_over_two():
 
 
 def test_spin_half_sign_kernel_is_bloch_form():
-    from qframe.representations.spherical import SIGMA
+    from qframe.operators import SIGMA
 
     rng = np.random.default_rng(3)
     for _ in range(5):

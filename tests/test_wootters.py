@@ -8,12 +8,10 @@ import pytest
 from qframe.operators import (
     basis_state,
     bloch_state,
-    clock_matrix,
     maximally_mixed,
     omega,
     parity_matrix,
     random_state,
-    shift_matrix,
     tensor,
 )
 from qframe.geometry import prime_lattice
@@ -63,6 +61,13 @@ def test_qubit_point_operator_frozen_matrix():
     assert np.allclose(A[(0, 0)], want, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [[2], [2, 2], [2, 3]])
+def test_qubit_factors_are_exactly_hermitian(dims):
+    # the qubit points are sums of the exact Pauli matrices, so no round-off breaks F = F^dag
+    rep = wootters_composite(dims)
+    assert rep.frame.skew == 0.0 and rep.dual.skew == 0.0
+
+
 def test_qubit_point_operator_eigenvalues():
     A = _points(wootters(2))
     vals = np.linalg.eigvalsh(A[(0, 0)])
@@ -73,7 +78,7 @@ def test_qubit_point_operator_eigenvalues():
 def test_odd_prime_displaced_parity_word(d):
     # A_(q,p) = X^2q Z^2p P w^2qp
     A = _points(wootters(d))
-    X, Z, P = shift_matrix(d), clock_matrix(d), parity_matrix(d)
+    X, Z, P = lattice_oracle.shift_matrix(d), lattice_oracle.clock_matrix(d), parity_matrix(d)
     w = omega(d)
     for q, p in [(0, 0), (1, 0), (0, 1), (1, 2), (d - 1, d - 1)]:
         word = (
@@ -88,7 +93,7 @@ def test_odd_prime_displaced_parity_word(d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_translation_covariance(d):
     A = _points(wootters(d))
-    X, Z = shift_matrix(d), clock_matrix(d)
+    X, Z = lattice_oracle.shift_matrix(d), lattice_oracle.clock_matrix(d)
     for q, p in [(0, 0), (1, d - 1)]:
         assert np.allclose(X @ A[(q, p)] @ X.conj().T, A[((q + 1) % d, p)], atol=1e-12)
         assert np.allclose(Z @ A[(q, p)] @ Z.conj().T, A[(q, (p + 1) % d)], atol=1e-12)
