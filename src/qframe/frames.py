@@ -21,6 +21,7 @@ reads that view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 PINV_RCOND = 1e-10
+# ||Im||^2 at or below this bounds every |Im| by EQ_TOL / 2, half the Hermiticity rule's floor
+_IMAG_SCREEN = (EQ_TOL / 2) ** 2
+_NON_FINITE = "values must be finite; the input has a NaN or inf entry"
 
 
 def _as_stack(operators) -> np.ndarray:
@@ -106,6 +110,11 @@ def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``Tr[A_n B_m]`` over two Hermitian stacks, as one real GEMM on their coordinates."""
     VA = _coordinates(A)
     return VA @ (VA if B is A else _coordinates(B)).T
+
+
+def _same_labels(a: tuple, b: tuple) -> bool:
+    """Label equality, by identity first: a family, its dual and their values share one tuple."""
+    return a is b or a == b
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +174,14 @@ class Frame:
     def analyze(self, A, kind: str = "operator") -> np.ndarray:
         """Real values ``Tr[A F(lam)]``: ``(n,)`` for one ``(d, d)`` A, ``(k, n)`` for a ``(k, d, d)`` stack.
 
-        One operator is one complex GEMV on the flat view, whose imaginary
-        part tests its Hermiticity.  A stack is tested by ``_skew`` and paired
-        by one real GEMM on interleaved floats: for Hermitian A and F,
+        One operator is one complex GEMV on the flat view, and one screen,
+        ``||Im||^2 <= (EQ_TOL / 2)^2`` with ``||Re||^2`` finite, implies both
+        exact rules with room for rounding: every |Im| is within EQ_TOL and
+        every value is finite.  Only values that fail it meet the exact rules:
+        Im against ``tol_for(A)`` first, then finite real parts.
+
+        A stack is tested by ``_skew`` and paired by one real GEMM on
+        interleaved floats: for Hermitian A and F,
         ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
         as floats, half the work of the complex product.
         """
@@ -175,11 +189,15 @@ class Frame:
         d = self.dim
         if A.shape == (d, d):
             raw = self.flat @ A.T.reshape(-1)
-            imag = np.abs(raw.imag).max()
-            # tol_for(A) >= EQ_TOL, so A's norm is only needed above EQ_TOL
-            if imag > EQ_TOL and imag > tol_for(A):
-                raise DimensionMismatchError(f"{kind} values are not real; the {kind} is not Hermitian")
-            return raw.real
+            re, im = raw.real, raw.imag
+            if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
+                imag = np.abs(im).max()
+                # tol_for(A) >= EQ_TOL, so A's norm is only needed above EQ_TOL
+                if imag > EQ_TOL and imag > tol_for(A):
+                    raise DimensionMismatchError(f"{kind} values are not real; the {kind} is not Hermitian")
+                if not np.isfinite(re).all():
+                    raise DimensionMismatchError(_NON_FINITE)
+            return re
         if A.ndim != 3 or A.shape[1:] != (d, d):
             raise DimensionMismatchError(f"{kind} shape {A.shape} does not match dim {d}")
         A = np.ascontiguousarray(A)
@@ -229,7 +247,7 @@ class QuasiDistribution:
         if vals.shape != (len(self.labels),):
             raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
         if not np.isfinite(vals).all():
-            raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
+            raise DimensionMismatchError(_NON_FINITE)
         object.__setattr__(self, "values", vals)
 
     def total(self) -> float:
@@ -309,7 +327,7 @@ def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[b
     Returns the verdict and the worst entry-wise residual of the
     reconstruction superoperator against the identity.
     """
-    if frame.dim != dual.dim or frame.labels != dual.labels:
+    if frame.dim != dual.dim or not _same_labels(frame.labels, dual.labels):
         raise DimensionMismatchError("frame and dual must share dimension and labels")
     R = _coordinates(dual.operators).T @ _coordinates(frame.operators)
     residual = float(np.max(np.abs(R - np.eye(frame.dim**2))))
@@ -318,47 +336,53 @@ def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[b
     return residual <= tol, residual
 
 
+def _screened_distribution(family: Frame, A: np.ndarray, kind: str, name: str | None,
+                           warnings: tuple) -> QuasiDistribution:
+    """``family.analyze(A)`` as a ``QuasiDistribution``, skipping ``__post_init__``.
+
+    Its checks would only repeat ``analyze``'s: the values are finite and one
+    per label, and the labels are the family's own tuple.
+    """
+    dist = object.__new__(QuasiDistribution)
+    dist.__dict__.update(
+        representation=name if name is not None else family.name,
+        dim=family.dim,
+        labels=family.labels,
+        values=family.analyze(A, kind),
+        warnings=warnings,
+    )
+    return dist
+
+
 def represent_state(rho: np.ndarray, frame: Frame, name: str | None = None) -> QuasiDistribution:
     """Quasi-probability values ``Tr[rho F(lam)]`` of a density operator."""
-    values = frame.analyze(rho, "state")
-    return QuasiDistribution(
-        representation=name if name is not None else frame.name,
-        dim=frame.dim,
-        labels=frame.labels,
-        values=values,
-        warnings=() if frame.resolves_identity else ("frame-sum-not-identity",),
-    )
+    warnings = () if frame.resolves_identity else ("frame-sum-not-identity",)
+    return _screened_distribution(frame, rho, "state", name, warnings)
 
 
 def represent_effect(E: np.ndarray, dual: Frame, name: str | None = None) -> QuasiDistribution:
     """Effect values ``Tr[E D(lam)]`` against the dual family."""
-    values = dual.analyze(E, "effect")
-    return QuasiDistribution(
-        representation=name if name is not None else dual.name,
-        dim=dual.dim,
-        labels=dual.labels,
-        values=values,
-        warnings=() if dual.unit_traces else ("dual-traces-not-one",),
-    )
+    warnings = () if dual.unit_traces else ("dual-traces-not-one",)
+    return _screened_distribution(dual, E, "effect", name, warnings)
 
 
 def reconstruct_state(dist: QuasiDistribution, dual: Frame) -> np.ndarray:
     """Rebuild the operator ``sum mu(lam) D(lam)``."""
-    if dist.labels != dual.labels:
+    if not _same_labels(dist.labels, dual.labels):
         raise DimensionMismatchError("distribution labels do not match the dual family")
     return dual.synthesize(dist.values)
 
 
 def reconstruct_effect(fn: QuasiDistribution, frame: Frame) -> np.ndarray:
     """Rebuild the effect ``sum xi(lam) F(lam)``."""
-    if fn.labels != frame.labels:
+    if not _same_labels(fn.labels, frame.labels):
         raise DimensionMismatchError("effect labels do not match the frame")
     return frame.synthesize(fn.values)
 
 
 def born_pair(mu: QuasiDistribution, xi: QuasiDistribution) -> float:
     """Outcome probability ``sum_lam mu(lam) xi(lam)``."""
-    if mu.labels != xi.labels or mu.dim != xi.dim:
+    if not _same_labels(mu.labels, xi.labels) or mu.dim != xi.dim:
         raise DimensionMismatchError("state and effect functions live on different outcome sets")
     return float(mu.values @ xi.values)
 
@@ -369,7 +393,7 @@ def deformed_born(mu: QuasiDistribution, xi: QuasiDistribution, dual: Frame) -> 
     With ``mu = Tr[rho F]`` and ``xi = Tr[E F]`` the pairing needs the dual
     Gram kernel: ``sum mu(lam) xi(lam') Tr[D(lam) D(lam')]``.
     """
-    if mu.labels != dual.labels or xi.labels != dual.labels:
+    if not (_same_labels(mu.labels, dual.labels) and _same_labels(xi.labels, dual.labels)):
         raise DimensionMismatchError("distributions do not match the dual family")
     K = _pairings(dual.operators, dual.operators)
     return float(mu.values @ K @ xi.values)

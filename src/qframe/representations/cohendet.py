@@ -52,10 +52,12 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
     """Lift the odd-lattice values to the nonnegative doubled-lattice form.
 
     Each point (q, p) splits into (q, p, +1) and (q, p, -1) carrying
-    (1/4d)(2/d + sigma * mu(q, p)).  Any values on the odd lattice's points are accepted.
+    (1/4d)(2/d + sigma * mu(q, p)).  Only Cohendet's values are accepted:
+    Wootters' prime lattice has the same points, but it places its values on
+    them by another relabeling.
     """
     d = mu.dim
-    if d % 2 == 0 or mu.labels != odd_lattice(d).points:
+    if mu.representation != "cohendet" or d % 2 == 0 or mu.labels != odd_lattice(d).points:
         raise ValueError("expected values from the odd-lattice representation")
     geom = extended_lattice(d)
     values = _doubled(d, mu.values)

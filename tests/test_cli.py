@@ -444,6 +444,15 @@ def test_non_finite_state_file_exits_4(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+def test_non_hermitian_state_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(matrix_to_doc(np.triu(np.ones((3, 3))) / 3)))
+    code, out, err = run(capsys, "represent", "wootters", "--d", "3", "--state", str(path))
+    assert code == 4
+    assert out == ""
+    assert "Hermitian" in err
+
+
 def test_non_finite_distribution_file_exits_4(tmp_path, capsys):
     mu = wootters(3).represent(maximally_mixed(3))
     doc = {

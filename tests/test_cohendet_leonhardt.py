@@ -193,11 +193,17 @@ def test_leonhardt_even_born_pairing():
         assert abs(float(mu.values @ xi.values) - np.trace(rho @ E).real) < 1e-9
 
 
-def test_the_lift_reads_labels_not_the_name():
+def test_the_lift_reads_the_name_and_the_labels():
     rho = random_state(3, seed=37)
-    mu = replace(cohendet(3), name="x").represent(rho)
+    mu = cohendet(3).represent(rho)
     back = from_extended(extended_distribution(mu))
     assert np.allclose(back.values, mu.values, atol=1e-12)
+    # Wootters' prime lattice has Cohendet's points, placed by another relabeling
+    assert wootters(3).labels == mu.labels
+    for other in (wootters(3).represent(rho), replace(cohendet(3), name="x").represent(rho),
+                  replace(mu, labels=mu.labels[::-1])):
+        with pytest.raises(ValueError, match="odd-lattice"):
+            extended_distribution(other)
 
 
 @pytest.mark.parametrize("make", [lambda: hardy_rep(3), lambda: wootters(2), lambda: leonhardt(4)])

@@ -229,6 +229,19 @@ def test_label_mismatch_raises():
         reconstruct_state(bad, dual)
 
 
+def test_born_pair_compares_labels_by_value():
+    fr = _random_minimal_frame(2, 2)
+    mu = represent_state(random_state(2, seed=1), fr)
+    xi = represent_effect(random_effect(2, seed=2), canonical_dual(fr))
+    assert mu.labels is xi.labels
+    equal = QuasiDistribution("x", 2, tuple(list(xi.labels)), xi.values)
+    assert equal.labels == xi.labels and equal.labels is not xi.labels
+    assert born_pair(mu, equal) == born_pair(mu, xi)
+    for labels in (xi.labels[::-1], tuple(range(1, 5))):
+        with pytest.raises(DimensionMismatchError, match="different outcome sets"):
+            born_pair(mu, QuasiDistribution("x", 2, labels, xi.values))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
 def test_non_finite_state_or_effect_raises(bad):
     fr = _random_minimal_frame(2, 3)

@@ -33,7 +33,7 @@ from qframe.frames import (
     represent_state,
     transform_matrix,
 )
-from qframe.operators import _random_states
+from qframe.operators import EQ_TOL, _random_states
 from qframe.representations import overlap_deviation, stratonovich_discrete, wootters
 from qframe.representations.sic import _orbit_stack
 
@@ -229,6 +229,33 @@ def test_analyze_and_synthesize_refuse_bad_input():
     for values in (np.ones(8), np.ones((2, 10)), np.ones((2, 2, 9)), np.float64(1.0)):
         with pytest.raises(DimensionMismatchError):
             frame.synthesize(values)
+
+
+def _skewed(family, rho: np.ndarray, peak: float) -> np.ndarray:
+    """rho + iH with H Hermitian, scaled so the largest |Im Tr[A F(lam)]| over the family is ``peak``."""
+    H = _random_states(family.dim, [90])[0]
+    return rho + 1j * H * (peak / np.abs(oracle_values(family.operators, H)).max())
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_single_operator_refusals_survive_the_screen(case):
+    rep = _rep(case)
+    rho = _random_states(rep.dim, [91])[0]
+    for family, analyze in ((rep.frame, rep.represent), (rep.dual, rep.effect)):
+        with pytest.raises(DimensionMismatchError, match="not Hermitian"):
+            analyze(_skewed(family, rho, 2 * EQ_TOL))
+        for peak in (0.4 * EQ_TOL, 0.9 * EQ_TOL):
+            A = _skewed(family, rho, peak)
+            close(analyze(A).values, oracle_values(family.operators, A))
+        # at 0.9 EQ_TOL the imaginary parts fail the screen and still pass the exact rule
+        imag = np.imag(np.einsum("nij,ji->n", family.operators, A))
+        assert np.linalg.norm(imag) > EQ_TOL / 2 and np.abs(imag).max() <= EQ_TOL
+        # 1e200 rho is finite, but its squared norms overflow (numpy warns): the screen fails,
+        # tol_for(A) is inf and the exact rule accepts
+        with np.errstate(over="ignore"):
+            big = analyze(1e200 * rho).values
+        assert np.isfinite(big).all()
+        np.testing.assert_allclose(big, 1e200 * oracle_values(family.operators, rho), rtol=1e-10, atol=1e190)
 
 
 @pytest.mark.parametrize("eps,rejected", [(1e-6, True), (1e-8, True), (1e-12, False)])
