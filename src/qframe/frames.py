@@ -189,7 +189,7 @@ class Frame:
         d = self.dim
         if A.shape == (d, d):
             raw = self.flat @ A.T.reshape(-1)
-            re, im = raw.real, raw.imag
+            re, im = raw.real.copy(), raw.imag
             if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
                 imag = np.abs(im).max()
                 # tol_for(A) >= EQ_TOL, so A's norm is only needed above EQ_TOL
@@ -231,9 +231,9 @@ class Frame:
         return len(self) == self.dim**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution:
-    """Real-valued phase-space function: a state's ``Tr[rho F(lam)]`` or an effect's ``Tr[E D(lam)]``."""
+    """Read-only real values on phase space: a state's ``Tr[rho F(lam)]`` or an effect's ``Tr[E D(lam)]``."""
 
     representation: str
     dim: int
@@ -243,11 +243,12 @@ class QuasiDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (len(self.labels),):
             raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
         if not np.isfinite(vals).all():
             raise DimensionMismatchError(_NON_FINITE)
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def total(self) -> float:
@@ -290,34 +291,33 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
 def canonical_dual(frame: Frame) -> Frame:
     """Dual family ``S^(-1) F(lam)`` via the inverse frame superoperator.
 
-    One ``eigh`` of S gives both the bounds check and the pseudo-inverse,
-    which drops eigenvalues below ``PINV_RCOND`` times the largest.
+    A minimal frame has one dual, ``gram_dual``'s.  Otherwise one ``eigh`` of
+    S gives both the bounds check and ``S^(-1)``, which the check keeps well conditioned.
     """
+    if frame.minimal:
+        return gram_dual(frame)
     V = _coordinates(frame.operators)
     vals, vecs = np.linalg.eigh(V.T @ V)
     _bounds(vals)
-    keep = vals > PINV_RCOND * vals[-1]
-    W = vecs[:, keep]
-    ops = _from_coordinates(V @ ((W / vals[keep]) @ W.T), frame.dim)
+    ops = _from_coordinates(V @ ((vecs / vals) @ vecs.T), frame.dim)
     return Frame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
 
 
-def gram_dual(frame: Frame, gram: np.ndarray | None = None) -> Frame:
-    """Dual of a minimal frame through the inverse Gram matrix.
+def gram_dual(frame: Frame) -> Frame:
+    """The one dual of a minimal frame: coordinate rows ``V^(-T)``, one LU solve on the square V.
 
-    ``gram`` is the frame's Gram matrix ``Tr[F(lam) F(lam')]`` when the
-    caller has already computed it.
+    The Gram matrix ``V V^T``, whose inverse would square cond(V) into the
+    dual's error, is never formed; its condition number cond(V)^2 is the refusal test.
     """
     if not frame.minimal:
         raise DimensionMismatchError(
             f"Gram dual needs exactly d^2 = {frame.dim**2} operators, got {len(frame)}"
         )
-    ops = frame.operators
-    G = _pairings(ops, ops) if gram is None else gram
-    cond = np.linalg.cond(G)
+    V = _coordinates(frame.operators)
+    cond = np.linalg.cond(V) ** 2
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")
-    dual_ops = frame.synthesize(np.linalg.inv(G).T)
+    dual_ops = _from_coordinates(np.linalg.inv(V).T, frame.dim)
     return Frame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
 
 
@@ -341,14 +341,16 @@ def _screened_distribution(family: Frame, A: np.ndarray, kind: str, name: str | 
     """``family.analyze(A)`` as a ``QuasiDistribution``, skipping ``__post_init__``.
 
     Its checks would only repeat ``analyze``'s: the values are finite and one
-    per label, and the labels are the family's own tuple.
+    per label, and the labels are the family's own tuple.  The values are frozen.
     """
+    values = family.analyze(A, kind)
+    values.setflags(write=False)
     dist = object.__new__(QuasiDistribution)
     dist.__dict__.update(
         representation=name if name is not None else family.name,
         dim=family.dim,
         labels=family.labels,
-        values=family.analyze(A, kind),
+        values=values,
         warnings=warnings,
     )
     return dist

@@ -32,8 +32,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
 
     Two stacks are the frame and the dual; factories that also build the SIC
-    orbit, the unbiased-basis projectors, an n x n Gram matrix (n = d^2) or,
-    for GHW, the gather of its line vectors count three.
+    orbit, the unbiased-basis projectors, the n x n solve of a basis's dual
+    (n = d^2) or, for GHW, the gather of its line vectors count three.
     """
     need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:

@@ -29,18 +29,13 @@ def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
 
 
 def hardy_rep(d: int) -> Representation:
-    """Vector representation over alpha = d k + j with the Gram-inverse dual."""
+    """Vector representation over alpha = d k + j with its one dual."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
-    # frame, Gram matrix (n x n = one more stack's worth) and dual
+    # frame, dual and the dual's solve: V and its inverse, real n x n each, are one more stack's worth
     check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
-    labels = []
-    ops = []
-    for k in range(d):
-        for j in range(d):
-            labels.append(d * k + j)
-            ops.append(hardy_projector(d, k, j))
-    frame = Frame(dim=d, labels=tuple(labels), operators=np.array(ops), name="hardy")
+    ops = np.array([hardy_projector(d, k, j) for k in range(d) for j in range(d)])
+    frame = Frame(dim=d, labels=tuple(range(d * d)), operators=ops, name="hardy")
     dual = gram_dual(frame)
     return Representation(
         name="hardy", dim=d, frame=frame, dual=dual, geometry=None, meta={"d": d}

@@ -10,7 +10,7 @@ import numpy.polynomial
 import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
-from ..frames import Frame, _pairings, gram_dual
+from ..frames import Frame, _coordinates, gram_dual
 from ..operators import SIGMA
 from .base import Representation
 
@@ -148,7 +148,7 @@ class SphericalKernel:
         return _two(self.s, "s") + 1
 
     def point(self, n) -> np.ndarray:
-        """Delta(n), exactly Hermitian: the Gram-inverse dual would amplify any skew."""
+        """Delta(n), exactly Hermitian: the dual is solved on coordinates that read only the upper triangle."""
         V = direction_basis(self.s, n)
         K = (V * self.weights) @ V.conj().T
         lower = np.tril(K, -1)
@@ -192,7 +192,7 @@ def _check_unit_rows(points: np.ndarray):
 
 
 def stratonovich_discrete(s: float, constellation, gammas=None) -> Representation:
-    """Point kernels on a d^2-point constellation with the Gram-inverse dual family."""
+    """Point kernels on a d^2-point constellation with their one dual family."""
     kernel = SphericalKernel(s, tuple(gammas) if gammas is not None else (1.0,) * (_two(s, "s") + 1))
     d = kernel.dim
     points = np.asarray(constellation, dtype=float)
@@ -202,12 +202,11 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
     ops = np.array([kernel.point(n) for n in points])
     labels = tuple(range(d * d))
     frame = Frame(dim=d, labels=labels, operators=ops, name="stratonovich")
-    gram = _pairings(frame.operators, frame.operators)
-    if np.linalg.cond(gram) > GRAM_CONDITION_LIMIT:
+    if np.linalg.cond(_coordinates(frame.operators)) ** 2 > GRAM_CONDITION_LIMIT:
         raise SingularBasisError(
             "constellation kernel Gram matrix is ill conditioned; redraw the points"
         )
-    dual = gram_dual(frame, gram)
+    dual = gram_dual(frame)
     return Representation(
         name="stratonovich",
         dim=d,

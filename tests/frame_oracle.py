@@ -1,4 +1,4 @@
-"""Dense reference forms of the frame superoperator, the canonical dual and the duality test.
+"""Dense reference forms of the frame superoperator, the canonical and Gram-inverse duals and the duality test.
 
 Each works through the explicit generalized Gell-Mann basis of the d x d
 Hermitian matrices, with one einsum trace pairing against every basis
@@ -60,6 +60,12 @@ def canonical_dual(ops: np.ndarray) -> np.ndarray:
     V = coefficients(ops)
     Sinv = np.linalg.pinv(V.T @ V, rcond=1e-10, hermitian=True)
     return np.einsum("na,aij->nij", V @ Sinv, hermitian_basis(ops.shape[1]))
+
+
+def gram_dual(ops: np.ndarray) -> np.ndarray:
+    """Dual of a minimal frame through the inverse of its Gram matrix ``Tr[F(lam) F(lam')]``."""
+    G = np.real(np.einsum("nij,mji->nm", ops, ops))
+    return np.einsum("nm,nij->mij", np.linalg.inv(G), ops)
 
 
 def is_dual_pair(frame_ops: np.ndarray, dual_ops: np.ndarray, tol: float = EQ_TOL) -> tuple[bool, float]:

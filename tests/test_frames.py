@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frame_oracle
 from frame_oracle import hermitian_basis
 from qframe.errors import DimensionMismatchError, NotAFrameError
 from qframe.frames import (
@@ -41,6 +42,7 @@ from qframe.representations import (
     wootters,
     wootters_composite,
 )
+from qframe.representations.spherical import _random_stratonovich
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -110,12 +112,18 @@ def test_canonical_dual_reconstructs(d, seed):
     assert np.linalg.norm(reconstruct_state(mu, dual) - rho) < 1e-9
 
 
-@pytest.mark.parametrize("d,seed", [(2, 3), (3, 4)])
-def test_gram_dual_matches_canonical_on_minimal(d, seed):
-    fr = _random_minimal_frame(d, seed)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_minimal_frame(2, 3), id="2-3"),
+    pytest.param(lambda: _random_minimal_frame(3, 4), id="3-4"),
+    *(pytest.param(lambda d=d: hardy_rep(d).frame, id=f"hardy-{d}") for d in range(2, 7)),
+    *(pytest.param(lambda s=s: _random_stratonovich(s, 0)[0].frame, id=f"stratonovich-{s}")
+      for s in (0.5, 1, 1.5, 2)),
+])
+def test_gram_dual_matches_canonical_on_minimal(make):
+    fr = make()
     g = gram_dual(fr)
-    c = canonical_dual(fr)
-    assert np.max(np.abs(g.operators - c.operators)) < 1e-8
+    np.testing.assert_array_equal(g.operators, canonical_dual(fr).operators)
+    assert np.max(np.abs(g.operators - frame_oracle.canonical_dual(fr.operators))) < 1e-8
 
 
 def test_gram_dual_requires_minimal():
@@ -240,6 +248,24 @@ def test_born_pair_compares_labels_by_value():
     for labels in (xi.labels[::-1], tuple(range(1, 5))):
         with pytest.raises(DimensionMismatchError, match="different outcome sets"):
             born_pair(mu, QuasiDistribution("x", 2, labels, xi.values))
+
+
+def test_distributions_compare_and_hash_by_identity():
+    rep = wootters(3)
+    mu, nu = rep.represent(np.eye(3) / 3), rep.represent(np.eye(3) / 3)
+    assert mu == mu and mu != nu
+    assert hash(mu) == hash(mu) and len({mu, nu}) == 2
+
+
+def test_distribution_values_are_read_only_and_owned():
+    rep = wootters(3)
+    given_values = np.full(9, 1 / 9)
+    built = QuasiDistribution("wootters", 3, rep.frame.labels, given_values)
+    for dist in (rep.represent(np.eye(3) / 3), rep.effect(np.eye(3)), built):
+        with pytest.raises(ValueError, match="read-only"):
+            dist.values[0] = 0.5
+    given_values[0] = 0.5
+    assert built.values[0] == 1 / 9
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
