@@ -167,6 +167,9 @@ def _load_state(args, dim: int) -> np.ndarray:
     if args.pure is not None:
         return random_state(dim, rank=1, seed=args.pure)
     rho = matrix_from_doc(load_json(args.state))
+    if not np.isfinite(rho).all():
+        # refused here, before a product with the entry can warn
+        raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
     if rho.shape != (dim, dim):
         raise DimensionMismatchError(
             f"state is {rho.shape[0]} x {rho.shape[0]}, representation wants {dim}"

@@ -14,9 +14,15 @@ map is an isometry, so ``Tr[A B]`` is the dot product of two coordinate rows
 and every pairing between two operator families is one real GEMM.
 
 Every pairing of an operator with a family goes through the family's
-``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``), both
-products on the zero-copy ``(n, d^2)`` view of its stack; no other module
-reads that view.
+``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
+family built by ``parity_pair`` (the minimal displaced-parity families:
+Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) analyzes one
+operator, and synthesizes, through its label map, by the kernel identity
+``Tr[A K(s, t)] = tau**(st) sum_c A[c, (s - c) mod d] omega**(-tc)``: one
+gather of the anti-diagonals of A and one d x d DFT product, O(d^3).  Every
+other pairing, and the analysis of a stack of operators in every family, is
+one product on the zero-copy ``(n, d^2)`` view of the family's stack,
+O(n d^2).  No other module reads that view or the label map's tables.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAFrameError, SingularBasisError
-from .operators import EQ_TOL, tol_for
+from .operators import EQ_TOL, displaced_parity, tau_powers, tol_for
 
 __all__ = [
     "Frame",
@@ -39,6 +45,7 @@ __all__ = [
     "canonical_dual",
     "gram_dual",
     "is_dual_pair",
+    "parity_pair",
     "represent_state",
     "represent_effect",
     "reconstruct_state",
@@ -63,16 +70,21 @@ def _as_stack(operators) -> np.ndarray:
     return ops
 
 
-def _skew(ops: np.ndarray) -> tuple[float, float]:
-    """Largest entry and largest per-operator Frobenius norm of ``F - F^dag`` over a stack.
+def _row_blocks(n: int, d: int) -> list[slice]:
+    """Cache-sized slices of an ``(n, d, d)`` stack, each 2^13 entries (128 KB complex) or one operator.
 
-    The stack is read in cache-sized blocks: a whole-stack pass is slower at
-    large d and holds two stack-sized temporaries.
+    A whole-stack pass is slower at large d and holds stack-sized
+    temporaries; ``_skew`` reads and ``_from_coordinates`` writes by these.
     """
-    step = max(1, (1 << 15) // max(1, ops.shape[1] ** 2))
+    step = max(1, (1 << 13) // max(1, d * d))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _skew(ops: np.ndarray) -> tuple[float, float]:
+    """Largest entry and largest per-operator Frobenius norm of ``F - F^dag`` over a stack, read by ``_row_blocks``."""
     entry = norm = 0.0
-    for i in range(0, len(ops), step):
-        blk = ops[i:i + step]
+    for rows in _row_blocks(len(ops), ops.shape[1]):
+        blk = ops[rows]
         diff = np.abs(blk - np.conj(blk).transpose(0, 2, 1))
         entry = max(entry, float(diff.max()))
         norm = max(norm, float(np.sqrt(np.einsum("kij,kij->k", diff, diff).max())))
@@ -95,14 +107,15 @@ def _coordinates(ops: np.ndarray) -> np.ndarray:
 
 
 def _from_coordinates(V: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian ``(n, d, d)`` stack with coordinate rows V; inverse of ``_coordinates``."""
+    """Hermitian ``(n, d, d)`` stack with coordinate rows V, written by ``_row_blocks``; inverse of ``_coordinates``."""
     j, k = np.triu_indices(d, 1)
-    re, im = np.split(V[:, d:], 2, axis=1)
     ops = np.zeros((len(V), d, d), dtype=complex)
     ops[:, np.arange(d), np.arange(d)] = V[:, :d]
-    upper = (re - 1j * im) / np.sqrt(2)
-    ops[:, j, k] = upper
-    ops[:, k, j] = upper.conj()
+    for rows in _row_blocks(len(V), d):
+        re, im = np.split(V[rows, d:], 2, axis=1)
+        upper = (re - 1j * im) / np.sqrt(2)
+        ops[rows, j, k] = upper
+        ops[rows, k, j] = upper.conj()
     return ops
 
 
@@ -117,6 +130,58 @@ def _same_labels(a: tuple, b: tuple) -> bool:
     return a is b or a == b
 
 
+def _parity_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-d tables of the displaced-parity identity.
+
+    ``gather[s, c] = c d + (s - c) mod d`` reads the anti-diagonal
+    ``A[c, (s - c) mod d]`` off a row-major A; ``dft[c, t] = tau**(-2tc)``
+    is symmetric and, from ``tau_powers``, conjugate-symmetric bit for bit;
+    ``scatter[r d + c] = ((r + c) mod d) d + c`` reads entry (r, c) of a
+    synthesized operator off row s = r + c of the DFT product.
+    """
+    c = np.arange(d)
+    s = c[:, None]
+    return c * d + (s - c) % d, tau_powers(d, -2 * s * c), (((s + c) % d) * d + c).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _LabelMap:
+    """Where each operator ``scale K(s, t)`` of a displaced-parity family sits among the d^2 kernel labels.
+
+    ``cell`` is the row-major index of (s mod d, t mod d) and ``phase`` the
+    factor ``scale tau**(st)`` of the identity; ``order`` lists the operators
+    cell by cell (``cell`` is a bijection), with ``order_phase`` their phases.
+    The per-d tables of ``_parity_tables`` ride along.  Every array is
+    frozen, as the family's stack is.
+    """
+
+    cell: np.ndarray
+    phase: np.ndarray
+    order: np.ndarray
+    order_phase: np.ndarray
+    gather: np.ndarray
+    dft: np.ndarray
+    scatter: np.ndarray
+
+    def __post_init__(self):
+        for table in vars(self).values():
+            table.setflags(write=False)
+
+    def analyze(self, A: np.ndarray) -> np.ndarray:
+        """Complex ``Tr[A F(lam)]`` of one ``(d, d)`` A: one gather of its anti-diagonals and one product with the DFT."""
+        return (A.ravel()[self.gather] @ self.dft).ravel()[self.cell] * self.phase
+
+    def synthesize(self, v: np.ndarray) -> np.ndarray:
+        """``sum_lam v(lam) F(lam)`` for ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``."""
+        d = len(self.dft)
+        if v.ndim == 1:
+            W = (v[self.order] * self.order_phase).reshape(d, d)
+            return (W @ self.dft).ravel()[self.scatter].reshape(d, d)
+        k = len(v)
+        rows = (v[:, self.order] * self.order_phase).reshape(k * d, d)
+        return (rows @ self.dft).reshape(k, d * d)[:, self.scatter].reshape(k, d, d)
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Labeled family of Hermitian operators on C^d.
@@ -127,6 +192,13 @@ class Frame:
     complex array passed in is frozen in place, anything else is converted
     first), so the facts it caches about the stack cannot go stale.  One of
     them is ``skew``, the largest entry of ``F - F^dag``.
+
+    A family made by ``parity_pair`` also carries its label map
+    ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
+    ``operators.displaced_parity``, and ``analyze`` of one operator and
+    ``synthesize`` pair through the kernel identity on it.  The map is built
+    with the stack from the same labels, so the two cannot disagree; any
+    other family has none and pairs on its stack.
     """
 
     dim: int
@@ -134,6 +206,7 @@ class Frame:
     operators: np.ndarray
     name: str = ""
     skew: float = field(init=False, repr=False)
+    label_map: _LabelMap | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ops = _as_stack(self.operators)
@@ -174,21 +247,22 @@ class Frame:
     def analyze(self, A, kind: str = "operator") -> np.ndarray:
         """Real values ``Tr[A F(lam)]``: ``(n,)`` for one ``(d, d)`` A, ``(k, n)`` for a ``(k, d, d)`` stack.
 
-        One operator is one complex GEMV on the flat view, and one screen,
+        One operator is paired through the label map where there is one, else
+        by one complex GEMV on the flat view.  Then one screen,
         ``||Im||^2 <= (EQ_TOL / 2)^2`` with ``||Re||^2`` finite, implies both
         exact rules with room for rounding: every |Im| is within EQ_TOL and
         every value is finite.  Only values that fail it meet the exact rules:
         Im against ``tol_for(A)`` first, then finite real parts.
 
         A stack is tested by ``_skew`` and paired by one real GEMM on
-        interleaved floats: for Hermitian A and F,
+        interleaved floats, with or without a label map: for Hermitian A and F,
         ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
         as floats, half the work of the complex product.
         """
         A = np.asarray(A, dtype=complex)
         d = self.dim
         if A.shape == (d, d):
-            raw = self.flat @ A.T.reshape(-1)
+            raw = self.flat @ A.T.reshape(-1) if self.label_map is None else self.label_map.analyze(A)
             re, im = raw.real.copy(), raw.imag
             if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
                 imag = np.abs(im).max()
@@ -210,10 +284,10 @@ class Frame:
         v = np.asarray(values)
         n, d = len(self.labels), self.dim
         if v.shape == (n,):
-            return (v @ self.flat).reshape(d, d)
+            return (v @ self.flat).reshape(d, d) if self.label_map is None else self.label_map.synthesize(v)
         if v.ndim != 2 or v.shape[1] != n:
             raise DimensionMismatchError(f"values of shape {v.shape} for {n} operators")
-        return (v @ self.flat).reshape(len(v), d, d)
+        return (v @ self.flat).reshape(len(v), d, d) if self.label_map is None else self.label_map.synthesize(v)
 
     @cached_property
     def resolves_identity(self) -> bool:
@@ -229,6 +303,33 @@ class Frame:
     @property
     def minimal(self) -> bool:
         return len(self) == self.dim**2
+
+
+def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
+    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` over ``labels``, each with its label map.
+
+    ``s`` and ``t`` are the kernel labels of ``operators.displaced_parity``,
+    one pair per label, and (s mod d, t mod d) must meet each of the d^2
+    cells once.  The stack is built here from the same labels as the map, so
+    the two cannot disagree.
+    """
+    s = np.array(s, dtype=np.int64).reshape(-1)
+    t = np.array(t, dtype=np.int64).reshape(-1)
+    d = math.isqrt(len(s))
+    if len(t) != len(s) or d < 1 or d * d != len(s):
+        raise DimensionMismatchError(f"a displaced-parity family needs d^2 label pairs, got {len(s)} and {len(t)}")
+    cell = (s % d) * d + t % d
+    if np.bincount(cell, minlength=d * d).max() != 1:
+        raise DimensionMismatchError("the labels (s mod d, t mod d) must meet each of the d^2 cells once")
+    ops = displaced_parity(d, s, t)
+    frame = Frame(dim=d, labels=labels, operators=ops / d, name=name)
+    dual = Frame(dim=d, labels=frame.labels, operators=ops, name=name)
+    order = np.argsort(cell)
+    phase = tau_powers(d, s * t)
+    tables = _parity_tables(d)
+    for family, scaled in ((frame, phase / d), (dual, phase)):
+        object.__setattr__(family, "label_map", _LabelMap(cell, scaled, order, scaled[order], *tables))
+    return frame, dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +418,10 @@ def gram_dual(frame: Frame) -> Frame:
     cond = np.linalg.cond(V) ** 2
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")
-    dual_ops = _from_coordinates(np.linalg.inv(V).T, frame.dim)
+    # V goes before the dual's stack is allocated, and its inverse before that stack is checked
+    V = np.linalg.inv(V).T
+    dual_ops = _from_coordinates(V, frame.dim)
+    del V
     return Frame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
 
 

@@ -10,6 +10,7 @@ from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import (
     Frame,
     QuasiDistribution,
+    parity_pair,
     reconstruct_state,
     represent_effect,
     represent_state,
@@ -21,6 +22,7 @@ __all__ = [
     "striation_pvms",
     "MAX_STACK_BYTES",
     "check_stack_budget",
+    "parity_representation",
     "phase_point_representation",
 ]
 
@@ -86,6 +88,16 @@ def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndar
     frame = Frame(dim=d, labels=geom.points, operators=ops / d, name=name)
     dual = Frame(dim=d, labels=geom.points, operators=ops, name=name)
     return Representation(name=name, dim=d, frame=frame, dual=dual, geometry=geom, meta=meta)
+
+
+def parity_representation(name: str, geom: PhaseSpaceGeometry, s, t, meta: dict) -> Representation:
+    """A minimal displaced-parity pair over the points of ``geom``: frame {K(s, t)/d}, dual {K(s, t)}.
+
+    ``parity_pair`` builds both from the kernel labels (s, t), one pair per
+    point, with the label map they pair through.
+    """
+    frame, dual = parity_pair(geom.points, s, t, name=name)
+    return Representation(name=name, dim=frame.dim, frame=frame, dual=dual, geometry=geom, meta=meta)
 
 
 def striation_pvms(rep: Representation) -> np.ndarray:

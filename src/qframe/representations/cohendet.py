@@ -13,7 +13,7 @@ from ..errors import UnsupportedDimensionError
 from ..frames import QuasiDistribution
 from ..geometry import extended_lattice, odd_lattice
 from ..operators import _random_states, displaced_parity
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_representation
 
 
 def fano_operator(d: int, q: int, p: int) -> np.ndarray:
@@ -32,8 +32,7 @@ def cohendet(d: int) -> Representation:
     check_stack_budget(f"cohendet({d})", d * d, d)
     geom = odd_lattice(d)
     q, p = np.array(geom.points).T
-    ops = displaced_parity(d, -2 * q, 2 * p)
-    rep = phase_point_representation("cohendet", geom, ops, {"d": d})
+    rep = parity_representation("cohendet", geom, -2 * q, 2 * p, {"d": d})
     return replace(rep, checks=(("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
 
 

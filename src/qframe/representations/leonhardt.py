@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
 
 
 def leonhardt(d: int) -> Representation:
@@ -23,8 +23,7 @@ def leonhardt(d: int) -> Representation:
     if d % 2 == 1:
         geom = odd_lattice(d)
         q, p = np.array(geom.points).T
-        ops = displaced_parity(d, 2 * q, 2 * p)
-        return phase_point_representation("leonhardt", geom, ops, {"case": "odd"})
+        return parity_representation("leonhardt", geom, 2 * q, 2 * p, {"case": "odd"})
     # half-integer grid: q, p run over Z_2d and the phase uses the 2d-th root.
     # The frame {K/(2d)} is tight with both bounds 1/d, so its canonical dual is d F = K/2.
     geom = plain_lattice(2 * d, kind="half-integer-lattice")

@@ -9,8 +9,7 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..geometry import odd_lattice
-from ..operators import displaced_parity
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_representation
 
 
 def ruzzi_s0(d: int) -> Representation:
@@ -22,5 +21,4 @@ def ruzzi_s0(d: int) -> Representation:
     check_stack_budget(f"ruzzi_s0({d})", d * d, d)
     geom = odd_lattice(d)
     q, p = np.array(geom.points).T
-    ops = displaced_parity(d, 2 * p, -2 * q)
-    return phase_point_representation("ruzzi", geom, ops, {"d": d})
+    return parity_representation("ruzzi", geom, 2 * p, -2 * q, {"d": d})

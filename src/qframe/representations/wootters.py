@@ -28,7 +28,7 @@ from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import SIGMA, displaced_parity
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
 
@@ -44,8 +44,6 @@ def _qubit_points() -> np.ndarray:
 
 def _prime_stack(d: int) -> np.ndarray:
     """A(q, p) for prime d, stacked over the row-major points of ``prime_lattice(d)``."""
-    if not _is_prime(d):
-        raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
     if d == 2:
         return _qubit_points()
     q, p = np.divmod(np.arange(d * d), d)
@@ -62,8 +60,13 @@ def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def wootters(d: int) -> Representation:
     """Discrete Wigner representation for a single prime dimension."""
     check_stack_budget(f"wootters({d})", d * d, d)
-    ops = _prime_stack(d)
-    return phase_point_representation("wootters", prime_lattice(d), ops, {"dims": (d,)})
+    if not _is_prime(d):
+        raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
+    geom = prime_lattice(d)
+    if d == 2:
+        return phase_point_representation("wootters", geom, _qubit_points(), {"dims": (d,)})
+    q, p = np.array(geom.points).T
+    return parity_representation("wootters", geom, 2 * q, 2 * p, {"dims": (d,)})
 
 
 def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:

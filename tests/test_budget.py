@@ -1,6 +1,7 @@
 """Every factory refuses, before it allocates, a build over the operator-stack budget."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ C16 = np.dtype(complex).itemsize
 # (id, build, module whose first allocating step is stubbed out, its name,
 #  bytes of operator stacks the build is charged)
 BUDGETED = [
-    ("wootters-3", lambda: wootters(3), "wootters", "displaced_parity", 2 * 9 * 9 * C16),
+    ("wootters-3", lambda: wootters(3), "base", "parity_pair", 2 * 9 * 9 * C16),
     ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "displaced_parity",
      2 * 36 * 36 * C16),
-    ("cohendet-3", lambda: cohendet(3), "cohendet", "displaced_parity", 2 * 9 * 9 * C16),
-    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "displaced_parity", 2 * 9 * 9 * C16),
+    ("cohendet-3", lambda: cohendet(3), "base", "parity_pair", 2 * 9 * 9 * C16),
+    ("leonhardt-3", lambda: leonhardt(3), "base", "parity_pair", 2 * 9 * 9 * C16),
     ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "displaced_parity", 2 * 16 * 4 * C16),
-    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "displaced_parity", 2 * 9 * 9 * C16),
+    ("ruzzi-3", lambda: ruzzi_s0(3), "base", "parity_pair", 2 * 9 * 9 * C16),
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
@@ -94,7 +95,7 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
         "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
     for module, step in [("wootters", "displaced_parity"), ("cohendet", "displaced_parity"),
-                         ("leonhardt", "displaced_parity"), ("ruzzi", "displaced_parity"),
+                         ("leonhardt", "displaced_parity"), ("base", "parity_pair"),
                          ("hardy", "hardy_projector"), ("mub", "mub_bases")]:
         _stub(monkeypatch, module, step)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
@@ -114,3 +115,16 @@ def test_cli_exits_2_over_budget(monkeypatch, capsys, argv):
     monkeypatch.setattr(base, "MAX_STACK_BYTES", 1)
     assert main(argv) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [16, 24])
+def test_hardy_peak_stays_within_its_charge(d):
+    # frame, dual and the solve on the coordinates: three stacks, as check_stack_budget charges
+    hardy_rep(3)  # imports and caches outside the traced window
+    tracemalloc.start()
+    try:
+        hardy_rep(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * d**4 * C16

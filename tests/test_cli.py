@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -438,10 +439,15 @@ def test_non_finite_state_file_exits_4(tmp_path, capsys, bad):
     rho = maximally_mixed(3).astype(complex)
     rho[1, 1] = bad
     path.write_text(json.dumps(matrix_to_doc(rho)))
-    code, out, err = run(capsys, "represent", "wootters", "--d", "3", "--state", str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "represent", "wootters", "--d", "3", "--state", str(path))
     assert code == 4
     assert out == ""
     assert "finite" in err
+    # refused while reading the file, before a product with the entry could warn
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_hermitian_state_file_exits_4(tmp_path, capsys):

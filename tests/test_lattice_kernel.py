@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
-from qframe.errors import UnsupportedDimensionError
-from qframe.frames import Frame, canonical_dual, is_dual_pair
+from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
+from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
 from qframe.geometry import prime_lattice
-from qframe.operators import displaced_parity, parity_matrix, random_state
+from qframe.operators import EQ_TOL, displaced_parity, parity_matrix, random_state, tau_powers
 from qframe.representations import (
     cohendet,
     fano_operator,
@@ -48,6 +48,14 @@ COVARIANCE = {
     "leonhardt": lambda d, q, p, a, b: (
         ((q + a) % d, (p + b) % d) if d % 2 else ((q + 2 * a) % (2 * d), (p + 2 * b) % (2 * d))
     ),
+}
+
+# The kernel labels (s, t) of each minimal family's point (q, p): A(q, p) = K(s, t).
+KERNEL_LABELS = {
+    "wootters": lambda q, p: (2 * q, 2 * p),
+    "cohendet": lambda q, p: (-2 * q, 2 * p),
+    "leonhardt": lambda q, p: (2 * q, 2 * p),
+    "ruzzi": lambda q, p: (2 * p, -2 * q),
 }
 
 family_and_dim = st.one_of(
@@ -196,3 +204,106 @@ def test_dual_pair_and_round_trip(fd, seed):
     rho = random_state(d, rank=1 + seed % d, seed=seed)
     back = rep.reconstruct(rep.represent(rho))
     assert np.max(np.abs(back - rho)) < 1e-9
+
+
+# analysis and synthesis through the label map, against the dense stack
+
+minimal_family_and_dim = st.one_of(
+    st.tuples(st.just("wootters"), st.sampled_from(ODD_PRIMES)),
+    st.tuples(st.sampled_from(["cohendet", "leonhardt", "ruzzi"]), st.sampled_from(ODD)),
+)
+
+
+def _hermitian(rng, k: int, d: int) -> np.ndarray:
+    G = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    return (G + G.conj().transpose(0, 2, 1)) / 2
+
+
+def check_pairings_against_dense(family, A: np.ndarray, v: np.ndarray) -> None:
+    """Single and batched ``analyze`` and ``synthesize`` of a family equal the dense einsum forms on its stack."""
+    ops = family.operators
+    np.testing.assert_allclose(family.analyze(A), np.real(np.einsum("nij,kji->kn", ops, A)),
+                               rtol=0, atol=ORACLE_TOL)
+    for one in (A[0], A[0].T):  # the transpose is a non-contiguous view
+        np.testing.assert_allclose(family.analyze(one), np.real(np.einsum("nij,ji->n", ops, one)),
+                                   rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(family.synthesize(v), np.einsum("kn,nij->kij", v, ops), rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(family.synthesize(v[0]), np.einsum("n,nij->ij", v[0], ops),
+                               rtol=0, atol=ORACLE_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fd=minimal_family_and_dim, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_label_map_pairs_like_the_dense_stack(fd, k, seed):
+    family, d = fd
+    rep = build(family, d)
+    rng = np.random.default_rng(seed)
+    A = _hermitian(rng, k, d)
+    for fam in (rep.frame, rep.dual):
+        assert fam.label_map is not None
+        check_pairings_against_dense(fam, A, rng.standard_normal((k, len(fam))))
+    rho = random_state(d, seed=seed % 1000)
+    np.testing.assert_allclose(rep.reconstruct(rep.represent(rho)), rho, rtol=0, atol=ORACLE_TOL)
+
+
+def test_a_wrong_label_map_fails_the_dense_oracle():
+    rep = wootters(5)
+    s, t = KERNEL_LABELS["wootters"](*np.array(rep.labels).T)
+    A = _hermitian(np.random.default_rng(0), 2, 5)
+    v = np.random.default_rng(1).standard_normal((2, 25))
+    for wrong in ((s, -t), (t, s), (s + 2, t)):
+        family = Frame(dim=5, labels=rep.labels, operators=rep.dual.operators, name="wootters")
+        object.__setattr__(family, "label_map", parity_pair(rep.labels, *wrong)[1].label_map)
+        with pytest.raises(AssertionError):
+            check_pairings_against_dense(family, A, v)
+
+
+@pytest.mark.parametrize("family,d", [("wootters", 3), ("cohendet", 5), ("leonhardt", 7), ("ruzzi", 9)])
+def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
+    rep = FACTORY[family](d)
+    s, t = KERNEL_LABELS[family](*np.array(rep.labels).T)
+    np.testing.assert_array_equal(rep.dual.operators, displaced_parity(d, s, t))
+    np.testing.assert_array_equal(rep.frame.operators, rep.dual.operators / d)
+    for fam, scale in ((rep.frame, d), (rep.dual, 1)):
+        np.testing.assert_array_equal(fam.label_map.cell, (s % d) * d + t % d)
+        np.testing.assert_array_equal(fam.label_map.phase, tau_powers(d, s * t) / scale)
+
+
+@pytest.mark.parametrize("build_rep", [
+    lambda: wootters(2), lambda: wootters_composite([3, 5]), lambda: leonhardt(4), lambda: havel_rep(2),
+], ids=["wootters-2", "composite-3x5", "leonhardt-4", "havel-2"])
+def test_other_families_carry_no_label_map(build_rep):
+    rep = build_rep()
+    assert rep.frame.label_map is None and rep.dual.label_map is None
+
+
+@pytest.mark.parametrize("s,t", [([0, 1, 2, 0], [0, 0, 0, 1]), ([0, 1, 2], [0, 1, 2]), ([0, 1], [0])],
+                         ids=["repeated-cell", "not-a-square", "unequal"])
+def test_parity_pair_refuses_a_map_that_is_not_a_bijection(s, t):
+    with pytest.raises(DimensionMismatchError, match="label pairs|cells once"):
+        parity_pair(tuple(range(len(s))), s, t)
+
+
+def _skewed(family, rho: np.ndarray, peak: float) -> np.ndarray:
+    """rho + iH, H Hermitian, scaled so the largest |Im Tr[A F(lam)]| over the family is ``peak``."""
+    H = random_state(family.dim, seed=90)
+    return rho + 1j * H * (peak / np.abs(np.real(np.einsum("nij,ji->n", family.operators, H))).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(fd=minimal_family_and_dim, seed=st.integers(0, 10**6))
+def test_label_map_refuses_what_the_dense_path_refuses(fd, seed):
+    family, d = fd
+    rep = build(family, d)
+    rho = random_state(d, seed=seed)
+    for fam, analyze in ((rep.frame, rep.represent), (rep.dual, rep.effect)):
+        with pytest.raises(DimensionMismatchError, match="not Hermitian"):
+            analyze(_skewed(fam, rho, 2 * EQ_TOL))
+        A = _skewed(fam, rho, 0.9 * EQ_TOL)
+        np.testing.assert_allclose(analyze(A).values, np.real(np.einsum("nij,ji->n", fam.operators, A)),
+                                   rtol=0, atol=ORACLE_TOL)
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.inf):
+            B = rho.copy()
+            B[d // 2, d // 2] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(DimensionMismatchError, match="finite"):
+                analyze(B)
