@@ -1,7 +1,7 @@
 """Diagnostics built on the representations.
 
 Negativity-based entanglement tests for two qubits, classicality of noisy
-NMR-style states, stabilizer positivity, phase-space teleportation, and the
+NMR-style states, phase-space teleportation, and the
 three-angle Bell-Wigner inequality evaluated on the singlet.
 """
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import numpy.random
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
@@ -21,7 +20,6 @@ from .operators import (
     bloch_state,
     is_density,
     partial_transpose,
-    qubit_stabilizer_states,
     tensor,
     weyl_monomials,
 )
@@ -237,32 +235,6 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
                     "witness": effect,
                 }
     return {"found": False, "representation": rep.name}
-
-
-def stabilizer_positivity_check(seed: int = 0, mixtures: int = 100) -> dict:
-    """Single-qubit lattice positivity over the stabilizer octahedron.
-
-    The six stabilizer states and their random convex mixtures stay
-    nonnegative; the Bloch-(1,1,1)/sqrt(3) state does not.
-    """
-    stab = np.array(qubit_stabilizer_states())
-    c = 1.0 / np.sqrt(3.0)
-    # one dirichlet draw of ``mixtures`` rows is the same stream as that many single draws
-    w = np.random.default_rng(seed).dirichlet(np.ones(len(stab)), size=mixtures)
-    mixed = sum(w[:, i, None, None] * s for i, s in enumerate(stab))
-    states = np.concatenate([stab, bloch_state(c, c, c)[None], mixed])
-    lows = _lattice((2,)).frame.analyze(states).min(axis=1)
-    stab_min, magic_min = float(lows[:len(stab)].min()), float(lows[len(stab)])
-    mix_min = lows[len(stab) + 1:].min(initial=np.inf)
-    return {
-        "stabilizer_min": stab_min,
-        "magic_state_min": magic_min,
-        "mixture_min": float(mix_min),
-        "stabilizers_nonnegative": stab_min >= -1e-10,
-        "mixtures_nonnegative": float(mix_min) >= -1e-10,
-        "mixtures": mixtures,
-        "seed": seed,
-    }
 
 
 _NMR_DEFAULT_GRID = {1: 10014, 2: 114, 3: 26}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -130,18 +130,39 @@ def _same_labels(a: tuple, b: tuple) -> bool:
     return a is b or a == b
 
 
-def _parity_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The per-d tables of the displaced-parity identity.
 
     ``gather[s, c] = c d + (s - c) mod d`` reads the anti-diagonal
     ``A[c, (s - c) mod d]`` off a row-major A; ``dft[c, t] = tau**(-2tc)``
-    is symmetric and, from ``tau_powers``, conjugate-symmetric bit for bit;
-    ``scatter[r d + c] = ((r + c) mod d) d + c`` reads entry (r, c) of a
-    synthesized operator off row s = r + c of the DFT product.
+    is symmetric and, from ``tau_powers``, conjugate-symmetric bit for bit.
     """
     c = np.arange(d)
     s = c[:, None]
-    return c * d + (s - c) % d, tau_powers(d, -2 * s * c), (((s + c) % d) * d + c).reshape(-1)
+    return c * d + (s - c) % d, tau_powers(d, -2 * s * c)
+
+
+@lru_cache(maxsize=None)
+def _mirror_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a synthesized operator is read off its DFT product, Hermitian bit for bit.
+
+    Entry (r, c) and its partner (c, r) both sit on row (r + c) mod d of the
+    product, at columns c and r.  ``mirror`` reads the upper one of the two
+    for both, as two floats, and ``sign`` negates the imaginary part of the
+    lower.  Made on a family's first synthesis, once per d, and frozen.
+    """
+    c = np.arange(d)
+    s = c[:, None]
+    lower = s > c
+    # the upper of (r, c) and (c, r) is at row (r + c) mod d, column max(r, c)
+    upper = 2 * (((s + c) % d) * d + c + (s - c) * lower).reshape(-1)
+    mirror = np.empty(2 * d * d, dtype=np.intp)
+    mirror[0::2], mirror[1::2] = upper, upper + 1
+    sign = np.ones(2 * d * d)
+    sign[1::2] -= 2 * lower.reshape(-1)
+    mirror.setflags(write=False)
+    sign.setflags(write=False)
+    return mirror, sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +182,6 @@ class _LabelMap:
     order_phase: np.ndarray
     gather: np.ndarray
     dft: np.ndarray
-    scatter: np.ndarray
 
     def __post_init__(self):
         for table in vars(self).values():
@@ -172,14 +192,23 @@ class _LabelMap:
         return (A.ravel()[self.gather] @ self.dft).ravel()[self.cell] * self.phase
 
     def synthesize(self, v: np.ndarray) -> np.ndarray:
-        """``sum_lam v(lam) F(lam)`` for ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``."""
+        """``sum_lam v(lam) F(lam)`` for ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``.
+
+        The product is read back through ``_mirror_tables``, and the
+        imaginary part of the diagonal is set to zero.
+        """
         d = len(self.dft)
+        mirror, sign = _mirror_tables(d)
         if v.ndim == 1:
             W = (v[self.order] * self.order_phase).reshape(d, d)
-            return (W @ self.dft).ravel()[self.scatter].reshape(d, d)
+            M = ((W @ self.dft).view(float).reshape(-1)[mirror] * sign).view(complex).reshape(d, d)
+            M.reshape(-1)[::d + 1].imag = 0.0
+            return M
         k = len(v)
         rows = (v[:, self.order] * self.order_phase).reshape(k * d, d)
-        return (rows @ self.dft).reshape(k, d * d)[:, self.scatter].reshape(k, d, d)
+        M = (np.take((rows @ self.dft).view(float).reshape(k, -1), mirror, axis=1) * sign).view(complex)
+        M[:, ::d + 1].imag = 0.0
+        return M.reshape(k, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,8 +469,7 @@ def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[b
     return residual <= tol, residual
 
 
-def _screened_distribution(family: Frame, A: np.ndarray, kind: str, name: str | None,
-                           warnings: tuple) -> QuasiDistribution:
+def _screened_distribution(family: Frame, A: np.ndarray, kind: str, warnings: tuple) -> QuasiDistribution:
     """``family.analyze(A)`` as a ``QuasiDistribution``, skipping ``__post_init__``.
 
     Its checks would only repeat ``analyze``'s: the values are finite and one
@@ -451,7 +479,7 @@ def _screened_distribution(family: Frame, A: np.ndarray, kind: str, name: str | 
     values.setflags(write=False)
     dist = object.__new__(QuasiDistribution)
     dist.__dict__.update(
-        representation=name if name is not None else family.name,
+        representation=family.name,
         dim=family.dim,
         labels=family.labels,
         values=values,
@@ -460,16 +488,16 @@ def _screened_distribution(family: Frame, A: np.ndarray, kind: str, name: str | 
     return dist
 
 
-def represent_state(rho: np.ndarray, frame: Frame, name: str | None = None) -> QuasiDistribution:
+def represent_state(rho: np.ndarray, frame: Frame) -> QuasiDistribution:
     """Quasi-probability values ``Tr[rho F(lam)]`` of a density operator."""
     warnings = () if frame.resolves_identity else ("frame-sum-not-identity",)
-    return _screened_distribution(frame, rho, "state", name, warnings)
+    return _screened_distribution(frame, rho, "state", warnings)
 
 
-def represent_effect(E: np.ndarray, dual: Frame, name: str | None = None) -> QuasiDistribution:
+def represent_effect(E: np.ndarray, dual: Frame) -> QuasiDistribution:
     """Effect values ``Tr[E D(lam)]`` against the dual family."""
     warnings = () if dual.unit_traces else ("dual-traces-not-one",)
-    return _screened_distribution(dual, E, "effect", name, warnings)
+    return _screened_distribution(dual, E, "effect", warnings)
 
 
 def reconstruct_state(dist: QuasiDistribution, dual: Frame) -> np.ndarray:

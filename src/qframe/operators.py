@@ -48,7 +48,6 @@ __all__ = [
     "basis_state",
     "maximally_mixed",
     "bloch_state",
-    "qubit_stabilizer_states",
     "random_unitary",
     "random_pure_state",
     "random_state",
@@ -283,14 +282,6 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     of this module, so published Bloch coordinates can be pasted in directly.
     """
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA[0] + y * SIGMA[1] + z * SIGMA[2])
-
-
-def qubit_stabilizer_states() -> list[np.ndarray]:
-    """The six single-qubit stabilizer states (eigenstates of X, Y, Z)."""
-    out = []
-    for v in [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]:
-        out.append(bloch_state(*v))
-    return out
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

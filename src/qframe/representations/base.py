@@ -34,8 +34,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
 
     Two stacks are the frame and the dual; factories that also build the SIC
-    orbit, the unbiased-basis projectors, the n x n solve of a basis's dual
-    (n = d^2) or, for GHW, the gather of its line vectors count three.
+    orbit, the unbiased-basis projectors or the n x n solve of a basis's dual
+    (n = d^2) count three, and so does GHW, for its tables beside the two.
     """
     need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:
@@ -72,10 +72,10 @@ class Representation:
         return self.frame.labels
 
     def represent(self, rho: np.ndarray) -> QuasiDistribution:
-        return represent_state(rho, self.frame, name=self.name)
+        return represent_state(rho, self.frame)
 
     def effect(self, E: np.ndarray) -> QuasiDistribution:
-        return represent_effect(E, self.dual, name=self.name)
+        return represent_effect(E, self.dual)
 
     def reconstruct(self, dist: QuasiDistribution) -> np.ndarray:
         return reconstruct_state(dist, self.dual)

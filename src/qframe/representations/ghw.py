@@ -12,8 +12,14 @@ the ray and propagates it to the parallel lines by translation covariance,
 
     Q(tau_alpha lam) = T_alpha Q(lam) T_alpha^dag.
 
-Phase-point operators are A(alpha) = sum over the d+1 lines through alpha of
-Q(line), minus the identity; the frame is {A/d} with dual {A}.  The net
+The phase-point operator of the origin is the sum of the projectors of the
+d+1 rays, minus the identity, A(0) = sum_s v_s v_s^dag - 1, and covariance
+moves it to every point,
+
+    A(alpha) = T_alpha A(0) T_alpha^dag,
+
+which is the sum over the d+1 lines through alpha of Q(line), minus the
+identity.  The frame is {A/d} with dual {A}.  The net
 freedom (one choice of eigenvector per striation) is exposed as a tuple of
 shifts; the default picks the first eigenvector in a deterministic
 eigenvalue-phase ordering.
@@ -25,7 +31,7 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
-from ..frames import _pairings
+from ..frames import transform_matrix
 from ..geometry import field_lattice
 from ..operators import eigh_fixed, monomial_stack, omega
 from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
@@ -92,14 +98,12 @@ def _build_structure(field: FiniteField):
     return geom, bases
 
 
-def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
-        field: FiniteField | None = None) -> Representation:
+def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representation:
     """Finite-field Wigner representation in dimension d = p^n."""
-    F = field if field is not None else FiniteField(p, n)
-    if (F.p, F.n) != (p, n):
-        raise UnsupportedDimensionError("field does not match the requested (p, n)")
+    F = FiniteField(p, n)
     d = F.order
-    # the frame, the dual and the gather S below
+    # the frame and the dual, and room for what overlaps them: the frames' checks, B below and,
+    # under d = 16, the fixed-size tables
     check_stack_budget(f"ghw({p}, {n})", d * d, d, stacks=3)
     if net is None:
         net = (0,) * (d + 1)
@@ -108,28 +112,19 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None,
         raise UnsupportedDimensionError(f"a net needs {d + 1} shifts, got {len(net)}")
     geom, bases = _build_structure(F)
 
-    # W[s, c] = T_c v_s: the net vector of striation s translated to its line
-    # with intercept c, by T(c, 0) across the vertical striation and T(0, c)
-    # across the others.  Line s*d + c projects onto W[s, c].
-    v = np.array([basis[:, t] for basis, t in zip(bases, net)])
+    # A(0): the net vectors of the d + 1 rays through the origin, minus the identity
+    v = np.stack([basis[:, t] for basis, t in zip(bases, net)], axis=1)
     codes, zeros = np.arange(d), np.zeros(d, dtype=np.int64)
-    W = np.empty((d + 1, d, d), dtype=complex)
-    perm, phase = _monomials(F, codes, zeros)
-    W[0][codes[:, None], perm] = phase * v[0]
-    perm, phase = _monomials(F, zeros, codes)
-    W[1:, codes[:, None], perm] = phase * v[1:, None, :]
+    A0 = v @ v.conj().T - np.eye(d)
+    # A(q, p) = X^q B_p X^-q with B_p = Z^p A(0) Z^-p, made exactly Hermitian
+    _, z = _monomials(F, zeros, codes)
+    B = z[:, :, None] * A0 * z.conj()[:, None, :]
+    B = (B + B.conj().transpose(0, 2, 1)) / 2
+    # X^q sends |j> to |j + q>, so A(q, p)[j, k] = B_p[j - q, k - q]; point (q, p) is row q d + p
+    back = _monomials(F, codes, zeros)[0].argsort(axis=1)
+    ops = B[codes[:, None, None], back[:, None, :, None], back[:, None, None, :]]
 
-    # A point's operator is the sum of the projectors of its d + 1 lines, one
-    # per striation, minus the identity: through[s, i] is the line of
-    # striation s through point i.
-    s = np.arange(d + 1)[:, None]
-    through = np.empty((d + 1, d * d), dtype=np.intp)
-    through[s[..., None], geom.line_index] = codes[:, None]
-    S = W[s, through].transpose(1, 2, 0)
-    ops = S @ S.conj().transpose(0, 2, 1)
-    ops[:, codes, codes] -= 1.0
-
-    return phase_point_representation("ghw", geom, ops, {
+    return phase_point_representation("ghw", geom, ops.reshape(d * d, d, d), {
         "field": F,
         "net": net,
         "striation_bases": bases,
@@ -168,7 +163,7 @@ def match_phase_points(rep_a: Representation, rep_b: Representation,
         return None
     d = rep_a.dim
     A, B = rep_a.dual.operators, rep_b.dual.operators
-    overlap = _pairings(A, B) / d
+    overlap = transform_matrix(rep_a.dual, rep_b.dual) / d
     mapping = {}
     used = set()
     for i, la in enumerate(rep_a.labels):

@@ -16,6 +16,8 @@ from .base import Representation
 
 GRAM_CONDITION_LIMIT = 1e8
 MAX_SPIN = 4.0
+# seeded constellation draws before a random constellation gives up
+MAX_DRAWS = 50
 
 
 def _two(x: float, name: str) -> int:
@@ -223,7 +225,7 @@ def _dual_sum_residual(rep: Representation, seed: int) -> float:
     return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
 
 
-def _random_stratonovich(s: float, seed=None, gammas=None, max_draws: int = 50):
+def _random_stratonovich(s: float, seed=None):
     """``stratonovich_discrete`` on the first seeded draw of uniform sphere points it accepts.
 
     A draw whose kernel Gram matrix is ill conditioned is redrawn.  Returns
@@ -231,21 +233,21 @@ def _random_stratonovich(s: float, seed=None, gammas=None, max_draws: int = 50):
     """
     rng = np.random.default_rng(seed)
     d = _two(s, "s") + 1
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_DRAWS + 1):
         raw = rng.normal(size=(d * d, 3))
         try:
-            return stratonovich_discrete(s, raw / np.linalg.norm(raw, axis=1, keepdims=True), gammas), draw
+            return stratonovich_discrete(s, raw / np.linalg.norm(raw, axis=1, keepdims=True)), draw
         except SingularBasisError:
             continue
-    raise SingularBasisError(f"no well conditioned constellation in {max_draws} draws")
+    raise SingularBasisError(f"no well conditioned constellation in {MAX_DRAWS} draws")
 
 
-def random_constellation(s: float, seed=None, gammas=None, max_draws: int = 50):
+def random_constellation(s: float, seed=None):
     """Uniform sphere points for a spin-s constellation; redraws on bad conditioning.
 
     Returns (points, draws) where draws counts the attempts consumed.
     """
-    rep, draws = _random_stratonovich(s, seed, gammas, max_draws)
+    rep, draws = _random_stratonovich(s, seed)
     return rep.meta["constellation"], draws
 
 

@@ -6,8 +6,7 @@ drawing one (state, effect) pair per seed and going through
 ``represent``/``effect``/``reconstruct``; the teleportation branch as the
 dense three-system simulation, ``proj @ total @ proj`` on d^3 x d^3
 matrices, with the displaced comparison through a label dict; the
-entanglement sweep as one Franco-Penna and one PPT test per state; the
-stabilizer positivity minima one state and one Dirichlet draw at a time; and
+entanglement sweep as one Franco-Penna and one PPT test per state; and
 the spin-1/2 NMR kernel built per direction.  ``values`` and
 ``hermiticity_residual`` are verify's own pairing and Hermiticity measure
 from before the families analyzed their own stacks.
@@ -21,10 +20,8 @@ from qframe.analysis import franco_penna, ppt_separability_two_qubit
 from qframe.frames import born_pair
 from qframe.operators import (
     SIGMA,
-    bloch_state,
     frobenius,
     partial_trace,
-    qubit_stabilizer_states,
     tensor,
     trace_inner,
 )
@@ -104,21 +101,6 @@ def line_residuals(rep, seed: int, states: int) -> tuple[float, float]:
         born = (flat @ rho.T.reshape(-1)).real
         sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))
     return pvm_worst, sum_worst
-
-
-def stabilizer_minima(seed: int, mixtures: int) -> tuple[float, float, float]:
-    """(stabilizer, magic-state, mixture) minima of the qubit lattice values, one state at a time."""
-    rep = wootters(2)
-    stab = qubit_stabilizer_states()
-    c = 1.0 / np.sqrt(3.0)
-    rng = np.random.default_rng(seed)
-    mix_min = np.inf
-    for _ in range(mixtures):
-        w = rng.dirichlet(np.ones(len(stab)))
-        rho = sum(wi * si for wi, si in zip(w, stab))
-        mix_min = min(mix_min, float(rep.represent(rho).values.min()))
-    return (min(float(rep.represent(s).values.min()) for s in stab),
-            float(rep.represent(bloch_state(c, c, c)).values.min()), mix_min)
 
 
 def teleport_branch(d: int, rho_in: np.ndarray, outcome: tuple[int, int]):

@@ -13,7 +13,8 @@ Pauli words and their real table as loops over bits and words, and the
 striation measurements as one sum of frame operators per line, found by
 label.  The Weyl words and the Schwinger basis are cached per d so the
 oracle can be sampled at a few points of a large lattice.  ``dense_ops``
-stacks any family over its labels.
+stacks any family over its labels, and ``qubit_stabilizer_states`` lists the
+six line states of the qubit lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from qframe.errors import UnsupportedDimensionError
-from qframe.operators import omega, tensor
+from qframe.operators import bloch_state, omega, tensor
 
 # the qubit I, X, Y, Z written out, Y = [X, Z]/2i in the shift/clock convention
 QUBIT_PAULIS = (
@@ -32,6 +33,11 @@ QUBIT_PAULIS = (
     np.array([[0, 1j], [-1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def qubit_stabilizer_states() -> list[np.ndarray]:
+    """The six single-qubit stabilizer states, the eigenstates of X, Y and Z in antipodal pairs."""
+    return [bloch_state(*v) for v in [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]]
 
 
 def shift_matrix(d: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from qframe.analysis import (
     negativity_witness,
     nmr_classicality,
     ppt_separability_two_qubit,
-    stabilizer_positivity_check,
     teleport_phase_space,
 )
 from qframe.cli import main
@@ -277,14 +276,6 @@ def test_witness_values_qubit_lattice():
     w = negativity_witness(wootters(2))
     assert w["kind"] == "state"
     assert abs(w["value"] - (1 - np.sqrt(3)) / 4) < 1e-10
-
-
-def test_stabilizer_positivity_report():
-    report = stabilizer_positivity_check(seed=3, mixtures=100)
-    assert report["stabilizers_nonnegative"]
-    assert report["mixtures_nonnegative"]
-    assert report["stabilizer_min"] >= -1e-12
-    assert abs(report["magic_state_min"] - (1 - np.sqrt(3)) / 4) < 1e-10
 
 
 def test_plus_x_state_nonnegative():

@@ -21,7 +21,6 @@ from qframe import verify
 from qframe.analysis import (
     _entanglement_sweep,
     _nmr_distribution,
-    stabilizer_positivity_check,
     teleport_phase_space,
 )
 from qframe.cli import main
@@ -172,14 +171,6 @@ def test_weyl_monomials_match_the_matrix_powers(d):
     p, q = (a.ravel() for a in np.meshgrid(np.arange(-d, 2 * d), np.arange(-d, 2 * d)))
     want = np.array([lattice_oracle.weyl_operator(int(a), int(b), d) for a, b in zip(p, q)])
     np.testing.assert_allclose(weyl_monomials(d, p, q), want, atol=ORACLE_TOL, rtol=0)
-
-
-@pytest.mark.parametrize("seed,mixtures", [(0, 100), (3, 100), (7, 1), (1, 0)])
-def test_stabilizer_check_matches_the_loop(seed, mixtures):
-    report = stabilizer_positivity_check(seed=seed, mixtures=mixtures)
-    want = oracle.stabilizer_minima(seed, mixtures)
-    got = (report["stabilizer_min"], report["magic_state_min"], report["mixture_min"])
-    np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL)
 
 
 # line-sum law

@@ -128,3 +128,17 @@ def test_hardy_peak_stays_within_its_charge(d):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * d**4 * C16
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_ghw_peak_stays_within_its_charge(p, n):
+    # the frame and the dual, with room for the frames' checks and the tables: three stacks, as check_stack_budget charges
+    d = p**n
+    ghw(2, 2)  # imports and caches outside the traced window
+    tracemalloc.start()
+    try:
+        ghw(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * d**4 * C16

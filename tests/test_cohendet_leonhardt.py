@@ -200,7 +200,7 @@ def test_the_lift_reads_the_name_and_the_labels():
     assert np.allclose(back.values, mu.values, atol=1e-12)
     # Wootters' prime lattice has Cohendet's points, placed by another relabeling
     assert wootters(3).labels == mu.labels
-    for other in (wootters(3).represent(rho), replace(cohendet(3), name="x").represent(rho),
+    for other in (wootters(3).represent(rho), replace(mu, representation="x"),
                   replace(mu, labels=mu.labels[::-1])):
         with pytest.raises(ValueError, match="odd-lattice"):
             extended_distribution(other)

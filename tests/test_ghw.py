@@ -224,12 +224,18 @@ def test_ghw_matches_dense_oracle(p, n):
     assert rep.labels == tuple(labels)
     assert np.max(np.abs(rep.dual.operators - ops)) <= ORACLE_TOL
     assert np.max(np.abs(rep.frame.operators - ops / p**n)) <= ORACLE_TOL
+    assert rep.frame.skew == rep.dual.skew == 0.0
     pvms = striation_pvms(rep).reshape(-1, p**n, p**n)
     assert len(pvms) == len(projectors)
     assert np.max(np.abs(pvms - np.array(projectors))) <= ORACLE_TOL
 
 
-@pytest.mark.parametrize("p,n,net", [(3, 1, (1, 0, 2, 1)), (2, 2, (3, 1, 0, 2, 1))])
+@pytest.mark.parametrize("p,n,net", [
+    (3, 1, (1, 0, 2, 1)),
+    (2, 2, (3, 1, 0, 2, 1)),
+    (3, 2, (3, 7, 8, 2, 1, 5, 6, 6, 5, 6)),
+    (2, 3, (5, 2, 1, 7, 1, 2, 5, 6, 5)),
+])
 def test_ghw_nets_match_dense_oracle(p, n, net):
     _, ops, _ = dense_ghw(p, n, net)
     assert np.max(np.abs(ghw(p, n, net=net).dual.operators - ops)) <= ORACLE_TOL

@@ -246,6 +246,23 @@ def test_label_map_pairs_like_the_dense_stack(fd, k, seed):
     np.testing.assert_allclose(rep.reconstruct(rep.represent(rho)), rho, rtol=0, atol=ORACLE_TOL)
 
 
+@settings(max_examples=40, deadline=None)
+@given(fd=minimal_family_and_dim, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_label_map_synthesizes_exactly_hermitian_operators(fd, k, seed):
+    family, d = fd
+    rep = build(family, d)
+    rng = np.random.default_rng(seed)
+    for fam in (rep.frame, rep.dual):
+        v = rng.standard_normal((k, len(fam)))
+        one, many = fam.synthesize(v[0]), fam.synthesize(v)
+        np.testing.assert_array_equal(one, one.conj().T)
+        np.testing.assert_array_equal(many, many.conj().transpose(0, 2, 1))
+        np.testing.assert_allclose(one, np.einsum("n,nij->ij", v[0], fam.operators), rtol=0, atol=ORACLE_TOL)
+        np.testing.assert_allclose(many, np.einsum("kn,nij->kij", v, fam.operators), rtol=0, atol=ORACLE_TOL)
+    back = rep.reconstruct(rep.represent(random_state(d, seed=seed % 1000)))
+    np.testing.assert_array_equal(back, back.conj().T)
+
+
 def test_a_wrong_label_map_fails_the_dense_oracle():
     rep = wootters(5)
     s, t = KERNEL_LABELS["wootters"](*np.array(rep.labels).T)

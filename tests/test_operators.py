@@ -20,7 +20,6 @@ from qframe.operators import (
     parity_matrix,
     partial_trace,
     partial_transpose,
-    qubit_stabilizer_states,
     random_effect,
     random_pure_state,
     random_state,
@@ -226,7 +225,7 @@ def test_bloch_state_conventions():
 
 
 def test_stabilizer_states_overlaps():
-    states = qubit_stabilizer_states()
+    states = lattice_oracle.qubit_stabilizer_states()
     assert len(states) == 6
     for i, a in enumerate(states):
         for j, b in enumerate(states):

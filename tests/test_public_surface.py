@@ -34,7 +34,6 @@ PAPER_OBJECTS = {
     "fano_operator",
     "from_extended",
     "match_phase_points",
-    "stabilizer_positivity_check",
     # unbiased bases, SIC and Pauli-word tables
     "mub_reconstruct",
     "overlap_deviation",

@@ -108,6 +108,16 @@ def test_bloch_diagonal_state_minimum_value():
     assert abs(mu.values.sum() - 1.0) < 1e-12
 
 
+def test_qubit_stabilizer_states_nonnegative():
+    # the six stabilizer states and their seeded mixtures stay nonnegative; the Bloch (1, 1, 1)/sqrt 3 state does not
+    rep = wootters(2)
+    stab = np.array(lattice_oracle.qubit_stabilizer_states())
+    weights = np.random.default_rng(3).dirichlet(np.ones(len(stab)), size=100)
+    assert min(rep.represent(s).min() for s in stab) >= -1e-12
+    assert min(rep.represent(rho).min() for rho in np.einsum("ks,sij->kij", weights, stab)) >= -1e-12
+    assert rep.represent(bloch_state(1 / SQ3, 1 / SQ3, 1 / SQ3)).min() < -0.18
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_vertical_striation_is_computational_basis(d):
     rep = wootters(d)
