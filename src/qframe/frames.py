@@ -70,20 +70,21 @@ def _as_stack(operators) -> np.ndarray:
     return ops
 
 
-def _row_blocks(n: int, d: int) -> list[slice]:
-    """Cache-sized slices of an ``(n, d, d)`` stack, each 2^13 entries (128 KB complex) or one operator.
+def _row_blocks(n: int, size: int) -> list[slice]:
+    """Cache-sized slices of n rows of ``size`` entries, each 2^13 entries (128 KB complex) or one row.
 
     A whole-stack pass is slower at large d and holds stack-sized
-    temporaries; ``_skew`` reads and ``_from_coordinates`` writes by these.
+    temporaries; ``_skew`` reads and ``_from_coordinates`` writes an
+    ``(n, d, d)`` stack by these, and GHW finds its striation bases by them.
     """
-    step = max(1, (1 << 13) // max(1, d * d))
+    step = max(1, (1 << 13) // max(1, size))
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _skew(ops: np.ndarray) -> tuple[float, float]:
     """Largest entry and largest per-operator Frobenius norm of ``F - F^dag`` over a stack, read by ``_row_blocks``."""
     entry = norm = 0.0
-    for rows in _row_blocks(len(ops), ops.shape[1]):
+    for rows in _row_blocks(len(ops), ops.shape[1] ** 2):
         blk = ops[rows]
         diff = np.abs(blk - np.conj(blk).transpose(0, 2, 1))
         entry = max(entry, float(diff.max()))
@@ -111,7 +112,7 @@ def _from_coordinates(V: np.ndarray, d: int) -> np.ndarray:
     j, k = np.triu_indices(d, 1)
     ops = np.zeros((len(V), d, d), dtype=complex)
     ops[:, np.arange(d), np.arange(d)] = V[:, :d]
-    for rows in _row_blocks(len(V), d):
+    for rows in _row_blocks(len(V), d * d):
         re, im = np.split(V[rows, d:], 2, axis=1)
         upper = (re - 1j * im) / np.sqrt(2)
         ops[rows, j, k] = upper

@@ -1,8 +1,7 @@
 """Core operator constructions on C^d.
 
 Generalized Pauli (Weyl-Heisenberg) operators, the finite Fourier transform,
-tensor-product plumbing, deterministic eigendecompositions and seeded random
-states/effects.
+tensor-product plumbing and seeded random states/effects.
 
 Conventions
 -----------
@@ -40,7 +39,6 @@ __all__ = [
     "partial_transpose",
     "trace_inner",
     "frobenius",
-    "eigh_fixed",
     "is_hermitian",
     "is_density",
     "is_effect",
@@ -201,23 +199,6 @@ def frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def eigh_fixed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with a deterministic gauge.
-
-    Eigenvalues ascend; each eigenvector is rephased so its first component
-    of magnitude above 1e-12 is real and positive.
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(A, dtype=complex))
-    vecs = vecs.copy()
-    for i in range(vecs.shape[1]):
-        col = vecs[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vecs[:, i] = col / phase
-    return vals, vecs
-
-
 def is_hermitian(A: np.ndarray, tol: float | None = None) -> bool:
     A = np.asarray(A)
     if tol is None:
@@ -342,29 +323,27 @@ def random_effect(d: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     return _rotated_diagonal(U, rng.uniform(0.0, 1.0, size=d))
 
 
-def _gaussian_stack(rngs: list, d: int) -> np.ndarray:
-    """``_complex_gaussian(rng, (d, d))`` for each generator, drawn into one ``(k, 2, d, d)`` buffer."""
-    buf = np.empty((len(rngs), 2, d, d))
-    for rng, out in zip(rngs, buf):
-        rng.standard_normal(out=out)  # the real parts, then the imaginary
-    return buf[:, 0] + 1j * buf[:, 1]
+def _random_states(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k consecutive ``random_state(d, seed=rng)`` draws, as one ``(k, d, d)`` stack.
 
-
-def _random_states(d: int, seeds) -> np.ndarray:
-    """``random_state(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack."""
-    return _density_from_gaussian(_gaussian_stack([np.random.default_rng(s) for s in seeds], d))
-
-
-def _random_effects(d: int, seeds) -> np.ndarray:
-    """``random_effect(d, seed=s)`` for each seed, as one ``(len(seeds), d, d)`` stack.
-
-    Each generator draws its Gaussians and then its uniforms, as in
-    ``random_effect`` (``uniform(0, 1)`` is ``random()`` bit for bit); the
-    QR and the rotations run over the stack.
+    One ``standard_normal`` call fills the ``(k, 2, d, d)`` buffer in the
+    order the single draws take: each sample's real parts, then its
+    imaginary parts.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
-    U = _haar_from_gaussian(_gaussian_stack(rngs, d))
-    vals = np.empty((len(rngs), d))
-    for rng, out in zip(rngs, vals):
-        rng.random(out=out)
-    return _rotated_diagonal(U, vals)
+    G = rng.standard_normal((k, 2, d, d))
+    return _density_from_gaussian(G[:, 0] + 1j * G[:, 1])
+
+
+def _random_effects(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k consecutive ``random_effect(d, seed=rng)`` draws, as one ``(k, d, d)`` stack.
+
+    Each sample takes its Gaussians and then its uniforms from the one
+    generator, as ``random_effect`` does (``uniform(0, 1)`` is ``random()``
+    bit for bit); the QR and the rotations run over the stack.
+    """
+    G = np.empty((k, 2, d, d))
+    vals = np.empty((k, d))
+    for gauss, uniform in zip(G, vals):
+        rng.standard_normal(out=gauss)  # the real parts, then the imaginary
+        rng.random(out=uniform)
+    return _rotated_diagonal(_haar_from_gaussian(G[:, 0] + 1j * G[:, 1]), vals)

@@ -37,8 +37,12 @@ def cohendet(d: int) -> Representation:
 
 
 def _extended_nonnegativity(rep: Representation, seed: int) -> float:
-    """Most negative doubled-lattice value over 20 seeded states (seeds from seed + 30000)."""
-    values = rep.frame.analyze(_random_states(rep.dim, seed + 30_000 + np.arange(20)))
+    """Most negative doubled-lattice value over 20 seeded states.
+
+    The states are 20 consecutive draws of ``np.random.default_rng([seed, 4])``,
+    the stream after verify's four sample stacks.
+    """
+    values = rep.frame.analyze(_random_states(rep.dim, 20, np.random.default_rng([seed, 4])))
     return max(0.0, -float(_doubled(rep.dim, values).min()))
 
 

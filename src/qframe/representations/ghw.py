@@ -7,8 +7,12 @@ the point (q, p) carries the translation unitary
     T(q,p) = X^{q_0} Z^{p_0} (x) ... (x) X^{q_{n-1}} Z^{p_{n-1}}.
 
 The translations along a ray (a line through the origin) commute, so each
-striation has a joint eigenbasis.  A quantum net assigns one eigenvector to
-the ray and propagates it to the parallel lines by translation covariance,
+striation has a joint eigenbasis.  The d + 1 bases are found in one pass
+over a ``(striations, d - 1, d, d)`` batch of the ray translations: one
+batched combination, ``eigh``, eigen-check, phase sort and gauge fix, in
+cache-sized blocks of striations at large d.  A quantum net assigns one
+eigenvector to the ray and propagates it to the parallel lines by
+translation covariance,
 
     Q(tau_alpha lam) = T_alpha Q(lam) T_alpha^dag.
 
@@ -31,9 +35,9 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
-from ..frames import transform_matrix
+from ..frames import _row_blocks, transform_matrix
 from ..geometry import field_lattice
-from ..operators import eigh_fixed, monomial_stack, omega
+from ..operators import monomial_stack, omega
 from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
 from .wootters import wootters
 
@@ -60,42 +64,66 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def _joint_eigenbasis(ops: np.ndarray, p: int) -> np.ndarray:
-    """Common eigenvectors of a stack of commuting unitaries, deterministically ordered.
+def _gauge(vecs: np.ndarray) -> np.ndarray:
+    """Columns of a ``(..., d, d)`` stack rephased so each one's first entry of modulus above 1e-12 is real positive."""
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
+    pivot = np.take_along_axis(vecs, first[..., None, :], axis=-2)
+    return vecs / (pivot / np.abs(pivot))
 
-    Columns are sorted by the tuple of eigenvalue phases against the given
+
+def _joint_eigenbases(perm: np.ndarray, phase: np.ndarray, p: int) -> np.ndarray:
+    """Common eigenvectors of every striation's ray translations, deterministically ordered.
+
+    ``perm`` and ``phase`` are the ``(striations, d - 1, d)`` monomial form of
+    the translations (see ``_monomials``).  Each striation's unitaries U_k
+    commute, so one generic Hermitian combination M + M^dag, M = sum_k a_k U_k,
+    has their joint eigenvectors; every striation is diagonalized, checked
+    and sorted in one pass over a block of striations, and only the
+    striations whose check fails are tried again with other weights.
+    Columns are sorted by the tuple of eigenvalue phases against the
     operator order and gauge-fixed (first sizable component real positive).
+    Returns the ``(striations, d, d)`` stack of bases.
     """
-    k = np.arange(len(ops))
+    S, m, d = perm.shape
+    k = np.arange(m)
     quantum = 2 * np.pi / (4 * p * p)
-    for attempt in range(4):
-        a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
-        M = np.tensordot(a, ops, axes=1)
-        _, vecs = eigh_fixed(M + M.conj().T)
-        Uv = ops @ vecs
-        lam = np.einsum("ji,kji->ki", vecs.conj(), Uv)
-        if np.max(np.linalg.norm(Uv - lam[:, None, :] * vecs, axis=1)) > 1e-8:
-            continue
-        # eigenvalue phases, quantized to the admissible root-of-unity grid
-        angles = np.angle(lam) % (2 * np.pi)
-        steps = np.round(angles / quantum)
-        if np.max(np.abs(angles - steps * quantum)) > 1e-6:
-            raise RuntimeError("eigenvalue phase off the root-of-unity grid")
-        keys = steps.astype(np.int64) % (4 * p * p)
-        out = vecs[:, np.lexsort(keys[::-1])]
-        pivot = out[np.argmax(np.abs(out) > 1e-12, axis=0), np.arange(out.shape[1])]
-        return out / (pivot / np.abs(pivot))
-    raise RuntimeError("failed to split a degenerate commuting family")
+    out = np.empty((S, d, d), dtype=complex)
+    for rows in _row_blocks(S, m * d * d):
+        todo = np.arange(S)[rows]
+        ops = monomial_stack(perm[rows].reshape(-1, d), phase[rows].reshape(-1, d)).reshape(-1, m, d, d)
+        for attempt in range(4):
+            a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
+            # one vector-matrix product per striation, the arithmetic of a single striation's tensordot
+            M = (a @ ops.reshape(len(ops), m, d * d)).reshape(-1, d, d)
+            # the gauge is fixed here and again after the sort, which keeps the bases of the
+            # one-striation-at-a-time build to the bit
+            vecs = _gauge(np.linalg.eigh(M + M.conj().transpose(0, 2, 1))[1])
+            Uv = ops @ vecs[:, None]
+            lam = np.einsum("sji,skji->ski", vecs.conj(), Uv)
+            split = np.linalg.norm(Uv - lam[..., None, :] * vecs[:, None], axis=-2).max(axis=(1, 2)) <= 1e-8
+            # eigenvalue phases, quantized to the admissible root-of-unity grid
+            angles = np.angle(lam[split]) % (2 * np.pi)
+            steps = np.round(angles / quantum)
+            if np.any(np.abs(angles - steps * quantum) > 1e-6):
+                raise RuntimeError("eigenvalue phase off the root-of-unity grid")
+            keys = steps.astype(np.int64) % (4 * p * p)
+            order = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=-1)
+            out[todo[split]] = _gauge(np.take_along_axis(vecs[split], order[:, None, :], axis=-1))
+            todo, ops = todo[~split], ops[~split]
+            if not todo.size:
+                break
+        else:
+            raise RuntimeError("failed to split a degenerate commuting family")
+    return out
 
 
 def _build_structure(field: FiniteField):
-    """Geometry and the joint eigenbasis of every striation's ray translations."""
+    """Geometry and the ``(d + 1, d, d)`` stack of the striations' joint eigenbases."""
     F = field
     geom = field_lattice(F)
     t = np.arange(1, F.order)
-    bases = [_joint_eigenbasis(monomial_stack(*_monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
-             for dq, dp in geom.meta["directions"]]
-    return geom, bases
+    dq, dp = np.array(geom.meta["directions"]).T[..., None]
+    return geom, _joint_eigenbases(*_monomials(F, F.mul(t, dq), F.mul(t, dp)), F.p)
 
 
 def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representation:
@@ -113,7 +141,7 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representatio
     geom, bases = _build_structure(F)
 
     # A(0): the net vectors of the d + 1 rays through the origin, minus the identity
-    v = np.stack([basis[:, t] for basis, t in zip(bases, net)], axis=1)
+    v = bases[np.arange(d + 1), :, net].T
     codes, zeros = np.arange(d), np.zeros(d, dtype=np.int64)
     A0 = v @ v.conj().T - np.eye(d)
     # A(q, p) = X^q B_p X^-q with B_p = Z^p A(0) Z^-p, made exactly Hermitian

@@ -9,9 +9,12 @@ out with one ``%`` over a template cached per row length, and a CSV line
 with one ``%`` over a template cached per row of cell types; any other
 list is rendered item by item.  The document builders fill their rows with
 ``tolist()``, so operator grids and distribution values take the row path.
+``write_frame`` renders each operator, {"dim", "im", "re"}, with one ``%``
+over a whole-document template cached per d, through a callable in its
+document: a callable writes its own text.
 Files are streamed: ``write_json`` renders straight into the file, an
 iterator in a document goes out one item at a time, and ``write_frame``
-holds one operator's document at a time.
+holds one operator's text at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ _ROW_FORMATS = {float: FLOAT_FMT, int: "%d"}
 # "[f, f, ...]" per (item type, length), and CSV lines per tuple of cell types, built on first use
 _ROW_TEMPLATES: dict = {}
 _CSV_TEMPLATES: dict = {}
+# the text of one operator document {"dim": d, "im": [[...]], "re": [[...]]} per d, built on first use
+_OPERATOR_TEMPLATES: dict = {}
 # a longer row is data rather than a shape that recurs, so its template is not kept
 _CACHED_ROW = 1024
 
@@ -87,6 +92,8 @@ def _render(obj, write) -> None:
         raise TypeError("complex values must go through matrix_to_doc")
     elif hasattr(type(obj), "__next__"):  # an iterator is an array streamed one item at a time
         _render_items(obj, write)
+    elif callable(obj):  # a callable writes its own JSON text
+        obj(write)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -189,13 +196,28 @@ def flatten_label(label) -> list:
 # operator families
 
 
+def _write_operators(ops: np.ndarray, write) -> None:
+    """``[matrix_to_doc(M) for M in ops]`` as JSON text, one ``%`` per operator over a template cached per d."""
+    d = ops.shape[-1]
+    template = _OPERATOR_TEMPLATES.get(d)
+    if template is None:
+        grid = "[" + ", ".join([_row_template(float, d)] * d) + "]"
+        template = _OPERATOR_TEMPLATES[d] = '{"dim": %d, "im": %s, "re": %s}' % (d, grid, grid)
+    write("[")
+    for i, M in enumerate(ops):
+        if i:
+            write(", ")
+        write(template % tuple(np.concatenate((M.imag.ravel(), M.real.ravel())).tolist()))
+    write("]")
+
+
 def write_frame(family, path) -> None:
-    """Write the frame document {dim, name, labels, operators}, holding one operator's document at a time."""
+    """Write the frame document {dim, name, labels, operators}, holding one operator's text at a time."""
     write_json({
         "dim": int(family.dim),
         "name": family.name,
         "labels": [label_to_doc(lab) for lab in family.labels],
-        "operators": map(matrix_to_doc, family.operators),
+        "operators": lambda write: _write_operators(family.operators, write),
     }, path)
 
 

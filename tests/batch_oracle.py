@@ -2,7 +2,8 @@
 
 Each function is the loop the array code replaces: the seeded draw of one
 random state and of one random effect, the three verify residuals
-drawing one (state, effect) pair per seed and going through
+drawing one (state, effect) pair at a time from each stack's generator,
+``default_rng([seed, stream])``, and going through
 ``represent``/``effect``/``reconstruct``; the teleportation branch as the
 dense three-system simulation, ``proj @ total @ proj`` on d^3 x d^3
 matrices, with the displaced comparison through a label dict; the
@@ -31,16 +32,20 @@ from qframe.representations.spherical import _check_unit_rows
 from lattice_oracle import weyl_operator
 
 
-def random_state(d: int, rank: int | None = None, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _generator(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def random_state(d: int, rank: int | None = None, seed=0) -> np.ndarray:
+    rng = _generator(seed)
     r = d if rank is None else int(rank)
     G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
 
 
-def random_effect(d: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def random_effect(d: int, seed=0) -> np.ndarray:
+    rng = _generator(seed)
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(A)
     diag = np.diagonal(R)
@@ -70,9 +75,10 @@ def hermiticity_residual(rep) -> float:
 
 def born_residual(rep, seed: int, samples: int) -> float:
     worst = 0.0
-    for k in range(samples):
-        rho = random_state(rep.dim, seed=seed + 2 * k)
-        E = random_effect(rep.dim, seed=seed + 2 * k + 1)
+    states, effects = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+    for _ in range(samples):
+        rho = random_state(rep.dim, seed=states)
+        E = random_effect(rep.dim, seed=effects)
         mu = rep.represent(rho)
         xi = rep.effect(E)
         worst = max(worst, abs(born_pair(mu, xi) - trace_inner(rho, E)))
@@ -81,8 +87,9 @@ def born_residual(rep, seed: int, samples: int) -> float:
 
 def round_trip_residual(rep, seed: int, samples: int) -> float:
     worst = 0.0
-    for k in range(samples):
-        rho = random_state(rep.dim, seed=seed + k)
+    rng = np.random.default_rng([seed, 2])
+    for _ in range(samples):
+        rho = random_state(rep.dim, seed=rng)
         back = rep.reconstruct(rep.represent(rho))
         worst = max(worst, frobenius(back - rho))
     return worst
@@ -95,8 +102,9 @@ def line_residuals(rep, seed: int, states: int) -> tuple[float, float]:
     idx = rep.geometry.line_index
     flat = pvms.reshape(*pvms.shape[:2], -1)
     sum_worst = 0.0
-    for k in range(states):
-        rho = random_state(rep.dim, seed=seed + k)
+    rng = np.random.default_rng([seed, 3])
+    for _ in range(states):
+        rho = random_state(rep.dim, seed=rng)
         line_sums = rep.represent(rho).values[idx].sum(axis=2)
         born = (flat @ rho.T.reshape(-1)).real
         sum_worst = max(sum_worst, float(np.max(np.abs(line_sums - born))))

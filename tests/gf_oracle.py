@@ -8,6 +8,9 @@ of it the direct way: every translation a Kronecker product of shift and
 clock matrix powers, each line projector a dense conjugation, and each
 phase-point operator a Python sum over the lines through its point.  The
 table-driven field and the index-arithmetic GHW build must agree with them.
+``striation_eigenbasis`` is the one-striation-at-a-time eigenbasis the
+batched pass replaced, with its ``eigh_fixed``; the batched bases must equal
+it to the bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from qframe.finitefield import _poly_mod, _poly_mul, default_modulus
-from qframe.operators import eigh_fixed, tensor
+from qframe.operators import tensor
 
 from lattice_oracle import clock_matrix, shift_matrix
 
@@ -105,6 +108,51 @@ def translation_operator(F: PolyField, q: int, r: int) -> np.ndarray:
     pc = F.expand(r, F.dual_basis(basis))
     X, Z = shift_matrix(F.p), clock_matrix(F.p)
     return tensor(*[np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b) for a, b in zip(qc, pc)])
+
+
+def eigh_fixed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition with a deterministic gauge.
+
+    Eigenvalues ascend; each eigenvector is rephased so its first component
+    of magnitude above 1e-12 is real and positive.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(A, dtype=complex))
+    vecs = vecs.copy()
+    for i in range(vecs.shape[1]):
+        col = vecs[:, i]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            phase = col[nz[0]] / abs(col[nz[0]])
+            vecs[:, i] = col / phase
+    return vals, vecs
+
+
+def striation_eigenbasis(ops: np.ndarray, p: int) -> np.ndarray:
+    """Common eigenvectors of one ``(k, d, d)`` stack of commuting unitaries, deterministically ordered.
+
+    Columns are sorted by the tuple of eigenvalue phases against the given
+    operator order and gauge-fixed (first sizable component real positive).
+    """
+    k = np.arange(len(ops))
+    quantum = 2 * np.pi / (4 * p * p)
+    for attempt in range(4):
+        a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
+        M = np.tensordot(a, ops, axes=1)
+        _, vecs = eigh_fixed(M + M.conj().T)
+        Uv = ops @ vecs
+        lam = np.einsum("ji,kji->ki", vecs.conj(), Uv)
+        if np.max(np.linalg.norm(Uv - lam[:, None, :] * vecs, axis=1)) > 1e-8:
+            continue
+        # eigenvalue phases, quantized to the admissible root-of-unity grid
+        angles = np.angle(lam) % (2 * np.pi)
+        steps = np.round(angles / quantum)
+        if np.max(np.abs(angles - steps * quantum)) > 1e-6:
+            raise RuntimeError("eigenvalue phase off the root-of-unity grid")
+        keys = steps.astype(np.int64) % (4 * p * p)
+        out = vecs[:, np.lexsort(keys[::-1])]
+        pivot = out[np.argmax(np.abs(out) > 1e-12, axis=0), np.arange(out.shape[1])]
+        return out / (pivot / np.abs(pivot))
+    raise RuntimeError("failed to split a degenerate commuting family")
 
 
 def _phase_key(angle: float, p: int) -> int:

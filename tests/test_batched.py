@@ -27,7 +27,6 @@ from qframe.cli import main
 from qframe.errors import DimensionMismatchError
 from qframe.frames import Frame, _coordinates, _from_coordinates, canonical_dual
 from qframe.operators import (
-    _gaussian_stack,
     _random_effects,
     _random_states,
     random_effect,
@@ -35,6 +34,7 @@ from qframe.operators import (
     weyl_monomials,
 )
 from qframe.representations import (
+    cohendet,
     hardy_rep,
     havel_rep,
     leonhardt,
@@ -74,12 +74,13 @@ def _skewed(rep):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_sample_stacks_are_the_seeded_draws(d):
-    seeds = 11 + 2 * np.arange(6)
-    rho = _random_states(d, seeds)
-    E = _random_effects(d, seeds + 1)
-    for k, s in enumerate(seeds):
-        np.testing.assert_allclose(rho[k], oracle.random_state(d, seed=int(s)), atol=ORACLE_TOL, rtol=0)
-        np.testing.assert_allclose(E[k], oracle.random_effect(d, seed=int(s) + 1), atol=ORACLE_TOL, rtol=0)
+    rho = _random_states(d, 6, np.random.default_rng([11, 0]))
+    E = _random_effects(d, 6, np.random.default_rng([11, 1]))
+    states, effects = np.random.default_rng([11, 0]), np.random.default_rng([11, 1])
+    for k in range(6):
+        np.testing.assert_allclose(rho[k], oracle.random_state(d, seed=states), atol=ORACLE_TOL, rtol=0)
+        np.testing.assert_allclose(E[k], oracle.random_effect(d, seed=effects), atol=ORACLE_TOL, rtol=0)
+    for s in 11 + 2 * np.arange(6):
         # the one-at-a-time draws are the same arithmetic as before, so equal to the bit
         assert np.array_equal(random_state(d, seed=int(s)), oracle.random_state(d, seed=int(s)))
         assert np.array_equal(random_effect(d, seed=int(s) + 1), oracle.random_effect(d, seed=int(s) + 1))
@@ -89,19 +90,51 @@ def test_sample_stacks_are_the_seeded_draws(d):
 def test_sample_stacks_draw_each_seed_bit_for_bit(d):
     from qframe.operators import _complex_gaussian, _haar_from_gaussian, _rotated_diagonal
 
-    seeds = [3, 4, 90]
-    G = _gaussian_stack([np.random.default_rng(s) for s in seeds], d)
-    for k, s in enumerate(seeds):
-        assert np.array_equal(G[k], _complex_gaussian(np.random.default_rng(s), (d, d)))
-    # the stacks as they were built one generator at a time, before the shared buffer
-    rngs = [np.random.default_rng(s) for s in seeds]
-    U = _haar_from_gaussian(np.stack([_complex_gaussian(rng, (d, d)) for rng in rngs]))
-    effects = _rotated_diagonal(U, np.stack([rng.uniform(0.0, 1.0, size=d) for rng in rngs]))
-    assert np.array_equal(_random_effects(d, seeds), effects)
-    states = np.stack([_complex_gaussian(np.random.default_rng(s), (d, d)) for s in seeds])
-    states = states @ np.conj(np.swapaxes(states, -1, -2))
-    states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
-    assert np.array_equal(_random_states(d, seeds), states)
+    for s in [3, 4, 90]:
+        # one (k, 2, d, d) draw is k consecutive complex Gaussians of the one generator
+        rng = np.random.default_rng([s, 0])
+        states = np.stack([_complex_gaussian(rng, (d, d)) for _ in range(3)])
+        states = states @ np.conj(np.swapaxes(states, -1, -2))
+        states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
+        assert np.array_equal(_random_states(d, 3, np.random.default_rng([s, 0])), states)
+        # each effect takes its Gaussians and then its uniforms, as random_effect does
+        rng = np.random.default_rng([s, 1])
+        draws = [(_complex_gaussian(rng, (d, d)), rng.uniform(0.0, 1.0, size=d)) for _ in range(3)]
+        U = _haar_from_gaussian(np.stack([g for g, _ in draws]))
+        effects = _rotated_diagonal(U, np.stack([u for _, u in draws]))
+        assert np.array_equal(_random_effects(d, 3, np.random.default_rng([s, 1])), effects)
+
+
+def _recorded_stacks(monkeypatch, argv) -> list[np.ndarray]:
+    """Every sample stack one ``qframe`` command draws, in order."""
+    stacks = []
+    with monkeypatch.context() as m:
+        for name in ("_random_states", "_random_effects"):
+            real = getattr(verify, name)
+            m.setattr(verify, name, lambda *a, real=real: stacks.append(real(*a)) or stacks[-1])
+        assert main(argv) == 0
+    return stacks
+
+
+def test_fewer_samples_draw_a_prefix_of_more(monkeypatch, capsys):
+    argv = ["verify", "wootters", "--d", "5", "--seed", "3", "--samples"]
+    few, many = _recorded_stacks(monkeypatch, argv + ["20"]), _recorded_stacks(monkeypatch, argv + ["50"])
+    capsys.readouterr()
+    # the Born states and effects, the round-trip states (at most 25) and the line-sum states
+    assert [len(x) for x in few] == [20, 20, 20, 10] and [len(x) for x in many] == [50, 50, 25, 10]
+    for a, b in zip(few, many, strict=True):
+        assert np.array_equal(a, b[:len(a)])
+
+
+@pytest.mark.parametrize("make,stacks", [(lambda: wootters(5), 4), (lambda: cohendet(5), 5)],
+                         ids=["wootters-5", "cohendet-5"])
+def test_one_generator_per_sample_stack(monkeypatch, make, stacks):
+    rep = make()
+    built = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: built.append(a) or real(*a, **k))
+    assert verify.verify_representation(rep, seed=3, samples=50)["all_passed"]
+    assert len(built) <= stacks, len(built)
 
 
 # verify residuals
@@ -113,10 +146,9 @@ def test_verify_residuals_match_the_loops(name, skew):
     rep = FAMILIES[name]()
     rep = _skewed(rep) if skew else rep
     assert abs(verify._born_residual(rep, 7, 30) - oracle.born_residual(rep, 7, 30)) <= ORACLE_TOL
-    assert abs(verify._round_trip_residual(rep, 10_007, 25)
-               - oracle.round_trip_residual(rep, 10_007, 25)) <= ORACLE_TOL
+    assert abs(verify._round_trip_residual(rep, 7, 25) - oracle.round_trip_residual(rep, 7, 25)) <= ORACLE_TOL
     if rep.geometry is not None and rep.geometry.striations:
-        got, want = verify._line_residuals(rep, 20_007, 10), oracle.line_residuals(rep, 20_007, 10)
+        got, want = verify._line_residuals(rep, 7, 10), oracle.line_residuals(rep, 7, 10)
         assert np.allclose(got, want, atol=ORACLE_TOL, rtol=0)
 
 

@@ -6,13 +6,13 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from gf_oracle import PolyField, dense_ghw
+from gf_oracle import PolyField, dense_ghw, striation_eigenbasis
 from gf_oracle import translation_operator as dense_translation
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import FiniteField
 from qframe.frames import is_dual_pair
-from qframe.geometry import check_geometry_axioms
+from qframe.geometry import check_geometry_axioms, field_lattice
 from qframe.operators import maximally_mixed, monomial_stack, random_state
 from qframe.representations import (
     ghw,
@@ -239,6 +239,64 @@ def test_ghw_matches_dense_oracle(p, n):
 def test_ghw_nets_match_dense_oracle(p, n, net):
     _, ops, _ = dense_ghw(p, n, net)
     assert np.max(np.abs(ghw(p, n, net=net).dual.operators - ops)) <= ORACLE_TOL
+
+
+# every field of order at most 27
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1),
+          (19, 1), (23, 1), (5, 2), (3, 3)]
+
+
+def _oracle_bases(F: FiniteField, directions) -> list[np.ndarray]:
+    """Each striation's joint eigenbasis, found one striation at a time."""
+    t = np.arange(1, F.order)
+    return [striation_eigenbasis(monomial_stack(*ghw_module._monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
+            for dq, dp in directions]
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_batched_striation_bases_equal_the_oracle_to_the_bit(p, n):
+    F = FiniteField(p, n)
+    geom, bases = ghw_module._build_structure(F)
+    assert bases.shape == (F.order + 1, F.order, F.order)
+    for got, want in zip(bases, _oracle_bases(F, geom.meta["directions"]), strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,n,net", [
+    (3, 2, (3, 7, 8, 2, 1, 5, 6, 6, 5, 6)),
+    (2, 3, (5, 2, 1, 7, 1, 2, 5, 6, 5)),
+])
+def test_seeded_net_origin_operator_from_the_oracle_bases(p, n, net):
+    # A(0) = sum_s v_s v_s^dag - 1, made Hermitian, with each v_s the net's column of the oracle basis
+    rep = ghw(p, n, net=net)
+    d = p**n
+    bases = _oracle_bases(FiniteField(p, n), rep.geometry.meta["directions"])
+    v = np.stack([basis[:, t] for basis, t in zip(bases, net)], axis=1)
+    A0 = v @ v.conj().T - np.eye(d)
+    assert rep.labels[0] == (0, 0)
+    assert np.array_equal(rep.dual.operators[0], (A0 + A0.conj().T) / 2)
+
+
+def test_only_the_striations_that_fail_their_check_are_tried_again(monkeypatch):
+    # the first eigh returns the identity for striation 1, whose ray translations are shifts
+    F = FiniteField(3, 2)
+    geom = field_lattice(F)
+    want = _oracle_bases(F, geom.meta["directions"])
+    real, batches = np.linalg.eigh, []
+
+    def eigh(H):
+        vals, vecs = real(H)
+        batches.append(len(H))
+        if len(batches) == 1:
+            vecs[1] = np.eye(F.order)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    _, bases = ghw_module._build_structure(F)
+    assert batches == [F.order + 1, 1]
+    for s, (got, basis) in enumerate(zip(bases, want)):
+        # the retried striation has other weights, so it agrees to round-off, the rest to the bit
+        assert np.max(np.abs(got - basis)) <= ORACLE_TOL if s == 1 else np.array_equal(got, basis)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])

@@ -33,11 +33,16 @@ from qframe.frames import (
     represent_state,
     transform_matrix,
 )
-from qframe.operators import EQ_TOL, _random_states
+from qframe.operators import EQ_TOL, random_state
 from qframe.representations import overlap_deviation, stratonovich_discrete, wootters
 from qframe.representations.sic import _orbit_stack
 
 ORACLE_TOL = 1e-12
+
+
+def _states(d: int, seeds) -> np.ndarray:
+    """``random_state(d, seed=s)`` for each seed, as one stack."""
+    return np.stack([random_state(d, seed=int(s)) for s in seeds])
 
 # (case id, CLI representation name and dimension flags), small sizes
 CASES = [
@@ -193,7 +198,7 @@ def test_overlap_deviation_matches_oracle(d, data):
 @pytest.mark.parametrize("case", IDS)
 def test_analyze_and_synthesize_match_the_oracles(case, k):
     rep = _rep(case)
-    rho = _random_states(rep.dim, 40 + np.arange(1 if k is None else k))
+    rho = _states(rep.dim, 40 + np.arange(1 if k is None else k))
     for family in (rep.frame, rep.dual):
         ops = family.operators
         if k is None:
@@ -227,14 +232,14 @@ def test_analyze_and_synthesize_refuse_bad_input():
 
 def _skewed(family, rho: np.ndarray, peak: float) -> np.ndarray:
     """rho + iH with H Hermitian, scaled so the largest |Im Tr[A F(lam)]| over the family is ``peak``."""
-    H = _random_states(family.dim, [90])[0]
+    H = random_state(family.dim, seed=90)
     return rho + 1j * H * (peak / np.abs(oracle_values(family.operators, H)).max())
 
 
 @pytest.mark.parametrize("case", IDS)
 def test_single_operator_refusals_survive_the_screen(case):
     rep = _rep(case)
-    rho = _random_states(rep.dim, [91])[0]
+    rho = random_state(rep.dim, seed=91)
     for family, analyze in ((rep.frame, rep.represent), (rep.dual, rep.effect)):
         with pytest.raises(DimensionMismatchError, match="not Hermitian"):
             analyze(_skewed(family, rho, 2 * EQ_TOL))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import lattice_oracle
+from gf_oracle import eigh_fixed
 
 from qframe.operators import (
     SIGMA,
     basis_state,
     bloch_state,
-    eigh_fixed,
     finite_fourier,
     is_density,
     is_effect,

@@ -22,7 +22,7 @@ from qframe.errors import DimensionMismatchError, ParseError, QframeError
 from qframe.finitefield import FiniteField
 from qframe.frames import Frame, QuasiDistribution
 from qframe.geometry import composite_lattice, field_lattice, prime_lattice
-from qframe.representations import hardy_rep, mub_family, ruzzi_s0, wootters
+from qframe.representations import ghw, hardy_rep, mub_family, ruzzi_s0, wootters
 from qframe.serialize import (
     distribution_from_doc,
     distribution_to_csv,
@@ -326,6 +326,18 @@ def test_written_frame_is_the_oracle_text(tmp_path, d):
     want = oracle.file_text(oracle.frame_to_doc(frame))
     assert (tmp_path / "frame.json").read_text(encoding="utf-8") == want
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == want
+
+
+def test_operator_template_is_the_row_renderer_to_the_byte(tmp_path):
+    # one d x d operator per template %: signed zeros, extreme exponents and an empty family as well
+    A = np.array([[-0.0, 1e-300 - 2.5e150j], [1e-300 + 2.5e150j, 7.0]])
+    frames = [Frame(2, ("a", "b"), np.stack([A, -A]), name="edge"), Frame(2, (), np.zeros((0, 2, 2), complex)),
+              ghw(2, 2).dual, wootters(7).frame]
+    for i, frame in enumerate(frames):
+        write_frame(frame, tmp_path / f"{i}.json")
+        text = (tmp_path / f"{i}.json").read_bytes()
+        want = oracle.file_text(oracle.frame_to_doc(frame)).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == hashlib.sha256(want).hexdigest(), i
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):
