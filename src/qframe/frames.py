@@ -17,9 +17,12 @@ Every pairing of an operator with a family goes through the family's
 ``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
 family built by ``parity_pair`` (the minimal displaced-parity families:
 Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) analyzes one
-operator, and synthesizes, through its label map, by the kernel identity
-``Tr[A K(s, t)] = tau**(st) sum_c A[c, (s - c) mod d] omega**(-tc)``: one
-gather of the anti-diagonals of A and one d x d DFT product, O(d^3).  Every
+operator, and synthesizes, through its label map.  At odd d and even s the
+kernel is the phase point centred on (h, h), ``h = s/2``:
+``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
+``Tr[A K(s, t)] = sum_u A[h + u, h - u] omega**(-tu)`` with no phase of its
+own: one gather of the centred anti-diagonals of A and one product with the
+scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  Every
 other pairing, and the analysis of a stack of operators in every family, is
 one product on the zero-copy ``(n, d^2)`` view of the family's stack,
 O(n d^2).  No other module reads that view or the label map's tables.
@@ -131,36 +134,40 @@ def _same_labels(a: tuple, b: tuple) -> bool:
     return a is b or a == b
 
 
-def _parity_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-d tables of the displaced-parity identity.
+def _centred_gather(d: int) -> np.ndarray:
+    """``gather[s, u] = ((h + u) mod d) d + (h - u) mod d`` with ``h = s/2 mod d``, for odd d.
 
-    ``gather[s, c] = c d + (s - c) mod d`` reads the anti-diagonal
-    ``A[c, (s - c) mod d]`` off a row-major A; ``dft[c, t] = tau**(-2tc)``
-    is symmetric and, from ``tau_powers``, conjugate-symmetric bit for bit.
+    Row s reads the anti-diagonal of a row-major A centred on (h, h), the
+    entries ``A[h + u, h - u]`` of the phase point ``K(s, t)``.
     """
-    c = np.arange(d)
-    s = c[:, None]
-    return c * d + (s - c) % d, tau_powers(d, -2 * s * c)
+    u = np.arange(d)
+    h = (u[:, None] * (d + 1) // 2) % d
+    return ((h + u) % d) * d + (h - u) % d
 
 
 @lru_cache(maxsize=None)
 def _mirror_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """How a synthesized operator is read off its DFT product, Hermitian bit for bit.
+    """How a synthesized operator is read off its half-width product, Hermitian bit for bit.
 
-    Entry (r, c) and its partner (c, r) both sit on row (r + c) mod d of the
-    product, at columns c and r.  ``mirror`` reads the upper one of the two
-    for both, as two floats, and ``sign`` negates the imaginary part of the
-    lower.  Made on a family's first synthesis, once per d, and frozen.
+    Column u of row s of the product Q is entry (h - u, h + u), h = s/2, of
+    the operator, so entry (r, c) is ``Q[s, -u]`` with ``s = r + c`` and
+    ``u = (r - c)/2`` (mod d), and for real values it is also
+    ``conj(Q[s, u])``.  Q holds the columns ``u <= (d - 1)/2`` as
+    interleaved floats: ``mirror`` reads column d - u where u is past the
+    half and column u elsewhere, and ``sign`` negates the imaginary part of
+    the latter, taking it as the exact conjugate.  Made on a family's first
+    synthesis, once per d, and frozen.
     """
+    half = (d + 1) // 2
     c = np.arange(d)
-    s = c[:, None]
-    lower = s > c
-    # the upper of (r, c) and (c, r) is at row (r + c) mod d, column max(r, c)
-    upper = 2 * (((s + c) % d) * d + c + (s - c) * lower).reshape(-1)
+    r = c[:, None]
+    u = ((r - c) * half) % d
+    past = u >= half
+    at = 2 * (((r + c) % d) * half + np.where(past, d - u, u)).reshape(-1)
     mirror = np.empty(2 * d * d, dtype=np.intp)
-    mirror[0::2], mirror[1::2] = upper, upper + 1
+    mirror[0::2], mirror[1::2] = at, at + 1
     sign = np.ones(2 * d * d)
-    sign[1::2] -= 2 * lower.reshape(-1)
+    sign[1::2] -= 2 * ~past.reshape(-1)
     mirror.setflags(write=False)
     sign.setflags(write=False)
     return mirror, sign
@@ -170,17 +177,21 @@ def _mirror_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
 class _LabelMap:
     """Where each operator ``scale K(s, t)`` of a displaced-parity family sits among the d^2 kernel labels.
 
-    ``cell`` is the row-major index of (s mod d, t mod d) and ``phase`` the
-    factor ``scale tau**(st)`` of the identity; ``order`` lists the operators
-    cell by cell (``cell`` is a bijection), with ``order_phase`` their phases.
-    The per-d tables of ``_parity_tables`` ride along.  Every array is
-    frozen, as the family's stack is.
+    With s even and d odd, ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``,
+    ``h = s/2``: the phase point centred on (h, h), which carries no phase of
+    its own.  ``cell`` is the row-major index of (s mod d, t mod d) and
+    ``order`` lists the operators cell by cell (``cell`` is a bijection).
+    ``gather`` is ``_centred_gather``.  ``dft`` is the family's scaled DFT
+    table ``Z[u, t] = scale omega**(-tu)`` in real form: rows 2u and 2u + 1
+    are row u of Z and of iZ as interleaved floats, so a complex row
+    ``x + iy`` read as interleaved floats times ``dft`` is ``(x + iy) Z``,
+    one real GEMM.  Z comes from ``tau_powers``, so it is symmetric and
+    conjugate-symmetric bit for bit.  Every array is frozen, as the family's
+    stack is.
     """
 
     cell: np.ndarray
-    phase: np.ndarray
     order: np.ndarray
-    order_phase: np.ndarray
     gather: np.ndarray
     dft: np.ndarray
 
@@ -188,26 +199,37 @@ class _LabelMap:
         for table in vars(self).values():
             table.setflags(write=False)
 
+    @cached_property
+    def half_dft(self) -> np.ndarray:
+        """The columns ``u <= (d - 1)/2`` of Z as a real ``(d, d + 1)`` table of interleaved floats."""
+        table = np.ascontiguousarray(self.dft[0::2, :len(self.dft) // 2 + 1])
+        table.setflags(write=False)
+        return table
+
     def analyze(self, A: np.ndarray) -> np.ndarray:
-        """Complex ``Tr[A F(lam)]`` of one ``(d, d)`` A: one gather of its anti-diagonals and one product with the DFT."""
-        return (A.ravel()[self.gather] @ self.dft).ravel()[self.cell] * self.phase
+        """Complex ``Tr[A F(lam)] = scale sum_u A[h + u, h - u] omega**(-tu)`` of one ``(d, d)`` A.
+
+        One gather of its centred anti-diagonals, one real product of them,
+        read as interleaved floats, with ``dft``, and one gather of the labels.
+        """
+        return A.ravel()[self.gather].view(float).dot(self.dft).view(complex).ravel()[self.cell]
 
     def synthesize(self, v: np.ndarray) -> np.ndarray:
-        """``sum_lam v(lam) F(lam)`` for ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``.
+        """``sum_lam v(lam) F(lam)`` for real ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``.
 
-        The product is read back through ``_mirror_tables``, and the
-        imaginary part of the diagonal is set to zero.
+        The values, cell by cell, make one real product with ``half_dft``; it
+        is read back through ``_mirror_tables`` and the imaginary part of the
+        diagonal is set to +0.0.
         """
-        d = len(self.dft)
+        d = len(self.gather)
         mirror, sign = _mirror_tables(d)
         if v.ndim == 1:
-            W = (v[self.order] * self.order_phase).reshape(d, d)
-            M = ((W @ self.dft).view(float).reshape(-1)[mirror] * sign).view(complex).reshape(d, d)
-            M.reshape(-1)[::d + 1].imag = 0.0
-            return M
+            M = (v[self.order].reshape(d, d).dot(self.half_dft).reshape(-1)[mirror] * sign).view(complex)
+            M[::d + 1].imag = 0.0
+            return M.reshape(d, d)
         k = len(v)
-        rows = (v[:, self.order] * self.order_phase).reshape(k * d, d)
-        M = (np.take((rows @ self.dft).view(float).reshape(k, -1), mirror, axis=1) * sign).view(complex)
+        P = v[:, self.order].reshape(k * d, d).dot(self.half_dft).reshape(k, -1)
+        M = (np.take(P, mirror, axis=1) * sign).view(complex)
         M[:, ::d + 1].imag = 0.0
         return M.reshape(k, d, d)
 
@@ -292,7 +314,7 @@ class Frame:
         A = np.asarray(A, dtype=complex)
         d = self.dim
         if A.shape == (d, d):
-            raw = self.flat @ A.T.reshape(-1) if self.label_map is None else self.label_map.analyze(A)
+            raw = self.flat.dot(A.T.reshape(-1)) if self.label_map is None else self.label_map.analyze(A)
             re, im = raw.real.copy(), raw.imag
             if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
                 imag = np.abs(im).max()
@@ -314,10 +336,10 @@ class Frame:
         v = np.asarray(values)
         n, d = len(self.labels), self.dim
         if v.shape == (n,):
-            return (v @ self.flat).reshape(d, d) if self.label_map is None else self.label_map.synthesize(v)
+            return v.dot(self.flat).reshape(d, d) if self.label_map is None else self.label_map.synthesize(v)
         if v.ndim != 2 or v.shape[1] != n:
             raise DimensionMismatchError(f"values of shape {v.shape} for {n} operators")
-        return (v @ self.flat).reshape(len(v), d, d) if self.label_map is None else self.label_map.synthesize(v)
+        return v.dot(self.flat).reshape(len(v), d, d) if self.label_map is None else self.label_map.synthesize(v)
 
     @cached_property
     def resolves_identity(self) -> bool:
@@ -340,8 +362,9 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
 
     ``s`` and ``t`` are the kernel labels of ``operators.displaced_parity``,
     one pair per label, and (s mod d, t mod d) must meet each of the d^2
-    cells once.  The stack is built here from the same labels as the map, so
-    the two cannot disagree.
+    cells once.  The map pairs through the centred phase point, so d must be
+    odd and every s even.  The stack is built here from the same labels as
+    the map, so the two cannot disagree.
     """
     s = np.array(s, dtype=np.int64).reshape(-1)
     t = np.array(t, dtype=np.int64).reshape(-1)
@@ -351,14 +374,18 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     cell = (s % d) * d + t % d
     if np.bincount(cell, minlength=d * d).max() != 1:
         raise DimensionMismatchError("the labels (s mod d, t mod d) must meet each of the d^2 cells once")
+    if d % 2 == 0 or (s % 2).any():
+        raise DimensionMismatchError(f"the centred phase points need odd d and even s, got d = {d}")
     ops = displaced_parity(d, s, t)
     frame = Frame(dim=d, labels=labels, operators=ops / d, name=name)
     dual = Frame(dim=d, labels=frame.labels, operators=ops, name=name)
     order = np.argsort(cell)
-    phase = tau_powers(d, s * t)
-    tables = _parity_tables(d)
-    for family, scaled in ((frame, phase / d), (dual, phase)):
-        object.__setattr__(family, "label_map", _LabelMap(cell, scaled, order, scaled[order], *tables))
+    gather = _centred_gather(d)
+    u = np.arange(d)
+    dft = tau_powers(d, -2 * u[:, None] * u)
+    for family, scaled in ((frame, dft / d), (dual, dft)):
+        real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
+        object.__setattr__(family, "label_map", _LabelMap(cell, order, gather, real_form))
     return frame, dual
 
 
@@ -440,12 +467,23 @@ def gram_dual(frame: Frame) -> Frame:
     The Gram matrix ``V V^T``, whose inverse would square cond(V) into the
     dual's error, is never formed; its condition number cond(V)^2 is the refusal test.
     """
+    return _minimal_dual(frame)
+
+
+def _minimal_dual(frame: Frame, screen=None) -> Frame:
+    """``gram_dual``, with ``screen(cond)`` called on cond(V)^2 before the refusal test.
+
+    A caller with its own policy on the condition number raises from
+    ``screen``, so V and its condition number are computed once per frame.
+    """
     if not frame.minimal:
         raise DimensionMismatchError(
             f"Gram dual needs exactly d^2 = {frame.dim**2} operators, got {len(frame)}"
         )
     V = _coordinates(frame.operators)
     cond = np.linalg.cond(V) ** 2
+    if screen is not None:
+        screen(cond)
     if not np.isfinite(cond) or cond > 1 / PINV_RCOND:
         raise SingularBasisError(f"Gram matrix condition number {cond:.3e} is too large")
     # V goes before the dual's stack is allocated, and its inverse before that stack is checked
@@ -519,7 +557,7 @@ def born_pair(mu: QuasiDistribution, xi: QuasiDistribution) -> float:
     """Outcome probability ``sum_lam mu(lam) xi(lam)``."""
     if not _same_labels(mu.labels, xi.labels) or mu.dim != xi.dim:
         raise DimensionMismatchError("state and effect functions live on different outcome sets")
-    return float(mu.values @ xi.values)
+    return float(mu.values.dot(xi.values))
 
 
 def deformed_born(mu: QuasiDistribution, xi: QuasiDistribution, dual: Frame) -> float:

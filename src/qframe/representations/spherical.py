@@ -10,7 +10,7 @@ import numpy.polynomial
 import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
-from ..frames import Frame, _coordinates, gram_dual
+from ..frames import Frame, _minimal_dual
 from ..operators import SIGMA
 from .base import Representation
 
@@ -204,11 +204,7 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
     ops = np.array([kernel.point(n) for n in points])
     labels = tuple(range(d * d))
     frame = Frame(dim=d, labels=labels, operators=ops, name="stratonovich")
-    if np.linalg.cond(_coordinates(frame.operators)) ** 2 > GRAM_CONDITION_LIMIT:
-        raise SingularBasisError(
-            "constellation kernel Gram matrix is ill conditioned; redraw the points"
-        )
-    dual = gram_dual(frame)
+    dual = _minimal_dual(frame, _refuse_ill_conditioned)
     return Representation(
         name="stratonovich",
         dim=d,
@@ -218,6 +214,12 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
         meta={"s": s, "constellation": points, "gammas": kernel.gammas},
         checks=(("dual_resolves_identity", 1e-8, _dual_sum_residual),),
     )
+
+
+def _refuse_ill_conditioned(cond: float) -> None:
+    """The draw policy: a constellation whose Gram condition number passes GRAM_CONDITION_LIMIT is redrawn."""
+    if cond > GRAM_CONDITION_LIMIT:
+        raise SingularBasisError("constellation kernel Gram matrix is ill conditioned; redraw the points")
 
 
 def _dual_sum_residual(rep: Representation, seed: int) -> float:

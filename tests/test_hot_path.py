@@ -22,7 +22,9 @@ from qframe.frames import (
     QuasiDistribution,
     _coordinates,
     _from_coordinates,
+    _mirror_tables,
     _pairings,
+    born_pair,
     canonical_dual,
     deformed_born,
     frame_bounds,
@@ -34,7 +36,17 @@ from qframe.frames import (
     transform_matrix,
 )
 from qframe.operators import EQ_TOL, random_state
-from qframe.representations import overlap_deviation, stratonovich_discrete, wootters
+from qframe.representations import (
+    ghw,
+    hardy_rep,
+    havel_rep,
+    mub_family,
+    overlap_deviation,
+    sic_rep,
+    stratonovich_discrete,
+    wootters,
+    wootters_composite,
+)
 from qframe.representations.sic import _orbit_stack
 
 ORACLE_TOL = 1e-12
@@ -359,3 +371,45 @@ def test_frame_bounds_and_duality_match_oracle(case):
     assert residual <= ORACLE_TOL and want_residual <= ORACLE_TOL
     rolled = Frame(dim=rep.dim, labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
     assert is_dual_pair(rep.frame, rolled)[0] == frame_oracle.is_dual_pair(ops, rolled.operators)[0] is False
+
+
+# the per-call products call ndarray.dot, the BLAS routine of the @ forms they replaced
+
+STREAM_FAMILIES = {
+    "wootters-13": lambda: wootters(13),
+    "wootters-2x2": lambda: wootters_composite([2, 2]),
+    "ghw-2-3": lambda: ghw(2, 3),
+    "hardy-8": lambda: hardy_rep(8),
+    "sic-4": lambda: sic_rep(4),
+    "havel-3": lambda: havel_rep(3),
+    "mub-7": lambda: mub_family(7).representation(),
+}
+
+
+def _matmul_analyze(family, A):
+    lm = family.label_map
+    if lm is None:
+        return (family.flat @ A.T.reshape(-1)).real
+    return (A.ravel()[lm.gather].view(float) @ lm.dft).view(complex).ravel()[lm.cell].real
+
+
+def _matmul_synthesize(family, v):
+    lm, d = family.label_map, family.dim
+    if lm is None:
+        return (v @ family.flat).reshape(d, d)
+    mirror, sign = _mirror_tables(d)
+    M = (((v[lm.order].reshape(d, d) @ lm.half_dft).reshape(-1)[mirror]) * sign).view(complex)
+    M[::d + 1].imag = 0.0
+    return M.reshape(d, d)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_FAMILIES))
+def test_single_operator_pairings_equal_their_matmul_forms_bit_for_bit(name):
+    rep = STREAM_FAMILIES[name]()
+    rho, E = _states(rep.dim, [70, 71])
+    for family, A in ((rep.frame, rho), (rep.dual, E)):
+        values = family.analyze(A)
+        np.testing.assert_array_equal(values, _matmul_analyze(family, A))
+        np.testing.assert_array_equal(family.synthesize(values), _matmul_synthesize(family, values))
+    mu, xi = rep.represent(rho), rep.effect(E)
+    assert born_pair(mu, xi) == float(mu.values @ xi.values)

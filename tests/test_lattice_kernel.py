@@ -17,7 +17,7 @@ import lattice_oracle as oracle
 from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
 from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
 from qframe.geometry import prime_lattice
-from qframe.operators import EQ_TOL, displaced_parity, parity_matrix, random_state, tau_powers
+from qframe.operators import EQ_TOL, displaced_parity, finite_fourier, parity_matrix, random_state, tau_powers
 from qframe.representations import (
     cohendet,
     fano_operator,
@@ -281,9 +281,22 @@ def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
     s, t = KERNEL_LABELS[family](*np.array(rep.labels).T)
     np.testing.assert_array_equal(rep.dual.operators, displaced_parity(d, s, t))
     np.testing.assert_array_equal(rep.frame.operators, rep.dual.operators / d)
+    u = np.arange(d)
+    h = s[:, None] // 2
     for fam, scale in ((rep.frame, d), (rep.dual, 1)):
-        np.testing.assert_array_equal(fam.label_map.cell, (s % d) * d + t % d)
-        np.testing.assert_array_equal(fam.label_map.phase, tau_powers(d, s * t) / scale)
+        lm = fam.label_map
+        np.testing.assert_array_equal(lm.cell, (s % d) * d + t % d)
+        # row s of the gather reads the anti-diagonal centred on (s/2, s/2) ...
+        np.testing.assert_array_equal(lm.gather[s % d], ((h + u) % d) * d + (h - u) % d)
+        # ... and the DFT table's 2 x 2 blocks [[a, b], [-b, a]] hold its scaled entries a + ib ...
+        dft = lm.dft[0::2, 0::2] + 1j * lm.dft[0::2, 1::2]
+        np.testing.assert_array_equal(dft, tau_powers(d, -2 * np.outer(u, u)) / scale)
+        np.testing.assert_array_equal(lm.dft[1::2, 0::2], -lm.dft[0::2, 1::2])
+        np.testing.assert_array_equal(lm.dft[1::2, 1::2], lm.dft[0::2, 0::2])
+        # ... where K(s, t) holds omega**(tu), the conjugate of the DFT's column t, and nothing else
+        rows = fam.flat[np.arange(len(s))[:, None], lm.gather[s % d]]
+        np.testing.assert_array_equal(rows, dft[:, t % d].T.conj())
+        assert (np.count_nonzero(fam.flat, axis=1) == d).all()
 
 
 @pytest.mark.parametrize("build_rep", [
@@ -294,11 +307,69 @@ def test_other_families_carry_no_label_map(build_rep):
     assert rep.frame.label_map is None and rep.dual.label_map is None
 
 
-@pytest.mark.parametrize("s,t", [([0, 1, 2, 0], [0, 0, 0, 1]), ([0, 1, 2], [0, 1, 2]), ([0, 1], [0])],
-                         ids=["repeated-cell", "not-a-square", "unequal"])
-def test_parity_pair_refuses_a_map_that_is_not_a_bijection(s, t):
-    with pytest.raises(DimensionMismatchError, match="label pairs|cells once"):
+@pytest.mark.parametrize("s,t,message", [
+    ([0, 1, 2, 0], [0, 0, 0, 1], "the labels (s mod d, t mod d) must meet each of the d^2 cells once"),
+    ([0, 1, 2], [0, 1, 2], "a displaced-parity family needs d^2 label pairs, got 3 and 3"),
+    ([0, 1], [0], "a displaced-parity family needs d^2 label pairs, got 2 and 1"),
+], ids=["repeated-cell", "not-a-square", "unequal"])
+def test_parity_pair_refuses_a_map_that_is_not_a_bijection(s, t, message):
+    with pytest.raises(DimensionMismatchError) as refused:
         parity_pair(tuple(range(len(s))), s, t)
+    assert str(refused.value) == message
+
+
+# each meets every cell once, so only the centred form refuses it
+@pytest.mark.parametrize("d,s,t", [
+    (3, [0] * 3 + [5] * 3 + [4] * 3, [0, 2, 4] * 3),
+    (2, [0, 0, 1, 1], [0, 1, 0, 1]),
+    (4, np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)),
+], ids=["odd-s", "even-d-2", "even-d-4"])
+def test_parity_pair_refuses_odd_s_and_even_d(d, s, t):
+    with pytest.raises(DimensionMismatchError, match=f"odd d and even s, got d = {d}"):
+        parity_pair(tuple(range(d * d)), s, t)
+
+
+# Hermitian bit for bit past the hypothesis draws: one row and k rows, frame and dual
+HERMITIAN_SIZES = [("wootters", d) for d in (17, 29, 37, 41, 53, 61)] + [
+    (family, d) for family in ("cohendet", "leonhardt", "ruzzi") for d in (21, 25, 33, 45)
+]
+
+
+@pytest.mark.parametrize("family,d", HERMITIAN_SIZES, ids=[f"{f}-{d}" for f, d in HERMITIAN_SIZES])
+def test_label_map_synthesis_is_exactly_hermitian_at_fixed_sizes(family, d):
+    rep = FACTORY[family](d)
+    v = np.random.default_rng(d).standard_normal((3, d * d))
+    for fam in (rep.frame, rep.dual):
+        one, many = fam.synthesize(v[0]), fam.synthesize(v)
+        for M in (one[None], many):
+            np.testing.assert_array_equal(M, M.conj().transpose(0, 2, 1))
+            diagonal = M.diagonal(axis1=1, axis2=2).imag
+            assert not np.signbit(diagonal).any() and not diagonal.any()
+        np.testing.assert_allclose(many, np.einsum("kn,nij->kij", v, fam.operators), rtol=0, atol=ORACLE_TOL)
+    back = rep.reconstruct(rep.represent(random_state(d, seed=d)))
+    np.testing.assert_array_equal(back, back.conj().T)
+
+
+# Clifford covariance of the Wootters function, through represent only: conjugating
+# the state by a symplectic generator moves the value at (q, p) to its image.
+CLIFFORD = {
+    "fourier": (finite_fourier, lambda d, q, p: ((-p) % d, q)),
+    "phase": (lambda d: np.diag(tau_powers(d, np.arange(d) ** 2 * (d + 1))), lambda d, q, p: (q, (q + p) % d)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from(ODD_PRIMES), gate=st.sampled_from(sorted(CLIFFORD)), rank=st.integers(1, 31),
+       seed=st.integers(0, 10**6))
+def test_wootters_is_clifford_covariant(d, gate, rank, seed):
+    unitary, image = CLIFFORD[gate]
+    rep = build("wootters", d)
+    U = unitary(d)
+    rho = random_state(d, rank=min(rank, d), seed=seed)
+    index = {label: n for n, label in enumerate(rep.labels)}
+    moved = [index[image(d, q, p)] for q, p in rep.labels]
+    np.testing.assert_allclose(rep.represent(U @ rho @ U.conj().T).values[moved], rep.represent(rho).values,
+                               rtol=0, atol=ORACLE_TOL)
 
 
 def _skewed(family, rho: np.ndarray, peak: float) -> np.ndarray:

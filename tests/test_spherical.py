@@ -333,3 +333,24 @@ def test_sphere_grids():
     diag = np.ones(3) / SQ3
     assert any(np.allclose(g, diag) for g in grid[6:14])
     assert any(np.allclose(g, -diag) for g in grid[6:14])
+
+
+def test_a_build_takes_the_coordinates_and_their_condition_once(monkeypatch):
+    # the draw policy and the dual's refusal read one cond(V) of one coordinate matrix V
+    from qframe import frames
+    from qframe.representations import spherical
+
+    pts, _ = random_constellation(4, seed=0)
+    calls = []
+    coordinates, cond = frames._coordinates, np.linalg.cond
+    monkeypatch.setattr(frames, "_coordinates", lambda ops: calls.append("coordinates") or coordinates(ops))
+    monkeypatch.setattr(np.linalg, "cond", lambda V: calls.append("cond") or cond(V))
+    stratonovich_discrete(4, pts)
+    assert calls == ["coordinates", "cond"]
+    # both refusals stay: the policy's redraw first, then the dual's own limit
+    flat = np.tile([0.0, 0.0, 1.0], (4, 1))
+    with pytest.raises(SingularBasisError, match="ill conditioned; redraw the points"):
+        stratonovich_discrete(0.5, flat)
+    monkeypatch.setattr(spherical, "GRAM_CONDITION_LIMIT", np.inf)
+    with pytest.raises(SingularBasisError, match="Gram matrix condition number .* is too large"):
+        stratonovich_discrete(0.5, flat)
