@@ -168,9 +168,7 @@ def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]
         raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
     rep = _lattice((2, 2))
     values = rep.frame.analyze(rhos, "state")
-    # transpose the second qubit: swap its row and column axes
-    pt = rhos.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
-    eig_min = np.linalg.eigvalsh(pt)[:, 0]
+    eig_min = np.linalg.eigvalsh(partial_transpose(rhos, (2, 2), 1))[:, 0]
     return [(float(m), _lattice_verdict(m), float(e), _ppt_verdict(e))
             for m, e in zip(values.min(axis=1), eig_min)]
 

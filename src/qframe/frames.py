@@ -409,9 +409,6 @@ class QuasiDistribution:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
     def min(self) -> float:
         return float(self.values.min())
 

@@ -141,6 +141,13 @@ def finite_fourier(d: int) -> np.ndarray:
     return omega(d) ** np.outer(k, k) / np.sqrt(d)
 
 
+def _gauge(vecs: np.ndarray) -> np.ndarray:
+    """Columns of a ``(..., d, d)`` stack rephased so each one's first entry of modulus above 1e-12 is real positive."""
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
+    pivot = np.take_along_axis(vecs, first[..., None, :], axis=-2)
+    return vecs / (pivot / np.abs(pivot))
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, in the given order."""
     if not ops:
@@ -151,9 +158,9 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dims(M: np.ndarray, dims: tuple[int, ...]) -> None:
+def _check_dims(M: np.ndarray, dims: tuple[int, ...], lead: tuple[int, ...] = ()) -> None:
     total = int(np.prod(dims))
-    if M.shape != (total, total):
+    if M.shape != lead + (total, total):
         raise DimensionMismatchError(
             f"matrix of shape {M.shape} does not match subsystem dims {dims}"
         )
@@ -176,17 +183,17 @@ def partial_trace(M: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
 
 
 def partial_transpose(M: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite-or-more operator."""
+    """Transpose one tensor factor of a bipartite-or-more operator, or of each operator in a ``(k, D, D)`` stack."""
     M = np.asarray(M, dtype=complex)
     dims = tuple(int(x) for x in dims)
-    _check_dims(M, dims)
+    lead = M.shape[:1] if M.ndim == 3 else ()
+    _check_dims(M, dims, lead)
     n = len(dims)
     if not 0 <= subsystem < n:
         raise DimensionMismatchError(f"subsystem {subsystem} out of range for {n} factors")
-    T = M.reshape(dims + dims)
-    T = np.swapaxes(T, subsystem, n + subsystem)
-    total = int(np.prod(dims))
-    return T.reshape(total, total)
+    T = M.reshape(lead + dims + dims)
+    T = np.swapaxes(T, len(lead) + subsystem, len(lead) + n + subsystem)
+    return T.reshape(M.shape)
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:

@@ -10,7 +10,6 @@ from .ghw import (
 from .cohendet import (
     cohendet,
     extended_distribution,
-    fano_operator,
     from_extended,
 )
 from .leonhardt import leonhardt
@@ -24,7 +23,7 @@ from .mub import (
     mub_transition,
     mub_unitary,
 )
-from .hardy import hardy_projector, hardy_rep
+from .hardy import hardy_rep
 from .havel import (
     havel_rep,
     real_density_matrix,
@@ -38,7 +37,6 @@ from .sic import (
     sic_rep,
 )
 from .spherical import (
-    NmrKernels,
     SphericalKernel,
     clebsch_gordan,
     direction_basis,
@@ -64,11 +62,9 @@ __all__ = [
     "wootters_aligned_net",
     "cohendet",
     "extended_distribution",
-    "fano_operator",
     "from_extended",
     "leonhardt",
     "ruzzi_s0",
-    "hardy_projector",
     "hardy_rep",
     "havel_rep",
     "real_density_matrix",
@@ -85,7 +81,6 @@ __all__ = [
     "mub_table",
     "mub_transition",
     "mub_unitary",
-    "NmrKernels",
     "SphericalKernel",
     "clebsch_gordan",
     "direction_basis",

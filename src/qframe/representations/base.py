@@ -36,6 +36,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     Two stacks are the frame and the dual; factories that also build the SIC
     orbit, the unbiased-basis projectors or the n x n solve of a basis's dual
     (n = d^2) count three, and so does GHW, for its tables beside the two.
+    A small build may peak up to a fixed 256 KiB above its charge: one of
+    ``frames._skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
     """
     need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:

@@ -12,15 +12,8 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..frames import QuasiDistribution
 from ..geometry import extended_lattice, odd_lattice
-from ..operators import _random_states, displaced_parity
+from ..operators import _random_states
 from .base import Representation, check_stack_budget, parity_representation
-
-
-def fano_operator(d: int, q: int, p: int) -> np.ndarray:
-    """Hermitian point operator W_qp P."""
-    if d % 2 == 0:
-        raise UnsupportedDimensionError("displacements need odd d")
-    return displaced_parity(d, -2 * q, 2 * p)[0]
 
 
 def cohendet(d: int) -> Representation:

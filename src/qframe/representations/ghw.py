@@ -37,7 +37,7 @@ from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
 from ..frames import _row_blocks, transform_matrix
 from ..geometry import field_lattice
-from ..operators import monomial_stack, omega
+from ..operators import _gauge, monomial_stack, omega
 from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
 from .wootters import wootters
 
@@ -62,13 +62,6 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
     phase = omega(p) ** ((j * pc).sum(axis=-1) % p)
     return perm, phase
-
-
-def _gauge(vecs: np.ndarray) -> np.ndarray:
-    """Columns of a ``(..., d, d)`` stack rephased so each one's first entry of modulus above 1e-12 is real positive."""
-    first = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
-    pivot = np.take_along_axis(vecs, first[..., None, :], axis=-2)
-    return vecs / (pivot / np.abs(pivot))
 
 
 def _joint_eigenbases(perm: np.ndarray, phase: np.ndarray, p: int) -> np.ndarray:

@@ -9,23 +9,21 @@ from ..frames import Frame, gram_dual
 from .base import Representation, check_stack_budget
 
 
-def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
-    """The (k, j) entry of the operator grid.
+def _grid(d: int) -> np.ndarray:
+    """The ``(d^2, d, d)`` operator grid, entry alpha = d k + j the projector on its vector v.
 
     Diagonal entries project on basis vectors; below-diagonal entries use
     phi_k + phi_j and above-diagonal ones phi_k + i phi_j.  The off-diagonal
-    vectors are unnormalized, so those entries carry trace 2.
+    vectors are unnormalized, so those entries carry trace 2.  The d^2
+    vectors are placed by index arithmetic and their outer products taken
+    in one broadcast product.
     """
-    v = np.zeros(d, dtype=complex)
-    if k == j:
-        v[k] = 1.0
-    elif k < j:
-        v[k] = 1.0
-        v[j] = 1.0
-    else:
-        v[k] = 1.0
-        v[j] = 1.0j
-    return np.outer(v, v.conj())
+    alpha = np.arange(d * d)
+    k, j = np.divmod(alpha, d)
+    v = np.zeros((d * d, d), dtype=complex)
+    v[alpha, j] = np.where(k < j, 1.0, 1.0j)
+    v[alpha, k] = 1.0  # on the diagonal, k = j, this replaces the i
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def hardy_rep(d: int) -> Representation:
@@ -34,8 +32,7 @@ def hardy_rep(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 2")
     # frame, dual and the dual's solve: V and its inverse, real n x n each, are one more stack's worth
     check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
-    ops = np.array([hardy_projector(d, k, j) for k in range(d) for j in range(d)])
-    frame = Frame(dim=d, labels=tuple(range(d * d)), operators=ops, name="hardy")
+    frame = Frame(dim=d, labels=tuple(range(d * d)), operators=_grid(d), name="hardy")
     dual = gram_dual(frame)
     return Representation(
         name="hardy", dim=d, frame=frame, dual=dual, geometry=None, meta={"d": d}

@@ -72,9 +72,6 @@ class MubFamily:
     def projectors(self) -> np.ndarray:
         return self.outcomes.operators
 
-    def projector(self, n: int, k: int) -> np.ndarray:
-        return self.projectors[n * self.d + k]
-
     def representation(self) -> Representation:
         """Normalized frame P/(d+1) with the exact dual (d+1)P - I."""
         d = self.d

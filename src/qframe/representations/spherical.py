@@ -11,7 +11,7 @@ import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
 from ..frames import Frame, _minimal_dual
-from ..operators import SIGMA
+from ..operators import SIGMA, _gauge
 from .base import Representation
 
 GRAM_CONDITION_LIMIT = 1e8
@@ -92,20 +92,19 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def direction_basis(s: float, n) -> np.ndarray:
-    """Eigenvectors of n . J, column j holding the eigenvalue (j - s) vector."""
+    """Eigenvectors of n . J, column j holding the eigenvalue (j - s) vector, gauge-fixed.
+
+    A ``(k, 3)`` array of directions gives the ``(k, d, d)`` stack of their
+    bases, from one batched ``eigh``.
+    """
     n = np.asarray(n, dtype=float)
     Jx, Jy, Jz = spin_operators(s)
-    H = n[0] * Jx + n[1] * Jy + n[2] * Jz
+    H = n[..., 0, None, None] * Jx + n[..., 1, None, None] * Jy + n[..., 2, None, None] * Jz
     vals, vecs = np.linalg.eigh(H)
-    d = vecs.shape[0]
-    expect = np.arange(d) - s
+    expect = np.arange(vecs.shape[-1]) - s
     if np.max(np.abs(vals - expect)) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    for j in range(d):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        vecs[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
-    return vecs
+    return _gauge(vecs)
 
 
 def kernel_weights(s: float, gammas) -> np.ndarray:
@@ -150,11 +149,14 @@ class SphericalKernel:
         return _two(self.s, "s") + 1
 
     def point(self, n) -> np.ndarray:
-        """Delta(n), exactly Hermitian: the dual is solved on coordinates that read only the upper triangle."""
+        """Delta(n), exactly Hermitian: the dual is solved on coordinates that read only the upper triangle.
+
+        A ``(k, 3)`` array of directions gives the ``(k, d, d)`` stack of kernels.
+        """
         V = direction_basis(self.s, n)
-        K = (V * self.weights) @ V.conj().T
+        K = (V * self.weights) @ V.conj().swapaxes(-1, -2)
         lower = np.tril(K, -1)
-        return lower + lower.conj().T + np.diag(K.diagonal().real)
+        return lower + lower.conj().swapaxes(-1, -2) + K.real * np.eye(self.dim)
 
     def dual(self) -> "SphericalKernel":
         return SphericalKernel(self.s, tuple(1.0 / g for g in self.gammas))
@@ -201,7 +203,7 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
     if points.shape != (d * d, 3):
         raise ValueError(f"need {d * d} sphere points, got shape {points.shape}")
     _check_unit_rows(points)
-    ops = np.array([kernel.point(n) for n in points])
+    ops = kernel.point(points)
     labels = tuple(range(d * d))
     frame = Frame(dim=d, labels=labels, operators=ops, name="stratonovich")
     dual = _minimal_dual(frame, _refuse_ill_conditioned)
@@ -269,30 +271,6 @@ def qubit_kernel_lower(n) -> np.ndarray:
 def qubit_kernel_upper(n) -> np.ndarray:
     """(1/4pi)(I + 3 n . sigma); a ``(k, 3)`` array of directions gives ``(k, 2, 2)``."""
     return (np.eye(2) + 3 * _n_dot_sigma(n)) / (4 * np.pi)
-
-
-@dataclass(frozen=True)
-class NmrKernels:
-    """Tensor products of the qubit kernel pair over a register of qubits."""
-
-    n_qubits: int
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= 3:
-            raise UnsupportedDimensionError("register capped at 3 qubits")
-
-    def _tensor(self, directions, factor) -> np.ndarray:
-        dirs = np.asarray(directions, dtype=float).reshape(self.n_qubits, 3)
-        out = np.array([[1.0 + 0j]])
-        for n in dirs:
-            out = np.kron(out, factor(n))
-        return out
-
-    def lower(self, directions) -> np.ndarray:
-        return self._tensor(directions, qubit_kernel_lower)
-
-    def upper(self, directions) -> np.ndarray:
-        return self._tensor(directions, qubit_kernel_upper)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

@@ -7,8 +7,10 @@ drawing one (state, effect) pair at a time from each stack's generator,
 ``represent``/``effect``/``reconstruct``; the teleportation branch as the
 dense three-system simulation, ``proj @ total @ proj`` on d^3 x d^3
 matrices, with the displaced comparison through a label dict; the
-entanglement sweep as one Franco-Penna and one PPT test per state; and
-the spin-1/2 NMR kernel built per direction.  ``values`` and
+entanglement sweep as one Franco-Penna and one PPT test per state; the
+spin-1/2 NMR kernel built per direction; the spin-s direction basis, its
+gauge fixed column by column, and the Stratonovich kernel built from it
+per direction; and Hardy's grid built one projector at a time.  ``values`` and
 ``hermiticity_residual`` are verify's own pairing and Hermiticity measure
 from before the families analyzed their own stacks.
 """
@@ -27,7 +29,7 @@ from qframe.operators import (
     trace_inner,
 )
 from qframe.representations import striation_pvms, wootters, wootters_composite
-from qframe.representations.spherical import _check_unit_rows
+from qframe.representations.spherical import _check_unit_rows, spin_operators
 
 from lattice_oracle import weyl_operator
 
@@ -174,3 +176,42 @@ def nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.nda
     else:
         out = np.einsum("abcdef,ida,jeb,kfc->ijk", R, uppers, uppers, uppers)
     return np.real(out).reshape(-1)
+
+
+def direction_basis(s: float, n) -> np.ndarray:
+    """Eigenvectors of n . J for one direction, column j holding the eigenvalue (j - s) vector."""
+    n = np.asarray(n, dtype=float)
+    Jx, Jy, Jz = spin_operators(s)
+    H = n[0] * Jx + n[1] * Jy + n[2] * Jz
+    vals, vecs = np.linalg.eigh(H)
+    d = vecs.shape[0]
+    expect = np.arange(d) - s
+    if np.max(np.abs(vals - expect)) > 1e-8:
+        raise ValueError("direction must be a unit vector")
+    for j in range(d):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        vecs[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
+    return vecs
+
+
+def spherical_point(kernel, n) -> np.ndarray:
+    """``kernel.point(n)`` for one direction, the strict lower triangle mirrored onto the upper."""
+    V = direction_basis(kernel.s, n)
+    K = (V * kernel.weights) @ V.conj().T
+    lower = np.tril(K, -1)
+    return lower + lower.conj().T + np.diag(K.diagonal().real)
+
+
+def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
+    """The (k, j) entry of Hardy's grid: the projector on phi_k, phi_k + phi_j (k < j) or phi_k + i phi_j (k > j)."""
+    v = np.zeros(d, dtype=complex)
+    if k == j:
+        v[k] = 1.0
+    elif k < j:
+        v[k] = 1.0
+        v[j] = 1.0
+    else:
+        v[k] = 1.0
+        v[j] = 1.0j
+    return np.outer(v, v.conj())

@@ -35,7 +35,7 @@ BUDGETED = [
     ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "displaced_parity", 2 * 16 * 4 * C16),
     ("ruzzi-3", lambda: ruzzi_s0(3), "base", "parity_pair", 2 * 9 * 9 * C16),
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
-    ("hardy-3", lambda: hardy_rep(3), "hardy", "hardy_projector", 3 * 9 * 9 * C16),
+    ("hardy-3", lambda: hardy_rep(3), "hardy", "_grid", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
     ("ghw-2-2", lambda: ghw(2, 2), "ghw", "_build_structure", 3 * 16 * 16 * C16),
 ]
@@ -94,9 +94,8 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
 ], ids=["wootters-79", "composite-7x11", "cohendet-81", "leonhardt-56", "ruzzi-81", "hardy-70",
         "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
-    for module, step in [("wootters", "displaced_parity"), ("cohendet", "displaced_parity"),
-                         ("leonhardt", "displaced_parity"), ("base", "parity_pair"),
-                         ("hardy", "hardy_projector"), ("mub", "mub_bases")]:
+    for module, step in [("wootters", "displaced_parity"), ("leonhardt", "displaced_parity"),
+                         ("base", "parity_pair"), ("hardy", "_grid"), ("mub", "mub_bases")]:
         _stub(monkeypatch, module, step)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         build()
@@ -117,9 +116,14 @@ def test_cli_exits_2_over_budget(monkeypatch, capsys, argv):
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", [16, 24])
+# the fixed slack above the charge that check_stack_budget states for a small build
+SLACK = 256 * 1024
+
+
+@pytest.mark.parametrize("d", range(2, 25))
 def test_hardy_peak_stays_within_its_charge(d):
-    # frame, dual and the solve on the coordinates: three stacks, as check_stack_budget charges
+    # frame, dual and the solve on the coordinates: three stacks, as check_stack_budget charges,
+    # plus the fixed slack, which d = 16 and d = 24 do not need
     hardy_rep(3)  # imports and caches outside the traced window
     tracemalloc.start()
     try:
@@ -127,7 +131,7 @@ def test_hardy_peak_stays_within_its_charge(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * d**4 * C16
+    assert peak <= 3 * d**4 * C16 + (0 if d in (16, 24) else SLACK)
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])

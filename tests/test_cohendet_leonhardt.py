@@ -16,7 +16,6 @@ from qframe.operators import (
 from qframe.representations import (
     cohendet,
     extended_distribution,
-    fano_operator,
     from_extended,
     hardy_rep,
     leonhardt,
@@ -24,9 +23,15 @@ from qframe.representations import (
 )
 
 
+def fano_operators(d: int) -> dict:
+    """The point operators W_qp P by label (q, p): the dual stack of ``cohendet(d)``."""
+    rep = cohendet(d)
+    return dict(zip(rep.labels, rep.dual.operators))
+
+
 def displacement(d: int, m: int, n: int) -> np.ndarray:
     """W_mn = (W_mn P) P, as P^2 = I."""
-    return fano_operator(d, m, n) @ parity_matrix(d)
+    return fano_operators(d)[(m, n)] @ parity_matrix(d)
 
 
 @pytest.mark.parametrize("d", [3, 5, 9])
@@ -41,8 +46,8 @@ def test_displacement_unitarity_and_identity(d):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_fano_operator_properties(d):
-    assert np.allclose(fano_operator(d, 0, 0), parity_matrix(d), atol=1e-12)
-    ops = {(q, p): fano_operator(d, q, p) for q in range(d) for p in range(d)}
+    ops = fano_operators(d)
+    assert np.allclose(ops[(0, 0)], parity_matrix(d), atol=1e-12)
     for a, Da in ops.items():
         assert np.allclose(Da, Da.conj().T, atol=1e-12)
         for b, Db in ops.items():
@@ -52,12 +57,13 @@ def test_fano_operator_properties(d):
 
 def test_fano_covariance():
     d = 5
+    ops = fano_operators(d)
     rng = np.random.default_rng(13)
     for _ in range(6):
         q, p, x, k = (int(v) for v in rng.integers(d, size=4))
         W = displacement(d, x, k)
-        lhs = W.conj().T @ fano_operator(d, q, p) @ W
-        rhs = fano_operator(d, (q - 2 * x) % d, (p - 2 * k) % d)
+        lhs = W.conj().T @ ops[(q, p)] @ W
+        rhs = ops[((q - 2 * x) % d, (p - 2 * k) % d)]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -66,9 +72,10 @@ def test_fano_equals_reflected_prime_points(d):
     # Delta_qp matches the prime-lattice point operator at (-q, p)
     rep = wootters(d)
     pts = {lab: rep.dual.operators[i] for i, lab in enumerate(rep.labels)}
+    ops = fano_operators(d)
     for q in range(d):
         for p in range(d):
-            assert np.max(np.abs(fano_operator(d, q, p) - pts[((-q) % d, p)])) < 1e-10
+            assert np.max(np.abs(ops[(q, p)] - pts[((-q) % d, p)])) < 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 5, 9])
@@ -132,10 +139,11 @@ def test_leonhardt_odd_is_reflected_fano(d):
     rep = leonhardt(d)
     assert rep.meta["case"] == "odd"
     idx = {lab: i for i, lab in enumerate(rep.labels)}
+    ops = fano_operators(d)
     for q in range(d):
         for p in range(d):
             got = rep.dual.operators[idx[(q, p)]]
-            assert np.max(np.abs(got - fano_operator(d, (-q) % d, p))) < 1e-10
+            assert np.max(np.abs(got - ops[((-q) % d, p)])) < 1e-10
 
 
 def test_leonhardt_odd_matches_prime_points():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import batch_oracle as oracle
 from qframe.cli import main
 
 from qframe.errors import (
@@ -17,7 +18,7 @@ from qframe.errors import (
     FiducialSearchError,
     UnsupportedDimensionError,
 )
-from qframe.frames import is_dual_pair
+from qframe.frames import Frame, gram_dual, is_dual_pair
 from qframe.operators import (
     SIGMA,
     maximally_mixed,
@@ -26,7 +27,6 @@ from qframe.operators import (
     weyl_monomials,
 )
 from qframe.representations import (
-    hardy_projector,
     hardy_rep,
     havel_rep,
     overlap_deviation,
@@ -45,16 +45,17 @@ from qframe.representations.sic import SEARCH_TOL
 
 def test_grid_vector_cases():
     # k == j: basis projector; k < j: plain sum; k > j: i-weighted sum
-    P = hardy_projector(3, 1, 1)
+    grid = hardy_rep(3).frame.operators
+    P = grid[3 * 1 + 1]
     want = np.zeros((3, 3))
     want[1, 1] = 1.0
     assert np.allclose(P, want)
 
-    P = hardy_projector(3, 0, 2)
+    P = grid[3 * 0 + 2]
     v = np.array([1.0, 0.0, 1.0])
     assert np.allclose(P, np.outer(v, v))
 
-    P = hardy_projector(3, 2, 0)
+    P = grid[3 * 2 + 0]
     v = np.array([1.0j, 0.0, 1.0])
     assert np.allclose(P, np.outer(v, v.conj()))
 
@@ -62,10 +63,21 @@ def test_grid_vector_cases():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_grid_traces(d):
     # diagonal members have trace 1, off-diagonal members trace 2
+    grid = hardy_rep(d).frame.operators
     for k in range(d):
         for j in range(d):
-            t = np.trace(hardy_projector(d, k, j)).real
+            t = np.trace(grid[d * k + j]).real
             assert abs(t - (1.0 if k == j else 2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 25))
+def test_grid_stack_is_the_per_projector_build(d):
+    # the one-stack grid and its dual equal the projector-at-a-time build and its dual, bit for bit
+    want = np.array([oracle.hardy_projector(d, k, j) for k in range(d) for j in range(d)])
+    rep = hardy_rep(d)
+    assert np.array_equal(rep.frame.operators, want)
+    dual = gram_dual(Frame(dim=d, labels=tuple(range(d * d)), operators=want, name="hardy"))
+    assert np.array_equal(rep.dual.operators, dual.operators)
 
 
 def test_grid_maximally_mixed_values():
@@ -78,7 +90,7 @@ def test_grid_labels_row_stacked():
     rep = hardy_rep(3)
     assert rep.labels == tuple(range(9))
     # alpha = d*k + j ordering: alpha=5 is (k,j)=(1,2)
-    assert np.allclose(rep.frame.operators[5], hardy_projector(3, 1, 2))
+    assert np.allclose(rep.frame.operators[5], oracle.hardy_projector(3, 1, 2))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

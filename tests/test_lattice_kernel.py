@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
-from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
+from qframe.errors import DimensionMismatchError
 from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
 from qframe.geometry import prime_lattice
 from qframe.operators import EQ_TOL, displaced_parity, finite_fourier, parity_matrix, random_state, tau_powers
 from qframe.representations import (
     cohendet,
-    fano_operator,
     havel_rep,
     leonhardt,
     real_density_matrix,
@@ -119,12 +118,13 @@ def test_point_helpers_match_dense_oracle(d):
         np.testing.assert_allclose(A, oracle.prime_point(d, q, p), rtol=0, atol=ORACLE_TOL)
     if d == 2:
         return
+    rep = cohendet(d)
+    fano = dict(zip(rep.labels, rep.dual.operators))
     for q in range(d):
         for p in range(d):
-            np.testing.assert_allclose(fano_operator(d, q, p), oracle.fano_point(d, q, p),
-                                       rtol=0, atol=ORACLE_TOL)
+            np.testing.assert_allclose(fano[(q, p)], oracle.fano_point(d, q, p), rtol=0, atol=ORACLE_TOL)
             # the displacement W_qp is the Fano operator times the parity, as P^2 = I
-            np.testing.assert_allclose(fano_operator(d, q, p) @ parity_matrix(d),
+            np.testing.assert_allclose(fano[(q, p)] @ parity_matrix(d),
                                        oracle.cohendet_displacement(d, q, p), rtol=0, atol=ORACLE_TOL)
             np.testing.assert_allclose(displaced_parity(d, 2 * p, -2 * q)[0], oracle.ruzzi_point(d, q, p),
                                        rtol=0, atol=ORACLE_TOL)
@@ -137,11 +137,6 @@ def test_kernel_stacks_are_exactly_hermitian(d):
         s, t = 2 * s, 2 * t
     K = displaced_parity(d, s, t)
     assert np.array_equal(K, K.conj().transpose(0, 2, 1))
-
-
-def test_point_helpers_refuse_even_d():
-    with pytest.raises(UnsupportedDimensionError):
-        fano_operator(4, 1, 1)
 
 
 @pytest.mark.parametrize("d", range(2, 9))

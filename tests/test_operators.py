@@ -6,6 +6,7 @@ import pytest
 import lattice_oracle
 from gf_oracle import eigh_fixed
 
+from qframe.errors import DimensionMismatchError
 from qframe.operators import (
     SIGMA,
     basis_state,
@@ -170,6 +171,16 @@ def test_partial_transpose_involution_and_hermiticity():
     pt = partial_transpose(rho, (2, 3), 0)
     assert is_hermitian(pt)
     assert np.allclose(partial_transpose(pt, (2, 3), 0), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims,subsystem", [((2, 2), 1), ((2, 2), 0), ((2, 3), 0), ((3, 2), 1)])
+def test_partial_transpose_of_a_stack_is_the_per_matrix_transpose(dims, subsystem):
+    D = int(np.prod(dims))
+    rhos = np.array([random_state(D, seed=k) for k in range(5)])
+    stacked = partial_transpose(rhos, dims, subsystem)
+    assert np.array_equal(stacked, np.array([partial_transpose(rho, dims, subsystem) for rho in rhos]))
+    with pytest.raises(DimensionMismatchError):
+        partial_transpose(rhos[:, 1:, 1:], dims, subsystem)
 
 
 def test_eigh_fixed_gauge():

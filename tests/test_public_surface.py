@@ -31,7 +31,6 @@ PAPER_OBJECTS = {
     "lines_through",
     # lattice constructions and their equivalences
     "extended_distribution",
-    "fano_operator",
     "from_extended",
     "match_phase_points",
     # unbiased bases, SIC and Pauli-word tables
@@ -43,7 +42,7 @@ PAPER_OBJECTS = {
     "sic_conditional",
     "sic_fiducial",
     # spin and NMR kernels
-    "NmrKernels",
+    "qubit_kernel_lower",
     "sphere_quadrature",
     # documents
     "frame_from_doc",

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import batch_oracle as oracle
+from qframe.analysis import _nmr_distribution
 from qframe.cli import build_representation, parse_direct
 from qframe.errors import SingularBasisError, UnsupportedDimensionError
-from qframe.frames import frame_bounds, is_dual_pair
+from qframe.frames import Frame, frame_bounds, gram_dual, is_dual_pair
 from qframe.operators import random_state
 from qframe.representations import (
-    NmrKernels,
     SphericalKernel,
     clebsch_gordan,
     direction_basis,
@@ -25,6 +26,7 @@ from qframe.representations import (
     stratonovich_discrete,
     tetrahedral_constellation,
 )
+from qframe.representations import spherical
 from qframe.representations.spherical import MAX_SPIN, _random_stratonovich
 from qframe.verify import DUALITY_TOL, verify_representation
 
@@ -140,6 +142,22 @@ def test_direction_basis_diagonalizes():
         assert np.max(np.abs(H @ V[:, j] - m * V[:, j])) < 1e-10
 
 
+@pytest.mark.parametrize("s", [0.5, 1, 2.5, 4])
+def test_a_stack_of_directions_is_k_single_calls(s):
+    # one batched eigh and one gauge give, bit for bit, the bases and kernels of the per-direction calls
+    pts, _ = random_constellation(s, seed=3)
+    kernel = SphericalKernel(s, (1.0,) + (0.8,) * int(2 * s))
+    bases = direction_basis(s, pts)
+    assert bases.shape == (len(pts), kernel.dim, kernel.dim)
+    assert np.array_equal(bases, np.array([direction_basis(s, n) for n in pts]))
+    assert np.array_equal(bases, np.array([oracle.direction_basis(s, n) for n in pts]))
+    kernels = kernel.point(pts)
+    assert np.array_equal(kernels, np.array([kernel.point(n) for n in pts]))
+    assert np.array_equal(kernels, np.array([oracle.spherical_point(kernel, n) for n in pts]))
+    with pytest.raises(ValueError, match="unit vector"):
+        direction_basis(s, np.vstack([pts[:2], 2 * pts[2:3]]))
+
+
 @pytest.mark.parametrize("s", [0.5, 1, 1.5])
 def test_normalization_postulate_by_quadrature(s):
     d = int(2 * s + 1)
@@ -238,6 +256,29 @@ def test_discrete_round_trip():
     assert np.max(np.abs(back - rho)) < 1e-9
 
 
+@pytest.mark.parametrize("s,seed", [(0.5, "tetrahedral")] + [
+    (s, seed) for s in np.arange(0.5, MAX_SPIN + 0.25, 0.5).tolist() for seed in range(5)])
+def test_kernel_stack_is_the_per_point_build(s, seed):
+    # the frame built in one call and its dual equal the kernel-at-a-time build and its dual, bit for bit
+    pts = tetrahedral_constellation() if seed == "tetrahedral" else random_constellation(s, seed=seed)[0]
+    rep = stratonovich_discrete(s, pts)
+    kernel = SphericalKernel(s, (1.0,) * rep.dim)
+    want = np.array([oracle.spherical_point(kernel, n) for n in pts])
+    assert np.array_equal(rep.frame.operators, want)
+    dual = gram_dual(Frame(dim=rep.dim, labels=rep.labels, operators=want, name="stratonovich"))
+    assert np.array_equal(rep.dual.operators, dual.operators)
+
+
+def test_a_spin_4_build_takes_one_spin_basis_and_one_eigh(monkeypatch):
+    pts, _ = random_constellation(4, seed=0)
+    calls = []
+    spin, eigh = spherical.spin_operators, np.linalg.eigh
+    monkeypatch.setattr(spherical, "spin_operators", lambda s: calls.append("spin_operators") or spin(s))
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append("eigh") or eigh(H))
+    stratonovich_discrete(4, pts)
+    assert calls == ["spin_operators", "eigh"]
+
+
 def test_tetrahedral_constellation_is_tight():
     rep = stratonovich_discrete(0.5, tetrahedral_constellation())
     a, b = frame_bounds(rep.frame)
@@ -254,18 +295,19 @@ def test_most_random_constellations_succeed_first_draw():
 
 @pytest.mark.parametrize("s,seed,draws", [(2, 1, 1), (3, 0, 2)])
 def test_kernels_built_once_per_draw(monkeypatch, s, seed, draws):
+    # one call per draw builds the whole constellation's kernels
     calls = []
     point = SphericalKernel.point
     monkeypatch.setattr(SphericalKernel, "point", lambda self, n: calls.append(n) or point(self, n))
     d = int(2 * s + 1)
     assert random_constellation(s, seed=seed)[1] == draws
-    assert len(calls) == d * d * draws
+    assert [np.shape(n) for n in calls] == [(d * d, 3)] * draws
     calls.clear()
     # the CLI keeps the representation of the accepted draw instead of building it again
     args = parse_direct(["build", "stratonovich", "--s", str(s), "--seed", str(seed)])
     rep = build_representation("stratonovich", args)
-    assert len(calls) == d * d * draws
-    np.testing.assert_array_equal(rep.meta["constellation"], calls[-d * d:])
+    assert len(calls) == draws
+    np.testing.assert_array_equal(rep.meta["constellation"], calls[-1])
 
 
 def test_constellation_shape_and_units_checked():
@@ -298,25 +340,21 @@ def test_qubit_pair_duality_by_quadrature():
 
 
 def test_nmr_tensor_pair():
-    kit = NmrKernels(2)
-    dirs = [(0, 0, 1), (0, 0, 1)]
-    low = kit.lower(dirs)
-    up = kit.upper(dirs)
-    assert np.allclose(low, np.diag([1.0, 0, 0, 0]), atol=1e-12)
+    # the register scan pairs rho with the tensor product of one upper kernel per qubit
+    grid = nmr_sample_directions(8)
+    rho = random_state(4, seed=43)
+    want = [np.trace(rho @ np.kron(qubit_kernel_upper(a), qubit_kernel_upper(b))).real for a in grid for b in grid]
+    assert np.max(np.abs(_nmr_distribution(rho, 2, grid) - want)) < 1e-15
+    up = np.kron(qubit_kernel_upper([0, 0, 1]), qubit_kernel_upper([0, 0, 1]))
     assert abs(np.trace(up).real - (2 / (4 * np.pi)) ** 2) < 1e-12
-    want = np.kron(qubit_kernel_upper([0, 0, 1]), qubit_kernel_upper([0, 0, 1]))
-    assert np.max(np.abs(up - want)) < 1e-12
 
 
 def test_nmr_kernels_with_sample_points():
-    kit = NmrKernels(1)
-    assert np.allclose(kit.lower([(0, 0, 1)]), np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(kit.lower([(1, 0, 0)]), 0.5 * np.ones((2, 2)), atol=1e-12)
+    assert np.allclose(qubit_kernel_lower([(0, 0, 1)]), np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(qubit_kernel_lower([(1, 0, 0)]), 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 def test_nmr_input_validation():
-    with pytest.raises(UnsupportedDimensionError):
-        NmrKernels(4)
     with pytest.raises(ValueError):
         qubit_kernel_lower([0, 0, 2])
 
