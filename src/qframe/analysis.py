@@ -391,7 +391,3 @@ def bell_wigner_demo(a: float, b: float, c: float) -> dict:
         "rhs": rhs,
         "violated": bool(lhs > rhs + 1e-10),
     }
-
-
-# Former name, kept for callers; the inequality is not CHSH.
-bell_chsh_demo = bell_wigner_demo

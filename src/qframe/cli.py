@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedTransformError,
 )
-from .frames import apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
+from .frames import QuasiDistribution, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
 from .operators import frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
@@ -247,13 +247,19 @@ def cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
-    rep = build_representation(args.representation, args)
+def _load_distribution(args, rep: Representation) -> QuasiDistribution:
+    """The distribution document at ``--dist``; refused unless it came from ``rep``."""
     dist = distribution_from_doc(load_json(args.dist))
     if dist.representation != rep.name:
         raise DimensionMismatchError(
             f"distribution came from {dist.representation!r}, not {rep.name!r}"
         )
+    return dist
+
+
+def cmd_reconstruct(args) -> int:
+    rep = build_representation(args.representation, args)
+    dist = _load_distribution(args, rep)
     rho = rep.reconstruct(dist)
     _emit_doc(args, matrix_to_doc(rho))
     _say(f"reconstruct {rep.name} d={rep.dim}: trace {np.trace(rho).real:.6f}")
@@ -271,7 +277,7 @@ def cmd_transform(args) -> int:
         raise UnsupportedTransformError(
             "transformation needs minimal frames (d^2 outcomes) on both sides"
         )
-    dist = distribution_from_doc(load_json(args.dist))
+    dist = _load_distribution(args, source)
     if dist.labels != source.labels:
         raise DimensionMismatchError("distribution labels do not match the source")
     T = transform_matrix(source.dual, target.frame)

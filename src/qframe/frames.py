@@ -242,8 +242,9 @@ class Frame:
     both frames: the dual of a frame spans the operator space too.  The
     family takes the operator stack over read-only (a C-contiguous
     complex array passed in is frozen in place, anything else is converted
-    first), so the facts it caches about the stack cannot go stale.  One of
-    them is ``skew``, the largest entry of ``F - F^dag``.
+    first), so the facts it caches about the stack cannot go stale.  Two of
+    them are ``dim``, the side of the stack's matrices, and ``skew``, the
+    largest entry of ``F - F^dag``.
 
     A family made by ``parity_pair`` also carries its label map
     ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
@@ -253,7 +254,7 @@ class Frame:
     other family has none and pairs on its stack.
     """
 
-    dim: int
+    dim: int = field(init=False)
     labels: tuple
     operators: np.ndarray
     name: str = ""
@@ -264,8 +265,7 @@ class Frame:
         ops = _as_stack(self.operators)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if ops.shape[1] != self.dim:
-            raise DimensionMismatchError(f"operators are {ops.shape[1]}x{ops.shape[1]}, dim says {self.dim}")
+        object.__setattr__(self, "dim", ops.shape[1])
         if len(self.labels) != ops.shape[0]:
             raise DimensionMismatchError(f"{len(self.labels)} labels for {ops.shape[0]} operators")
         if not np.isfinite(ops).all():
@@ -377,8 +377,8 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     if d % 2 == 0 or (s % 2).any():
         raise DimensionMismatchError(f"the centred phase points need odd d and even s, got d = {d}")
     ops = displaced_parity(d, s, t)
-    frame = Frame(dim=d, labels=labels, operators=ops / d, name=name)
-    dual = Frame(dim=d, labels=frame.labels, operators=ops, name=name)
+    frame = Frame(labels, ops / d, name)
+    dual = Frame(frame.labels, ops, name)
     order = np.argsort(cell)
     gather = _centred_gather(d)
     u = np.arange(d)
@@ -455,7 +455,7 @@ def canonical_dual(frame: Frame) -> Frame:
     vals, vecs = np.linalg.eigh(V.T @ V)
     _bounds(vals)
     ops = _from_coordinates(V @ ((vecs / vals) @ vecs.T), frame.dim)
-    return Frame(dim=frame.dim, labels=frame.labels, operators=ops, name=frame.name)
+    return Frame(frame.labels, ops, frame.name)
 
 
 def gram_dual(frame: Frame) -> Frame:
@@ -487,7 +487,7 @@ def _minimal_dual(frame: Frame, screen=None) -> Frame:
     V = np.linalg.inv(V).T
     dual_ops = _from_coordinates(V, frame.dim)
     del V
-    return Frame(dim=frame.dim, labels=frame.labels, operators=dual_ops, name=frame.name)
+    return Frame(frame.labels, dual_ops, frame.name)
 
 
 def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[bool, float]:

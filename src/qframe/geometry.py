@@ -133,12 +133,10 @@ def composite_lattice(parts: list[PhaseSpaceGeometry]) -> PhaseSpaceGeometry:
     )
 
 
-def plain_lattice(side_q: int, side_p: int | None = None, kind: str = "lattice") -> PhaseSpaceGeometry:
-    """A bare (q, p) grid with no line structure, serialized row-major."""
-    if side_p is None:
-        side_p = side_q
-    points = tuple((q, p) for q in range(side_q) for p in range(side_p))
-    return PhaseSpaceGeometry(kind=kind, points=points, meta={"shape": [side_q, side_p]})
+def plain_lattice(side: int, kind: str = "lattice") -> PhaseSpaceGeometry:
+    """A bare side x side (q, p) grid with no line structure, serialized row-major."""
+    points = tuple((q, p) for q in range(side) for p in range(side))
+    return PhaseSpaceGeometry(kind=kind, points=points, meta={"shape": [side, side]})
 
 
 def extended_lattice(d: int) -> PhaseSpaceGeometry:

@@ -52,11 +52,10 @@ class Representation:
 
     ``represent`` maps states to quasi-probabilities over the frame labels,
     ``effect`` maps effects through the dual side, and ``reconstruct``
-    resynthesizes operators from values.
+    resynthesizes operators from values.  The name, dimension and labels are
+    the frame's own.
     """
 
-    name: str
-    dim: int
     frame: Frame
     dual: Frame
     geometry: PhaseSpaceGeometry | None = None
@@ -68,6 +67,14 @@ class Representation:
         # so the geometry's point indices are frame indices
         if self.geometry is not None and self.geometry.points != self.frame.labels:
             raise DimensionMismatchError("frame labels must be the geometry's points")
+
+    @property
+    def name(self) -> str:
+        return self.frame.name
+
+    @property
+    def dim(self) -> int:
+        return self.frame.dim
 
     @property
     def labels(self) -> tuple:
@@ -86,10 +93,9 @@ class Representation:
 def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndarray,
                                meta: dict) -> Representation:
     """The lattice families' pair over the points of ``geom``: frame {A/d}, dual {A}."""
-    d = ops.shape[1]
-    frame = Frame(dim=d, labels=geom.points, operators=ops / d, name=name)
-    dual = Frame(dim=d, labels=geom.points, operators=ops, name=name)
-    return Representation(name=name, dim=d, frame=frame, dual=dual, geometry=geom, meta=meta)
+    frame = Frame(geom.points, ops / ops.shape[1], name)
+    dual = Frame(geom.points, ops, name)
+    return Representation(frame, dual, geom, meta)
 
 
 def parity_representation(name: str, geom: PhaseSpaceGeometry, s, t, meta: dict) -> Representation:
@@ -98,8 +104,8 @@ def parity_representation(name: str, geom: PhaseSpaceGeometry, s, t, meta: dict)
     ``parity_pair`` builds both from the kernel labels (s, t), one pair per
     point, with the label map they pair through.
     """
-    frame, dual = parity_pair(geom.points, s, t, name=name)
-    return Representation(name=name, dim=frame.dim, frame=frame, dual=dual, geometry=geom, meta=meta)
+    frame, dual = parity_pair(geom.points, s, t, name)
+    return Representation(frame, dual, geom, meta)
 
 
 def striation_pvms(rep: Representation) -> np.ndarray:

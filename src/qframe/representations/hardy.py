@@ -32,8 +32,6 @@ def hardy_rep(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 2")
     # frame, dual and the dual's solve: V and its inverse, real n x n each, are one more stack's worth
     check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
-    frame = Frame(dim=d, labels=tuple(range(d * d)), operators=_grid(d), name="hardy")
+    frame = Frame(tuple(range(d * d)), _grid(d), "hardy")
     dual = gram_dual(frame)
-    return Representation(
-        name="hardy", dim=d, frame=frame, dual=dual, geometry=None, meta={"d": d}
-    )
+    return Representation(frame, dual, meta={"d": d})

@@ -58,16 +58,9 @@ def havel_rep(n_qubits: int) -> Representation:
     d = 2**n_qubits
     labels = tuple((k, j) for k in range(d) for j in range(d))
     ops = _pauli_words(n_qubits)
-    frame = Frame(dim=d, labels=labels, operators=ops, name="havel")
-    dual = Frame(dim=d, labels=labels, operators=ops / d, name="havel")
-    return Representation(
-        name="havel",
-        dim=d,
-        frame=frame,
-        dual=dual,
-        geometry=None,
-        meta={"n_qubits": n_qubits},
-    )
+    frame = Frame(labels, ops, "havel")
+    dual = Frame(labels, ops / d, "havel")
+    return Representation(frame, dual, meta={"n_qubits": n_qubits})
 
 
 # one build per register size and process; sharing it is safe because its stacks are read-only

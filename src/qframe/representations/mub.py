@@ -61,7 +61,6 @@ class MubFamily:
         # projector (n, k) is the outer product of column k of basis n
         columns = self.bases.transpose(0, 2, 1).reshape(-1, d)
         self.outcomes = Frame(
-            dim=d,
             labels=[(n, k) for n in range(d + 1) for k in range(d)],
             operators=columns[:, :, None] * columns[:, None, :].conj(),
             name="mub-table",
@@ -75,14 +74,10 @@ class MubFamily:
     def representation(self) -> Representation:
         """Normalized frame P/(d+1) with the exact dual (d+1)P - I."""
         d = self.d
-        frame = Frame(
-            dim=d, labels=self.labels, operators=self.projectors / (d + 1), name="mub"
-        )
-        dual = Frame(
-            dim=d, labels=self.labels, operators=(d + 1) * self.projectors - np.eye(d), name="mub"
-        )
+        frame = Frame(self.labels, self.projectors / (d + 1), "mub")
+        dual = Frame(self.labels, (d + 1) * self.projectors - np.eye(d), "mub")
         return Representation(
-            name="mub", dim=d, frame=frame, dual=dual, geometry=None, meta={"family": self},
+            frame, dual, meta={"family": self},
             checks=(("pairwise_unbiasedness", 1e-9, _unbiasedness_residual),),
         )
 

@@ -128,7 +128,7 @@ def _check_search_dim(d: int) -> None:
         )
 
 
-def _search(stack: np.ndarray, seed: int, starts: int, tol: float) -> tuple[np.ndarray, int]:
+def _search(stack: np.ndarray, seed: int, starts: int) -> tuple[np.ndarray, int]:
     """Fiducial for the orbit ``stack`` and the number of starts the search used."""
     d = stack.shape[1]
     if d == 2:
@@ -139,7 +139,7 @@ def _search(stack: np.ndarray, seed: int, starts: int, tol: float) -> tuple[np.n
         x0 = rng.standard_normal(2 * d)
         phi = _descend(stack, x0[:d] + 1j * x0[d:], 1.0 / (d + 1))
         dev = _deviation(stack, phi)
-        if dev < tol:
+        if dev < SEARCH_TOL:
             return _phase_gauge(phi), k + 1
         best = min(best, dev)
     raise FiducialSearchError(
@@ -147,17 +147,15 @@ def _search(stack: np.ndarray, seed: int, starts: int, tol: float) -> tuple[np.n
     )
 
 
-def sic_fiducial(
-    d: int, seed: int = 11, starts: int = 50, tol: float = SEARCH_TOL
-) -> np.ndarray:
+def sic_fiducial(d: int, seed: int = 11, starts: int = 50) -> np.ndarray:
     """Unit vector whose Weyl orbit has all pairwise overlaps 1/(d+1).
 
     d=2 has a closed form; larger dimensions run a seeded multi-start
     Levenberg-Marquardt search over the d^2 - 1 overlap residuals and accept
-    the first start whose overlap deviation is below ``tol``.
+    the first start whose overlap deviation is below ``SEARCH_TOL``.
     """
     _check_search_dim(d)
-    return _search(_orbit_stack(d), seed, starts, tol)[0]
+    return _search(_orbit_stack(d), seed, starts)[0]
 
 
 def sic_rep(
@@ -187,7 +185,7 @@ def sic_rep(
     check_stack_budget(f"sic_rep({d})", d * d, d, stacks=3)
     stack = _orbit_stack(d)
     if fiducial is None:
-        phi, used = _search(stack, seed, starts, SEARCH_TOL)
+        phi, used = _search(stack, seed, starts)
     dev = _deviation(stack, phi / np.linalg.norm(phi))  # as overlap_deviation reports it
     if dev > PROVIDED_TOL:
         raise FiducialSearchError(
@@ -196,19 +194,11 @@ def sic_rep(
     labels = tuple((p, q) for p in range(d) for q in range(d))
     vecs = np.vstack([phi, stack @ phi])  # U_00 = I, then the orbit in label order
     ops = vecs[:, :, None] * vecs[:, None, :].conj() / d
-    frame = Frame(dim=d, labels=labels, operators=ops, name="sic")
-    dual = Frame(
-        dim=d,
-        labels=labels,
-        operators=d * (d + 1) * ops - np.eye(d),
-        name="sic",
-    )
+    frame = Frame(labels, ops, "sic")
+    dual = Frame(labels, d * (d + 1) * ops - np.eye(d), "sic")
     return Representation(
-        name="sic",
-        dim=d,
-        frame=frame,
-        dual=dual,
-        geometry=None,
+        frame,
+        dual,
         meta={"fiducial": phi, "overlap_deviation": dev, "search_starts": used},
         checks=(("overlap_deviation", 1e-8, lambda rep, seed: float(rep.meta["overlap_deviation"])),),
     )

@@ -195,9 +195,9 @@ def _check_unit_rows(points: np.ndarray):
         raise ValueError("invalid point: directions must be unit vectors")
 
 
-def stratonovich_discrete(s: float, constellation, gammas=None) -> Representation:
-    """Point kernels on a d^2-point constellation with their one dual family."""
-    kernel = SphericalKernel(s, tuple(gammas) if gammas is not None else (1.0,) * (_two(s, "s") + 1))
+def stratonovich_discrete(s: float, constellation) -> Representation:
+    """Point kernels of the all-ones ``SphericalKernel`` on a d^2-point constellation, with their one dual family."""
+    kernel = SphericalKernel(s, (1.0,) * (_two(s, "s") + 1))
     d = kernel.dim
     points = np.asarray(constellation, dtype=float)
     if points.shape != (d * d, 3):
@@ -205,14 +205,11 @@ def stratonovich_discrete(s: float, constellation, gammas=None) -> Representatio
     _check_unit_rows(points)
     ops = kernel.point(points)
     labels = tuple(range(d * d))
-    frame = Frame(dim=d, labels=labels, operators=ops, name="stratonovich")
+    frame = Frame(labels, ops, "stratonovich")
     dual = _minimal_dual(frame, _refuse_ill_conditioned)
     return Representation(
-        name="stratonovich",
-        dim=d,
-        frame=frame,
-        dual=dual,
-        geometry=None,
+        frame,
+        dual,
         meta={"s": s, "constellation": points, "gammas": kernel.gammas},
         checks=(("dual_resolves_identity", 1e-8, _dual_sum_residual),),
     )

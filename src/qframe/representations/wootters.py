@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
 from ..geometry import composite_lattice, prime_lattice
-from ..operators import SIGMA, displaced_parity
+from ..operators import SIGMA
 from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
@@ -40,14 +40,6 @@ def _qubit_points() -> np.ndarray:
         0.5 * (eye + (-1) ** q * Z + (-1) ** p * X + (-1) ** (q + p) * Y)
         for q in range(2) for p in range(2)
     ])
-
-
-def _prime_stack(d: int) -> np.ndarray:
-    """A(q, p) for prime d, stacked over the row-major points of ``prime_lattice(d)``."""
-    if d == 2:
-        return _qubit_points()
-    q, p = np.divmod(np.arange(d * d), d)
-    return displaced_parity(d, 2 * q, 2 * p)
 
 
 def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,8 +73,9 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
             raise UnsupportedDimensionError(f"every factor must be prime, got {x}")
     d = int(np.prod(dims))
     check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
-    ops = _prime_stack(dims[0])
-    for x in dims[1:]:
-        ops = _kron_stacks(ops, _prime_stack(x))
-    geom = composite_lattice([prime_lattice(x) for x in dims])
+    factors = [wootters(x) for x in dims]
+    ops = factors[0].dual.operators
+    for rep in factors[1:]:
+        ops = _kron_stacks(ops, rep.dual.operators)
+    geom = composite_lattice([rep.geometry for rep in factors])
     return phase_point_representation("wootters", geom, ops, {"dims": dims})

@@ -12,9 +12,8 @@ list is rendered item by item.  The document builders fill their rows with
 ``write_frame`` renders each operator, {"dim", "im", "re"}, with one ``%``
 over a whole-document template cached per d, through a callable in its
 document: a callable writes its own text.
-Files are streamed: ``write_json`` renders straight into the file, an
-iterator in a document goes out one item at a time, and ``write_frame``
-holds one operator's text at a time.
+Files are streamed: ``write_json`` renders straight into the file, and
+``write_frame`` holds one operator's text at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionMismatchError, ParseError
 from .frames import Frame, QuasiDistribution
 from .geometry import PhaseSpaceGeometry
 
@@ -64,7 +63,12 @@ def _render(obj, write) -> None:
         if len(kinds) == 1 and (kind := kinds.pop()) in _ROW_FORMATS:
             write(_row_template(kind, len(obj)) % tuple(obj))
         else:
-            _render_items(obj, write)
+            write("[")
+            for i, item in enumerate(obj):
+                if i:
+                    write(", ")
+                _render(item, write)
+            write("]")
     elif isinstance(obj, dict):
         write("{")
         for i, key in enumerate(sorted(obj)):
@@ -90,21 +94,10 @@ def _render(obj, write) -> None:
         write("null")
     elif isinstance(obj, complex):
         raise TypeError("complex values must go through matrix_to_doc")
-    elif hasattr(type(obj), "__next__"):  # an iterator is an array streamed one item at a time
-        _render_items(obj, write)
     elif callable(obj):  # a callable writes its own JSON text
         obj(write)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _render_items(items, write) -> None:
-    write("[")
-    for i, item in enumerate(items):
-        if i:
-            write(", ")
-        _render(item, write)
-    write("]")
 
 
 def write_json(obj, path) -> None:
@@ -229,7 +222,9 @@ def frame_from_doc(doc) -> Frame:
         name = str(doc.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad frame document: {exc}") from exc
-    return Frame(dim=dim, labels=tuple(labels), operators=ops, name=name)
+    if ops.ndim == 3 and ops.shape[1] != dim:
+        raise DimensionMismatchError(f"operators are {ops.shape[1]}x{ops.shape[1]}, dim says {dim}")
+    return Frame(tuple(labels), ops, name)
 
 
 # distributions

@@ -59,7 +59,7 @@ def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float,
     line_sums = rep.frame.analyze(rho)[:, rep.geometry.line_index].sum(axis=3)
     # the Born side pairs the states with the d(d + 1) line operators as one family
     lines = pvms.reshape(-1, rep.dim, rep.dim)
-    born = Frame(rep.dim, range(len(lines)), lines).analyze(rho).reshape(line_sums.shape)
+    born = Frame(range(len(lines)), lines).analyze(rho).reshape(line_sums.shape)
     return pvm_worst, float(np.max(np.abs(line_sums - born)))
 
 

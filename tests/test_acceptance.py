@@ -10,7 +10,7 @@ import pytest
 
 from qframe.analysis import (
     FRANCO_PENNA_THRESHOLD,
-    bell_chsh_demo,
+    bell_wigner_demo,
     franco_penna,
     negativity_witness,
     nmr_classicality,
@@ -291,7 +291,7 @@ def test_c11_cross_representation_equivalences():
 
 
 def test_c12_bell_violation_at_the_frozen_angles():
-    r = bell_chsh_demo(0.0, np.pi / 3, 2 * np.pi / 3)
+    r = bell_wigner_demo(0.0, np.pi / 3, 2 * np.pi / 3)
     assert abs(r["lhs"] - 1.0) < 1e-10
     assert abs(r["rhs"] - 0.5) < 1e-10
     assert r["violated"]

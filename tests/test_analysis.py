@@ -7,7 +7,6 @@ import pytest
 
 from qframe.analysis import (
     FRANCO_PENNA_THRESHOLD,
-    bell_chsh_demo,
     bell_wigner_demo,
     franco_penna,
     negativity_witness,
@@ -221,10 +220,9 @@ def _perturbed(rep, seed, size=1e-15):
     def noisy(fam):
         X = rng.standard_normal(fam.operators.shape) + 1j * rng.standard_normal(fam.operators.shape)
         ops = fam.operators + size * (X + X.conj().transpose(0, 2, 1)) / 2
-        return fam.__class__(dim=rep.dim, labels=rep.labels, operators=ops, name=rep.name)
+        return fam.__class__(labels=rep.labels, operators=ops, name=rep.name)
 
-    return Representation(name=rep.name, dim=rep.dim, frame=noisy(rep.frame), dual=noisy(rep.dual),
-                          geometry=rep.geometry)
+    return Representation(frame=noisy(rep.frame), dual=noisy(rep.dual), geometry=rep.geometry)
 
 
 def test_witness_ties_go_to_the_first_label():
@@ -429,10 +427,6 @@ def test_violation_exists_on_degree_grid():
         r = bell_wigner_demo(0.0, b, 2 * b)
         gaps.append(r["lhs"] - r["rhs"])
     assert max(gaps) > 0
-
-
-def test_former_name_is_an_alias():
-    assert bell_chsh_demo is bell_wigner_demo
 
 
 def test_demo_bell_stdout_is_pinned(capsys):

@@ -28,7 +28,7 @@ C16 = np.dtype(complex).itemsize
 #  bytes of operator stacks the build is charged)
 BUDGETED = [
     ("wootters-3", lambda: wootters(3), "base", "parity_pair", 2 * 9 * 9 * C16),
-    ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "displaced_parity",
+    ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "wootters",
      2 * 36 * 36 * C16),
     ("cohendet-3", lambda: cohendet(3), "base", "parity_pair", 2 * 9 * 9 * C16),
     ("leonhardt-3", lambda: leonhardt(3), "base", "parity_pair", 2 * 9 * 9 * C16),
@@ -94,7 +94,7 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
 ], ids=["wootters-79", "composite-7x11", "cohendet-81", "leonhardt-56", "ruzzi-81", "hardy-70",
         "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
-    for module, step in [("wootters", "displaced_parity"), ("leonhardt", "displaced_parity"),
+    for module, step in [("wootters", "wootters"), ("leonhardt", "displaced_parity"),
                          ("base", "parity_pair"), ("hardy", "_grid"), ("mub", "mub_bases")]:
         _stub(monkeypatch, module, step)
     with pytest.raises(UnsupportedDimensionError, match="budget"):

@@ -253,6 +253,18 @@ def test_transform_rejects_overcomplete_frame(tmp_path, capsys):
     assert "minimal" in err
 
 
+def test_transform_rejects_foreign_distribution(tmp_path, capsys):
+    # Cohendet's values sit on Wootters' labels at d = 3; only their name tells them apart
+    dist_file = tmp_path / "c.json"
+    run(capsys, "represent", "cohendet", "--d", "3", "--pure", "1", "--out", str(dist_file))
+    code, out, err = run(
+        capsys, "transform", "wootters", "hardy", "--d", "3", "--dist", str(dist_file)
+    )
+    assert code == 4
+    assert out == ""
+    assert "distribution came from 'cohendet', not 'wootters'" in err
+
+
 def test_transform_dimension_mismatch(tmp_path, capsys):
     dist_file = tmp_path / "mu.json"
     run(capsys, "represent", "wootters", "--d", "3", "--mixed", "--out", str(dist_file))
@@ -266,7 +278,7 @@ def test_transform_dimension_mismatch(tmp_path, capsys):
         "--dist",
         str(dist_file),
     )
-    # hardy and wootters are both minimal at d=3; mismatched labels must fail
+    # hardy and wootters are both minimal at d=3; Wootters values must not go in as Hardy's
     assert code == 4
 
 

@@ -65,6 +65,9 @@ def test_identities_hold_at_every_admitted_size(name, data):
     rep = _build(name, flags)
     if rep is None:
         return
+    # the dimension and name are read off the stacks and the frame, never restated
+    assert rep.frame.dim == rep.dual.dim == rep.frame.operators.shape[1] == rep.dual.operators.shape[1] == rep.dim
+    assert rep.name == rep.frame.name == rep.dual.name == name
     report = verify_representation(rep, seed=flags.get("seed", 0), samples=20)
     assert report["all_passed"], [check for check in report["checks"] if not check["passed"]]
     if name not in RELABELED or rep.dim % 2 == 0 or "dims" in flags:  # a product of lattices is not Z_d

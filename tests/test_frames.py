@@ -67,13 +67,13 @@ def _random_minimal_frame(d, seed):
     M = Q + 0.3 * np.eye(d * d)
     ops = np.einsum("na,aij->nij", M, B)
     labels = tuple(range(d * d))
-    return Frame(dim=d, labels=labels, operators=ops, name="random-test")
+    return Frame(labels=labels, operators=ops, name="random-test")
 
 
 def test_orthonormal_basis_is_tight_frame():
     d = 3
     B = hermitian_basis(d)
-    fr = Frame(dim=d, labels=tuple(range(d * d)), operators=B, name="gellmann")
+    fr = Frame(labels=tuple(range(d * d)), operators=B, name="gellmann")
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-10 and abs(b - 1.0) < 1e-10
     dual = canonical_dual(fr)
@@ -84,7 +84,7 @@ def test_duplicated_element_changes_upper_bound():
     d = 2
     B = hermitian_basis(d)
     ops = np.concatenate([B, B[:1]], axis=0)
-    fr = Frame(dim=d, labels=tuple(range(5)), operators=ops)
+    fr = Frame(labels=tuple(range(5)), operators=ops)
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-10 and abs(b - 2.0) < 1e-10
     ok, res = is_dual_pair(fr, canonical_dual(fr))
@@ -94,7 +94,7 @@ def test_duplicated_element_changes_upper_bound():
 def test_not_a_frame_error():
     d = 2
     B = hermitian_basis(d)
-    fr = Frame(dim=d, labels=(0, 1), operators=B[:2])
+    fr = Frame(labels=(0, 1), operators=B[:2])
     with pytest.raises(NotAFrameError):
         frame_bounds(fr)
     with pytest.raises(NotAFrameError):
@@ -130,7 +130,7 @@ def test_gram_dual_requires_minimal():
     d = 2
     B = hermitian_basis(d)
     ops = np.concatenate([B, B[:1]], axis=0)
-    fr = Frame(dim=d, labels=tuple(range(5)), operators=ops)
+    fr = Frame(labels=tuple(range(5)), operators=ops)
     with pytest.raises(DimensionMismatchError):
         gram_dual(fr)
 
@@ -206,7 +206,7 @@ def test_unitary_conjugated_basis_frame():
     U = random_unitary(d, np.random.default_rng(6))
     B = hermitian_basis(d)
     ops = np.einsum("ab,nbc,cd->nad", U, B, U.conj().T)
-    fr = Frame(dim=d, labels=tuple(range(d * d)), operators=ops)
+    fr = Frame(labels=tuple(range(d * d)), operators=ops)
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-9 and abs(b - 1.0) < 1e-9
 
@@ -214,7 +214,7 @@ def test_unitary_conjugated_basis_frame():
 def test_represent_state_warning_for_unnormalized_frame():
     d = 2
     B = hermitian_basis(d)
-    fr = Frame(dim=d, labels=tuple(range(4)), operators=2.0 * B)
+    fr = Frame(labels=tuple(range(4)), operators=2.0 * B)
     mu = represent_state(random_state(d, seed=0), fr)
     assert "frame-sum-not-identity" in mu.warnings
 
@@ -301,7 +301,7 @@ def test_non_finite_operator_rejected_at_construction(bad):
     ops = np.array(hermitian_basis(2))
     ops[3, 0, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
-        Frame(dim=2, labels=tuple(range(4)), operators=ops)
+        Frame(labels=tuple(range(4)), operators=ops)
 
 
 # minimal (d^2-outcome) representations by dimension

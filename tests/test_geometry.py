@@ -169,9 +169,9 @@ def test_lines_through_matches_oracle(case, data):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.booleans())
-def test_bare_grids_match_oracle(a, b, extended):
-    geom = extended_lattice(a) if extended else plain_lattice(a, b)
+@given(st.integers(1, 6), st.booleans())
+def test_bare_grids_match_oracle(a, extended):
+    geom = extended_lattice(a) if extended else plain_lattice(a)
     ref = oracle.TupleGeometry(geom.points, (), ())
     _assert_matches_oracle(geom, ref, [0])
     # no striations: the partition axiom holds vacuously

@@ -184,12 +184,12 @@ def test_stratonovich_dual_matches_oracle(case):
 def test_dual_error_messages_kept():
     B = frame_oracle.hermitian_basis(2)
     with pytest.raises(NotAFrameError, match="lower frame bound .* vanishes; family does not span"):
-        canonical_dual(Frame(dim=2, labels=(0, 1), operators=B[:2]))
+        canonical_dual(Frame(labels=(0, 1), operators=B[:2]))
     with pytest.raises(SingularBasisError, match="ill conditioned; redraw the points"):
         stratonovich_discrete(0.5, np.tile([0.0, 0.0, 1.0], (4, 1)))
     ops = np.array([B[0], B[0], B[1], B[2]])
     with pytest.raises(SingularBasisError, match="Gram matrix condition number"):
-        gram_dual(Frame(dim=2, labels=tuple(range(4)), operators=ops))
+        gram_dual(Frame(labels=tuple(range(4)), operators=ops))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -275,9 +275,9 @@ def test_family_rejects_non_hermitian_stacks(eps, rejected):
     ops[1, 0, 1] += eps  # F - F^dag has entries eps and -eps: Frobenius norm sqrt(2) eps
     if rejected:
         with pytest.raises(DimensionMismatchError, match="non-Hermitian"):
-            Frame(dim=2, labels=(0, 1), operators=ops)
+            Frame(labels=(0, 1), operators=ops)
     else:
-        assert Frame(dim=2, labels=(0, 1), operators=ops).skew == eps
+        assert Frame(labels=(0, 1), operators=ops).skew == eps
 
 
 # per-family invariants and read-only stacks
@@ -299,7 +299,7 @@ def test_flat_view_is_zero_copy_and_stacks_are_read_only(case):
 def test_family_freezes_the_stack_it_is_given():
     ops = np.array(wootters(3).dual.operators)
     assert ops.flags.writeable
-    family = Frame(dim=3, labels=tuple(range(9)), operators=ops)
+    family = Frame(labels=tuple(range(9)), operators=ops)
     assert family.operators is ops
     with pytest.raises(ValueError):
         ops[0, 0, 0] = 1
@@ -307,8 +307,8 @@ def test_family_freezes_the_stack_it_is_given():
 
 def test_invariants_checked_once_still_warn_on_every_call():
     rep = wootters(3)
-    doubled = Frame(dim=3, labels=rep.labels, operators=2 * rep.frame.operators)
-    halved = Frame(dim=3, labels=rep.labels, operators=rep.dual.operators / 2)
+    doubled = Frame(labels=rep.labels, operators=2 * rep.frame.operators)
+    halved = Frame(labels=rep.labels, operators=rep.dual.operators / 2)
     for _ in range(2):
         assert represent_state(np.eye(3) / 3, doubled).warnings == ("frame-sum-not-identity",)
         assert represent_effect(np.eye(3) / 2, halved).warnings == ("dual-traces-not-one",)
@@ -369,7 +369,7 @@ def test_frame_bounds_and_duality_match_oracle(case):
     want_ok, want_residual = frame_oracle.is_dual_pair(ops, rep.dual.operators)
     assert ok == want_ok is True
     assert residual <= ORACLE_TOL and want_residual <= ORACLE_TOL
-    rolled = Frame(dim=rep.dim, labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
+    rolled = Frame(labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
     assert is_dual_pair(rep.frame, rolled)[0] == frame_oracle.is_dual_pair(ops, rolled.operators)[0] is False
 
 

@@ -100,7 +100,7 @@ def test_whole_stack_matches_dense_oracle(family, d):
     if d % 2 == 0:
         # the even case keeps the canonical dual of the oracle's frame
         ops = oracle.dense_ops(family, d, rep.labels)
-        ref = canonical_dual(Frame(dim=d, labels=rep.labels, operators=ops))
+        ref = canonical_dual(Frame(labels=rep.labels, operators=ops))
         np.testing.assert_allclose(rep.dual.operators, ref.operators, rtol=0, atol=ORACLE_TOL)
 
 
@@ -264,7 +264,7 @@ def test_a_wrong_label_map_fails_the_dense_oracle():
     A = _hermitian(np.random.default_rng(0), 2, 5)
     v = np.random.default_rng(1).standard_normal((2, 25))
     for wrong in ((s, -t), (t, s), (s + 2, t)):
-        family = Frame(dim=5, labels=rep.labels, operators=rep.dual.operators, name="wootters")
+        family = Frame(labels=rep.labels, operators=rep.dual.operators, name="wootters")
         object.__setattr__(family, "label_map", parity_pair(rep.labels, *wrong)[1].label_map)
         with pytest.raises(AssertionError):
             check_pairings_against_dense(family, A, v)

@@ -89,7 +89,7 @@ def test_identity_checks_travel_with_the_representation():
     # the factory's identities follow the pair, not its name
     for rep, check in [(mub_family(3).representation(), "pairwise_unbiasedness"),
                        (cohendet(3), "extended_nonnegativity")]:
-        report = verify_representation(replace(rep, name="renamed"), samples=5)
+        report = verify_representation(replace(rep, frame=replace(rep.frame, name="renamed")), samples=5)
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name[check]["passed"]
         assert report["representation"] == "renamed"
@@ -113,14 +113,11 @@ def test_attached_check_runs_after_the_line_checks():
 def test_corrupted_dual_fails_duality():
     rep = wootters(2)
     bad_dual = rep.dual.__class__(
-        dim=rep.dim,
         labels=rep.dual.labels,
         operators=rep.dual.operators * 1.001,
         name=rep.dual.name,
     )
     broken = Representation(
-        name=rep.name,
-        dim=rep.dim,
         frame=rep.frame,
         dual=bad_dual,
         geometry=rep.geometry,
@@ -137,12 +134,8 @@ def test_corrupted_frame_fails_hermiticity():
     rep = wootters(2)
     ops = rep.frame.operators.copy()
     ops[0] = ops[0] + 5e-10 * np.array([[0, 1j], [0, 0]])
-    bad_frame = rep.frame.__class__(
-        dim=rep.dim, labels=rep.frame.labels, operators=ops, name=rep.frame.name
-    )
+    bad_frame = rep.frame.__class__(labels=rep.frame.labels, operators=ops, name=rep.frame.name)
     broken = Representation(
-        name=rep.name,
-        dim=rep.dim,
         frame=bad_frame,
         dual=rep.dual,
         geometry=rep.geometry,

@@ -8,6 +8,7 @@ import pytest
 from qframe.operators import (
     basis_state,
     bloch_state,
+    displaced_parity,
     maximally_mixed,
     omega,
     parity_matrix,
@@ -187,6 +188,24 @@ def test_composite_points_factorize():
     a3 = _points(wootters(3))
     pts = _points(rep)
     assert np.allclose(pts[((1, 0), (2, 1))], tensor(a2[(1, 0)], a3[(2, 1)]), atol=1e-12)
+
+
+def _prime_points(x):
+    """A(q, p) of one prime factor, row-major: the qubit points at 2, K(2q, 2p) at odd x."""
+    if x == 2:
+        return np.array([lattice_oracle.qubit_point(q, p) for q in range(2) for p in range(2)])
+    q, p = np.divmod(np.arange(x * x), x)
+    return displaced_parity(x, 2 * q, 2 * p)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 5), (2, 2, 3)])
+def test_composite_is_the_kron_of_its_factors_to_the_bit(dims):
+    want = _prime_points(dims[0])
+    for x in dims[1:]:
+        want = np.array([np.kron(a, b) for a in want for b in _prime_points(x)])
+    rep = wootters_composite(dims)
+    assert np.array_equal(rep.dual.operators, want)
+    assert np.array_equal(rep.frame.operators, want / rep.dim)
 
 
 def test_composite_product_state_factorizes():
