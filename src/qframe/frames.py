@@ -16,14 +16,18 @@ and every pairing between two operator families is one real GEMM.
 Every pairing of an operator with a family goes through the family's
 ``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
 family built by ``parity_pair`` (the minimal displaced-parity families:
-Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) analyzes one
-operator, and synthesizes, through its label map.  At odd d and even s the
-kernel is the phase point centred on (h, h), ``h = s/2``:
+Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) pairs only
+through its label map, one operator or a stack at a time.  At odd d and even
+s the kernel is the phase point centred on (h, h), ``h = s/2``:
 ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
 ``Tr[A K(s, t)] = sum_u A[h + u, h - u] omega**(-tu)`` with no phase of its
 own: one gather of the centred anti-diagonals of A and one product with the
-scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  Every
-other pairing, and the analysis of a stack of operators in every family, is
+scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
+labels of each family lie on a d x d grid whose rows fix s mod d and whose
+columns fix t mod d (transposed for Ruzzi), and the map stores its tables in
+that order, so the product holds the values in label order.  Displaced
+parities pair as ``Tr[K K'] = d`` on one cell and 0 on two, so a transform
+between two such families is an exact 0/1 relabeling.  Every other pairing is
 one product on the zero-copy ``(n, d^2)`` view of the family's stack,
 O(n d^2).  No other module reads that view or the label map's tables.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -145,93 +149,132 @@ def _centred_gather(d: int) -> np.ndarray:
     return ((h + u) % d) * d + (h - u) % d
 
 
-@lru_cache(maxsize=None)
-def _mirror_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """How a synthesized operator is read off its half-width product, Hermitian bit for bit.
-
-    Column u of row s of the product Q is entry (h - u, h + u), h = s/2, of
-    the operator, so entry (r, c) is ``Q[s, -u]`` with ``s = r + c`` and
-    ``u = (r - c)/2`` (mod d), and for real values it is also
-    ``conj(Q[s, u])``.  Q holds the columns ``u <= (d - 1)/2`` as
-    interleaved floats: ``mirror`` reads column d - u where u is past the
-    half and column u elsewhere, and ``sign`` negates the imaginary part of
-    the latter, taking it as the exact conjugate.  Made on a family's first
-    synthesis, once per d, and frozen.
-    """
-    half = (d + 1) // 2
-    c = np.arange(d)
-    r = c[:, None]
-    u = ((r - c) * half) % d
-    past = u >= half
-    at = 2 * (((r + c) % d) * half + np.where(past, d - u, u)).reshape(-1)
-    mirror = np.empty(2 * d * d, dtype=np.intp)
-    mirror[0::2], mirror[1::2] = at, at + 1
-    sign = np.ones(2 * d * d)
-    sign[1::2] -= 2 * ~past.reshape(-1)
-    mirror.setflags(write=False)
-    sign.setflags(write=False)
-    return mirror, sign
-
-
 @dataclass(frozen=True, eq=False)
 class _LabelMap:
-    """Where each operator ``scale K(s, t)`` of a displaced-parity family sits among the d^2 kernel labels.
+    """Where each operator ``K(s, t) / divisor`` of a displaced-parity family sits among the d^2 kernel labels.
 
     With s even and d odd, ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``,
     ``h = s/2``: the phase point centred on (h, h), which carries no phase of
-    its own.  ``cell`` is the row-major index of (s mod d, t mod d) and
-    ``order`` lists the operators cell by cell (``cell`` is a bijection).
-    ``gather`` is ``_centred_gather``.  ``dft`` is the family's scaled DFT
-    table ``Z[u, t] = scale omega**(-tu)`` in real form: rows 2u and 2u + 1
-    are row u of Z and of iZ as interleaved floats, so a complex row
-    ``x + iy`` read as interleaved floats times ``dft`` is ``(x + iy) Z``,
-    one real GEMM.  Z comes from ``tau_powers``, so it is symmetric and
-    conjugate-symmetric bit for bit.  Every array is frozen, as the family's
-    stack is.
+    its own.  The labels lie on a d x d grid whose row i fixes
+    ``s mod d = rows[i]`` and whose column j fixes ``t mod d = cols[j]``;
+    they run over it row by row, or column by column where ``transposed``
+    (Ruzzi).  The tables are stored in grid order, so no call gathers its
+    values by label: ``gather`` is ``_centred_gather`` with its rows in grid
+    row order, and ``dft`` is the family's scaled DFT table
+    ``Z[u, j] = omega**(-u cols[j]) / divisor`` in real form, with its
+    columns in grid column order: rows 2u and 2u + 1 of ``dft`` are row u
+    of Z and of iZ as interleaved floats, so a complex row ``x + iy`` read as
+    interleaved floats times ``dft`` is ``(x + iy) Z``, one real GEMM.  Z
+    comes from ``tau_powers``, so it is conjugate-symmetric bit for bit.
+    Every array is frozen, as the family's stack is.
     """
 
-    cell: np.ndarray
-    order: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    transposed: bool
+    divisor: int
     gather: np.ndarray
     dft: np.ndarray
 
     def __post_init__(self):
-        for table in vars(self).values():
+        for table in (self.rows, self.cols, self.gather, self.dft):
             table.setflags(write=False)
 
     @cached_property
+    def cells(self) -> np.ndarray:
+        """The row-major cell ``(s mod d) d + t mod d`` of each label."""
+        d = len(self.rows)
+        grid = self.rows[:, None] * d + self.cols
+        return (grid.T if self.transposed else grid).reshape(-1)
+
+    @cached_property
     def half_dft(self) -> np.ndarray:
-        """The columns ``u <= (d - 1)/2`` of Z as a real ``(d, d + 1)`` table of interleaved floats."""
-        table = np.ascontiguousarray(self.dft[0::2, :len(self.dft) // 2 + 1])
+        """Z's transpose over the columns ``u <= (d - 1)/2``, rows in grid column order: a real ``(d, d + 1)`` table.
+
+        Made on a family's first synthesis.
+        """
+        d = len(self.cols)
+        table = np.ascontiguousarray(self.dft[0::2].view(complex).T[:, :(d + 1) // 2]).view(float)
         table.setflags(write=False)
         return table
 
-    def analyze(self, A: np.ndarray) -> np.ndarray:
-        """Complex ``Tr[A F(lam)] = scale sum_u A[h + u, h - u] omega**(-tu)`` of one ``(d, d)`` A.
+    @cached_property
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """How a synthesized operator is read off its half-width product, Hermitian bit for bit.
 
-        One gather of its centred anti-diagonals, one real product of them,
-        read as interleaved floats, with ``dft``, and one gather of the labels.
+        Column u of grid row i of the product Q is entry (h - u, h + u),
+        ``h = rows[i]/2``, of the operator, so entry (r, c) is ``Q[i, -u]``
+        with ``rows[i] = r + c`` and ``u = (r - c)/2`` (mod d), and for real
+        values it is also ``conj(Q[i, u])``.  Q holds the columns
+        ``u <= (d - 1)/2`` as interleaved floats: ``mirror`` reads column
+        d - u where u is past the half and column u elsewhere, and ``sign``
+        negates the imaginary part of the latter, taking it as the exact
+        conjugate.  Made on a family's first synthesis.
         """
-        return A.ravel()[self.gather].view(float).dot(self.dft).view(complex).ravel()[self.cell]
+        d = len(self.rows)
+        half = (d + 1) // 2
+        c = np.arange(d)
+        r = c[:, None]
+        u = ((r - c) * half) % d
+        past = u >= half
+        at = 2 * (np.argsort(self.rows)[(r + c) % d] * half + np.where(past, d - u, u)).reshape(-1)
+        mirror = np.empty(2 * d * d, dtype=np.intp)
+        mirror[0::2], mirror[1::2] = at, at + 1
+        sign = np.ones(2 * d * d)
+        sign[1::2] -= 2 * ~past.reshape(-1)
+        mirror.setflags(write=False)
+        sign.setflags(write=False)
+        return mirror, sign
+
+    def analyze(self, A: np.ndarray) -> np.ndarray:
+        """Complex ``Tr[A F(lam)]``: ``(n,)`` for one ``(d, d)`` A, ``(k, n)`` for a ``(k, d, d)`` stack.
+
+        One gather of the centred anti-diagonals, one real product of them,
+        read as interleaved floats, with ``dft``; the product is the values
+        on the grid, in label order or, where ``transposed``, its transpose.
+        """
+        if A.ndim == 2:
+            Y = A.ravel()[self.gather].view(float).dot(self.dft).view(complex)
+            return (Y.T if self.transposed else Y).ravel()
+        k, d = len(A), len(self.gather)
+        Y = np.take(A.reshape(k, -1), self.gather, axis=1).view(float).reshape(k * d, -1).dot(self.dft).view(complex)
+        Y = Y.reshape(k, d, d)
+        return (Y.transpose(0, 2, 1) if self.transposed else Y).reshape(k, -1)
 
     def synthesize(self, v: np.ndarray) -> np.ndarray:
         """``sum_lam v(lam) F(lam)`` for real ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``.
 
-        The values, cell by cell, make one real product with ``half_dft``; it
-        is read back through ``_mirror_tables`` and the imaginary part of the
-        diagonal is set to +0.0.
+        The values, read as the grid, make one real product with
+        ``half_dft``; it is read back through ``mirror`` and the imaginary
+        part of the diagonal is set to +0.0.
         """
         d = len(self.gather)
-        mirror, sign = _mirror_tables(d)
+        mirror, sign = self.mirror
         if v.ndim == 1:
-            M = (v[self.order].reshape(d, d).dot(self.half_dft).reshape(-1)[mirror] * sign).view(complex)
+            V = v.reshape(d, d)
+            M = ((V.T if self.transposed else V).dot(self.half_dft).reshape(-1)[mirror] * sign).view(complex)
             M[::d + 1].imag = 0.0
             return M.reshape(d, d)
         k = len(v)
-        P = v[:, self.order].reshape(k * d, d).dot(self.half_dft).reshape(k, -1)
-        M = (np.take(P, mirror, axis=1) * sign).view(complex)
+        V = v.reshape(k, d, d)
+        V = (V.transpose(0, 2, 1) if self.transposed else V).reshape(k * d, d)
+        M = (np.take(V.dot(self.half_dft).reshape(k, -1), mirror, axis=1) * sign).view(complex)
         M[:, ::d + 1].imag = 0.0
         return M.reshape(k, d, d)
+
+    def relabeling(self, other: _LabelMap) -> np.ndarray:
+        """``Tr[F(lam) F'(lam')]`` against another map of the same d: the exact ``(n, n)`` 0/1 matrix up to scale.
+
+        Displaced parities pair as ``Tr[K K'] = d`` on one cell and 0 on two,
+        so entry (lam, lam') is ``d / (divisor divisor')`` where the cells of
+        lam and lam' agree and 0 elsewhere.
+        """
+        n = len(self.cells)
+        at = np.empty(n, dtype=np.intp)
+        at[other.cells] = np.arange(n)
+        T = np.zeros((n, n))
+        T[np.arange(n), at[self.cells]] = len(self.rows) / (self.divisor * other.divisor)
+        return T
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +290,8 @@ class Frame:
     largest entry of ``F - F^dag``.
 
     A family made by ``parity_pair`` also carries its label map
-    ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
-    ``operators.displaced_parity``, and ``analyze`` of one operator and
+    ``label_map``: operator n is ``K(s_n, t_n) / divisor``, a displaced
+    parity of ``operators.displaced_parity``, and ``analyze`` and
     ``synthesize`` pair through the kernel identity on it.  The map is built
     with the stack from the same labels, so the two cannot disagree; any
     other family has none and pairs on its stack.
@@ -306,10 +349,10 @@ class Frame:
         every value is finite.  Only values that fail it meet the exact rules:
         Im against ``tol_for(A)`` first, then finite real parts.
 
-        A stack is tested by ``_skew`` and paired by one real GEMM on
-        interleaved floats, with or without a label map: for Hermitian A and F,
-        ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
-        as floats, half the work of the complex product.
+        A stack is tested by ``_skew`` and paired through the label map where
+        there is one, else by one real GEMM on interleaved floats: for
+        Hermitian A and F, ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot
+        product of two rows read as floats, half the work of the complex product.
         """
         A = np.asarray(A, dtype=complex)
         d = self.dim
@@ -329,6 +372,8 @@ class Frame:
         A = np.ascontiguousarray(A)
         if _skew(A)[1] > tol_for(A):
             raise DimensionMismatchError(f"{kind} values are not real; a {kind} is not Hermitian")
+        if self.label_map is not None:
+            return self.label_map.analyze(A).real.copy()
         return A.reshape(len(A), -1).view(float) @ self.flat.view(float).T
 
     def synthesize(self, values) -> np.ndarray:
@@ -362,30 +407,39 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
 
     ``s`` and ``t`` are the kernel labels of ``operators.displaced_parity``,
     one pair per label, and (s mod d, t mod d) must meet each of the d^2
-    cells once.  The map pairs through the centred phase point, so d must be
-    odd and every s even.  The stack is built here from the same labels as
-    the map, so the two cannot disagree.
+    cells once.  The labels must lie on a d x d grid, row by row or column
+    by column, whose rows fix s mod d and whose columns fix t mod d: the
+    map stores its tables in that order and reads each call's values off
+    them, so any other order is refused.  The map pairs through the centred
+    phase point, so d must be odd and every s even.  The stack is built here
+    from the same labels as the map, so the two cannot disagree.
     """
     s = np.array(s, dtype=np.int64).reshape(-1)
     t = np.array(t, dtype=np.int64).reshape(-1)
     d = math.isqrt(len(s))
     if len(t) != len(s) or d < 1 or d * d != len(s):
         raise DimensionMismatchError(f"a displaced-parity family needs d^2 label pairs, got {len(s)} and {len(t)}")
-    cell = (s % d) * d + t % d
-    if np.bincount(cell, minlength=d * d).max() != 1:
+    if np.bincount((s % d) * d + t % d, minlength=d * d).max() != 1:
         raise DimensionMismatchError("the labels (s mod d, t mod d) must meet each of the d^2 cells once")
     if d % 2 == 0 or (s % 2).any():
         raise DimensionMismatchError(f"the centred phase points need odd d and even s, got d = {d}")
+    S, T = (s % d).reshape(d, d), (t % d).reshape(d, d)
+    if (S == S[:, :1]).all() and (T == T[:1]).all():
+        rows, cols, transposed = S[:, 0], T[0], False
+    elif (S == S[:1]).all() and (T == T[:, :1]).all():
+        rows, cols, transposed = S[0], T[:, 0], True
+    else:
+        raise DimensionMismatchError("the labels must run over a d x d grid whose rows fix s mod d "
+                                     "and whose columns fix t mod d, row by row or column by column")
     ops = displaced_parity(d, s, t)
     frame = Frame(labels, ops / d, name)
     dual = Frame(frame.labels, ops, name)
-    order = np.argsort(cell)
-    gather = _centred_gather(d)
-    u = np.arange(d)
-    dft = tau_powers(d, -2 * u[:, None] * u)
-    for family, scaled in ((frame, dft / d), (dual, dft)):
+    gather = _centred_gather(d)[rows]
+    dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
+    for family, divisor in ((frame, d), (dual, 1)):
+        scaled = dft / divisor
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        object.__setattr__(family, "label_map", _LabelMap(cell, order, gather, real_form))
+        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, divisor, gather, real_form))
     return frame, dual
 
 
@@ -573,9 +627,13 @@ def transform_matrix(source_dual: Frame, target_frame: Frame) -> np.ndarray:
     """Matrix ``T[lam', lam] = Tr[D'(lam') F(lam)]`` mapping representations.
 
     Applied as ``mu_target(lam) = sum_lam' T[lam', lam] mu_source(lam')``.
+    Between two label-mapped families it is the maps' exact relabeling;
+    otherwise one GEMM on the two stacks' coordinates.
     """
     if source_dual.dim != target_frame.dim:
         raise DimensionMismatchError("representations live in different dimensions")
+    if source_dual.label_map is not None and target_frame.label_map is not None:
+        return source_dual.label_map.relabeling(target_frame.label_map)
     return _pairings(source_dual.operators, target_frame.operators)
 
 

@@ -22,7 +22,6 @@ from qframe.frames import (
     QuasiDistribution,
     _coordinates,
     _from_coordinates,
-    _mirror_tables,
     _pairings,
     born_pair,
     canonical_dual,
@@ -37,11 +36,14 @@ from qframe.frames import (
 )
 from qframe.operators import EQ_TOL, random_state
 from qframe.representations import (
+    cohendet,
     ghw,
     hardy_rep,
     havel_rep,
+    leonhardt,
     mub_family,
     overlap_deviation,
+    ruzzi_s0,
     sic_rep,
     stratonovich_discrete,
     wootters,
@@ -221,7 +223,7 @@ def test_analyze_and_synthesize_match_the_oracles(case, k):
             continue
         values = family.analyze(rho)
         assert values.shape == (k, len(family))
-        np.testing.assert_array_equal(values, batch_oracle.values(family.flat, rho))
+        np.testing.assert_array_equal(values, _matmul_analyze_stack(family, rho))
         close(values, np.real(np.einsum("nij,kji->kn", ops, rho)))
         back = family.synthesize(values)
         assert back.shape == (k, rep.dim, rep.dim)
@@ -387,20 +389,45 @@ STREAM_FAMILIES = {
 
 
 def _matmul_analyze(family, A):
+    """Single ``analyze`` in its ``@`` form: the flat GEMV, or the label map's grid-ordered tables."""
     lm = family.label_map
     if lm is None:
         return (family.flat @ A.T.reshape(-1)).real
-    return (A.ravel()[lm.gather].view(float) @ lm.dft).view(complex).ravel()[lm.cell].real
+    Y = (A.ravel()[lm.gather].view(float) @ lm.dft).view(complex)
+    return (Y.T if lm.transposed else Y).ravel().real
 
 
 def _matmul_synthesize(family, v):
     lm, d = family.label_map, family.dim
     if lm is None:
         return (v @ family.flat).reshape(d, d)
-    mirror, sign = _mirror_tables(d)
-    M = (((v[lm.order].reshape(d, d) @ lm.half_dft).reshape(-1)[mirror]) * sign).view(complex)
+    mirror, sign = lm.mirror
+    V = v.reshape(d, d)
+    M = ((((V.T if lm.transposed else V) @ lm.half_dft).reshape(-1)[mirror]) * sign).view(complex)
     M[::d + 1].imag = 0.0
     return M.reshape(d, d)
+
+
+def _matmul_analyze_stack(family, A):
+    """Batched ``analyze`` in its ``@`` form: verify's flat-view GEMM, or one product with the map's tables."""
+    lm, (k, d, _) = family.label_map, A.shape
+    if lm is None:
+        return batch_oracle.values(family.flat, A)
+    Y = (np.stack([a.ravel()[lm.gather] for a in A]).view(float).reshape(k * d, 2 * d) @ lm.dft).view(complex)
+    Y = Y.reshape(k, d, d)
+    return (Y.transpose(0, 2, 1) if lm.transposed else Y).reshape(k, -1).real
+
+
+def _matmul_synthesize_stack(family, v):
+    lm, d, k = family.label_map, family.dim, len(v)
+    if lm is None:
+        return (v @ family.flat).reshape(k, d, d)
+    mirror, sign = lm.mirror
+    V = v.reshape(k, d, d)
+    V = (V.transpose(0, 2, 1) if lm.transposed else V).reshape(k * d, d)
+    M = (np.stack([row[mirror] for row in (V @ lm.half_dft).reshape(k, -1)]) * sign).view(complex)
+    M[:, ::d + 1].imag = 0.0
+    return M.reshape(k, d, d)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_FAMILIES))
@@ -413,3 +440,39 @@ def test_single_operator_pairings_equal_their_matmul_forms_bit_for_bit(name):
         np.testing.assert_array_equal(family.synthesize(values), _matmul_synthesize(family, values))
     mu, xi = rep.represent(rho), rep.effect(E)
     assert born_pair(mu, xi) == float(mu.values @ xi.values)
+
+
+# the four label-mapped families at every odd d <= 45 (Wootters at the primes), one and k at a time
+
+PARITY_FAMILIES = {"wootters": wootters, "cohendet": cohendet, "leonhardt": leonhardt, "ruzzi": ruzzi_s0}
+ODD_TO_45 = range(3, 46, 2)
+parity_case = st.one_of(
+    st.tuples(st.just("wootters"), st.sampled_from([d for d in ODD_TO_45 if all(d % k for k in range(3, d, 2))])),
+    st.tuples(st.sampled_from(["cohendet", "leonhardt", "ruzzi"]), st.sampled_from(ODD_TO_45)),
+)
+
+
+@lru_cache(maxsize=1)
+def _parity_rep(family: str, d: int):
+    return PARITY_FAMILIES[family](d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=parity_case, k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_label_map_pairings_equal_their_matmul_forms_and_the_dense_stack(case, k, seed):
+    rep = _parity_rep(*case)
+    rng = np.random.default_rng(seed)
+    A = _states(rep.dim, rng.integers(0, 10**6, size=k))
+    for family in (rep.frame, rep.dual):
+        ops = family.operators
+        one, many = family.analyze(A[0]), family.analyze(A)
+        np.testing.assert_array_equal(one, _matmul_analyze(family, A[0]))
+        np.testing.assert_array_equal(many, _matmul_analyze_stack(family, A))
+        close(one, oracle_values(ops, A[0]))
+        close(many, np.real(np.einsum("nij,kji->kn", ops, A)))
+        v = rng.standard_normal((k, len(family)))
+        one, many = family.synthesize(v[0]), family.synthesize(v)
+        np.testing.assert_array_equal(one, _matmul_synthesize(family, v[0]))
+        np.testing.assert_array_equal(many, _matmul_synthesize_stack(family, v))
+        close(one, oracle_synthesis(v[0], ops))
+        close(many, np.einsum("kn,nij->kij", v, ops))

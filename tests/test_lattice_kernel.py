@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lattice_oracle as oracle
 from qframe.errors import DimensionMismatchError
-from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
+from qframe.frames import Frame, _pairings, canonical_dual, is_dual_pair, parity_pair, transform_matrix
 from qframe.geometry import prime_lattice
 from qframe.operators import EQ_TOL, displaced_parity, finite_fourier, parity_matrix, random_state, tau_powers
 from qframe.representations import (
@@ -278,20 +278,28 @@ def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
     np.testing.assert_array_equal(rep.frame.operators, rep.dual.operators / d)
     u = np.arange(d)
     h = s[:, None] // 2
+    # label n sits on grid row i and column j: row by row, or column by column for Ruzzi
+    n = np.arange(d * d)
+    i, j = (n % d, n // d) if family == "ruzzi" else (n // d, n % d)
     for fam, scale in ((rep.frame, d), (rep.dual, 1)):
         lm = fam.label_map
-        np.testing.assert_array_equal(lm.cell, (s % d) * d + t % d)
-        # row s of the gather reads the anti-diagonal centred on (s/2, s/2) ...
-        np.testing.assert_array_equal(lm.gather[s % d], ((h + u) % d) * d + (h - u) % d)
-        # ... and the DFT table's 2 x 2 blocks [[a, b], [-b, a]] hold its scaled entries a + ib ...
+        assert lm.transposed == (family == "ruzzi") and lm.divisor == scale
+        np.testing.assert_array_equal(lm.rows[i], s % d)
+        np.testing.assert_array_equal(lm.cols[j], t % d)
+        np.testing.assert_array_equal(lm.cells, (s % d) * d + t % d)
+        # grid row i of the gather reads the anti-diagonal centred on (s/2, s/2) ...
+        np.testing.assert_array_equal(lm.gather[i], ((h + u) % d) * d + (h - u) % d)
+        # ... and the DFT table's 2 x 2 blocks [[a, b], [-b, a]] hold its scaled entries a + ib, column j at cols[j] ...
         dft = lm.dft[0::2, 0::2] + 1j * lm.dft[0::2, 1::2]
-        np.testing.assert_array_equal(dft, tau_powers(d, -2 * np.outer(u, u)) / scale)
+        np.testing.assert_array_equal(dft, tau_powers(d, -2 * np.outer(u, lm.cols)) / scale)
         np.testing.assert_array_equal(lm.dft[1::2, 0::2], -lm.dft[0::2, 1::2])
         np.testing.assert_array_equal(lm.dft[1::2, 1::2], lm.dft[0::2, 0::2])
-        # ... where K(s, t) holds omega**(tu), the conjugate of the DFT's column t, and nothing else
-        rows = fam.flat[np.arange(len(s))[:, None], lm.gather[s % d]]
-        np.testing.assert_array_equal(rows, dft[:, t % d].T.conj())
+        # ... where K(s, t) holds omega**(tu), the conjugate of the DFT's column j, and nothing else
+        rows = fam.flat[n[:, None], lm.gather[i]]
+        np.testing.assert_array_equal(rows, dft[:, j].T.conj())
         assert (np.count_nonzero(fam.flat, axis=1) == d).all()
+        # the synthesis table is Z's transpose, its rows in grid column order, over the columns u <= (d - 1)/2
+        np.testing.assert_array_equal(lm.half_dft.view(complex), dft.T[:, :(d + 1) // 2])
 
 
 @pytest.mark.parametrize("build_rep", [
@@ -311,6 +319,18 @@ def test_parity_pair_refuses_a_map_that_is_not_a_bijection(s, t, message):
     with pytest.raises(DimensionMismatchError) as refused:
         parity_pair(tuple(range(len(s))), s, t)
     assert str(refused.value) == message
+
+
+def test_parity_pair_refuses_labels_off_the_grid():
+    rep = wootters(5)
+    s, t = KERNEL_LABELS["wootters"](*np.array(rep.labels).T)
+    swap = np.arange(25)
+    swap[[1, 2]] = swap[[2, 1]]
+    for order in (swap, np.random.default_rng(0).permutation(25)):
+        with pytest.raises(DimensionMismatchError) as refused:
+            parity_pair(rep.labels, s[order], t[order])
+        assert str(refused.value) == ("the labels must run over a d x d grid whose rows fix s mod d "
+                                      "and whose columns fix t mod d, row by row or column by column")
 
 
 # each meets every cell once, so only the centred form refuses it
@@ -343,6 +363,26 @@ def test_label_map_synthesis_is_exactly_hermitian_at_fixed_sizes(family, d):
         np.testing.assert_allclose(many, np.einsum("kn,nij->kij", v, fam.operators), rtol=0, atol=ORACLE_TOL)
     back = rep.reconstruct(rep.represent(random_state(d, seed=d)))
     np.testing.assert_array_equal(back, back.conj().T)
+
+
+# Tr[K K'] = d on one cell and 0 on two, so a transform between two label-mapped families is a relabeling
+RELABELINGS = [(a, b, 5) for a in FACTORY for b in FACTORY] + [
+    (a, b, 15) for a in ("cohendet", "leonhardt", "ruzzi") for b in ("cohendet", "leonhardt", "ruzzi")
+]
+
+
+@pytest.mark.parametrize("source,target,d", RELABELINGS, ids=[f"{a}-{b}-{d}" for a, b, d in RELABELINGS])
+def test_a_transform_between_label_maps_is_its_index_form(source, target, d):
+    a, b = FACTORY[source](d), FACTORY[target](d)
+    cells = []
+    for family, rep in ((source, a), (target, b)):
+        s, t = KERNEL_LABELS[family](*np.array(rep.labels).T)
+        cells.append((s % d) * d + t % d)
+    same = cells[0][:, None] == cells[1]
+    for src, tgt, value in ((a.dual, b.frame, 1.0), (a.dual, b.dual, float(d))):
+        T = transform_matrix(src, tgt)
+        np.testing.assert_array_equal(T, np.where(same, value, 0.0))
+        np.testing.assert_allclose(T, _pairings(src.operators, tgt.operators), rtol=0, atol=ORACLE_TOL)
 
 
 # Clifford covariance of the Wootters function, through represent only: conjugating

@@ -270,15 +270,18 @@ ROWS = st.one_of(
     st.lists(st.floats().map(np.float64), max_size=4),
     st.lists(st.integers(-9, 9).map(np.int64), max_size=4),
 )
-DOCS = st.recursive(
-    SCALARS | ROWS,
-    lambda inner: st.one_of(
+
+
+# a named function: hypothesis reads a lambda's source to decide whether it uses its argument
+def _containers(inner):
+    return st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(st.text(max_size=4), inner, max_size=5),
-    ),
-    max_leaves=30,
-)
+    )
+
+
+DOCS = st.recursive(SCALARS | ROWS, _containers, max_leaves=30)
 
 
 @settings(max_examples=400, deadline=None)
