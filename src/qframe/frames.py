@@ -16,19 +16,18 @@ and every pairing between two operator families is one real GEMM.
 Every pairing of an operator with a family goes through the family's
 ``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
 family built by ``parity_pair`` (the minimal displaced-parity families:
-Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) pairs only
-through its label map, one operator or a stack at a time.  At odd d and even
-s the kernel is the phase point centred on (h, h), ``h = s/2``:
+Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) analyzes one
+operator, and synthesizes, through its label map.  At odd d and even s the
+kernel is the phase point centred on (h, h), ``h = s/2``:
 ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
 ``Tr[A K(s, t)] = sum_u A[h + u, h - u] omega**(-tu)`` with no phase of its
 own: one gather of the centred anti-diagonals of A and one product with the
 scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
 labels of each family lie on a d x d grid whose rows fix s mod d and whose
 columns fix t mod d (transposed for Ruzzi), and the map stores its tables in
-that order, so the product holds the values in label order.  Displaced
-parities pair as ``Tr[K K'] = d`` on one cell and 0 on two, so a transform
-between two such families is an exact 0/1 relabeling.  Every other pairing is
-one product on the zero-copy ``(n, d^2)`` view of the family's stack,
+that order, so the product holds the values in label order.  Every other
+pairing, and the analysis of a stack of operators in every family, is one
+product on the zero-copy ``(n, d^2)`` view of the family's stack,
 O(n d^2).  No other module reads that view or the label map's tables.
 """
 
@@ -151,7 +150,7 @@ def _centred_gather(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _LabelMap:
-    """Where each operator ``K(s, t) / divisor`` of a displaced-parity family sits among the d^2 kernel labels.
+    """Where each operator ``scale K(s, t)`` of a displaced-parity family sits among the d^2 kernel labels.
 
     With s even and d odd, ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``,
     ``h = s/2``: the phase point centred on (h, h), which carries no phase of
@@ -161,7 +160,7 @@ class _LabelMap:
     (Ruzzi).  The tables are stored in grid order, so no call gathers its
     values by label: ``gather`` is ``_centred_gather`` with its rows in grid
     row order, and ``dft`` is the family's scaled DFT table
-    ``Z[u, j] = omega**(-u cols[j]) / divisor`` in real form, with its
+    ``Z[u, j] = scale omega**(-u cols[j])`` in real form, with its
     columns in grid column order: rows 2u and 2u + 1 of ``dft`` are row u
     of Z and of iZ as interleaved floats, so a complex row ``x + iy`` read as
     interleaved floats times ``dft`` is ``(x + iy) Z``, one real GEMM.  Z
@@ -172,20 +171,12 @@ class _LabelMap:
     rows: np.ndarray
     cols: np.ndarray
     transposed: bool
-    divisor: int
     gather: np.ndarray
     dft: np.ndarray
 
     def __post_init__(self):
         for table in (self.rows, self.cols, self.gather, self.dft):
             table.setflags(write=False)
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """The row-major cell ``(s mod d) d + t mod d`` of each label."""
-        d = len(self.rows)
-        grid = self.rows[:, None] * d + self.cols
-        return (grid.T if self.transposed else grid).reshape(-1)
 
     @cached_property
     def half_dft(self) -> np.ndarray:
@@ -209,7 +200,9 @@ class _LabelMap:
         ``u <= (d - 1)/2`` as interleaved floats: ``mirror`` reads column
         d - u where u is past the half and column u elsewhere, and ``sign``
         negates the imaginary part of the latter, taking it as the exact
-        conjugate.  Made on a family's first synthesis.
+        conjugate.  Made on a family's first synthesis, as ``half_dft`` is; a
+        frame and its dual share ``rows``, so each pair makes these O(d^2)
+        tables twice, once per side, for no per-call cost.
         """
         d = len(self.rows)
         half = (d + 1) // 2
@@ -227,19 +220,14 @@ class _LabelMap:
         return mirror, sign
 
     def analyze(self, A: np.ndarray) -> np.ndarray:
-        """Complex ``Tr[A F(lam)]``: ``(n,)`` for one ``(d, d)`` A, ``(k, n)`` for a ``(k, d, d)`` stack.
+        """Complex ``Tr[A F(lam)] = scale sum_u A[h + u, h - u] omega**(-tu)`` of one ``(d, d)`` A.
 
-        One gather of the centred anti-diagonals, one real product of them,
+        One gather of its centred anti-diagonals, one real product of them,
         read as interleaved floats, with ``dft``; the product is the values
         on the grid, in label order or, where ``transposed``, its transpose.
         """
-        if A.ndim == 2:
-            Y = A.ravel()[self.gather].view(float).dot(self.dft).view(complex)
-            return (Y.T if self.transposed else Y).ravel()
-        k, d = len(A), len(self.gather)
-        Y = np.take(A.reshape(k, -1), self.gather, axis=1).view(float).reshape(k * d, -1).dot(self.dft).view(complex)
-        Y = Y.reshape(k, d, d)
-        return (Y.transpose(0, 2, 1) if self.transposed else Y).reshape(k, -1)
+        Y = A.ravel()[self.gather].view(float).dot(self.dft).view(complex)
+        return (Y.T if self.transposed else Y).ravel()
 
     def synthesize(self, v: np.ndarray) -> np.ndarray:
         """``sum_lam v(lam) F(lam)`` for real ``(n,)`` or ``(k, n)`` values, the inverse of ``analyze``.
@@ -262,20 +250,6 @@ class _LabelMap:
         M[:, ::d + 1].imag = 0.0
         return M.reshape(k, d, d)
 
-    def relabeling(self, other: _LabelMap) -> np.ndarray:
-        """``Tr[F(lam) F'(lam')]`` against another map of the same d: the exact ``(n, n)`` 0/1 matrix up to scale.
-
-        Displaced parities pair as ``Tr[K K'] = d`` on one cell and 0 on two,
-        so entry (lam, lam') is ``d / (divisor divisor')`` where the cells of
-        lam and lam' agree and 0 elsewhere.
-        """
-        n = len(self.cells)
-        at = np.empty(n, dtype=np.intp)
-        at[other.cells] = np.arange(n)
-        T = np.zeros((n, n))
-        T[np.arange(n), at[self.cells]] = len(self.rows) / (self.divisor * other.divisor)
-        return T
-
 
 @dataclass(frozen=True, eq=False)
 class Frame:
@@ -290,8 +264,8 @@ class Frame:
     largest entry of ``F - F^dag``.
 
     A family made by ``parity_pair`` also carries its label map
-    ``label_map``: operator n is ``K(s_n, t_n) / divisor``, a displaced
-    parity of ``operators.displaced_parity``, and ``analyze`` and
+    ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
+    ``operators.displaced_parity``, and ``analyze`` of one operator and
     ``synthesize`` pair through the kernel identity on it.  The map is built
     with the stack from the same labels, so the two cannot disagree; any
     other family has none and pairs on its stack.
@@ -349,10 +323,10 @@ class Frame:
         every value is finite.  Only values that fail it meet the exact rules:
         Im against ``tol_for(A)`` first, then finite real parts.
 
-        A stack is tested by ``_skew`` and paired through the label map where
-        there is one, else by one real GEMM on interleaved floats: for
-        Hermitian A and F, ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot
-        product of two rows read as floats, half the work of the complex product.
+        A stack is tested by ``_skew`` and paired by one real GEMM on
+        interleaved floats, with or without a label map: for Hermitian A and F,
+        ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
+        as floats, half the work of the complex product.
         """
         A = np.asarray(A, dtype=complex)
         d = self.dim
@@ -372,8 +346,6 @@ class Frame:
         A = np.ascontiguousarray(A)
         if _skew(A)[1] > tol_for(A):
             raise DimensionMismatchError(f"{kind} values are not real; a {kind} is not Hermitian")
-        if self.label_map is not None:
-            return self.label_map.analyze(A).real.copy()
         return A.reshape(len(A), -1).view(float) @ self.flat.view(float).T
 
     def synthesize(self, values) -> np.ndarray:
@@ -436,10 +408,9 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     dual = Frame(frame.labels, ops, name)
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
-    for family, divisor in ((frame, d), (dual, 1)):
-        scaled = dft / divisor
+    for family, scaled in ((frame, dft / d), (dual, dft)):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, divisor, gather, real_form))
+        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, gather, real_form))
     return frame, dual
 
 
@@ -627,13 +598,9 @@ def transform_matrix(source_dual: Frame, target_frame: Frame) -> np.ndarray:
     """Matrix ``T[lam', lam] = Tr[D'(lam') F(lam)]`` mapping representations.
 
     Applied as ``mu_target(lam) = sum_lam' T[lam', lam] mu_source(lam')``.
-    Between two label-mapped families it is the maps' exact relabeling;
-    otherwise one GEMM on the two stacks' coordinates.
     """
     if source_dual.dim != target_frame.dim:
         raise DimensionMismatchError("representations live in different dimensions")
-    if source_dual.label_map is not None and target_frame.label_map is not None:
-        return source_dual.label_map.relabeling(target_frame.label_map)
     return _pairings(source_dual.operators, target_frame.operators)
 
 

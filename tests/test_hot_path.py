@@ -223,7 +223,7 @@ def test_analyze_and_synthesize_match_the_oracles(case, k):
             continue
         values = family.analyze(rho)
         assert values.shape == (k, len(family))
-        np.testing.assert_array_equal(values, _matmul_analyze_stack(family, rho))
+        np.testing.assert_array_equal(values, batch_oracle.values(family.flat, rho))
         close(values, np.real(np.einsum("nij,kji->kn", ops, rho)))
         back = family.synthesize(values)
         assert back.shape == (k, rep.dim, rep.dim)
@@ -408,16 +408,6 @@ def _matmul_synthesize(family, v):
     return M.reshape(d, d)
 
 
-def _matmul_analyze_stack(family, A):
-    """Batched ``analyze`` in its ``@`` form: verify's flat-view GEMM, or one product with the map's tables."""
-    lm, (k, d, _) = family.label_map, A.shape
-    if lm is None:
-        return batch_oracle.values(family.flat, A)
-    Y = (np.stack([a.ravel()[lm.gather] for a in A]).view(float).reshape(k * d, 2 * d) @ lm.dft).view(complex)
-    Y = Y.reshape(k, d, d)
-    return (Y.transpose(0, 2, 1) if lm.transposed else Y).reshape(k, -1).real
-
-
 def _matmul_synthesize_stack(family, v):
     lm, d, k = family.label_map, family.dim, len(v)
     if lm is None:
@@ -442,7 +432,8 @@ def test_single_operator_pairings_equal_their_matmul_forms_bit_for_bit(name):
     assert born_pair(mu, xi) == float(mu.values @ xi.values)
 
 
-# the four label-mapped families at every odd d <= 45 (Wootters at the primes), one and k at a time
+# the four label-mapped families at every odd d <= 45 (Wootters at the primes), one and k at a time;
+# a stack is analyzed on the flat view, as in every family
 
 PARITY_FAMILIES = {"wootters": wootters, "cohendet": cohendet, "leonhardt": leonhardt, "ruzzi": ruzzi_s0}
 ODD_TO_45 = range(3, 46, 2)
@@ -467,7 +458,7 @@ def test_label_map_pairings_equal_their_matmul_forms_and_the_dense_stack(case, k
         ops = family.operators
         one, many = family.analyze(A[0]), family.analyze(A)
         np.testing.assert_array_equal(one, _matmul_analyze(family, A[0]))
-        np.testing.assert_array_equal(many, _matmul_analyze_stack(family, A))
+        np.testing.assert_array_equal(many, batch_oracle.values(family.flat, A))
         close(one, oracle_values(ops, A[0]))
         close(many, np.real(np.einsum("nij,kji->kn", ops, A)))
         v = rng.standard_normal((k, len(family)))

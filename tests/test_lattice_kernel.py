@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lattice_oracle as oracle
 from qframe.errors import DimensionMismatchError
-from qframe.frames import Frame, _pairings, canonical_dual, is_dual_pair, parity_pair, transform_matrix
+from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
 from qframe.geometry import prime_lattice
 from qframe.operators import EQ_TOL, displaced_parity, finite_fourier, parity_matrix, random_state, tau_powers
 from qframe.representations import (
@@ -283,10 +283,9 @@ def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
     i, j = (n % d, n // d) if family == "ruzzi" else (n // d, n % d)
     for fam, scale in ((rep.frame, d), (rep.dual, 1)):
         lm = fam.label_map
-        assert lm.transposed == (family == "ruzzi") and lm.divisor == scale
+        assert lm.transposed == (family == "ruzzi")
         np.testing.assert_array_equal(lm.rows[i], s % d)
         np.testing.assert_array_equal(lm.cols[j], t % d)
-        np.testing.assert_array_equal(lm.cells, (s % d) * d + t % d)
         # grid row i of the gather reads the anti-diagonal centred on (s/2, s/2) ...
         np.testing.assert_array_equal(lm.gather[i], ((h + u) % d) * d + (h - u) % d)
         # ... and the DFT table's 2 x 2 blocks [[a, b], [-b, a]] hold its scaled entries a + ib, column j at cols[j] ...
@@ -363,26 +362,6 @@ def test_label_map_synthesis_is_exactly_hermitian_at_fixed_sizes(family, d):
         np.testing.assert_allclose(many, np.einsum("kn,nij->kij", v, fam.operators), rtol=0, atol=ORACLE_TOL)
     back = rep.reconstruct(rep.represent(random_state(d, seed=d)))
     np.testing.assert_array_equal(back, back.conj().T)
-
-
-# Tr[K K'] = d on one cell and 0 on two, so a transform between two label-mapped families is a relabeling
-RELABELINGS = [(a, b, 5) for a in FACTORY for b in FACTORY] + [
-    (a, b, 15) for a in ("cohendet", "leonhardt", "ruzzi") for b in ("cohendet", "leonhardt", "ruzzi")
-]
-
-
-@pytest.mark.parametrize("source,target,d", RELABELINGS, ids=[f"{a}-{b}-{d}" for a, b, d in RELABELINGS])
-def test_a_transform_between_label_maps_is_its_index_form(source, target, d):
-    a, b = FACTORY[source](d), FACTORY[target](d)
-    cells = []
-    for family, rep in ((source, a), (target, b)):
-        s, t = KERNEL_LABELS[family](*np.array(rep.labels).T)
-        cells.append((s % d) * d + t % d)
-    same = cells[0][:, None] == cells[1]
-    for src, tgt, value in ((a.dual, b.frame, 1.0), (a.dual, b.dual, float(d))):
-        T = transform_matrix(src, tgt)
-        np.testing.assert_array_equal(T, np.where(same, value, 0.0))
-        np.testing.assert_allclose(T, _pairings(src.operators, tgt.operators), rtol=0, atol=ORACLE_TOL)
 
 
 # Clifford covariance of the Wootters function, through represent only: conjugating
