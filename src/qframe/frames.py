@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def _row_blocks(n: int, size: int) -> list[slice]:
 
     A whole-stack pass is slower at large d and holds stack-sized
     temporaries; ``_skew`` reads and ``_from_coordinates`` writes an
-    ``(n, d, d)`` stack by these, and GHW finds its striation bases by them.
+    ``(n, d, d)`` stack by these.
     """
     step = max(1, (1 << 13) // max(1, size))
     return [slice(i, i + step) for i in range(0, n, step)]
@@ -98,15 +98,28 @@ def _skew(ops: np.ndarray) -> tuple[float, float]:
     return entry, norm
 
 
+@cache
+def _upper(d: int) -> np.ndarray:
+    """The pairs j < k of a d x d matrix as a read-only ``(2, d (d - 1)/2)`` table, made once per d.
+
+    Rows are j and k in ``np.triu_indices(d, 1)`` order, found by comparing
+    the indices.
+    """
+    r = np.arange(d)
+    upper = np.array(np.nonzero(r[:, None] < r))
+    upper.setflags(write=False)
+    return upper
+
+
 def _coordinates(ops: np.ndarray) -> np.ndarray:
     """Real ``(n, d^2)`` coordinate rows of a Hermitian stack.
 
     Each row is the diagonal, then ``sqrt(2) Re F[j, k]`` and then
-    ``-sqrt(2) Im F[j, k]`` over j < k in ``np.triu_indices`` order, so
+    ``-sqrt(2) Im F[j, k]`` over the pairs j < k of ``_upper``, so
     ``Tr[A B]`` is the dot product of the rows of A and B.
     """
     d = ops.shape[1]
-    j, k = np.triu_indices(d, 1)
+    j, k = _upper(d)
     upper = ops[:, j, k]
     return np.concatenate(
         [ops.diagonal(axis1=1, axis2=2).real, np.sqrt(2) * upper.real, -np.sqrt(2) * upper.imag], axis=1
@@ -115,7 +128,7 @@ def _coordinates(ops: np.ndarray) -> np.ndarray:
 
 def _from_coordinates(V: np.ndarray, d: int) -> np.ndarray:
     """Hermitian ``(n, d, d)`` stack with coordinate rows V, written by ``_row_blocks``; inverse of ``_coordinates``."""
-    j, k = np.triu_indices(d, 1)
+    j, k = _upper(d)
     ops = np.zeros((len(V), d, d), dtype=complex)
     ops[:, np.arange(d), np.arange(d)] = V[:, :d]
     for rows in _row_blocks(len(V), d * d):
@@ -246,7 +259,7 @@ class _LabelMap:
         k = len(v)
         V = v.reshape(k, d, d)
         V = (V.transpose(0, 2, 1) if self.transposed else V).reshape(k * d, d)
-        M = (np.take(V.dot(self.half_dft).reshape(k, -1), mirror, axis=1) * sign).view(complex)
+        M = (np.take(V.dot(self.half_dft).reshape(k, d * (d + 1)), mirror, axis=1) * sign).view(complex)
         M[:, ::d + 1].imag = 0.0
         return M.reshape(k, d, d)
 
@@ -285,10 +298,14 @@ class Frame:
         object.__setattr__(self, "dim", ops.shape[1])
         if len(self.labels) != ops.shape[0]:
             raise DimensionMismatchError(f"{len(self.labels)} labels for {ops.shape[0]} operators")
-        if not np.isfinite(ops).all():
+        # one read of the stack: a finite sum of squares means every entry is finite, and its root is
+        # the Frobenius norm that scales tol_for(ops); finite entries whose squares overflow pass on
+        flat = ops.reshape(-1).view(float)
+        sq = float(flat.dot(flat))
+        if not math.isfinite(sq) and not np.isfinite(flat).all():
             raise DimensionMismatchError("operators must be finite; the family has a NaN or inf entry")
         skew, norm = _skew(ops)
-        if norm > tol_for(ops):
+        if norm > EQ_TOL * max(1.0, math.sqrt(sq)):
             raise DimensionMismatchError("family contains a non-Hermitian operator")
         object.__setattr__(self, "skew", skew)
         ops.setflags(write=False)
@@ -346,7 +363,7 @@ class Frame:
         A = np.ascontiguousarray(A)
         if _skew(A)[1] > tol_for(A):
             raise DimensionMismatchError(f"{kind} values are not real; a {kind} is not Hermitian")
-        return A.reshape(len(A), -1).view(float) @ self.flat.view(float).T
+        return A.reshape(len(A), d * d).view(float) @ self.flat.view(float).T
 
     def synthesize(self, values) -> np.ndarray:
         """``sum_lam v(lam) F(lam)``: ``(d, d)`` for ``(n,)`` values, ``(k, d, d)`` for ``(k, n)``."""

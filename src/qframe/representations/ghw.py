@@ -7,12 +7,16 @@ the point (q, p) carries the translation unitary
     T(q,p) = X^{q_0} Z^{p_0} (x) ... (x) X^{q_{n-1}} Z^{p_{n-1}}.
 
 The translations along a ray (a line through the origin) commute, so each
-striation has a joint eigenbasis.  The d + 1 bases are found in one pass
-over a ``(striations, d - 1, d, d)`` batch of the ray translations: one
-batched combination, ``eigh``, eigen-check, phase sort and gauge fix, in
-cache-sized blocks of striations at large d.  A quantum net assigns one
-eigenvector to the ray and propagates it to the parallel lines by
-translation covariance,
+striation has a joint eigenbasis, and covariance writes it down without a
+search.  The vertical striation's rays are diagonal, so its basis is the
+standard one.  In every other striation each ray sends |0> to a different
+|j> with no phase, so a joint eigenvector is fixed by its eigenvalues,
+v[U_t 0] = v[0] / lam_t.  The eigenvalue tuples come from the spectral
+projectors of the ray's n generators t = x^i applied to |0>, and every
+eigenvalue lies on the grid of 4p^2-th roots of unity, so each basis is
+written from its grid steps, exact to round-off, in O(p d^2) per
+striation.  A quantum net assigns one eigenvector to the ray and
+propagates it to the parallel lines by translation covariance,
 
     Q(tau_alpha lam) = T_alpha Q(lam) T_alpha^dag.
 
@@ -35,9 +39,9 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
-from ..frames import _row_blocks, transform_matrix
+from ..frames import transform_matrix
 from ..geometry import field_lattice
-from ..operators import _gauge, monomial_stack, omega
+from ..operators import omega, tau_powers
 from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
 from .wootters import wootters
 
@@ -47,8 +51,8 @@ __all__ = [
     "match_phase_points",
 ]
 
-def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations and phases of T(q, p) over arrays of codes.
+def _monomials(F: FiniteField, qs, ps, basis=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and phases of T(q, p) over arrays of codes, on the basis indices ``basis`` (all by default).
 
     Every T(q, p) is monomial: with j_i the digits of a basis index (tensor
     factor 0 first), q_i the polynomial coordinates of q and p_i the
@@ -56,7 +60,7 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     ``T[perm[k, j], j] = phase[k, j]`` for the k-th pair.
     """
     p, n = F.p, F.n
-    j = F.coords[:, ::-1]
+    j = F.coords[basis, ::-1]
     qc = F.coords[np.asarray(qs)][..., None, :]
     pc = F.dual_coords[np.asarray(ps)][..., None, :]
     perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
@@ -64,59 +68,79 @@ def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def _joint_eigenbases(perm: np.ndarray, phase: np.ndarray, p: int) -> np.ndarray:
-    """Common eigenvectors of every striation's ray translations, deterministically ordered.
+def _projected_origin(perm: np.ndarray, phase: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """``prod_i sum_r (U_i / lam_i)^r |0>`` for every choice of one eigenvalue lam_i per generator.
 
-    ``perm`` and ``phase`` are the ``(striations, d - 1, d)`` monomial form of
-    the translations (see ``_monomials``).  Each striation's unitaries U_k
-    commute, so one generic Hermitian combination M + M^dag, M = sum_k a_k U_k,
-    has their joint eigenvectors; every striation is diagonalized, checked
-    and sorted in one pass over a block of striations, and only the
-    striations whose check fails are tried again with other weights.
-    Columns are sorted by the tuple of eigenvalue phases against the
-    operator order and gauge-fixed (first sizable component real positive).
-    Returns the ``(striations, d, d)`` stack of bases.
+    ``perm`` and ``phase`` are the ``(striations, n, d)`` monomial form of
+    each striation's n commuting generators U_i (see ``_monomials``), and
+    U_i^p = omega^h[s, i].  So U_i's eigenvalues are the p roots
+    exp(2 pi i (h + p c)/p^2), and each factor is p times the projector on
+    one of them: each of the d rows of a striation's result is
+    d conj(v[0]) v for one joint eigenvector v.  Returns ``(striations, d, d)``.
     """
-    S, m, d = perm.shape
-    k = np.arange(m)
+    S, n, d = perm.shape
+    r = np.arange(p)
+    # lam^-r for each generator, root c (axis -2) and power r (axis -1)
+    inverse_powers = omega(p * p) ** (-r * (h[..., None, None] + p * r[:, None]))
+    s = np.arange(S)[:, None, None]
+    W = np.zeros((S, 1, d), dtype=complex)
+    W[:, 0, 0] = 1.0
+    for i in range(n):
+        power, acc = W, 0
+        for k in range(p):
+            acc = acc + inverse_powers[:, i, :, k, None, None] * power[:, None]
+            # U sends entry j of each row to entry perm[j], times phase[j]
+            power, moved = np.empty_like(power), power * phase[:, None, i]
+            power[s, np.arange(power.shape[1])[:, None], perm[:, None, i]] = moved
+        W = acc.reshape(S, -1, d)
+    return W
+
+
+def _striation_bases(F: FiniteField, directions) -> np.ndarray:
+    """The ``(d + 1, d, d)`` stack of the striations' joint eigenbases, written down from covariance.
+
+    The rays of a striation are U_t = T(t dq, t dp), t in GF(d)*.  Where
+    dq = 0 they are diagonal and the basis is the standard one.  Elsewhere
+    each j != 0 is U_t 0 for one t, with no phase, so U_t v = lam_t v gives
+    v[U_t 0] = v[0] / lam_t, and lam_t = w[0] / w[U_t 0] is read off
+    ``_projected_origin``.  Columns are sorted by the tuple of eigenvalue
+    steps on the 4p^2-root grid in ray order, with v[0] real positive.
+    """
+    p, n, d = F.p, F.n, F.order
+    dq, dp = np.array(directions).T[..., None]
+    Q, P = F.mul(np.arange(1, d), dq), F.mul(np.arange(1, d), dp)
+    diag = dq[:, 0] == 0
+    shifts = (~diag).nonzero()[0]
+    # lam[s, t - 1, k]: the eigenvalue of the k-th joint eigenvector under U_t
+    lam = np.empty((len(dq), d - 1, d), dtype=complex)
+    lam[diag] = _monomials(F, Q[diag], P[diag])[1]
+    to = _monomials(F, Q[shifts], P[shifts], basis=[0])[0][..., 0]
+    # the generators t = x^i; as a power of X^a Z^b, T(q, p)^p = omega^(p(p - 1)/2 q.p)
+    gq, gp = Q[shifts][:, p ** np.arange(n) - 1], P[shifts][:, p ** np.arange(n) - 1]
+    h = (p * (p - 1) // 2) * (F.coords[gq] * F.dual_coords[gp]).sum(axis=-1) % p
+    w = _projected_origin(*_monomials(F, gq, gp), h, p)
+    at_to = w[np.arange(len(shifts))[:, None, None], np.arange(d)[:, None], to[:, None, :]]
+    lam[shifts] = (w[..., :1] / at_to).transpose(0, 2, 1)
+    # eigenvalue phases, quantized to the admissible root-of-unity grid
     quantum = 2 * np.pi / (4 * p * p)
-    out = np.empty((S, d, d), dtype=complex)
-    for rows in _row_blocks(S, m * d * d):
-        todo = np.arange(S)[rows]
-        ops = monomial_stack(perm[rows].reshape(-1, d), phase[rows].reshape(-1, d)).reshape(-1, m, d, d)
-        for attempt in range(4):
-            a = (1.0 + 0.37 * k) * np.exp(1j * (0.618034 * (k + 1) + 0.311 * attempt))
-            # one vector-matrix product per striation, the arithmetic of a single striation's tensordot
-            M = (a @ ops.reshape(len(ops), m, d * d)).reshape(-1, d, d)
-            # the gauge is fixed here and again after the sort, which keeps the bases of the
-            # one-striation-at-a-time build to the bit
-            vecs = _gauge(np.linalg.eigh(M + M.conj().transpose(0, 2, 1))[1])
-            Uv = ops @ vecs[:, None]
-            lam = np.einsum("sji,skji->ski", vecs.conj(), Uv)
-            split = np.linalg.norm(Uv - lam[..., None, :] * vecs[:, None], axis=-2).max(axis=(1, 2)) <= 1e-8
-            # eigenvalue phases, quantized to the admissible root-of-unity grid
-            angles = np.angle(lam[split]) % (2 * np.pi)
-            steps = np.round(angles / quantum)
-            if np.any(np.abs(angles - steps * quantum) > 1e-6):
-                raise RuntimeError("eigenvalue phase off the root-of-unity grid")
-            keys = steps.astype(np.int64) % (4 * p * p)
-            order = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=-1)
-            out[todo[split]] = _gauge(np.take_along_axis(vecs[split], order[:, None, :], axis=-1))
-            todo, ops = todo[~split], ops[~split]
-            if not todo.size:
-                break
-        else:
-            raise RuntimeError("failed to split a degenerate commuting family")
-    return out
+    angles = np.arctan2(lam.imag, lam.real)
+    steps = np.rint(angles / quantum)
+    if (np.abs(angles - steps * quantum) > 1e-6).any():
+        raise RuntimeError("eigenvalue phase off the root-of-unity grid")
+    keys = steps.astype(np.int64) % (4 * p * p)
+    order = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=-1)
+    bases = np.zeros((len(dq), d, d), dtype=complex)
+    bases[diag.nonzero()[0][:, None], order[diag], np.arange(d)] = 1.0
+    bases[shifts, 0] = d**-0.5
+    keys = keys[shifts[:, None, None], np.arange(d - 1)[:, None], order[shifts, None, :]]
+    bases[shifts[:, None], to] = d**-0.5 * tau_powers(2 * p * p, -keys)
+    return bases
 
 
 def _build_structure(field: FiniteField):
     """Geometry and the ``(d + 1, d, d)`` stack of the striations' joint eigenbases."""
-    F = field
-    geom = field_lattice(F)
-    t = np.arange(1, F.order)
-    dq, dp = np.array(geom.meta["directions"]).T[..., None]
-    return geom, _joint_eigenbases(*_monomials(F, F.mul(t, dq), F.mul(t, dp)), F.p)
+    geom = field_lattice(field)
+    return geom, _striation_bases(field, geom.meta["directions"])
 
 
 def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representation:

@@ -8,9 +8,10 @@ of it the direct way: every translation a Kronecker product of shift and
 clock matrix powers, each line projector a dense conjugation, and each
 phase-point operator a Python sum over the lines through its point.  The
 table-driven field and the index-arithmetic GHW build must agree with them.
-``striation_eigenbasis`` is the one-striation-at-a-time eigenbasis the
-batched pass replaced, with its ``eigh_fixed``; the batched bases must equal
-it to the bit.
+``striation_eigenbasis`` finds one striation's joint eigenbasis by ``eigh``
+with its ``eigh_fixed``; the bases ``ghw`` writes down from translation
+covariance must have its columns, order and gauge, within the residual it
+misses its own eigen-equations by.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from qframe.frames import (
     represent_state,
     transform_matrix,
 )
+from qframe.frames import _upper
 from qframe.operators import random_effect, random_state, random_unitary, trace_inner
 from qframe.representations import (
     cohendet,
@@ -302,6 +303,37 @@ def test_non_finite_operator_rejected_at_construction(bad):
     ops[3, 0, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
         Frame(labels=tuple(range(4)), operators=ops)
+
+
+def test_a_non_finite_entry_is_refused_before_a_non_hermitian_operator():
+    ops = np.array(hermitian_basis(2))
+    ops[1, 0, 1] += 1.0
+    ops[3, 0, 0] = np.inf
+    with pytest.raises(DimensionMismatchError, match="operators must be finite"):
+        Frame(labels=tuple(range(4)), operators=ops)
+
+
+def test_finite_entries_whose_squares_overflow_are_accepted():
+    with np.errstate(over="ignore"):
+        family = Frame(labels=tuple(range(4)), operators=1e200 * np.array(hermitian_basis(2)))
+    assert family.skew == 0.0
+
+
+def test_the_upper_pairs_are_triu_indices_and_read_only():
+    for d in range(1, 33):
+        upper = _upper(d)
+        assert np.array_equal(upper, np.triu_indices(d, 1))
+        assert not upper.flags.writeable
+
+
+@pytest.mark.parametrize("make", [lambda: wootters(3), lambda: hardy_rep(3)])
+def test_empty_stacks_analyze_and_synthesize_to_empty_stacks(make):
+    # wootters(3) pairs through its label map, hardy_rep(3) on its stack
+    rep = make()
+    n = len(rep.labels)
+    for family in (rep.frame, rep.dual):
+        assert family.analyze(np.zeros((0, 3, 3))).shape == (0, n)
+        assert family.synthesize(np.zeros((0, n))).shape == (0, 3, 3)
 
 
 # minimal (d^2-outcome) representations by dimension

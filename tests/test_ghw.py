@@ -12,7 +12,7 @@ from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import FiniteField
 from qframe.frames import is_dual_pair
-from qframe.geometry import check_geometry_axioms, field_lattice
+from qframe.geometry import check_geometry_axioms
 from qframe.operators import maximally_mixed, monomial_stack, random_state
 from qframe.representations import (
     ghw,
@@ -246,20 +246,53 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 
           (19, 1), (23, 1), (5, 2), (3, 3)]
 
 
-def _oracle_bases(F: FiniteField, directions) -> list[np.ndarray]:
-    """Each striation's joint eigenbasis, found one striation at a time."""
+def _rays(F: FiniteField, directions) -> list[np.ndarray]:
+    """Each striation's ``(d - 1, d, d)`` stack of ray translations T(t dq, t dp), t = 1, ..., d - 1."""
     t = np.arange(1, F.order)
-    return [striation_eigenbasis(monomial_stack(*ghw_module._monomials(F, F.mul(t, dq), F.mul(t, dp))), F.p)
-            for dq, dp in directions]
+    return [monomial_stack(*ghw_module._monomials(F, F.mul(t, dq), F.mul(t, dp))) for dq, dp in directions]
+
+
+def _eigen_residual(ops: np.ndarray, basis: np.ndarray) -> float:
+    """Largest norm ``||U v - (v^dag U v) v||`` over the unitaries U of ``ops`` and the columns v of ``basis``.
+
+    The measure ``striation_eigenbasis`` checks its own bases by.
+    """
+    Uv = ops @ basis
+    lam = np.einsum("ji,kji->ki", basis.conj(), Uv)
+    return float(np.linalg.norm(Uv - lam[:, None, :] * basis, axis=1).max())
+
+
+def _oracle_bases(F: FiniteField, directions) -> list[np.ndarray]:
+    """Each striation's joint eigenbasis, found by ``eigh`` one striation at a time."""
+    return [striation_eigenbasis(ops, F.p) for ops in _rays(F, directions)]
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_striation_bases_are_exact_eigenbases(p, n):
+    F = FiniteField(p, n)
+    geom, bases = ghw_module._build_structure(F)
+    assert bases.shape == (F.order + 1, F.order, F.order)
+    for ops, basis in zip(_rays(F, geom.meta["directions"]), bases, strict=True):
+        assert _eigen_residual(ops, basis) <= 1e-14
+        assert np.abs(basis.conj().T @ basis - np.eye(F.order)).max() <= 1e-14
+
+
+def _steps(ops: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """Each column's eigenvalue under each unitary of ``ops``, as its step on the grid of 4p^2-th roots of unity."""
+    lam = np.einsum("ji,kji->ki", basis.conj(), ops @ basis)
+    return np.round(np.angle(lam) / (2 * np.pi / (4 * p * p))).astype(np.int64) % (4 * p * p)
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
 def test_batched_striation_bases_equal_the_oracle_to_the_bit(p, n):
+    # every column has the oracle column's eigenvalue steps to the bit, so the order is the same, and the
+    # entries, in the same gauge, are apart by no more than the oracle misses its own eigen-equations
     F = FiniteField(p, n)
     geom, bases = ghw_module._build_structure(F)
-    assert bases.shape == (F.order + 1, F.order, F.order)
-    for got, want in zip(bases, _oracle_bases(F, geom.meta["directions"]), strict=True):
-        assert np.array_equal(got, want)
+    for ops, got, want in zip(_rays(F, geom.meta["directions"]), bases, _oracle_bases(F, geom.meta["directions"]),
+                              strict=True):
+        assert np.array_equal(_steps(ops, got, p), _steps(ops, want, p))
+        assert np.abs(got - want).max() <= _eigen_residual(ops, want)
 
 
 @pytest.mark.parametrize("p,n,net", [
@@ -267,36 +300,22 @@ def test_batched_striation_bases_equal_the_oracle_to_the_bit(p, n):
     (2, 3, (5, 2, 1, 7, 1, 2, 5, 6, 5)),
 ])
 def test_seeded_net_origin_operator_from_the_oracle_bases(p, n, net):
-    # A(0) = sum_s v_s v_s^dag - 1, made Hermitian, with each v_s the net's column of the oracle basis
+    # A(0) = sum_s v_s v_s^dag - 1, made Hermitian, with each v_s the net's column of a striation's basis
     rep = ghw(p, n, net=net)
     d = p**n
-    bases = _oracle_bases(FiniteField(p, n), rep.geometry.meta["directions"])
-    v = np.stack([basis[:, t] for basis, t in zip(bases, net)], axis=1)
-    A0 = v @ v.conj().T - np.eye(d)
+    F = FiniteField(p, n)
+    directions = rep.geometry.meta["directions"]
+
+    def origin(bases):
+        v = np.stack([basis[:, t] for basis, t in zip(bases, net)], axis=1)
+        A0 = v @ v.conj().T - np.eye(d)
+        return (A0 + A0.conj().T) / 2
+
     assert rep.labels[0] == (0, 0)
-    assert np.array_equal(rep.dual.operators[0], (A0 + A0.conj().T) / 2)
-
-
-def test_only_the_striations_that_fail_their_check_are_tried_again(monkeypatch):
-    # the first eigh returns the identity for striation 1, whose ray translations are shifts
-    F = FiniteField(3, 2)
-    geom = field_lattice(F)
-    want = _oracle_bases(F, geom.meta["directions"])
-    real, batches = np.linalg.eigh, []
-
-    def eigh(H):
-        vals, vecs = real(H)
-        batches.append(len(H))
-        if len(batches) == 1:
-            vecs[1] = np.eye(F.order)
-        return vals, vecs
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    _, bases = ghw_module._build_structure(F)
-    assert batches == [F.order + 1, 1]
-    for s, (got, basis) in enumerate(zip(bases, want)):
-        # the retried striation has other weights, so it agrees to round-off, the rest to the bit
-        assert np.max(np.abs(got - basis)) <= ORACLE_TOL if s == 1 else np.array_equal(got, basis)
+    assert np.array_equal(rep.dual.operators[0], origin(rep.meta["striation_bases"]))
+    oracle = _oracle_bases(F, directions)
+    bound = max(_eigen_residual(ops, basis) for ops, basis in zip(_rays(F, directions), oracle))
+    assert np.abs(rep.dual.operators[0] - origin(oracle)).max() <= bound
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
