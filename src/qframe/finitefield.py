@@ -2,14 +2,25 @@
 
 Elements are polynomials over Z_p modulo a monic irreducible polynomial,
 coded by the integer ``sum c_i p^i`` of their coefficients.  A field keeps
-integer tables, built on first use: digits, log/antilog, traces and
-dual-basis coordinates of every code.  ``add``, ``sub`` and ``mul`` act on
-codes or arrays of codes.
+integer tables, built on first use: digits (one table for every modulus of
+a degree), multiplication by x, log/antilog, traces and dual-basis
+coordinates of every code.  ``add``, ``sub`` and ``mul`` act on codes or
+arrays of codes.
+
+The tables are the package's only arithmetic modulo a modulus, and the
+modulus predicates read them too, on a modulus that is not yet known to be
+irreducible.  ``is_primitive_modulus`` walks x's orbit from 1 under the
+multiply-by-x table, the walk that finds the log tables' generator.
+``is_irreducible`` is Rabin's test read off the same table (Rabin, SIAM J.
+Comput. 9, 273 (1980)).  Both refuse a non-prime characteristic and, like
+a field, an order beyond ``MAX_ORDER``.
 
 The default modulus comes from a built-in Conway-polynomial table for the
 small fields this package exercises; outside the table a deterministic
-fallback picks the lexicographically smallest monic primitive polynomial.
-Any monic irreducible modulus can be supplied explicitly instead.
+fallback picks the lexicographically smallest monic primitive polynomial,
+at n = 1 as at n > 1.  A primitive modulus is irreducible, so a default
+modulus is not checked again.  Any monic irreducible modulus can be
+supplied explicitly instead, and that one is checked.
 """
 
 from __future__ import annotations
@@ -60,103 +71,83 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise UnsupportedDimensionError(f"field characteristic must be prime, got {p}")
+
+
+def _ring(modulus: tuple[int, ...] | list[int], p: int) -> FiniteField | None:
+    """The tables of Z_p[x] modulo the monic multiple of ``modulus``, or None below degree 1.
+
+    Trailing zero coefficients are trimmed.  The modulus is not checked, so the
+    tables are a field's only when it is irreducible.
+    """
+    _require_prime(p)
+    c = [int(a) % p for a in modulus]
+    while c and not c[-1]:
         c.pop()
-    return c
+    n = len(c) - 1
+    if n < 1:
+        return None
+    if p**n > MAX_ORDER:
+        raise UnsupportedDimensionError(f"field order {p**n} exceeds supported {MAX_ORDER}")
+    lead = pow(c[-1], -1, p)
+    ring = object.__new__(FiniteField)
+    vars(ring).update(p=p, n=n, modulus=tuple(a * lead % p for a in c))
+    return ring
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of polynomial division over Z_p (little-endian lists)."""
-    num = _poly_trim([x % p for x in num])
-    den = _poly_trim([x % p for x in den])
-    if den == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    out = list(num)
-    while len(out) >= len(den) and _poly_trim(list(out)) != [0]:
-        shift = len(out) - len(den)
-        factor = (out[-1] * inv_lead) % p
-        if factor:
-            for i, c in enumerate(den):
-                out[shift + i] = (out[shift + i] - factor * c) % p
-        out.pop()
-        if not out:
-            out = [0]
-    return _poly_trim(out)
+def _cycle(step: list[int], q: int) -> list[int] | None:
+    """Powers 1, g, ..., g^(q-2) of the code g whose multiply-by map is ``step``, or None.
 
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+    The walk follows g's orbit from 1 for at most q - 1 steps: g generates the
+    q - 1 units exactly when the orbit first returns to 1 at step q - 1.
+    """
+    powers, c = [1], step[1]
+    while c != 1 and len(powers) < q - 1:
+        powers.append(c)
+        c = step[c]
+    return powers if c == 1 and len(powers) == q - 1 else None
 
 
 def is_irreducible(modulus: tuple[int, ...] | list[int], p: int) -> bool:
-    """Exhaustive check: no monic factor of degree up to deg/2."""
-    mod = _poly_trim([c % p for c in modulus])
-    n = len(mod) - 1
-    if n < 1:
+    """Rabin's test, read off the multiply-by-x table.
+
+    The monic multiple m of ``modulus``, of degree n, is irreducible when
+    x^(p^n) = x and, for each prime r | n, x^(p^(n/r)) - x is a unit mod m.
+    """
+    ring = _ring(modulus, p)
+    if ring is None:
         return False
-    for deg in range(1, n // 2 + 1):
-        # Enumerate monic polynomials of this degree by their lower coefficients.
-        for code in range(p**deg):
-            cand = []
-            k = code
-            for _ in range(deg):
-                cand.append(k % p)
-                k //= p
-            cand.append(1)
-            if _poly_mod(mod, cand, p) == [0]:
-                return False
-    return True
-
-
-def _factor(n: int) -> list[int]:
-    out = []
-    k = 2
-    while k * k <= n:
-        while n % k == 0:
-            if k not in out:
-                out.append(k)
-            n //= k
-        k += 1
-    if n > 1 and n not in out:
-        out.append(n)
-    return out
+    n, step, powers = ring.n, ring._times_x.tolist(), [1]
+    for _ in range(ring.order):  # powers[e] = x^e
+        powers.append(step[powers[-1]])
+    x = powers[1]
+    return powers[-1] == x and all(
+        (ring._times(ring.sub(powers[p ** (n // r)], x)) == 1).any()  # a unit: some product is 1
+        for r in range(2, n + 1) if n % r == 0 and _is_prime(r)
+    )
 
 
 def is_primitive_modulus(modulus: tuple[int, ...] | list[int], p: int) -> bool:
-    """True when x generates the multiplicative group mod the modulus."""
-    mod = _poly_trim([c % p for c in modulus])
-    n = len(mod) - 1
-    if not is_irreducible(mod, p):
+    """True when x generates the multiplicative group mod the modulus.
+
+    That is, x's orbit from 1 first returns to 1 at step q - 1.  Its powers
+    are then q - 1 distinct units, so the modulus is irreducible too.
+    """
+    ring = _ring(modulus, p)
+    if ring is None:
         return False
-    q = p**n
-    x = [0, 1] if n > 1 else [_poly_mod([0, 1], mod, p)[0]]
-
-    def poly_pow(base: list[int], e: int) -> list[int]:
-        result = [1]
-        b = list(base)
-        while e:
-            if e & 1:
-                result = _poly_mod(_poly_mul(result, b, p), mod, p)
-            b = _poly_mod(_poly_mul(b, b, p), mod, p)
-            e >>= 1
-        return result
-
-    for r in _factor(q - 1):
-        if poly_pow(x, (q - 1) // r) == [1]:
-            return False
-    return True
+    # above degree 1 a root a in Z_p, m(a) = 0, shows the modulus reducible without the walk
+    if ring.n > 1 and not (np.vander(np.arange(p), ring.n + 1, increasing=True) @ ring.modulus % p).all():
+        return False
+    return _cycle(ring._times_x.tolist(), ring.order) is not None
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, n: int) -> tuple[int, ...]:
-    """Canonical monic irreducible polynomial for GF(p^n)."""
+    """Canonical monic primitive polynomial for GF(p^n): the table's, else the fallback's."""
+    _require_prime(p)
     if (p, n) in CONWAY_POLYNOMIALS:
         return CONWAY_POLYNOMIALS[(p, n)]
     if p**n > MAX_ORDER:
@@ -165,20 +156,21 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
         )
     # Deterministic fallback: smallest integer encoding that is primitive.
     for code in range(p**n):
-        coeffs = []
-        k = code
-        for _ in range(n):
-            coeffs.append(k % p)
-            k //= p
-        coeffs.append(1)
+        coeffs = tuple(code // p**i % p for i in range(n)) + (1,)
         if is_primitive_modulus(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{n})")
 
 
 def _readonly(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _digits(p: int, n: int) -> np.ndarray:
+    """Base-p digits of every code below p^n: one read-only table, which a fallback search builds once."""
+    return _readonly((np.arange(p**n)[:, None] // p ** np.arange(n)) % p)
 
 
 @dataclass(frozen=True)
@@ -190,22 +182,20 @@ class FiniteField:
     modulus: tuple[int, ...]
 
     def __init__(self, p: int, n: int = 1, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
-            raise UnsupportedDimensionError(f"field characteristic must be prime, got {p}")
+        _require_prime(p)
         if n < 1:
             raise UnsupportedDimensionError(f"extension degree must be >= 1, got {n}")
         if p**n > MAX_ORDER:
             raise UnsupportedDimensionError(f"field order {p**n} exceeds supported {MAX_ORDER}")
         if modulus is None:
-            modulus = default_modulus(p, n)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ParseError(f"modulus must be monic of degree {n}")
-        if not is_irreducible(modulus, p):
-            raise ParseError(f"modulus {list(modulus)} is reducible over GF({p})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "modulus", modulus)
+            modulus = default_modulus(p, n)  # primitive, hence irreducible
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ParseError(f"modulus must be monic of degree {n}")
+            if not is_irreducible(modulus, p):
+                raise ParseError(f"modulus {list(modulus)} is reducible over GF({p})")
+        vars(self).update(p=p, n=n, modulus=modulus)
 
     @property
     def order(self) -> int:
@@ -216,7 +206,7 @@ class FiniteField:
     @cached_property
     def coords(self) -> np.ndarray:
         """``(q, n)`` base-p digits of every code: coordinates in 1, x, ..., x^(n-1)."""
-        return _readonly((np.arange(self.order)[:, None] // self.p ** np.arange(self.n)) % self.p)
+        return _digits(self.p, self.n)
 
     def _encode(self, digits) -> np.ndarray:
         """Codes of digit vectors (last axis), reduced mod p."""
@@ -230,6 +220,14 @@ class FiniteField:
         shifted = np.hstack([np.zeros_like(top), D[:, :-1]])
         return self._encode(shifted - top * np.array(self.modulus[:-1]))
 
+    def _times(self, g) -> np.ndarray:
+        """Code of g * c for every code c, by Horner's rule over g's digits."""
+        D = self.coords
+        step = np.zeros(self.order, dtype=np.int64)
+        for digit in D[g][::-1]:
+            step = self._encode(D[self._times_x[step]] + digit * D)
+        return step
+
     @cached_property
     def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         """Antilog and log tables over a primitive element.
@@ -237,15 +235,10 @@ class FiniteField:
         The primitive element is x when the modulus is primitive; otherwise
         the smallest code of multiplicative order q - 1.
         """
-        D, q = self.coords, self.order
+        q = self.order
         for g in sorted(range(1, q), key=lambda c: c != self.p):  # code p is x when n > 1
-            step = np.zeros(q, dtype=np.int64)  # step[c] = g * c by Horner's rule over g's digits
-            for digit in D[g][::-1]:
-                step = self._encode(D[self._times_x[step]] + digit * D)
-            step, powers = step.tolist(), [1]
-            while step[powers[-1]] != 1:
-                powers.append(step[powers[-1]])
-            if len(powers) == q - 1:
+            powers = _cycle(self._times(g).tolist(), q)
+            if powers is not None:
                 exp = np.array(powers)
                 log = np.zeros(q, dtype=np.int64)
                 log[exp] = np.arange(q - 1)

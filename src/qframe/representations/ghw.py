@@ -42,7 +42,7 @@ from ..finitefield import FiniteField
 from ..frames import transform_matrix
 from ..geometry import field_lattice
 from ..operators import omega, tau_powers
-from .base import Representation, check_stack_budget, phase_point_representation, striation_pvms
+from .base import Representation, check_stack_budget, phase_point_representation
 from .wootters import wootters
 
 __all__ = [
@@ -183,18 +183,14 @@ def wootters_aligned_net(p: int) -> tuple[int, ...]:
     of the line through the origin is selected.
     """
     woo = wootters(p)
-    pvms = striation_pvms(woo)
-    F = FiniteField(p, 1)
-    _, bases = _build_structure(F)
-    net = []
-    for s, basis in enumerate(bases):
-        target = pvms[s][0]
-        overlaps = [np.real(np.vdot(basis[:, t], target @ basis[:, t])) for t in range(p)]
-        best = int(np.argmax(overlaps))
-        if overlaps[best] < 1 - 1e-8:
-            raise RuntimeError(f"no eigenvector matches the striation-{s} ray projector")
-        net.append(best)
-    return tuple(net)
+    rays = woo.frame.operators[woo.geometry.line_index[:, 0]].sum(axis=1)  # the p + 1 lines through the origin
+    _, bases = _build_structure(FiniteField(p, 1))
+    overlaps = np.einsum("sjt,sjk,skt->st", bases.conj(), rays, bases).real
+    net = overlaps.argmax(axis=1)
+    missed = np.flatnonzero(overlaps[np.arange(p + 1), net] < 1 - 1e-8)
+    if missed.size:
+        raise RuntimeError(f"no eigenvector matches the striation-{missed[0]} ray projector")
+    return tuple(net.tolist())
 
 
 def match_phase_points(rep_a: Representation, rep_b: Representation,

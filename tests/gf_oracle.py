@@ -1,13 +1,19 @@
 """Slow reference implementations of GF(p^n) arithmetic and the GHW build.
 
-``PolyField`` is polynomial arithmetic on integer codes: coefficient lists
-multiplied and reduced modulo the modulus, powers by squaring, the trace as
-a sum of Frobenius powers and the dual basis by Gauss-Jordan elimination of
-the trace Gram matrix.  ``dense_ghw`` builds the GHW representation on top
-of it the direct way: every translation a Kronecker product of shift and
-clock matrix powers, each line projector a dense conjugation, and each
-phase-point operator a Python sum over the lines through its point.  The
-table-driven field and the index-arithmetic GHW build must agree with them.
+The list arithmetic is the reference for the field's integer tables:
+polynomials as little-endian coefficient lists over Z_p, multiplied and
+reduced by long division.  On it, ``is_irreducible`` tries every monic
+factor of degree up to n/2, and ``is_primitive_modulus`` asks that x^(q-1)
+be 1 and that x^((q-1)/r) not be 1 for each prime r | q - 1, on a modulus it
+has found irreducible.  The table-driven predicates must agree with both on
+every modulus, monic or not.  ``PolyField`` is polynomial arithmetic on
+integer codes: powers by squaring, the trace as a sum of Frobenius powers and
+the dual basis by Gauss-Jordan elimination of the trace Gram matrix.
+``dense_ghw`` builds the GHW representation on top of it the direct way:
+every translation a Kronecker product of shift and clock matrix powers, each
+line projector a dense conjugation, and each phase-point operator a Python
+sum over the lines through its point.  The table-driven field and the
+index-arithmetic GHW build must agree with them.
 ``striation_eigenbasis`` finds one striation's joint eigenbasis by ``eigh``
 with its ``eigh_fixed``; the bases ``ghw`` writes down from translation
 covariance must have its columns, order and gauge, within the residual it
@@ -18,10 +24,107 @@ from __future__ import annotations
 
 import numpy as np
 
-from qframe.finitefield import _poly_mod, _poly_mul, default_modulus
+from qframe.finitefield import default_modulus
 from qframe.operators import tensor
 
 from lattice_oracle import clock_matrix, shift_matrix
+
+
+def poly_trim(c: list[int]) -> list[int]:
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of polynomial division over Z_p (little-endian lists)."""
+    num = poly_trim([x % p for x in num])
+    den = poly_trim([x % p for x in den])
+    if den == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
+    out = list(num)
+    while len(out) >= len(den) and poly_trim(list(out)) != [0]:
+        shift = len(out) - len(den)
+        factor = (out[-1] * inv_lead) % p
+        if factor:
+            for i, c in enumerate(den):
+                out[shift + i] = (out[shift + i] - factor * c) % p
+        out.pop()
+        if not out:
+            out = [0]
+    return poly_trim(out)
+
+
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return poly_trim(out)
+
+
+def is_irreducible(modulus, p: int) -> bool:
+    """Exhaustive check: no monic factor of degree up to deg/2."""
+    mod = poly_trim([c % p for c in modulus])
+    n = len(mod) - 1
+    if n < 1:
+        return False
+    for deg in range(1, n // 2 + 1):
+        # Enumerate monic polynomials of this degree by their lower coefficients.
+        for code in range(p**deg):
+            cand = []
+            k = code
+            for _ in range(deg):
+                cand.append(k % p)
+                k //= p
+            cand.append(1)
+            if poly_mod(mod, cand, p) == [0]:
+                return False
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    out = []
+    k = 2
+    while k * k <= n:
+        while n % k == 0:
+            if k not in out:
+                out.append(k)
+            n //= k
+        k += 1
+    if n > 1 and n not in out:
+        out.append(n)
+    return out
+
+
+def is_primitive_modulus(modulus, p: int) -> bool:
+    """True when the modulus is irreducible and x has multiplicative order q - 1 mod it.
+
+    x^(q-1) = 1 is asked for too: without it, x = 0 mod the modulus x at n = 1
+    passed, since no power of 0 is 1.
+    """
+    mod = poly_trim([c % p for c in modulus])
+    n = len(mod) - 1
+    if not is_irreducible(mod, p):
+        return False
+    q = p**n
+    x = [0, 1] if n > 1 else [poly_mod([0, 1], mod, p)[0]]
+
+    def poly_pow(base: list[int], e: int) -> list[int]:
+        result = [1]
+        b = list(base)
+        while e:
+            if e & 1:
+                result = poly_mod(poly_mul(result, b, p), mod, p)
+            b = poly_mod(poly_mul(b, b, p), mod, p)
+            e >>= 1
+        return result
+
+    if poly_pow(x, q - 1) != [1]:
+        return False
+    return all(poly_pow(x, (q - 1) // r) != [1] for r in prime_factors(q - 1))
 
 
 class PolyField:
@@ -41,8 +144,8 @@ class PolyField:
         return self.code([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.code(_poly_mod(prod, self.modulus, self.p))
+        prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
+        return self.code(poly_mod(prod, self.modulus, self.p))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

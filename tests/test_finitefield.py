@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf_oracle
 from gf_oracle import PolyField
+from qframe import finitefield
 from qframe.errors import ParseError, UnsupportedDimensionError
 from qframe.finitefield import (
     CONWAY_POLYNOMIALS,
+    MAX_ORDER,
     FiniteField,
     default_modulus,
     is_irreducible,
@@ -129,8 +132,70 @@ def test_default_modulus_table_and_fallback():
 
 
 def test_conway_entries_are_primitive():
-    for (p, n) in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]:
-        assert is_primitive_modulus(default_modulus(p, n), p)
+    for (p, n), modulus in CONWAY_POLYNOMIALS.items():
+        assert default_modulus(p, n) == modulus
+        assert is_primitive_modulus(modulus, p)
+        assert gf_oracle.is_primitive_modulus(modulus, p)
+
+
+def test_fallback_moduli_are_pinned():
+    # the first primitive modulus in code order; at n = 1 the modulus x is not one, x = 0 generates nothing
+    assert default_modulus(11, 1) == (3, 1)
+    assert default_modulus(13, 1) == (2, 1)
+    assert default_modulus(2, 7) == (1, 1, 0, 0, 0, 0, 0, 1)
+    assert default_modulus(2, 8) == (1, 0, 1, 1, 1, 0, 0, 0, 1)
+    assert default_modulus(3, 4) == (2, 1, 0, 0, 1)
+    assert default_modulus(5, 3) == (2, 3, 0, 1)
+    assert default_modulus(11, 2) == (7, 1, 1)
+    for p in (11, 13, 17, 19, 23):
+        assert not is_primitive_modulus((0, 1), p)
+        assert is_primitive_modulus(default_modulus(p, 1), p)
+
+
+# every coefficient tuple up to these degrees, every leading coefficient
+EXHAUSTIVE_MODULI = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,max_degree", EXHAUSTIVE_MODULI)
+def test_modulus_predicates_match_the_list_oracle(p, max_degree):
+    for n in range(1, max_degree + 1):
+        for code in range(p**n, p ** (n + 1)):
+            modulus = [code // p**i % p for i in range(n + 1)]
+            assert is_irreducible(modulus, p) == gf_oracle.is_irreducible(modulus, p), modulus
+            assert is_primitive_modulus(modulus, p) == gf_oracle.is_primitive_modulus(modulus, p), modulus
+
+
+def test_modulus_predicates_trim_and_normalise():
+    assert is_irreducible((1, 1, 1, 0, 0), 2) and is_primitive_modulus((1, 1, 1, 0), 2)
+    assert is_primitive_modulus((6, 3, 3), 5) == is_primitive_modulus((2, 1, 1), 5)  # 3 (2, 1, 1) = (6, 3, 3) mod 5
+    for modulus in [(), (0,), (1,), (3, 0, 0)]:
+        assert not is_irreducible(modulus, 3)
+        assert not is_primitive_modulus(modulus, 3)
+    with pytest.raises(UnsupportedDimensionError, match=f"exceeds supported {MAX_ORDER}"):
+        is_irreducible((1,) * 14, 2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: is_irreducible((1, 0, 1), p),
+    lambda p: is_primitive_modulus((1, 0, 1), p),
+    lambda p: default_modulus(p, 2),
+], ids=["is_irreducible", "is_primitive_modulus", "default_modulus"])
+@pytest.mark.parametrize("p", [6, 9, 1, 0])
+def test_modulus_functions_refuse_a_non_prime_characteristic(check, p):
+    with pytest.raises(UnsupportedDimensionError, match=f"field characteristic must be prime, got {p}"):
+        check(p)
+
+
+def test_only_a_supplied_modulus_is_checked_for_irreducibility(monkeypatch):
+    def refuse(modulus, p):
+        raise AssertionError("a default modulus was checked again")
+
+    monkeypatch.setattr(finitefield, "is_irreducible", refuse)
+    default_modulus.cache_clear()  # make GF(11) search its fallback modulus again
+    assert FiniteField(2, 4).modulus == (1, 1, 0, 0, 1)
+    assert FiniteField(11, 1).modulus == (3, 1)
+    with pytest.raises(AssertionError, match="checked again"):
+        FiniteField(2, 2, (1, 1, 1))
 
 
 def test_order_bounds():

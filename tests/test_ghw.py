@@ -165,7 +165,7 @@ def test_maximally_mixed_uniform(p, n):
     assert np.allclose(mu.values, 1 / d**2, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])  # GF(11) takes its modulus from the fallback
 def test_aligned_net_reproduces_prime_lattice_points(p):
     net = wootters_aligned_net(p)
     rep = ghw(p, 1, net=net)
@@ -176,7 +176,7 @@ def test_aligned_net_reproduces_prime_lattice_points(p):
         assert np.max(np.abs(op - B[(q, r)])) < 1e-9
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])  # GF(11) takes its modulus from the fallback
 def test_phase_point_matching_finds_bijection(p):
     rep = ghw(p, 1, net=wootters_aligned_net(p))
     ref = wootters(p)
