@@ -239,15 +239,12 @@ _NMR_DEFAULT_GRID = {1: 10014, 2: 114, 3: 26}
 
 
 def _nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.ndarray:
+    """``Tr[rho K(n_1) x ... x K(n_n)]`` for every tuple of grid directions, the first qubit's major."""
+    rows, cols, outs = "abc"[:n_qubits], "def"[:n_qubits], "ijk"[:n_qubits]
+    kernels = ",".join(o + c + r for o, c, r in zip(outs, cols, rows))
     uppers = qubit_kernel_upper(grid)
-    shape = (2,) * (2 * n_qubits)
-    R = rho.reshape(shape)
-    if n_qubits == 1:
-        out = np.einsum("ab,kba->k", rho, uppers)
-    elif n_qubits == 2:
-        out = np.einsum("abcd,ica,jdb->ij", R, uppers, uppers)
-    else:
-        out = np.einsum("abcdef,ida,jeb,kfc->ijk", R, uppers, uppers, uppers)
+    R = rho.reshape((2,) * (2 * n_qubits))
+    out = np.einsum(f"{rows}{cols},{kernels}->{outs}", R, *[uppers] * n_qubits)
     return np.real(out).reshape(-1)
 
 

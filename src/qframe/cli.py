@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedTransformError,
 )
-from .frames import QuasiDistribution, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
+from .frames import _NON_FINITE, QuasiDistribution, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
 from .operators import frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
@@ -64,6 +64,7 @@ from .serialize import (
     matrix_from_doc,
     matrix_to_doc,
     render_json,
+    replacing,
     table_to_csv,
     write_frame,
     write_json,
@@ -169,7 +170,7 @@ def _load_state(args, dim: int) -> np.ndarray:
     rho = matrix_from_doc(load_json(args.state))
     if not np.isfinite(rho).all():
         # refused here, before a product with the entry can warn
-        raise DimensionMismatchError("values must be finite; the input has a NaN or inf entry")
+        raise DimensionMismatchError(_NON_FINITE)
     if rho.shape != (dim, dim):
         raise DimensionMismatchError(
             f"state is {rho.shape[0]} x {rho.shape[0]}, representation wants {dim}"
@@ -179,8 +180,8 @@ def _load_state(args, dim: int) -> np.ndarray:
 
 def _emit(args, payload: str) -> None:
     sys.stdout.write(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with replacing(args.out) as fh:
             fh.write(payload)
 
 
@@ -437,17 +438,22 @@ def _dims_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad dims {text!r}") from exc
 
 
-# each flag is its option string and the keyword arguments of its add_argument call
+# each flag is its option string and the keyword arguments of its add_argument call;
+# a verb lists only the flags it reads
+D = ("--d", {"type": int, "help": "Hilbert-space dimension"})
+N = ("--n", {"type": int, "help": "field power or qubit count"})
+SEED = ("--seed", {"type": int, "default": None, "help": "seed (default: QFRAME_SEED or 0)"})
+# the flags FAMILIES reads
 DIM_FLAGS = (
-    ("--d", {"type": int, "help": "Hilbert-space dimension"}),
+    D,
     ("--dims", {"type": _dims_arg, "help": "composite dimensions, e.g. 2,2"}),
     ("--p", {"type": int, "help": "field characteristic"}),
-    ("--n", {"type": int, "help": "field power or qubit count"}),
+    N,
     ("--s", {"type": float, "help": "spin (0.5, 1, 1.5, ...)"}),
-    ("--seed", {"type": int, "default": None, "help": "seed (default: QFRAME_SEED or 0)"}),
-    ("--tol", {"type": float, "default": None, "help": "tolerance override"}),
-    ("--out", {"help": "output file or directory"}),
+    SEED,
 )
+TOL = ("--tol", {"type": float, "default": None, "help": "tolerance override"})
+OUT = ("--out", {"help": "output file or directory"})
 # a verb has a CSV form when its --format flag lists it; the others refuse csv while parsing
 JSON_ONLY = ("--format", {"choices": ["json"], "default": "json"})
 JSON_OR_CSV = ("--format", {"choices": ["json", "csv"], "default": "json"})
@@ -464,24 +470,24 @@ REPRESENTATION = ("representation", tuple(FAMILIES))
 # (verb, help, positionals as (dest, choices), flags, handler), in the order of the usage line
 VERBS = (
     ("build", "construct a frame/dual pair and write artifacts",
-     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, STARTS), cmd_build),
+     (REPRESENTATION,), (*DIM_FLAGS, TOL, OUT, JSON_ONLY, STARTS), cmd_build),
     ("represent", "state -> quasi-probability distribution",
-     (REPRESENTATION,), (*DIM_FLAGS, JSON_OR_CSV, *STATE_FLAGS), cmd_represent),
+     (REPRESENTATION,), (*DIM_FLAGS, OUT, JSON_OR_CSV, *STATE_FLAGS), cmd_represent),
     ("reconstruct", "distribution -> operator",
-     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, DIST), cmd_reconstruct),
+     (REPRESENTATION,), (*DIM_FLAGS, OUT, JSON_ONLY, DIST), cmd_reconstruct),
     ("transform", "map a distribution between representations",
      (("source", tuple(FAMILIES)), ("target", tuple(FAMILIES))),
-     (*DIM_FLAGS, JSON_OR_CSV, DIST), cmd_transform),
+     (*DIM_FLAGS, OUT, JSON_OR_CSV, DIST), cmd_transform),
     ("negativity", "negativity of a represented state",
      (REPRESENTATION,),
-     (*DIM_FLAGS, JSON_ONLY, *STATE_FLAGS,
+     (*DIM_FLAGS, TOL, OUT, JSON_ONLY, *STATE_FLAGS,
       ("--witness", {"action": "store_true", "help": "search for a nonclassicality witness"})),
      cmd_negativity),
     ("verify", "run the property suite",
-     (REPRESENTATION,), (*DIM_FLAGS, JSON_ONLY, SAMPLES, STARTS), cmd_verify),
+     (REPRESENTATION,), (*DIM_FLAGS, OUT, JSON_ONLY, SAMPLES, STARTS), cmd_verify),
     ("demo", "run a bundled demonstration",
      (("name", ("teleport", "nmr", "bell", "entanglement")),),
-     (*DIM_FLAGS, JSON_OR_CSV,
+     (D, N, SEED, OUT, JSON_OR_CSV,
       ("--epsilon", {"type": float, "default": None}),
       ("--angles", {"help": "three comma-separated degrees"}),
       SAMPLES),

@@ -313,12 +313,6 @@ class Frame:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label) -> int:
-        return self.labels.index(label)
-
-    def operator(self, label) -> np.ndarray:
-        return self.operators[self.index(label)]
-
     def sum(self) -> np.ndarray:
         return self.operators.sum(axis=0)
 

@@ -149,7 +149,10 @@ def _gauge(vecs: np.ndarray) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, in the given order."""
+    """Kronecker product of one or more matrices, in the given order.
+
+    Equal-rank ``(k_i, d_i, d_i)`` stacks give the stack of every product, the first factor's index major.
+    """
     if not ops:
         raise ValueError("need at least one operator")
     out = np.asarray(ops[0], dtype=complex)
@@ -305,8 +308,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_state(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized complex-Gaussian state vector."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = _complex_gaussian(rng, d)
+    v = _complex_gaussian(np.random.default_rng(seed), d)
     return v / np.linalg.norm(v)
 
 
@@ -316,37 +318,34 @@ def random_state(d: int, rank: int | None = None, seed: int | np.random.Generato
     A pure state on C^d tensor C^rank is drawn from normalized complex
     Gaussians and the ancilla is traced out; rank defaults to d.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     r = d if rank is None else int(rank)
     if not 1 <= r:
         raise ValueError(f"rank must be >= 1, got {r}")
-    return _density_from_gaussian(_complex_gaussian(rng, (d, r)))
+    return _random_states(d, 1, np.random.default_rng(seed), r)[0]
 
 
 def random_effect(d: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     """Random effect: Haar-rotated diagonal with entries uniform in [0, 1]."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    U = random_unitary(d, rng)
-    return _rotated_diagonal(U, rng.uniform(0.0, 1.0, size=d))
+    return _random_effects(d, 1, np.random.default_rng(seed))[0]
 
 
-def _random_states(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k consecutive ``random_state(d, seed=rng)`` draws, as one ``(k, d, d)`` stack.
+def _random_states(d: int, k: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """k consecutive ``random_state(d, rank, seed=rng)`` draws, as one ``(k, d, d)`` stack.
 
-    One ``standard_normal`` call fills the ``(k, 2, d, d)`` buffer in the
+    One ``standard_normal`` call fills the ``(k, 2, d, rank)`` buffer in the
     order the single draws take: each sample's real parts, then its
     imaginary parts.
     """
-    G = rng.standard_normal((k, 2, d, d))
+    G = rng.standard_normal((k, 2, d, d if rank is None else rank))
     return _density_from_gaussian(G[:, 0] + 1j * G[:, 1])
 
 
 def _random_effects(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k consecutive ``random_effect(d, seed=rng)`` draws, as one ``(k, d, d)`` stack.
 
-    Each sample takes its Gaussians and then its uniforms from the one
-    generator, as ``random_effect`` does (``uniform(0, 1)`` is ``random()``
-    bit for bit); the QR and the rotations run over the stack.
+    Each sample takes its Gaussians and then its uniforms (``uniform(0, 1)``
+    is ``random()`` bit for bit) from the one generator; the QR and the
+    rotations run over the stack.
     """
     G = np.empty((k, 2, d, d))
     vals = np.empty((k, d))

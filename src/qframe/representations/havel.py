@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import Frame
-from ..operators import SIGMA
+from ..operators import SIGMA, tensor
 from .base import Representation
 
 MAX_QUBITS = 5
@@ -35,18 +35,16 @@ def _log2_exact(d: int) -> int:
 def _pauli_words(n_qubits: int) -> np.ndarray:
     """All d^2 words P_kj as one (d^2, d, d) stack, row-major in (k, j).
 
-    Each qubit appends the next lower bit of k and j with one batched
-    Kronecker product of the words so far and the grid.
+    The Kronecker product of one copy of the grid's four matrices per qubit
+    labels the words by each qubit's (k bit, j bit); a transpose puts the k
+    bits first.  The leading scalar 1 keeps it the product the words are
+    defined by: without it some zeros of the words change sign.
     """
-    grid = _qubit_grid()
-    words = np.ones((1, 1, 1, 1), dtype=complex)  # [k, j, row, col]
-    d = 1
-    for _ in range(n_qubits):
-        d *= 2
-        words = (
-            words[:, None, :, None, :, None, :, None] * grid[None, :, None, :, None, :, None, :]
-        ).reshape(d, d, d, d)
-    return words.reshape(d * d, d, d)
+    d = 2**n_qubits
+    words = tensor(np.ones((1, 1, 1)), *[_qubit_grid().reshape(4, 2, 2)] * n_qubits)
+    bits = words.reshape((2,) * (2 * n_qubits) + (d, d))
+    order = [*range(0, 2 * n_qubits, 2), *range(1, 2 * n_qubits, 2), 2 * n_qubits, 2 * n_qubits + 1]
+    return bits.transpose(order).reshape(d * d, d, d)
 
 
 def havel_rep(n_qubits: int) -> Representation:

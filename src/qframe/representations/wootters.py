@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
 from ..geometry import composite_lattice, prime_lattice
-from ..operators import SIGMA
+from ..operators import SIGMA, tensor
 from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
@@ -40,13 +40,6 @@ def _qubit_points() -> np.ndarray:
         0.5 * (eye + (-1) ** q * Z + (-1) ** p * X + (-1) ** (q + p) * Y)
         for q in range(2) for p in range(2)
     ])
-
-
-def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``kron(a[i], b[j])`` for every pair, i major: one batched product."""
-    (n, da, _), (m, db, _) = a.shape, b.shape
-    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return out.reshape(n * m, da * db, da * db)
 
 
 def wootters(d: int) -> Representation:
@@ -74,8 +67,6 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
     d = int(np.prod(dims))
     check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
     factors = [wootters(x) for x in dims]
-    ops = factors[0].dual.operators
-    for rep in factors[1:]:
-        ops = _kron_stacks(ops, rep.dual.operators)
+    ops = tensor(*[rep.dual.operators for rep in factors])
     geom = composite_lattice([rep.geometry for rep in factors])
     return phase_point_representation("wootters", geom, ops, {"dims": dims})

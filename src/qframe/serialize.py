@@ -13,11 +13,13 @@ list is rendered item by item.  The document builders fill their rows with
 over a whole-document template cached per d, through a callable in its
 document: a callable writes its own text.
 Files are streamed: ``write_json`` renders straight into the file, and
-``write_frame`` holds one operator's text at a time.
+``write_frame`` holds one operator's text at a time.  Every file, the CLI's
+``--out`` too, goes through ``replacing``: a failed write leaves the old one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -100,26 +102,33 @@ def _render(obj, write) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_json(obj, path) -> None:
-    """Render ``obj`` and a final newline straight into the file at ``path``.
+@contextlib.contextmanager
+def replacing(path):
+    """A text file to write in place of ``path``.
 
     The text goes to a temporary file beside ``path``, which replaces
-    ``path`` only once the document is complete: a write that fails part
-    way leaves whatever was at ``path`` as it was.
+    ``path`` only once the block completes: a write that fails part way
+    leaves whatever was at ``path`` as it was.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _render(obj, fh.write)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
-        try:
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
-        except OSError:
-            pass
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the file asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def write_json(obj, path) -> None:
+    """Render ``obj`` and a final newline straight into the file at ``path``, through ``replacing``."""
+    with replacing(path) as fh:
+        _render(obj, fh.write)
+        fh.write("\n")
 
 
 def load_json(path):

@@ -10,7 +10,10 @@ matrices, with the displaced comparison through a label dict; the
 entanglement sweep as one Franco-Penna and one PPT test per state; the
 spin-1/2 NMR kernel built per direction; the spin-s direction basis, its
 gauge fixed column by column, and the Stratonovich kernel built from it
-per direction; and Hardy's grid built one projector at a time.  ``values`` and
+per direction; Hardy's grid built one projector at a time; and the
+Kronecker products of stacks that ``operators.tensor`` builds in one call:
+Havel's Pauli words one qubit at a time and the composite Wootters stacks
+two factors at a time.  ``values`` and
 ``hermiticity_residual`` are verify's own pairing and Hermiticity measure
 from before the families analyzed their own stacks.
 """
@@ -167,6 +170,7 @@ def qubit_kernel_lower(n) -> np.ndarray:
 
 
 def nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.ndarray:
+    """One hand-written contraction per register size."""
     uppers = np.array([qubit_kernel_upper(n) for n in grid])
     R = rho.reshape((2,) * (2 * n_qubits))
     if n_qubits == 1:
@@ -215,3 +219,23 @@ def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
         v[k] = 1.0
         v[j] = 1.0j
     return np.outer(v, v.conj())
+
+
+def kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron(a[i], b[j])`` for every pair, i major: one batched product."""
+    (n, da, _), (m, db, _) = a.shape, b.shape
+    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return out.reshape(n * m, da * db, da * db)
+
+
+def pauli_words(n_qubits: int) -> np.ndarray:
+    """Havel's d^2 words P_kj, row-major in (k, j), each qubit appending the next lower bit of k and j."""
+    grid = np.array([[np.eye(2, dtype=complex), SIGMA[0]], [-SIGMA[1], SIGMA[2]]])
+    words = np.ones((1, 1, 1, 1), dtype=complex)  # [k, j, row, col]
+    d = 1
+    for _ in range(n_qubits):
+        d *= 2
+        words = (
+            words[:, None, :, None, :, None, :, None] * grid[None, :, None, :, None, :, None, :]
+        ).reshape(d, d, d, d)
+    return words.reshape(d * d, d, d)

@@ -259,7 +259,7 @@ def test_witness_vector_is_canonical_in_its_eigenspace():
     rep = sic_rep(4)
     w = negativity_witness(rep)
     assert w["kind"] == "effect"
-    vals, vecs = np.linalg.eigh(rep.dual.operator(w["label"]))
+    vals, vecs = np.linalg.eigh(rep.dual.operators[rep.labels.index(w["label"])])
     V = vecs[:, np.abs(vals - vals[0]) < 1e-9]
     assert V.shape[1] == 3
     P = V @ V.conj().T

@@ -2,7 +2,10 @@
 
 ``tests/batch_oracle.py`` keeps the loops the array code replaced: the three
 verify residuals, the dense three-system teleportation branch, the
-per-state entanglement sweep and the per-direction NMR kernel.  Property
+per-state entanglement sweep, the per-direction NMR kernel and its
+per-size contractions, and the Kronecker products of stacks that
+``operators.tensor`` builds in one call.  Where the array code is the loop's
+arithmetic, it is matched to the bit, signed zeros included.  Property
 tests draw odd primes up to 31 for the teleport identity and the line-sum
 law.
 """
@@ -31,6 +34,7 @@ from qframe.operators import (
     _random_states,
     random_effect,
     random_state,
+    tensor,
     weyl_monomials,
 )
 from qframe.representations import (
@@ -46,7 +50,9 @@ from qframe.representations import (
     stratonovich_discrete,
     tetrahedral_constellation,
     wootters,
+    wootters_composite,
 )
+from qframe.representations.havel import _pauli_words
 
 ORACLE_TOL = 1e-12
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -103,6 +109,25 @@ def test_sample_stacks_draw_each_seed_bit_for_bit(d):
         U = _haar_from_gaussian(np.stack([g for g, _ in draws]))
         effects = _rotated_diagonal(U, np.stack([u for _, u in draws]))
         assert np.array_equal(_random_effects(d, 3, np.random.default_rng([s, 1])), effects)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal arrays whose real and imaginary parts also agree in the sign of every zero."""
+    return a.shape == b.shape and np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 13])
+def test_single_draws_are_the_loops_to_the_bit(d):
+    for seed in range(20):
+        for rank in (1, 2, d, None):
+            assert same_bits(random_state(d, rank=rank, seed=seed), oracle.random_state(d, rank=rank, seed=seed))
+        assert same_bits(random_effect(d, seed=seed), oracle.random_effect(d, seed=seed))
+    # a Generator is drawn from as it stands, so consecutive single draws are consecutive oracle draws
+    got, want = np.random.default_rng([d, 5]), np.random.default_rng([d, 5])
+    for rank in (1, 2, d, 1):
+        assert same_bits(random_state(d, rank=rank, seed=got), oracle.random_state(d, rank=rank, seed=want))
+        assert same_bits(random_effect(d, seed=got), oracle.random_effect(d, seed=want))
 
 
 def _recorded_stacks(monkeypatch, argv) -> list[np.ndarray]:
@@ -258,12 +283,32 @@ def test_qubit_kernels_take_a_stack_of_directions():
         qubit_kernel_upper(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
 
 
-@pytest.mark.parametrize("n,count", [(1, 500), (2, 40), (3, 12)])
+@pytest.mark.parametrize("n,count", [(1, 500), (2, 40), (3, 12), (3, 26)])
 def test_nmr_distribution_matches_the_loop(n, count):
     grid = nmr_sample_directions(count)
     rho = random_state(2**n, seed=n)
-    np.testing.assert_allclose(_nmr_distribution(rho, n, grid), oracle.nmr_distribution(rho, n, grid),
-                               atol=ORACLE_TOL, rtol=0)
+    assert same_bits(_nmr_distribution(rho, n, grid), oracle.nmr_distribution(rho, n, grid))
+
+
+# Kronecker products of stacks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_words_are_the_qubit_loop_to_the_bit(n):
+    assert same_bits(_pauli_words(n), oracle.pauli_words(n))
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [3, 5], [2, 3], [3, 3], [2, 3, 2]])
+def test_composite_stack_is_the_pairwise_kron_to_the_bit(dims):
+    want = wootters(dims[0]).dual.operators
+    for x in dims[1:]:
+        want = oracle.kron_stacks(want, wootters(x).dual.operators)
+    assert same_bits(wootters_composite(dims).dual.operators, want)
+
+
+def test_tensor_of_stacks_is_every_pair_first_factor_major():
+    a, b = np.random.default_rng(1).standard_normal((2, 3, 2, 2)) + 0j
+    assert same_bits(tensor(a, b), np.array([np.kron(x, y) for x in a for y in b]))
 
 
 # canonical dual

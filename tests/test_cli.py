@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -646,6 +647,50 @@ def test_csv_is_refused_while_parsing_where_a_verb_has_none(tmp_path, capsys, mo
     assert code == 2 and stdout == ""
     assert "--format: invalid choice: 'csv'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "wootters", "--d", "3", "--tol", "1e-3"],
+        ["represent", "wootters", "--d", "3", "--pure", "1", "--tol", "1e-3"],
+        ["reconstruct", "wootters", "--d", "3", "--dist", "mu.json", "--tol", "1e-3"],
+        ["transform", "wootters", "hardy", "--d", "3", "--dist", "mu.json", "--tol", "1e-3"],
+        ["demo", "nmr", "--tol", "1e-3"],
+        ["demo", "nmr", "--dims", "2,2"],
+        ["demo", "nmr", "--p", "3"],
+        ["demo", "nmr", "--s", "1"],
+    ],
+)
+def test_a_flag_no_verb_reads_is_refused(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("a factory ran")
+
+    monkeypatch.setattr("qframe.cli.build_representation", refuse)
+    assert parse_direct(argv) is None
+    code, stdout, _ = _main_exit(capsys, argv)
+    assert code == 2 and stdout == ""
+
+
+def test_each_verb_lists_only_the_flags_it_reads():
+    flags = {verb: [flag for flag, _ in row] for verb, _, _, row, _ in VERBS}
+    assert sorted(verb for verb, names in flags.items() if "--tol" in names) == ["build", "negativity"]
+    assert [f for f in flags["demo"] if f in ("--d", "--dims", "--p", "--n", "--s", "--seed")] == [
+        "--d", "--n", "--seed"]
+    assert all("--out" in names for names in flags.values())
+
+
+def test_failed_out_write_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "mu.json"
+    assert main(["represent", "wootters", "--d", "3", "--pure", "1", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    # far more text than a file buffer precedes a character UTF-8 cannot encode, so part of it reaches the disk
+    monkeypatch.setattr(cli, "render_json", lambda doc: "0" * 100_000 + "\ud800")
+    monkeypatch.setattr(sys, "stdout", io.StringIO())  # stdout takes the text as it is
+    assert main(["represent", "wootters", "--d", "3", "--pure", "2", "--out", str(out)]) == 2
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["mu.json"]
 
 
 # values every flag of a type accepts, and tokens that some flags refuse (mutations draw them)

@@ -26,6 +26,7 @@ PAPER_OBJECTS = {
     "is_povm",
     "parity_matrix",
     "partial_trace",
+    "random_unitary",
     # phase-space geometry
     "check_geometry_axioms",
     "lines_through",
