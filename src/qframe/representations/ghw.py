@@ -11,12 +11,15 @@ striation has a joint eigenbasis, and covariance writes it down without a
 search.  The vertical striation's rays are diagonal, so its basis is the
 standard one.  In every other striation each ray sends |0> to a different
 |j> with no phase, so a joint eigenvector is fixed by its eigenvalues,
-v[U_t 0] = v[0] / lam_t.  The eigenvalue tuples come from the spectral
-projectors of the ray's n generators t = x^i applied to |0>, and every
-eigenvalue lies on the grid of 4p^2-th roots of unity, so each basis is
-written from its grid steps, exact to round-off, in O(p d^2) per
-striation.  A quantum net assigns one eigenvector to the ray and
-propagates it to the parallel lines by translation covariance,
+v[U_t 0] = v[0] / lam_t.  The eigenvalues are integer exponents of
+roots of unity, read off the field's trace pairing: the ray's n
+generators U_i = U_(x^i) satisfy U_i^p = omega^(h_i), so an eigenvector
+picks one p-th root of omega^(h_i) for each, and for t = sum r_i x^i,
+prod U_i^(r_i) = omega^(e(r)) U_t.  Each basis is written from those
+steps on the grid of 4p^2-th roots of unity, with no projection and no
+rounding, in O(d^2) integer operations and one sort per striation.  A
+quantum net assigns one eigenvector to the ray and propagates it to the
+parallel lines by translation covariance,
 
     Q(tau_alpha lam) = T_alpha Q(lam) T_alpha^dag.
 
@@ -51,8 +54,8 @@ __all__ = [
     "match_phase_points",
 ]
 
-def _monomials(F: FiniteField, qs, ps, basis=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations and phases of T(q, p) over arrays of codes, on the basis indices ``basis`` (all by default).
+def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and phases of T(q, p) over arrays of codes.
 
     Every T(q, p) is monomial: with j_i the digits of a basis index (tensor
     factor 0 first), q_i the polynomial coordinates of q and p_i the
@@ -60,7 +63,7 @@ def _monomials(F: FiniteField, qs, ps, basis=slice(None)) -> tuple[np.ndarray, n
     ``T[perm[k, j], j] = phase[k, j]`` for the k-th pair.
     """
     p, n = F.p, F.n
-    j = F.coords[basis, ::-1]
+    j = F.coords[:, ::-1]
     qc = F.coords[np.asarray(qs)][..., None, :]
     pc = F.dual_coords[np.asarray(ps)][..., None, :]
     perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
@@ -68,70 +71,44 @@ def _monomials(F: FiniteField, qs, ps, basis=slice(None)) -> tuple[np.ndarray, n
     return perm, phase
 
 
-def _projected_origin(perm: np.ndarray, phase: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
-    """``prod_i sum_r (U_i / lam_i)^r |0>`` for every choice of one eigenvalue lam_i per generator.
-
-    ``perm`` and ``phase`` are the ``(striations, n, d)`` monomial form of
-    each striation's n commuting generators U_i (see ``_monomials``), and
-    U_i^p = omega^h[s, i].  So U_i's eigenvalues are the p roots
-    exp(2 pi i (h + p c)/p^2), and each factor is p times the projector on
-    one of them: each of the d rows of a striation's result is
-    d conj(v[0]) v for one joint eigenvector v.  Returns ``(striations, d, d)``.
-    """
-    S, n, d = perm.shape
-    r = np.arange(p)
-    # lam^-r for each generator, root c (axis -2) and power r (axis -1)
-    inverse_powers = omega(p * p) ** (-r * (h[..., None, None] + p * r[:, None]))
-    s = np.arange(S)[:, None, None]
-    W = np.zeros((S, 1, d), dtype=complex)
-    W[:, 0, 0] = 1.0
-    for i in range(n):
-        power, acc = W, 0
-        for k in range(p):
-            acc = acc + inverse_powers[:, i, :, k, None, None] * power[:, None]
-            # U sends entry j of each row to entry perm[j], times phase[j]
-            power, moved = np.empty_like(power), power * phase[:, None, i]
-            power[s, np.arange(power.shape[1])[:, None], perm[:, None, i]] = moved
-        W = acc.reshape(S, -1, d)
-    return W
-
-
 def _striation_bases(F: FiniteField, directions) -> np.ndarray:
-    """The ``(d + 1, d, d)`` stack of the striations' joint eigenbases, written down from covariance.
+    """The ``(d + 1, d, d)`` stack of the striations' joint eigenbases, written down from integer exponents.
 
-    The rays of a striation are U_t = T(t dq, t dp), t in GF(d)*.  Where
-    dq = 0 they are diagonal and the basis is the standard one.  Elsewhere
-    each j != 0 is U_t 0 for one t, with no phase, so U_t v = lam_t v gives
-    v[U_t 0] = v[0] / lam_t, and lam_t = w[0] / w[U_t 0] is read off
-    ``_projected_origin``.  Columns are sorted by the tuple of eigenvalue
-    steps on the 4p^2-root grid in ray order, with v[0] real positive.
+    The rays of a striation are U_t = T(t dq, t dp), t in GF(d)*, and
+    ``keys[s, t - 1, k]`` is the step of eigenvector k's eigenvalue under
+    U_t on the grid of 4p^2-th roots of unity.  Where dq = 0 the rays are
+    diagonal, the basis is the standard one, and |j>'s step is
+    4p <t dp, j> mod 4p^2.  Elsewhere let T[i, j] = <x^i dp, x^j dq> mod p.
+    The generators U_i = U_(x^i) satisfy U_i^p = omega^(h_i) with
+    h_i = p(p - 1)/2 T[i, i], and eigenvector k takes U_i's root
+    exp(2 pi i (h_i + p c_i)/p^2), c = coords[k].  For t = sum r_i x^i,
+    prod U_i^(r_i) = omega^(e(r)) U_t with e(r) = (r T r - r . diag T)/2,
+    so U_t's step is 4 sum r_i (h_i + p c_i) - 4p e(r) mod 4p^2.  Each
+    j != 0 is U_t 0 for one t, with no phase, so U_t v = lam_t v gives
+    v[U_t 0] = v[0] / lam_t.  Columns are sorted by the tuple of steps in
+    ray order, with v[0] real positive.
     """
     p, n, d = F.p, F.n, F.order
     dq, dp = np.array(directions).T[..., None]
     Q, P = F.mul(np.arange(1, d), dq), F.mul(np.arange(1, d), dp)
+    r = F.coords[1:]
     diag = dq[:, 0] == 0
     shifts = (~diag).nonzero()[0]
-    # lam[s, t - 1, k]: the eigenvalue of the k-th joint eigenvector under U_t
-    lam = np.empty((len(dq), d - 1, d), dtype=complex)
-    lam[diag] = _monomials(F, Q[diag], P[diag])[1]
-    to = _monomials(F, Q[shifts], P[shifts], basis=[0])[0][..., 0]
-    # the generators t = x^i; as a power of X^a Z^b, T(q, p)^p = omega^(p(p - 1)/2 q.p)
-    gq, gp = Q[shifts][:, p ** np.arange(n) - 1], P[shifts][:, p ** np.arange(n) - 1]
-    h = (p * (p - 1) // 2) * (F.coords[gq] * F.dual_coords[gp]).sum(axis=-1) % p
-    w = _projected_origin(*_monomials(F, gq, gp), h, p)
-    at_to = w[np.arange(len(shifts))[:, None, None], np.arange(d)[:, None], to[:, None, :]]
-    lam[shifts] = (w[..., :1] / at_to).transpose(0, 2, 1)
-    # eigenvalue phases, quantized to the admissible root-of-unity grid
-    quantum = 2 * np.pi / (4 * p * p)
-    angles = np.arctan2(lam.imag, lam.real)
-    steps = np.rint(angles / quantum)
-    if (np.abs(angles - steps * quantum) > 1e-6).any():
-        raise RuntimeError("eigenvalue phase off the root-of-unity grid")
-    keys = steps.astype(np.int64) % (4 * p * p)
+    # keys[s, t - 1, k]: the step of the k-th joint eigenvector's eigenvalue under U_t
+    keys = np.empty((len(dq), d - 1, d), dtype=np.int64)
+    keys[diag] = 4 * p * (F.dual_coords[P[diag]] @ F.coords[:, ::-1].T % p)
+    gens = p ** np.arange(n) - 1  # column t - 1 of Q and P for t = x^i
+    T = F.dual_coords[P[shifts][:, gens]] @ F.coords[Q[shifts][:, gens]].transpose(0, 2, 1) % p
+    diag_T = np.diagonal(T, axis1=1, axis2=2)
+    h = (p * (p - 1) // 2) * diag_T % p
+    e = (((r @ T) * r).sum(axis=-1) - diag_T @ r.T) // 2
+    keys[shifts] = (4 * (h @ r.T - p * e)[..., None] + 4 * p * (r @ F.coords.T)) % (4 * p * p)
     order = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=-1)
     bases = np.zeros((len(dq), d, d), dtype=complex)
     bases[diag.nonzero()[0][:, None], order[diag], np.arange(d)] = 1.0
     bases[shifts, 0] = d**-0.5
+    # U_t |0> = |t dq>, its index the digit reversal of t dq
+    to = F.coords[Q[shifts]] @ p ** np.arange(n - 1, -1, -1)
     keys = keys[shifts[:, None, None], np.arange(d - 1)[:, None], order[shifts, None, :]]
     bases[shifts[:, None], to] = d**-0.5 * tau_powers(2 * p * p, -keys)
     return bases
