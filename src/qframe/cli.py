@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedTransformError,
 )
-from .frames import _NON_FINITE, QuasiDistribution, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
+from .frames import _NON_FINITE, _check_values, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
 from .operators import frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
@@ -99,12 +99,6 @@ ERROR_EXITS = (
 _HANDLED = tuple(error for error, _ in ERROR_EXITS)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("QFRAME_SEED", "0"))
-
-
 def _flag(args, dest: str, missing: str = "this representation needs --d"):
     """The value of ``--dest``; exit 2 with ``missing`` when it is not given."""
     value = getattr(args, dest)
@@ -121,7 +115,7 @@ def _stratonovich(args) -> Representation:
     s = _or(args.s, 0.5)
     if s == 0.5:
         return stratonovich_discrete(s, tetrahedral_constellation())
-    return _random_stratonovich(s, seed=_seed(args))[0]
+    return _random_stratonovich(s, seed=args.seed)[0]
 
 
 # name -> (the dimension flags its factory reads, the call that builds it from the parsed
@@ -140,7 +134,7 @@ FAMILIES = {
     "hardy": (("d",), lambda a: hardy_rep(_flag(a, "d"))),
     "havel": (("n",), lambda a: havel_rep(_flag(a, "n", "havel needs --n qubits"))),
     "sic": (("d", "seed"), lambda a: sic_rep(
-        _flag(a, "d"), seed=_seed(a), starts=_or(getattr(a, "starts", None), 50))),
+        _flag(a, "d"), seed=a.seed, starts=_or(getattr(a, "starts", None), 50))),
 }
 
 
@@ -248,20 +242,9 @@ def cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def _load_distribution(args, rep: Representation) -> QuasiDistribution:
-    """The distribution document at ``--dist``; refused unless it came from ``rep``."""
-    dist = distribution_from_doc(load_json(args.dist))
-    if dist.representation != rep.name:
-        raise DimensionMismatchError(
-            f"distribution came from {dist.representation!r}, not {rep.name!r}"
-        )
-    return dist
-
-
 def cmd_reconstruct(args) -> int:
     rep = build_representation(args.representation, args)
-    dist = _load_distribution(args, rep)
-    rho = rep.reconstruct(dist)
+    rho = rep.reconstruct(distribution_from_doc(load_json(args.dist)))
     _emit_doc(args, matrix_to_doc(rho))
     _say(f"reconstruct {rep.name} d={rep.dim}: trace {np.trace(rho).real:.6f}")
     return EXIT_OK
@@ -278,10 +261,10 @@ def cmd_transform(args) -> int:
         raise UnsupportedTransformError(
             "transformation needs minimal frames (d^2 outcomes) on both sides"
         )
-    dist = _load_distribution(args, source)
-    if dist.labels != source.labels:
-        raise DimensionMismatchError("distribution labels do not match the source")
-    T = transform_matrix(source.dual, target.frame)
+    dist = distribution_from_doc(load_json(args.dist))
+    dual = source.dual
+    _check_values(dist, dual.labels, dual.name, dual.dim, "distribution labels do not match the source")
+    T = transform_matrix(dual, target.frame)
     out = apply_transform(dist, T, target.frame)
     _emit_doc(args, distribution_to_doc(out), csv=lambda: distribution_to_csv(out))
     _say(f"transform {source.name} -> {target.name} at d={source.dim}")
@@ -331,7 +314,7 @@ def cmd_verify(args) -> int:
         _emit_doc(args, doc)
         _say(f"verify {args.representation}: no fiducial found")
         return EXIT_PROPERTY
-    report = verify_representation(rep, seed=_seed(args), samples=samples)
+    report = verify_representation(rep, seed=args.seed, samples=samples)
     _emit_doc(args, report)
     status = "all passed" if report["all_passed"] else "FAILED"
     _say(f"verify {rep.name} d={rep.dim}: {len(report['checks'])} checks, {status}")
@@ -340,7 +323,7 @@ def cmd_verify(args) -> int:
 
 def _demo_teleport(args):
     d = args.d if args.d is not None else 3
-    rho = random_state(d, rank=1, seed=_seed(args))
+    rho = random_state(d, rank=1, seed=args.seed)
     outcomes = [
         {
             "outcome": list(out.outcome),
@@ -353,7 +336,7 @@ def _demo_teleport(args):
     doc = {
         "demo": "teleport",
         "d": d,
-        "seed": _seed(args),
+        "seed": args.seed,
         "max_residual": worst,
         "outcomes": outcomes,
     }
@@ -389,7 +372,7 @@ def _demo_bell(args):
 
 def _demo_entanglement(args):
     samples = _samples(args, 100)
-    seed = _seed(args)
+    seed = args.seed
     seeds = [seed + k for k in range(samples)]
     ranks = [1 + s % 4 for s in seeds]
     rhos = np.stack([random_state(4, rank=r, seed=s) for s, r in zip(seeds, ranks)])
@@ -442,7 +425,7 @@ def _dims_arg(text: str) -> list[int]:
 # a verb lists only the flags it reads
 D = ("--d", {"type": int, "help": "Hilbert-space dimension"})
 N = ("--n", {"type": int, "help": "field power or qubit count"})
-SEED = ("--seed", {"type": int, "default": None, "help": "seed (default: QFRAME_SEED or 0)"})
+SEED = ("--seed", {"type": int, "default": 0, "help": "seed (default: 0)"})
 # the flags FAMILIES reads
 DIM_FLAGS = (
     D,

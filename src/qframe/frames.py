@@ -5,7 +5,11 @@ indexed by phase-space labels, whose trace pairings ``Tr[F(lam) A]`` bound
 ``||A||^2`` above and below.  A dual family ``{D(lam)}`` recovers operators
 through ``A = sum_lam Tr[F(lam) A] D(lam)``.  States map to real
 quasi-probability values ``mu(lam) = Tr[rho F(lam)]`` and effects to
-``xi(lam) = Tr[E D(lam)]``, so that ``Tr(rho E) = sum mu xi``.
+``xi(lam) = Tr[E D(lam)]``, so that ``Tr(rho E) = sum mu xi``.  That
+holds only for one frame and its own dual, so values carry the labels, d and
+name of the family that made them, and every pairing and reconstruction
+refuses another family's values with ``DimensionMismatchError``: labels
+alone cannot tell apart families that share them.
 
 Superoperators act on the real d^2-dimensional space of Hermitian matrices,
 in orthonormal coordinates read straight off the entries: the diagonal, then
@@ -148,6 +152,17 @@ def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _same_labels(a: tuple, b: tuple) -> bool:
     """Label equality, by identity first: a family, its dual and their values share one tuple."""
     return a is b or a == b
+
+
+def _check_values(dist: QuasiDistribution, labels: tuple | None, name: str, dim: int, mismatch: str) -> None:
+    """The one test of whose values ``dist`` holds: the family's labels and d, else ``mismatch``, then its name.
+
+    Families can share labels and place values on them differently (Wootters, Cohendet, Leonhardt, Ruzzi).
+    """
+    if dist.dim != dim or not _same_labels(dist.labels, labels):
+        raise DimensionMismatchError(mismatch)
+    if dist.representation != name:
+        raise DimensionMismatchError(f"distribution came from {dist.representation!r}, not {name!r}")
 
 
 def _centred_gather(d: int) -> np.ndarray:
@@ -573,23 +588,27 @@ def represent_effect(E: np.ndarray, dual: Frame) -> QuasiDistribution:
 
 
 def reconstruct_state(dist: QuasiDistribution, dual: Frame) -> np.ndarray:
-    """Rebuild the operator ``sum mu(lam) D(lam)``."""
-    if not _same_labels(dist.labels, dual.labels):
-        raise DimensionMismatchError("distribution labels do not match the dual family")
+    """Rebuild the operator ``sum mu(lam) D(lam)`` from the dual's own family's values.
+
+    Another family's values raise ``DimensionMismatchError``, even on the same labels.
+    """
+    _check_values(dist, dual.labels, dual.name, dual.dim, "distribution labels do not match the dual family")
     return dual.synthesize(dist.values)
 
 
 def reconstruct_effect(fn: QuasiDistribution, frame: Frame) -> np.ndarray:
-    """Rebuild the effect ``sum xi(lam) F(lam)``."""
-    if not _same_labels(fn.labels, frame.labels):
-        raise DimensionMismatchError("effect labels do not match the frame")
+    """Rebuild the effect ``sum xi(lam) F(lam)``; only the frame's own family's values are accepted."""
+    _check_values(fn, frame.labels, frame.name, frame.dim, "effect labels do not match the frame")
     return frame.synthesize(fn.values)
 
 
 def born_pair(mu: QuasiDistribution, xi: QuasiDistribution) -> float:
-    """Outcome probability ``sum_lam mu(lam) xi(lam)``."""
-    if not _same_labels(mu.labels, xi.labels) or mu.dim != xi.dim:
-        raise DimensionMismatchError("state and effect functions live on different outcome sets")
+    """Outcome probability ``sum_lam mu(lam) xi(lam)``, ``Tr(rho E)`` for one frame and its dual.
+
+    Values of two families raise ``DimensionMismatchError``, even on the same labels.
+    """
+    _check_values(xi, mu.labels, mu.representation, mu.dim,
+                  "state and effect functions live on different outcome sets")
     return float(mu.values.dot(xi.values))
 
 
@@ -599,8 +618,8 @@ def deformed_born(mu: QuasiDistribution, xi: QuasiDistribution, dual: Frame) -> 
     With ``mu = Tr[rho F]`` and ``xi = Tr[E F]`` the pairing needs the dual
     Gram kernel: ``sum mu(lam) xi(lam') Tr[D(lam) D(lam')]``.
     """
-    if not (_same_labels(mu.labels, dual.labels) and _same_labels(xi.labels, dual.labels)):
-        raise DimensionMismatchError("distributions do not match the dual family")
+    for dist in (mu, xi):
+        _check_values(dist, dual.labels, dual.name, dual.dim, "distributions do not match the dual family")
     K = _pairings(dual.operators, dual.operators)
     return float(mu.values @ K @ xi.values)
 

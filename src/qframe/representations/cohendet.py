@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import QuasiDistribution
+from ..frames import QuasiDistribution, _check_values
 from ..geometry import extended_lattice, odd_lattice
 from ..operators import _random_states
 from .base import Representation, check_stack_budget, parity_representation
@@ -70,10 +70,10 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
 
 
 def from_extended(ext: QuasiDistribution) -> QuasiDistribution:
-    """Undo the doubling: mu(q, p) = 2d (mu(q,p,+1) - mu(q,p,-1))."""
+    """Undo ``extended_distribution``, and only it: mu(q, p) = 2d (mu(q,p,+1) - mu(q,p,-1))."""
     d = ext.dim
-    if d % 2 == 0 or ext.labels != extended_lattice(d).points:
-        raise ValueError("expected values on the doubled lattice")
+    _check_values(ext, extended_lattice(d).points if d % 2 else None, "cohendet-extended", d,
+                  "expected values on the doubled lattice")
     half = d * d
     values = 2.0 * d * (ext.values[:half] - ext.values[half:])
     geom = odd_lattice(d)

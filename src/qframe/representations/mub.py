@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, UnsupportedDimensionError
+from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import Frame, QuasiDistribution
+from ..frames import Frame, QuasiDistribution, _check_values
 from ..operators import finite_fourier, omega
 from .base import Representation, check_stack_budget
 
@@ -105,14 +105,14 @@ def mub_table(rho: np.ndarray, family: MubFamily) -> QuasiDistribution:
 
 
 def mub_reconstruct(table: QuasiDistribution, family: MubFamily) -> np.ndarray:
-    """Invert a probability table: rho = sum mu(n,k) P(n,k) - I."""
-    if tuple(table.labels) != family.labels:
-        raise DimensionMismatchError("table labels do not match the family")
-    return family.outcomes.synthesize(table.values) - np.eye(family.d)
+    """Invert a probability table: rho = sum mu(n,k) P(n,k) - I.  Only ``mub_table`` values are accepted."""
+    outcomes = family.outcomes
+    _check_values(table, outcomes.labels, outcomes.name, outcomes.dim, "table labels do not match the family")
+    return outcomes.synthesize(table.values) - np.eye(family.d)
 
 
 def mub_transition(t1: QuasiDistribution, t2: QuasiDistribution) -> float:
-    """Overlap rule between two tables: sum mu mu' - 1 = Tr(rho rho')."""
-    if tuple(t1.labels) != tuple(t2.labels):
-        raise DimensionMismatchError("tables come from different families")
+    """Overlap rule between two tables: sum mu mu' - 1 = Tr(rho rho').  Only ``mub_table`` values are accepted."""
+    for table in (t1, t2):
+        _check_values(table, t1.labels, "mub-table", t1.dim, "tables come from different families")
     return float(t1.values @ t2.values - 1.0)

@@ -16,7 +16,7 @@ from ..errors import (
     FiducialSearchError,
     UnsupportedDimensionError,
 )
-from ..frames import Frame, QuasiDistribution
+from ..frames import Frame, QuasiDistribution, _check_values
 from ..operators import weyl_monomials
 from .base import Representation, check_stack_budget
 
@@ -191,7 +191,7 @@ def sic_rep(
         raise FiducialSearchError(
             f"fiducial overlap deviation {dev:.3e} exceeds {PROVIDED_TOL:.0e}"
         )
-    labels = tuple((p, q) for p in range(d) for q in range(d))
+    labels = tuple(np.ndindex(d, d))  # (p, q), row-major
     vecs = np.vstack([phi, stack @ phi])  # U_00 = I, then the orbit in label order
     ops = vecs[:, :, None] * vecs[:, None, :].conj() / d
     frame = Frame(labels, ops, "sic")
@@ -211,19 +211,16 @@ def sic_conditional(rep: Representation, effect: np.ndarray) -> np.ndarray:
     return rep.dim * rep.frame.analyze(effect, "effect")
 
 
-def sic_born(mu, xi) -> float:
+def sic_born(mu: QuasiDistribution, xi) -> float:
     """Effect probability from SIC outcome data.
 
     Computes ``sum_k [(d+1) mu(k) - 1/d] xi(k)``; for mu(k) = Tr(rho P_k) and
-    xi(k) = Tr(E |phi_k><phi_k|) this equals Tr(rho E) exactly.
+    xi(k) = Tr(E |phi_k><phi_k|) this equals Tr(rho E) exactly.  Only a
+    ``sic`` representation's values are accepted as mu.
     """
-    if isinstance(mu, QuasiDistribution):
-        d = mu.dim
-        vals = mu.values
-    else:
-        vals = np.asarray(mu, dtype=float).reshape(-1)
-        d = int(round(np.sqrt(vals.size)))
+    d = mu.dim
+    _check_values(mu, tuple(np.ndindex(d, d)), "sic", d, "expected a sic representation's outcome probabilities")
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    if vals.shape != (d * d,) or xi.shape != (d * d,):
-        raise DimensionMismatchError("mu and xi must both have d^2 entries")
-    return float(np.dot((d + 1) * vals - 1.0 / d, xi))
+    if xi.shape != (d * d,):
+        raise DimensionMismatchError("xi must have d^2 entries")
+    return float(np.dot((d + 1) * mu.values - 1.0 / d, xi))

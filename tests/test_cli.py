@@ -529,12 +529,13 @@ def test_equal_seeds_are_byte_identical(capsys):
     assert out1 != out3
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
+def test_seed_comes_from_the_command_line_alone(capsys, monkeypatch):
+    _, out_default, _ = run(capsys, "demo", "teleport", "--d", "3")
+    _, out_zero, _ = run(capsys, "demo", "teleport", "--d", "3", "--seed", "0")
     monkeypatch.setenv("QFRAME_SEED", "5")
     _, out_env, _ = run(capsys, "demo", "teleport", "--d", "3")
-    monkeypatch.delenv("QFRAME_SEED")
     _, out_flag, _ = run(capsys, "demo", "teleport", "--d", "3", "--seed", "5")
-    assert out_env == out_flag
+    assert out_env == out_default == out_zero != out_flag
 
 
 def test_build_outputs_are_byte_identical(tmp_path, capsys):

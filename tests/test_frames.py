@@ -1,5 +1,6 @@
 """Frame bounds, duals, representation maps and their algebra."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,11 +33,18 @@ from qframe.frames import _upper
 from qframe.operators import random_effect, random_state, random_unitary, trace_inner
 from qframe.representations import (
     cohendet,
+    extended_distribution,
+    from_extended,
     ghw,
     hardy_rep,
     havel_rep,
     leonhardt,
+    mub_family,
+    mub_reconstruct,
+    mub_table,
+    mub_transition,
     ruzzi_s0,
+    sic_born,
     sic_rep,
     stratonovich_discrete,
     tetrahedral_constellation,
@@ -243,12 +251,47 @@ def test_born_pair_compares_labels_by_value():
     mu = represent_state(random_state(2, seed=1), fr)
     xi = represent_effect(random_effect(2, seed=2), canonical_dual(fr))
     assert mu.labels is xi.labels
-    equal = QuasiDistribution("x", 2, tuple(list(xi.labels)), xi.values)
+    equal = QuasiDistribution(fr.name, 2, tuple(list(xi.labels)), xi.values)
     assert equal.labels == xi.labels and equal.labels is not xi.labels
     assert born_pair(mu, equal) == born_pair(mu, xi)
     for labels in (xi.labels[::-1], tuple(range(1, 5))):
         with pytest.raises(DimensionMismatchError, match="different outcome sets"):
             born_pair(mu, QuasiDistribution("x", 2, labels, xi.values))
+
+
+CROSS_FAMILY = ("born_pair", "reconstruct_state", "mub_reconstruct", "mub_transition", "sic_born", "from_extended")
+
+
+def _cross_family_cases():
+    """Per case: a pairing of one argument, its own family's values, and another family's values.
+
+    The two families' values sit on equal labels, so only the name they carry tells them apart.
+    """
+    rho, rho2, E = random_state(3, seed=1), random_state(3, seed=2), random_effect(3, seed=2)
+    w, c, fam = wootters(3), cohendet(3), mub_family(3)
+    ext = extended_distribution(c.represent(rho))
+    return {
+        "born_pair": (lambda xi: born_pair(w.represent(rho), xi), w.effect(E), c.effect(E)),
+        "reconstruct_state": (lambda mu: reconstruct_state(mu, c.dual), c.represent(rho), w.represent(rho)),
+        "mub_reconstruct": (lambda t: mub_reconstruct(t, fam), mub_table(rho, fam),
+                            fam.representation().represent(rho)),
+        "mub_transition": (lambda t: mub_transition(mub_table(rho, fam), t), mub_table(rho2, fam),
+                           fam.representation().represent(rho2)),
+        "sic_born": (lambda mu: sic_born(mu, np.ones(9)), sic_rep(3).represent(rho), w.represent(rho)),
+        "from_extended": (lambda e: from_extended(e).values, ext, replace(ext, representation="x")),
+    }
+
+
+@pytest.mark.parametrize("case", CROSS_FAMILY)
+def test_values_pair_only_with_their_own_family(case):
+    pairing, own, other = _cross_family_cases()[case]
+    assert other.labels == own.labels
+    with pytest.raises(DimensionMismatchError):
+        pairing(other)
+    # labels equal by value, not by identity, still pair, to the bit
+    copy = replace(own, labels=tuple(list(own.labels)))
+    assert copy.labels == own.labels and copy.labels is not own.labels
+    np.testing.assert_array_equal(pairing(copy), pairing(own))
 
 
 def test_distributions_compare_and_hash_by_identity():
