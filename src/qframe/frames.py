@@ -19,17 +19,20 @@ and every pairing between two operator families is one real GEMM.
 
 Every pairing of an operator with a family goes through the family's
 ``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
-family built by ``parity_pair`` (the minimal displaced-parity families:
-Wootters at odd prime d, Cohendet, odd Leonhardt and Ruzzi) analyzes one
-operator, and synthesizes, through its label map.  At odd d and even s the
+family built by ``parity_pair`` analyzes one operator, and synthesizes,
+through its label map.  These are the minimal displaced-parity families, each
+the kernel K(s, t) under one integer matrix, (s, t) = relabel (q, p):
+Wootters at odd prime d and odd Leonhardt ((2, 0), (0, 2)), Cohendet
+((-2, 0), (0, 2)) and Ruzzi ((0, 2), (-2, 0)).  At odd d and even s the
 kernel is the phase point centred on (h, h), ``h = s/2``:
 ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
 ``Tr[A K(s, t)] = sum_u A[h + u, h - u] omega**(-tu)`` with no phase of its
 own: one gather of the centred anti-diagonals of A and one product with the
 scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
 labels of each family lie on a d x d grid whose rows fix s mod d and whose
-columns fix t mod d (transposed for Ruzzi), and the map stores its tables in
-that order, so the product holds the values in label order.  Every other
+columns fix t mod d, read off the matrix (transposed for Ruzzi's
+anti-diagonal one), and the map stores its tables in that order, so the
+product holds the values in label order.  Every other
 pairing, and the analysis of a stack of operators in every family, is one
 product on the zero-copy ``(n, d^2)`` view of the family's stack,
 O(n d^2).  No other module reads that view or the label map's tables.
@@ -295,7 +298,7 @@ class Frame:
     ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
     ``operators.displaced_parity``, and ``analyze`` of one operator and
     ``synthesize`` pair through the kernel identity on it.  The map is built
-    with the stack from the same labels, so the two cannot disagree; any
+    with the stack from the same matrix, so the two cannot disagree; any
     other family has none and pairs on its stack.
     """
 
@@ -400,40 +403,38 @@ class Frame:
         return len(self) == self.dim**2
 
 
-def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
+def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` over ``labels``, each with its label map.
 
-    ``s`` and ``t`` are the kernel labels of ``operators.displaced_parity``,
-    one pair per label, and (s mod d, t mod d) must meet each of the d^2
-    cells once.  The labels must lie on a d x d grid, row by row or column
-    by column, whose rows fix s mod d and whose columns fix t mod d: the
-    map stores its tables in that order and reads each call's values off
-    them, so any other order is refused.  The map pairs through the centred
-    phase point, so d must be odd and every s even.  The stack is built here
-    from the same labels as the map, so the two cannot disagree.
+    The labels are the d^2 points (q, p) of the lattice, row-major, and point
+    (q, p) carries ``K(s, t)`` of ``operators.displaced_parity`` at
+    ``(s, t) = (aq + bp, cq + ep)`` for the family's ``relabel = ((a, b), (c, e))``:
+    ((2, 0), (0, 2)) for Wootters and odd Leonhardt, ((-2, 0), (0, 2)) for
+    Cohendet and ((0, 2), (-2, 0)) for Ruzzi.  The map's grid is read off it:
+    a diagonal matrix walks grid rows ``s = a u`` and columns ``t = e u``
+    (mod d) row by row, an anti-diagonal one rows ``s = b u`` and columns
+    ``t = c u`` column by column.  The centred phase point needs odd d and an
+    even s-row, and a unit mod d in each nonzero entry makes the d^2 (s, t)
+    cells distinct.  The stack and the map come from the one matrix.
     """
-    s = np.array(s, dtype=np.int64).reshape(-1)
-    t = np.array(t, dtype=np.int64).reshape(-1)
-    d = math.isqrt(len(s))
-    if len(t) != len(s) or d < 1 or d * d != len(s):
-        raise DimensionMismatchError(f"a displaced-parity family needs d^2 label pairs, got {len(s)} and {len(t)}")
-    if np.bincount((s % d) * d + t % d, minlength=d * d).max() != 1:
-        raise DimensionMismatchError("the labels (s mod d, t mod d) must meet each of the d^2 cells once")
-    if d % 2 == 0 or (s % 2).any():
+    (a, b), (c, e) = relabel
+    d = math.isqrt(len(labels))
+    if d % 2 == 0 or a % 2 or b % 2:
         raise DimensionMismatchError(f"the centred phase points need odd d and even s, got d = {d}")
-    S, T = (s % d).reshape(d, d), (t % d).reshape(d, d)
-    if (S == S[:, :1]).all() and (T == T[:1]).all():
-        rows, cols, transposed = S[:, 0], T[0], False
-    elif (S == S[:1]).all() and (T == T[:, :1]).all():
-        rows, cols, transposed = S[0], T[:, 0], True
-    else:
-        raise DimensionMismatchError("the labels must run over a d x d grid whose rows fix s mod d "
-                                     "and whose columns fix t mod d, row by row or column by column")
-    ops = displaced_parity(d, s, t)
+    transposed = bool(b or c)
+    if transposed and (a or e):
+        raise DimensionMismatchError(f"the relabeling {relabel} is neither diagonal nor anti-diagonal")
+    row, col = (b, c) if transposed else (a, e)
+    if math.gcd(row * col, d) != 1:
+        raise DimensionMismatchError(f"the relabeling {relabel} has an entry that is not a unit mod {d}")
+    q, p = np.divmod(np.arange(d * d), d)
+    ops = displaced_parity(d, a * q + b * p, c * q + e * p)
     frame = Frame(labels, ops / d, name)
     dual = Frame(frame.labels, ops, name)
+    u = np.arange(d)
+    rows, cols = row * u % d, col * u % d
     gather = _centred_gather(d)[rows]
-    dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
+    dft = tau_powers(d, -2 * u[:, None] * cols)
     for family, scaled in ((frame, dft / d), (dual, dft)):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
         object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, gather, real_form))

@@ -10,6 +10,7 @@ from ..errors import DimensionMismatchError, UnsupportedDimensionError
 from ..frames import (
     Frame,
     QuasiDistribution,
+    _same_labels,
     parity_pair,
     reconstruct_state,
     represent_effect,
@@ -53,7 +54,7 @@ class Representation:
     ``represent`` maps states to quasi-probabilities over the frame labels,
     ``effect`` maps effects through the dual side, and ``reconstruct``
     resynthesizes operators from values.  The name, dimension and labels are
-    the frame's own.
+    the frame's own, and the dual must carry the same name and labels.
     """
 
     frame: Frame
@@ -64,6 +65,8 @@ class Representation:
     checks: tuple = ()
 
     def __post_init__(self):
+        if self.dual.name != self.frame.name or not _same_labels(self.dual.labels, self.frame.labels):
+            raise DimensionMismatchError("frame and dual must share name and labels")
         # so the geometry's point indices are frame indices
         if self.geometry is not None and self.geometry.points != self.frame.labels:
             raise DimensionMismatchError("frame labels must be the geometry's points")
@@ -98,14 +101,17 @@ def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndar
     return Representation(frame, dual, geom, meta)
 
 
-def parity_representation(name: str, geom: PhaseSpaceGeometry, s, t, meta: dict) -> Representation:
+def parity_representation(name: str, geom: PhaseSpaceGeometry, relabel, meta: dict,
+                          checks: tuple = ()) -> Representation:
     """A minimal displaced-parity pair over the points of ``geom``: frame {K(s, t)/d}, dual {K(s, t)}.
 
-    ``parity_pair`` builds both from the kernel labels (s, t), one pair per
-    point, with the label map they pair through.
+    ``parity_pair`` builds both, with the label map they pair through, from
+    the family's matrix ``relabel``, (s, t) = relabel (q, p): ((2, 0), (0, 2))
+    for Wootters and odd Leonhardt, ((-2, 0), (0, 2)) for Cohendet and
+    ((0, 2), (-2, 0)) for Ruzzi.
     """
-    frame, dual = parity_pair(geom.points, s, t, name)
-    return Representation(frame, dual, geom, meta)
+    frame, dual = parity_pair(geom.points, relabel, name)
+    return Representation(frame, dual, geom, meta, checks)
 
 
 def striation_pvms(rep: Representation) -> np.ndarray:

@@ -5,8 +5,6 @@ W_qp P is K(-2q, 2p) of the displaced-parity kernel ``operators.displaced_parity
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
@@ -23,10 +21,8 @@ def cohendet(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"cohendet({d})", d * d, d)
-    geom = odd_lattice(d)
-    q, p = np.array(geom.points).T
-    rep = parity_representation("cohendet", geom, -2 * q, 2 * p, {"d": d})
-    return replace(rep, checks=(("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
+    return parity_representation("cohendet", odd_lattice(d), ((-2, 0), (0, 2)), {"d": d},
+                                 (("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
 
 
 def _extended_nonnegativity(rep: Representation, seed: int) -> float:

@@ -21,9 +21,7 @@ def leonhardt(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 2")
     check_stack_budget(f"leonhardt({d})", d * d if d % 2 else 4 * d * d, d)
     if d % 2 == 1:
-        geom = odd_lattice(d)
-        q, p = np.array(geom.points).T
-        return parity_representation("leonhardt", geom, 2 * q, 2 * p, {"case": "odd"})
+        return parity_representation("leonhardt", odd_lattice(d), ((2, 0), (0, 2)), {"case": "odd"})
     # half-integer grid: q, p run over Z_2d and the phase uses the 2d-th root.
     # The frame {K/(2d)} is tight with both bounds 1/d, so its canonical dual is d F = K/2.
     geom = plain_lattice(2 * d, kind="half-integer-lattice")

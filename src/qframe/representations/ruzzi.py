@@ -5,8 +5,6 @@ T(q, p) is K(2p, -2q) of the displaced-parity kernel ``operators.displaced_parit
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import UnsupportedDimensionError
 from ..geometry import odd_lattice
 from .base import Representation, check_stack_budget, parity_representation
@@ -19,6 +17,4 @@ def ruzzi_s0(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"ruzzi_s0({d})", d * d, d)
-    geom = odd_lattice(d)
-    q, p = np.array(geom.points).T
-    return parity_representation("ruzzi", geom, 2 * p, -2 * q, {"d": d})
+    return parity_representation("ruzzi", odd_lattice(d), ((0, 2), (-2, 0)), {"d": d})

@@ -147,7 +147,7 @@ def _search(stack: np.ndarray, seed: int, starts: int) -> tuple[np.ndarray, int]
     )
 
 
-def sic_fiducial(d: int, seed: int = 11, starts: int = 50) -> np.ndarray:
+def sic_fiducial(d: int, seed: int = 0, starts: int = 50) -> np.ndarray:
     """Unit vector whose Weyl orbit has all pairwise overlaps 1/(d+1).
 
     d=2 has a closed form; larger dimensions run a seeded multi-start
@@ -161,7 +161,7 @@ def sic_fiducial(d: int, seed: int = 11, starts: int = 50) -> np.ndarray:
 def sic_rep(
     d: int,
     fiducial: np.ndarray | None = None,
-    seed: int = 11,
+    seed: int = 0,
     starts: int = 50,
 ) -> Representation:
     """POVM frame P_k over the Weyl orbit with dual D_k = d(d+1)P_k - I.

@@ -50,8 +50,7 @@ def wootters(d: int) -> Representation:
     geom = prime_lattice(d)
     if d == 2:
         return phase_point_representation("wootters", geom, _qubit_points(), {"dims": (d,)})
-    q, p = np.array(geom.points).T
-    return parity_representation("wootters", geom, 2 * q, 2 * p, {"dims": (d,)})
+    return parity_representation("wootters", geom, ((2, 0), (0, 2)), {"dims": (d,)})
 
 
 def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:

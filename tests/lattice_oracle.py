@@ -9,9 +9,10 @@ sum of the d^2 words X^j Z^m, the Fano operator as a displacement loop times
 the parity matrix, the Leonhardt operators as matrix powers times parity,
 the Ruzzi operator as a Fourier sum over the Schwinger basis, composite
 points as Kronecker products, the Weyl orbit from ``weyl_operator`` and the
-Pauli words and their real table as loops over bits and words, and the
+Pauli words and their real table as loops over bits and words, the
 striation measurements as one sum of frame operators per line, found by
-label.  The Weyl words and the Schwinger basis are cached per d so the
+label, and ``parity_pair``, the displaced-parity pair built from one kernel
+label pair per point, with the label map's grid worked out from those pairs.  The Weyl words and the Schwinger basis are cached per d so the
 oracle can be sampled at a few points of a large lattice.  ``dense_ops``
 stacks any family over its labels, and ``qubit_stabilizer_states`` lists the
 six line states of the qubit lattice.
@@ -19,12 +20,14 @@ six line states of the qubit lattice.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from qframe.errors import UnsupportedDimensionError
-from qframe.operators import bloch_state, omega, tensor
+from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
+from qframe.frames import Frame, _centred_gather, _LabelMap
+from qframe.operators import bloch_state, displaced_parity, omega, tau_powers, tensor
 
 # the qubit I, X, Y, Z written out, Y = [X, Z]/2i in the shift/clock convention
 QUBIT_PAULIS = (
@@ -232,3 +235,39 @@ def striation_pvms(rep) -> list[list[np.ndarray]]:
             pvm.append(np.sum(ops, axis=0))
         out.append(pvm)
     return out
+
+
+def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
+    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` from one kernel label pair per label.
+
+    (s mod d, t mod d) must meet each of the d^2 cells once, the labels must
+    run over a d x d grid, row by row or column by column, whose rows fix
+    s mod d and whose columns fix t mod d, d must be odd and every s even.
+    The grid is found by testing the label pairs.
+    """
+    s = np.array(s, dtype=np.int64).reshape(-1)
+    t = np.array(t, dtype=np.int64).reshape(-1)
+    d = math.isqrt(len(s))
+    if len(t) != len(s) or d < 1 or d * d != len(s):
+        raise DimensionMismatchError(f"a displaced-parity family needs d^2 label pairs, got {len(s)} and {len(t)}")
+    if np.bincount((s % d) * d + t % d, minlength=d * d).max() != 1:
+        raise DimensionMismatchError("the labels (s mod d, t mod d) must meet each of the d^2 cells once")
+    if d % 2 == 0 or (s % 2).any():
+        raise DimensionMismatchError(f"the centred phase points need odd d and even s, got d = {d}")
+    S, T = (s % d).reshape(d, d), (t % d).reshape(d, d)
+    if (S == S[:, :1]).all() and (T == T[:1]).all():
+        rows, cols, transposed = S[:, 0], T[0], False
+    elif (S == S[:1]).all() and (T == T[:, :1]).all():
+        rows, cols, transposed = S[0], T[:, 0], True
+    else:
+        raise DimensionMismatchError("the labels must run over a d x d grid whose rows fix s mod d "
+                                     "and whose columns fix t mod d, row by row or column by column")
+    ops = displaced_parity(d, s, t)
+    frame = Frame(labels, ops / d, name)
+    dual = Frame(frame.labels, ops, name)
+    gather = _centred_gather(d)[rows]
+    dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
+    for family, scaled in ((frame, dft / d), (dual, dft)):
+        real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
+        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, gather, real_form))
+    return frame, dual

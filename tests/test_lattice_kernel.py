@@ -15,9 +15,25 @@ from hypothesis import strategies as st
 
 import lattice_oracle as oracle
 from qframe.errors import DimensionMismatchError
-from qframe.frames import Frame, canonical_dual, is_dual_pair, parity_pair
+from qframe.frames import (
+    Frame,
+    canonical_dual,
+    is_dual_pair,
+    parity_pair,
+    reconstruct_state,
+    represent_effect,
+    represent_state,
+)
 from qframe.geometry import prime_lattice
-from qframe.operators import EQ_TOL, displaced_parity, finite_fourier, parity_matrix, random_state, tau_powers
+from qframe.operators import (
+    EQ_TOL,
+    displaced_parity,
+    finite_fourier,
+    parity_matrix,
+    random_effect,
+    random_state,
+    tau_powers,
+)
 from qframe.representations import (
     cohendet,
     havel_rep,
@@ -258,14 +274,41 @@ def test_label_map_synthesizes_exactly_hermitian_operators(fd, k, seed):
     np.testing.assert_array_equal(back, back.conj().T)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fd=minimal_family_and_dim, seed=st.integers(0, 10**6))
+def test_the_matrix_builds_the_label_pairs_family_bit_for_bit(fd, seed):
+    # the family's 2 x 2 relabeling gives the pair the oracle builds from its d^2 kernel label pairs
+    family, d = fd
+    rep = build(family, d)
+    want = oracle.parity_pair(rep.labels, *KERNEL_LABELS[family](*np.array(rep.labels).T), family)
+    for got, ref in zip((rep.frame, rep.dual), want):
+        assert got.labels == ref.labels and got.name == ref.name
+        _same_bits(got.operators, ref.operators)
+        lm, ref_lm = got.label_map, ref.label_map
+        assert lm.transposed == ref_lm.transposed
+        for table in ("rows", "cols", "gather", "dft", "half_dft"):
+            _same_bits(getattr(lm, table), getattr(ref_lm, table))
+        for table, ref_table in zip(lm.mirror, ref_lm.mirror):
+            _same_bits(table, ref_table)
+    rho, E = random_state(d, seed=seed), random_effect(d, seed=seed + 1)
+    mu, ref_mu = rep.represent(rho), represent_state(rho, want[0])
+    _same_bits(mu.values, ref_mu.values)
+    _same_bits(rep.effect(E).values, represent_effect(E, want[1]).values)
+    _same_bits(rep.reconstruct(mu), reconstruct_state(ref_mu, want[1]))
+
+
 def test_a_wrong_label_map_fails_the_dense_oracle():
     rep = wootters(5)
-    s, t = KERNEL_LABELS["wootters"](*np.array(rep.labels).T)
     A = _hermitian(np.random.default_rng(0), 2, 5)
     v = np.random.default_rng(1).standard_normal((2, 25))
-    for wrong in ((s, -t), (t, s), (s + 2, t)):
+    # t negated, s and t swapped, s doubled
+    for wrong in (((2, 0), (0, -2)), ((0, 2), (2, 0)), ((4, 0), (0, 2))):
         family = Frame(labels=rep.labels, operators=rep.dual.operators, name="wootters")
-        object.__setattr__(family, "label_map", parity_pair(rep.labels, *wrong)[1].label_map)
+        object.__setattr__(family, "label_map", parity_pair(rep.labels, wrong)[1].label_map)
         with pytest.raises(AssertionError):
             check_pairings_against_dense(family, A, v)
 
@@ -309,38 +352,32 @@ def test_other_families_carry_no_label_map(build_rep):
     assert rep.frame.label_map is None and rep.dual.label_map is None
 
 
-@pytest.mark.parametrize("s,t,message", [
-    ([0, 1, 2, 0], [0, 0, 0, 1], "the labels (s mod d, t mod d) must meet each of the d^2 cells once"),
-    ([0, 1, 2], [0, 1, 2], "a displaced-parity family needs d^2 label pairs, got 3 and 3"),
-    ([0, 1], [0], "a displaced-parity family needs d^2 label pairs, got 2 and 1"),
-], ids=["repeated-cell", "not-a-square", "unequal"])
-def test_parity_pair_refuses_a_map_that_is_not_a_bijection(s, t, message):
+@pytest.mark.parametrize("n,relabel,message", [
+    (9, ((2, 0), (0, 3)), "the relabeling ((2, 0), (0, 3)) has an entry that is not a unit mod 3"),
+    (3, ((2, 0), (0, 2)), "3 labels for 1 operators"),
+], ids=["repeated-cell", "not-a-square"])
+def test_parity_pair_refuses_a_map_that_is_not_a_bijection(n, relabel, message):
     with pytest.raises(DimensionMismatchError) as refused:
-        parity_pair(tuple(range(len(s))), s, t)
+        parity_pair(tuple(range(n)), relabel)
     assert str(refused.value) == message
 
 
 def test_parity_pair_refuses_labels_off_the_grid():
-    rep = wootters(5)
-    s, t = KERNEL_LABELS["wootters"](*np.array(rep.labels).T)
-    swap = np.arange(25)
-    swap[[1, 2]] = swap[[2, 1]]
-    for order in (swap, np.random.default_rng(0).permutation(25)):
-        with pytest.raises(DimensionMismatchError) as refused:
-            parity_pair(rep.labels, s[order], t[order])
-        assert str(refused.value) == ("the labels must run over a d x d grid whose rows fix s mod d "
-                                      "and whose columns fix t mod d, row by row or column by column")
+    # a shear meets every cell once, but s moves along a row of the (q, p) lattice
+    with pytest.raises(DimensionMismatchError) as refused:
+        parity_pair(wootters(5).labels, ((2, 2), (0, 2)))
+    assert str(refused.value) == "the relabeling ((2, 2), (0, 2)) is neither diagonal nor anti-diagonal"
 
 
 # each meets every cell once, so only the centred form refuses it
-@pytest.mark.parametrize("d,s,t", [
-    (3, [0] * 3 + [5] * 3 + [4] * 3, [0, 2, 4] * 3),
-    (2, [0, 0, 1, 1], [0, 1, 0, 1]),
-    (4, np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)),
+@pytest.mark.parametrize("d,relabel", [
+    (3, ((1, 0), (0, 2))),
+    (2, ((1, 0), (0, 1))),
+    (4, ((1, 0), (0, 1))),
 ], ids=["odd-s", "even-d-2", "even-d-4"])
-def test_parity_pair_refuses_odd_s_and_even_d(d, s, t):
+def test_parity_pair_refuses_odd_s_and_even_d(d, relabel):
     with pytest.raises(DimensionMismatchError, match=f"odd d and even s, got d = {d}"):
-        parity_pair(tuple(range(d * d)), s, t)
+        parity_pair(tuple(range(d * d)), relabel)
 
 
 # Hermitian bit for bit past the hypothesis draws: one row and k rows, frame and dual

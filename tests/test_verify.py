@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qframe.errors import DimensionMismatchError
 from qframe.representations import (
     Representation,
     cohendet,
@@ -89,10 +90,25 @@ def test_identity_checks_travel_with_the_representation():
     # the factory's identities follow the pair, not its name
     for rep, check in [(mub_family(3).representation(), "pairwise_unbiasedness"),
                        (cohendet(3), "extended_nonnegativity")]:
-        report = verify_representation(replace(rep, frame=replace(rep.frame, name="renamed")), samples=5)
+        renamed = replace(rep, frame=replace(rep.frame, name="renamed"), dual=replace(rep.dual, name="renamed"))
+        report = verify_representation(renamed, samples=5)
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name[check]["passed"]
         assert report["representation"] == "renamed"
+
+
+def test_a_representation_refuses_a_dual_of_another_name_or_labels():
+    # a pair renamed on one side would refuse its own values in reconstruct
+    rep = cohendet(3)
+    relabeled = tuple((q, -p) for q, p in rep.labels)
+    for broken in (dict(frame=replace(rep.frame, name="renamed")), dict(dual=replace(rep.dual, name="renamed")),
+                   dict(geometry=None, dual=replace(rep.dual, labels=relabeled))):
+        with pytest.raises(DimensionMismatchError, match="frame and dual must share name and labels"):
+            replace(rep, **broken)
+    # labels equal by value but not the same tuple still pair
+    same = replace(rep, dual=replace(rep.dual, labels=tuple(list(rep.labels))))
+    assert same.dual.labels is not same.frame.labels
+    np.testing.assert_allclose(same.reconstruct(same.represent(np.eye(3) / 3)), np.eye(3) / 3, atol=1e-12)
 
 
 def test_attached_check_runs_after_the_line_checks():
