@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
-from .frames import QuasiDistribution
+from .frames import QuasiDistribution, _check_values
 from .operators import (
     SIGMA,
     bloch_state,
@@ -87,19 +87,6 @@ def _lattice(dims: tuple[int, ...]) -> Representation:
     return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
 
 
-def _check_two_qubit_lattice(mu: QuasiDistribution) -> None:
-    """Refuse a distribution that is not over the 16 points of the two-qubit Wootters lattice."""
-    if not (
-        mu.representation == "wootters"
-        and mu.dim == 4
-        and len(mu.labels) == 16
-        and set(mu.labels) == set(_lattice((2, 2)).labels)
-    ):
-        raise DimensionMismatchError(
-            "expected a distribution from the two-qubit product lattice"
-        )
-
-
 def _lattice_verdict(min_value: float) -> str:
     return "entangled" if min_value < FRANCO_PENNA_THRESHOLD - EQ_GUARD else "inconclusive"
 
@@ -114,7 +101,9 @@ def franco_penna(mu: QuasiDistribution) -> EntanglementVerdict:
     Separable states never dip below (1 - sqrt 3)/8, so a strictly smaller
     minimum certifies entanglement; anything else is inconclusive.
     """
-    _check_two_qubit_lattice(mu)
+    lattice = _lattice((2, 2))
+    _check_values(mu, lattice.labels, lattice.name, lattice.dim,
+                  "expected a distribution from the two-qubit product lattice")
     mn = float(mu.values.min())
     return EntanglementVerdict(
         min_value=mn,
@@ -197,42 +186,35 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     Searches for a pure state with a quasi-probability below -tol; failing
     that (positive frames), for a rank-1 projector whose effect function
     leaves [0, 1].  Extremal eigenvectors of the frame and dual operators
-    realize both bounds, so the scan is exhaustive.  Values tied with the
-    minimum up to WITNESS_TIE_TOL go to the first label, and the vector is
-    the canonical one of its eigenspace, so round-off cannot pick the witness.
+    realize both bounds, so one batched spectrum per side decides the scan,
+    and only the chosen operator is diagonalized again for its vector.  Values
+    tied with the minimum up to WITNESS_TIE_TOL go to the first label, and the
+    vector is the canonical one of its eigenspace, so round-off cannot pick the
+    witness.
     """
     lowest = np.linalg.eigvalsh(rep.frame.operators)[:, 0]
     i = _first_minimum(lowest)
     if lowest[i] < -tol:
         vec = _canonical_eigenvector(*np.linalg.eigh(rep.frame.operators[i]), 0)
         state = np.outer(vec, vec.conj())
-        mu = rep.represent(state)
-        idx = _first_minimum(mu.values)
-        return {
-            "found": True,
-            "kind": "state",
-            "representation": rep.name,
-            "value": float(mu.values[idx]),
-            "label": rep.labels[idx],
-            "witness": state,
-        }
-    for i, D in enumerate(rep.dual.operators):
-        vals, vecs = np.linalg.eigh(D)
-        for j in (0, len(vals) - 1):
-            lam = float(vals[j])
-            if lam < -tol or lam > 1.0 + tol:
-                vec = _canonical_eigenvector(vals, vecs, j)
-                effect = np.outer(vec, vec.conj())
-                xi = rep.effect(effect)
-                return {
-                    "found": True,
-                    "kind": "effect",
-                    "representation": rep.name,
-                    "value": float(xi.values[i]),
-                    "label": rep.labels[i],
-                    "witness": effect,
-                }
-    return {"found": False, "representation": rep.name}
+        values = rep.represent(state).values
+        return _witness(rep, "state", values, _first_minimum(values), state)
+    spectra = np.linalg.eigvalsh(rep.dual.operators)
+    outside = np.flatnonzero((spectra[:, 0] < -tol) | (spectra[:, -1] > 1.0 + tol))
+    if not len(outside):
+        return {"found": False, "representation": rep.name}
+    i = int(outside[0])
+    vals, vecs = np.linalg.eigh(rep.dual.operators[i])
+    j = 0 if vals[0] < -tol or vals[0] > 1.0 + tol else len(vals) - 1
+    vec = _canonical_eigenvector(vals, vecs, j)
+    effect = np.outer(vec, vec.conj())
+    return _witness(rep, "effect", rep.effect(effect).values, i, effect)
+
+
+def _witness(rep: Representation, kind: str, values: np.ndarray, k: int, witness: np.ndarray) -> dict:
+    """The report of ``witness``, whose value at label k leaves the range of its side."""
+    return {"found": True, "kind": kind, "representation": rep.name,
+            "value": float(values[k]), "label": rep.labels[k], "witness": witness}
 
 
 _NMR_DEFAULT_GRID = {1: 10014, 2: 114, 3: 26}
@@ -356,24 +338,21 @@ def bell_wigner_demo(a: float, b: float, c: float) -> dict:
     Correlation C(s, t) is computed by the Born rule from the +-1 outcome
     probabilities; the inequality compares |C(a,b) - C(a,c)| to 1 + C(b,c).
     """
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / np.sqrt(2.0)
-    v[2] = -1.0 / np.sqrt(2.0)
-    singlet = np.outer(v, v.conj())
+    if not np.isfinite([a, b, c]).all():
+        raise ValueError("angles must be finite")
+    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    singlet = np.outer(v, v)
 
     def projectors(theta):
+        """The (+1, -1) projectors of the spin along theta, as one (2, 2, 2) stack."""
         op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
         eye = np.eye(2)
-        return {+1: (eye + op) / 2, -1: (eye - op) / 2}
+        return np.stack([(eye + op) / 2, (eye - op) / 2])
 
     def correlation(t1, t2):
-        p1 = projectors(t1)
-        p2 = projectors(t2)
-        out = 0.0
-        for s, Ps in p1.items():
-            for t, Pt in p2.items():
-                out += s * t * float(np.trace(singlet @ tensor(Ps, Pt)).real)
-        return out
+        # the stacked products run over the outcomes (+, +), (+, -), (-, +), (-, -)
+        born = np.trace(singlet @ tensor(projectors(t1), projectors(t2)), axis1=1, axis2=2).real
+        return float(np.sum(np.array([1.0, -1.0, -1.0, 1.0]) * born))
 
     c_ab = correlation(a, b)
     c_ac = correlation(a, c)

@@ -21,6 +21,8 @@ MAX_DRAWS = 50
 
 
 def _two(x: float, name: str) -> int:
+    if not math.isfinite(2 * x):
+        raise ValueError(f"{name} = {x} is out of range")
     t = round(2 * x)
     if abs(2 * x - t) > 1e-9:
         raise ValueError(f"{name} must be integer or half-integer, got {x}")
@@ -128,6 +130,15 @@ def kernel_weights(s: float, gammas) -> np.ndarray:
     return w
 
 
+def _spin_dim(s: float) -> int:
+    """The dimension 2s + 1 of a spin 0 < s <= MAX_SPIN, refused before anything is built for it."""
+    if s <= 0 or _two(s, "s") < 1:
+        raise UnsupportedDimensionError("spin must be positive")
+    if s > MAX_SPIN:
+        raise UnsupportedDimensionError(f"spin capped at {MAX_SPIN}")
+    return _two(s, "s") + 1
+
+
 @dataclass(frozen=True)
 class SphericalKernel:
     """Family Delta(n) = sum_m w_m |n, m><n, m| defined by spin and l-weights."""
@@ -137,10 +148,7 @@ class SphericalKernel:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.s <= 0 or _two(self.s, "s") < 1:
-            raise UnsupportedDimensionError("spin must be positive")
-        if self.s > MAX_SPIN:
-            raise UnsupportedDimensionError(f"spin capped at {MAX_SPIN}")
+        _spin_dim(self.s)
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "weights", kernel_weights(self.s, self.gammas))
 
@@ -197,8 +205,8 @@ def _check_unit_rows(points: np.ndarray):
 
 def stratonovich_discrete(s: float, constellation) -> Representation:
     """Point kernels of the all-ones ``SphericalKernel`` on a d^2-point constellation, with their one dual family."""
-    kernel = SphericalKernel(s, (1.0,) * (_two(s, "s") + 1))
-    d = kernel.dim
+    d = _spin_dim(s)
+    kernel = SphericalKernel(s, (1.0,) * d)
     points = np.asarray(constellation, dtype=float)
     if points.shape != (d * d, 3):
         raise ValueError(f"need {d * d} sphere points, got shape {points.shape}")
@@ -232,8 +240,8 @@ def _random_stratonovich(s: float, seed=None):
     A draw whose kernel Gram matrix is ill conditioned is redrawn.  Returns
     (representation, draws) where draws counts the attempts consumed.
     """
+    d = _spin_dim(s)
     rng = np.random.default_rng(seed)
-    d = _two(s, "s") + 1
     for draw in range(1, MAX_DRAWS + 1):
         raw = rng.normal(size=(d * d, 3))
         try:

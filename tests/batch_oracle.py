@@ -13,7 +13,10 @@ gauge fixed column by column, and the Stratonovich kernel built from it
 per direction; Hardy's grid built one projector at a time; and the
 Kronecker products of stacks that ``operators.tensor`` builds in one call:
 Havel's Pauli words one qubit at a time and the composite Wootters stacks
-two factors at a time.  ``values`` and
+two factors at a time; the negativity witness's effect side as one
+``eigh`` per dual operator, stopping at the first operator with an
+eigenvalue outside [-tol, 1 + tol]; and the Bell-Wigner correlations as one
+Kronecker product and one Born probability per pair of outcome signs.  ``values`` and
 ``hermiticity_residual`` are verify's own pairing and Hermiticity measure
 from before the families analyzed their own stacks.
 """
@@ -22,7 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from qframe.analysis import franco_penna, ppt_separability_two_qubit
+from qframe.analysis import (
+    _canonical_eigenvector,
+    _first_minimum,
+    franco_penna,
+    ppt_separability_two_qubit,
+)
 from qframe.frames import born_pair
 from qframe.operators import (
     SIGMA,
@@ -239,3 +247,52 @@ def pauli_words(n_qubits: int) -> np.ndarray:
             words[:, None, :, None, :, None, :, None] * grid[None, :, None, :, None, :, None, :]
         ).reshape(d, d, d, d)
     return words.reshape(d * d, d, d)
+
+
+def negativity_witness(rep, tol: float = 1e-6) -> dict:
+    """``analysis.negativity_witness`` with its effect side diagonalizing one dual operator at a time."""
+    lowest = np.linalg.eigvalsh(rep.frame.operators)[:, 0]
+    i = _first_minimum(lowest)
+    if lowest[i] < -tol:
+        vec = _canonical_eigenvector(*np.linalg.eigh(rep.frame.operators[i]), 0)
+        state = np.outer(vec, vec.conj())
+        mu = rep.represent(state)
+        idx = _first_minimum(mu.values)
+        return {"found": True, "kind": "state", "representation": rep.name,
+                "value": float(mu.values[idx]), "label": rep.labels[idx], "witness": state}
+    for i, D in enumerate(rep.dual.operators):
+        vals, vecs = np.linalg.eigh(D)
+        for j in (0, len(vals) - 1):
+            lam = float(vals[j])
+            if lam < -tol or lam > 1.0 + tol:
+                vec = _canonical_eigenvector(vals, vecs, j)
+                effect = np.outer(vec, vec.conj())
+                xi = rep.effect(effect)
+                return {"found": True, "kind": "effect", "representation": rep.name,
+                        "value": float(xi.values[i]), "label": rep.labels[i], "witness": effect}
+    return {"found": False, "representation": rep.name}
+
+
+def bell_wigner_demo(a: float, b: float, c: float) -> dict:
+    """``analysis.bell_wigner_demo`` with each correlation summed over the four sign pairs one product at a time."""
+    v = np.zeros(4, dtype=complex)
+    v[1] = 1.0 / np.sqrt(2.0)
+    v[2] = -1.0 / np.sqrt(2.0)
+    singlet = np.outer(v, v.conj())
+
+    def projectors(theta):
+        op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
+        eye = np.eye(2)
+        return {+1: (eye + op) / 2, -1: (eye - op) / 2}
+
+    def correlation(t1, t2):
+        out = 0.0
+        for s, Ps in projectors(t1).items():
+            for t, Pt in projectors(t2).items():
+                out += s * t * float(np.trace(singlet @ np.kron(Ps, Pt)).real)
+        return out
+
+    c_ab, c_ac, c_bc = correlation(a, b), correlation(a, c), correlation(b, c)
+    lhs, rhs = abs(c_ab - c_ac), 1.0 + c_bc
+    return {"C_ab": c_ab, "C_ac": c_ac, "C_bc": c_bc, "lhs": lhs, "rhs": rhs,
+            "violated": bool(lhs > rhs + 1e-10)}

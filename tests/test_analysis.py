@@ -90,16 +90,23 @@ def test_rejects_single_qudit_distribution():
         franco_penna(mu)
 
 
-@pytest.mark.parametrize("change", [
-    {"labels": (((0, 0), (0, 0)),) * 16},  # 16 copies of one lattice point
-    {"representation": "ghw"},
-    {"dim": 3},
+@pytest.mark.parametrize("change,message", [
+    ({"labels": (((0, 0), (0, 0)),) * 16}, "two-qubit product lattice"),  # 16 copies of one lattice point
+    ({"representation": "ghw"}, "distribution came from 'ghw', not 'wootters'"),
+    ({"dim": 3}, "two-qubit product lattice"),
 ], ids=["duplicated-labels", "name", "dim"])
-def test_rejects_a_distribution_off_the_two_qubit_lattice(change):
+def test_rejects_a_distribution_off_the_two_qubit_lattice(change, message):
     mu = wootters_composite([2, 2]).represent(maximally_mixed(4))
     franco_penna(mu)
-    with pytest.raises(DimensionMismatchError, match="two-qubit product lattice"):
+    with pytest.raises(DimensionMismatchError, match=message):
         franco_penna(replace(mu, **change))
+
+
+def test_rejects_the_lattice_labels_in_another_order():
+    # the values sit on the lattice's labels in its own order; reversed, each value names another point
+    mu = wootters_composite([2, 2]).represent(singlet_state())
+    with pytest.raises(DimensionMismatchError, match="two-qubit product lattice"):
+        franco_penna(replace(mu, labels=mu.labels[::-1]))
 
 
 # partial-transpose test
@@ -427,6 +434,12 @@ def test_violation_exists_on_degree_grid():
         r = bell_wigner_demo(0.0, b, 2 * b)
         gaps.append(r["lhs"] - r["rhs"])
     assert max(gaps) > 0
+
+
+@pytest.mark.parametrize("angles", [(0.0, np.pi / 3, np.nan), (np.inf, 0.0, 1.0), (0.0, -np.inf, 1.0)])
+def test_demo_refuses_non_finite_angles(angles):
+    with pytest.raises(ValueError, match="angles must be finite"):
+        bell_wigner_demo(*angles)
 
 
 def test_demo_bell_stdout_is_pinned(capsys):

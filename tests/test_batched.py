@@ -24,6 +24,8 @@ from qframe import verify
 from qframe.analysis import (
     _entanglement_sweep,
     _nmr_distribution,
+    bell_wigner_demo,
+    negativity_witness,
     teleport_phase_space,
 )
 from qframe.cli import main
@@ -38,7 +40,9 @@ from qframe.operators import (
     weyl_monomials,
 )
 from qframe.representations import (
+    Representation,
     cohendet,
+    ghw,
     hardy_rep,
     havel_rep,
     leonhardt,
@@ -53,6 +57,7 @@ from qframe.representations import (
     wootters_composite,
 )
 from qframe.representations.havel import _pauli_words
+from qframe.representations.spherical import _random_stratonovich
 
 ORACLE_TOL = 1e-12
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -321,3 +326,68 @@ def test_canonical_dual_matches_the_pseudo_inverse(make):
     want = _from_coordinates(V @ np.linalg.pinv(V.T @ V, rcond=1e-10, hermitian=True), frame.dim)
     np.testing.assert_allclose(canonical_dual(frame).operators, want, atol=ORACLE_TOL, rtol=0)
 
+
+
+# negativity witness
+
+
+WITNESS_FAMILIES = {
+    **{f"mub-{d}": (lambda d=d: mub_family(d).representation()) for d in (3, 5, 7)},
+    **{f"sic-{d}": (lambda d=d: sic_rep(d)) for d in (3, 4)},
+    **{f"hardy-{d}": (lambda d=d: hardy_rep(d)) for d in (3, 5)},
+    **{f"havel-{n}": (lambda n=n: havel_rep(n)) for n in (1, 2)},
+    "stratonovich-0.5": lambda: stratonovich_discrete(0.5, tetrahedral_constellation()),
+    "stratonovich-1": lambda: _random_stratonovich(1.0, 0)[0],
+    "wootters-3": lambda: wootters(3),
+    "ghw-2-2": lambda: ghw(2, 2),
+    "leonhardt-4": lambda: leonhardt(4),
+    "wootters-2x3": lambda: wootters_composite([2, 3]),
+}
+
+
+def same_witness(got: dict, want: dict) -> bool:
+    """Equal witness reports, the value to the bit and the witness operator to the bit, signed zeros included."""
+    keys = ("found", "kind", "representation", "value", "label")
+    return (got.keys() == want.keys() and all(got.get(k) == want.get(k) for k in keys)
+            and ("witness" not in want or same_bits(got["witness"], want["witness"])))
+
+
+# 1.5 puts the lowest eigenvalue -1 of the MUB and SIC duals inside [-tol, 1 + tol] and their top one
+# outside, so the witness is a top eigenvector there; at 1e-6 every family's dual leaves the interval below
+@pytest.mark.parametrize("tol", [1e-6, 1.5])
+@pytest.mark.parametrize("name", list(WITNESS_FAMILIES))
+def test_witness_is_the_per_operator_scan_to_the_bit(name, tol):
+    rep = WITNESS_FAMILIES[name]()
+    assert same_witness(negativity_witness(rep, tol), oracle.negativity_witness(rep, tol))
+
+
+def _permuted(rep, order):
+    """``rep`` with its frame, dual and labels all taken in ``order``."""
+    labels = tuple(rep.labels[i] for i in order)
+    frame, dual = (Frame(labels, fam.operators[list(order)], rep.name) for fam in (rep.frame, rep.dual))
+    return Representation(frame, dual)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.55, 0.61, 0.63])
+def test_witness_skips_a_dual_operator_inside_the_interval(tol):
+    # hardy(3)'s dual 0 has spectrum [-0.618, 1.618] and dual 1 [-0.5, 0.5]; with the two swapped, 0.55 and 0.61
+    # pass over the new dual 0 to the old one, and 0.63 finds no witness
+    rep = _permuted(hardy_rep(3), [1, 0, *range(2, 9)])
+    spectra = np.linalg.eigvalsh(rep.dual.operators)
+    assert np.allclose(spectra[:2, [0, -1]], [[-0.5, 0.5], [-(5**0.5 - 1) / 2, (5**0.5 + 1) / 2]])
+    want = oracle.negativity_witness(rep, tol)
+    assert same_witness(negativity_witness(rep, tol), want)
+    assert want["found"] == (tol < 0.618)
+    if 0.5 < tol < 0.618:
+        assert want["kind"] == "effect" and want["label"] == rep.labels[1]
+
+
+# singlet correlations
+
+
+def test_bell_wigner_is_the_per_sign_sum():
+    angles = np.random.default_rng(2024).uniform(-2 * np.pi, 2 * np.pi, size=(500, 3))
+    for a, b, c in angles:
+        got, want = bell_wigner_demo(a, b, c), oracle.bell_wigner_demo(a, b, c)
+        assert got["violated"] == want["violated"]
+        assert all(abs(got[k] - want[k]) <= 1e-15 for k in ("C_ab", "C_ac", "C_bc", "lhs", "rhs"))

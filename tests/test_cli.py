@@ -487,6 +487,21 @@ def test_non_finite_distribution_file_exits_4(tmp_path, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("demo", "bell", "--angles", "0,60,nan"), "angles must be finite"),
+    (("demo", "bell", "--angles", "inf,60,120"), "angles must be finite"),
+    (("represent", "stratonovich", "--s", "inf", "--mixed"), "s = inf is out of range"),
+    (("represent", "stratonovich", "--s", "nan", "--mixed"), "s = nan is out of range"),
+    (("represent", "stratonovich", "--s", "1e308", "--mixed"), "s = 1e+308 is out of range"),
+], ids=["bell-nan", "bell-inf", "spin-inf", "spin-nan", "spin-1e308"])
+def test_non_finite_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    # one line of error, no traceback
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     probe = (
         "import sys, qframe.cli; "

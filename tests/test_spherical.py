@@ -1,6 +1,7 @@
 """Sphere kernels: coupling coefficients, postulate quadrature, constellations, NMR pairs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,30 @@ def test_overlap_postulate_by_quadrature():
 def test_spin_cap():
     with pytest.raises(UnsupportedDimensionError):
         SphericalKernel(4.5, (1.0,) * 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _random_stratonovich(500),
+    lambda: stratonovich_discrete(1e6, tetrahedral_constellation()),
+], ids=["random-500", "discrete-1e6"])
+def test_spin_cap_refuses_before_allocating(build):
+    # the draw at s = 500 would be a (1001^2, 3) array and the weights at s = 1e6 a 2e6-tuple
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedDimensionError, match="spin capped"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, 1e308])
+def test_a_spin_whose_double_is_not_finite_is_refused(s):
+    with pytest.raises(ValueError, match="out of range"):
+        stratonovich_discrete(s, tetrahedral_constellation())
+    with pytest.raises(ValueError, match="out of range"):
+        clebsch_gordan(s, s, 0.5, 0.5, s, s)
 
 
 @pytest.mark.parametrize("s,seed", [(4, 0), (4, 1), (2.5, 2)])
