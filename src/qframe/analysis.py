@@ -186,8 +186,10 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     Searches for a pure state with a quasi-probability below -tol; failing
     that (positive frames), for a rank-1 projector whose effect function
     leaves [0, 1].  Extremal eigenvectors of the frame and dual operators
-    realize both bounds, so one batched spectrum per side decides the scan,
-    and only the chosen operator is diagonalized again for its vector.  Values
+    realize both bounds, so batched spectra decide the scan: the whole frame
+    stack's, and the dual stack's in chunks of 1, 2, 4, ... operators up to
+    the first chunk holding one outside [-tol, 1 + tol].  Only the chosen
+    operator is diagonalized again for its vector.  Values
     tied with the minimum up to WITNESS_TIE_TOL go to the first label, and the
     vector is the canonical one of its eigenspace, so round-off cannot pick the
     witness.
@@ -199,16 +201,18 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
         state = np.outer(vec, vec.conj())
         values = rep.represent(state).values
         return _witness(rep, "state", values, _first_minimum(values), state)
-    spectra = np.linalg.eigvalsh(rep.dual.operators)
-    outside = np.flatnonzero((spectra[:, 0] < -tol) | (spectra[:, -1] > 1.0 + tol))
-    if not len(outside):
-        return {"found": False, "representation": rep.name}
-    i = int(outside[0])
-    vals, vecs = np.linalg.eigh(rep.dual.operators[i])
-    j = 0 if vals[0] < -tol or vals[0] > 1.0 + tol else len(vals) - 1
-    vec = _canonical_eigenvector(vals, vecs, j)
-    effect = np.outer(vec, vec.conj())
-    return _witness(rep, "effect", rep.effect(effect).values, i, effect)
+    for k in range(len(rep.dual).bit_length()):
+        start = 2**k - 1  # chunk k holds the duals start, ..., 2 start
+        spectra = np.linalg.eigvalsh(rep.dual.operators[start:2 * start + 1])
+        outside = np.flatnonzero((spectra[:, 0] < -tol) | (spectra[:, -1] > 1.0 + tol))
+        if len(outside):
+            i = start + int(outside[0])
+            vals, vecs = np.linalg.eigh(rep.dual.operators[i])
+            j = 0 if vals[0] < -tol or vals[0] > 1.0 + tol else len(vals) - 1
+            vec = _canonical_eigenvector(vals, vecs, j)
+            effect = np.outer(vec, vec.conj())
+            return _witness(rep, "effect", rep.effect(effect).values, i, effect)
+    return {"found": False, "representation": rep.name}
 
 
 def _witness(rep: Representation, kind: str, values: np.ndarray, k: int, witness: np.ndarray) -> dict:

@@ -4,8 +4,9 @@ Elements are polynomials over Z_p modulo a monic irreducible polynomial,
 coded by the integer ``sum c_i p^i`` of their coefficients.  A field keeps
 integer tables, built on first use: digits (one table for every modulus of
 a degree), multiplication by x, log/antilog, traces and dual-basis
-coordinates of every code.  ``add``, ``sub`` and ``mul`` act on codes or
-arrays of codes.
+coordinates of every code, each read-only.  ``add``, ``sub`` and ``mul``
+act on codes or arrays of codes.  Pickle and ``copy`` remake a field through
+its constructor, so a copy builds its own read-only tables.
 
 The tables are the package's only arithmetic modulo a modulus, and the
 modulus predicates read them too, on a modulus that is not yet known to be
@@ -197,6 +198,9 @@ class FiniteField:
                 raise ParseError(f"modulus {list(modulus)} is reducible over GF({p})")
         vars(self).update(p=p, n=n, modulus=modulus)
 
+    def __reduce__(self):
+        return FiniteField, (self.p, self.n, self.modulus)
+
     @property
     def order(self) -> int:
         return self.p**self.n
@@ -218,7 +222,7 @@ class FiniteField:
         D = self.coords
         top = D[:, -1:]
         shifted = np.hstack([np.zeros_like(top), D[:, :-1]])
-        return self._encode(shifted - top * np.array(self.modulus[:-1]))
+        return _readonly(self._encode(shifted - top * np.array(self.modulus[:-1])))
 
     def _times(self, g) -> np.ndarray:
         """Code of g * c for every code c, by Horner's rule over g's digits."""
@@ -242,7 +246,7 @@ class FiniteField:
                 exp = np.array(powers)
                 log = np.zeros(q, dtype=np.int64)
                 log[exp] = np.arange(q - 1)
-                return exp, log
+                return _readonly(exp), _readonly(log)
         raise RuntimeError(f"no primitive element in GF({self.p}^{self.n})")
 
     @cached_property

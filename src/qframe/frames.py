@@ -77,7 +77,15 @@ _NON_FINITE = "values must be finite; the input has a NaN or inf entry"
 
 
 def _as_stack(operators) -> np.ndarray:
-    ops = np.ascontiguousarray(operators, dtype=complex)
+    """The stack itself when it is a C-contiguous complex ndarray, else a converted copy.
+
+    ``np.ascontiguousarray`` would return a view of an unpickled array, whose
+    dtype is an equal object rather than numpy's own, and a label map takes
+    only the very array it was built for.
+    """
+    ops = operators
+    if not (type(ops) is np.ndarray and ops.dtype == complex and ops.flags.c_contiguous):
+        ops = np.ascontiguousarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
     return ops
@@ -196,9 +204,13 @@ class _LabelMap:
     of Z and of iZ as interleaved floats, so a complex row ``x + iy`` read as
     interleaved floats times ``dft`` is ``(x + iy) Z``, one real GEMM.  Z
     comes from ``tau_powers``, so it is conjugate-symmetric bit for bit.
-    Every array is frozen, as the family's stack is.
+    ``stack`` is the operator stack the map was built for, and a ``Frame``
+    takes the map only with that very array.  Every array is frozen, as the
+    family's stack is, and pickle and ``copy`` remake the map through its
+    constructor, so a copy's arrays are frozen too.
     """
 
+    stack: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     transposed: bool
@@ -206,8 +218,11 @@ class _LabelMap:
     dft: np.ndarray
 
     def __post_init__(self):
-        for table in (self.rows, self.cols, self.gather, self.dft):
+        for table in (self.stack, self.rows, self.cols, self.gather, self.dft):
             table.setflags(write=False)
+
+    def __reduce__(self):
+        return _LabelMap, (self.stack, self.rows, self.cols, self.transposed, self.gather, self.dft)
 
     @cached_property
     def half_dft(self) -> np.ndarray:
@@ -294,12 +309,18 @@ class Frame:
     them are ``dim``, the side of the stack's matrices, and ``skew``, the
     largest entry of ``F - F^dag``.
 
-    A family made by ``parity_pair`` also carries its label map
+    A family made by ``parity_pair`` also carries its label map, passed in as
     ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
     ``operators.displaced_parity``, and ``analyze`` of one operator and
     ``synthesize`` pair through the kernel identity on it.  The map is built
-    with the stack from the same matrix, so the two cannot disagree; any
-    other family has none and pairs on its stack.
+    with the stack from the same matrix, and the constructor refuses a map
+    built for any array but the stack it is given, so the two cannot
+    disagree; any other family has none and pairs on its stack.
+
+    Every copy goes through the constructor: ``dataclasses.replace`` does,
+    and pickle and ``copy`` remake the family from its labels, stack, name
+    and map.  So a renamed, deep-copied or unpickled family keeps its map and
+    a read-only stack, and ``replace`` with another stack refuses the map.
     """
 
     dim: int = field(init=False)
@@ -307,10 +328,12 @@ class Frame:
     operators: np.ndarray
     name: str = ""
     skew: float = field(init=False, repr=False)
-    label_map: _LabelMap | None = field(default=None, init=False, repr=False)
+    label_map: _LabelMap | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         ops = _as_stack(self.operators)
+        if self.label_map is not None and self.label_map.stack is not ops:
+            raise DimensionMismatchError("the label map was built for another operator stack")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dim", ops.shape[1])
@@ -327,6 +350,9 @@ class Frame:
             raise DimensionMismatchError("family contains a non-Hermitian operator")
         object.__setattr__(self, "skew", skew)
         ops.setflags(write=False)
+
+    def __reduce__(self):
+        return _frame, (self.labels, self.operators, self.name, self.label_map)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -415,7 +441,8 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     (mod d) row by row, an anti-diagonal one rows ``s = b u`` and columns
     ``t = c u`` column by column.  The centred phase point needs odd d and an
     even s-row, and a unit mod d in each nonzero entry makes the d^2 (s, t)
-    cells distinct.  The stack and the map come from the one matrix.
+    cells distinct.  The stack and the map come from the one matrix, and
+    each side's map goes into its ``Frame`` with the stack it was built for.
     """
     (a, b), (c, e) = relabel
     d = math.isqrt(len(labels))
@@ -429,16 +456,22 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
         raise DimensionMismatchError(f"the relabeling {relabel} has an entry that is not a unit mod {d}")
     q, p = np.divmod(np.arange(d * d), d)
     ops = displaced_parity(d, a * q + b * p, c * q + e * p)
-    frame = Frame(labels, ops / d, name)
-    dual = Frame(frame.labels, ops, name)
     u = np.arange(d)
     rows, cols = row * u % d, col * u % d
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * u[:, None] * cols)
-    for family, scaled in ((frame, dft / d), (dual, dft)):
-        real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, gather, real_form))
-    return frame, dual
+    frame_map, dual_map = (
+        _LabelMap(stack, rows, cols, transposed, gather,
+                  np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d))
+        for stack, scaled in ((ops / d, dft / d), (ops, dft))
+    )
+    frame = Frame(labels, frame_map.stack, name, label_map=frame_map)
+    return frame, Frame(frame.labels, dual_map.stack, name, label_map=dual_map)
+
+
+def _frame(labels, operators, name, label_map) -> Frame:
+    """``Frame(labels, operators, name, label_map=label_map)``: how pickle and ``copy`` remake a family."""
+    return Frame(labels, operators, name, label_map=label_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +493,10 @@ class QuasiDistribution:
             raise DimensionMismatchError(_NON_FINITE)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        # pickle and copy remake the values through the constructor, so they are checked and frozen again
+        return QuasiDistribution, (self.representation, self.dim, self.labels, self.values, self.warnings)
 
     def min(self) -> float:
         return float(self.values.min())

@@ -38,6 +38,8 @@ class PhaseSpaceGeometry:
     """Points and, in ``line_index[s, c, k]``, the index of the k-th point of
     line c of striation s; a bare grid has shape (0, 0, 0).  Line c of
     striation s is line ``s * lines_per_striation + c`` of ``lines``.
+    ``line_index`` is read-only, and pickle and ``copy`` remake a geometry
+    through its constructor, so a copy's table is read-only too.
     """
 
     kind: str
@@ -47,6 +49,9 @@ class PhaseSpaceGeometry:
 
     def __post_init__(self):
         self.line_index.setflags(write=False)
+
+    def __reduce__(self):
+        return PhaseSpaceGeometry, (self.kind, self.points, self.line_index, self.meta)
 
     @cached_property
     def lines(self) -> tuple:

@@ -200,8 +200,13 @@ def sic_rep(
         frame,
         dual,
         meta={"fiducial": phi, "overlap_deviation": dev, "search_starts": used},
-        checks=(("overlap_deviation", 1e-8, lambda rep, seed: float(rep.meta["overlap_deviation"])),),
+        checks=(("overlap_deviation", 1e-8, _reported_deviation),),
     )
+
+
+def _reported_deviation(rep: Representation, seed: int) -> float:
+    """The fiducial's overlap deviation as the build measured it: a module-level check, so a pair pickles."""
+    return float(rep.meta["overlap_deviation"])
 
 
 def sic_conditional(rep: Representation, effect: np.ndarray) -> np.ndarray:

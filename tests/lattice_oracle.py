@@ -263,11 +263,11 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
         raise DimensionMismatchError("the labels must run over a d x d grid whose rows fix s mod d "
                                      "and whose columns fix t mod d, row by row or column by column")
     ops = displaced_parity(d, s, t)
-    frame = Frame(labels, ops / d, name)
-    dual = Frame(frame.labels, ops, name)
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
-    for family, scaled in ((frame, dft / d), (dual, dft)):
+    maps = []
+    for stack, scaled in ((ops / d, dft / d), (ops, dft)):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        object.__setattr__(family, "label_map", _LabelMap(rows, cols, transposed, gather, real_form))
-    return frame, dual
+        maps.append(_LabelMap(stack, rows, cols, transposed, gather, real_form))
+    frame = Frame(labels, maps[0].stack, name, label_map=maps[0])
+    return frame, Frame(frame.labels, maps[1].stack, name, label_map=maps[1])

@@ -6,6 +6,7 @@ direct per-point constructions they replaced.  Property tests draw odd d in
 3..31 (primes and the composites 9, 15, 21, 25, 27) and even Leonhardt d.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -307,8 +308,9 @@ def test_a_wrong_label_map_fails_the_dense_oracle():
     v = np.random.default_rng(1).standard_normal((2, 25))
     # t negated, s and t swapped, s doubled
     for wrong in (((2, 0), (0, -2)), ((0, 2), (2, 0)), ((4, 0), (0, 2))):
-        family = Frame(labels=rep.labels, operators=rep.dual.operators, name="wootters")
-        object.__setattr__(family, "label_map", parity_pair(rep.labels, wrong)[1].label_map)
+        # the wrong tables, handed to the constructor as a map built for the right stack
+        tables = replace(parity_pair(rep.labels, wrong)[1].label_map, stack=rep.dual.operators)
+        family = Frame(labels=rep.labels, operators=rep.dual.operators, name="wootters", label_map=tables)
         with pytest.raises(AssertionError):
             check_pairings_against_dense(family, A, v)
 
