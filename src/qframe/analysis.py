@@ -77,12 +77,13 @@ class TeleportOutcome:
     state_out: np.ndarray
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _lattice(dims: tuple[int, ...]) -> Representation:
-    """The Wootters lattice over ``dims``, built once per process.
+    """The Wootters lattice over ``dims``, kept for the next call.
 
-    Sharing one build between calls is safe because a family's operator
-    stack is read-only.
+    The cache holds the two lattices used last, such as the two-qubit one
+    and the last teleport size: a lattice holds 32 d^4 bytes of stacks, 250 MB
+    at d = 53.  Sharing a build is safe because its stacks are read-only.
     """
     return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
 

@@ -3,7 +3,9 @@
 Verbs: build, represent, reconstruct, transform, negativity, verify, demo.
 Output on stdout is canonical JSON (or CSV with --format csv, for represent,
 transform and demo): keys sorted, floats as %.12e, so identical invocations
-are byte-identical.  One-line summaries go to stderr.  Exit codes:
+are byte-identical.  A verb returns its document and ``main`` alone writes
+it: stdout, the same text to --out (build's --out is the directory of its
+files), and a one-line summary on stderr.  Exit codes:
 0 success, 1 property failure, 2 invalid arguments, 3 parse error,
 4 dimension mismatch, 5 unsupported transform.
 """
@@ -73,7 +75,6 @@ from .verify import fiducial_search_stats, verify_representation
 
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Callable
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -172,46 +173,28 @@ def _load_state(args, dim: int) -> np.ndarray:
     return rho
 
 
-def _emit(args, payload: str) -> None:
-    sys.stdout.write(payload)
-    if args.out:
-        with replacing(args.out) as fh:
-            fh.write(payload)
-
-
-def _emit_doc(args, doc, csv: Callable[[], str] | None = None) -> None:
-    """Emit ``doc`` as JSON, or the text ``csv()`` renders under ``--format csv``.
-
-    Only a verb whose ``--format`` flag lists ``csv`` in ``VERBS`` gets here with it.
-    """
-    if args.format == "csv":
-        _emit(args, csv())
-    else:
-        _emit(args, render_json(doc) + "\n")
-
-
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# verbs
+# verbs: each returns (doc, csv, summary, ok), where csv renders the doc as CSV (None for a
+# verb without a CSV form), summary is the stderr line and ok whether the property held;
+# main alone writes them
 
 
-def cmd_build(args) -> int:
+def cmd_build(args):
     rep = build_representation(args.representation, args)
     ok, residual = is_dual_pair(rep.frame, rep.dual, tol=args.tol)
     lo, hi = frame_bounds(rep.frame)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, f"{rep.name}-d{rep.dim}")
-    files = {}
-    write_frame(rep.frame, base + "-frame.json")
-    files["frame"] = base + "-frame.json"
-    write_frame(rep.dual, base + "-dual.json")
-    files["dual"] = base + "-dual.json"
+    files = {"frame": base + "-frame.json", "dual": base + "-dual.json"}
+    write_frame(rep.frame, files["frame"])
+    write_frame(rep.dual, files["dual"])
     if rep.geometry is not None:
-        write_json(geometry_to_doc(rep.geometry), base + "-geometry.json")
         files["geometry"] = base + "-geometry.json"
+        write_json(geometry_to_doc(rep.geometry), files["geometry"])
     doc = {
         "representation": rep.name,
         "dim": int(rep.dim),
@@ -222,35 +205,27 @@ def cmd_build(args) -> int:
         "files": files,
     }
     doc.update(fiducial_search_stats(rep))
-    sys.stdout.write(render_json(doc) + "\n")
-    _say(
-        f"build {rep.name} d={rep.dim}: bounds [{lo:.6g}, {hi:.6g}], "
-        f"duality residual {residual:.3e}"
-    )
-    return EXIT_OK if ok else EXIT_PROPERTY
+    summary = f"build {rep.name} d={rep.dim}: bounds [{lo:.6g}, {hi:.6g}], duality residual {residual:.3e}"
+    return doc, None, summary, ok
 
 
-def cmd_represent(args) -> int:
+def cmd_represent(args):
     rep = build_representation(args.representation, args)
     rho = _load_state(args, rep.dim)
     mu = rep.represent(rho)
     err = frobenius(rep.reconstruct(mu) - rho)
     doc = distribution_to_doc(mu)
     doc["round_trip_error"] = float(err)
-    _emit_doc(args, doc, csv=lambda: distribution_to_csv(mu))
-    _say(f"represent {rep.name} d={rep.dim}: round-trip error {err:.3e}")
-    return EXIT_OK
+    return doc, lambda: distribution_to_csv(mu), f"represent {rep.name} d={rep.dim}: round-trip error {err:.3e}", True
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args):
     rep = build_representation(args.representation, args)
     rho = rep.reconstruct(distribution_from_doc(load_json(args.dist)))
-    _emit_doc(args, matrix_to_doc(rho))
-    _say(f"reconstruct {rep.name} d={rep.dim}: trace {np.trace(rho).real:.6f}")
-    return EXIT_OK
+    return matrix_to_doc(rho), None, f"reconstruct {rep.name} d={rep.dim}: trace {np.trace(rho).real:.6f}", True
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args):
     source = build_representation(args.source, args)
     target = build_representation(args.target, args)
     if source.dim != target.dim:
@@ -266,12 +241,11 @@ def cmd_transform(args) -> int:
     _check_values(dist, dual.labels, dual.name, dual.dim, "distribution labels do not match the source")
     T = transform_matrix(dual, target.frame)
     out = apply_transform(dist, T, target.frame)
-    _emit_doc(args, distribution_to_doc(out), csv=lambda: distribution_to_csv(out))
-    _say(f"transform {source.name} -> {target.name} at d={source.dim}")
-    return EXIT_OK
+    return (distribution_to_doc(out), lambda: distribution_to_csv(out),
+            f"transform {source.name} -> {target.name} at d={source.dim}", True)
 
 
-def cmd_negativity(args) -> int:
+def cmd_negativity(args):
     rep = build_representation(args.representation, args)
     doc = {"representation": rep.name, "dim": int(rep.dim)}
     if args.witness:
@@ -284,41 +258,24 @@ def cmd_negativity(args) -> int:
         }
         if "witness" in w:
             doc["witness"]["operator"] = matrix_to_doc(w["witness"])
-        _emit_doc(args, doc)
-        _say(f"negativity witness for {rep.name}: {w.get('kind', 'none')}")
-        return EXIT_OK if w["found"] else EXIT_PROPERTY
+        return doc, None, f"negativity witness for {rep.name}: {w.get('kind', 'none')}", w["found"]
     rho = _load_state(args, rep.dim)
     report = negativity(rep.represent(rho))
     doc.update(asdict(report))
-    _emit_doc(args, doc)
-    _say(f"negativity {rep.name}: min {report.min_value:.6e}")
-    return EXIT_OK
+    return doc, None, f"negativity {rep.name}: min {report.min_value:.6e}", True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     samples = _samples(args, 200)
     try:
         rep = build_representation(args.representation, args)
     except FiducialSearchError as exc:
-        doc = {
-            "representation": args.representation,
-            "checks": [
-                {
-                    "name": "fiducial_search",
-                    "passed": False,
-                    "error": f"no fiducial found: {exc}",
-                }
-            ],
-            "all_passed": False,
-        }
-        _emit_doc(args, doc)
-        _say(f"verify {args.representation}: no fiducial found")
-        return EXIT_PROPERTY
+        check = {"name": "fiducial_search", "passed": False, "error": f"no fiducial found: {exc}"}
+        doc = {"representation": args.representation, "checks": [check], "all_passed": False}
+        return doc, None, f"verify {args.representation}: no fiducial found", False
     report = verify_representation(rep, seed=args.seed, samples=samples)
-    _emit_doc(args, report)
     status = "all passed" if report["all_passed"] else "FAILED"
-    _say(f"verify {rep.name} d={rep.dim}: {len(report['checks'])} checks, {status}")
-    return EXIT_OK if report["all_passed"] else EXIT_PROPERTY
+    return report, None, f"verify {rep.name} d={rep.dim}: {len(report['checks'])} checks, {status}", report["all_passed"]
 
 
 def _demo_teleport(args):
@@ -342,8 +299,8 @@ def _demo_teleport(args):
     }
     rows = [[*o["outcome"], o["probability"], o["residual"]] for o in outcomes]
     return doc, lambda: table_to_csv(["a", "b", "probability", "residual"], rows), (
-        f"teleport d={d}: max residual {worst:.3e} over {d*d} outcomes"
-    )
+        f"demo teleport d={d}: max residual {worst:.3e} over {d*d} outcomes"
+    ), True
 
 
 def _demo_nmr(args):
@@ -353,8 +310,8 @@ def _demo_nmr(args):
     doc = {"demo": "nmr", **asdict(report)}
     verdict = "classical" if report.classical else "nonclassical"
     return doc, lambda: table_to_csv(["key", "value"], sorted(asdict(report).items())), (
-        f"nmr n={n} epsilon={eps:.6g}: sampled min {report.sampled_min:.3e} ({verdict})"
-    )
+        f"demo nmr n={n} epsilon={eps:.6g}: sampled min {report.sampled_min:.3e} ({verdict})"
+    ), True
 
 
 def _demo_bell(args):
@@ -365,9 +322,9 @@ def _demo_bell(args):
     result = bell_wigner_demo(a, b, c)
     doc = {"demo": "bell", "angles_degrees": degs, **result}
     return doc, lambda: table_to_csv(["key", "value"], sorted(result.items())), (
-        f"bell angles {degs}: lhs {result['lhs']:.4f}, rhs {result['rhs']:.4f}, "
+        f"demo bell angles {degs}: lhs {result['lhs']:.4f}, rhs {result['rhs']:.4f}, "
         f"violated {result['violated']}"
-    )
+    ), True
 
 
 def _demo_entanglement(args):
@@ -392,24 +349,17 @@ def _demo_entanglement(args):
     return doc, lambda: table_to_csv(
         ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"], rows
     ), (
-        f"entanglement sweep: {conclusive}/{samples} conclusive, "
+        f"demo entanglement sweep: {conclusive}/{samples} conclusive, "
         f"{conclusive - agreements} disagreements"
-    )
+    ), True
 
 
-def cmd_demo(args) -> int:
-    runners = {
-        "teleport": _demo_teleport,
-        "nmr": _demo_nmr,
-        "bell": _demo_bell,
-        "entanglement": _demo_entanglement,
-    }
-    if args.name not in runners:
-        raise ValueError(f"unknown demo {args.name!r}; pick from {sorted(runners)}")
-    doc, csv, summary = runners[args.name](args)
-    _emit_doc(args, doc, csv=csv)
-    _say(f"demo {summary}")
-    return EXIT_OK
+# name -> runner; the parser offers these names and no others
+_DEMOS = {"teleport": _demo_teleport, "nmr": _demo_nmr, "bell": _demo_bell, "entanglement": _demo_entanglement}
+
+
+def cmd_demo(args):
+    return _DEMOS[args.name](args)
 
 
 def _dims_arg(text: str) -> list[int]:
@@ -469,7 +419,7 @@ VERBS = (
     ("verify", "run the property suite",
      (REPRESENTATION,), (*DIM_FLAGS, OUT, JSON_ONLY, SAMPLES, STARTS), cmd_verify),
     ("demo", "run a bundled demonstration",
-     (("name", ("teleport", "nmr", "bell", "entanglement")),),
+     (("name", tuple(_DEMOS)),),
      (D, N, SEED, OUT, JSON_OR_CSV,
       ("--epsilon", {"type": float, "default": None}),
       ("--angles", {"help": "three comma-separated degrees"}),
@@ -561,7 +511,15 @@ def main(argv=None) -> int:
     if args is None:
         args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, csv, summary, ok = args.func(args)
+        text = csv() if args.format == "csv" else render_json(doc) + "\n"
+        sys.stdout.write(text)
+        # build's --out is the directory it wrote its files into; every other verb's is a copy of stdout
+        if args.out and args.command != "build":
+            with replacing(args.out) as fh:
+                fh.write(text)
+        _say(summary)
+        return EXIT_OK if ok else EXIT_PROPERTY
     except _HANDLED as exc:
         _say(f"error: {exc}")
         return next(code for error, code in ERROR_EXITS if isinstance(exc, error))

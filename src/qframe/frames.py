@@ -113,6 +113,22 @@ def _skew(ops: np.ndarray) -> tuple[float, float]:
     return entry, norm
 
 
+def _checked_skew(ops: np.ndarray, non_finite: str, non_hermitian: str) -> float:
+    """``_skew(ops)[0]``, after refusing a NaN or inf entry and a non-Hermitian operator with those messages.
+
+    A finite sum of squares means every entry is finite, and its root is the
+    norm in the Hermiticity tolerance; finite entries whose squares overflow pass on.
+    """
+    flat = ops.reshape(-1).view(float)
+    sq = float(flat.dot(flat))
+    if not math.isfinite(sq) and not np.isfinite(flat).all():
+        raise DimensionMismatchError(non_finite)
+    skew, norm = _skew(ops)
+    if norm > EQ_TOL * max(1.0, math.sqrt(sq)):
+        raise DimensionMismatchError(non_hermitian)
+    return skew
+
+
 @cache
 def _upper(d: int) -> np.ndarray:
     """The pairs j < k of a d x d matrix as a read-only ``(2, d (d - 1)/2)`` table, made once per d.
@@ -339,15 +355,8 @@ class Frame:
         object.__setattr__(self, "dim", ops.shape[1])
         if len(self.labels) != ops.shape[0]:
             raise DimensionMismatchError(f"{len(self.labels)} labels for {ops.shape[0]} operators")
-        # one read of the stack: a finite sum of squares means every entry is finite, and its root is
-        # the Frobenius norm that scales tol_for(ops); finite entries whose squares overflow pass on
-        flat = ops.reshape(-1).view(float)
-        sq = float(flat.dot(flat))
-        if not math.isfinite(sq) and not np.isfinite(flat).all():
-            raise DimensionMismatchError("operators must be finite; the family has a NaN or inf entry")
-        skew, norm = _skew(ops)
-        if norm > EQ_TOL * max(1.0, math.sqrt(sq)):
-            raise DimensionMismatchError("family contains a non-Hermitian operator")
+        skew = _checked_skew(ops, "operators must be finite; the family has a NaN or inf entry",
+                             "family contains a non-Hermitian operator")
         object.__setattr__(self, "skew", skew)
         ops.setflags(write=False)
 
@@ -378,8 +387,9 @@ class Frame:
         every value is finite.  Only values that fail it meet the exact rules:
         Im against ``tol_for(A)`` first, then finite real parts.
 
-        A stack is tested by ``_skew`` and paired by one real GEMM on
-        interleaved floats, with or without a label map: for Hermitian A and F,
+        A stack is tested by ``_checked_skew``, as a family's own stack is,
+        and paired by one real GEMM on interleaved floats, with or without a
+        label map: for Hermitian A and F,
         ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
         as floats, half the work of the complex product.
         """
@@ -399,8 +409,7 @@ class Frame:
         if A.ndim != 3 or A.shape[1:] != (d, d):
             raise DimensionMismatchError(f"{kind} shape {A.shape} does not match dim {d}")
         A = np.ascontiguousarray(A)
-        if _skew(A)[1] > tol_for(A):
-            raise DimensionMismatchError(f"{kind} values are not real; a {kind} is not Hermitian")
+        _checked_skew(A, _NON_FINITE, f"{kind} values are not real; a {kind} is not Hermitian")
         return A.reshape(len(A), d * d).view(float) @ self.flat.view(float).T
 
     def synthesize(self, values) -> np.ndarray:

@@ -55,6 +55,8 @@ class Representation:
     ``effect`` maps effects through the dual side, and ``reconstruct``
     resynthesizes operators from values.  The name, dimension and labels are
     the frame's own, and the dual must carry the same name and labels.
+    Every ndarray in ``meta`` is made read-only, and pickle and ``copy``
+    remake a pair through its constructor, so a copy's are read-only too.
     """
 
     frame: Frame
@@ -70,6 +72,12 @@ class Representation:
         # so the geometry's point indices are frame indices
         if self.geometry is not None and self.geometry.points != self.frame.labels:
             raise DimensionMismatchError("frame labels must be the geometry's points")
+        for value in self.meta.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __reduce__(self):
+        return Representation, (self.frame, self.dual, self.geometry, self.meta, self.checks)
 
     @property
     def name(self) -> str:

@@ -49,8 +49,8 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
     them by another relabeling.
     """
     d = mu.dim
-    if mu.representation != "cohendet" or d % 2 == 0 or mu.labels != odd_lattice(d).points:
-        raise ValueError("expected values from the odd-lattice representation")
+    _check_values(mu, odd_lattice(d).points if d % 2 else None, "cohendet", d,
+                  "expected values from the odd-lattice representation")
     geom = extended_lattice(d)
     values = _doubled(d, mu.values)
     warnings = tuple(mu.warnings)

@@ -58,6 +58,7 @@ class MubFamily:
         check_stack_budget(f"mub_family({d})", d * (d + 1), d, stacks=3)
         self.d = d
         self.bases = mub_bases(d)
+        self.bases.setflags(write=False)
         # projector (n, k) is the outer product of column k of basis n
         columns = self.bases.transpose(0, 2, 1).reshape(-1, d)
         self.outcomes = Frame(
@@ -66,6 +67,10 @@ class MubFamily:
             name="mub-table",
         )
         self.labels = self.outcomes.labels
+
+    def __reduce__(self):
+        # pickle and copy rebuild the family, so a copy's bases are read-only too
+        return MubFamily, (self.d,)
 
     @property
     def projectors(self) -> np.ndarray:

@@ -207,7 +207,7 @@ def stratonovich_discrete(s: float, constellation) -> Representation:
     """Point kernels of the all-ones ``SphericalKernel`` on a d^2-point constellation, with their one dual family."""
     d = _spin_dim(s)
     kernel = SphericalKernel(s, (1.0,) * d)
-    points = np.asarray(constellation, dtype=float)
+    points = np.array(constellation, dtype=float)  # a copy: the pair freezes the points it keeps
     if points.shape != (d * d, 3):
         raise ValueError(f"need {d * d} sphere points, got shape {points.shape}")
     _check_unit_rows(points)

@@ -357,6 +357,19 @@ def test_lattices_are_built_once_per_process(monkeypatch):
         A._lattice.cache_clear()
 
 
+def test_the_lattice_cache_keeps_two_lattices():
+    import qframe.analysis as A
+
+    A._lattice.cache_clear()
+    try:
+        for d in (3, 5, 7, 11):
+            teleport_phase_space(d, random_state(d, rank=1, seed=d), (1, 0))
+        franco_penna(A._lattice((2, 2)).represent(random_state(4, seed=1)))
+        assert A._lattice.cache_info().currsize <= 2
+    finally:
+        A._lattice.cache_clear()
+
+
 def test_identity_outcome_reproduces_input():
     rho = random_state(3, seed=11)
     out = teleport_phase_space(3, rho, (0, 0))

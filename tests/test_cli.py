@@ -696,6 +696,52 @@ def test_each_verb_lists_only_the_flags_it_reads():
     assert all("--out" in names for names in flags.values())
 
 
+# one command line per handler in VERBS, and one per demo runner
+HANDLER_CASES = [
+    ["build", "wootters", "--d", "3", "--out", "b"],
+    ["represent", "wootters", "--d", "3", "--pure", "2", "--format", "csv", "--out", "o.csv"],
+    ["reconstruct", "wootters", "--d", "3", "--dist", "mu.json", "--out", "o.json"],
+    ["transform", "wootters", "hardy", "--d", "3", "--dist", "mu.json", "--format", "csv", "--out", "o.csv"],
+    ["negativity", "mub", "--d", "3", "--witness", "--out", "o.json"],
+    ["verify", "sic", "--d", "3", "--starts", "0", "--out", "o.json"],
+    ["demo", "teleport", "--format", "csv", "--out", "o.csv"],
+    ["demo", "nmr", "--n", "1"],
+    ["demo", "bell", "--out", "o.json"],
+    ["demo", "entanglement", "--samples", "5"],
+]
+
+
+def test_the_handler_cases_cover_every_verb_and_demo():
+    rows = {row[0]: row for row in VERBS}
+    assert {argv[0] for argv in HANDLER_CASES} == set(rows)
+    demos = dict(rows["demo"][2])["name"]
+    assert sorted(argv[1] for argv in HANDLER_CASES if argv[0] == "demo") == sorted(demos)
+
+
+@pytest.mark.parametrize("argv", HANDLER_CASES, ids=lambda argv: "-".join(argv[:2]))
+def test_a_handler_returns_its_result_and_main_alone_writes_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["represent", "wootters", "--d", "3", "--pure", "1", "--out", "mu.json"]) == 0
+    capsys.readouterr()
+    code = main(argv)
+    want = capsys.readouterr()
+    out = tmp_path / argv[-1]
+    if "--out" in argv and argv[0] != "build":
+        assert out.read_text() == want.out
+        out.unlink()
+    args = parse_direct(argv)
+    result = args.func(args)
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", "")
+    assert out.exists() == (argv[0] == "build")
+    assert isinstance(result, tuple) and len(result) == 4
+    doc, csv, summary, ok = result
+    formats = next(dict(flags)["--format"]["choices"] for verb, _, _, flags, _ in VERBS if verb == argv[0])
+    assert (csv is None) == ("csv" not in formats)
+    text = csv() if args.format == "csv" else cli.render_json(doc) + "\n"
+    assert (text, summary + "\n", 0 if ok else 1) == (want.out, want.err, code)
+
+
 def test_failed_out_write_leaves_the_old_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "mu.json"
     assert main(["represent", "wootters", "--d", "3", "--pure", "1", "--out", str(out)]) == 0

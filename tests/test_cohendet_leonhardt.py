@@ -208,9 +208,10 @@ def test_the_lift_reads_the_name_and_the_labels():
     assert np.allclose(back.values, mu.values, atol=1e-12)
     # Wootters' prime lattice has Cohendet's points, placed by another relabeling
     assert wootters(3).labels == mu.labels
-    for other in (wootters(3).represent(rho), replace(mu, representation="x"),
-                  replace(mu, labels=mu.labels[::-1])):
-        with pytest.raises(ValueError, match="odd-lattice"):
+    for other, message in ((wootters(3).represent(rho), "came from 'wootters', not 'cohendet'"),
+                           (replace(mu, representation="x"), "came from 'x', not 'cohendet'"),
+                           (replace(mu, labels=mu.labels[::-1]), "odd-lattice")):
+        with pytest.raises(ValueError, match=message):
             extended_distribution(other)
 
 

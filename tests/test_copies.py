@@ -3,7 +3,8 @@
 ``dataclasses.replace``, ``copy.deepcopy`` and a pickle round trip each give
 an object whose checks ran again: a family keeps its label map (or its lack
 of one) and a read-only stack, and values, line tables and field tables stay
-read-only, with the same bits as the original.
+read-only, with the same bits as the original.  Every array a representation
+holds, its ``meta`` arrays included, is read-only on a fresh build too.
 """
 
 import copy
@@ -19,7 +20,7 @@ from qframe.finitefield import FiniteField
 from qframe.frames import born_pair
 from qframe.geometry import field_lattice
 from qframe.operators import random_effect, random_state
-from qframe.representations import wootters
+from qframe.representations import stratonovich_discrete, tetrahedral_constellation, wootters
 
 # one small admitted size per CLI representation; odd Leonhardt pairs through a label map
 CASES = {
@@ -146,3 +147,42 @@ def test_a_copied_distribution_geometry_and_field_stay_read_only(how):
         for key, table in _field_tables(copied).items():
             assert not table.flags.writeable, key
             _same_bits(table, tables[key])
+
+
+def _reachable_arrays(obj, path: str, found: dict, seen: set) -> dict:
+    """Every ndarray reachable from ``obj`` through dicts, lists, tuples and the attributes of qframe objects."""
+    if id(obj) in seen:
+        return found
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        found[path] = obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _reachable_arrays(value, f"{path}[{key!r}]", found, seen)
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _reachable_arrays(value, f"{path}[{i}]", found, seen)
+    elif type(obj).__module__.startswith("qframe") and hasattr(obj, "__dict__"):
+        for key, value in vars(obj).items():
+            _reachable_arrays(value, f"{path}.{key}", found, seen)
+    return found
+
+
+@pytest.mark.parametrize("how", ["fresh", *COPIES])
+@pytest.mark.parametrize("name", list(CASES))
+def test_every_array_a_pair_holds_is_read_only(name, how):
+    rep = build_representation(name, parse_direct(["build", name, *CASES[name], "--seed", "0"]))
+    got = rep if how == "fresh" else COPIES[how](rep)
+    arrays = _reachable_arrays(got, "rep", {}, set())
+    assert "rep.frame.operators" in arrays
+    assert [path for path, table in arrays.items() if table.flags.writeable] == []
+    fresh = _reachable_arrays(rep, "rep", {}, set())
+    for path in arrays.keys() & fresh.keys():
+        _same_bits(arrays[path], fresh[path])
+
+
+def test_a_constellation_is_kept_as_a_copy():
+    points = tetrahedral_constellation()
+    rep = stratonovich_discrete(0.5, points)
+    assert rep.meta["constellation"] is not points and points.flags.writeable
+    _same_bits(rep.meta["constellation"], points)

@@ -369,6 +369,20 @@ def test_the_upper_pairs_are_triu_indices_and_read_only():
         assert not upper.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("make", [lambda: wootters(3), lambda: hardy_rep(3)])
+def test_a_stack_with_a_non_finite_entry_is_refused_as_a_family_stack_is(make, bad):
+    # wootters(3) pairs through its label map, hardy_rep(3) on its stack
+    rep = make()
+    A = np.stack([random_state(3, seed=5), random_effect(3, seed=6)])
+    A[1, 2, 2] = bad
+    for family in (rep.frame, rep.dual):
+        with pytest.raises(DimensionMismatchError, match="values must be finite"):
+            family.analyze(A)
+    with pytest.raises(DimensionMismatchError, match="operators must be finite"):
+        Frame(tuple(range(2)), A)
+
+
 @pytest.mark.parametrize("make", [lambda: wootters(3), lambda: hardy_rep(3)])
 def test_empty_stacks_analyze_and_synthesize_to_empty_stacks(make):
     # wootters(3) pairs through its label map, hardy_rep(3) on its stack
