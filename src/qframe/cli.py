@@ -55,6 +55,7 @@ from .representations import (
     wootters,
     wootters_composite,
 )
+from .representations.base import check_stack_budget
 from .representations.spherical import _random_stratonovich
 from .serialize import (
     distribution_from_doc,
@@ -329,6 +330,8 @@ def _demo_bell(args):
 
 def _demo_entanglement(args):
     samples = _samples(args, 100)
+    # the states, their lattice values and verdict rows peak at 4.0 stacks of 4 x 4 per sample
+    check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=4)
     seed = args.seed
     seeds = [seed + k for k in range(samples)]
     ranks = [1 + s % 4 for s in seeds]

@@ -135,7 +135,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -158,7 +158,7 @@ def matrix_from_doc(doc) -> np.ndarray:
         d = int(doc["dim"])
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise ParseError(f"matrix blocks must be {d} x {d}")
@@ -229,7 +229,7 @@ def frame_from_doc(doc) -> Frame:
         labels = [label_from_doc(x) for x in doc["labels"]]
         ops = np.array([matrix_from_doc(m) for m in doc["operators"]])
         name = str(doc.get("name", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad frame document: {exc}") from exc
     if ops.ndim == 3 and ops.shape[1] != dim:
         raise DimensionMismatchError(f"operators are {ops.shape[1]}x{ops.shape[1]}, dim says {dim}")
@@ -262,7 +262,7 @@ def distribution_from_doc(doc) -> QuasiDistribution:
             values=np.asarray(doc["values"], dtype=float),
             warnings=tuple(doc.get("warnings", ())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad distribution document: {exc}") from exc
     return QuasiDistribution(**fields)
 

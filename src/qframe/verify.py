@@ -18,6 +18,7 @@ import numpy as np
 from .frames import Frame, is_dual_pair
 from .operators import _random_effects, _random_states
 from .representations import Representation, striation_pvms
+from .representations.base import check_stack_budget
 
 DUALITY_TOL = 1e-9
 BORN_TOL = 1e-8
@@ -85,6 +86,8 @@ def verify_representation(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    # the Born samples peak at 7.3 d x d complex stacks per sample at d = 2 and 6.1 at d = 43
+    check_stack_budget(f"verify_representation({rep.name}, samples={samples})", samples, rep.dim, stacks=8)
     checks = [
         _check("hermitian_families", max(rep.frame.skew, rep.dual.skew), 1e-10),
         _check("duality", is_dual_pair(rep.frame, rep.dual)[1], DUALITY_TOL),

@@ -5,10 +5,11 @@ polynomials as little-endian coefficient lists over Z_p, multiplied and
 reduced by long division.  On it, ``is_irreducible`` tries every monic
 factor of degree up to n/2, and ``is_primitive_modulus`` asks that x^(q-1)
 be 1 and that x^((q-1)/r) not be 1 for each prime r | q - 1, on a modulus it
-has found irreducible.  The table-driven predicates must agree with both on
-every modulus, monic or not.  ``PolyField`` is polynomial arithmetic on
-integer codes: powers by squaring, the trace as a sum of Frobenius powers and
-the dual basis by Gauss-Jordan elimination of the trace Gram matrix.
+has found irreducible.  The table-driven ``is_primitive_modulus`` must agree
+with it on every modulus, monic or not.  ``PolyField`` is polynomial
+arithmetic on integer codes under the default modulus: powers by squaring,
+the trace as a sum of Frobenius powers and the dual basis by Gauss-Jordan
+elimination of the trace Gram matrix.
 ``dense_ghw`` builds the GHW representation on top of it the direct way:
 every translation a Kronecker product of shift and clock matrix powers, each
 line projector a dense conjugation, and each phase-point operator a Python
@@ -128,9 +129,9 @@ def is_primitive_modulus(modulus, p: int) -> bool:
 
 
 class PolyField:
-    def __init__(self, p: int, n: int, modulus=None):
+    def __init__(self, p: int, n: int):
         self.p, self.n = p, n
-        self.modulus = list(modulus if modulus is not None else default_modulus(p, n))
+        self.modulus = list(default_modulus(p, n))
         self.order = p**n
         self._duals: dict[tuple, list[int]] = {}
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qframe import operators, verify
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
 from qframe.representations import (
@@ -146,3 +147,41 @@ def test_ghw_peak_stays_within_its_charge(p, n):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * d**4 * C16
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "wootters", "--d", "3", "--samples", "1000"],
+    ["demo", "entanglement", "--samples", "1000"],
+], ids=["verify", "demo-entanglement"])
+def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsys, argv):
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
+    for module in (operators, verify):
+        monkeypatch.setattr(module, "_random_states", lambda *a, **k: pytest.fail("drew past the budget"))
+    assert main(argv) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["verify", "wootters", "--d", "3", "--samples", "20"], 8 * 20 * 9 * C16),
+    (["demo", "entanglement", "--samples", "20"], 4 * 20 * 16 * C16),
+], ids=["verify", "demo-entanglement"])
+def test_a_sample_count_at_the_budget_runs(monkeypatch, capsys, argv, need):
+    # the demo's two-qubit lattice is charged 2 * 16 * 16 * C16, under the sample charge
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", need)
+    assert main(argv) == 0
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_the_born_samples_peak_within_their_charge(d):
+    # verify_representation charges eight d x d complex stacks per sample
+    rep, samples = wootters(d) if d % 2 else leonhardt(d), 500
+    verify._born_residual(rep, 0, 5)  # imports and caches outside the traced window
+    tracemalloc.start()
+    try:
+        verify._born_residual(rep, 0, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * samples * d * d * C16 + SLACK

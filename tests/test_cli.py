@@ -870,3 +870,22 @@ def test_well_formed_commands_never_build_a_parser(tmp_path, capsys, monkeypatch
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         json.loads(out)
+
+
+NOT_UTF8 = b"\xff{}"
+
+
+@pytest.mark.parametrize("verb,flag,content", [
+    ("represent", "--state", NOT_UTF8),
+    ("represent", "--state", b'{"dim": 1e400, "re": [[1.0]], "im": [[0.0]]}'),
+    ("reconstruct", "--dist", NOT_UTF8),
+    ("reconstruct", "--dist", b'{"representation": "wootters", "dim": 1e400, "labels": [], "values": []}'),
+], ids=["state-not-utf8", "state-dim-inf", "dist-not-utf8", "dist-dim-inf"])
+def test_an_unreadable_input_file_exits_3(tmp_path, capsys, verb, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, verb, "wootters", "--d", "3", flag, str(path))
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    if content == NOT_UTF8:
+        assert f"malformed JSON in {path}" in err

@@ -1,5 +1,6 @@
 """GF(p^n) arithmetic on integer codes, traces, dual-basis coordinates and modulus selection."""
 
+import inspect
 from functools import lru_cache
 
 import numpy as np
@@ -9,26 +10,23 @@ from hypothesis import strategies as st
 
 import gf_oracle
 from gf_oracle import PolyField
-from qframe import finitefield
-from qframe.errors import ParseError, UnsupportedDimensionError
+from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import (
     CONWAY_POLYNOMIALS,
     MAX_ORDER,
     FiniteField,
     default_modulus,
-    is_irreducible,
     is_primitive_modulus,
 )
 
-# Every built-in field of order <= 64, plus x^2 + 1 over GF(3): irreducible,
-# but x has order 4, so the log tables must search for a generator.
-ORACLE_FIELDS = sorted((p, n, None) for p, n in CONWAY_POLYNOMIALS if p**n <= 64) + [(3, 2, (1, 0, 1))]
+# Every built-in field of order <= 64, then three on fallback moduli: at GF(11)
+# and GF(13) x is not the smallest primitive root, and GF(121) is an extension.
+ORACLE_FIELDS = sorted(case for case in CONWAY_POLYNOMIALS if case[0] ** case[1] <= 64) + [(11, 1), (13, 1), (11, 2)]
 
 
 @lru_cache(maxsize=None)
 def _fields(case):
-    p, n, modulus = case
-    return FiniteField(p, n, modulus), PolyField(p, n, modulus)
+    return FiniteField(*case), PolyField(*case)
 
 
 def _power(F, a: int, e: int) -> int:
@@ -116,18 +114,12 @@ def test_gf9_trace_hand_values():
     assert F.traces[3] == 1  # the code of x
 
 
-def test_reducible_modulus_rejected():
-    assert not is_irreducible((1, 0, 1), 2)  # x^2+1 = (x+1)^2 over GF(2)
-    with pytest.raises(ParseError):
-        FiniteField(2, 2, (1, 0, 1))
-
-
 def test_default_modulus_table_and_fallback():
     assert default_modulus(2, 2) == (1, 1, 1)
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)
     mod = default_modulus(11, 2)  # outside the built-in table
     assert len(mod) == 3 and mod[-1] == 1
-    assert is_irreducible(mod, 11)
+    assert gf_oracle.is_irreducible(mod, 11)
     assert is_primitive_modulus(mod, 11)
 
 
@@ -161,41 +153,46 @@ def test_modulus_predicates_match_the_list_oracle(p, max_degree):
     for n in range(1, max_degree + 1):
         for code in range(p**n, p ** (n + 1)):
             modulus = [code // p**i % p for i in range(n + 1)]
-            assert is_irreducible(modulus, p) == gf_oracle.is_irreducible(modulus, p), modulus
             assert is_primitive_modulus(modulus, p) == gf_oracle.is_primitive_modulus(modulus, p), modulus
 
 
 def test_modulus_predicates_trim_and_normalise():
-    assert is_irreducible((1, 1, 1, 0, 0), 2) and is_primitive_modulus((1, 1, 1, 0), 2)
+    assert is_primitive_modulus((1, 1, 1, 0, 0), 2) and is_primitive_modulus((1, 1, 1, 0), 2)
     assert is_primitive_modulus((6, 3, 3), 5) == is_primitive_modulus((2, 1, 1), 5)  # 3 (2, 1, 1) = (6, 3, 3) mod 5
     for modulus in [(), (0,), (1,), (3, 0, 0)]:
-        assert not is_irreducible(modulus, 3)
         assert not is_primitive_modulus(modulus, 3)
     with pytest.raises(UnsupportedDimensionError, match=f"exceeds supported {MAX_ORDER}"):
-        is_irreducible((1,) * 14, 2)
+        is_primitive_modulus((1,) * 14, 2)
 
 
 @pytest.mark.parametrize("check", [
-    lambda p: is_irreducible((1, 0, 1), p),
+    lambda p: FiniteField(p, 2),
     lambda p: is_primitive_modulus((1, 0, 1), p),
     lambda p: default_modulus(p, 2),
-], ids=["is_irreducible", "is_primitive_modulus", "default_modulus"])
+], ids=["FiniteField", "is_primitive_modulus", "default_modulus"])
 @pytest.mark.parametrize("p", [6, 9, 1, 0])
 def test_modulus_functions_refuse_a_non_prime_characteristic(check, p):
     with pytest.raises(UnsupportedDimensionError, match=f"field characteristic must be prime, got {p}"):
         check(p)
 
 
-def test_only_a_supplied_modulus_is_checked_for_irreducibility(monkeypatch):
-    def refuse(modulus, p):
-        raise AssertionError("a default modulus was checked again")
+def test_a_field_is_made_from_p_and_n_alone():
+    assert list(inspect.signature(FiniteField).parameters) == ["p", "n"]
+    for p, n in [(2, 2), (11, 1), (11, 2)]:
+        F = FiniteField(p, n)
+        assert F.modulus == default_modulus(p, n)
+        assert F.__reduce__() == (FiniteField, (p, n))
 
-    monkeypatch.setattr(finitefield, "is_irreducible", refuse)
-    default_modulus.cache_clear()  # make GF(11) search its fallback modulus again
-    assert FiniteField(2, 4).modulus == (1, 1, 0, 0, 1)
-    assert FiniteField(11, 1).modulus == (3, 1)
-    with pytest.raises(AssertionError, match="checked again"):
-        FiniteField(2, 2, (1, 1, 1))
+
+# at n = 1 the fallback fields' x is not the smallest primitive root: x = 8 in GF(11), x = 11 in GF(13)
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 3), (11, 1), (13, 1), (17, 1), (11, 2), (2, 7)])
+def test_the_log_tables_are_the_orbit_of_x(p, n):
+    F = FiniteField(p, n)
+    exp, log = F._exp_log
+    assert exp[1] == F._times_x[1]  # exp[1] is x
+    assert np.array_equal(exp[1:], F._times_x[exp[:-1]])
+    assert sorted(exp.tolist()) == list(range(1, F.order))
+    assert np.array_equal(log[exp], np.arange(F.order - 1))
 
 
 def test_order_bounds():
@@ -213,13 +210,6 @@ def test_element_int_round_trip():
 # table arithmetic against the polynomial oracle
 
 
-def test_non_primitive_modulus_is_accepted():
-    F = FiniteField(3, 2, (1, 0, 1))
-    assert not is_primitive_modulus(F.modulus, 3)
-    assert _power(F, 3, 4) == 1  # x^2 = -1
-    assert any(len({_power(F, g, k) for k in range(8)}) == 8 for g in range(F.order))
-
-
 @pytest.mark.parametrize("case", ORACLE_FIELDS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -228,8 +218,9 @@ def test_table_arithmetic_matches_polynomial_oracle(case, data):
     a, b = (data.draw(st.integers(0, F.order - 1)) for _ in range(2))
     e = data.draw(st.integers(-70, 70))
     assert F.add(a, b) == P.add(a, b)
-    assert F.sub(a, b) == P.add(a, P.mul(P.p - 1, b))
-    assert F.sub(0, a) == P.mul(P.p - 1, a)
+    assert F.add(a, F.mul(F.p - 1, b)) == P.add(a, P.mul(P.p - 1, b))  # a - b
+    assert F.mul(F.p - 1, a) == P.mul(P.p - 1, a)  # -a
+    assert F.add(a, F.mul(F.p - 1, a)) == 0
     assert F.mul(a, b) == P.mul(a, b)
     assert F.coords[a].tolist() == P.coeffs(a)
     assert F.traces[a] == P.trace(a)
@@ -261,7 +252,7 @@ def test_tables_are_built_lazily_and_read_only():
 
 
 def test_long_coefficient_sequences_reduce_by_the_modulus():
-    F, P = _fields((2, 3, None))
+    F, P = _fields((2, 3))
     # x^3 = x + 1 and x^5 = x^2 + x + 1 under x^3 + x + 1
     assert _power(F, 2, 3) == 3
     assert _power(F, 2, 5) == P.pow(2, 5) == 7

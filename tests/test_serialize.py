@@ -99,6 +99,17 @@ def test_load_json_malformed(tmp_path):
         load_json(path)
 
 
+@pytest.mark.parametrize("parse,doc", [
+    (matrix_from_doc, {"dim": 1e400, "re": [[1.0]], "im": [[0.0]]}),
+    (frame_from_doc, {"dim": 1e400, "labels": [0], "operators": []}),
+    (distribution_from_doc, {"representation": "wootters", "dim": 1e400, "labels": [0], "values": [1.0]}),
+], ids=["matrix", "frame", "distribution"])
+def test_an_infinite_dim_is_a_parse_error(parse, doc):
+    # JSON reads 1e400 as inf, and int(inf) overflows
+    with pytest.raises(ParseError, match="bad .* document"):
+        parse(doc)
+
+
 def test_label_docs_round_trip_nested_tuples():
     lab = ((0, 1), (1, 0))
     doc = label_to_doc(lab)
