@@ -157,10 +157,9 @@ def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
     rep = _lattice((2, 2))
-    values = rep.frame.analyze(rhos, "state")
+    lattice_min = rep.frame.analyze(rhos, "state").min(axis=1)
     eig_min = np.linalg.eigvalsh(partial_transpose(rhos, (2, 2), 1))[:, 0]
-    return [(float(m), _lattice_verdict(m), float(e), _ppt_verdict(e))
-            for m, e in zip(values.min(axis=1), eig_min)]
+    return [(float(m), _lattice_verdict(m), float(e), _ppt_verdict(e)) for m, e in zip(lattice_min, eig_min)]
 
 
 def _first_minimum(values: np.ndarray) -> int:

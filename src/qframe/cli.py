@@ -330,17 +330,21 @@ def _demo_bell(args):
 
 def _demo_entanglement(args):
     samples = _samples(args, 100)
-    # the states, their lattice values and verdict rows peak at 4.0 stacks of 4 x 4 per sample
-    check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=4)
+    # the states, the sweep's arrays and its verdict rows peak at 2.2 stacks of 4 x 4 per sample, and
+    # the verdict rows with the CSV rows and text at 2.3
+    check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=3)
     seed = args.seed
-    seeds = [seed + k for k in range(samples)]
-    ranks = [1 + s % 4 for s in seeds]
-    rhos = np.stack([random_state(4, rank=r, seed=s) for s, r in zip(seeds, ranks)])
+
+    def draws():  # each sample's (seed, rank)
+        return ((seed + k, 1 + (seed + k) % 4) for k in range(samples))
+
+    rhos = np.empty((samples, 4, 4), dtype=complex)
+    for k, (s, r) in enumerate(draws()):
+        rhos[k] = random_state(4, rank=r, seed=s)
     # each verdict row is (lattice min, lattice verdict, partial-transpose min eigenvalue, ppt verdict)
     verdicts = _entanglement_sweep(rhos)
     conclusive = sum(v[1] == "entangled" for v in verdicts)
     agreements = sum(v[1] == v[3] == "entangled" for v in verdicts)
-    rows = [[s, r, *v] for s, r, v in zip(seeds, ranks, verdicts)]
     doc = {
         "demo": "entanglement",
         "samples": samples,
@@ -350,7 +354,8 @@ def _demo_entanglement(args):
         "disagreements": conclusive - agreements,
     }
     return doc, lambda: table_to_csv(
-        ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"], rows
+        ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"],
+        [[s, r, *v] for (s, r), v in zip(draws(), verdicts)],
     ), (
         f"demo entanglement sweep: {conclusive}/{samples} conclusive, "
         f"{conclusive - agreements} disagreements"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -334,9 +334,10 @@ class Frame:
     disagree; any other family has none and pairs on its stack.
 
     Every copy goes through the constructor: ``dataclasses.replace`` does,
-    and pickle and ``copy`` remake the family from its labels, stack, name
-    and map.  So a renamed, deep-copied or unpickled family keeps its map and
-    a read-only stack, and ``replace`` with another stack refuses the map.
+    and pickle and ``copy`` call ``Frame`` on its labels, stack, name and map
+    (a deep copy shares the read-only stack and map, as a shallow one does).
+    So a renamed, deep-copied or unpickled family keeps its map and a
+    read-only stack, and ``replace`` with another stack refuses the map.
     """
 
     dim: int = field(init=False)
@@ -361,7 +362,9 @@ class Frame:
         ops.setflags(write=False)
 
     def __reduce__(self):
-        return _frame, (self.labels, self.operators, self.name, self.label_map)
+        # the whole call rides in the callable: deepcopy copies the arguments but not the callable, and a
+        # copied stack would refuse the map built for this one
+        return partial(Frame, self.labels, self.operators, self.name, label_map=self.label_map), ()
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -476,11 +479,6 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     )
     frame = Frame(labels, frame_map.stack, name, label_map=frame_map)
     return frame, Frame(frame.labels, dual_map.stack, name, label_map=dual_map)
-
-
-def _frame(labels, operators, name, label_map) -> Frame:
-    """``Frame(labels, operators, name, label_map=label_map)``: how pickle and ``copy`` remake a family."""
-    return Frame(labels, operators, name, label_map=label_map)
 
 
 @dataclass(frozen=True, eq=False)

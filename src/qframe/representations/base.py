@@ -1,4 +1,10 @@
-"""Common bundle type for concrete phase-space representations."""
+"""Common bundle type for concrete phase-space representations.
+
+The minimal displaced-parity factories make their pair with
+``frames.parity_pair``, the other lattice factories with
+``phase_point_representation`` (frame {A/d}, dual {A}); ``check_stack_budget``
+refuses a build or a ``verify`` run before it allocates past the budget.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ from ..frames import (
     Frame,
     QuasiDistribution,
     _same_labels,
-    parity_pair,
     reconstruct_state,
     represent_effect,
     represent_state,
@@ -23,11 +28,10 @@ __all__ = [
     "striation_pvms",
     "MAX_STACK_BYTES",
     "check_stack_budget",
-    "parity_representation",
     "phase_point_representation",
 ]
 
-# Largest total of complex d x d operator stacks one factory call will allocate.
+# Largest total of complex d x d operator stacks one factory call or verify run will allocate.
 MAX_STACK_BYTES = 1 << 30
 
 
@@ -36,7 +40,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
 
     Two stacks are the frame and the dual; factories that also build the SIC
     orbit, the unbiased-basis projectors or the n x n solve of a basis's dual
-    (n = d^2) count three, and so does GHW, for its tables beside the two.
+    (n = d^2) count three, and so does GHW, for its tables beside the two;
+    ``verify_representation`` charges its samples and checks in one call.
     A small build may peak up to a fixed 256 KiB above its charge: one of
     ``frames._skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
     """
@@ -107,19 +112,6 @@ def phase_point_representation(name: str, geom: PhaseSpaceGeometry, ops: np.ndar
     frame = Frame(geom.points, ops / ops.shape[1], name)
     dual = Frame(geom.points, ops, name)
     return Representation(frame, dual, geom, meta)
-
-
-def parity_representation(name: str, geom: PhaseSpaceGeometry, relabel, meta: dict,
-                          checks: tuple = ()) -> Representation:
-    """A minimal displaced-parity pair over the points of ``geom``: frame {K(s, t)/d}, dual {K(s, t)}.
-
-    ``parity_pair`` builds both, with the label map they pair through, from
-    the family's matrix ``relabel``, (s, t) = relabel (q, p): ((2, 0), (0, 2))
-    for Wootters and odd Leonhardt, ((-2, 0), (0, 2)) for Cohendet and
-    ((0, 2), (-2, 0)) for Ruzzi.
-    """
-    frame, dual = parity_pair(geom.points, relabel, name)
-    return Representation(frame, dual, geom, meta, checks)
 
 
 def striation_pvms(rep: Representation) -> np.ndarray:

@@ -8,10 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import QuasiDistribution, _check_values
+from ..frames import QuasiDistribution, _check_values, parity_pair
 from ..geometry import extended_lattice, odd_lattice
 from ..operators import _random_states
-from .base import Representation, check_stack_budget, parity_representation
+from .base import Representation, check_stack_budget
 
 
 def cohendet(d: int) -> Representation:
@@ -21,8 +21,9 @@ def cohendet(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"cohendet({d})", d * d, d)
-    return parity_representation("cohendet", odd_lattice(d), ((-2, 0), (0, 2)), {"d": d},
-                                 (("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
+    geom = odd_lattice(d)
+    return Representation(*parity_pair(geom.points, ((-2, 0), (0, 2)), "cohendet"), geom, {"d": d},
+                          (("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
 
 
 def _extended_nonnegativity(rep: Representation, seed: int) -> float:

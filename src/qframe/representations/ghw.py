@@ -6,6 +6,11 @@ the point (q, p) carries the translation unitary
 
     T(q,p) = X^{q_0} Z^{p_0} (x) ... (x) X^{q_{n-1}} Z^{p_{n-1}}.
 
+It is monomial: with j_i the digits of a basis index (tensor factor 0
+first), it sends |j> to omega^(p.j) |j + q>, so the build reads each
+translation off the field's digit tables, and the tests' oracle
+``gf_oracle._monomials`` writes T(q, p) as that permutation and its phases.
+
 The translations along a ray (a line through the origin) commute, so each
 striation has a joint eigenbasis, and covariance writes it down without a
 search.  The vertical striation's rays are diagonal, so its basis is the
@@ -53,23 +58,6 @@ __all__ = [
     "wootters_aligned_net",
     "match_phase_points",
 ]
-
-def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations and phases of T(q, p) over arrays of codes.
-
-    Every T(q, p) is monomial: with j_i the digits of a basis index (tensor
-    factor 0 first), q_i the polynomial coordinates of q and p_i the
-    dual-basis coordinates of p, it sends |j> to omega^(p.j) |j + q>.  So
-    ``T[perm[k, j], j] = phase[k, j]`` for the k-th pair.
-    """
-    p, n = F.p, F.n
-    j = F.coords[:, ::-1]
-    qc = F.coords[np.asarray(qs)][..., None, :]
-    pc = F.dual_coords[np.asarray(ps)][..., None, :]
-    perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
-    phase = omega(p) ** ((j * pc).sum(axis=-1) % p)
-    return perm, phase
-
 
 def _striation_bases(F: FiniteField, directions) -> np.ndarray:
     """The ``(d + 1, d, d)`` stack of the striations' joint eigenbases, written down from integer exponents.
@@ -136,14 +124,17 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representatio
 
     # A(0): the net vectors of the d + 1 rays through the origin, minus the identity
     v = bases[np.arange(d + 1), :, net].T
-    codes, zeros = np.arange(d), np.zeros(d, dtype=np.int64)
     A0 = v @ v.conj().T - np.eye(d)
-    # A(q, p) = X^q B_p X^-q with B_p = Z^p A(0) Z^-p, made exactly Hermitian
-    _, z = _monomials(F, zeros, codes)
+    # j[k]: the digits of basis index k, tensor factor 0 first
+    j = F.coords[:, ::-1]
+    # A(q, p) = X^q B_p X^-q with B_p = Z^p A(0) Z^-p, made exactly Hermitian; Z^p is diag(z[p])
+    z = omega(p) ** (F.dual_coords @ j.T % p)
     B = z[:, :, None] * A0 * z.conj()[:, None, :]
     B = (B + B.conj().transpose(0, 2, 1)) / 2
-    # X^q sends |j> to |j + q>, so A(q, p)[j, k] = B_p[j - q, k - q]; point (q, p) is row q d + p
-    back = _monomials(F, codes, zeros)[0].argsort(axis=1)
+    # X^q sends |k> to |k + q>, so A(q, p)[j, k] = B_p[back[q, j], back[q, k]] with back[q, k] the index
+    # of k - q; point (q, p) is row q d + p
+    back = (j - F.coords[:, None, :]) % p @ p ** np.arange(n - 1, -1, -1)
+    codes = np.arange(d)
     ops = B[codes[:, None, None], back[:, None, :, None], back[:, None, None, :]]
 
     return phase_point_representation("ghw", geom, ops.reshape(d * d, d, d), {

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
+from ..frames import parity_pair
 from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
-from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
+from .base import Representation, check_stack_budget, phase_point_representation
 
 
 def leonhardt(d: int) -> Representation:
@@ -21,7 +22,8 @@ def leonhardt(d: int) -> Representation:
         raise UnsupportedDimensionError("need d >= 2")
     check_stack_budget(f"leonhardt({d})", d * d if d % 2 else 4 * d * d, d)
     if d % 2 == 1:
-        return parity_representation("leonhardt", odd_lattice(d), ((2, 0), (0, 2)), {"case": "odd"})
+        geom = odd_lattice(d)
+        return Representation(*parity_pair(geom.points, ((2, 0), (0, 2)), "leonhardt"), geom, {"case": "odd"})
     # half-integer grid: q, p run over Z_2d and the phase uses the 2d-th root.
     # The frame {K/(2d)} is tight with both bounds 1/d, so its canonical dual is d F = K/2.
     geom = plain_lattice(2 * d, kind="half-integer-lattice")

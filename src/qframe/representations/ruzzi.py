@@ -6,8 +6,9 @@ T(q, p) is K(2p, -2q) of the displaced-parity kernel ``operators.displaced_parit
 from __future__ import annotations
 
 from ..errors import UnsupportedDimensionError
+from ..frames import parity_pair
 from ..geometry import odd_lattice
-from .base import Representation, check_stack_budget, parity_representation
+from .base import Representation, check_stack_budget
 
 
 def ruzzi_s0(d: int) -> Representation:
@@ -17,4 +18,5 @@ def ruzzi_s0(d: int) -> Representation:
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
     check_stack_budget(f"ruzzi_s0({d})", d * d, d)
-    return parity_representation("ruzzi", odd_lattice(d), ((0, 2), (-2, 0)), {"d": d})
+    geom = odd_lattice(d)
+    return Representation(*parity_pair(geom.points, ((0, 2), (-2, 0)), "ruzzi"), geom, {"d": d})

@@ -26,9 +26,10 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
+from ..frames import parity_pair
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import SIGMA, tensor
-from .base import Representation, check_stack_budget, parity_representation, phase_point_representation
+from .base import Representation, check_stack_budget, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
 
@@ -50,7 +51,7 @@ def wootters(d: int) -> Representation:
     geom = prime_lattice(d)
     if d == 2:
         return phase_point_representation("wootters", geom, _qubit_points(), {"dims": (d,)})
-    return parity_representation("wootters", geom, ((2, 0), (0, 2)), {"dims": (d,)})
+    return Representation(*parity_pair(geom.points, ((2, 0), (0, 2)), "wootters"), geom, {"dims": (d,)})
 
 
 def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:

@@ -86,8 +86,11 @@ def verify_representation(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    # the Born samples peak at 7.3 d x d complex stacks per sample at d = 2 and 6.1 at d = 43
-    check_stack_budget(f"verify_representation({rep.name}, samples={samples})", samples, rep.dim, stacks=8)
+    # in d x d operators: the Born samples peak at 6.1-7.3 per sample, and at d = 13-43 the unsampled steps
+    # at 1.98 per frame operator (is_dual_pair) and 2.50 per line (striation_pvms and its square)
+    lines = rep.geometry.line_index.shape[:2] if rep.geometry is not None else (0, 0)
+    check_stack_budget(f"verify_representation({rep.name}, samples={samples})",
+                       8 * samples + 3 * max(len(rep.frame), lines[0] * lines[1]), rep.dim, stacks=1)
     checks = [
         _check("hermitian_families", max(rep.frame.skew, rep.dual.skew), 1e-10),
         _check("duality", is_dual_pair(rep.frame, rep.dual)[1], DUALITY_TOL),

@@ -19,16 +19,35 @@ index-arithmetic GHW build must agree with them.
 with its ``eigh_fixed``; the bases ``ghw`` writes down from translation
 covariance must have its columns, order and gauge, within the residual it
 misses its own eigen-equations by.
+``_monomials`` writes the translations T(q, p) as permutations and phases,
+the tables ``ghw`` reads off the field's digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qframe.finitefield import default_modulus
-from qframe.operators import tensor
+from qframe.finitefield import FiniteField, default_modulus
+from qframe.operators import omega, tensor
 
 from lattice_oracle import clock_matrix, shift_matrix
+
+
+def _monomials(F: FiniteField, qs, ps) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and phases of T(q, p) over arrays of codes.
+
+    Every T(q, p) is monomial: with j_i the digits of a basis index (tensor
+    factor 0 first), q_i the polynomial coordinates of q and p_i the
+    dual-basis coordinates of p, it sends |j> to omega^(p.j) |j + q>.  So
+    ``T[perm[k, j], j] = phase[k, j]`` for the k-th pair.
+    """
+    p, n = F.p, F.n
+    j = F.coords[:, ::-1]
+    qc = F.coords[np.asarray(qs)][..., None, :]
+    pc = F.dual_coords[np.asarray(ps)][..., None, :]
+    perm = ((j + qc) % p) @ (p ** np.arange(n - 1, -1, -1))
+    phase = omega(p) ** ((j * pc).sum(axis=-1) % p)
+    return perm, phase
 
 
 def poly_trim(c: list[int]) -> list[int]:

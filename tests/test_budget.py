@@ -28,13 +28,13 @@ C16 = np.dtype(complex).itemsize
 # (id, build, module whose first allocating step is stubbed out, its name,
 #  bytes of operator stacks the build is charged)
 BUDGETED = [
-    ("wootters-3", lambda: wootters(3), "base", "parity_pair", 2 * 9 * 9 * C16),
+    ("wootters-3", lambda: wootters(3), "wootters", "parity_pair", 2 * 9 * 9 * C16),
     ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "wootters",
      2 * 36 * 36 * C16),
-    ("cohendet-3", lambda: cohendet(3), "base", "parity_pair", 2 * 9 * 9 * C16),
-    ("leonhardt-3", lambda: leonhardt(3), "base", "parity_pair", 2 * 9 * 9 * C16),
+    ("cohendet-3", lambda: cohendet(3), "cohendet", "parity_pair", 2 * 9 * 9 * C16),
+    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "parity_pair", 2 * 9 * 9 * C16),
     ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "displaced_parity", 2 * 16 * 4 * C16),
-    ("ruzzi-3", lambda: ruzzi_s0(3), "base", "parity_pair", 2 * 9 * 9 * C16),
+    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "parity_pair", 2 * 9 * 9 * C16),
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "_grid", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
@@ -95,8 +95,9 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
 ], ids=["wootters-79", "composite-7x11", "cohendet-81", "leonhardt-56", "ruzzi-81", "hardy-70",
         "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
-    for module, step in [("wootters", "wootters"), ("leonhardt", "displaced_parity"),
-                         ("base", "parity_pair"), ("hardy", "_grid"), ("mub", "mub_bases")]:
+    for module, step in [("wootters", "wootters"), ("leonhardt", "displaced_parity"), ("wootters", "parity_pair"),
+                         ("cohendet", "parity_pair"), ("leonhardt", "parity_pair"), ("ruzzi", "parity_pair"),
+                         ("hardy", "_grid"), ("mub", "mub_bases")]:
         _stub(monkeypatch, module, step)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         build()
@@ -162,8 +163,9 @@ def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv,need", [
-    (["verify", "wootters", "--d", "3", "--samples", "20"], 8 * 20 * 9 * C16),
-    (["demo", "entanglement", "--samples", "20"], 4 * 20 * 16 * C16),
+    # 8 operators per sample and 3 per line of wootters(3)'s 12
+    (["verify", "wootters", "--d", "3", "--samples", "20"], (8 * 20 + 3 * 12) * 9 * C16),
+    (["demo", "entanglement", "--samples", "20"], 3 * 20 * 16 * C16),
 ], ids=["verify", "demo-entanglement"])
 def test_a_sample_count_at_the_budget_runs(monkeypatch, capsys, argv, need):
     # the demo's two-qubit lattice is charged 2 * 16 * 16 * C16, under the sample charge
@@ -185,3 +187,30 @@ def test_the_born_samples_peak_within_their_charge(d):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * samples * d * d * C16 + SLACK
+
+
+def test_verify_over_budget_exits_2_before_the_duality_check(monkeypatch, capsys):
+    # wootters(3) builds at this budget, and one sample with the unsampled steps does not fit it
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)
+    monkeypatch.setattr(verify, "is_dual_pair", lambda *a, **k: pytest.fail("checked duality past the budget"))
+    assert main(["verify", "wootters", "--d", "3", "--samples", "1"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wootters(5), lambda: wootters_composite([2, 3]), lambda: ghw(2, 3), lambda: cohendet(5),
+    lambda: mub_family(5).representation(), lambda: hardy_rep(6), lambda: leonhardt(4),
+], ids=["wootters-5", "composite-2x3", "ghw-2-3", "cohendet-5", "mub-5", "hardy-6", "leonhardt-4"])
+def test_the_whole_suite_peaks_within_its_charge(make):
+    # 8 d x d operators per sample, and 3 per operator of the frame or per line, whichever are more
+    rep, samples = make(), 20
+    lines = rep.geometry.line_index.shape[:2] if rep.geometry is not None else (0, 0)
+    charge = (8 * samples + 3 * max(len(rep.frame), lines[0] * lines[1])) * rep.dim**2 * C16
+    verify.verify_representation(rep, 0, samples)  # imports and caches outside the traced window
+    tracemalloc.start()
+    try:
+        verify.verify_representation(rep, 0, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge + SLACK

@@ -889,3 +889,32 @@ def test_an_unreadable_input_file_exits_3(tmp_path, capsys, verb, flag, content)
     assert "Traceback" not in err
     if content == NOT_UTF8:
         assert f"malformed JSON in {path}" in err
+
+
+def test_transform_refuses_representations_of_two_dimensions(tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    run(capsys, "represent", "wootters", "--d", "3", "--mixed", "--out", str(dist))
+    # --dims makes the source wootters at d = 9, and hardy reads --d
+    code, out, err = run(capsys, "transform", "wootters", "hardy", "--dims", "3,3", "--d", "3", "--dist", str(dist))
+    assert (code, out) == (4, "")
+    assert "source d=9 and target d=3 differ" in err
+
+
+def test_reconstruct_refuses_a_distribution_with_a_value_missing(tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    run(capsys, "represent", "wootters", "--d", "3", "--mixed", "--out", str(dist))
+    doc = json.loads(dist.read_text())
+    doc["values"].pop()
+    dist.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", "wootters", "--d", "3", "--dist", str(dist))
+    assert (code, out) == (4, "")
+    assert "9 labels for (8,) values" in err
+
+
+def test_an_out_file_in_a_missing_directory_exits_3_and_names_it(tmp_path, capsys):
+    out = tmp_path / "MISSING" / "x.json"
+    code, _, err = run(capsys, "represent", "wootters", "--d", "3", "--mixed", "--out", str(out))
+    assert code == 3
+    # the error names the file asked for, not the temporary file beside it, and no file is left
+    assert f"'{out}'" in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == []

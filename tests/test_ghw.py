@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from gf_oracle import PolyField, dense_ghw, striation_eigenbasis
+from gf_oracle import PolyField, _monomials, dense_ghw, striation_eigenbasis
 from gf_oracle import translation_operator as dense_translation
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
@@ -29,7 +29,7 @@ def _points(rep):
 
 def translation(F, q: int, p: int) -> np.ndarray:
     """T(q, p) for the codes q and p: one row of ghw's monomial stack."""
-    return monomial_stack(*ghw_module._monomials(F, [q], [p]))[0]
+    return monomial_stack(*_monomials(F, [q], [p]))[0]
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -249,7 +249,7 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 
 def _rays(F: FiniteField, directions) -> list[np.ndarray]:
     """Each striation's ``(d - 1, d, d)`` stack of ray translations T(t dq, t dp), t = 1, ..., d - 1."""
     t = np.arange(1, F.order)
-    return [monomial_stack(*ghw_module._monomials(F, F.mul(t, dq), F.mul(t, dp))) for dq, dp in directions]
+    return [monomial_stack(*_monomials(F, F.mul(t, dq), F.mul(t, dp))) for dq, dp in directions]
 
 
 def _eigen_residual(ops: np.ndarray, basis: np.ndarray) -> float:
