@@ -7,6 +7,7 @@ three-angle Bell-Wigner inequality evaluated on the singlet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -105,7 +106,7 @@ def franco_penna(mu: QuasiDistribution) -> EntanglementVerdict:
     lattice = _lattice((2, 2))
     _check_values(mu, lattice.labels, lattice.name, lattice.dim,
                   "expected a distribution from the two-qubit product lattice")
-    mn = float(mu.values.min())
+    mn = float(np.minimum.reduce(mu.values))
     return EntanglementVerdict(
         min_value=mn,
         threshold=FRANCO_PENNA_THRESHOLD,
@@ -125,10 +126,10 @@ def ppt_separability_two_qubit(rho: np.ndarray) -> EntanglementVerdict:
     if rho.shape != (4, 4):
         raise DimensionMismatchError("state must be 4 x 4")
     rho_pt = partial_transpose(rho, (2, 2), 1)
-    eig_min = float(np.linalg.eigvalsh(rho_pt).min())
+    eig_min = float(np.minimum.reduce(np.linalg.eigvalsh(rho_pt)))
     rep = _lattice((2, 2))
-    dwf_min = float(rep.represent(rho).values.min())
-    dwf_min_pt = float(rep.represent(rho_pt).values.min())
+    dwf_min = float(np.minimum.reduce(rep.represent(rho).values))
+    dwf_min_pt = float(np.minimum.reduce(rep.represent(rho_pt).values))
     return EntanglementVerdict(
         min_value=eig_min,
         threshold=0.0,
@@ -157,14 +158,14 @@ def _entanglement_sweep(rhos: np.ndarray) -> list[tuple[float, str, float, str]]
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise DimensionMismatchError(f"expected a stack of 4 x 4 states, got shape {rhos.shape}")
     rep = _lattice((2, 2))
-    lattice_min = rep.frame.analyze(rhos, "state").min(axis=1)
+    lattice_min = np.minimum.reduce(rep.frame.analyze(rhos, "state"), axis=1)
     eig_min = np.linalg.eigvalsh(partial_transpose(rhos, (2, 2), 1))[:, 0]
     return [(float(m), _lattice_verdict(m), float(e), _ppt_verdict(e)) for m, e in zip(lattice_min, eig_min)]
 
 
 def _first_minimum(values: np.ndarray) -> int:
     """Index of the first value within WITNESS_TIE_TOL of the minimum."""
-    return int(np.flatnonzero(values <= values.min() + WITNESS_TIE_TOL)[0])
+    return int((values <= np.minimum.reduce(values) + WITNESS_TIE_TOL).nonzero()[0][0])
 
 
 def _canonical_eigenvector(vals: np.ndarray, vecs: np.ndarray, j: int) -> np.ndarray:
@@ -176,7 +177,7 @@ def _canonical_eigenvector(vals: np.ndarray, vecs: np.ndarray, j: int) -> np.nda
     """
     V = vecs[:, np.abs(vals - vals[j]) <= EIGENSPACE_TOL]
     P = V @ V.conj().T
-    k = int(np.flatnonzero(P.diagonal().real > 1e-6)[0])
+    k = int((P.diagonal().real > 1e-6).nonzero()[0][0])
     return P[:, k] / np.sqrt(P[k, k].real)
 
 
@@ -198,19 +199,19 @@ def negativity_witness(rep: Representation, tol: float = 1e-6) -> dict:
     i = _first_minimum(lowest)
     if lowest[i] < -tol:
         vec = _canonical_eigenvector(*np.linalg.eigh(rep.frame.operators[i]), 0)
-        state = np.outer(vec, vec.conj())
+        state = vec[:, None] * vec.conj()
         values = rep.represent(state).values
         return _witness(rep, "state", values, _first_minimum(values), state)
     for k in range(len(rep.dual).bit_length()):
         start = 2**k - 1  # chunk k holds the duals start, ..., 2 start
         spectra = np.linalg.eigvalsh(rep.dual.operators[start:2 * start + 1])
-        outside = np.flatnonzero((spectra[:, 0] < -tol) | (spectra[:, -1] > 1.0 + tol))
+        outside = ((spectra[:, 0] < -tol) | (spectra[:, -1] > 1.0 + tol)).nonzero()[0]
         if len(outside):
             i = start + int(outside[0])
             vals, vecs = np.linalg.eigh(rep.dual.operators[i])
             j = 0 if vals[0] < -tol or vals[0] > 1.0 + tol else len(vals) - 1
             vec = _canonical_eigenvector(vals, vecs, j)
-            effect = np.outer(vec, vec.conj())
+            effect = vec[:, None] * vec.conj()
             return _witness(rep, "effect", rep.effect(effect).values, i, effect)
     return {"found": False, "representation": rep.name}
 
@@ -231,7 +232,7 @@ def _nmr_distribution(rho: np.ndarray, n_qubits: int, grid: np.ndarray) -> np.nd
     uppers = qubit_kernel_upper(grid)
     R = rho.reshape((2,) * (2 * n_qubits))
     out = np.einsum(f"{rows}{cols},{kernels}->{outs}", R, *[uppers] * n_qubits)
-    return np.real(out).reshape(-1)
+    return out.real.reshape(-1)
 
 
 def nmr_classicality(
@@ -263,9 +264,11 @@ def nmr_classicality(
             raise ValueError("rho1 must be a density operator")
     count = samples if samples is not None else _NMR_DEFAULT_GRID[n_qubits]
     grid = nmr_sample_directions(count)
-    rho = (1.0 - epsilon) * np.eye(dim) / dim + epsilon * rho1
+    rho = epsilon * rho1
+    diagonal = np.arange(dim)
+    rho[diagonal, diagonal] += (1.0 - epsilon) / dim
     values = _nmr_distribution(rho, n_qubits, grid)
-    sampled_min = float(values.min())
+    sampled_min = float(np.minimum.reduce(values))
     scale = (4.0 * np.pi) ** n_qubits
     analytic_min = ((1.0 - epsilon) - epsilon * 2 ** (2 * n_qubits - 1)) / scale
     bound = 1.0 / (1.0 + 2 ** (2 * n_qubits - 1))
@@ -299,7 +302,14 @@ def teleport_phase_space(
 
 
 def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOutcome]:
-    """``teleport_phase_space`` for each outcome, representing the input once."""
+    """``teleport_phase_space`` for each outcome, as one stacked computation.
+
+    The input is represented once, the outcomes' Weyl operators come from one
+    ``weyl_monomials`` call, the amplitude matrices M, the branches
+    ``M rho M^dag`` and their traces are one stacked product each, and the
+    displaced input grids are gathered by index arithmetic; each branch's
+    output state is represented on its own.
+    """
     if not _is_prime(d) or d % 2 == 0:
         raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
     rho_in = np.asarray(rho_in, dtype=complex)
@@ -307,33 +317,34 @@ def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOut
         raise DimensionMismatchError(f"state must be {d} x {d}")
     rep = _lattice((d,))
     mu_in = rep.represent(rho_in)
-    return [_teleport_branch(rep, rho_in, mu_in, outcome) for outcome in outcomes]
-
-
-def _teleport_branch(rep, rho_in: np.ndarray, mu_in, outcome) -> TeleportOutcome:
-    """One branch, given the input state and its distribution ``mu_in`` on ``rep``."""
-    d = rep.dim
-    alpha, beta = (int(outcome[0]) % d, int(outcome[1]) % d)
+    alphas = np.array([int(o[0]) % d for o in outcomes], dtype=np.int64)
+    betas = np.array([int(o[1]) % d for o in outcomes], dtype=np.int64)
     # amplitude matrices: pair[j, k] of |pair> on systems 2,3, and
     # bell[i, j] = U[j, i] / sqrt(d) of (I x U)|pair> on systems 1,2
     pair = np.eye(d) / np.sqrt(d)
-    bell = weyl_monomials(d, alpha, beta)[0].T / np.sqrt(d)
-    M = (bell.conj() @ pair).T
-    post = M @ rho_in @ M.conj().T
-    prob = float(np.trace(post).real)
-    rho_out = post / prob
-    mu_out = rep.represent(rho_out)
-    # labels run (q, p) in row-major order, so values.reshape(d, d)[q, p] is mu(q, p)
+    bell = weyl_monomials(d, alphas, betas).swapaxes(1, 2) / np.sqrt(d)
+    M = (bell.conj() @ pair).swapaxes(1, 2)
+    post = M @ rho_in @ M.conj().swapaxes(1, 2)
+    probs = post.trace(axis1=1, axis2=2).real
+    rho_out = post / probs[:, None, None]
+    mu_out = [rep.represent(rho) for rho in rho_out]
+    # labels run (q, p) in row-major order, so values.reshape(d, d)[q, p] is mu(q, p); branch n's
+    # displaced grid is mu_in at ((q - alpha_n) mod d, (p + beta_n) mod d)
     r = np.arange(d)
-    displaced = mu_in.values.reshape(d, d)[np.ix_((r - alpha) % d, (r + beta) % d)]
-    residual = float(np.max(np.abs(mu_out.values - displaced.reshape(-1))))
-    return TeleportOutcome(
-        outcome=(alpha, beta),
-        probability=prob,
-        mu_out=mu_out,
-        displacement_residual=residual,
-        state_out=rho_out,
-    )
+    rows = (r - alphas[:, None]) % d
+    cols = (r + betas[:, None]) % d
+    displaced = mu_in.values.reshape(d, d)[rows[:, :, None], cols[:, None, :]].reshape(len(alphas), d * d)
+    residuals = np.maximum.reduce(np.abs(np.array([mu.values for mu in mu_out]) - displaced), axis=1)
+    return [
+        TeleportOutcome(
+            outcome=(int(alphas[n]), int(betas[n])),
+            probability=float(probs[n]),
+            mu_out=mu_out[n],
+            displacement_residual=float(residuals[n]),
+            state_out=rho_out[n],
+        )
+        for n in range(len(mu_out))
+    ]
 
 
 def bell_wigner_demo(a: float, b: float, c: float) -> dict:
@@ -342,21 +353,26 @@ def bell_wigner_demo(a: float, b: float, c: float) -> dict:
     Correlation C(s, t) is computed by the Born rule from the +-1 outcome
     probabilities; the inequality compares |C(a,b) - C(a,c)| to 1 + C(b,c).
     """
-    if not np.isfinite([a, b, c]).all():
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("angles must be finite")
     v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    singlet = np.outer(v, v)
+    singlet = v[:, None] * v
+    eye = np.eye(2)
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
 
     def projectors(theta):
         """The (+1, -1) projectors of the spin along theta, as one (2, 2, 2) stack."""
         op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
-        eye = np.eye(2)
-        return np.stack([(eye + op) / 2, (eye - op) / 2])
+        P = np.empty((2, 2, 2), dtype=complex)
+        np.add(eye, op, out=P[0])
+        np.subtract(eye, op, out=P[1])
+        P /= 2
+        return P
 
     def correlation(t1, t2):
         # the stacked products run over the outcomes (+, +), (+, -), (-, +), (-, -)
-        born = np.trace(singlet @ tensor(projectors(t1), projectors(t2)), axis1=1, axis2=2).real
-        return float(np.sum(np.array([1.0, -1.0, -1.0, 1.0]) * born))
+        born = (singlet @ tensor(projectors(t1), projectors(t2))).trace(axis1=1, axis2=2).real
+        return float(np.add.reduce(signs * born))
 
     c_ab = correlation(a, b)
     c_ac = correlation(a, c)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -39,7 +38,7 @@ from .errors import (
     UnsupportedTransformError,
 )
 from .frames import _NON_FINITE, _check_values, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
-from .operators import frobenius, maximally_mixed, random_state
+from .operators import _density_from_gaussian, frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
     cohendet,
@@ -164,7 +163,7 @@ def _load_state(args, dim: int) -> np.ndarray:
     if args.pure is not None:
         return random_state(dim, rank=1, seed=args.pure)
     rho = matrix_from_doc(load_json(args.state))
-    if not np.isfinite(rho).all():
+    if not np.logical_and.reduce(np.isfinite(rho), axis=None):
         # refused here, before a product with the entry can warn
         raise DimensionMismatchError(_NON_FINITE)
     if rho.shape != (dim, dim):
@@ -223,7 +222,7 @@ def cmd_represent(args):
 def cmd_reconstruct(args):
     rep = build_representation(args.representation, args)
     rho = rep.reconstruct(distribution_from_doc(load_json(args.dist)))
-    return matrix_to_doc(rho), None, f"reconstruct {rep.name} d={rep.dim}: trace {np.trace(rho).real:.6f}", True
+    return matrix_to_doc(rho), None, f"reconstruct {rep.name} d={rep.dim}: trace {rho.trace().real:.6f}", True
 
 
 def cmd_transform(args):
@@ -262,7 +261,8 @@ def cmd_negativity(args):
         return doc, None, f"negativity witness for {rep.name}: {w.get('kind', 'none')}", w["found"]
     rho = _load_state(args, rep.dim)
     report = negativity(rep.represent(rho))
-    doc.update(asdict(report))
+    # the report is flat, so its own field dict is the document's
+    doc.update(vars(report))
     return doc, None, f"negativity {rep.name}: min {report.min_value:.6e}", True
 
 
@@ -308,9 +308,9 @@ def _demo_nmr(args):
     n = args.n if args.n is not None else 2
     eps = args.epsilon if args.epsilon is not None else 0.1
     report = nmr_classicality(n, eps)
-    doc = {"demo": "nmr", **asdict(report)}
+    doc = {"demo": "nmr", **vars(report)}
     verdict = "classical" if report.classical else "nonclassical"
-    return doc, lambda: table_to_csv(["key", "value"], sorted(asdict(report).items())), (
+    return doc, lambda: table_to_csv(["key", "value"], sorted(vars(report).items())), (
         f"demo nmr n={n} epsilon={eps:.6g}: sampled min {report.sampled_min:.3e} ({verdict})"
     ), True
 
@@ -328,19 +328,33 @@ def _demo_bell(args):
     ), True
 
 
+def _entanglement_draws(seed: int, samples: int):
+    """Each sample's (seed, rank): sample k is drawn from seed + k at rank 1 + (seed + k) mod 4."""
+    return ((seed + k, 1 + (seed + k) % 4) for k in range(samples))
+
+
+def _entanglement_states(seed: int, samples: int) -> np.ndarray:
+    """The ``(samples, 4, 4)`` stack of ``random_state(4, rank=r, seed=s)`` over ``_entanglement_draws``.
+
+    Each sample's Gaussians come from its own ``default_rng(s)`` by the same
+    call, real parts then imaginary, and go straight into the interleaved
+    floats of one complex buffer; zero-padded to 4 columns they leave every
+    bit of ``G G^dag`` as it is, so one ``_density_from_gaussian`` forms
+    every state.
+    """
+    G = np.zeros((samples, 4, 4, 2))
+    for k, (s, r) in enumerate(_entanglement_draws(seed, samples)):
+        G[k, :, :r] = np.random.default_rng(s).standard_normal((1, 2, 4, r))[0].transpose(1, 2, 0)
+    return _density_from_gaussian(G.view(complex)[..., 0])
+
+
 def _demo_entanglement(args):
     samples = _samples(args, 100)
-    # the states, the sweep's arrays and its verdict rows peak at 2.2 stacks of 4 x 4 per sample, and
-    # the verdict rows with the CSV rows and text at 2.3
+    # forming the states peaks at 3 stacks of 4 x 4 per sample (the Gaussians, their conjugate transpose and
+    # the states); the states with the sweep's arrays and verdict rows, and with the CSV rows and text, at 2.3
     check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=3)
     seed = args.seed
-
-    def draws():  # each sample's (seed, rank)
-        return ((seed + k, 1 + (seed + k) % 4) for k in range(samples))
-
-    rhos = np.empty((samples, 4, 4), dtype=complex)
-    for k, (s, r) in enumerate(draws()):
-        rhos[k] = random_state(4, rank=r, seed=s)
+    rhos = _entanglement_states(seed, samples)
     # each verdict row is (lattice min, lattice verdict, partial-transpose min eigenvalue, ppt verdict)
     verdicts = _entanglement_sweep(rhos)
     conclusive = sum(v[1] == "entangled" for v in verdicts)
@@ -355,7 +369,7 @@ def _demo_entanglement(args):
     }
     return doc, lambda: table_to_csv(
         ["seed", "rank", "lattice_min", "lattice_verdict", "pt_min_eig", "ppt_verdict"],
-        [[s, r, *v] for (s, r), v in zip(draws(), verdicts)],
+        [[s, r, *v] for (s, r), v in zip(_entanglement_draws(seed, samples), verdicts)],
     ), (
         f"demo entanglement sweep: {conclusive}/{samples} conclusive, "
         f"{conclusive - agreements} disagreements"

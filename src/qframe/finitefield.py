@@ -106,7 +106,9 @@ def _times_x_table(modulus: tuple[int, ...], p: int) -> np.ndarray:
     n = len(modulus) - 1
     D = _digits(p, n)
     top = D[:, -1:]
-    shifted = np.hstack([np.zeros_like(top), D[:, :-1]])
+    shifted = np.empty_like(D)
+    shifted[:, 0] = 0
+    shifted[:, 1:] = D[:, :-1]
     return _readonly(((shifted - top * np.array(modulus[:-1])) % p) @ (p ** np.arange(n)))
 
 
@@ -134,7 +136,7 @@ def is_primitive_modulus(modulus: tuple[int, ...] | list[int], p: int) -> bool:
         return False
     n = len(monic) - 1
     # above degree 1 a root a in Z_p, m(a) = 0, shows the modulus reducible without the walk
-    if n > 1 and not (np.vander(np.arange(p), n + 1, increasing=True) @ monic % p).all():
+    if n > 1 and not np.logical_and.reduce(np.vander(np.arange(p), n + 1, increasing=True) @ monic % p):
         return False
     return _orbit(_times_x_table(monic, p).tolist(), p**n) is not None
 
@@ -204,9 +206,9 @@ class FiniteField:
         """Trace into Z_p of every code: tr(c) = sum_j c^(p^j), by the log tables."""
         exp, log = self._exp_log
         frobenius = exp[(log[:, None] * self.p ** np.arange(self.n)) % (self.order - 1)]
-        total = self.coords[frobenius].sum(axis=1) % self.p
+        total = np.add.reduce(self.coords[frobenius], axis=1) % self.p
         total[0] = 0  # log[0] is a placeholder
-        if total[:, 1:].any():
+        if np.logical_or.reduce(total[:, 1:], axis=None):
             raise RuntimeError("trace did not land in the prime subfield")
         return _readonly(total[:, 0])
 

@@ -47,7 +47,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAFrameError, SingularBasisError
-from .operators import EQ_TOL, displaced_parity, tau_powers, tol_for
+from .operators import EQ_TOL, _norm, displaced_parity, tau_powers, tol_for
 
 __all__ = [
     "Frame",
@@ -74,6 +74,7 @@ PINV_RCOND = 1e-10
 # ||Im||^2 at or below this bounds every |Im| by EQ_TOL / 2, half the Hermiticity rule's floor
 _IMAG_SCREEN = (EQ_TOL / 2) ** 2
 _NON_FINITE = "values must be finite; the input has a NaN or inf entry"
+_SQRT2 = math.sqrt(2)
 
 
 def _as_stack(operators) -> np.ndarray:
@@ -108,8 +109,8 @@ def _skew(ops: np.ndarray) -> tuple[float, float]:
     for rows in _row_blocks(len(ops), ops.shape[1] ** 2):
         blk = ops[rows]
         diff = np.abs(blk - np.conj(blk).transpose(0, 2, 1))
-        entry = max(entry, float(diff.max()))
-        norm = max(norm, float(np.sqrt(np.einsum("kij,kij->k", diff, diff).max())))
+        entry = max(entry, float(np.maximum.reduce(diff, axis=None)))
+        norm = max(norm, math.sqrt(np.maximum.reduce(np.einsum("kij,kij->k", diff, diff))))
     return entry, norm
 
 
@@ -121,7 +122,7 @@ def _checked_skew(ops: np.ndarray, non_finite: str, non_hermitian: str) -> float
     """
     flat = ops.reshape(-1).view(float)
     sq = float(flat.dot(flat))
-    if not math.isfinite(sq) and not np.isfinite(flat).all():
+    if not math.isfinite(sq) and not np.logical_and.reduce(np.isfinite(flat)):
         raise DimensionMismatchError(non_finite)
     skew, norm = _skew(ops)
     if norm > EQ_TOL * max(1.0, math.sqrt(sq)):
@@ -137,7 +138,7 @@ def _upper(d: int) -> np.ndarray:
     the indices.
     """
     r = np.arange(d)
-    upper = np.array(np.nonzero(r[:, None] < r))
+    upper = np.array((r[:, None] < r).nonzero())
     upper.setflags(write=False)
     return upper
 
@@ -149,22 +150,26 @@ def _coordinates(ops: np.ndarray) -> np.ndarray:
     ``-sqrt(2) Im F[j, k]`` over the pairs j < k of ``_upper``, so
     ``Tr[A B]`` is the dot product of the rows of A and B.
     """
-    d = ops.shape[1]
+    n, d = ops.shape[:2]
     j, k = _upper(d)
+    half = len(j)
     upper = ops[:, j, k]
-    return np.concatenate(
-        [ops.diagonal(axis1=1, axis2=2).real, np.sqrt(2) * upper.real, -np.sqrt(2) * upper.imag], axis=1
-    )
+    V = np.empty((n, d * d))
+    V[:, :d] = ops.diagonal(axis1=1, axis2=2).real
+    np.multiply(upper.real, _SQRT2, out=V[:, d:d + half])
+    np.multiply(upper.imag, -_SQRT2, out=V[:, d + half:])
+    return V
 
 
 def _from_coordinates(V: np.ndarray, d: int) -> np.ndarray:
     """Hermitian ``(n, d, d)`` stack with coordinate rows V, written by ``_row_blocks``; inverse of ``_coordinates``."""
     j, k = _upper(d)
+    half = len(j)
     ops = np.zeros((len(V), d, d), dtype=complex)
     ops[:, np.arange(d), np.arange(d)] = V[:, :d]
     for rows in _row_blocks(len(V), d * d):
-        re, im = np.split(V[rows, d:], 2, axis=1)
-        upper = (re - 1j * im) / np.sqrt(2)
+        re, im = V[rows, d:d + half], V[rows, d + half:]
+        upper = (re - 1j * im) / _SQRT2
         ops[rows, j, k] = upper
         ops[rows, k, j] = upper.conj()
     return ops
@@ -272,11 +277,12 @@ class _LabelMap:
         r = c[:, None]
         u = ((r - c) * half) % d
         past = u >= half
-        at = 2 * (np.argsort(self.rows)[(r + c) % d] * half + np.where(past, d - u, u)).reshape(-1)
+        at = 2 * (self.rows.argsort()[(r + c) % d] * half + np.where(past, d - u, u)).reshape(-1)
         mirror = np.empty(2 * d * d, dtype=np.intp)
         mirror[0::2], mirror[1::2] = at, at + 1
-        sign = np.ones(2 * d * d)
-        sign[1::2] -= 2 * ~past.reshape(-1)
+        sign = np.empty(2 * d * d)
+        sign[0::2] = 1.0
+        sign[1::2] = np.where(past.reshape(-1), 1.0, -1.0)
         mirror.setflags(write=False)
         sign.setflags(write=False)
         return mirror, sign
@@ -308,7 +314,7 @@ class _LabelMap:
         k = len(v)
         V = v.reshape(k, d, d)
         V = (V.transpose(0, 2, 1) if self.transposed else V).reshape(k * d, d)
-        M = (np.take(V.dot(self.half_dft).reshape(k, d * (d + 1)), mirror, axis=1) * sign).view(complex)
+        M = (V.dot(self.half_dft).reshape(k, d * (d + 1)).take(mirror, axis=1) * sign).view(complex)
         M[:, ::d + 1].imag = 0.0
         return M.reshape(k, d, d)
 
@@ -370,10 +376,10 @@ class Frame:
         return len(self.labels)
 
     def sum(self) -> np.ndarray:
-        return self.operators.sum(axis=0)
+        return np.add.reduce(self.operators, axis=0)
 
     def traces(self) -> np.ndarray:
-        return np.real(np.trace(self.operators, axis1=1, axis2=2))
+        return self.operators.trace(axis1=1, axis2=2).real
 
     @cached_property
     def flat(self) -> np.ndarray:
@@ -402,11 +408,11 @@ class Frame:
             raw = self.flat.dot(A.T.reshape(-1)) if self.label_map is None else self.label_map.analyze(A)
             re, im = raw.real.copy(), raw.imag
             if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
-                imag = np.abs(im).max()
+                imag = np.maximum.reduce(np.abs(im))
                 # tol_for(A) >= EQ_TOL, so A's norm is only needed above EQ_TOL
                 if imag > EQ_TOL and imag > tol_for(A):
                     raise DimensionMismatchError(f"{kind} values are not real; the {kind} is not Hermitian")
-                if not np.isfinite(re).all():
+                if not np.logical_and.reduce(np.isfinite(re)):
                     raise DimensionMismatchError(_NON_FINITE)
             return re
         if A.ndim != 3 or A.shape[1:] != (d, d):
@@ -429,12 +435,14 @@ class Frame:
     def resolves_identity(self) -> bool:
         """Whether the operators sum to the identity, tested once per family."""
         total = self.sum()
-        return not np.linalg.norm(total - np.eye(self.dim)) > tol_for(total)
+        tol = tol_for(total)
+        total.reshape(-1)[::self.dim + 1] -= 1.0
+        return not _norm(total) > tol
 
     @cached_property
     def unit_traces(self) -> bool:
         """Whether every operator has trace one, tested once per family."""
-        return not np.max(np.abs(self.traces() - 1.0)) > EQ_TOL
+        return not np.maximum.reduce(np.abs(self.traces() - 1.0)) > EQ_TOL
 
     @property
     def minimal(self) -> bool:
@@ -473,12 +481,20 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * u[:, None] * cols)
     frame_map, dual_map = (
-        _LabelMap(stack, rows, cols, transposed, gather,
-                  np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d))
+        _LabelMap(stack, rows, cols, transposed, gather, _real_form(scaled))
         for stack, scaled in ((ops / d, dft / d), (ops, dft))
     )
     frame = Frame(labels, frame_map.stack, name, label_map=frame_map)
     return frame, Frame(frame.labels, dual_map.stack, name, label_map=dual_map)
+
+
+def _real_form(Z: np.ndarray) -> np.ndarray:
+    """The ``(2d, 2d)`` real table whose rows 2u and 2u + 1 are row u of Z and of iZ as interleaved floats."""
+    d = len(Z)
+    table = np.empty((d, 2, d), dtype=complex)
+    table[:, 0] = Z
+    table[:, 1] = 1j * Z
+    return table.view(float).reshape(2 * d, 2 * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,7 +512,7 @@ class QuasiDistribution:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (len(self.labels),):
             raise DimensionMismatchError(f"{len(self.labels)} labels for {vals.shape} values")
-        if not np.isfinite(vals).all():
+        if not np.logical_and.reduce(np.isfinite(vals)):
             raise DimensionMismatchError(_NON_FINITE)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -506,7 +522,7 @@ class QuasiDistribution:
         return QuasiDistribution, (self.representation, self.dim, self.labels, self.values, self.warnings)
 
     def min(self) -> float:
-        return float(self.values.min())
+        return float(np.minimum.reduce(self.values))
 
 
 @dataclass(frozen=True)
@@ -595,7 +611,8 @@ def is_dual_pair(frame: Frame, dual: Frame, tol: float | None = None) -> tuple[b
     if frame.dim != dual.dim or not _same_labels(frame.labels, dual.labels):
         raise DimensionMismatchError("frame and dual must share dimension and labels")
     R = _coordinates(dual.operators).T @ _coordinates(frame.operators)
-    residual = float(np.max(np.abs(R - np.eye(frame.dim**2))))
+    R.reshape(-1)[::len(R) + 1] -= 1.0
+    residual = float(np.maximum.reduce(np.abs(R), axis=None))
     if tol is None:
         tol = EQ_TOL
     return residual <= tol, residual
@@ -696,8 +713,8 @@ def negativity(dist: QuasiDistribution) -> NegativityReport:
     """Minimum value, absolute sum and total negative weight."""
     vals = np.asarray(dist.values, dtype=float)
     return NegativityReport(
-        min_value=float(vals.min()),
-        abs_sum=float(np.abs(vals).sum()),
-        negativity=float(np.clip(-vals, 0, None).sum()),
+        min_value=float(np.minimum.reduce(vals)),
+        abs_sum=float(np.add.reduce(np.abs(vals))),
+        negativity=float(np.add.reduce(np.maximum(-vals, 0))),
     )
 

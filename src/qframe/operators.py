@@ -14,9 +14,24 @@ Conventions
 * Half-integer powers ``omega**(m/2)`` mean ``omega**(m * inv2)`` with
   ``inv2 = (d+1)//2`` when d is odd, and ``tau**m`` with the primitive 2d-th
   root ``tau = exp(1j*pi/d)`` when d is even.
+
+Every CLI command runs in a fresh process, where the first call of each
+numpy entry point is paid cold, and numpy's Python-level wrappers cost far
+more on that first call than the C-level method, ufunc reduction or
+``math`` function they forward to, which returns the same bits.  So the
+library writes the C-level form, computed the same way: ``x.trace``,
+``x.swapaxes``, ``x.diagonal``, ``x.argsort()`` and ``x.nonzero()``;
+``np.maximum.reduce``, ``np.minimum.reduce``, ``np.add.reduce`` and
+``np.logical_and.reduce`` for ``max``, ``min``, ``sum`` and ``all``;
+``_norm`` for ``np.linalg.norm``; ``math.prod`` for a shape; an in-place
+update of the diagonal for ``- np.eye(d)``; broadcasting for ``np.outer``
+and, in ``tensor``, for ``np.kron``; and a preallocated buffer for
+``np.stack``, ``np.concatenate``, ``np.split`` and ``np.hstack``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import numpy.random
@@ -56,9 +71,25 @@ __all__ = [
 EQ_TOL = 1e-9
 
 
+def _norm(A) -> float:
+    """Frobenius norm of an array of any shape, by ``np.linalg.norm``'s own formula.
+
+    ``sqrt(re . re + im . im)`` on the flattened array (``sqrt(x . x)`` for a
+    real one), so the bits are those of ``np.linalg.norm`` with no axis.
+    """
+    x = np.asarray(A)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def tol_for(*mats: np.ndarray) -> float:
     """Equality tolerance scaled by the largest Frobenius norm involved."""
-    scale = max([1.0] + [float(np.linalg.norm(m)) for m in mats])
+    scale = max([1.0] + [_norm(m) for m in mats])
     return EQ_TOL * scale
 
 
@@ -138,7 +169,7 @@ def finite_fourier(d: int) -> np.ndarray:
     the parity operator.
     """
     k = np.arange(d)
-    return omega(d) ** np.outer(k, k) / np.sqrt(d)
+    return omega(d) ** (k[:, None] * k) / np.sqrt(d)
 
 
 def _gauge(vecs: np.ndarray) -> np.ndarray:
@@ -152,17 +183,25 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, in the given order.
 
     Equal-rank ``(k_i, d_i, d_i)`` stacks give the stack of every product, the first factor's index major.
+    Each factor is one broadcast product with the two factors' axes
+    interleaved, the lower rank's shape led by ones, as ``np.kron`` lays them
+    out, so every entry is the same one product.
     """
     if not ops:
         raise ValueError("need at least one operator")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        rank = max(out.ndim, op.ndim)
+        sa, sb = (1,) * (rank - out.ndim) + out.shape, (1,) * (rank - op.ndim) + op.shape
+        a = out.reshape([n for size in sa for n in (size, 1)])
+        b = op.reshape([n for size in sb for n in (1, size)])
+        out = (a * b).reshape([m * n for m, n in zip(sa, sb)])
     return out
 
 
 def _check_dims(M: np.ndarray, dims: tuple[int, ...], lead: tuple[int, ...] = ()) -> None:
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if M.shape != lead + (total, total):
         raise DimensionMismatchError(
             f"matrix of shape {M.shape} does not match subsystem dims {dims}"
@@ -180,8 +219,8 @@ def partial_trace(M: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
     # Trace pairs (axis i, axis n+i) for every discarded subsystem, highest first
     # so earlier axis numbers stay valid.
     for i in sorted(set(range(n)) - set(keep), reverse=True):
-        T = np.trace(T, axis1=i, axis2=T.ndim // 2 + i)
-    dkeep = int(np.prod([dims[i] for i in keep])) if keep else 1
+        T = T.trace(axis1=i, axis2=T.ndim // 2 + i)
+    dkeep = math.prod([dims[i] for i in keep])
     return T.reshape(dkeep, dkeep)
 
 
@@ -195,25 +234,24 @@ def partial_transpose(M: np.ndarray, dims: tuple[int, ...], subsystem: int) -> n
     if not 0 <= subsystem < n:
         raise DimensionMismatchError(f"subsystem {subsystem} out of range for {n} factors")
     T = M.reshape(lead + dims + dims)
-    T = np.swapaxes(T, len(lead) + subsystem, len(lead) + n + subsystem)
+    T = T.swapaxes(len(lead) + subsystem, len(lead) + n + subsystem)
     return T.reshape(M.shape)
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
     """Trace inner product ``Tr(A B)`` of two Hermitian operators, as a real."""
-    val = np.trace(np.asarray(A) @ np.asarray(B))
-    return float(np.real(val))
+    return float((np.asarray(A) @ np.asarray(B)).trace().real)
 
 
 def frobenius(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A))
+    return _norm(A)
 
 
 def is_hermitian(A: np.ndarray, tol: float | None = None) -> bool:
     A = np.asarray(A)
     if tol is None:
         tol = tol_for(A)
-    return bool(np.linalg.norm(A - A.conj().T) <= tol)
+    return bool(_norm(A - A.conj().T) <= tol)
 
 
 def is_density(rho: np.ndarray, tol: float | None = None) -> bool:
@@ -223,7 +261,7 @@ def is_density(rho: np.ndarray, tol: float | None = None) -> bool:
         tol = tol_for(rho)
     if not is_hermitian(rho, tol):
         return False
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(rho.trace().real - 1.0) > tol:
         return False
     vals = np.linalg.eigvalsh(rho)
     return bool(vals[0] >= -tol)
@@ -252,14 +290,15 @@ def is_povm(effects: list[np.ndarray] | tuple[np.ndarray, ...], tol: float | Non
         total = total + np.asarray(E)
     if tol is None:
         tol = tol_for(total)
-    return bool(np.linalg.norm(total - np.eye(d)) <= tol)
+    total.reshape(-1)[::d + 1] -= 1.0
+    return bool(_norm(total) <= tol)
 
 
 def basis_state(d: int, k: int) -> np.ndarray:
     """Projector onto the computational basis vector |k>."""
     v = np.zeros(d, dtype=complex)
     v[k % d] = 1.0
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -286,19 +325,20 @@ def _haar_from_gaussian(A: np.ndarray) -> np.ndarray:
     A may be a stack ``(..., d, d)``: the QR and the phase fix run per matrix.
     """
     Q, R = np.linalg.qr(A)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    diag = R.diagonal(axis1=-2, axis2=-1)
     return Q * (diag / np.abs(diag)).conj()[..., None, :]
 
 
 def _density_from_gaussian(G: np.ndarray) -> np.ndarray:
-    """``G G^dag`` at unit trace; G may be a stack ``(..., d, r)``."""
-    rho = G @ np.conj(np.swapaxes(G, -1, -2))
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    """``G G^dag`` at unit trace, scaled in place; G may be a stack ``(..., d, r)``."""
+    rho = G @ G.swapaxes(-1, -2).conj()
+    rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return rho
 
 
 def _rotated_diagonal(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``U diag(vals) U^dag``; U ``(..., d, d)`` and vals ``(..., d)`` may be stacks."""
-    return (U * vals[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    return (U * vals[..., None, :]) @ U.swapaxes(-1, -2).conj()
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -309,7 +349,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_pure_state(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized complex-Gaussian state vector."""
     v = _complex_gaussian(np.random.default_rng(seed), d)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def random_state(d: int, rank: int | None = None, seed: int | np.random.Generator = 0) -> np.ndarray:

@@ -33,12 +33,17 @@ def _extended_nonnegativity(rep: Representation, seed: int) -> float:
     the stream after verify's four sample stacks.
     """
     values = rep.frame.analyze(_random_states(rep.dim, 20, np.random.default_rng([seed, 4])))
-    return max(0.0, -float(_doubled(rep.dim, values).min()))
+    return max(0.0, -float(np.minimum.reduce(_doubled(rep.dim, values), axis=None)))
 
 
 def _doubled(d: int, values: np.ndarray) -> np.ndarray:
     """(1/4d)(2/d + sigma * mu(q, p)), the sigma = +1 half first."""
-    return np.concatenate([2.0 / d + values, 2.0 / d - values]) / (4.0 * d)
+    n = len(values)
+    out = np.empty((2 * n,) + values.shape[1:])
+    np.add(2.0 / d, values, out=out[:n])
+    np.subtract(2.0 / d, values, out=out[n:])
+    out /= 4.0 * d
+    return out
 
 
 def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
@@ -55,7 +60,7 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
     geom = extended_lattice(d)
     values = _doubled(d, mu.values)
     warnings = tuple(mu.warnings)
-    if values.min() < -1e-12:
+    if np.minimum.reduce(values) < -1e-12:
         warnings = warnings + ("extended-negative",)
     return QuasiDistribution(
         representation="cohendet-extended",

@@ -87,9 +87,9 @@ def _striation_bases(F: FiniteField, directions) -> np.ndarray:
     keys[diag] = 4 * p * (F.dual_coords[P[diag]] @ F.coords[:, ::-1].T % p)
     gens = p ** np.arange(n) - 1  # column t - 1 of Q and P for t = x^i
     T = F.dual_coords[P[shifts][:, gens]] @ F.coords[Q[shifts][:, gens]].transpose(0, 2, 1) % p
-    diag_T = np.diagonal(T, axis1=1, axis2=2)
+    diag_T = T.diagonal(axis1=1, axis2=2)
     h = (p * (p - 1) // 2) * diag_T % p
-    e = (((r @ T) * r).sum(axis=-1) - diag_T @ r.T) // 2
+    e = (np.add.reduce((r @ T) * r, axis=-1) - diag_T @ r.T) // 2
     keys[shifts] = (4 * (h @ r.T - p * e)[..., None] + 4 * p * (r @ F.coords.T)) % (4 * p * p)
     order = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=-1)
     bases = np.zeros((len(dq), d, d), dtype=complex)
@@ -124,7 +124,8 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representatio
 
     # A(0): the net vectors of the d + 1 rays through the origin, minus the identity
     v = bases[np.arange(d + 1), :, net].T
-    A0 = v @ v.conj().T - np.eye(d)
+    A0 = v @ v.conj().T
+    A0.reshape(-1)[::d + 1] -= 1.0
     # j[k]: the digits of basis index k, tensor factor 0 first
     j = F.coords[:, ::-1]
     # A(q, p) = X^q B_p X^-q with B_p = Z^p A(0) Z^-p, made exactly Hermitian; Z^p is diag(z[p])
@@ -151,11 +152,11 @@ def wootters_aligned_net(p: int) -> tuple[int, ...]:
     of the line through the origin is selected.
     """
     woo = wootters(p)
-    rays = woo.frame.operators[woo.geometry.line_index[:, 0]].sum(axis=1)  # the p + 1 lines through the origin
+    rays = np.add.reduce(woo.frame.operators[woo.geometry.line_index[:, 0]], axis=1)  # the p + 1 lines through the origin
     _, bases = _build_structure(FiniteField(p, 1))
     overlaps = np.einsum("sjt,sjk,skt->st", bases.conj(), rays, bases).real
     net = overlaps.argmax(axis=1)
-    missed = np.flatnonzero(overlaps[np.arange(p + 1), net] < 1 - 1e-8)
+    missed = (overlaps[np.arange(p + 1), net] < 1 - 1e-8).nonzero()[0]
     if missed.size:
         raise RuntimeError(f"no eigenvector matches the striation-{missed[0]} ray projector")
     return tuple(net.tolist())
@@ -177,7 +178,7 @@ def match_phase_points(rep_a: Representation, rep_b: Representation,
     used = set()
     for i, la in enumerate(rep_a.labels):
         j = int(np.argmax(overlap[i]))
-        if j in used or np.max(np.abs(A[i] - B[j])) > tol:
+        if j in used or np.maximum.reduce(np.abs(A[i] - B[j]), axis=None) > tol:
             return None
         used.add(j)
         mapping[la] = rep_b.labels[j]

@@ -80,7 +80,9 @@ class MubFamily:
         """Normalized frame P/(d+1) with the exact dual (d+1)P - I."""
         d = self.d
         frame = Frame(self.labels, self.projectors / (d + 1), "mub")
-        dual = Frame(self.labels, (d + 1) * self.projectors - np.eye(d), "mub")
+        dual = (d + 1) * self.projectors
+        dual.reshape(len(dual), -1)[:, ::d + 1] -= 1.0
+        dual = Frame(self.labels, dual, "mub")
         return Representation(
             frame, dual, meta={"family": self},
             checks=(("pairwise_unbiasedness", 1e-9, _unbiasedness_residual),),
@@ -90,7 +92,7 @@ class MubFamily:
 def _unbiasedness_residual(rep: Representation, seed: int) -> float:
     """Largest deviation of |<b_i|b'_j>|^2 from 1/d over pairs of distinct bases."""
     B = rep.meta["family"].bases
-    return max(float(np.max(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim)))
+    return max(float(np.maximum.reduce(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim), axis=None))
                for i in range(len(B)) for j in range(i + 1, len(B)))
 
 

@@ -104,7 +104,7 @@ def direction_basis(s: float, n) -> np.ndarray:
     H = n[..., 0, None, None] * Jx + n[..., 1, None, None] * Jy + n[..., 2, None, None] * Jz
     vals, vecs = np.linalg.eigh(H)
     expect = np.arange(vecs.shape[-1]) - s
-    if np.max(np.abs(vals - expect)) > 1e-8:
+    if np.maximum.reduce(np.abs(vals - expect), axis=None) > 1e-8:
         raise ValueError("direction must be a unit vector")
     return _gauge(vecs)
 
@@ -118,7 +118,7 @@ def kernel_weights(s: float, gammas) -> np.ndarray:
         raise ValueError(f"need {d} weights for spin {s}")
     if abs(gammas[0] - 1.0) > 1e-12:
         raise ValueError("the l=0 weight must equal 1")
-    if np.any(np.abs(gammas) < 1e-12):
+    if np.logical_or.reduce(np.abs(gammas) < 1e-12):
         raise ValueError("weights must be finite and non-zero")
     ms = np.arange(d) - s
     w = np.zeros(d)
@@ -197,9 +197,14 @@ def tetrahedral_constellation() -> np.ndarray:
     ) / r3
 
 
+def _unit_rows(points: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The norm of each row, by ``np.linalg.norm``'s formula along the last axis."""
+    return np.sqrt(np.add.reduce(points * points, axis=-1, keepdims=keepdims))
+
+
 def _check_unit_rows(points: np.ndarray):
-    norms = np.linalg.norm(points, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
+    norms = _unit_rows(points)
+    if np.maximum.reduce(np.abs(norms - 1.0), axis=None) > 1e-9:
         raise ValueError("invalid point: directions must be unit vectors")
 
 
@@ -231,7 +236,9 @@ def _refuse_ill_conditioned(cond: float) -> None:
 
 def _dual_sum_residual(rep: Representation, seed: int) -> float:
     """Largest entry of sum_n D(n) - I: the Stratonovich dual resolves the identity."""
-    return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
+    total = rep.dual.sum()
+    total.reshape(-1)[::rep.dim + 1] -= 1.0
+    return float(np.maximum.reduce(np.abs(total), axis=None))
 
 
 def _random_stratonovich(s: float, seed=None):
@@ -245,7 +252,7 @@ def _random_stratonovich(s: float, seed=None):
     for draw in range(1, MAX_DRAWS + 1):
         raw = rng.normal(size=(d * d, 3))
         try:
-            return stratonovich_discrete(s, raw / np.linalg.norm(raw, axis=1, keepdims=True)), draw
+            return stratonovich_discrete(s, raw / _unit_rows(raw, keepdims=True)), draw
         except SingularBasisError:
             continue
     raise SingularBasisError(f"no well conditioned constellation in {MAX_DRAWS} draws")
@@ -275,7 +282,10 @@ def qubit_kernel_lower(n) -> np.ndarray:
 
 def qubit_kernel_upper(n) -> np.ndarray:
     """(1/4pi)(I + 3 n . sigma); a ``(k, 3)`` array of directions gives ``(k, 2, 2)``."""
-    return (np.eye(2) + 3 * _n_dot_sigma(n)) / (4 * np.pi)
+    K = 3 * _n_dot_sigma(n)
+    K[..., 0, 0] += 1.0
+    K[..., 1, 1] += 1.0
+    return K / (4 * np.pi)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -286,21 +296,23 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     z = 1.0 - (2.0 * i + 1.0) / count
     theta = np.pi * (3.0 - math.sqrt(5.0)) * i
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.empty((count, 3))
+    pts[:, 0] = r * np.cos(theta)
+    pts[:, 1] = r * np.sin(theta)
+    pts[:, 2] = z
+    return pts / _unit_rows(pts, keepdims=True)
 
 
 def nmr_sample_directions(count: int) -> np.ndarray:
     """Sphere grid for worst-case scans: Fibonacci points plus axes and cube diagonals."""
-    axes = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-        dtype=float,
-    )
-    diag = np.array(
-        [[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
-        dtype=float,
-    ) / math.sqrt(3.0)
-    fixed = np.vstack([axes, diag])
-    if count <= len(fixed):
-        return fixed[:count]
-    return np.vstack([fixed, fibonacci_sphere(count - len(fixed))])
+    axes = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    diag = [[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    fixed = len(axes) + len(diag)
+    grid = np.empty((max(count, fixed), 3))
+    grid[:len(axes)] = axes
+    grid[len(axes):fixed] = diag
+    grid[len(axes):fixed] /= math.sqrt(3.0)
+    if count <= fixed:
+        return grid[:count]
+    grid[fixed:] = fibonacci_sphere(count - fixed)
+    return grid

@@ -22,6 +22,8 @@ The frame is ``{A/d}`` and the dual ``{A}``: states are represented by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
@@ -64,7 +66,7 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
     for x in dims:
         if not _is_prime(x):
             raise UnsupportedDimensionError(f"every factor must be prime, got {x}")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
     factors = [wootters(x) for x in dims]
     ops = tensor(*[rep.dual.operators for rep in factors])

@@ -205,11 +205,16 @@ def _write_operators(ops: np.ndarray, write) -> None:
     if template is None:
         grid = "[" + ", ".join([_row_template(float, d)] * d) + "]"
         template = _OPERATOR_TEMPLATES[d] = '{"dim": %d, "im": %s, "re": %s}' % (d, grid, grid)
+    # one operator's imaginary then real parts, filled in place for each
+    parts = np.empty((2, d, d))
+    flat = parts.reshape(-1)
     write("[")
     for i, M in enumerate(ops):
         if i:
             write(", ")
-        write(template % tuple(np.concatenate((M.imag.ravel(), M.real.ravel())).tolist()))
+        parts[0] = M.imag
+        parts[1] = M.real
+        write(template % tuple(flat.tolist()))
     write("]")
 
 

@@ -43,25 +43,28 @@ def _born_residual(rep: Representation, seed: int, samples: int) -> float:
     E = _random_effects(rep.dim, samples, np.random.default_rng([seed, BORN_EFFECTS]))
     born = np.einsum("kn,kn->k", rep.frame.analyze(rho), rep.dual.analyze(E))
     exact = np.einsum("kij,kji->k", rho, E).real
-    return float(np.max(np.abs(born - exact)))
+    return float(np.maximum.reduce(np.abs(born - exact)))
 
 
 def _round_trip_residual(rep: Representation, seed: int, samples: int) -> float:
     rho = _random_states(rep.dim, samples, np.random.default_rng([seed, ROUND_TRIP]))
-    back = rep.dual.synthesize(rep.frame.analyze(rho))
-    return float(np.max(np.linalg.norm(back - rho, axis=(1, 2))))
+    diff = rep.dual.synthesize(rep.frame.analyze(rho)) - rho
+    # each sample's Frobenius norm, by np.linalg.norm's formula over two axes
+    return float(np.maximum.reduce(np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)))))
 
 
 def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float, float]:
     pvms = striation_pvms(rep)
-    pvm_worst = max(float(np.max(np.abs(pvms.sum(axis=1) - np.eye(rep.dim)))),
-                    float(np.max(np.abs(pvms @ pvms - pvms))))
+    resolved = np.add.reduce(pvms, axis=1)
+    resolved.reshape(len(resolved), -1)[:, ::rep.dim + 1] -= 1.0
+    pvm_worst = max(float(np.maximum.reduce(np.abs(resolved), axis=None)),
+                    float(np.maximum.reduce(np.abs(pvms @ pvms - pvms), axis=None)))
     rho = _random_states(rep.dim, states, np.random.default_rng([seed, LINE_STATES]))
-    line_sums = rep.frame.analyze(rho)[:, rep.geometry.line_index].sum(axis=3)
+    line_sums = np.add.reduce(rep.frame.analyze(rho)[:, rep.geometry.line_index], axis=3)
     # the Born side pairs the states with the d(d + 1) line operators as one family
     lines = pvms.reshape(-1, rep.dim, rep.dim)
     born = Frame(range(len(lines)), lines).analyze(rho).reshape(line_sums.shape)
-    return pvm_worst, float(np.max(np.abs(line_sums - born)))
+    return pvm_worst, float(np.maximum.reduce(np.abs(line_sums - born), axis=None))
 
 
 def fiducial_search_stats(rep: Representation) -> dict:
@@ -87,10 +90,12 @@ def verify_representation(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     # in d x d operators: the Born samples peak at 6.1-7.3 per sample, and at d = 13-43 the unsampled steps
-    # at 1.98 per frame operator (is_dual_pair) and 2.50 per line (striation_pvms and its square)
+    # at 1.98 per frame operator (is_dual_pair) and 2.50 per line (striation_pvms and its square); the
+    # frame and the dual the run holds, 2 per frame operator, stay alive through all of them
     lines = rep.geometry.line_index.shape[:2] if rep.geometry is not None else (0, 0)
     check_stack_budget(f"verify_representation({rep.name}, samples={samples})",
-                       8 * samples + 3 * max(len(rep.frame), lines[0] * lines[1]), rep.dim, stacks=1)
+                       8 * samples + 3 * max(len(rep.frame), lines[0] * lines[1]) + 2 * len(rep.frame),
+                       rep.dim, stacks=1)
     checks = [
         _check("hermitian_families", max(rep.frame.skew, rep.dual.skew), 1e-10),
         _check("duality", is_dual_pair(rep.frame, rep.dual)[1], DUALITY_TOL),

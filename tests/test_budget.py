@@ -163,8 +163,8 @@ def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv,need", [
-    # 8 operators per sample and 3 per line of wootters(3)'s 12
-    (["verify", "wootters", "--d", "3", "--samples", "20"], (8 * 20 + 3 * 12) * 9 * C16),
+    # 8 operators per sample, 3 per line of wootters(3)'s 12 and 2 per operator of its frame of 9
+    (["verify", "wootters", "--d", "3", "--samples", "20"], (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16),
     (["demo", "entanglement", "--samples", "20"], 3 * 20 * 16 * C16),
 ], ids=["verify", "demo-entanglement"])
 def test_a_sample_count_at_the_budget_runs(monkeypatch, capsys, argv, need):
@@ -195,6 +195,16 @@ def test_verify_over_budget_exits_2_before_the_duality_check(monkeypatch, capsys
     monkeypatch.setattr(verify, "is_dual_pair", lambda *a, **k: pytest.fail("checked duality past the budget"))
     assert main(["verify", "wootters", "--d", "3", "--samples", "1"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_verify_charges_the_frame_and_dual_it_holds(monkeypatch, capsys):
+    # 8 operators per sample, 3 per line of wootters(3)'s 12, and the frame and dual the run holds, 2 per
+    # operator of its 9: one byte under that is refused before the first step
+    need = (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    monkeypatch.setattr(verify, "is_dual_pair", lambda *a, **k: pytest.fail("checked duality past the budget"))
+    assert main(["verify", "wootters", "--d", "3", "--samples", "20"]) == 2
+    assert f"needs {need} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("make", [
