@@ -106,7 +106,7 @@ def franco_penna(mu: QuasiDistribution) -> EntanglementVerdict:
     lattice = _lattice((2, 2))
     _check_values(mu, lattice.labels, lattice.name, lattice.dim,
                   "expected a distribution from the two-qubit product lattice")
-    mn = float(np.minimum.reduce(mu.values))
+    mn = float(mu.values.min())
     return EntanglementVerdict(
         min_value=mn,
         threshold=FRANCO_PENNA_THRESHOLD,
@@ -126,10 +126,10 @@ def ppt_separability_two_qubit(rho: np.ndarray) -> EntanglementVerdict:
     if rho.shape != (4, 4):
         raise DimensionMismatchError("state must be 4 x 4")
     rho_pt = partial_transpose(rho, (2, 2), 1)
-    eig_min = float(np.minimum.reduce(np.linalg.eigvalsh(rho_pt)))
+    eig_min = float(np.linalg.eigvalsh(rho_pt).min())
     rep = _lattice((2, 2))
-    dwf_min = float(np.minimum.reduce(rep.represent(rho).values))
-    dwf_min_pt = float(np.minimum.reduce(rep.represent(rho_pt).values))
+    dwf_min = float(rep.represent(rho).values.min())
+    dwf_min_pt = float(rep.represent(rho_pt).values.min())
     return EntanglementVerdict(
         min_value=eig_min,
         threshold=0.0,

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedTransformError,
 )
 from .frames import _NON_FINITE, _check_values, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
-from .operators import _density_from_gaussian, frobenius, maximally_mixed, random_state
+from .operators import _seeded_states, frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
     cohendet,
@@ -333,28 +333,13 @@ def _entanglement_draws(seed: int, samples: int):
     return ((seed + k, 1 + (seed + k) % 4) for k in range(samples))
 
 
-def _entanglement_states(seed: int, samples: int) -> np.ndarray:
-    """The ``(samples, 4, 4)`` stack of ``random_state(4, rank=r, seed=s)`` over ``_entanglement_draws``.
-
-    Each sample's Gaussians come from its own ``default_rng(s)`` by the same
-    call, real parts then imaginary, and go straight into the interleaved
-    floats of one complex buffer; zero-padded to 4 columns they leave every
-    bit of ``G G^dag`` as it is, so one ``_density_from_gaussian`` forms
-    every state.
-    """
-    G = np.zeros((samples, 4, 4, 2))
-    for k, (s, r) in enumerate(_entanglement_draws(seed, samples)):
-        G[k, :, :r] = np.random.default_rng(s).standard_normal((1, 2, 4, r))[0].transpose(1, 2, 0)
-    return _density_from_gaussian(G.view(complex)[..., 0])
-
-
 def _demo_entanglement(args):
     samples = _samples(args, 100)
     # forming the states peaks at 3 stacks of 4 x 4 per sample (the Gaussians, their conjugate transpose and
     # the states); the states with the sweep's arrays and verdict rows, and with the CSV rows and text, at 2.3
     check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=3)
     seed = args.seed
-    rhos = _entanglement_states(seed, samples)
+    rhos = _seeded_states(4, list(_entanglement_draws(seed, samples)))
     # each verdict row is (lattice min, lattice verdict, partial-transpose min eigenvalue, ppt verdict)
     verdicts = _entanglement_sweep(rhos)
     conclusive = sum(v[1] == "entangled" for v in verdicts)

@@ -136,7 +136,7 @@ def is_primitive_modulus(modulus: tuple[int, ...] | list[int], p: int) -> bool:
         return False
     n = len(monic) - 1
     # above degree 1 a root a in Z_p, m(a) = 0, shows the modulus reducible without the walk
-    if n > 1 and not np.logical_and.reduce(np.vander(np.arange(p), n + 1, increasing=True) @ monic % p):
+    if n > 1 and not (np.vander(np.arange(p), n + 1, increasing=True) @ monic % p).all():
         return False
     return _orbit(_times_x_table(monic, p).tolist(), p**n) is not None
 

@@ -522,7 +522,7 @@ class QuasiDistribution:
         return QuasiDistribution, (self.representation, self.dim, self.labels, self.values, self.warnings)
 
     def min(self) -> float:
-        return float(np.minimum.reduce(self.values))
+        return float(self.values.min())
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,8 @@ def lines_through(geom: PhaseSpaceGeometry, point) -> list[int]:
     """Indices of all lines containing the given point."""
     if point not in geom.points:
         return []
-    hits = np.logical_or.reduce(geom.line_index == geom.points.index(point), axis=2)
-    return hits.reshape(-1).nonzero()[0].tolist()
+    hits = (geom.line_index == geom.points.index(point)).any(axis=2)
+    return np.flatnonzero(hits).tolist()
 
 
 def check_geometry_axioms(geom: PhaseSpaceGeometry) -> dict[str, bool]:
@@ -178,7 +178,7 @@ def check_geometry_axioms(geom: PhaseSpaceGeometry) -> dict[str, bool]:
     counts = np.bincount((rows.reshape(n_s, n_c * n_k) + n * np.arange(n_s)[:, None]).ravel(),
                          minlength=n_s * n)
     return {
-        "two-points-one-line": bool(np.logical_and.reduce((incidence.T @ incidence)[off] == 1)),
-        "striations-partition": bool(np.logical_and.reduce(counts == 1)),
-        "nonparallel-lines-meet-once": bool(np.logical_and.reduce((incidence @ incidence.T)[nonparallel] == 1)),
+        "two-points-one-line": bool(np.all((incidence.T @ incidence)[off] == 1)),
+        "striations-partition": bool(np.all(counts == 1)),
+        "nonparallel-lines-meet-once": bool(np.all((incidence @ incidence.T)[nonparallel] == 1)),
     }

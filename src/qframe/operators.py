@@ -18,15 +18,18 @@ Conventions
 Every CLI command runs in a fresh process, where the first call of each
 numpy entry point is paid cold, and numpy's Python-level wrappers cost far
 more on that first call than the C-level method, ufunc reduction or
-``math`` function they forward to, which returns the same bits.  So the
-library writes the C-level form, computed the same way: ``x.trace``,
+``math`` function they forward to, which returns the same bits.  So on the
+paths of the commands ``perfbench/cli_session.py`` times, the library
+writes the C-level form, computed the same way: ``x.trace``,
 ``x.swapaxes``, ``x.diagonal``, ``x.argsort()`` and ``x.nonzero()``;
 ``np.maximum.reduce``, ``np.minimum.reduce``, ``np.add.reduce`` and
 ``np.logical_and.reduce`` for ``max``, ``min``, ``sum`` and ``all``;
 ``_norm`` for ``np.linalg.norm``; ``math.prod`` for a shape; an in-place
 update of the diagonal for ``- np.eye(d)``; broadcasting for ``np.outer``
 and, in ``tensor``, for ``np.kron``; and a preallocated buffer for
-``np.stack``, ``np.concatenate``, ``np.split`` and ``np.hstack``.
+``np.stack``, ``np.concatenate``, ``np.split`` and ``np.hstack``.  Code
+those commands do not run, such as the SIC search or the geometry's axiom
+checks, may keep the plainer wrapper forms, whose cost nothing measures.
 """
 
 from __future__ import annotations
@@ -71,15 +74,20 @@ __all__ = [
 EQ_TOL = 1e-9
 
 
-def _norm(A) -> float:
+def _norm(A, axis=None, keepdims: bool = False):
     """Frobenius norm of an array of any shape, by ``np.linalg.norm``'s own formula.
 
-    ``sqrt(re . re + im . im)`` on the flattened array (``sqrt(x . x)`` for a
-    real one), so the bits are those of ``np.linalg.norm`` with no axis.
+    With no axis, ``sqrt(re . re + im . im)`` on the flattened array
+    (``sqrt(x . x)`` for a real one), as a float; along an axis or a pair of
+    axes, ``sqrt`` of ``add.reduce`` of ``(conj(x) x).real`` over them.  So
+    the bits are those of ``np.linalg.norm`` with the same ``axis`` and
+    ``keepdims``.
     """
     x = np.asarray(A)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
+    if axis is not None:
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis, keepdims=keepdims))
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
@@ -290,8 +298,7 @@ def is_povm(effects: list[np.ndarray] | tuple[np.ndarray, ...], tol: float | Non
         total = total + np.asarray(E)
     if tol is None:
         tol = tol_for(total)
-    total.reshape(-1)[::d + 1] -= 1.0
-    return bool(_norm(total) <= tol)
+    return bool(_norm(total - np.eye(d)) <= tol)
 
 
 def basis_state(d: int, k: int) -> np.ndarray:
@@ -376,8 +383,27 @@ def _random_states(d: int, k: int, rng: np.random.Generator, rank: int | None = 
     order the single draws take: each sample's real parts, then its
     imaginary parts.
     """
-    G = rng.standard_normal((k, 2, d, d if rank is None else rank))
+    G = _gaussian_pairs(rng, k, d, d if rank is None else rank)
     return _density_from_gaussian(G[:, 0] + 1j * G[:, 1])
+
+
+def _gaussian_pairs(rng: np.random.Generator, k: int, d: int, rank: int) -> np.ndarray:
+    """k states' ``(k, 2, d, rank)`` Gaussians in one call: each sample's real parts, then its imaginary parts."""
+    return rng.standard_normal((k, 2, d, rank))
+
+
+def _seeded_states(d: int, draws) -> np.ndarray:
+    """``random_state(d, rank=r, seed=s)`` for each ``(s, r)`` of draws, as one ``(len(draws), d, d)`` stack.
+
+    Each sample's Gaussians come from its own ``default_rng(s)`` by the same
+    ``_gaussian_pairs`` call and go straight into the interleaved floats of
+    one complex buffer; zero-padded to d columns they leave every bit of
+    ``G G^dag`` as it is, so one ``_density_from_gaussian`` forms every state.
+    """
+    G = np.zeros((len(draws), d, d, 2))
+    for k, (s, r) in enumerate(draws):
+        G[k, :, :r] = _gaussian_pairs(np.random.default_rng(s), 1, d, r)[0].transpose(1, 2, 0)
+    return _density_from_gaussian(G.view(complex)[..., 0])
 
 
 def _random_effects(d: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -39,8 +39,8 @@ def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
 
     Two stacks are the frame and the dual; factories that also build the SIC
-    orbit or the unbiased-basis projectors count three, and so do Hardy's
-    grid, whose build peaks above two, and GHW, for its tables beside the two;
+    orbit, the unbiased-basis projectors or the n x n solve of a basis's dual
+    (n = d^2) count three, and so does GHW, for its tables beside the two;
     ``verify_representation`` charges its samples, its checks and the frame
     and dual it holds in one call.
     A small build may peak up to a fixed 256 KiB above its charge: one of

@@ -33,17 +33,12 @@ def _extended_nonnegativity(rep: Representation, seed: int) -> float:
     the stream after verify's four sample stacks.
     """
     values = rep.frame.analyze(_random_states(rep.dim, 20, np.random.default_rng([seed, 4])))
-    return max(0.0, -float(np.minimum.reduce(_doubled(rep.dim, values), axis=None)))
+    return max(0.0, -float(_doubled(rep.dim, values).min()))
 
 
 def _doubled(d: int, values: np.ndarray) -> np.ndarray:
     """(1/4d)(2/d + sigma * mu(q, p)), the sigma = +1 half first."""
-    n = len(values)
-    out = np.empty((2 * n,) + values.shape[1:])
-    np.add(2.0 / d, values, out=out[:n])
-    np.subtract(2.0 / d, values, out=out[n:])
-    out /= 4.0 * d
-    return out
+    return np.concatenate([2.0 / d + values, 2.0 / d - values]) / (4.0 * d)
 
 
 def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
@@ -60,7 +55,7 @@ def extended_distribution(mu: QuasiDistribution) -> QuasiDistribution:
     geom = extended_lattice(d)
     values = _doubled(d, mu.values)
     warnings = tuple(mu.warnings)
-    if np.minimum.reduce(values) < -1e-12:
+    if values.min() < -1e-12:
         warnings = warnings + ("extended-negative",)
     return QuasiDistribution(
         representation="cohendet-extended",

@@ -152,11 +152,11 @@ def wootters_aligned_net(p: int) -> tuple[int, ...]:
     of the line through the origin is selected.
     """
     woo = wootters(p)
-    rays = np.add.reduce(woo.frame.operators[woo.geometry.line_index[:, 0]], axis=1)  # the p + 1 lines through the origin
+    rays = woo.frame.operators[woo.geometry.line_index[:, 0]].sum(axis=1)  # the p + 1 lines through the origin
     _, bases = _build_structure(FiniteField(p, 1))
     overlaps = np.einsum("sjt,sjk,skt->st", bases.conj(), rays, bases).real
     net = overlaps.argmax(axis=1)
-    missed = (overlaps[np.arange(p + 1), net] < 1 - 1e-8).nonzero()[0]
+    missed = np.flatnonzero(overlaps[np.arange(p + 1), net] < 1 - 1e-8)
     if missed.size:
         raise RuntimeError(f"no eigenvector matches the striation-{missed[0]} ray projector")
     return tuple(net.tolist())
@@ -178,7 +178,7 @@ def match_phase_points(rep_a: Representation, rep_b: Representation,
     used = set()
     for i, la in enumerate(rep_a.labels):
         j = int(np.argmax(overlap[i]))
-        if j in used or np.maximum.reduce(np.abs(A[i] - B[j]), axis=None) > tol:
+        if j in used or np.max(np.abs(A[i] - B[j])) > tol:
             return None
         used.add(j)
         mapping[la] = rep_b.labels[j]

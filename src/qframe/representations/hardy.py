@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import Frame
+from ..frames import Frame, gram_dual
 from .base import Representation, check_stack_budget
 
 
@@ -26,42 +26,12 @@ def _grid(d: int) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def _dual(d: int) -> np.ndarray:
-    """The grid's one dual, written down: entry alpha = d k + j is
-
-    * (|k><j| + |j><k|)/2 for k < j, which pairs to 1 with only its own
-      projector, whose off-diagonal part is |k><j| + |j><k|;
-    * (i|j><k| - i|k><j|)/2 for k > j, the same for i|j><k| - i|k><j|;
-    * |k><k| minus the two off-diagonal duals of every pair {k, m}, so that
-      it pairs to 0 with those pairs' projectors, which hold |k><k|.
-
-    So row k of dual (k, k) off the diagonal is -1/2 - i/2 right of it and
-    -1/2 + i/2 left of it, and column k is that row's conjugate.  Every
-    entry is 0, +-1/2, +-i/2, 1 or -1/2 +- i/2, so the dual is exact.
-    """
-    alpha = np.arange(d * d)
-    k, j = np.divmod(alpha, d)
-    D = np.zeros((d * d, d, d), dtype=complex)
-    lo, hi = k < j, k > j
-    D[alpha[lo], k[lo], j[lo]] = 0.5
-    D[alpha[lo], j[lo], k[lo]] = 0.5
-    D[alpha[hi], j[hi], k[hi]] = complex(0.0, 0.5)
-    D[alpha[hi], k[hi], j[hi]] = complex(0.0, -0.5)
-    r = np.arange(d)
-    row = np.where(r < r[:, None], complex(-0.5, 0.5), complex(-0.5, -0.5))  # row[k, m] of dual (k, k)
-    diagonal = (d + 1) * r
-    D[diagonal, r, :] = row
-    D[diagonal, :, r] = row.conj()
-    D[diagonal, r, r] = 1.0
-    return D
-
-
 def hardy_rep(d: int) -> Representation:
     """Vector representation over alpha = d k + j with its one dual."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
-    # the frame and the dual, written down with no solve; the build peaks at 2.0-2.4 stacks at d = 16-32
+    # frame, dual and the dual's solve: V and its inverse, real n x n each, are one more stack's worth
     check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
-    labels = tuple(range(d * d))
-    frame = Frame(labels, _grid(d), "hardy")
-    return Representation(frame, Frame(frame.labels, _dual(d), "hardy"), meta={"d": d})
+    frame = Frame(tuple(range(d * d)), _grid(d), "hardy")
+    dual = gram_dual(frame)
+    return Representation(frame, dual, meta={"d": d})

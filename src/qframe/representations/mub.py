@@ -92,7 +92,7 @@ class MubFamily:
 def _unbiasedness_residual(rep: Representation, seed: int) -> float:
     """Largest deviation of |<b_i|b'_j>|^2 from 1/d over pairs of distinct bases."""
     B = rep.meta["family"].bases
-    return max(float(np.maximum.reduce(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim), axis=None))
+    return max(float(np.max(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim)))
                for i in range(len(B)) for j in range(i + 1, len(B)))
 
 

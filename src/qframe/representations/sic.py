@@ -17,7 +17,7 @@ from ..errors import (
     UnsupportedDimensionError,
 )
 from ..frames import Frame, QuasiDistribution, _check_values
-from ..operators import _norm, weyl_monomials
+from ..operators import weyl_monomials
 from .base import Representation, check_stack_budget
 
 SEARCH_TOL = 1e-8
@@ -61,13 +61,13 @@ def _orbit_stack(d: int) -> np.ndarray:
 def _deviation(stack: np.ndarray, phi: np.ndarray) -> float:
     d = stack.shape[1]
     overlaps = np.abs((stack.reshape(-1, d) @ phi).reshape(-1, d) @ phi.conj()) ** 2
-    return float(np.maximum.reduce(np.abs(overlaps - 1.0 / (d + 1))))
+    return float(np.max(np.abs(overlaps - 1.0 / (d + 1))))
 
 
 def overlap_deviation(d: int, phi: np.ndarray) -> float:
     """Largest deviation of |<phi|U_pq phi>|^2 from 1/(d+1), (p,q) != (0,0)."""
     phi = np.asarray(phi, dtype=complex).reshape(d)
-    return _deviation(_orbit_stack(d), phi / _norm(phi))
+    return _deviation(_orbit_stack(d), phi / np.linalg.norm(phi))
 
 
 def _residuals(stack: np.ndarray, phi: np.ndarray, target: float):
@@ -76,7 +76,7 @@ def _residuals(stack: np.ndarray, phi: np.ndarray, target: float):
     The Wirtinger gradient dr_k/d(conj phi) gives the derivatives in the
     real coordinates (Re phi, Im phi) as twice its real and imaginary parts.
     """
-    n = float(np.vdot(phi, phi).real)
+    n = float(np.real(np.vdot(phi, phi)))
     uphi = stack @ phi
     udphi = (phi.conj() @ stack).conj()
     v = uphi @ phi.conj() / n
@@ -86,10 +86,7 @@ def _residuals(stack: np.ndarray, phi: np.ndarray, target: float):
         + v[:, None] * udphi
         - 2.0 * w[:, None] * phi[None, :]
     ) / n
-    J = np.empty((len(grad_phi), 2 * phi.size))
-    J[:, :phi.size] = grad_phi.real
-    J[:, phi.size:] = grad_phi.imag
-    return w - target, 2.0 * J
+    return w - target, 2.0 * np.hstack([grad_phi.real, grad_phi.imag])
 
 
 def _descend(stack: np.ndarray, phi: np.ndarray, target: float) -> np.ndarray:
@@ -99,18 +96,18 @@ def _descend(stack: np.ndarray, phi: np.ndarray, target: float) -> np.ndarray:
     steps converge quadratically.
     """
     d = phi.size
-    phi = phi / _norm(phi)
+    phi = phi / np.linalg.norm(phi)
     r, J = _residuals(stack, phi, target)
     cost = r @ r
     A, g = J.T @ J, J.T @ r
-    unit = np.maximum.reduce(A.diagonal()) * np.eye(2 * d)
+    unit = np.max(np.diag(A)) * np.eye(2 * d)
     lam = DAMPING
     for _ in range(MAX_TRIALS):
-        if np.maximum.reduce(np.abs(r)) <= CONVERGED or lam > MAX_DAMPING:
+        if np.max(np.abs(r)) <= CONVERGED or lam > MAX_DAMPING:
             break
         step = np.linalg.solve(A + lam * unit, -g)
         trial = phi + step[:d] + 1j * step[d:]
-        trial = trial / _norm(trial)
+        trial = trial / np.linalg.norm(trial)
         r_trial, J_trial = _residuals(stack, trial, target)
         if r_trial @ r_trial < cost:
             phi, r, J = trial, r_trial, J_trial
@@ -180,7 +177,7 @@ def sic_rep(
         phi = np.asarray(fiducial, dtype=complex).reshape(-1)
         if phi.shape != (d,):
             raise DimensionMismatchError(f"fiducial must have {d} components")
-        norm = _norm(phi)
+        norm = np.linalg.norm(phi)
         if norm < 1e-12:
             raise ValueError("fiducial must be nonzero")
         phi, used = phi / norm, 0
@@ -189,20 +186,16 @@ def sic_rep(
     stack = _orbit_stack(d)
     if fiducial is None:
         phi, used = _search(stack, seed, starts)
-    dev = _deviation(stack, phi / _norm(phi))  # as overlap_deviation reports it
+    dev = _deviation(stack, phi / np.linalg.norm(phi))  # as overlap_deviation reports it
     if dev > PROVIDED_TOL:
         raise FiducialSearchError(
             f"fiducial overlap deviation {dev:.3e} exceeds {PROVIDED_TOL:.0e}"
         )
     labels = tuple(np.ndindex(d, d))  # (p, q), row-major
-    vecs = np.empty((d * d, d), dtype=complex)
-    vecs[0] = phi  # U_00 = I, then the orbit in label order
-    vecs[1:] = stack @ phi
+    vecs = np.vstack([phi, stack @ phi])  # U_00 = I, then the orbit in label order
     ops = vecs[:, :, None] * vecs[:, None, :].conj() / d
     frame = Frame(labels, ops, "sic")
-    dual = d * (d + 1) * ops
-    dual.reshape(d * d, -1)[:, ::d + 1] -= 1.0
-    dual = Frame(labels, dual, "sic")
+    dual = Frame(labels, d * (d + 1) * ops - np.eye(d), "sic")
     return Representation(
         frame,
         dual,

@@ -11,7 +11,7 @@ import numpy.random
 
 from ..errors import SingularBasisError, UnsupportedDimensionError
 from ..frames import Frame, _minimal_dual
-from ..operators import SIGMA, _gauge
+from ..operators import SIGMA, _gauge, _norm
 from .base import Representation
 
 GRAM_CONDITION_LIMIT = 1e8
@@ -104,7 +104,7 @@ def direction_basis(s: float, n) -> np.ndarray:
     H = n[..., 0, None, None] * Jx + n[..., 1, None, None] * Jy + n[..., 2, None, None] * Jz
     vals, vecs = np.linalg.eigh(H)
     expect = np.arange(vecs.shape[-1]) - s
-    if np.maximum.reduce(np.abs(vals - expect), axis=None) > 1e-8:
+    if np.max(np.abs(vals - expect)) > 1e-8:
         raise ValueError("direction must be a unit vector")
     return _gauge(vecs)
 
@@ -118,7 +118,7 @@ def kernel_weights(s: float, gammas) -> np.ndarray:
         raise ValueError(f"need {d} weights for spin {s}")
     if abs(gammas[0] - 1.0) > 1e-12:
         raise ValueError("the l=0 weight must equal 1")
-    if np.logical_or.reduce(np.abs(gammas) < 1e-12):
+    if np.any(np.abs(gammas) < 1e-12):
         raise ValueError("weights must be finite and non-zero")
     ms = np.arange(d) - s
     w = np.zeros(d)
@@ -197,13 +197,8 @@ def tetrahedral_constellation() -> np.ndarray:
     ) / r3
 
 
-def _unit_rows(points: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """The norm of each row, by ``np.linalg.norm``'s formula along the last axis."""
-    return np.sqrt(np.add.reduce(points * points, axis=-1, keepdims=keepdims))
-
-
 def _check_unit_rows(points: np.ndarray):
-    norms = _unit_rows(points)
+    norms = _norm(points, axis=-1)
     if np.maximum.reduce(np.abs(norms - 1.0), axis=None) > 1e-9:
         raise ValueError("invalid point: directions must be unit vectors")
 
@@ -236,9 +231,7 @@ def _refuse_ill_conditioned(cond: float) -> None:
 
 def _dual_sum_residual(rep: Representation, seed: int) -> float:
     """Largest entry of sum_n D(n) - I: the Stratonovich dual resolves the identity."""
-    total = rep.dual.sum()
-    total.reshape(-1)[::rep.dim + 1] -= 1.0
-    return float(np.maximum.reduce(np.abs(total), axis=None))
+    return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
 
 
 def _random_stratonovich(s: float, seed=None):
@@ -252,7 +245,7 @@ def _random_stratonovich(s: float, seed=None):
     for draw in range(1, MAX_DRAWS + 1):
         raw = rng.normal(size=(d * d, 3))
         try:
-            return stratonovich_discrete(s, raw / _unit_rows(raw, keepdims=True)), draw
+            return stratonovich_discrete(s, raw / np.linalg.norm(raw, axis=1, keepdims=True)), draw
         except SingularBasisError:
             continue
     raise SingularBasisError(f"no well conditioned constellation in {MAX_DRAWS} draws")
@@ -300,7 +293,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     pts[:, 0] = r * np.cos(theta)
     pts[:, 1] = r * np.sin(theta)
     pts[:, 2] = z
-    return pts / _unit_rows(pts, keepdims=True)
+    return pts / _norm(pts, axis=1, keepdims=True)
 
 
 def nmr_sample_directions(count: int) -> np.ndarray:

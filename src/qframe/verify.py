@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import Frame, is_dual_pair
-from .operators import _random_effects, _random_states
+from .operators import _norm, _random_effects, _random_states
 from .representations import Representation, striation_pvms
 from .representations.base import check_stack_budget
 
@@ -48,9 +48,8 @@ def _born_residual(rep: Representation, seed: int, samples: int) -> float:
 
 def _round_trip_residual(rep: Representation, seed: int, samples: int) -> float:
     rho = _random_states(rep.dim, samples, np.random.default_rng([seed, ROUND_TRIP]))
-    diff = rep.dual.synthesize(rep.frame.analyze(rho)) - rho
-    # each sample's Frobenius norm, by np.linalg.norm's formula over two axes
-    return float(np.maximum.reduce(np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)))))
+    back = rep.dual.synthesize(rep.frame.analyze(rho))
+    return float(np.maximum.reduce(_norm(back - rho, axis=(1, 2))))
 
 
 def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float, float]:

@@ -10,8 +10,7 @@ matrices, with the displaced comparison through a label dict; the
 entanglement sweep as one Franco-Penna and one PPT test per state; the
 spin-1/2 NMR kernel built per direction; the spin-s direction basis, its
 gauge fixed column by column, and the Stratonovich kernel built from it
-per direction; Hardy's grid built one projector at a time and its dual
-one operator at a time from the written-down formula; and the
+per direction; Hardy's grid built one projector at a time; and the
 Kronecker products of stacks that ``operators.tensor`` builds in one call:
 Havel's Pauli words one qubit at a time and the composite Wootters stacks
 two factors at a time; the negativity witness's effect side as one
@@ -228,23 +227,6 @@ def hardy_projector(d: int, k: int, j: int) -> np.ndarray:
         v[k] = 1.0
         v[j] = 1.0j
     return np.outer(v, v.conj())
-
-
-def hardy_dual(d: int, k: int, j: int) -> np.ndarray:
-    """The (k, j) entry of Hardy's dual, entry by entry: (|k><j| + |j><k|)/2 for k < j,
-    (i|j><k| - i|k><j|)/2 for k > j, and |k><k| minus both off-diagonal duals of every pair {k, m}."""
-    D = np.zeros((d, d), dtype=complex)
-    if k < j:
-        D[k, j] = D[j, k] = 0.5
-    elif k > j:
-        D[j, k] = 0.5j
-        D[k, j] = -0.5j
-    else:
-        D[k, k] = 1.0
-        for m in range(d):
-            if m != k:
-                D -= hardy_dual(d, min(k, m), max(k, m)) + hardy_dual(d, max(k, m), min(k, m))
-    return D
 
 
 def kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:

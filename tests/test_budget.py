@@ -158,6 +158,8 @@ def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsy
     monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
     for module in (operators, verify):
         monkeypatch.setattr(module, "_random_states", lambda *a, **k: pytest.fail("drew past the budget"))
+    # every seeded state's Gaussians, demo entanglement's per-sample draws too, come from this one helper
+    monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew past the budget"))
     assert main(argv) == 2
     assert "budget" in capsys.readouterr().err
 

@@ -10,12 +10,13 @@ import pytest
 
 import wrapper_oracle as oracle
 from qframe.analysis import _lattice, _teleport_branches, teleport_phase_space
-from qframe.cli import _entanglement_draws, _entanglement_states
+from qframe.cli import _entanglement_draws
 from qframe.frames import _coordinates, _from_coordinates
 from qframe.operators import (
     _density_from_gaussian,
     _norm,
     _rotated_diagonal,
+    _seeded_states,
     random_state,
     random_unitary,
     tensor,
@@ -70,6 +71,14 @@ def test_norm_is_numpys(shape, kind):
     if kind == "transposed":
         A = A.T
     assert _norm(A) == float(np.linalg.norm(A))
+
+
+@pytest.mark.parametrize("axis", [0, -1, (1, 2), (0, 2)])
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_norm_along_axes_is_numpys(axis, keepdims, complex_entries):
+    A = _draw(np.random.default_rng(7), (5, 4, 3), complex_entries)
+    assert same_bits(_norm(A, axis=axis, keepdims=keepdims), np.linalg.norm(A, axis=axis, keepdims=keepdims))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -132,4 +141,4 @@ def test_teleport_branches_are_the_branch_at_a_time_build(d):
 def test_entanglement_states_are_the_per_sample_draws(seed):
     samples = 100
     want = np.array([random_state(4, rank=r, seed=s) for s, r in _entanglement_draws(seed, samples)])
-    assert same_bits(_entanglement_states(seed, samples), want)
+    assert same_bits(_seeded_states(4, list(_entanglement_draws(seed, samples))), want)
