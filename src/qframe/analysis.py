@@ -239,7 +239,6 @@ def nmr_classicality(
     n_qubits: int,
     epsilon: float,
     rho1: np.ndarray | None = None,
-    samples: int | None = None,
 ) -> NmrReport:
     """Positivity of mu for rho = (1-eps) I/2^n + eps rho1 on sampled tuples.
 
@@ -262,8 +261,7 @@ def nmr_classicality(
             raise DimensionMismatchError(f"rho1 must be {dim} x {dim}")
         if not is_density(rho1, tol=1e-8):
             raise ValueError("rho1 must be a density operator")
-    count = samples if samples is not None else _NMR_DEFAULT_GRID[n_qubits]
-    grid = nmr_sample_directions(count)
+    grid = nmr_sample_directions(_NMR_DEFAULT_GRID[n_qubits])
     rho = epsilon * rho1
     diagonal = np.arange(dim)
     rho[diagonal, diagonal] += (1.0 - epsilon) / dim

@@ -55,6 +55,7 @@ from .representations import (
     wootters_composite,
 )
 from .representations.base import check_stack_budget
+from .representations.sic import SEARCH_STARTS, fiducial_search_stats
 from .representations.spherical import _random_stratonovich
 from .serialize import (
     distribution_from_doc,
@@ -71,7 +72,7 @@ from .serialize import (
     write_frame,
     write_json,
 )
-from .verify import fiducial_search_stats, verify_representation
+from .verify import verify_representation
 
 if TYPE_CHECKING:
     import argparse
@@ -83,8 +84,7 @@ EXIT_PARSE = 3
 EXIT_DIMENSION = 4
 EXIT_TRANSFORM = 5
 
-# (error class, exit code), tried in order: every error class derives from QframeError and
-# most from ValueError, so each comes before its bases
+# (error class, exit code); an error takes the code of the first class on its MRO listed here
 ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (DimensionMismatchError, EXIT_DIMENSION),
@@ -97,7 +97,7 @@ ERROR_EXITS = (
     (ValueError, EXIT_ARGS),
     (OSError, EXIT_PARSE),
 )
-_HANDLED = tuple(error for error, _ in ERROR_EXITS)
+_EXIT_CODES = dict(ERROR_EXITS)
 
 
 def _flag(args, dest: str, missing: str = "this representation needs --d"):
@@ -135,7 +135,7 @@ FAMILIES = {
     "hardy": (("d",), lambda a: hardy_rep(_flag(a, "d"))),
     "havel": (("n",), lambda a: havel_rep(_flag(a, "n", "havel needs --n qubits"))),
     "sic": (("d", "seed"), lambda a: sic_rep(
-        _flag(a, "d"), seed=a.seed, starts=_or(getattr(a, "starts", None), 50))),
+        _flag(a, "d"), seed=a.seed, starts=_or(getattr(a, "starts", None), SEARCH_STARTS))),
 }
 
 
@@ -527,9 +527,9 @@ def main(argv=None) -> int:
                 fh.write(text)
         _say(summary)
         return EXIT_OK if ok else EXIT_PROPERTY
-    except _HANDLED as exc:
+    except tuple(_EXIT_CODES) as exc:
         _say(f"error: {exc}")
-        return next(code for error, code in ERROR_EXITS if isinstance(exc, error))
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -38,11 +38,8 @@ MAX_STACK_BYTES = 1 << 30
 def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
     """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
 
-    Two stacks are the frame and the dual; factories that also build the SIC
-    orbit, the unbiased-basis projectors or the n x n solve of a basis's dual
-    (n = d^2) count three, and so does GHW, for its tables beside the two;
-    ``verify_representation`` charges its samples, its checks and the frame
-    and dual it holds in one call.
+    Two stacks are the frame and the dual; a caller that holds more passes
+    its own count.
     A small build may peak up to a fixed 256 KiB above its charge: one of
     ``frames._skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
     """
@@ -69,7 +66,7 @@ class Representation:
     dual: Frame
     geometry: PhaseSpaceGeometry | None = None
     meta: dict = field(default_factory=dict)
-    # the factory's own identities, each (name, tolerance, residual(rep, seed) -> float)
+    # the factory's own identities, each (name, tolerance, residual(rep, rng) -> float)
     checks: tuple = ()
 
     def __post_init__(self):

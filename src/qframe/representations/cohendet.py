@@ -26,13 +26,9 @@ def cohendet(d: int) -> Representation:
                           (("extended_nonnegativity", 1e-10, _extended_nonnegativity),))
 
 
-def _extended_nonnegativity(rep: Representation, seed: int) -> float:
-    """Most negative doubled-lattice value over 20 seeded states.
-
-    The states are 20 consecutive draws of ``np.random.default_rng([seed, 4])``,
-    the stream after verify's four sample stacks.
-    """
-    values = rep.frame.analyze(_random_states(rep.dim, 20, np.random.default_rng([seed, 4])))
+def _extended_nonnegativity(rep: Representation, rng: np.random.Generator) -> float:
+    """Most negative doubled-lattice value over 20 states drawn from ``rng``."""
+    values = rep.frame.analyze(_random_states(rep.dim, 20, rng))
     return max(0.0, -float(_doubled(rep.dim, values).min()))
 
 

@@ -59,6 +59,8 @@ __all__ = [
     "match_phase_points",
 ]
 
+MATCH_TOL = 1e-10
+
 def _striation_bases(F: FiniteField, directions) -> np.ndarray:
     """The ``(d + 1, d, d)`` stack of the striations' joint eigenbases, written down from integer exponents.
 
@@ -162,12 +164,11 @@ def wootters_aligned_net(p: int) -> tuple[int, ...]:
     return tuple(net.tolist())
 
 
-def match_phase_points(rep_a: Representation, rep_b: Representation,
-                       tol: float = 1e-10) -> dict | None:
+def match_phase_points(rep_a: Representation, rep_b: Representation) -> dict | None:
     """Point bijection with equal dual operators, or None if there is none.
 
     Matches each phase-point operator of ``rep_a`` to the unique operator of
-    ``rep_b`` at maximal trace overlap and verifies exact equality.
+    ``rep_b`` at maximal trace overlap and verifies equality to within ``MATCH_TOL``.
     """
     if rep_a.dim != rep_b.dim:
         return None
@@ -178,7 +179,7 @@ def match_phase_points(rep_a: Representation, rep_b: Representation,
     used = set()
     for i, la in enumerate(rep_a.labels):
         j = int(np.argmax(overlap[i]))
-        if j in used or np.max(np.abs(A[i] - B[j])) > tol:
+        if j in used or np.max(np.abs(A[i] - B[j])) > MATCH_TOL:
             return None
         used.add(j)
         mapping[la] = rep_b.labels[j]

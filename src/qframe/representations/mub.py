@@ -22,7 +22,8 @@ def mub_unitary(d: int) -> np.ndarray:
         raise UnsupportedDimensionError("d must be prime")
     F = finite_fourier(d)
     inv2 = (d + 1) // 2
-    D = np.diag(omega(d) ** ((inv2 * np.arange(d) ** 2) % d))
+    D = np.zeros((d, d), dtype=complex)
+    D.reshape(-1)[::d + 1] = omega(d) ** ((inv2 * np.arange(d) ** 2) % d)
     return F @ D @ F.conj().T
 
 
@@ -37,17 +38,12 @@ def mub_bases(d: int) -> np.ndarray:
     if not _is_prime(d):
         raise UnsupportedDimensionError("d must be prime")
     V = mub_unitary(d)
-    out = [np.eye(d, dtype=complex)]
-    if d == 2:
-        out.append(V)
-        out.append(V @ V)
-    else:
-        M = np.eye(d, dtype=complex)
-        for _ in range(1, d):
-            M = V @ M
-            out.append(M.copy())
-        out.append(finite_fourier(d))
-    return np.array(out)
+    out = np.zeros((d + 1, d, d), dtype=complex)
+    out[0].reshape(-1)[::d + 1] = 1.0
+    for n in range(1, d):
+        np.matmul(V, out[n - 1], out=out[n])
+    out[d] = V @ out[1] if d == 2 else finite_fourier(d)
+    return out
 
 
 class MubFamily:
@@ -84,15 +80,15 @@ class MubFamily:
         dual.reshape(len(dual), -1)[:, ::d + 1] -= 1.0
         dual = Frame(self.labels, dual, "mub")
         return Representation(
-            frame, dual, meta={"family": self},
+            frame, dual, meta={"bases": self.bases},
             checks=(("pairwise_unbiasedness", 1e-9, _unbiasedness_residual),),
         )
 
 
-def _unbiasedness_residual(rep: Representation, seed: int) -> float:
+def _unbiasedness_residual(rep: Representation, rng: np.random.Generator) -> float:
     """Largest deviation of |<b_i|b'_j>|^2 from 1/d over pairs of distinct bases."""
-    B = rep.meta["family"].bases
-    return max(float(np.max(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim)))
+    B = rep.meta["bases"]
+    return max(float(np.maximum.reduce(np.abs(np.abs(B[i].conj().T @ B[j]) ** 2 - 1.0 / rep.dim), axis=None))
                for i in range(len(B)) for j in range(i + 1, len(B)))
 
 

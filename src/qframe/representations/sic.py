@@ -21,6 +21,7 @@ from ..operators import weyl_monomials
 from .base import Representation, check_stack_budget
 
 SEARCH_TOL = 1e-8
+SEARCH_STARTS = 50
 PROVIDED_TOL = 1e-6
 MAX_SEARCH_DIM = 8
 
@@ -147,7 +148,7 @@ def _search(stack: np.ndarray, seed: int, starts: int) -> tuple[np.ndarray, int]
     )
 
 
-def sic_fiducial(d: int, seed: int = 0, starts: int = 50) -> np.ndarray:
+def sic_fiducial(d: int, seed: int = 0, starts: int = SEARCH_STARTS) -> np.ndarray:
     """Unit vector whose Weyl orbit has all pairwise overlaps 1/(d+1).
 
     d=2 has a closed form; larger dimensions run a seeded multi-start
@@ -162,7 +163,7 @@ def sic_rep(
     d: int,
     fiducial: np.ndarray | None = None,
     seed: int = 0,
-    starts: int = 50,
+    starts: int = SEARCH_STARTS,
 ) -> Representation:
     """POVM frame P_k over the Weyl orbit with dual D_k = d(d+1)P_k - I.
 
@@ -200,13 +201,23 @@ def sic_rep(
         frame,
         dual,
         meta={"fiducial": phi, "overlap_deviation": dev, "search_starts": used},
-        checks=(("overlap_deviation", 1e-8, _reported_deviation),),
+        checks=(("overlap_deviation", SEARCH_TOL, _reported_deviation),),
     )
 
 
-def _reported_deviation(rep: Representation, seed: int) -> float:
+def _reported_deviation(rep: Representation, rng: np.random.Generator) -> float:
     """The fiducial's overlap deviation as the build measured it: a module-level check, so a pair pickles."""
     return float(rep.meta["overlap_deviation"])
+
+
+def fiducial_search_stats(rep: Representation) -> dict:
+    """The overlap deviation and search starts ``sic_rep`` records in ``meta``; empty for another pair."""
+    if "search_starts" not in rep.meta:
+        return {}
+    return {
+        "overlap_deviation": float(rep.meta["overlap_deviation"]),
+        "search_starts": int(rep.meta["search_starts"]),
+    }
 
 
 def sic_conditional(rep: Representation, effect: np.ndarray) -> np.ndarray:

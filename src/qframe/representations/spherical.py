@@ -141,7 +141,7 @@ def _spin_dim(s: float) -> int:
 
 @dataclass(frozen=True)
 class SphericalKernel:
-    """Family Delta(n) = sum_m w_m |n, m><n, m| defined by spin and l-weights."""
+    """Family Delta(n) = sum_m w_m |n, m><n, m| defined by spin and l-weights, kept read-only as ``weights``."""
 
     s: float
     gammas: tuple[float, ...]
@@ -151,6 +151,10 @@ class SphericalKernel:
         _spin_dim(self.s)
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "weights", kernel_weights(self.s, self.gammas))
+        self.weights.setflags(write=False)
+
+    def __reduce__(self):
+        return SphericalKernel, (self.s, self.gammas)
 
     @property
     def dim(self) -> int:
@@ -229,7 +233,7 @@ def _refuse_ill_conditioned(cond: float) -> None:
         raise SingularBasisError("constellation kernel Gram matrix is ill conditioned; redraw the points")
 
 
-def _dual_sum_residual(rep: Representation, seed: int) -> float:
+def _dual_sum_residual(rep: Representation, rng: np.random.Generator) -> float:
     """Largest entry of sum_n D(n) - I: the Stratonovich dual resolves the identity."""
     return float(np.max(np.abs(rep.dual.sum() - np.eye(rep.dim))))
 

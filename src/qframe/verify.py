@@ -8,7 +8,8 @@ the round-trip states and the line-sum states) has its own stream.  Its k
 samples are k consecutive draws of one generator,
 ``np.random.default_rng([seed, stream])``, equal to k calls of
 ``random_state(d, seed=rng)`` or ``random_effect(d, seed=rng)`` on it, so a
-smaller ``samples`` draws a prefix of a larger one.
+smaller ``samples`` draws a prefix of a larger one.  Check i of ``rep.checks``
+is called as ``residual(rep, rng)`` on stream ``FAMILY_CHECKS + i``.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from .frames import Frame, is_dual_pair
 from .operators import _norm, _random_effects, _random_states
 from .representations import Representation, striation_pvms
 from .representations.base import check_stack_budget
+from .representations.sic import fiducial_search_stats
 
 DUALITY_TOL = 1e-9
 BORN_TOL = 1e-8
 ROUND_TRIP_TOL = 1e-8
 LINE_TOL = 1e-9
 
-# the stream of each sample stack; cohendet's extended_nonnegativity draws from stream 4
-BORN_STATES, BORN_EFFECTS, ROUND_TRIP, LINE_STATES = range(4)
+# the stream of each sample stack, then the first of the family checks' streams
+BORN_STATES, BORN_EFFECTS, ROUND_TRIP, LINE_STATES, FAMILY_CHECKS = range(5)
 
 
 def _check(name: str, residual: float, tol: float) -> dict:
@@ -66,16 +68,6 @@ def _line_residuals(rep: Representation, seed: int, states: int) -> tuple[float,
     return pvm_worst, float(np.maximum.reduce(np.abs(line_sums - born), axis=None))
 
 
-def fiducial_search_stats(rep: Representation) -> dict:
-    """The SIC fiducial's overlap deviation and the search starts it took, if any."""
-    if "search_starts" not in rep.meta:
-        return {}
-    return {
-        "overlap_deviation": float(rep.meta["overlap_deviation"]),
-        "search_starts": int(rep.meta["search_starts"]),
-    }
-
-
 def verify_representation(
     rep: Representation, seed: int = 0, samples: int = 200
 ) -> dict:
@@ -109,8 +101,8 @@ def verify_representation(
         pvm_worst, sum_worst = _line_residuals(rep, seed, 10)
         checks.append(_check("striation_projectors", pvm_worst, LINE_TOL))
         checks.append(_check("line_sums_match_born", sum_worst, LINE_TOL))
-    for name, tol, residual in rep.checks:
-        checks.append(_check(name, residual(rep, seed), tol))
+    for i, (name, tol, residual) in enumerate(rep.checks):
+        checks.append(_check(name, residual(rep, np.random.default_rng([seed, FAMILY_CHECKS + i])), tol))
     return {
         "representation": rep.name,
         "dim": int(rep.dim),

@@ -294,7 +294,7 @@ def test_plus_x_state_nonnegative():
 def test_bound_values():
     assert abs(nmr_classicality(1, 0.1).epsilon_bound - 1 / 3) < 1e-15
     assert abs(nmr_classicality(2, 0.1).epsilon_bound - 1 / 9) < 1e-15
-    assert abs(nmr_classicality(3, 0.05, samples=20).epsilon_bound - 1 / 33) < 1e-15
+    assert abs(nmr_classicality(3, 0.05).epsilon_bound - 1 / 33) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -462,3 +462,13 @@ def test_demo_bell_stdout_is_pinned(capsys):
         '"angles_degrees": [0.000000000000e+00, 6.000000000000e+01, 1.200000000000e+02], '
         '"demo": "bell", "lhs": 1.000000000000e+00, "rhs": 5.000000000000e-01, "violated": true}\n'
     )
+
+
+def test_a_rho1_that_is_not_a_density_operator_is_refused():
+    with pytest.raises(ValueError, match="rho1 must be a density operator"):
+        nmr_classicality(1, 0.1, rho1=-np.eye(2) / 2)
+
+
+def test_a_state_of_another_dimension_is_refused_by_teleportation():
+    with pytest.raises(DimensionMismatchError, match="state must be 3 x 3"):
+        teleport_phase_space(3, np.eye(2) / 2, (0, 0))

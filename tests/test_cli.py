@@ -409,6 +409,16 @@ def test_demo_entanglement(capsys):
     assert doc["conclusive"] >= 1
 
 
+def test_demo_entanglement_csv_has_one_row_per_sample(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, "demo", "entanglement", "--samples", "3", "--format", "csv", "--out", str(out_file))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "seed,rank,lattice_min,lattice_verdict,pt_min_eig,ppt_verdict"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"], ["1", "2"], ["2", "3"]]
+    assert out_file.read_text() == out
+
+
 def test_json_output_renders_no_csv(tmp_path, capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("CSV rendered for JSON output")

@@ -226,3 +226,8 @@ def test_the_lift_refuses_other_labels(make):
         from_extended(replace(ext, labels=ext.labels[::-1]))
     with pytest.raises(ValueError, match="doubled lattice"):
         from_extended(mu)
+
+
+def test_a_negative_doubled_value_is_flagged():
+    ext = extended_distribution(cohendet(3).effect(np.eye(3)))
+    assert ext.warnings == ("extended-negative",)

@@ -20,7 +20,14 @@ from qframe.finitefield import FiniteField
 from qframe.frames import born_pair
 from qframe.geometry import field_lattice
 from qframe.operators import random_effect, random_state
-from qframe.representations import stratonovich_discrete, tetrahedral_constellation, wootters
+from qframe.representations import (
+    SphericalKernel,
+    mub,
+    mub_family,
+    stratonovich_discrete,
+    tetrahedral_constellation,
+    wootters,
+)
 
 # one small admitted size per CLI representation; odd Leonhardt pairs through a label map
 CASES = {
@@ -186,3 +193,31 @@ def test_a_constellation_is_kept_as_a_copy():
     rep = stratonovich_discrete(0.5, points)
     assert rep.meta["constellation"] is not points and points.flags.writeable
     _same_bits(rep.meta["constellation"], points)
+
+
+@pytest.mark.parametrize("how", ["fresh", "deepcopy", "pickle"])
+def test_a_spherical_kernels_weights_are_read_only(how):
+    kernel = SphericalKernel(1, (1.0, 1.0, 1.0))
+    got = kernel if how == "fresh" else COPIES[how](kernel)
+    with pytest.raises(ValueError):
+        got.weights[0] = 5.0
+    _same_bits(got.weights, kernel.weights)
+    _same_bits(got.point((0.0, 0.0, 1.0)), kernel.point((0.0, 0.0, 1.0)))
+
+
+def test_a_mub_pair_is_copied_without_rebuilding_its_bases(monkeypatch):
+    calls = []
+    build = mub.mub_bases
+
+    def counting(d):
+        calls.append(d)
+        return build(d)
+
+    monkeypatch.setattr(mub, "mub_bases", counting)
+    rep = mub_family(13).representation()
+    assert calls == [13]
+    assert all(isinstance(v, (np.ndarray, int, float, str)) for v in rep.meta.values())
+    for how in ("pickle", "deepcopy"):
+        got = COPIES[how](rep)
+        _same_bits(got.meta["bases"], rep.meta["bases"])
+    assert calls == [13]

@@ -21,7 +21,7 @@ from qframe.operators import (
     random_unitary,
     tensor,
 )
-from qframe.representations import cohendet, leonhardt, ruzzi_s0, wootters
+from qframe.representations import cohendet, leonhardt, mub_bases, mub_unitary, ruzzi_s0, wootters
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -142,3 +142,11 @@ def test_entanglement_states_are_the_per_sample_draws(seed):
     samples = 100
     want = np.array([random_state(4, rank=r, seed=s) for s, r in _entanglement_draws(seed, samples)])
     assert same_bits(_seeded_states(4, list(_entanglement_draws(seed, samples))), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_mub_bases_are_the_diag_and_list_forms(d):
+    V = mub_unitary(d)
+    if d > 2:
+        assert same_bits(V, oracle.mub_unitary(d))
+    assert same_bits(mub_bases(d), oracle.mub_bases(d, V))

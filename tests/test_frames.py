@@ -420,3 +420,33 @@ def test_transforms_compose(data, d):
     T_ab_bc = transform_matrix(a.dual, b.frame) @ transform_matrix(b.dual, c.frame)
     assert a.frame.minimal and b.frame.minimal and c.frame.minimal
     assert np.max(np.abs(T_ab_bc - T_ac)) < 1e-9
+
+
+def test_a_frame_keeps_a_complex_contiguous_read_only_copy_of_a_real_or_strided_stack():
+    real = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    frame = Frame(range(3), real)
+    ops = frame.operators
+    assert ops.dtype == complex and ops.flags.c_contiguous and not ops.flags.writeable
+    assert np.array_equal(ops, real) and not np.shares_memory(ops, real)
+    assert real.flags.writeable
+    stack = np.array([random_state(3, seed=k) for k in range(8)])
+    view = stack[::2]
+    assert not view.flags.c_contiguous
+    ops = Frame(range(4), view).operators
+    assert ops.flags.c_contiguous and np.array_equal(ops, view) and not np.shares_memory(ops, stack)
+
+
+def test_a_stack_of_non_square_matrices_is_refused():
+    with pytest.raises(DimensionMismatchError, match=r"expected a stack of square matrices, got shape \(2, 2, 3\)"):
+        Frame(range(2), np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: is_dual_pair(wootters(3).frame, hardy_rep(3).dual), "frame and dual must share dimension and labels"),
+    (lambda: transform_matrix(wootters(3).dual, wootters(5).frame), "representations live in different dimensions"),
+    (lambda: apply_transform(wootters(3).represent(np.eye(3) / 3), np.eye(4), wootters(3).frame),
+     r"transform shape \(4, 4\) does not fit the outcome sets"),
+], ids=["is_dual_pair", "transform_matrix", "apply_transform"])
+def test_pairings_of_mismatched_families_are_refused(call, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        call()

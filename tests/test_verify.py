@@ -114,8 +114,8 @@ def test_a_representation_refuses_a_dual_of_another_name_or_labels():
 def test_attached_check_runs_after_the_line_checks():
     seen = []
 
-    def residual(rep, seed):
-        seen.append((rep.dim, seed))
+    def residual(rep, rng):
+        seen.append((rep.dim, rng.random()))
         return 0.5
 
     rep = replace(wootters(3), checks=(("custom", 1.0, residual),))
@@ -123,7 +123,20 @@ def test_attached_check_runs_after_the_line_checks():
     names = [c["name"] for c in report["checks"]]
     assert names[-3:] == ["striation_projectors", "line_sums_match_born", "custom"]
     assert report["checks"][-1] == {"name": "custom", "residual": 0.5, "tolerance": 1.0, "passed": True}
-    assert seen == [(3, 4)]
+    # the first family check draws from the stream after verify's four sample stacks
+    assert seen == [(3, np.random.default_rng([4, 4]).random())]
+
+
+def test_each_family_check_draws_from_its_own_stream():
+    seen = []
+
+    def residual(rep, rng):
+        seen.append(rng.random())
+        return 0.0
+
+    rep = replace(wootters(3), checks=(("first", 1.0, residual), ("second", 1.0, residual)))
+    verify_representation(rep, seed=4, samples=5)
+    assert seen == [np.random.default_rng([4, 4]).random(), np.random.default_rng([4, 5]).random()]
 
 
 def test_corrupted_dual_fails_duality():

@@ -16,7 +16,7 @@ from qframe.operators import (
     tensor,
 )
 from qframe.geometry import prime_lattice
-from qframe.representations import ghw, striation_pvms, wootters, wootters_composite
+from qframe.representations import ghw, hardy_rep, striation_pvms, wootters, wootters_composite
 from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
 
 import lattice_oracle
@@ -249,3 +249,8 @@ def test_nonprime_dimension_rejected():
         wootters(4)
     with pytest.raises(UnsupportedDimensionError):
         wootters_composite([2, 4])
+
+
+def test_a_pair_without_striations_has_no_line_operators():
+    with pytest.raises(ValueError, match="representation 'hardy' has no striations"):
+        striation_pvms(hardy_rep(3))

@@ -7,15 +7,16 @@ replaced, kept so the tests can hold each rewrite to the same bits:
 ``np.kron`` Kronecker products, the coordinate rows through
 ``np.concatenate`` and back through ``np.split``, the label map's mirror
 tables through ``np.argsort`` and ``np.ones``, the seeded states and
-effects through ``np.swapaxes`` and ``np.trace``, and one teleportation
-branch at a time.
+effects through ``np.swapaxes`` and ``np.trace``, one teleportation
+branch at a time, and the unbiased bases through ``np.diag`` and a list of
+powers stacked by ``np.array``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qframe.operators import weyl_monomials
+from qframe.operators import finite_fourier, omega, weyl_monomials
 
 
 def kron_tensor(*ops: np.ndarray) -> np.ndarray:
@@ -88,3 +89,26 @@ def teleport_branch(rep, rho_in: np.ndarray, mu_in, outcome) -> tuple:
     displaced = mu_in.values.reshape(d, d)[np.ix_((r - alpha) % d, (r + beta) % d)]
     residual = float(np.max(np.abs(mu_out.values - displaced.reshape(-1))))
     return prob, mu_out.values, residual, rho_out
+
+
+def mub_unitary(d: int) -> np.ndarray:
+    """``mub.mub_unitary`` at an odd prime: the quadratic phases through ``np.diag``."""
+    F = finite_fourier(d)
+    inv2 = (d + 1) // 2
+    D = np.diag(omega(d) ** ((inv2 * np.arange(d) ** 2) % d))
+    return F @ D @ F.conj().T
+
+
+def mub_bases(d: int, V: np.ndarray) -> np.ndarray:
+    """``mub.mub_bases`` from the advancing unitary V: a list of powers, stacked by ``np.array``."""
+    out = [np.eye(d, dtype=complex)]
+    if d == 2:
+        out.append(V)
+        out.append(V @ V)
+    else:
+        M = np.eye(d, dtype=complex)
+        for _ in range(1, d):
+            M = V @ M
+            out.append(M.copy())
+        out.append(finite_fourier(d))
+    return np.array(out)
