@@ -17,7 +17,6 @@ from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
 from .frames import QuasiDistribution, _check_values
 from .operators import (
-    SIGMA,
     bloch_state,
     is_density,
     partial_transpose,
@@ -27,6 +26,7 @@ from .operators import (
 from .representations import (
     Representation,
     nmr_sample_directions,
+    qubit_kernel_lower,
     qubit_kernel_upper,
     wootters,
     wootters_composite,
@@ -247,7 +247,7 @@ def nmr_classicality(
     where the extrema sit.  Default rho1 is the tensor power of the
     Bloch-(1,1,1)/sqrt(3) pure state, which saturates the analytic bound.
     """
-    if not 1 <= n_qubits <= 3:
+    if n_qubits not in _NMR_DEFAULT_GRID:
         raise UnsupportedDimensionError("register capped at 3 qubits")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -299,6 +299,13 @@ def teleport_phase_space(
     return _teleport_branches(d, rho_in, [outcome])[0]
 
 
+def _teleport_lattice(d: int) -> Representation:
+    """The lattice teleportation over C^d runs on; d must be an odd prime within the stack budget."""
+    if not _is_prime(d) or d % 2 == 0:
+        raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
+    return _lattice((d,))
+
+
 def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOutcome]:
     """``teleport_phase_space`` for each outcome, as one stacked computation.
 
@@ -308,12 +315,10 @@ def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOut
     displaced input grids are gathered by index arithmetic; each branch's
     output state is represented on its own.
     """
-    if not _is_prime(d) or d % 2 == 0:
-        raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
+    rep = _teleport_lattice(d)
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"state must be {d} x {d}")
-    rep = _lattice((d,))
     mu_in = rep.represent(rho_in)
     alphas = np.array([int(o[0]) % d for o in outcomes], dtype=np.int64)
     betas = np.array([int(o[1]) % d for o in outcomes], dtype=np.int64)
@@ -355,26 +360,22 @@ def bell_wigner_demo(a: float, b: float, c: float) -> dict:
         raise ValueError("angles must be finite")
     v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     singlet = v[:, None] * v
-    eye = np.eye(2)
     signs = np.array([1.0, -1.0, -1.0, 1.0])
+    # the (+1, -1) projectors of the spin along axis t are the spin-1/2 kernels at +-(sin t, 0, cos t)
+    n = np.zeros((6, 3))
+    n[0::2, 0] = np.sin([a, b, c])
+    n[0::2, 2] = np.cos([a, b, c])
+    n[1::2] = -n[0::2]
+    projectors = qubit_kernel_lower(n).reshape(3, 2, 2, 2)
 
-    def projectors(theta):
-        """The (+1, -1) projectors of the spin along theta, as one (2, 2, 2) stack."""
-        op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
-        P = np.empty((2, 2, 2), dtype=complex)
-        np.add(eye, op, out=P[0])
-        np.subtract(eye, op, out=P[1])
-        P /= 2
-        return P
-
-    def correlation(t1, t2):
+    def correlation(i, j):
         # the stacked products run over the outcomes (+, +), (+, -), (-, +), (-, -)
-        born = (singlet @ tensor(projectors(t1), projectors(t2))).trace(axis1=1, axis2=2).real
+        born = (singlet @ tensor(projectors[i], projectors[j])).trace(axis1=1, axis2=2).real
         return float(np.add.reduce(signs * born))
 
-    c_ab = correlation(a, b)
-    c_ac = correlation(a, c)
-    c_bc = correlation(b, c)
+    c_ab = correlation(0, 1)
+    c_ac = correlation(0, 2)
+    c_bc = correlation(1, 2)
     lhs = abs(c_ab - c_ac)
     rhs = 1.0 + c_bc
     return {

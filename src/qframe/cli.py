@@ -23,6 +23,7 @@ import numpy as np
 from .analysis import (
     _entanglement_sweep,
     _teleport_branches,
+    _teleport_lattice,
     bell_wigner_demo,
     negativity_witness,
     nmr_classicality,
@@ -281,6 +282,7 @@ def cmd_verify(args):
 
 def _demo_teleport(args):
     d = args.d if args.d is not None else 3
+    _teleport_lattice(d)  # refuses d before the draw allocates
     rho = random_state(d, rank=1, seed=args.seed)
     outcomes = [
         {
@@ -335,9 +337,9 @@ def _entanglement_draws(seed: int, samples: int):
 
 def _demo_entanglement(args):
     samples = _samples(args, 100)
-    # forming the states peaks at 3 stacks of 4 x 4 per sample (the Gaussians, their conjugate transpose and
+    # forming the states peaks at three 4 x 4 operators per sample (the Gaussians, their conjugate transpose and
     # the states); the states with the sweep's arrays and verdict rows, and with the CSV rows and text, at 2.3
-    check_stack_budget(f"demo entanglement with {samples} samples", samples, 4, stacks=3)
+    check_stack_budget(f"demo entanglement with {samples} samples", 3 * samples, 4)
     seed = args.seed
     rhos = _seeded_states(4, list(_entanglement_draws(seed, samples)))
     # each verdict row is (lattice min, lattice verdict, partial-transpose min eigenvalue, ppt verdict)

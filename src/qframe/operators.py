@@ -1,7 +1,9 @@
 """Core operator constructions on C^d.
 
 Generalized Pauli (Weyl-Heisenberg) operators, the finite Fourier transform,
-tensor-product plumbing and seeded random states/effects.
+tensor-product plumbing and seeded random draws, whose complex Gaussians
+are all laid out as ``_gaussian_pairs`` draws them: each sample's real
+parts, then its imaginary parts.
 
 Conventions
 -----------
@@ -321,11 +323,6 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA[0] + y * SIGMA[1] + z * SIGMA[2])
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians: the real parts are drawn first, then the imaginary."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _haar_from_gaussian(A: np.ndarray) -> np.ndarray:
     """Q of A = QR with the standard phase fix; Haar when A is complex Gaussian.
 
@@ -350,12 +347,14 @@ def _rotated_diagonal(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
-    return _haar_from_gaussian(_complex_gaussian(rng, (d, d)))
+    G = _gaussian_pairs(rng, 1, d, d)[0]
+    return _haar_from_gaussian(G[0] + 1j * G[1])
 
 
 def random_pure_state(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Normalized complex-Gaussian state vector."""
-    v = _complex_gaussian(np.random.default_rng(seed), d)
+    G = _gaussian_pairs(np.random.default_rng(seed), 1, d, 1)[0, :, :, 0]
+    v = G[0] + 1j * G[1]
     return v / _norm(v)
 
 
@@ -379,16 +378,14 @@ def random_effect(d: int, seed: int | np.random.Generator = 0) -> np.ndarray:
 def _random_states(d: int, k: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """k consecutive ``random_state(d, rank, seed=rng)`` draws, as one ``(k, d, d)`` stack.
 
-    One ``standard_normal`` call fills the ``(k, 2, d, rank)`` buffer in the
-    order the single draws take: each sample's real parts, then its
-    imaginary parts.
+    Their Gaussians are one ``_gaussian_pairs`` call.
     """
     G = _gaussian_pairs(rng, k, d, d if rank is None else rank)
     return _density_from_gaussian(G[:, 0] + 1j * G[:, 1])
 
 
 def _gaussian_pairs(rng: np.random.Generator, k: int, d: int, rank: int) -> np.ndarray:
-    """k states' ``(k, 2, d, rank)`` Gaussians in one call: each sample's real parts, then its imaginary parts."""
+    """k samples' ``(k, 2, d, rank)`` Gaussians in one call: each sample's real parts, then its imaginary parts."""
     return rng.standard_normal((k, 2, d, rank))
 
 

@@ -35,15 +35,15 @@ __all__ = [
 MAX_STACK_BYTES = 1 << 30
 
 
-def check_stack_budget(what: str, n: int, d: int, stacks: int = 2) -> None:
-    """Refuse, before anything is allocated, a build of ``stacks`` stacks of n d x d operators.
+def check_stack_budget(what: str, operators: int, d: int) -> None:
+    """Refuse, before anything is allocated, a build that holds ``operators`` complex d x d operators.
 
-    Two stacks are the frame and the dual; a caller that holds more passes
-    its own count.
+    Each caller states its one count: a frame and its dual over n labels
+    are 2 n, and a build that holds more beside them counts that too.
     A small build may peak up to a fixed 256 KiB above its charge: one of
     ``frames._skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
     """
-    need = int(stacks) * int(n) * int(d) ** 2 * np.dtype(complex).itemsize
+    need = int(operators) * int(d) ** 2 * np.dtype(complex).itemsize
     if need > MAX_STACK_BYTES:
         raise UnsupportedDimensionError(
             f"{what} needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"

@@ -20,7 +20,7 @@ def cohendet(d: int) -> Representation:
         raise UnsupportedDimensionError("parity displacement splits only odd d")
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
-    check_stack_budget(f"cohendet({d})", d * d, d)
+    check_stack_budget(f"cohendet({d})", 2 * d * d, d)
     geom = odd_lattice(d)
     return Representation(*parity_pair(geom.points, ((-2, 0), (0, 2)), "cohendet"), geom, {"d": d},
                           (("extended_nonnegativity", 1e-10, _extended_nonnegativity),))

@@ -116,7 +116,7 @@ def ghw(p: int, n: int = 1, net: tuple[int, ...] | None = None) -> Representatio
     d = F.order
     # the frame and the dual, and room for what overlaps them: the frames' checks, B below and,
     # under d = 16, the fixed-size tables
-    check_stack_budget(f"ghw({p}, {n})", d * d, d, stacks=3)
+    check_stack_budget(f"ghw({p}, {n})", 3 * d * d, d)
     if net is None:
         net = (0,) * (d + 1)
     net = tuple(int(t) % d for t in net)

@@ -31,7 +31,7 @@ def hardy_rep(d: int) -> Representation:
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
     # frame, dual and the dual's solve: V and its inverse, real n x n each, are one more stack's worth
-    check_stack_budget(f"hardy_rep({d})", d * d, d, stacks=3)
+    check_stack_budget(f"hardy_rep({d})", 3 * d * d, d)
     frame = Frame(tuple(range(d * d)), _grid(d), "hardy")
     dual = gram_dual(frame)
     return Representation(frame, dual, meta={"d": d})

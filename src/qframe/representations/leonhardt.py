@@ -20,7 +20,7 @@ def leonhardt(d: int) -> Representation:
     """Minimal lattice representation for odd d, doubled-lattice one for even d."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
-    check_stack_budget(f"leonhardt({d})", d * d if d % 2 else 4 * d * d, d)
+    check_stack_budget(f"leonhardt({d})", 2 * d * d if d % 2 else 8 * d * d, d)
     if d % 2 == 1:
         geom = odd_lattice(d)
         return Representation(*parity_pair(geom.points, ((2, 0), (0, 2)), "leonhardt"), geom, {"case": "odd"})

@@ -51,7 +51,7 @@ class MubFamily:
 
     def __init__(self, d: int):
         # the family's projectors plus the frame and dual of ``representation``
-        check_stack_budget(f"mub_family({d})", d * (d + 1), d, stacks=3)
+        check_stack_budget(f"mub_family({d})", 3 * d * (d + 1), d)
         self.d = d
         self.bases = mub_bases(d)
         self.bases.setflags(write=False)

@@ -17,6 +17,6 @@ def ruzzi_s0(d: int) -> Representation:
         raise UnsupportedDimensionError("the symmetric basis needs odd d")
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
-    check_stack_budget(f"ruzzi_s0({d})", d * d, d)
+    check_stack_budget(f"ruzzi_s0({d})", 2 * d * d, d)
     geom = odd_lattice(d)
     return Representation(*parity_pair(geom.points, ((0, 2), (-2, 0)), "ruzzi"), geom, {"d": d})

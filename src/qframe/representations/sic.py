@@ -17,7 +17,7 @@ from ..errors import (
     UnsupportedDimensionError,
 )
 from ..frames import Frame, QuasiDistribution, _check_values
-from ..operators import weyl_monomials
+from ..operators import _gaussian_pairs, weyl_monomials
 from .base import Representation, check_stack_budget
 
 SEARCH_TOL = 1e-8
@@ -137,8 +137,8 @@ def _search(stack: np.ndarray, seed: int, starts: int) -> tuple[np.ndarray, int]
     rng = np.random.default_rng(seed)
     best = np.inf
     for k in range(starts):
-        x0 = rng.standard_normal(2 * d)
-        phi = _descend(stack, x0[:d] + 1j * x0[d:], 1.0 / (d + 1))
+        G = _gaussian_pairs(rng, 1, d, 1)[0, :, :, 0]
+        phi = _descend(stack, G[0] + 1j * G[1], 1.0 / (d + 1))
         dev = _deviation(stack, phi)
         if dev < SEARCH_TOL:
             return _phase_gauge(phi), k + 1
@@ -183,7 +183,7 @@ def sic_rep(
             raise ValueError("fiducial must be nonzero")
         phi, used = phi / norm, 0
     # the orbit, the frame and the dual
-    check_stack_budget(f"sic_rep({d})", d * d, d, stacks=3)
+    check_stack_budget(f"sic_rep({d})", 3 * d * d, d)
     stack = _orbit_stack(d)
     if fiducial is None:
         phi, used = _search(stack, seed, starts)

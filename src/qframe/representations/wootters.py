@@ -47,7 +47,7 @@ def _qubit_points() -> np.ndarray:
 
 def wootters(d: int) -> Representation:
     """Discrete Wigner representation for a single prime dimension."""
-    check_stack_budget(f"wootters({d})", d * d, d)
+    check_stack_budget(f"wootters({d})", 2 * d * d, d)
     if not _is_prime(d):
         raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
     geom = prime_lattice(d)
@@ -67,7 +67,7 @@ def wootters_composite(dims: list[int] | tuple[int, ...]) -> Representation:
         if not _is_prime(x):
             raise UnsupportedDimensionError(f"every factor must be prime, got {x}")
     d = math.prod(dims)
-    check_stack_budget(f"wootters_composite({list(dims)})", d * d, d)
+    check_stack_budget(f"wootters_composite({list(dims)})", 2 * d * d, d)
     factors = [wootters(x) for x in dims]
     ops = tensor(*[rep.dual.operators for rep in factors])
     geom = composite_lattice([rep.geometry for rep in factors])

@@ -307,10 +307,7 @@ def distribution_to_csv(dist: QuasiDistribution) -> str:
         header = _LATTICE_HEADERS[width]
     else:
         header = [f"l{i}" for i in range(width)]
-    lines = [",".join(header + ["value"])]
-    for row, val in zip(rows, dist.values.tolist()):
-        lines.append(_csv_line([*map(str, row), val]))
-    return "\n".join(lines) + "\n"
+    return table_to_csv(header + ["value"], [[*map(str, row), val] for row, val in zip(rows, dist.values.tolist())])
 
 
 def table_to_csv(header: list[str], rows: list[list]) -> str:

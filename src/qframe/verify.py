@@ -86,7 +86,7 @@ def verify_representation(
     lines = rep.geometry.line_index.shape[:2] if rep.geometry is not None else (0, 0)
     check_stack_budget(f"verify_representation({rep.name}, samples={samples})",
                        8 * samples + 3 * max(len(rep.frame), lines[0] * lines[1]) + 2 * len(rep.frame),
-                       rep.dim, stacks=1)
+                       rep.dim)
     checks = [
         _check("hermitian_families", max(rep.frame.skew, rep.dual.skew), 1e-10),
         _check("duality", is_dual_pair(rep.frame, rep.dual)[1], DUALITY_TOL),

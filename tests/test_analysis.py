@@ -332,6 +332,9 @@ def test_sampled_min_respects_analytic_bound():
 def test_register_and_epsilon_validation():
     with pytest.raises(UnsupportedDimensionError):
         nmr_classicality(4, 0.1)
+    # the register sizes are the keys of the default grid table, so a size between them is refused too
+    with pytest.raises(UnsupportedDimensionError):
+        nmr_classicality(2.5, 0.1)
     with pytest.raises(ValueError):
         nmr_classicality(1, 1.5)
     with pytest.raises(DimensionMismatchError):

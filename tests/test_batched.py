@@ -99,7 +99,8 @@ def test_sample_stacks_are_the_seeded_draws(d):
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_sample_stacks_draw_each_seed_bit_for_bit(d):
-    from qframe.operators import _complex_gaussian, _haar_from_gaussian, _rotated_diagonal
+    from qframe.operators import _haar_from_gaussian, _rotated_diagonal
+    from wrapper_oracle import complex_gaussian as _complex_gaussian
 
     for s in [3, 4, 90]:
         # one (k, 2, d, d) draw is k consecutive complex Gaussians of the one generator

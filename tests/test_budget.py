@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qframe import operators, verify
+from qframe import analysis, operators, verify
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
 from qframe.representations import (
@@ -162,6 +162,16 @@ def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsy
     monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew past the budget"))
     assert main(argv) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,message", [(7, "budget"), (2004, "need an odd prime dimension, got 2004")],
+                         ids=["over-budget", "not-prime"])
+def test_demo_teleport_refuses_its_dimension_before_a_draw(monkeypatch, capsys, d, message):
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
+    monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew before the refusal"))
+    analysis._lattice.cache_clear()  # so the lattice is charged, not taken from an earlier test's build
+    assert main(["demo", "teleport", "--d", str(d)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,need", [

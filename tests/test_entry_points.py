@@ -1,27 +1,46 @@
 """Each C-level, preallocated or stacked rewrite gives the bits of the numpy wrapper form it replaced.
 
+So does each rule the library now takes from the one place that states it.
 ``tests/wrapper_oracle.py`` keeps the replaced forms.  Equal here means
 ``np.array_equal`` with the sign of every zero too, in the real and the
 imaginary parts.
 """
 
+import importlib
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import wrapper_oracle as oracle
-from qframe.analysis import _lattice, _teleport_branches, teleport_phase_space
-from qframe.cli import _entanglement_draws
+from qframe.analysis import _lattice, _teleport_branches, bell_wigner_demo, teleport_phase_space
+from qframe.cli import FAMILIES, _entanglement_draws, build_representation
+from qframe.errors import FiducialSearchError
 from qframe.frames import _coordinates, _from_coordinates
 from qframe.operators import (
     _density_from_gaussian,
+    _haar_from_gaussian,
     _norm,
     _rotated_diagonal,
     _seeded_states,
+    random_pure_state,
     random_state,
     random_unitary,
     tensor,
 )
-from qframe.representations import cohendet, leonhardt, mub_bases, mub_unitary, ruzzi_s0, wootters
+from qframe.representations import (
+    cohendet,
+    extended_distribution,
+    leonhardt,
+    mub_bases,
+    mub_unitary,
+    ruzzi_s0,
+    wootters,
+)
+from qframe.serialize import distribution_to_csv
+
+sic = importlib.import_module("qframe.representations.sic")
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -150,3 +169,54 @@ def test_mub_bases_are_the_diag_and_list_forms(d):
     if d > 2:
         assert same_bits(V, oracle.mub_unitary(d))
     assert same_bits(mub_bases(d), oracle.mub_bases(d, V))
+
+
+# rules the library now takes from the one place that states them
+
+
+def test_bell_demo_projectors_are_the_spin_kernels():
+    # seeded triples in [-20, 20] rad and every triple of the 15-degree grid over one turn
+    rng = np.random.default_rng(0)
+    grid = np.deg2rad(np.arange(0.0, 360.0, 15.0))
+    for a, b, c in [*rng.uniform(-20.0, 20.0, size=(500, 3)), *itertools.product(grid, repeat=3)]:
+        got, want = bell_wigner_demo(a, b, c), oracle.bell_wigner(a, b, c)
+        # repr is a float's exact decimal form, the sign of a zero included
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}, (a, b, c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_unitaries_and_vectors_draw_the_complex_gaussians(d):
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert same_bits(random_unitary(d, rng), _haar_from_gaussian(oracle.complex_gaussian(ref, (d, d))))
+        # the generator is left where the two-call draw left it
+        assert rng.random() == ref.random()
+        v = oracle.complex_gaussian(np.random.default_rng(seed), d)
+        assert same_bits(random_pure_state(d, seed), v / _norm(v))
+
+
+@pytest.mark.parametrize("d,seed", [(3, 0), (4, 1), (5, 3), (8, 7)])
+def test_sic_search_starts_are_the_complex_gaussians(monkeypatch, d, seed):
+    starts = []
+    # each start is kept as drawn, so none is a fiducial and the search runs through all of them
+    monkeypatch.setattr(sic, "_descend", lambda stack, phi, target: starts.append(phi) or phi)
+    with pytest.raises(FiducialSearchError):
+        sic._search(sic._orbit_stack(d), seed, 4)
+    rng = np.random.default_rng(seed)
+    assert len(starts) == 4
+    assert all(same_bits(phi, oracle.complex_gaussian(rng, d)) for phi in starts)
+
+
+def _small_distribution(name: str):
+    """A seeded state's distribution on a small build of ``name``: a ``cli.FAMILIES`` row, or one of two more."""
+    if name == "cohendet-extended":
+        return extended_distribution(cohendet(3).represent(random_state(3, seed=5)))
+    args = SimpleNamespace(d=3, dims=[2, 3] if name == "wootters-2x3" else None, p=2, n=2, s=None, seed=0)
+    rep = build_representation(name.split("-")[0], args)
+    return rep.represent(random_state(rep.dim, seed=5))
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "wootters-2x3", "cohendet-extended"])
+def test_distribution_csv_is_the_per_line_loop(name):
+    mu = _small_distribution(name)
+    assert distribution_to_csv(mu) == oracle.distribution_to_csv(mu)

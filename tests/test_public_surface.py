@@ -43,7 +43,6 @@ PAPER_OBJECTS = {
     "sic_conditional",
     "sic_fiducial",
     # spin and NMR kernels
-    "qubit_kernel_lower",
     "sphere_quadrature",
     # documents
     "frame_from_doc",

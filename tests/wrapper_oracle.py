@@ -1,4 +1,4 @@
-"""The library's earlier forms, written with numpy's Python-level wrappers.
+"""The library's earlier forms, written with numpy's Python-level wrappers or spelled out in place.
 
 The library now calls the C-level method, ufunc reduction or ``math``
 function each wrapper forwards to, or a preallocated buffer, broadcast
@@ -9,14 +9,19 @@ replaced, kept so the tests can hold each rewrite to the same bits:
 tables through ``np.argsort`` and ``np.ones``, the seeded states and
 effects through ``np.swapaxes`` and ``np.trace``, one teleportation
 branch at a time, and the unbiased bases through ``np.diag`` and a list of
-powers stacked by ``np.array``.
+powers stacked by ``np.array``.  Three more restated a rule the library
+now takes from the one place that states it: the Bell demo's spin
+projectors written out per angle (now the spin-1/2 kernels), a complex
+Gaussian drawn as two ``standard_normal`` calls (now ``_gaussian_pairs``),
+and a distribution's CSV joined line by line (now ``table_to_csv``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qframe.operators import finite_fourier, omega, weyl_monomials
+from qframe.operators import SIGMA, finite_fourier, omega, tensor, weyl_monomials
+from qframe.serialize import _LATTICE_HEADERS, _LATTICE_NAMES, _csv_line, flatten_label
 
 
 def kron_tensor(*ops: np.ndarray) -> np.ndarray:
@@ -112,3 +117,46 @@ def mub_bases(d: int, V: np.ndarray) -> np.ndarray:
             out.append(M.copy())
         out.append(finite_fourier(d))
     return np.array(out)
+
+
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussians: the real parts are drawn first, then the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def bell_wigner(a: float, b: float, c: float) -> dict:
+    """``analysis.bell_wigner_demo`` with each axis' (+1, -1) projectors written out as (I +- n . sigma) / 2."""
+    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    singlet = v[:, None] * v
+    eye = np.eye(2)
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+
+    def projectors(theta):
+        op = np.cos(theta) * SIGMA[2] + np.sin(theta) * SIGMA[0]
+        P = np.empty((2, 2, 2), dtype=complex)
+        np.add(eye, op, out=P[0])
+        np.subtract(eye, op, out=P[1])
+        P /= 2
+        return P
+
+    def correlation(t1, t2):
+        born = (singlet @ tensor(projectors(t1), projectors(t2))).trace(axis1=1, axis2=2).real
+        return float(np.add.reduce(signs * born))
+
+    c_ab, c_ac, c_bc = correlation(a, b), correlation(a, c), correlation(b, c)
+    lhs, rhs = abs(c_ab - c_ac), 1.0 + c_bc
+    return {"C_ab": c_ab, "C_ac": c_ac, "C_bc": c_bc, "lhs": lhs, "rhs": rhs, "violated": bool(lhs > rhs + 1e-10)}
+
+
+def distribution_to_csv(dist) -> str:
+    """``serialize.distribution_to_csv`` joining its own lines, one ``_csv_line`` per outcome."""
+    rows = [flatten_label(lab) for lab in dist.labels]
+    width = len(rows[0]) if rows else 1
+    if dist.representation in _LATTICE_NAMES and width in _LATTICE_HEADERS:
+        header = _LATTICE_HEADERS[width]
+    else:
+        header = [f"l{i}" for i in range(width)]
+    lines = [",".join(header + ["value"])]
+    for row, val in zip(rows, dist.values.tolist()):
+        lines.append(_csv_line([*map(str, row), val]))
+    return "\n".join(lines) + "\n"
