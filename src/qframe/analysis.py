@@ -31,6 +31,7 @@ from .representations import (
     wootters,
     wootters_composite,
 )
+from .representations.base import check_stack_budget
 
 FRANCO_PENNA_THRESHOLD = (1.0 - np.sqrt(3.0)) / 8.0
 EQ_GUARD = 1e-12
@@ -83,8 +84,10 @@ def _lattice(dims: tuple[int, ...]) -> Representation:
     """The Wootters lattice over ``dims``, kept for the next call.
 
     The cache holds the two lattices used last, such as the two-qubit one
-    and the last teleport size: a lattice holds 32 d^4 bytes of stacks, 250 MB
-    at d = 53.  Sharing a build is safe because its stacks are read-only.
+    and the last teleport size.  An odd prime lattice holds its line table
+    and label maps, O(d^3) bytes, and a stack only once one is read: no
+    caller here reads one.  Sharing a build is safe because its tables and
+    stacks are read-only.
     """
     return wootters(dims[0]) if len(dims) == 1 else wootters_composite(list(dims))
 
@@ -247,6 +250,8 @@ def nmr_classicality(
     where the extrema sit.  Default rho1 is the tensor power of the
     Bloch-(1,1,1)/sqrt(3) pure state, which saturates the analytic bound.
     """
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)):
+        raise UnsupportedDimensionError(f"the register size must be an integer, got {n_qubits!r}")
     if n_qubits not in _NMR_DEFAULT_GRID:
         raise UnsupportedDimensionError("register capped at 3 qubits")
     if not 0.0 <= epsilon <= 1.0:
@@ -300,9 +305,15 @@ def teleport_phase_space(
 
 
 def _teleport_lattice(d: int) -> Representation:
-    """The lattice teleportation over C^d runs on; d must be an odd prime within the stack budget."""
+    """The lattice teleportation over C^d runs on; d must be an odd prime within the stack budget.
+
+    The budget is charged for the branches' stacks, three of d^2 d x d
+    matrices (the Weyl operators, M and the branches), before the lattice,
+    which holds no stack, charges its own tables.
+    """
     if not _is_prime(d) or d % 2 == 0:
         raise UnsupportedDimensionError(f"need an odd prime dimension, got {d}")
+    check_stack_budget(f"teleportation over d = {d}", 3 * d * d, d)
     return _lattice((d,))
 
 
@@ -323,13 +334,19 @@ def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOut
     alphas = np.array([int(o[0]) % d for o in outcomes], dtype=np.int64)
     betas = np.array([int(o[1]) % d for o in outcomes], dtype=np.int64)
     # amplitude matrices: pair[j, k] of |pair> on systems 2,3, and
-    # bell[i, j] = U[j, i] / sqrt(d) of (I x U)|pair> on systems 1,2
+    # bell[i, j] = U[j, i] / sqrt(d) of (I x U)|pair> on systems 1,2; the conjugates, the normalization and
+    # the residuals are taken in place, so at most three stacks of d^2 d x d matrices (or their real
+    # halves) are held at once, as _teleport_lattice charges
     pair = np.eye(d) / np.sqrt(d)
     bell = weyl_monomials(d, alphas, betas).swapaxes(1, 2) / np.sqrt(d)
-    M = (bell.conj() @ pair).swapaxes(1, 2)
-    post = M @ rho_in @ M.conj().swapaxes(1, 2)
+    M = (np.conjugate(bell, out=bell) @ pair).swapaxes(1, 2)
+    del bell
+    post = M @ rho_in
+    post = post @ np.conjugate(M, out=M).swapaxes(1, 2)
+    del M
     probs = post.trace(axis1=1, axis2=2).real
-    rho_out = post / probs[:, None, None]
+    rho_out = post
+    rho_out /= probs[:, None, None]
     mu_out = [rep.represent(rho) for rho in rho_out]
     # labels run (q, p) in row-major order, so values.reshape(d, d)[q, p] is mu(q, p); branch n's
     # displaced grid is mu_in at ((q - alpha_n) mod d, (p + beta_n) mod d)
@@ -337,7 +354,9 @@ def _teleport_branches(d: int, rho_in: np.ndarray, outcomes) -> list[TeleportOut
     rows = (r - alphas[:, None]) % d
     cols = (r + betas[:, None]) % d
     displaced = mu_in.values.reshape(d, d)[rows[:, :, None], cols[:, None, :]].reshape(len(alphas), d * d)
-    residuals = np.maximum.reduce(np.abs(np.array([mu.values for mu in mu_out]) - displaced), axis=1)
+    diff = np.array([mu.values for mu in mu_out])
+    diff -= displaced
+    residuals = np.maximum.reduce(np.abs(diff, out=diff), axis=1)
     return [
         TeleportOutcome(
             outcome=(int(alphas[n]), int(betas[n])),

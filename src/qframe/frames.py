@@ -32,7 +32,10 @@ scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
 labels of each family lie on a d x d grid whose rows fix s mod d and whose
 columns fix t mod d, read off the matrix (transposed for Ruzzi's
 anti-diagonal one), and the map stores its tables in that order, so the
-product holds the values in label order.  Every other
+product holds the values in label order.  Such a family holds its map and
+the (s, t) of each label, O(d^2), and no dense stack: its checks are
+measured on the map's tables, and ``operators`` is made, charged to the
+stack budget first, on the first read.  Every other
 pairing, and the analysis of a stack of operators in every family, is one
 product on the zero-copy ``(n, d^2)`` view of the family's stack,
 O(n d^2).  No other module reads that view or the label map's tables.
@@ -40,7 +43,9 @@ O(n d^2).  No other module reads that view or the label map's tables.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -71,6 +76,10 @@ __all__ = [
 ]
 
 PINV_RCOND = 1e-10
+# d x d complex operators' worth of the tables a parity pair's two label maps hold once both sides have
+# synthesized, which their build's temporaries do not exceed: s and t (1), the gather (1/2), the two dft
+# tables (4), half_dft (1) and mirror (4); tracemalloc reads 10.6-11.2 at d = 9-45
+_MAP_TABLES = 12
 # ||Im||^2 at or below this bounds every |Im| by EQ_TOL / 2, half the Hermiticity rule's floor
 _IMAG_SCREEN = (EQ_TOL / 2) ** 2
 _NON_FINITE = "values must be finite; the input has a NaN or inf entry"
@@ -114,20 +123,28 @@ def _skew(ops: np.ndarray) -> tuple[float, float]:
     return entry, norm
 
 
-def _checked_skew(ops: np.ndarray, non_finite: str, non_hermitian: str) -> float:
-    """``_skew(ops)[0]``, after refusing a NaN or inf entry and a non-Hermitian operator with those messages.
+def _square_norm(flat: np.ndarray, non_finite: str) -> float:
+    """``flat . flat`` of real entries, after refusing a NaN or inf entry with ``non_finite``.
 
-    A finite sum of squares means every entry is finite, and its root is the
-    norm in the Hermiticity tolerance; finite entries whose squares overflow pass on.
+    A finite sum of squares means every entry is finite; finite entries whose squares overflow pass on.
     """
-    flat = ops.reshape(-1).view(float)
     sq = float(flat.dot(flat))
     if not math.isfinite(sq) and not np.logical_and.reduce(np.isfinite(flat)):
         raise DimensionMismatchError(non_finite)
-    skew, norm = _skew(ops)
+    return sq
+
+
+def _hermitian_skew(skew: float, norm: float, sq: float, non_hermitian: str) -> float:
+    """``skew``, after refusing a per-operator norm of ``F - F^dag`` past the tolerance for squared stack norm sq."""
     if norm > EQ_TOL * max(1.0, math.sqrt(sq)):
         raise DimensionMismatchError(non_hermitian)
     return skew
+
+
+def _checked_skew(ops: np.ndarray, non_finite: str, non_hermitian: str) -> float:
+    """``_skew(ops)[0]``, after refusing a NaN or inf entry and a non-Hermitian operator with those messages."""
+    sq = _square_norm(ops.reshape(-1).view(float), non_finite)
+    return _hermitian_skew(*_skew(ops), sq, non_hermitian)
 
 
 @cache
@@ -225,13 +242,16 @@ class _LabelMap:
     of Z and of iZ as interleaved floats, so a complex row ``x + iy`` read as
     interleaved floats times ``dft`` is ``(x + iy) Z``, one real GEMM.  Z
     comes from ``tau_powers``, so it is conjugate-symmetric bit for bit.
-    ``stack`` is the operator stack the map was built for, and a ``Frame``
-    takes the map only with that very array.  Every array is frozen, as the
-    family's stack is, and pickle and ``copy`` remake the map through its
-    constructor, so a copy's arrays are frozen too.
+    ``s`` and ``t`` are the kernel labels of each family label and
+    ``divisor`` is d on the frame side and 1 on the dual's: they define the
+    dense ``stack``, which is made only when read.  Every array is frozen, as
+    the family's stack is, and pickle and ``copy`` remake the map through its
+    constructor, so a copy's arrays are frozen too and it holds no stack.
     """
 
-    stack: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    divisor: int
     rows: np.ndarray
     cols: np.ndarray
     transposed: bool
@@ -239,11 +259,42 @@ class _LabelMap:
     dft: np.ndarray
 
     def __post_init__(self):
-        for table in (self.stack, self.rows, self.cols, self.gather, self.dft):
+        for table in (self.s, self.t, self.rows, self.cols, self.gather, self.dft):
             table.setflags(write=False)
 
     def __reduce__(self):
-        return _LabelMap, (self.stack, self.rows, self.cols, self.transposed, self.gather, self.dft)
+        return _LabelMap, (self.s, self.t, self.divisor, self.rows, self.cols, self.transposed, self.gather, self.dft)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The dense ``(d^2, d, d)`` stack ``K(s, t) / divisor``, frozen, made on the first read.
+
+        ``displaced_parity`` makes the kernels and the frame side's division by d
+        runs in place, the same bits as ``displaced_parity(d, s, t) / d``.
+        ``Frame.operators`` charges it to the stack budget before it reads it.
+        """
+        ops = displaced_parity(len(self.rows), self.s, self.t)
+        if self.divisor != 1:
+            ops /= self.divisor
+        ops.setflags(write=False)
+        return ops
+
+    def checked_skew(self, non_finite: str, non_hermitian: str) -> float:
+        """``_checked_skew`` of the stack, measured on ``dft`` alone.
+
+        Operator n holds ``conj(Z[u, j])`` at ``(h + u, h - u)``, j its grid
+        column, and zeros elsewhere, so ``F - F^dag`` holds
+        ``conj(Z[u, j] - conj(Z[-u, j]))`` there: its largest entry and its
+        per-operator norm are those of ``Z - conj(Z[-u])`` and its columns,
+        and the stack's squared norm is ``d ||Z||^2``, as each grid column
+        holds d operators.
+        """
+        Z = np.ascontiguousarray(self.dft[0::2]).view(complex)
+        d = len(Z)
+        sq = d * _square_norm(Z.view(float).reshape(-1), non_finite)
+        diff = np.abs(Z - Z[-np.arange(d)].conj())
+        norm = math.sqrt(np.maximum.reduce(np.einsum("uj,uj->j", diff, diff)))
+        return _hermitian_skew(float(np.maximum.reduce(diff, axis=None)), norm, sq, non_hermitian)
 
     @cached_property
     def half_dft(self) -> np.ndarray:
@@ -286,6 +337,20 @@ class _LabelMap:
         mirror.setflags(write=False)
         sign.setflags(write=False)
         return mirror, sign
+
+    def total(self) -> np.ndarray:
+        """``sum_lam F(lam)``, the synthesis of the all-ones values, in O(d^2) and with no ``half_dft`` or ``mirror``.
+
+        As ``analyze`` reads it, operator (i, j) of the grid holds
+        ``Z[-u, j]`` at entry ``gather[i, u] = (h + u, h - u)``, so the sum
+        over the grid holds the sum of Z's row -u there, for every row i.
+        ``synthesize`` would give the same sum, but it would build the frame
+        side's tables, which no one-state command reads otherwise.
+        """
+        d = len(self.rows)
+        M = np.zeros(d * d, dtype=complex)
+        M[self.gather] = np.add.reduce(self.dft[0::2].view(complex), axis=1)[-np.arange(d)]
+        return M.reshape(d, d)
 
     def analyze(self, A: np.ndarray) -> np.ndarray:
         """Complex ``Tr[A F(lam)] = scale sum_u A[h + u, h - u] omega**(-tu)`` of one ``(d, d)`` A.
@@ -331,54 +396,77 @@ class Frame:
     them are ``dim``, the side of the stack's matrices, and ``skew``, the
     largest entry of ``F - F^dag``.
 
-    A family made by ``parity_pair`` also carries its label map, passed in as
-    ``label_map``: operator n is ``scale K(s_n, t_n)``, a displaced parity of
+    A family made by ``parity_pair`` carries its label map instead, passed
+    in as ``label_map`` with ``operators=None``: operator n is
+    ``K(s_n, t_n) / divisor``, a displaced parity of
     ``operators.displaced_parity``, and ``analyze`` of one operator and
-    ``synthesize`` pair through the kernel identity on it.  The map is built
-    with the stack from the same matrix, and the constructor refuses a map
-    built for any array but the stack it is given, so the two cannot
-    disagree; any other family has none and pairs on its stack.
+    ``synthesize`` pair through the kernel identity on it.  Its ``skew``,
+    finiteness, ``sum`` and ``traces`` are measured on the map's tables, and
+    ``operators`` (with ``flat``) is the map's stack, made on the first read
+    after ``representations.base.check_stack_budget`` has charged the two
+    stacks of the pair, since every dense reader reads both sides.  The
+    constructor refuses a map beside any array but the stack that map made,
+    so the two cannot disagree; any other family has none and pairs on its
+    stack.
 
-    Every copy goes through the constructor: ``dataclasses.replace`` does,
-    and pickle and ``copy`` call ``Frame`` on its labels, stack, name and map
-    (a deep copy shares the read-only stack and map, as a shallow one does).
-    So a renamed, deep-copied or unpickled family keeps its map and a
-    read-only stack, and ``replace`` with another stack refuses the map.
+    Every copy goes through the constructor.  Pickle and ``copy`` call
+    ``Frame`` on its labels, its stack (None beside a map), name and map (a
+    deep copy shares the read-only stack and map, as a shallow one does),
+    and ``dataclasses.replace`` reads None as the stack of a family that has
+    made none, so no copy makes a stack.  So a renamed, deep-copied or
+    unpickled family keeps its map and a read-only stack, and ``replace``
+    with another stack refuses the map.
     """
 
     dim: int = field(init=False)
     labels: tuple
-    operators: np.ndarray
+    operators: np.ndarray | None = field(repr=False)
     name: str = ""
     skew: float = field(init=False, repr=False)
     label_map: _LabelMap | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        ops = _as_stack(self.operators)
-        if self.label_map is not None and self.label_map.stack is not ops:
+        lm = self.label_map
+        ops = self.operators
+        if lm is None:
+            ops = _as_stack(ops)
+            object.__setattr__(self, "operators", ops)
+            n, d = ops.shape[:2]
+        elif ops is None or ops is vars(lm).get("stack"):
+            n, d = len(lm.s), len(lm.rows)
+            if ops is None:
+                del vars(self)["operators"]  # made on the first read, by _StackOnRead
+        else:
             raise DimensionMismatchError("the label map was built for another operator stack")
-        object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dim", ops.shape[1])
-        if len(self.labels) != ops.shape[0]:
-            raise DimensionMismatchError(f"{len(self.labels)} labels for {ops.shape[0]} operators")
-        skew = _checked_skew(ops, "operators must be finite; the family has a NaN or inf entry",
-                             "family contains a non-Hermitian operator")
-        object.__setattr__(self, "skew", skew)
-        ops.setflags(write=False)
+        object.__setattr__(self, "dim", d)
+        if len(self.labels) != n:
+            raise DimensionMismatchError(f"{len(self.labels)} labels for {n} operators")
+        refusals = ("operators must be finite; the family has a NaN or inf entry",
+                    "family contains a non-Hermitian operator")
+        if lm is None:
+            object.__setattr__(self, "skew", _checked_skew(ops, *refusals))
+            ops.setflags(write=False)
+        else:
+            object.__setattr__(self, "skew", lm.checked_skew(*refusals))
 
     def __reduce__(self):
         # the whole call rides in the callable: deepcopy copies the arguments but not the callable, and a
         # copied stack would refuse the map built for this one
-        return partial(Frame, self.labels, self.operators, self.name, label_map=self.label_map), ()
+        ops = vars(self)["operators"] if self.label_map is None else None
+        return partial(Frame, self.labels, ops, self.name, label_map=self.label_map), ()
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def sum(self) -> np.ndarray:
+        if self.label_map is not None:
+            return self.label_map.total()
         return np.add.reduce(self.operators, axis=0)
 
     def traces(self) -> np.ndarray:
+        if self.label_map is not None:
+            return self.label_map.analyze(np.eye(self.dim, dtype=complex)).real
         return self.operators.trace(axis1=1, axis2=2).real
 
     @cached_property
@@ -449,8 +537,38 @@ class Frame:
         return len(self) == self.dim**2
 
 
+class _StackOnRead:
+    """``Frame.operators`` where the family's own ``__dict__`` holds none: a label-mapped family's first read.
+
+    The budget is charged the pair's two stacks, then the map makes its
+    stack, which the family keeps; ``dataclasses.replace``'s read of every
+    field gets None, so the copy it makes carries the map alone.  Python
+    reads an instance's ``__dict__`` before a descriptor without
+    ``__set__``, so an explicit stack, and the one made here, are read
+    straight from the family.  (A ``__getattr__`` would do the same, but it
+    stops CPython specializing every attribute read on every family, some
+    2-7% of a one-state pairing.)
+    """
+
+    def __get__(self, family: Frame | None, owner=None):
+        if family is None:
+            return self
+        if sys._getframe(1).f_code is _REPLACE_CODE:
+            return None  # replace passes the map on with no stack, as pickle and copy do
+        from .representations import base  # the budget's module imports this one
+
+        base.check_stack_budget(f"{family.name}({family.dim})", 2 * len(family), family.dim)
+        ops = vars(family)["operators"] = family.label_map.stack
+        return ops
+
+
+Frame.operators = _StackOnRead()
+# the function whose field reads make a ``dataclasses.replace`` copy (from Python 3.13 that is ``_replace``)
+_REPLACE_CODE = getattr(dataclasses, "_replace", dataclasses.replace).__code__
+
+
 def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
-    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` over ``labels``, each with its label map.
+    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` over ``labels``, each on its label map.
 
     The labels are the d^2 points (q, p) of the lattice, row-major, and point
     (q, p) carries ``K(s, t)`` of ``operators.displaced_parity`` at
@@ -461,8 +579,9 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     (mod d) row by row, an anti-diagonal one rows ``s = b u`` and columns
     ``t = c u`` column by column.  The centred phase point needs odd d and an
     even s-row, and a unit mod d in each nonzero entry makes the d^2 (s, t)
-    cells distinct.  The stack and the map come from the one matrix, and
-    each side's map goes into its ``Frame`` with the stack it was built for.
+    cells distinct.  Both maps hold the one (s, t) and the one grid, so the
+    stacks they make on a read and their tables come from the one matrix;
+    no stack is made here.
     """
     (a, b), (c, e) = relabel
     d = math.isqrt(len(labels))
@@ -475,17 +594,17 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     if math.gcd(row * col, d) != 1:
         raise DimensionMismatchError(f"the relabeling {relabel} has an entry that is not a unit mod {d}")
     q, p = np.divmod(np.arange(d * d), d)
-    ops = displaced_parity(d, a * q + b * p, c * q + e * p)
+    s, t = a * q + b * p, c * q + e * p
     u = np.arange(d)
     rows, cols = row * u % d, col * u % d
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * u[:, None] * cols)
     frame_map, dual_map = (
-        _LabelMap(stack, rows, cols, transposed, gather, _real_form(scaled))
-        for stack, scaled in ((ops / d, dft / d), (ops, dft))
+        _LabelMap(s, t, divisor, rows, cols, transposed, gather, _real_form(scaled))
+        for divisor, scaled in ((d, dft / d), (1, dft))
     )
-    frame = Frame(labels, frame_map.stack, name, label_map=frame_map)
-    return frame, Frame(frame.labels, dual_map.stack, name, label_map=dual_map)
+    frame = Frame(labels, None, name, label_map=frame_map)
+    return frame, Frame(frame.labels, None, name, label_map=dual_map)
 
 
 def _real_form(Z: np.ndarray) -> np.ndarray:

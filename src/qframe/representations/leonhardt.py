@@ -13,14 +13,14 @@ from ..errors import UnsupportedDimensionError
 from ..frames import parity_pair
 from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_operators, phase_point_representation
 
 
 def leonhardt(d: int) -> Representation:
     """Minimal lattice representation for odd d, doubled-lattice one for even d."""
     if d < 2:
         raise UnsupportedDimensionError("need d >= 2")
-    check_stack_budget(f"leonhardt({d})", 2 * d * d if d % 2 else 8 * d * d, d)
+    check_stack_budget(f"leonhardt({d})", parity_operators(d) if d % 2 else 8 * d * d, d)
     if d % 2 == 1:
         geom = odd_lattice(d)
         return Representation(*parity_pair(geom.points, ((2, 0), (0, 2)), "leonhardt"), geom, {"case": "odd"})

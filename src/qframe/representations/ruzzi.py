@@ -8,7 +8,7 @@ from __future__ import annotations
 from ..errors import UnsupportedDimensionError
 from ..frames import parity_pair
 from ..geometry import odd_lattice
-from .base import Representation, check_stack_budget
+from .base import Representation, check_stack_budget, parity_operators
 
 
 def ruzzi_s0(d: int) -> Representation:
@@ -17,6 +17,6 @@ def ruzzi_s0(d: int) -> Representation:
         raise UnsupportedDimensionError("the symmetric basis needs odd d")
     if d < 3:
         raise UnsupportedDimensionError("need d >= 3")
-    check_stack_budget(f"ruzzi_s0({d})", 2 * d * d, d)
+    check_stack_budget(f"ruzzi_s0({d})", parity_operators(d), d)
     geom = odd_lattice(d)
     return Representation(*parity_pair(geom.points, ((0, 2), (-2, 0)), "ruzzi"), geom, {"d": d})

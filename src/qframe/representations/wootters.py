@@ -31,7 +31,7 @@ from ..finitefield import _is_prime
 from ..frames import parity_pair
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import SIGMA, tensor
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, check_stack_budget, parity_operators, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
 
@@ -47,7 +47,7 @@ def _qubit_points() -> np.ndarray:
 
 def wootters(d: int) -> Representation:
     """Discrete Wigner representation for a single prime dimension."""
-    check_stack_budget(f"wootters({d})", 2 * d * d, d)
+    check_stack_budget(f"wootters({d})", 2 * d * d if d == 2 else parity_operators(d), d)
     if not _is_prime(d):
         raise UnsupportedDimensionError(f"phase-point operators need prime d, got {d}")
     geom = prime_lattice(d)

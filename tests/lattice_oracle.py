@@ -27,7 +27,7 @@ import numpy as np
 
 from qframe.errors import DimensionMismatchError, UnsupportedDimensionError
 from qframe.frames import Frame, _centred_gather, _LabelMap
-from qframe.operators import bloch_state, displaced_parity, omega, tau_powers, tensor
+from qframe.operators import bloch_state, omega, tau_powers, tensor
 
 # the qubit I, X, Y, Z written out, Y = [X, Z]/2i in the shift/clock convention
 QUBIT_PAULIS = (
@@ -238,7 +238,7 @@ def striation_pvms(rep) -> list[list[np.ndarray]]:
 
 
 def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
-    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` from one kernel label pair per label.
+    """The frame ``{K(s, t)/d}`` and its dual ``{K(s, t)}`` from one kernel label pair per label, on their maps.
 
     (s mod d, t mod d) must meet each of the d^2 cells once, the labels must
     run over a d x d grid, row by row or column by column, whose rows fix
@@ -262,12 +262,11 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     else:
         raise DimensionMismatchError("the labels must run over a d x d grid whose rows fix s mod d "
                                      "and whose columns fix t mod d, row by row or column by column")
-    ops = displaced_parity(d, s, t)
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
     maps = []
-    for stack, scaled in ((ops / d, dft / d), (ops, dft)):
+    for divisor, scaled in ((d, dft / d), (1, dft)):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        maps.append(_LabelMap(stack, rows, cols, transposed, gather, real_form))
-    frame = Frame(labels, maps[0].stack, name, label_map=maps[0])
-    return frame, Frame(frame.labels, maps[1].stack, name, label_map=maps[1])
+        maps.append(_LabelMap(s, t, divisor, rows, cols, transposed, gather, real_form))
+    frame = Frame(labels, None, name, label_map=maps[0])
+    return frame, Frame(frame.labels, None, name, label_map=maps[1])

@@ -335,6 +335,10 @@ def test_register_and_epsilon_validation():
     # the register sizes are the keys of the default grid table, so a size between them is refused too
     with pytest.raises(UnsupportedDimensionError):
         nmr_classicality(2.5, 0.1)
+    # a size that equals a register size but is not an integer is refused, a bool among them
+    for size in (2.0, True):
+        with pytest.raises(UnsupportedDimensionError, match="must be an integer"):
+            nmr_classicality(size, 0.1)
     with pytest.raises(ValueError):
         nmr_classicality(1, 1.5)
     with pytest.raises(DimensionMismatchError):

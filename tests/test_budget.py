@@ -1,4 +1,9 @@
-"""Every factory refuses, before it allocates, a build over the operator-stack budget."""
+"""Every factory refuses, before it allocates, a build over the operator-stack budget.
+
+A displaced-parity factory allocates its geometry and label maps, and no
+stack: the first read of either of its family's dense stacks is charged the
+pair's two stacks, and the one-state paths read none.
+"""
 
 import importlib
 import tracemalloc
@@ -6,9 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qframe import analysis, operators, verify
+from qframe import analysis, frames, operators, verify
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
+from qframe.frames import born_pair
+from qframe.operators import frobenius, random_state
 from qframe.representations import (
     cohendet,
     ghw,
@@ -22,19 +29,21 @@ from qframe.representations import (
 )
 
 base = importlib.import_module("qframe.representations.base")
+wootters_module = importlib.import_module("qframe.representations.wootters")
 
 C16 = np.dtype(complex).itemsize
 
 # (id, build, module whose first allocating step is stubbed out, its name,
-#  bytes of operator stacks the build is charged)
+#  bytes of operator stacks the build is charged); a parity build at d = 3 holds no stack and is charged
+#  4 + 12 operators: d + 1 for the line table as prime_lattice builds it and 12 for the label maps' tables
 BUDGETED = [
-    ("wootters-3", lambda: wootters(3), "wootters", "parity_pair", 2 * 9 * 9 * C16),
+    ("wootters-3", lambda: wootters(3), "wootters", "prime_lattice", (4 + 12) * 9 * C16),
     ("composite-2x3", lambda: wootters_composite([2, 3]), "wootters", "wootters",
      2 * 36 * 36 * C16),
-    ("cohendet-3", lambda: cohendet(3), "cohendet", "parity_pair", 2 * 9 * 9 * C16),
-    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "parity_pair", 2 * 9 * 9 * C16),
+    ("cohendet-3", lambda: cohendet(3), "cohendet", "odd_lattice", (4 + 12) * 9 * C16),
+    ("leonhardt-3", lambda: leonhardt(3), "leonhardt", "odd_lattice", (4 + 12) * 9 * C16),
     ("leonhardt-2", lambda: leonhardt(2), "leonhardt", "displaced_parity", 2 * 16 * 4 * C16),
-    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "parity_pair", 2 * 9 * 9 * C16),
+    ("ruzzi-3", lambda: ruzzi_s0(3), "ruzzi", "odd_lattice", (4 + 12) * 9 * C16),
     ("mub-3", lambda: mub_family(3), "mub", "mub_bases", 3 * 12 * 9 * C16),
     ("hardy-3", lambda: hardy_rep(3), "hardy", "_grid", 3 * 9 * 9 * C16),
     ("sic-3", lambda: sic_rep(3), "sic", "_orbit_stack", 3 * 9 * 9 * C16),
@@ -85,22 +94,114 @@ def test_provided_fiducial_in_any_dimension_is_budgeted(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: wootters(79),  # 2 * 79^4 complex entries: 1.25 GB
+    lambda: wootters(79).frame.operators,  # the pair's 2 * 79^4 complex entries: 1.25 GB
     lambda: wootters_composite([7, 11]),
-    lambda: cohendet(81),
+    lambda: cohendet(81).dual.operators,
     lambda: leonhardt(56),  # even: 2 * 4 * 56^4 complex entries
-    lambda: ruzzi_s0(81),
+    lambda: ruzzi_s0(81).frame.operators,
     lambda: hardy_rep(70),
     lambda: mub_family(71),
 ], ids=["wootters-79", "composite-7x11", "cohendet-81", "leonhardt-56", "ruzzi-81", "hardy-70",
         "mub-71"])
 def test_default_budget_refuses_large_requests(monkeypatch, build):
-    for module, step in [("wootters", "wootters"), ("leonhardt", "displaced_parity"), ("wootters", "parity_pair"),
-                         ("cohendet", "parity_pair"), ("leonhardt", "parity_pair"), ("ruzzi", "parity_pair"),
-                         ("hardy", "_grid"), ("mub", "mub_bases")]:
+    # a parity family builds its maps at these sizes; the first read of its dense stack is refused
+    for module, step in [("wootters", "wootters"), ("leonhardt", "displaced_parity"), ("hardy", "_grid"),
+                         ("mub", "mub_bases")]:
         _stub(monkeypatch, module, step)
+    _stub_stacks(monkeypatch)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         build()
+
+
+def _stub_stacks(monkeypatch):
+    """Make every label map's first read of its dense stack fail the test."""
+    monkeypatch.setattr(frames, "displaced_parity", lambda *a, **k: pytest.fail("made a dense stack"))
+
+
+@pytest.mark.parametrize("build,d", [(wootters, 101), (cohendet, 81), (leonhardt, 99), (ruzzi_s0, 77)],
+                         ids=["wootters-101", "cohendet-81", "leonhardt-99", "ruzzi-77"])
+def test_a_parity_family_past_the_dense_budget_builds_and_pairs_without_a_stack(monkeypatch, build, d):
+    _stub_stacks(monkeypatch)
+    rep = build(d)
+    rho = random_state(d, rank=1, seed=1)
+    mu = rep.represent(rho)
+    assert frobenius(rep.reconstruct(mu) - rho) <= 1e-8
+    assert abs(born_pair(mu, rep.effect(rho)) - 1.0) <= 1e-8
+    assert rep.frame.skew == rep.dual.skew == 0.0
+    with pytest.raises(UnsupportedDimensionError, match=f"needs {2 * d**4 * C16} bytes"):
+        rep.dual.operators
+
+
+def test_the_first_read_charges_the_pair_and_a_later_read_is_free(monkeypatch):
+    rep = wootters(5)
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 25 * 25 * C16 - 1)
+    with pytest.raises(UnsupportedDimensionError, match=f"wootters\\(5\\) needs {2 * 25 * 25 * C16} bytes"):
+        rep.frame.operators
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 25 * 25 * C16)
+    ops = rep.frame.operators
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 1)
+    assert rep.frame.operators is ops and rep.frame.flat.base is ops
+
+
+# the one-state paths of a parity family, each through its label map
+ONE_STATE = {
+    "represent": ["represent", "wootters", "--d", "7", "--pure", "1"],
+    "represent-ruzzi": ["represent", "ruzzi", "--d", "9", "--mixed"],
+    "negativity": ["negativity", "cohendet", "--d", "5", "--pure", "2"],
+    "demo-teleport": ["demo", "teleport", "--d", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(ONE_STATE.values()), ids=list(ONE_STATE))
+def test_the_one_state_commands_make_no_stack(monkeypatch, capsys, argv):
+    analysis._lattice.cache_clear()  # so the lattice is built under the stub
+    _stub_stacks(monkeypatch)
+    assert main(argv) == 0
+
+
+def test_reconstruct_and_effect_make_no_stack(monkeypatch, tmp_path, capsys):
+    assert main(["represent", "leonhardt", "--d", "5", "--pure", "3", "--out", str(tmp_path / "mu.json")]) == 0
+    _stub_stacks(monkeypatch)
+    assert main(["reconstruct", "leonhardt", "--d", "5", "--dist", str(tmp_path / "mu.json")]) == 0
+    rep = leonhardt(5)
+    assert rep.effect(random_state(5, seed=4)).warnings == ()
+    analysis._lattice.cache_clear()
+    outcomes = analysis._teleport_branches(7, random_state(7, rank=1, seed=0), [(1, 2), (3, 4)])
+    assert max(out.displacement_residual for out in outcomes) <= 1e-12
+
+
+def test_verify_of_a_parity_family_over_budget_exits_2_before_a_stack(monkeypatch, capsys):
+    # wootters(3) builds at this budget, and the suite's charge for 20 samples does not fit it
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16 - 1)
+    _stub_stacks(monkeypatch)
+    assert main(["verify", "wootters", "--d", "3", "--samples", "20"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_build_over_the_dense_budget_exits_2_before_a_stack(monkeypatch, capsys):
+    _stub_stacks(monkeypatch)
+    assert main(["build", "wootters", "--d", "101"]) == 2
+    assert capsys.readouterr().err == f"error: wootters(101) needs {2 * 101**4 * C16} bytes of operator stacks, " \
+                                      f"over the {base.MAX_STACK_BYTES}-byte budget\n"
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 13, 15, 23, 31])
+@pytest.mark.parametrize("build", [wootters, cohendet, leonhardt, ruzzi_s0], ids=lambda f: f.__name__)
+def test_a_parity_build_and_its_one_state_pairings_peak_within_its_charge(build, d):
+    if build is wootters and d in (9, 15):
+        return
+    rho = random_state(d, seed=2)
+    build(3).represent(random_state(3, seed=2))  # imports and caches outside the traced window
+    tracemalloc.start()
+    try:
+        rep = build(d)
+        mu = rep.represent(rho)
+        rep.reconstruct(mu)
+        rep.effect(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= base.parity_operators(d) * d * d * C16 + SLACK
 
 
 @pytest.mark.parametrize("argv", [
@@ -172,6 +273,32 @@ def test_demo_teleport_refuses_its_dimension_before_a_draw(monkeypatch, capsys, 
     analysis._lattice.cache_clear()  # so the lattice is charged, not taken from an earlier test's build
     assert main(["demo", "teleport", "--d", str(d)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_demo_teleport_refuses_a_line_table_over_the_budget_before_the_lattice(monkeypatch, capsys):
+    # d = 7's line table alone, (7 + 1)/2 operators of 49 entries, is over this budget, and so is
+    # every charge before the lattice
+    monkeypatch.setattr(base, "MAX_STACK_BYTES", 4 * 49 * C16 - 1)
+    monkeypatch.setattr(wootters_module, "prime_lattice", lambda *a, **k: pytest.fail("built the lattice"))
+    monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew before the refusal"))
+    analysis._lattice.cache_clear()
+    assert main(["demo", "teleport", "--d", "7"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 13, 23])
+def test_the_teleport_branches_peak_within_their_charge(d):
+    # three stacks of d^2 d x d matrices, as _teleport_lattice charges before the lattice
+    rho = random_state(d, rank=1, seed=0)
+    outcomes = [(a, b) for a in range(d) for b in range(d)]
+    analysis._teleport_branches(d, rho, outcomes[:1])  # the lattice and caches outside the traced window
+    tracemalloc.start()
+    try:
+        analysis._teleport_branches(d, rho, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * d**4 * C16 + SLACK
 
 
 @pytest.mark.parametrize("argv,need", [

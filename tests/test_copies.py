@@ -103,7 +103,9 @@ def test_a_copy_keeps_the_label_map_the_read_only_arrays_and_the_values(name, ho
         lm = getattr(got, side).label_map
         assert (lm is not None) == (name in MAPPED)
         if lm is not None:
-            assert lm.stack is getattr(got, side).operators
+            # a copy carries the map and makes no stack; the stack a read makes is the map's own
+            assert "stack" not in vars(lm)
+            assert getattr(got, side).operators is vars(lm)["stack"]
     arrays = _arrays(got)
     assert set(arrays) == set(_arrays(rep))
     assert not [key for key, table in arrays.items() if table.flags.writeable]
@@ -180,8 +182,14 @@ def _reachable_arrays(obj, path: str, found: dict, seen: set) -> dict:
 def test_every_array_a_pair_holds_is_read_only(name, how):
     rep = build_representation(name, parse_direct(["build", name, *CASES[name], "--seed", "0"]))
     got = rep if how == "fresh" else COPIES[how](rep)
+    if name in MAPPED:
+        # a label-mapped pair holds its maps' tables and no stack until a read makes one
+        assert "rep.frame.label_map.dft" in _reachable_arrays(got, "rep", {}, set())
+        assert "rep.frame.operators" not in _reachable_arrays(got, "rep", {}, set())
+    stacks = got.frame.operators, got.dual.operators
     arrays = _reachable_arrays(got, "rep", {}, set())
-    assert "rep.frame.operators" in arrays
+    # each stack is reached as its family's operators or, where a map made it, as the map's
+    assert all(any(table is stack for table in arrays.values()) for stack in stacks)
     assert [path for path, table in arrays.items() if table.flags.writeable] == []
     fresh = _reachable_arrays(rep, "rep", {}, set())
     for path in arrays.keys() & fresh.keys():

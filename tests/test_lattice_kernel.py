@@ -285,12 +285,18 @@ def test_the_matrix_builds_the_label_pairs_family_bit_for_bit(fd, seed):
     # the family's 2 x 2 relabeling gives the pair the oracle builds from its d^2 kernel label pairs
     family, d = fd
     rep = build(family, d)
-    want = oracle.parity_pair(rep.labels, *KERNEL_LABELS[family](*np.array(rep.labels).T), family)
-    for got, ref in zip((rep.frame, rep.dual), want):
+    s, t = KERNEL_LABELS[family](*np.array(rep.labels).T)
+    want = oracle.parity_pair(rep.labels, s, t, family)
+    # each side's stack, made on the read, is displaced_parity's, divided by d on the frame side
+    kernels = displaced_parity(d, s, t)
+    for got, ref, dense in zip((rep.frame, rep.dual), want, (kernels / d, kernels)):
         assert got.labels == ref.labels and got.name == ref.name
+        _same_bits(got.operators, dense)
         _same_bits(got.operators, ref.operators)
         lm, ref_lm = got.label_map, ref.label_map
-        assert lm.transposed == ref_lm.transposed
+        assert lm.transposed == ref_lm.transposed and lm.divisor == ref_lm.divisor
+        np.testing.assert_array_equal(lm.s % d, ref_lm.s % d)
+        np.testing.assert_array_equal(lm.t % d, ref_lm.t % d)
         for table in ("rows", "cols", "gather", "dft", "half_dft"):
             _same_bits(getattr(lm, table), getattr(ref_lm, table))
         for table, ref_table in zip(lm.mirror, ref_lm.mirror):
@@ -308,9 +314,11 @@ def test_a_wrong_label_map_fails_the_dense_oracle():
     v = np.random.default_rng(1).standard_normal((2, 25))
     # t negated, s and t swapped, s doubled
     for wrong in (((2, 0), (0, -2)), ((0, 2), (2, 0)), ((4, 0), (0, 2))):
-        # the wrong tables, handed to the constructor as a map built for the right stack
-        tables = replace(parity_pair(rep.labels, wrong)[1].label_map, stack=rep.dual.operators)
-        family = Frame(labels=rep.labels, operators=rep.dual.operators, name="wootters", label_map=tables)
+        # the wrong tables on a map whose kernel labels make the right stack
+        right = rep.dual.label_map
+        tables = replace(parity_pair(rep.labels, wrong)[1].label_map, s=right.s, t=right.t)
+        family = Frame(labels=rep.labels, operators=None, name="wootters", label_map=tables)
+        _same_bits(family.operators, rep.dual.operators)
         with pytest.raises(AssertionError):
             check_pairings_against_dense(family, A, v)
 
@@ -344,6 +352,35 @@ def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
         assert (np.count_nonzero(fam.flat, axis=1) == d).all()
         # the synthesis table is Z's transpose, its rows in grid column order, over the columns u <= (d - 1)/2
         np.testing.assert_array_equal(lm.half_dft.view(complex), dft.T[:, :(d + 1) // 2])
+
+
+MINIMAL_PAIRS = [("wootters", d) for d in ODD_PRIMES] + [
+    (family, d) for family in ("cohendet", "leonhardt", "ruzzi") for d in ODD]
+
+
+@pytest.mark.parametrize("family,d", MINIMAL_PAIRS, ids=[f"{f}-{d}" for f, d in MINIMAL_PAIRS])
+def test_the_checks_measured_on_the_map_equal_the_dense_ones(family, d):
+    rep = FACTORY[family](d)  # a fresh build: the cached ones may have made their stacks
+    for fam in (rep.frame, rep.dual):
+        measured = (fam.skew, fam.resolves_identity, fam.unit_traces)
+        assert "operators" not in vars(fam)
+        dense = Frame(fam.labels, fam.operators.copy(), fam.name)
+        assert measured == (dense.skew, dense.resolves_identity, dense.unit_traces)
+        np.testing.assert_allclose(fam.sum(), dense.sum(), rtol=0, atol=ORACLE_TOL)
+        np.testing.assert_allclose(fam.sum(), fam.synthesize(np.ones(len(fam))), rtol=0, atol=ORACLE_TOL)
+        np.testing.assert_allclose(fam.traces(), dense.traces(), rtol=0, atol=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("family,d", [("wootters", 5), ("ruzzi", 9)])
+def test_the_map_refuses_what_the_dense_checks_refuse(family, d):
+    lm = build(family, d).frame.label_map
+    labels = build(family, d).labels
+    rows = {"non-finite": (0, np.nan), "non-Hermitian": (2, 1e-6)}
+    for why, (u, entry) in rows.items():
+        dft = lm.dft.copy()
+        dft[2 * u, 0] += entry  # Z[u, 0]: Z[-u, 0] is not its conjugate any more, or it is NaN
+        with pytest.raises(DimensionMismatchError, match="finite" if why == "non-finite" else "non-Hermitian"):
+            Frame(labels, None, family, label_map=replace(lm, dft=dft))
 
 
 @pytest.mark.parametrize("build_rep", [
