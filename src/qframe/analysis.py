@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .finitefield import _is_prime
-from .frames import QuasiDistribution, _check_values
+from .frames import QuasiDistribution, _check_values, check_stack_budget
 from .operators import (
     bloch_state,
     is_density,
@@ -31,7 +31,6 @@ from .representations import (
     wootters,
     wootters_composite,
 )
-from .representations.base import check_stack_budget
 
 FRANCO_PENNA_THRESHOLD = (1.0 - np.sqrt(3.0)) / 8.0
 EQ_GUARD = 1e-12

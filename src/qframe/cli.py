@@ -38,7 +38,8 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedTransformError,
 )
-from .frames import _NON_FINITE, _check_values, apply_transform, frame_bounds, is_dual_pair, negativity, transform_matrix
+from .frames import (_NON_FINITE, _check_values, apply_transform, check_stack_budget, frame_bounds, is_dual_pair,
+                     negativity, transform_matrix)
 from .operators import _seeded_states, frobenius, maximally_mixed, random_state
 from .representations import (
     Representation,
@@ -55,7 +56,6 @@ from .representations import (
     wootters,
     wootters_composite,
 )
-from .representations.base import check_stack_budget
 from .representations.sic import SEARCH_STARTS, fiducial_search_stats
 from .representations.spherical import _random_stratonovich
 from .serialize import (

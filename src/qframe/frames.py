@@ -32,13 +32,13 @@ scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
 labels of each family lie on a d x d grid whose rows fix s mod d and whose
 columns fix t mod d, read off the matrix (transposed for Ruzzi's
 anti-diagonal one), and the map stores its tables in that order, so the
-product holds the values in label order.  Such a family holds its map and
-the (s, t) of each label, O(d^2), and no dense stack: its checks are
-measured on the map's tables, and ``operators`` is made, charged to the
-stack budget first, on the first read.  Every other
-pairing, and the analysis of a stack of operators in every family, is one
-product on the zero-copy ``(n, d^2)`` view of the family's stack,
-O(n d^2).  No other module reads that view or the label map's tables.
+product holds the values in label order.  Such a family holds its map alone,
+O(d^2), and no dense stack: its checks are measured on the map's tables, and
+``operators`` is written from them on the first read, once the stack budget
+that every build also charges, ``check_stack_budget`` here, has passed it.
+Every other pairing, and the analysis of a stack of operators in every
+family, is one product on the zero-copy ``(n, d^2)`` view of the family's
+stack, O(n d^2).  No other module reads that view or the label map's tables.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotAFrameError, SingularBasisError
-from .operators import EQ_TOL, _norm, displaced_parity, tau_powers, tol_for
+from .errors import DimensionMismatchError, NotAFrameError, SingularBasisError, UnsupportedDimensionError
+from .operators import EQ_TOL, _norm, tau_powers, tol_for
 
 __all__ = [
     "Frame",
@@ -64,6 +64,9 @@ __all__ = [
     "gram_dual",
     "is_dual_pair",
     "parity_pair",
+    "MAX_STACK_BYTES",
+    "check_stack_budget",
+    "parity_operators",
     "represent_state",
     "represent_effect",
     "reconstruct_state",
@@ -76,10 +79,8 @@ __all__ = [
 ]
 
 PINV_RCOND = 1e-10
-# d x d complex operators' worth of the tables a parity pair's two label maps hold once both sides have
-# synthesized, which their build's temporaries do not exceed: s and t (1), the gather (1/2), the two dft
-# tables (4), half_dft (1) and mirror (4); tracemalloc reads 10.6-11.2 at d = 9-45
-_MAP_TABLES = 12
+# Largest total of complex d x d operator stacks one factory call or verify run will allocate.
+MAX_STACK_BYTES = 1 << 30
 # ||Im||^2 at or below this bounds every |Im| by EQ_TOL / 2, half the Hermiticity rule's floor
 _IMAG_SCREEN = (EQ_TOL / 2) ** 2
 _NON_FINITE = "values must be finite; the input has a NaN or inf entry"
@@ -99,6 +100,37 @@ def _as_stack(operators) -> np.ndarray:
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
     return ops
+
+
+def check_stack_budget(what: str, operators: int, d: int) -> None:
+    """Refuse, before anything is allocated, a build that holds ``operators`` complex d x d operators.
+
+    Each caller states its one count: a frame and its dual over n labels
+    are 2 n, and a build that holds more beside them counts that too.  A
+    parity factory holds no stack, and charges ``parity_operators(d)``; the
+    first read of either of its family's stacks charges the pair's 2 n.
+    A small build may peak up to a fixed 256 KiB above its charge: one of
+    ``_skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
+    """
+    need = int(operators) * int(d) ** 2 * np.dtype(complex).itemsize
+    if need > MAX_STACK_BYTES:
+        raise UnsupportedDimensionError(
+            f"{what} needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"
+        )
+
+
+def parity_operators(d: int) -> int:
+    """d x d complex operators' worth a parity factory allocates at odd d, and no stack.
+
+    The geometry's ``(d + 1) x d x d`` integer line table is (d + 1)/2
+    operators, and ``prime_lattice`` peaks at twice that while it builds it.
+    The two label maps' tables, once both sides have synthesized, are 12
+    more, which their build's temporaries do not exceed: the shared gather
+    (1/2), the two ``dft`` tables (4), the two ``half_dft`` (1) and the two
+    ``mirror`` (4); tracemalloc reads 9.6 at d = 45 and 11.5-12.6 at d = 9,
+    where the families' fixed-size objects weigh most.
+    """
+    return d + 1 + 12
 
 
 def _row_blocks(n: int, size: int) -> list[slice]:
@@ -242,16 +274,13 @@ class _LabelMap:
     of Z and of iZ as interleaved floats, so a complex row ``x + iy`` read as
     interleaved floats times ``dft`` is ``(x + iy) Z``, one real GEMM.  Z
     comes from ``tau_powers``, so it is conjugate-symmetric bit for bit.
-    ``s`` and ``t`` are the kernel labels of each family label and
-    ``divisor`` is d on the frame side and 1 on the dual's: they define the
-    dense ``stack``, which is made only when read.  Every array is frozen, as
-    the family's stack is, and pickle and ``copy`` remake the map through its
-    constructor, so a copy's arrays are frozen too and it holds no stack.
+    These tables are the one description of the operators: every pairing and
+    check reads them, and so does the dense ``stack``, which is made only
+    when read.  Every array is frozen, as the family's stack is, and pickle
+    and ``copy`` remake the map through its constructor, so a copy's arrays
+    are frozen too and it holds no stack.
     """
 
-    s: np.ndarray
-    t: np.ndarray
-    divisor: int
     rows: np.ndarray
     cols: np.ndarray
     transposed: bool
@@ -259,23 +288,30 @@ class _LabelMap:
     dft: np.ndarray
 
     def __post_init__(self):
-        for table in (self.s, self.t, self.rows, self.cols, self.gather, self.dft):
+        for table in (self.rows, self.cols, self.gather, self.dft):
             table.setflags(write=False)
 
     def __reduce__(self):
-        return _LabelMap, (self.s, self.t, self.divisor, self.rows, self.cols, self.transposed, self.gather, self.dft)
+        return _LabelMap, (self.rows, self.cols, self.transposed, self.gather, self.dft)
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """The dense ``(d^2, d, d)`` stack ``K(s, t) / divisor``, frozen, made on the first read.
+        """The dense ``(d^2, d, d)`` stack, frozen, written from the tables on the first read.
 
-        ``displaced_parity`` makes the kernels and the frame side's division by d
-        runs in place, the same bits as ``displaced_parity(d, s, t) / d``.
-        ``Frame.operators`` charges it to the stack budget before it reads it.
+        As ``analyze`` reads it, grid operator (i, j) holds ``Z[-u, j]`` at
+        flat entry ``gather[i, u]`` and zeros elsewhere; it goes in through a
+        ``(d, d, d^2)`` view, grid indices swapped where ``transposed``, so it
+        lands in label order with no copy.  ``Z[-u]`` equals ``conj(Z)`` but
+        keeps +0.0 imaginary parts +0.0, so the stack holds the bits of
+        ``operators.displaced_parity``'s kernels (/ d on the frame side).
+        ``Frame.operators`` charges it to the stack budget first.
         """
-        ops = displaced_parity(len(self.rows), self.s, self.t)
-        if self.divisor != 1:
-            ops /= self.divisor
+        d = len(self.rows)
+        Z = self.dft[0::2].view(complex)
+        ops = np.zeros((d * d, d, d), dtype=complex)
+        i, j = np.arange(d)[:, None, None], np.arange(d)[:, None]
+        grid = (j, i) if self.transposed else (i, j)
+        ops.reshape(d, d, d * d)[grid + (self.gather[:, None],)] = Z[-np.arange(d)].T
         ops.setflags(write=False)
         return ops
 
@@ -397,14 +433,14 @@ class Frame:
     largest entry of ``F - F^dag``.
 
     A family made by ``parity_pair`` carries its label map instead, passed
-    in as ``label_map`` with ``operators=None``: operator n is
-    ``K(s_n, t_n) / divisor``, a displaced parity of
-    ``operators.displaced_parity``, and ``analyze`` of one operator and
-    ``synthesize`` pair through the kernel identity on it.  Its ``skew``,
-    finiteness, ``sum`` and ``traces`` are measured on the map's tables, and
-    ``operators`` (with ``flat``) is the map's stack, made on the first read
-    after ``representations.base.check_stack_budget`` has charged the two
-    stacks of the pair, since every dense reader reads both sides.  The
+    in as ``label_map`` with ``operators=None``: operator n is a displaced
+    parity ``K(s, t)`` of ``operators.displaced_parity``, divided by d on
+    the frame side, placed by the map's tables, and ``analyze`` of one
+    operator and ``synthesize`` pair through the kernel identity on them.
+    Its ``skew``, finiteness, ``sum`` and ``traces`` are measured on those
+    tables, and ``operators`` (with ``flat``) is the map's stack, written
+    from them on the first read after ``check_stack_budget`` has charged the
+    two stacks of the pair, since every dense reader reads both sides.  The
     constructor refuses a map beside any array but the stack that map made,
     so the two cannot disagree; any other family has none and pairs on its
     stack.
@@ -433,7 +469,8 @@ class Frame:
             object.__setattr__(self, "operators", ops)
             n, d = ops.shape[:2]
         elif ops is None or ops is vars(lm).get("stack"):
-            n, d = len(lm.s), len(lm.rows)
+            d = len(lm.rows)
+            n = d * d
             if ops is None:
                 del vars(self)["operators"]  # made on the first read, by _StackOnRead
         else:
@@ -555,9 +592,7 @@ class _StackOnRead:
             return self
         if sys._getframe(1).f_code is _REPLACE_CODE:
             return None  # replace passes the map on with no stack, as pickle and copy do
-        from .representations import base  # the budget's module imports this one
-
-        base.check_stack_budget(f"{family.name}({family.dim})", 2 * len(family), family.dim)
+        check_stack_budget(f"{family.name}({family.dim})", 2 * len(family), family.dim)
         ops = vars(family)["operators"] = family.label_map.stack
         return ops
 
@@ -579,9 +614,10 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     (mod d) row by row, an anti-diagonal one rows ``s = b u`` and columns
     ``t = c u`` column by column.  The centred phase point needs odd d and an
     even s-row, and a unit mod d in each nonzero entry makes the d^2 (s, t)
-    cells distinct.  Both maps hold the one (s, t) and the one grid, so the
-    stacks they make on a read and their tables come from the one matrix;
-    no stack is made here.
+    cells distinct.  The two maps share the one grid and gather and differ
+    only in their DFT table's scale, so every table, and the stack each
+    writes from them on a read, comes from the one matrix; no stack is made
+    here.
     """
     (a, b), (c, e) = relabel
     d = math.isqrt(len(labels))
@@ -593,15 +629,12 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     row, col = (b, c) if transposed else (a, e)
     if math.gcd(row * col, d) != 1:
         raise DimensionMismatchError(f"the relabeling {relabel} has an entry that is not a unit mod {d}")
-    q, p = np.divmod(np.arange(d * d), d)
-    s, t = a * q + b * p, c * q + e * p
     u = np.arange(d)
     rows, cols = row * u % d, col * u % d
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * u[:, None] * cols)
     frame_map, dual_map = (
-        _LabelMap(s, t, divisor, rows, cols, transposed, gather, _real_form(scaled))
-        for divisor, scaled in ((d, dft / d), (1, dft))
+        _LabelMap(rows, cols, transposed, gather, _real_form(scaled)) for scaled in (dft / d, dft)
     )
     frame = Frame(labels, None, name, label_map=frame_map)
     return frame, Frame(frame.labels, None, name, label_map=dual_map)

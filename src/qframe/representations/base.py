@@ -2,9 +2,8 @@
 
 The minimal displaced-parity factories make their pair with
 ``frames.parity_pair``, the other lattice factories with
-``phase_point_representation`` (frame {A/d}, dual {A}); ``check_stack_budget``
-refuses a build, a ``verify`` run or the first read of a parity family's
-dense stack before it allocates past the budget.
+``phase_point_representation`` (frame {A/d}, dual {A}); each factory charges
+``frames.check_stack_budget`` before it allocates.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, UnsupportedDimensionError
+from ..errors import DimensionMismatchError
 from ..frames import (
-    _MAP_TABLES,
     Frame,
     QuasiDistribution,
     _same_labels,
@@ -28,41 +26,8 @@ from ..geometry import PhaseSpaceGeometry
 __all__ = [
     "Representation",
     "striation_pvms",
-    "MAX_STACK_BYTES",
-    "check_stack_budget",
-    "parity_operators",
     "phase_point_representation",
 ]
-
-# Largest total of complex d x d operator stacks one factory call or verify run will allocate.
-MAX_STACK_BYTES = 1 << 30
-
-
-def check_stack_budget(what: str, operators: int, d: int) -> None:
-    """Refuse, before anything is allocated, a build that holds ``operators`` complex d x d operators.
-
-    Each caller states its one count: a frame and its dual over n labels
-    are 2 n, and a build that holds more beside them counts that too.  A
-    parity factory holds no stack, and charges ``parity_operators(d)``; the
-    first read of either of its family's stacks charges the pair's 2 n.
-    A small build may peak up to a fixed 256 KiB above its charge: one of
-    ``frames._skew``'s row blocks (2^13 complex entries, 128 KiB) and fixed-size objects.
-    """
-    need = int(operators) * int(d) ** 2 * np.dtype(complex).itemsize
-    if need > MAX_STACK_BYTES:
-        raise UnsupportedDimensionError(
-            f"{what} needs {need} bytes of operator stacks, over the {MAX_STACK_BYTES}-byte budget"
-        )
-
-
-def parity_operators(d: int) -> int:
-    """d x d complex operators' worth a parity factory allocates at odd d, and no stack.
-
-    The geometry's ``(d + 1) x d x d`` integer line table is (d + 1)/2
-    operators, and ``prime_lattice`` peaks at twice that while it builds it;
-    the two label maps' tables are ``frames._MAP_TABLES`` more.
-    """
-    return d + 1 + _MAP_TABLES
 
 
 @dataclass(frozen=True, eq=False)

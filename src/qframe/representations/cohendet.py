@@ -8,10 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import QuasiDistribution, _check_values, parity_pair
+from ..frames import QuasiDistribution, _check_values, check_stack_budget, parity_operators, parity_pair
 from ..geometry import extended_lattice, odd_lattice
 from ..operators import _random_states
-from .base import Representation, check_stack_budget, parity_operators
+from .base import Representation
 
 
 def cohendet(d: int) -> Representation:

@@ -47,10 +47,10 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import FiniteField
-from ..frames import transform_matrix
+from ..frames import check_stack_budget, transform_matrix
 from ..geometry import field_lattice
 from ..operators import omega, tau_powers
-from .base import Representation, check_stack_budget, phase_point_representation
+from .base import Representation, phase_point_representation
 from .wootters import wootters
 
 __all__ = [

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import Frame, gram_dual
-from .base import Representation, check_stack_budget
+from ..frames import Frame, check_stack_budget, gram_dual
+from .base import Representation
 
 
 def _grid(d: int) -> np.ndarray:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedDimensionError
-from ..frames import parity_pair
+from ..frames import check_stack_budget, parity_operators, parity_pair
 from ..geometry import odd_lattice, plain_lattice
 from ..operators import displaced_parity
-from .base import Representation, check_stack_budget, parity_operators, phase_point_representation
+from .base import Representation, phase_point_representation
 
 
 def leonhardt(d: int) -> Representation:

@@ -6,9 +6,9 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import Frame, QuasiDistribution, _check_values
+from ..frames import Frame, QuasiDistribution, _check_values, check_stack_budget
 from ..operators import finite_fourier, omega
-from .base import Representation, check_stack_budget
+from .base import Representation
 
 # order-three rotation that cycles the Z, X and Y eigenbases of a qubit
 _QUBIT_V = 0.5 * np.array([[1 - 1j, -(1 + 1j)], [1 - 1j, 1 + 1j]])
@@ -33,10 +33,9 @@ def mub_bases(d: int) -> np.ndarray:
     Basis 0 is computational.  For d = 2 the advancing rotation has order
     three, so its powers already close the family.  For odd primes the
     advancing unitary fixes the Fourier basis, which therefore joins as the
-    final member; the powers V^n supply the rest.
+    final member; the powers V^n supply the rest.  ``mub_unitary`` refuses
+    a d that is not prime before anything is allocated.
     """
-    if not _is_prime(d):
-        raise UnsupportedDimensionError("d must be prime")
     V = mub_unitary(d)
     out = np.zeros((d + 1, d, d), dtype=complex)
     out[0].reshape(-1)[::d + 1] = 1.0

@@ -6,9 +6,9 @@ T(q, p) is K(2p, -2q) of the displaced-parity kernel ``operators.displaced_parit
 from __future__ import annotations
 
 from ..errors import UnsupportedDimensionError
-from ..frames import parity_pair
+from ..frames import check_stack_budget, parity_operators, parity_pair
 from ..geometry import odd_lattice
-from .base import Representation, check_stack_budget, parity_operators
+from .base import Representation
 
 
 def ruzzi_s0(d: int) -> Representation:

@@ -16,9 +16,9 @@ from ..errors import (
     FiducialSearchError,
     UnsupportedDimensionError,
 )
-from ..frames import Frame, QuasiDistribution, _check_values
+from ..frames import Frame, QuasiDistribution, _check_values, check_stack_budget
 from ..operators import _gaussian_pairs, weyl_monomials
-from .base import Representation, check_stack_budget
+from .base import Representation
 
 SEARCH_TOL = 1e-8
 SEARCH_STARTS = 50

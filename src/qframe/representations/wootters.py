@@ -28,10 +28,10 @@ import numpy as np
 
 from ..errors import UnsupportedDimensionError
 from ..finitefield import _is_prime
-from ..frames import parity_pair
+from ..frames import check_stack_budget, parity_operators, parity_pair
 from ..geometry import composite_lattice, prime_lattice
 from ..operators import SIGMA, tensor
-from .base import Representation, check_stack_budget, parity_operators, phase_point_representation
+from .base import Representation, phase_point_representation
 
 __all__ = ["wootters", "wootters_composite"]
 

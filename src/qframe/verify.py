@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import Frame, is_dual_pair
+from .frames import Frame, check_stack_budget, is_dual_pair
 from .operators import _norm, _random_effects, _random_states
 from .representations import Representation, striation_pvms
-from .representations.base import check_stack_budget
 from .representations.sic import fiducial_search_stats
 
 DUALITY_TOL = 1e-9

@@ -265,8 +265,8 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     gather = _centred_gather(d)[rows]
     dft = tau_powers(d, -2 * np.arange(d)[:, None] * cols)
     maps = []
-    for divisor, scaled in ((d, dft / d), (1, dft)):
+    for scaled in (dft / d, dft):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
-        maps.append(_LabelMap(s, t, divisor, rows, cols, transposed, gather, real_form))
+        maps.append(_LabelMap(rows, cols, transposed, gather, real_form))
     frame = Frame(labels, None, name, label_map=maps[0])
     return frame, Frame(frame.labels, None, name, label_map=maps[1])

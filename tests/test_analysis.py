@@ -319,6 +319,21 @@ def test_zero_noise_is_uniform():
     report = nmr_classicality(2, 0.0)
     want = (1 / (4 * np.pi)) ** 2
     assert abs(report.sampled_min - want) < 1e-12
+    # so is any noise on a maximally mixed rho1: rho = (1 - eps) I/4 + eps I/4 = I/4
+    report = nmr_classicality(2, 0.5, rho1=maximally_mixed(4))
+    assert abs(report.sampled_min - want) <= 1e-15
+    assert report.bound_respected
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_a_product_basis_rho1_is_classical_up_to_the_bound(eps):
+    # |00><00| on either side of the n = 2 bound 1/9: the sampled minimum changes sign where classical does
+    rho1 = np.zeros((4, 4), dtype=complex)
+    rho1[0, 0] = 1.0
+    report = nmr_classicality(2, eps, rho1=rho1)
+    assert report.bound_respected
+    assert report.classical == (eps <= report.epsilon_bound) == (eps < 1 / 9)
+    assert (report.sampled_min >= 0) == report.classical
 
 
 def test_sampled_min_respects_analytic_bound():

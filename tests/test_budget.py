@@ -28,7 +28,6 @@ from qframe.representations import (
     wootters_composite,
 )
 
-base = importlib.import_module("qframe.representations.base")
 wootters_module = importlib.import_module("qframe.representations.wootters")
 
 C16 = np.dtype(complex).itemsize
@@ -59,7 +58,7 @@ def _stub(monkeypatch, module, name):
 
 @pytest.mark.parametrize("name,build,module,builder,need", BUDGETED, ids=IDS)
 def test_over_budget_refused_before_building(monkeypatch, name, build, module, builder, need):
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", need - 1)
     _stub(monkeypatch, module, builder)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         build()
@@ -67,13 +66,13 @@ def test_over_budget_refused_before_building(monkeypatch, name, build, module, b
 
 @pytest.mark.parametrize("name,build,module,builder,need", BUDGETED, ids=IDS)
 def test_request_at_the_budget_builds(monkeypatch, name, build, module, builder, need):
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", need)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", need)
     assert build() is not None
 
 
 def test_ghw_charge_still_admits_d_64(monkeypatch):
     # three stacks of 64^2 operators on C^64 fit the default budget
-    assert 3 * 64**2 * 64**2 * C16 <= base.MAX_STACK_BYTES
+    assert 3 * 64**2 * 64**2 * C16 <= frames.MAX_STACK_BYTES
 
     class Reached(Exception):
         pass
@@ -114,8 +113,17 @@ def test_default_budget_refuses_large_requests(monkeypatch, build):
 
 
 def _stub_stacks(monkeypatch):
-    """Make every label map's first read of its dense stack fail the test."""
-    monkeypatch.setattr(frames, "displaced_parity", lambda *a, **k: pytest.fail("made a dense stack"))
+    """Make every read of a label map's dense stack fail the test."""
+    monkeypatch.setattr(frames._LabelMap, "stack", property(lambda lm: pytest.fail("made a dense stack")))
+
+
+def test_the_stack_stub_fails_a_dense_read(monkeypatch, tmp_path, capsys):
+    # the control for every test here that makes no stack under the stub: a read of a parity stack fails it
+    _stub_stacks(monkeypatch)
+    with pytest.raises(pytest.fail.Exception, match="made a dense stack"):
+        wootters(5).dual.operators
+    with pytest.raises(pytest.fail.Exception, match="made a dense stack"):
+        main(["build", "wootters", "--d", "3", "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("build,d", [(wootters, 101), (cohendet, 81), (leonhardt, 99), (ruzzi_s0, 77)],
@@ -134,12 +142,12 @@ def test_a_parity_family_past_the_dense_budget_builds_and_pairs_without_a_stack(
 
 def test_the_first_read_charges_the_pair_and_a_later_read_is_free(monkeypatch):
     rep = wootters(5)
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 25 * 25 * C16 - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 2 * 25 * 25 * C16 - 1)
     with pytest.raises(UnsupportedDimensionError, match=f"wootters\\(5\\) needs {2 * 25 * 25 * C16} bytes"):
         rep.frame.operators
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 25 * 25 * C16)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 2 * 25 * 25 * C16)
     ops = rep.frame.operators
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 1)
     assert rep.frame.operators is ops and rep.frame.flat.base is ops
 
 
@@ -172,7 +180,7 @@ def test_reconstruct_and_effect_make_no_stack(monkeypatch, tmp_path, capsys):
 
 def test_verify_of_a_parity_family_over_budget_exits_2_before_a_stack(monkeypatch, capsys):
     # wootters(3) builds at this budget, and the suite's charge for 20 samples does not fit it
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16 - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16 - 1)
     _stub_stacks(monkeypatch)
     assert main(["verify", "wootters", "--d", "3", "--samples", "20"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -182,7 +190,7 @@ def test_build_over_the_dense_budget_exits_2_before_a_stack(monkeypatch, capsys)
     _stub_stacks(monkeypatch)
     assert main(["build", "wootters", "--d", "101"]) == 2
     assert capsys.readouterr().err == f"error: wootters(101) needs {2 * 101**4 * C16} bytes of operator stacks, " \
-                                      f"over the {base.MAX_STACK_BYTES}-byte budget\n"
+                                      f"over the {frames.MAX_STACK_BYTES}-byte budget\n"
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 13, 15, 23, 31])
@@ -201,7 +209,7 @@ def test_a_parity_build_and_its_one_state_pairings_peak_within_its_charge(build,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= base.parity_operators(d) * d * d * C16 + SLACK
+    assert peak <= frames.parity_operators(d) * d * d * C16 + SLACK
 
 
 @pytest.mark.parametrize("argv", [
@@ -214,7 +222,7 @@ def test_a_parity_build_and_its_one_state_pairings_peak_within_its_charge(build,
     ["build", "sic", "--d", "3"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_cli_exits_2_over_budget(monkeypatch, capsys, argv):
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 1)
     assert main(argv) == 2
     assert "budget" in capsys.readouterr().err
 
@@ -256,7 +264,7 @@ def test_ghw_peak_stays_within_its_charge(p, n):
     ["demo", "entanglement", "--samples", "1000"],
 ], ids=["verify", "demo-entanglement"])
 def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsys, argv):
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
     for module in (operators, verify):
         monkeypatch.setattr(module, "_random_states", lambda *a, **k: pytest.fail("drew past the budget"))
     # every seeded state's Gaussians, demo entanglement's per-sample draws too, come from this one helper
@@ -268,7 +276,7 @@ def test_a_sample_count_over_the_budget_exits_2_before_a_draw(monkeypatch, capsy
 @pytest.mark.parametrize("d,message", [(7, "budget"), (2004, "need an odd prime dimension, got 2004")],
                          ids=["over-budget", "not-prime"])
 def test_demo_teleport_refuses_its_dimension_before_a_draw(monkeypatch, capsys, d, message):
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)  # wootters(3) builds at the budget
     monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew before the refusal"))
     analysis._lattice.cache_clear()  # so the lattice is charged, not taken from an earlier test's build
     assert main(["demo", "teleport", "--d", str(d)]) == 2
@@ -278,7 +286,7 @@ def test_demo_teleport_refuses_its_dimension_before_a_draw(monkeypatch, capsys, 
 def test_demo_teleport_refuses_a_line_table_over_the_budget_before_the_lattice(monkeypatch, capsys):
     # d = 7's line table alone, (7 + 1)/2 operators of 49 entries, is over this budget, and so is
     # every charge before the lattice
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 4 * 49 * C16 - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 4 * 49 * C16 - 1)
     monkeypatch.setattr(wootters_module, "prime_lattice", lambda *a, **k: pytest.fail("built the lattice"))
     monkeypatch.setattr(operators, "_gaussian_pairs", lambda *a, **k: pytest.fail("drew before the refusal"))
     analysis._lattice.cache_clear()
@@ -308,9 +316,9 @@ def test_the_teleport_branches_peak_within_their_charge(d):
 ], ids=["verify", "demo-entanglement"])
 def test_a_sample_count_at_the_budget_runs(monkeypatch, capsys, argv, need):
     # the demo's two-qubit lattice is charged 2 * 16 * 16 * C16, under the sample charge
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", need)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", need)
     assert main(argv) == 0
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", need - 1)
     assert main(argv) == 2
 
 
@@ -330,7 +338,7 @@ def test_the_born_samples_peak_within_their_charge(d):
 
 def test_verify_over_budget_exits_2_before_the_duality_check(monkeypatch, capsys):
     # wootters(3) builds at this budget, and one sample with the unsampled steps does not fit it
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 2 * 9 * 9 * C16)
     monkeypatch.setattr(verify, "is_dual_pair", lambda *a, **k: pytest.fail("checked duality past the budget"))
     assert main(["verify", "wootters", "--d", "3", "--samples", "1"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -340,7 +348,7 @@ def test_verify_charges_the_frame_and_dual_it_holds(monkeypatch, capsys):
     # 8 operators per sample, 3 per line of wootters(3)'s 12, and the frame and dual the run holds, 2 per
     # operator of its 9: one byte under that is refused before the first step
     need = (8 * 20 + 3 * 12 + 2 * 9) * 9 * C16
-    monkeypatch.setattr(base, "MAX_STACK_BYTES", need - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(verify, "is_dual_pair", lambda *a, **k: pytest.fail("checked duality past the budget"))
     assert main(["verify", "wootters", "--d", "3", "--samples", "20"]) == 2
     assert f"needs {need} bytes" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 
 from gf_oracle import PolyField, _monomials, dense_ghw, striation_eigenbasis
 from gf_oracle import translation_operator as dense_translation
+from qframe import frames
 from qframe.cli import main
 from qframe.errors import UnsupportedDimensionError
 from qframe.finitefield import FiniteField
@@ -213,7 +214,6 @@ def test_net_length_validated():
 # index-arithmetic build against the dense construction it replaced
 
 ghw_module = importlib.import_module("qframe.representations.ghw")
-base_module = importlib.import_module("qframe.representations.base")
 ORACLE_TOL = 1e-12
 
 
@@ -349,12 +349,12 @@ def test_oversized_request_refused_before_building(monkeypatch):
     monkeypatch.setattr(ghw_module, "_build_structure", lambda F: pytest.fail("built past the budget"))
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         ghw(3, 4)  # d = 81: 3 d^4 complex entries are 2.1 GB
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 3 * 4**4 * 16 - 1)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 3 * 4**4 * 16 - 1)
     with pytest.raises(UnsupportedDimensionError, match="budget"):
         ghw(2, 2)
     assert main(["build", "ghw", "--p", "2", "--n", "2"]) == 2
 
 
 def test_budget_admits_a_request_that_fits(monkeypatch):
-    monkeypatch.setattr(base_module, "MAX_STACK_BYTES", 3 * 4**4 * 16)
+    monkeypatch.setattr(frames, "MAX_STACK_BYTES", 3 * 4**4 * 16)
     assert ghw(2, 2).dim == 4

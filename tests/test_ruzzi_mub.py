@@ -1,5 +1,7 @@
 """Symmetric-basis lattice kernels and unbiased-basis probability tables."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -173,11 +175,19 @@ def test_frame_and_table_paths_agree():
     assert np.allclose(mu.values * (d + 1), table.values, atol=1e-12)
 
 
-def test_nonprime_rejected():
+def test_nonprime_rejected(monkeypatch):
     with pytest.raises(UnsupportedDimensionError):
         mub_family(4)
     with pytest.raises(UnsupportedDimensionError):
         mub_bases(6)
+    # the one refusal comes before the Fourier table, the first array either call allocates
+    mub_module = importlib.import_module("qframe.representations.mub")
+    monkeypatch.setattr(mub_module, "finite_fourier", lambda *a, **k: pytest.fail("allocated before the refusal"))
+    for d in (4, 1, 0, -3):
+        for build in (mub_bases, mub_family):
+            with pytest.raises(UnsupportedDimensionError) as refused:
+                build(d)
+            assert str(refused.value) == "d must be prime"
 
 
 def test_mub_projectors_are_the_family_stack():
