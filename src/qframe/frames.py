@@ -18,14 +18,16 @@ map is an isometry, so ``Tr[A B]`` is the dot product of two coordinate rows
 and every pairing between two operator families is one real GEMM.
 
 Every pairing of an operator with a family goes through the family's
-``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``).  A
-family built by ``parity_pair`` analyzes one operator, and synthesizes,
-through its label map.  These are the minimal displaced-parity families, each
-the kernel K(s, t) under one integer matrix, (s, t) = relabel (q, p):
-Wootters at odd prime d and odd Leonhardt ((2, 0), (0, 2)), Cohendet
-((-2, 0), (0, 2)) and Ruzzi ((0, 2), (-2, 0)).  At odd d and even s the
-kernel is the phase point centred on (h, h), ``h = s/2``:
-``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
+``analyze`` (``Tr[A F(lam)]``) and ``synthesize`` (``sum v(lam) F(lam)``),
+and a family has one pairing, a factorization of its analysis operator, that
+answers both.  The dense pairing ``_Stack`` is one product on the zero-copy
+``(n, d^2)`` view of the family's stack, O(n d^2).  A family built by
+``parity_pair`` pairs through its label map, ``_LabelMap``.  These are the
+minimal displaced-parity families, each the kernel K(s, t) under one integer
+matrix, (s, t) = relabel (q, p): Wootters at odd prime d and odd Leonhardt
+((2, 0), (0, 2)), Cohendet ((-2, 0), (0, 2)) and Ruzzi ((0, 2), (-2, 0)).  At
+odd d and even s the kernel is the phase point centred on (h, h),
+``h = s/2``: ``K(s, t) = sum_u omega**(tu) |h + u><h - u|``, so
 ``Tr[A K(s, t)] = sum_u A[h + u, h - u] omega**(-tu)`` with no phase of its
 own: one gather of the centred anti-diagonals of A and one product with the
 scaled d x d DFT table, a real GEMM on interleaved floats, O(d^3).  The
@@ -33,19 +35,17 @@ labels of each family lie on a d x d grid whose rows fix s mod d and whose
 columns fix t mod d, read off the matrix (transposed for Ruzzi's
 anti-diagonal one), and the map stores its tables in that order, so the
 product holds the values in label order.  Such a family holds its map alone,
-O(d^2), and no dense stack: its checks are measured on the map's tables, and
-``operators`` is written from them on the first read, once the stack budget
-that every build also charges, ``check_stack_budget`` here, has passed it.
-Every other pairing, and the analysis of a stack of operators in every
-family, is one product on the zero-copy ``(n, d^2)`` view of the family's
-stack, O(n d^2).  No other module reads that view or the label map's tables.
+O(d^2), and no dense stack: its checks, sum and traces are measured on the
+map's tables, and ``operators`` is written from them on the first read, once
+the stack budget that every build also charges, ``check_stack_budget`` here,
+has passed it.  The analysis of a stack of operators is one product on the
+flat view of ``operators`` in every family.  No other module reads that view
+or a pairing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -85,21 +85,6 @@ MAX_STACK_BYTES = 1 << 30
 _IMAG_SCREEN = (EQ_TOL / 2) ** 2
 _NON_FINITE = "values must be finite; the input has a NaN or inf entry"
 _SQRT2 = math.sqrt(2)
-
-
-def _as_stack(operators) -> np.ndarray:
-    """The stack itself when it is a C-contiguous complex ndarray, else a converted copy.
-
-    ``np.ascontiguousarray`` would return a view of an unpickled array, whose
-    dtype is an equal object rather than numpy's own, and a label map takes
-    only the very array it was built for.
-    """
-    ops = operators
-    if not (type(ops) is np.ndarray and ops.dtype == complex and ops.flags.c_contiguous):
-        ops = np.ascontiguousarray(ops, dtype=complex)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
-    return ops
 
 
 def check_stack_budget(what: str, operators: int, d: int) -> None:
@@ -258,6 +243,52 @@ def _centred_gather(d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Stack:
+    """The dense pairing: the ``(n, d, d)`` stack, C-contiguous, complex and read-only, and its ``(n, d^2)`` view.
+
+    The stack is kept when it is a C-contiguous complex ndarray, else
+    converted: ``np.ascontiguousarray`` would return a view of an unpickled
+    array, whose dtype is an equal object rather than numpy's own, and
+    freezing a view leaves the array it reads writable.  Pickle and ``copy``
+    remake the pairing from the stack, so a copy's stack is frozen too.
+    """
+
+    stack: np.ndarray
+
+    def __post_init__(self):
+        ops = self.stack
+        if not (type(ops) is np.ndarray and ops.dtype == complex and ops.flags.c_contiguous):
+            ops = np.ascontiguousarray(ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
+        ops.setflags(write=False)
+        object.__setattr__(self, "stack", ops)
+        object.__setattr__(self, "shape", ops.shape)
+        object.__setattr__(self, "flat", ops.reshape(len(ops), ops.shape[1] ** 2))
+
+    def __reduce__(self):
+        return _Stack, (self.stack,)
+
+    def dense(self, name: str) -> np.ndarray:
+        return self.stack
+
+    def checked_skew(self, non_finite: str, non_hermitian: str) -> float:
+        return _checked_skew(self.stack, non_finite, non_hermitian)
+
+    def total(self) -> np.ndarray:
+        return np.add.reduce(self.stack, axis=0)
+
+    def traces(self) -> np.ndarray:
+        return self.stack.trace(axis1=1, axis2=2).real
+
+    def analyze(self, A: np.ndarray) -> np.ndarray:
+        return self.flat.dot(A.T.reshape(-1))
+
+    def synthesize(self, v: np.ndarray) -> np.ndarray:
+        return v.dot(self.flat).reshape(v.shape[:-1] + self.shape[1:])
+
+
+@dataclass(frozen=True, eq=False)
 class _LabelMap:
     """Where each operator ``scale K(s, t)`` of a displaced-parity family sits among the d^2 kernel labels.
 
@@ -276,9 +307,9 @@ class _LabelMap:
     comes from ``tau_powers``, so it is conjugate-symmetric bit for bit.
     These tables are the one description of the operators: every pairing and
     check reads them, and so does the dense ``stack``, which is made only
-    when read.  Every array is frozen, as the family's stack is, and pickle
-    and ``copy`` remake the map through its constructor, so a copy's arrays
-    are frozen too and it holds no stack.
+    when read, through ``dense``.  Every array is frozen, as a dense
+    pairing's stack is, and pickle and ``copy`` remake the map through its
+    constructor, so a copy's arrays are frozen too and it holds no stack.
     """
 
     rows: np.ndarray
@@ -294,6 +325,11 @@ class _LabelMap:
     def __reduce__(self):
         return _LabelMap, (self.rows, self.cols, self.transposed, self.gather, self.dft)
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        d = len(self.rows)
+        return d * d, d, d
+
     @cached_property
     def stack(self) -> np.ndarray:
         """The dense ``(d^2, d, d)`` stack, frozen, written from the tables on the first read.
@@ -304,7 +340,7 @@ class _LabelMap:
         lands in label order with no copy.  ``Z[-u]`` equals ``conj(Z)`` but
         keeps +0.0 imaginary parts +0.0, so the stack holds the bits of
         ``operators.displaced_parity``'s kernels (/ d on the frame side).
-        ``Frame.operators`` charges it to the stack budget first.
+        Read it through ``dense``, which charges it to the stack budget first.
         """
         d = len(self.rows)
         Z = self.dft[0::2].view(complex)
@@ -314,6 +350,13 @@ class _LabelMap:
         ops.reshape(d, d, d * d)[grid + (self.gather[:, None],)] = Z[-np.arange(d)].T
         ops.setflags(write=False)
         return ops
+
+    def dense(self, name: str) -> np.ndarray:
+        """``stack``, its first read charged to the stack budget as ``name``'s pair: dense readers read both sides."""
+        if "stack" not in vars(self):
+            d = len(self.rows)
+            check_stack_budget(f"{name}({d})", 2 * d * d, d)
+        return self.stack
 
     def checked_skew(self, non_finite: str, non_hermitian: str) -> float:
         """``_checked_skew`` of the stack, measured on ``dft`` alone.
@@ -388,6 +431,12 @@ class _LabelMap:
         M[self.gather] = np.add.reduce(self.dft[0::2].view(complex), axis=1)[-np.arange(d)]
         return M.reshape(d, d)
 
+    def traces(self) -> np.ndarray:
+        """``Tr F(lam)``, Re Z[0, j] at grid column j: ``analyze(I).real``'s bits, as I[h + u, h - u] = 0 at u != 0."""
+        d = len(self.cols)
+        Y = self.dft[0, 0::2][None].repeat(d, axis=0)
+        return (Y.T if self.transposed else Y).ravel()
+
     def analyze(self, A: np.ndarray) -> np.ndarray:
         """Complex ``Tr[A F(lam)] = scale sum_u A[h + u, h - u] omega**(-tu)`` of one ``(d, d)`` A.
 
@@ -422,115 +471,88 @@ class _LabelMap:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Labeled family of Hermitian operators on C^d.
+    """Labeled family of Hermitian operators on C^d, paired with operators through its one ``pairing``.
 
     A representation's analysis family {F(lam)} and its dual {D(lam)} are
     both frames: the dual of a frame spans the operator space too.  The
-    family takes the operator stack over read-only (a C-contiguous
-    complex array passed in is frozen in place, anything else is converted
-    first), so the facts it caches about the stack cannot go stale.  Two of
-    them are ``dim``, the side of the stack's matrices, and ``skew``, the
-    largest entry of ``F - F^dag``.
+    pairing is one factorization of the family's analysis operator: the
+    dense ``_Stack`` that ``Frame(labels, operators, name)`` makes of its
+    stack (a C-contiguous complex array is frozen in place, anything else
+    is converted first), or the ``_LabelMap`` that ``parity_pair`` passes
+    in.  The family forwards to it the analysis of one operator,
+    ``synthesize``, ``sum``, ``traces`` and ``operators``, which a map
+    writes on the first read after ``check_stack_budget`` has charged the
+    pair's two stacks.  The family keeps its labels and name, its value
+    screens, the analysis of a ``(k, d, d)`` stack on the flat view, and the
+    facts it measures once through the pairing, which cannot go stale:
+    ``dim``, ``skew`` (the largest entry of ``F - F^dag``),
+    ``resolves_identity`` and ``unit_traces``.
 
-    A family made by ``parity_pair`` carries its label map instead, passed
-    in as ``label_map`` with ``operators=None``: operator n is a displaced
-    parity ``K(s, t)`` of ``operators.displaced_parity``, divided by d on
-    the frame side, placed by the map's tables, and ``analyze`` of one
-    operator and ``synthesize`` pair through the kernel identity on them.
-    Its ``skew``, finiteness, ``sum`` and ``traces`` are measured on those
-    tables, and ``operators`` (with ``flat``) is the map's stack, written
-    from them on the first read after ``check_stack_budget`` has charged the
-    two stacks of the pair, since every dense reader reads both sides.  The
-    constructor refuses a map beside any array but the stack that map made,
-    so the two cannot disagree; any other family has none and pairs on its
-    stack.
-
-    Every copy goes through the constructor.  Pickle and ``copy`` call
-    ``Frame`` on its labels, its stack (None beside a map), name and map (a
-    deep copy shares the read-only stack and map, as a shallow one does),
-    and ``dataclasses.replace`` reads None as the stack of a family that has
-    made none, so no copy makes a stack.  So a renamed, deep-copied or
-    unpickled family keeps its map and a read-only stack, and ``replace``
-    with another stack refuses the map.
+    The pairing is a field, so ``dataclasses.replace`` passes it on, and
+    pickle and ``copy`` call ``Frame`` on the labels, pairing and name (a
+    deep copy shares the read-only pairing): no copy makes a stack.
     """
 
     dim: int = field(init=False)
     labels: tuple
-    operators: np.ndarray | None = field(repr=False)
+    pairing: _Stack | _LabelMap = field(repr=False)
     name: str = ""
     skew: float = field(init=False, repr=False)
-    label_map: _LabelMap | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        lm = self.label_map
-        ops = self.operators
-        if lm is None:
-            ops = _as_stack(ops)
-            object.__setattr__(self, "operators", ops)
-            n, d = ops.shape[:2]
-        elif ops is None or ops is vars(lm).get("stack"):
-            d = len(lm.rows)
-            n = d * d
-            if ops is None:
-                del vars(self)["operators"]  # made on the first read, by _StackOnRead
-        else:
-            raise DimensionMismatchError("the label map was built for another operator stack")
+        if not isinstance(self.pairing, (_Stack, _LabelMap)):
+            object.__setattr__(self, "pairing", _Stack(self.pairing))
+        n, d, _ = self.pairing.shape
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dim", d)
         if len(self.labels) != n:
             raise DimensionMismatchError(f"{len(self.labels)} labels for {n} operators")
-        refusals = ("operators must be finite; the family has a NaN or inf entry",
-                    "family contains a non-Hermitian operator")
-        if lm is None:
-            object.__setattr__(self, "skew", _checked_skew(ops, *refusals))
-            ops.setflags(write=False)
-        else:
-            object.__setattr__(self, "skew", lm.checked_skew(*refusals))
+        object.__setattr__(self, "skew", self.pairing.checked_skew(
+            "operators must be finite; the family has a NaN or inf entry", "family contains a non-Hermitian operator"))
 
     def __reduce__(self):
-        # the whole call rides in the callable: deepcopy copies the arguments but not the callable, and a
-        # copied stack would refuse the map built for this one
-        ops = vars(self)["operators"] if self.label_map is None else None
-        return partial(Frame, self.labels, ops, self.name, label_map=self.label_map), ()
+        # the whole call rides in the callable: deepcopy copies the arguments but not the callable, so a
+        # deep copy shares the read-only pairing
+        return partial(Frame, self.labels, self.pairing, self.name), ()
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    @property
+    def operators(self) -> np.ndarray:
+        """The read-only ``(n, d, d)`` stack, which a label map writes, charged, on the first read."""
+        return self.pairing.dense(self.name)
+
     def sum(self) -> np.ndarray:
-        if self.label_map is not None:
-            return self.label_map.total()
-        return np.add.reduce(self.operators, axis=0)
+        return self.pairing.total()
 
     def traces(self) -> np.ndarray:
-        if self.label_map is not None:
-            return self.label_map.analyze(np.eye(self.dim, dtype=complex)).real
-        return self.operators.trace(axis1=1, axis2=2).real
+        return self.pairing.traces()
 
     @cached_property
     def flat(self) -> np.ndarray:
         """Read-only ``(n, d^2)`` view of the stack, one row-major operator per row; no copy."""
-        return self.operators.reshape(len(self.operators), -1)
+        return self.operators.reshape(len(self.labels), self.dim**2)
 
     def analyze(self, A, kind: str = "operator") -> np.ndarray:
         """Real values ``Tr[A F(lam)]``: ``(n,)`` for one ``(d, d)`` A, ``(k, n)`` for a ``(k, d, d)`` stack.
 
-        One operator is paired through the label map where there is one, else
-        by one complex GEMV on the flat view.  Then one screen,
+        One operator is paired by the pairing.  Then one screen,
         ``||Im||^2 <= (EQ_TOL / 2)^2`` with ``||Re||^2`` finite, implies both
         exact rules with room for rounding: every |Im| is within EQ_TOL and
         every value is finite.  Only values that fail it meet the exact rules:
         Im against ``tol_for(A)`` first, then finite real parts.
 
-        A stack is tested by ``_checked_skew``, as a family's own stack is,
-        and paired by one real GEMM on interleaved floats, with or without a
-        label map: for Hermitian A and F,
-        ``Tr[A F] = sum_ij conj(A_ij) F_ij``, the dot product of two rows read
-        as floats, half the work of the complex product.
+        A stack is tested by ``_checked_skew``, as a dense family's own stack
+        is, and paired by one real GEMM with the flat view on interleaved
+        floats: for Hermitian A and F, ``Tr[A F] = sum_ij conj(A_ij) F_ij``,
+        the dot product of two rows read as floats, half the work of the
+        complex product.
         """
         A = np.asarray(A, dtype=complex)
         d = self.dim
         if A.shape == (d, d):
-            raw = self.flat.dot(A.T.reshape(-1)) if self.label_map is None else self.label_map.analyze(A)
+            raw = self.pairing.analyze(A)
             re, im = raw.real.copy(), raw.imag
             if not (im.dot(im) <= _IMAG_SCREEN and math.isfinite(re.dot(re))):
                 imag = np.maximum.reduce(np.abs(im))
@@ -547,14 +569,14 @@ class Frame:
         return A.reshape(len(A), d * d).view(float) @ self.flat.view(float).T
 
     def synthesize(self, values) -> np.ndarray:
-        """``sum_lam v(lam) F(lam)``: ``(d, d)`` for ``(n,)`` values, ``(k, d, d)`` for ``(k, n)``."""
+        """``sum_lam v(lam) F(lam)`` of real values: ``(d, d)`` for ``(n,)`` values, ``(k, d, d)`` for ``(k, n)``."""
         v = np.asarray(values)
-        n, d = len(self.labels), self.dim
-        if v.shape == (n,):
-            return v.dot(self.flat).reshape(d, d) if self.label_map is None else self.label_map.synthesize(v)
-        if v.ndim != 2 or v.shape[1] != n:
+        n = len(self.labels)
+        if v.shape != (n,) and (v.ndim != 2 or v.shape[1] != n):
             raise DimensionMismatchError(f"values of shape {v.shape} for {n} operators")
-        return v.dot(self.flat).reshape(len(v), d, d) if self.label_map is None else self.label_map.synthesize(v)
+        if v.dtype.kind == "c":
+            raise DimensionMismatchError(f"values must be real, got {v.dtype}")
+        return self.pairing.synthesize(v)
 
     @cached_property
     def resolves_identity(self) -> bool:
@@ -572,34 +594,6 @@ class Frame:
     @property
     def minimal(self) -> bool:
         return len(self) == self.dim**2
-
-
-class _StackOnRead:
-    """``Frame.operators`` where the family's own ``__dict__`` holds none: a label-mapped family's first read.
-
-    The budget is charged the pair's two stacks, then the map makes its
-    stack, which the family keeps; ``dataclasses.replace``'s read of every
-    field gets None, so the copy it makes carries the map alone.  Python
-    reads an instance's ``__dict__`` before a descriptor without
-    ``__set__``, so an explicit stack, and the one made here, are read
-    straight from the family.  (A ``__getattr__`` would do the same, but it
-    stops CPython specializing every attribute read on every family, some
-    2-7% of a one-state pairing.)
-    """
-
-    def __get__(self, family: Frame | None, owner=None):
-        if family is None:
-            return self
-        if sys._getframe(1).f_code is _REPLACE_CODE:
-            return None  # replace passes the map on with no stack, as pickle and copy do
-        check_stack_budget(f"{family.name}({family.dim})", 2 * len(family), family.dim)
-        ops = vars(family)["operators"] = family.label_map.stack
-        return ops
-
-
-Frame.operators = _StackOnRead()
-# the function whose field reads make a ``dataclasses.replace`` copy (from Python 3.13 that is ``_replace``)
-_REPLACE_CODE = getattr(dataclasses, "_replace", dataclasses.replace).__code__
 
 
 def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
@@ -636,8 +630,8 @@ def parity_pair(labels, relabel, name: str = "") -> tuple[Frame, Frame]:
     frame_map, dual_map = (
         _LabelMap(rows, cols, transposed, gather, _real_form(scaled)) for scaled in (dft / d, dft)
     )
-    frame = Frame(labels, None, name, label_map=frame_map)
-    return frame, Frame(frame.labels, None, name, label_map=dual_map)
+    frame = Frame(labels, frame_map, name)
+    return frame, Frame(frame.labels, dual_map, name)
 
 
 def _real_form(Z: np.ndarray) -> np.ndarray:

@@ -57,9 +57,9 @@ class MubFamily:
         # projector (n, k) is the outer product of column k of basis n
         columns = self.bases.transpose(0, 2, 1).reshape(-1, d)
         self.outcomes = Frame(
-            labels=[(n, k) for n in range(d + 1) for k in range(d)],
-            operators=columns[:, :, None] * columns[:, None, :].conj(),
-            name="mub-table",
+            [(n, k) for n in range(d + 1) for k in range(d)],
+            columns[:, :, None] * columns[:, None, :].conj(),
+            "mub-table",
         )
         self.labels = self.outcomes.labels
 

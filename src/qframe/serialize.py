@@ -10,8 +10,9 @@ with one ``%`` over a template cached per row of cell types; any other
 list is rendered item by item.  The document builders fill their rows with
 ``tolist()``, so operator grids and distribution values take the row path.
 ``write_frame`` renders each operator, {"dim", "im", "re"}, with one ``%``
-over a whole-document template cached per d, through a callable in its
-document: a callable writes its own text.
+over a whole-document ``%s`` template cached per d, through a callable in
+its document (a callable writes its own text); each distinct float of a
+block of operators is formatted once, as a stack holds few distinct values.
 Files are streamed: ``write_json`` renders straight into the file, and
 ``write_frame`` holds one operator's text at a time.  Every file, the CLI's
 ``--out`` too, goes through ``replacing``: a failed write leaves the old one.
@@ -26,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError
-from .frames import Frame, QuasiDistribution
+from .frames import Frame, QuasiDistribution, _row_blocks
 from .geometry import PhaseSpaceGeometry
 
 FLOAT_FMT = "%.12e"
@@ -36,7 +37,7 @@ _ROW_FORMATS = {float: FLOAT_FMT, int: "%d"}
 # "[f, f, ...]" per (item type, length), and CSV lines per tuple of cell types, built on first use
 _ROW_TEMPLATES: dict = {}
 _CSV_TEMPLATES: dict = {}
-# the text of one operator document {"dim": d, "im": [[...]], "re": [[...]]} per d, built on first use
+# one operator document {"dim": d, "im": [[%s, ...], ...], "re": [[%s, ...], ...]} per d, built on first use
 _OPERATOR_TEMPLATES: dict = {}
 # a longer row is data rather than a shape that recurs, so its template is not kept
 _CACHED_ROW = 1024
@@ -199,22 +200,31 @@ def flatten_label(label) -> list:
 
 
 def _write_operators(ops: np.ndarray, write) -> None:
-    """``[matrix_to_doc(M) for M in ops]`` as JSON text, one ``%`` per operator over a template cached per d."""
+    """``[matrix_to_doc(M) for M in ops]`` as JSON text, one ``%`` per operator over a template cached per d.
+
+    The operators go by ``_row_blocks`` of their 2 d^2 floats, and each
+    distinct float of a block is formatted once: the block's floats are told
+    apart by their int64 bit patterns, so -0.0 and 0.0 stay apart.
+    """
     d = ops.shape[-1]
     template = _OPERATOR_TEMPLATES.get(d)
     if template is None:
-        grid = "[" + ", ".join([_row_template(float, d)] * d) + "]"
+        grid = "[" + ", ".join(["[" + ", ".join(["%s"] * d) + "]"] * d) + "]"
         template = _OPERATOR_TEMPLATES[d] = '{"dim": %d, "im": %s, "re": %s}' % (d, grid, grid)
-    # one operator's imaginary then real parts, filled in place for each
-    parts = np.empty((2, d, d))
-    flat = parts.reshape(-1)
     write("[")
-    for i, M in enumerate(ops):
-        if i:
-            write(", ")
-        parts[0] = M.imag
-        parts[1] = M.real
-        write(template % tuple(flat.tolist()))
+    for rows in _row_blocks(len(ops), 2 * d * d):
+        block = ops[rows]
+        # each operator's imaginary then real parts
+        parts = np.empty((len(block), 2, d, d))
+        parts[:, 0] = block.imag
+        parts[:, 1] = block.real
+        bits = parts.reshape(-1).view(np.int64)
+        keys = np.array(sorted(set(bits.tolist())))
+        text = np.array([FLOAT_FMT % x for x in keys.view(parts.dtype).tolist()], dtype=object)
+        for i, cells in enumerate(text.take(keys.searchsorted(bits)).reshape(len(block), -1).tolist(), rows.start):
+            if i:
+                write(", ")
+            write(template % tuple(cells))
     write("]")
 
 

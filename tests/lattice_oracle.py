@@ -268,5 +268,5 @@ def parity_pair(labels, s, t, name: str = "") -> tuple[Frame, Frame]:
     for scaled in (dft / d, dft):
         real_form = np.stack([scaled, 1j * scaled], axis=1).view(float).reshape(2 * d, 2 * d)
         maps.append(_LabelMap(rows, cols, transposed, gather, real_form))
-    frame = Frame(labels, None, name, label_map=maps[0])
-    return frame, Frame(frame.labels, None, name, label_map=maps[1])
+    frame = Frame(labels, maps[0], name)
+    return frame, Frame(frame.labels, maps[1], name)

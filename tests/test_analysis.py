@@ -227,7 +227,7 @@ def _perturbed(rep, seed, size=1e-15):
     def noisy(fam):
         X = rng.standard_normal(fam.operators.shape) + 1j * rng.standard_normal(fam.operators.shape)
         ops = fam.operators + size * (X + X.conj().transpose(0, 2, 1)) / 2
-        return fam.__class__(labels=rep.labels, operators=ops, name=rep.name)
+        return fam.__class__(rep.labels, ops, rep.name)
 
     return Representation(frame=noisy(rep.frame), dual=noisy(rep.dual), geometry=rep.geometry)
 

@@ -76,7 +76,7 @@ FAMILIES = {
 
 def _skewed(rep):
     """``rep`` with its dual scaled by 1.001, so the residuals are of order 1e-3, not round-off."""
-    dual = Frame(labels=rep.labels, operators=rep.dual.operators * 1.001, name=rep.name)
+    dual = Frame(rep.labels, rep.dual.operators * 1.001, rep.name)
     return replace(rep, dual=dual)
 
 

@@ -5,6 +5,7 @@ stack: the first read of either of its family's dense stacks is charged the
 pair's two stacks, and the one-state paths read none.
 """
 
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -138,6 +139,26 @@ def test_a_parity_family_past_the_dense_budget_builds_and_pairs_without_a_stack(
     assert rep.frame.skew == rep.dual.skew == 0.0
     with pytest.raises(UnsupportedDimensionError, match=f"needs {2 * d**4 * C16} bytes"):
         rep.dual.operators
+
+
+def _read_every_field(obj) -> None:
+    """``getattr`` of every field of a dataclass, and of every dataclass a field holds."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            _read_every_field(value)
+
+
+@pytest.mark.parametrize("d", [5, 101])
+@pytest.mark.parametrize("build", [wootters, cohendet, leonhardt, ruzzi_s0])
+def test_a_generic_field_walk_makes_no_stack(monkeypatch, build, d):
+    # a family's fields are its labels, name, measured facts and pairing; its dense stack is none of them
+    _stub_stacks(monkeypatch)
+    rep = build(d)
+    for family in (rep.frame, rep.dual):
+        doc = dataclasses.asdict(family)
+        assert doc["name"] == family.name and doc["pairing"]["dft"].shape == (2 * d, 2 * d)
+        _read_every_field(family)
 
 
 def test_the_first_read_charges_the_pair_and_a_later_read_is_free(monkeypatch):

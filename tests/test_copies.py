@@ -1,8 +1,8 @@
 """Copies of frames, values, geometries and fields are made by their constructors.
 
 ``dataclasses.replace``, ``copy.deepcopy`` and a pickle round trip each give
-an object whose checks ran again: a family keeps its label map (or its lack
-of one) and a read-only stack, and values, line tables and field tables stay
+an object whose checks ran again: a family keeps its pairing, a label map or
+a read-only stack, and values, line tables and field tables stay
 read-only, with the same bits as the original.  Every array a representation
 holds, its ``meta`` arrays included, is read-only on a fresh build too.
 """
@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from qframe.cli import FAMILIES, build_representation, parse_direct
-from qframe.errors import DimensionMismatchError
 from qframe.finitefield import FiniteField
-from qframe.frames import born_pair
+from qframe.frames import _LabelMap, _Stack, born_pair
 from qframe.geometry import field_lattice
 from qframe.operators import random_effect, random_state
 from qframe.representations import (
@@ -68,9 +67,9 @@ def _arrays(rep) -> dict:
     for side in ("frame", "dual"):
         family = getattr(rep, side)
         out[f"{side}.operators"] = family.operators
-        if family.label_map is not None:
-            lm = family.label_map
-            out.update({f"{side}.label_map.{f.name}": getattr(lm, f.name) for f in fields(lm)
+        if isinstance(family.pairing, _LabelMap):
+            lm = family.pairing
+            out.update({f"{side}.pairing.{f.name}": getattr(lm, f.name) for f in fields(lm)
                         if isinstance(getattr(lm, f.name), np.ndarray)})
     if rep.geometry is not None:
         out["geometry.line_index"] = rep.geometry.line_index
@@ -97,12 +96,12 @@ def test_cases_cover_every_cli_representation():
 @pytest.mark.parametrize("name", list(CASES))
 def test_a_copy_keeps_the_label_map_the_read_only_arrays_and_the_values(name, how):
     rep = build_representation(name, parse_direct(["build", name, *CASES[name], "--seed", "0"]))
-    assert (rep.frame.label_map is not None) == (rep.dual.label_map is not None) == (name in MAPPED)
+    assert isinstance(rep.frame.pairing, _LabelMap) == isinstance(rep.dual.pairing, _LabelMap) == (name in MAPPED)
     got = COPIES[how](rep)
     for side in ("frame", "dual"):
-        lm = getattr(got, side).label_map
-        assert (lm is not None) == (name in MAPPED)
-        if lm is not None:
+        lm = getattr(got, side).pairing
+        assert isinstance(lm, _LabelMap) == (name in MAPPED)
+        if isinstance(lm, _LabelMap):
             # a copy carries the map and makes no stack; the stack a read makes is the map's own
             assert "stack" not in vars(lm)
             assert getattr(got, side).operators is vars(lm)["stack"]
@@ -118,17 +117,21 @@ def test_a_copy_keeps_the_label_map_the_read_only_arrays_and_the_values(name, ho
 @pytest.mark.parametrize("make", [wootters, lambda d: build_representation(
     "ruzzi", parse_direct(["build", "ruzzi", "--d", str(d)]))])
 def test_a_parity_family_refuses_its_map_with_another_stack(make):
+    # a family has one pairing: no stack rides beside its map, and a stack given in its place pairs alone
     rep = make(5)
     for family in (rep.frame, rep.dual):
-        with pytest.raises(DimensionMismatchError, match="another operator stack"):
-            replace(family, operators=family.operators.copy())
+        ops = family.operators.copy()
+        with pytest.raises(TypeError, match="operators"):
+            replace(family, operators=ops)
+        dense = replace(family, pairing=ops)
+        assert isinstance(dense.pairing, _Stack) and dense.operators is ops
 
 
 def test_a_pair_renamed_on_both_sides_pairs_through_its_maps():
     rep = wootters(13)
     got = _renamed(rep)
     assert got.name == "renamed"
-    assert got.frame.label_map is rep.frame.label_map and got.dual.label_map is rep.dual.label_map
+    assert got.frame.pairing is rep.frame.pairing and got.dual.pairing is rep.dual.pairing
     for a, b in zip(_pairings(got, 13), _pairings(rep, 13)):
         _same_bits(a, b)
 
@@ -184,8 +187,8 @@ def test_every_array_a_pair_holds_is_read_only(name, how):
     got = rep if how == "fresh" else COPIES[how](rep)
     if name in MAPPED:
         # a label-mapped pair holds its maps' tables and no stack until a read makes one
-        assert "rep.frame.label_map.dft" in _reachable_arrays(got, "rep", {}, set())
-        assert "rep.frame.operators" not in _reachable_arrays(got, "rep", {}, set())
+        assert "rep.frame.pairing.dft" in _reachable_arrays(got, "rep", {}, set())
+        assert "rep.frame.pairing.stack" not in _reachable_arrays(got, "rep", {}, set())
     stacks = got.frame.operators, got.dual.operators
     arrays = _reachable_arrays(got, "rep", {}, set())
     # each stack is reached as its family's operators or, where a map made it, as the map's

@@ -119,8 +119,8 @@ def test_from_coordinates_is_the_split_blocks(d):
 def test_mirror_tables_are_the_argsort_form(make, d):
     rep = make(d)
     for family in (rep.frame, rep.dual):
-        table, sign = family.label_map.mirror
-        want_table, want_sign = oracle.mirror(family.label_map.rows)
+        table, sign = family.pairing.mirror
+        want_table, want_sign = oracle.mirror(family.pairing.rows)
         assert np.array_equal(table, want_table) and table.dtype == want_table.dtype
         assert same_bits(sign, want_sign)
 

@@ -76,13 +76,13 @@ def _random_minimal_frame(d, seed):
     M = Q + 0.3 * np.eye(d * d)
     ops = np.einsum("na,aij->nij", M, B)
     labels = tuple(range(d * d))
-    return Frame(labels=labels, operators=ops, name="random-test")
+    return Frame(labels, ops, "random-test")
 
 
 def test_orthonormal_basis_is_tight_frame():
     d = 3
     B = hermitian_basis(d)
-    fr = Frame(labels=tuple(range(d * d)), operators=B, name="gellmann")
+    fr = Frame(tuple(range(d * d)), B, "gellmann")
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-10 and abs(b - 1.0) < 1e-10
     dual = canonical_dual(fr)
@@ -93,7 +93,7 @@ def test_duplicated_element_changes_upper_bound():
     d = 2
     B = hermitian_basis(d)
     ops = np.concatenate([B, B[:1]], axis=0)
-    fr = Frame(labels=tuple(range(5)), operators=ops)
+    fr = Frame(tuple(range(5)), ops)
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-10 and abs(b - 2.0) < 1e-10
     ok, res = is_dual_pair(fr, canonical_dual(fr))
@@ -103,7 +103,7 @@ def test_duplicated_element_changes_upper_bound():
 def test_not_a_frame_error():
     d = 2
     B = hermitian_basis(d)
-    fr = Frame(labels=(0, 1), operators=B[:2])
+    fr = Frame((0, 1), B[:2])
     with pytest.raises(NotAFrameError):
         frame_bounds(fr)
     with pytest.raises(NotAFrameError):
@@ -139,7 +139,7 @@ def test_gram_dual_requires_minimal():
     d = 2
     B = hermitian_basis(d)
     ops = np.concatenate([B, B[:1]], axis=0)
-    fr = Frame(labels=tuple(range(5)), operators=ops)
+    fr = Frame(tuple(range(5)), ops)
     with pytest.raises(DimensionMismatchError):
         gram_dual(fr)
 
@@ -215,7 +215,7 @@ def test_unitary_conjugated_basis_frame():
     U = random_unitary(d, np.random.default_rng(6))
     B = hermitian_basis(d)
     ops = np.einsum("ab,nbc,cd->nad", U, B, U.conj().T)
-    fr = Frame(labels=tuple(range(d * d)), operators=ops)
+    fr = Frame(tuple(range(d * d)), ops)
     a, b = frame_bounds(fr)
     assert abs(a - 1.0) < 1e-9 and abs(b - 1.0) < 1e-9
 
@@ -223,7 +223,7 @@ def test_unitary_conjugated_basis_frame():
 def test_represent_state_warning_for_unnormalized_frame():
     d = 2
     B = hermitian_basis(d)
-    fr = Frame(labels=tuple(range(4)), operators=2.0 * B)
+    fr = Frame(tuple(range(4)), 2.0 * B)
     mu = represent_state(random_state(d, seed=0), fr)
     assert "frame-sum-not-identity" in mu.warnings
 
@@ -345,7 +345,7 @@ def test_non_finite_operator_rejected_at_construction(bad):
     ops = np.array(hermitian_basis(2))
     ops[3, 0, 0] = bad
     with pytest.raises(DimensionMismatchError, match="finite"):
-        Frame(labels=tuple(range(4)), operators=ops)
+        Frame(tuple(range(4)), ops)
 
 
 def test_a_non_finite_entry_is_refused_before_a_non_hermitian_operator():
@@ -353,12 +353,12 @@ def test_a_non_finite_entry_is_refused_before_a_non_hermitian_operator():
     ops[1, 0, 1] += 1.0
     ops[3, 0, 0] = np.inf
     with pytest.raises(DimensionMismatchError, match="operators must be finite"):
-        Frame(labels=tuple(range(4)), operators=ops)
+        Frame(tuple(range(4)), ops)
 
 
 def test_finite_entries_whose_squares_overflow_are_accepted():
     with np.errstate(over="ignore"):
-        family = Frame(labels=tuple(range(4)), operators=1e200 * np.array(hermitian_basis(2)))
+        family = Frame(tuple(range(4)), 1e200 * np.array(hermitian_basis(2)))
     assert family.skew == 0.0
 
 
@@ -439,6 +439,14 @@ def test_a_frame_keeps_a_complex_contiguous_read_only_copy_of_a_real_or_strided_
 def test_a_stack_of_non_square_matrices_is_refused():
     with pytest.raises(DimensionMismatchError, match=r"expected a stack of square matrices, got shape \(2, 2, 3\)"):
         Frame(range(2), np.zeros((2, 2, 3)))
+
+
+def test_an_empty_family_pairs_to_no_values_and_the_zero_operator():
+    family = Frame((), np.zeros((0, 3, 3), complex))
+    assert family.flat.shape == (0, 9)
+    assert family.analyze(np.array([random_state(3, seed=k) for k in range(2)])).shape == (2, 0)
+    np.testing.assert_array_equal(family.synthesize(np.zeros(0)), np.zeros((3, 3)))
+    np.testing.assert_array_equal(family.synthesize(np.zeros((2, 0))), np.zeros((2, 3, 3)))
 
 
 @pytest.mark.parametrize("call,message", [

@@ -76,7 +76,7 @@ def test_grid_stack_is_the_per_projector_build(d):
     want = np.array([oracle.hardy_projector(d, k, j) for k in range(d) for j in range(d)])
     rep = hardy_rep(d)
     assert np.array_equal(rep.frame.operators, want)
-    dual = gram_dual(Frame(labels=tuple(range(d * d)), operators=want, name="hardy"))
+    dual = gram_dual(Frame(tuple(range(d * d)), want, "hardy"))
     assert np.array_equal(rep.dual.operators, dual.operators)
 
 

@@ -21,6 +21,7 @@ from qframe.frames import (
     Frame,
     QuasiDistribution,
     _coordinates,
+    _LabelMap,
     _from_coordinates,
     _pairings,
     born_pair,
@@ -186,12 +187,12 @@ def test_stratonovich_dual_matches_oracle(case):
 def test_dual_error_messages_kept():
     B = frame_oracle.hermitian_basis(2)
     with pytest.raises(NotAFrameError, match="lower frame bound .* vanishes; family does not span"):
-        canonical_dual(Frame(labels=(0, 1), operators=B[:2]))
+        canonical_dual(Frame((0, 1), B[:2]))
     with pytest.raises(SingularBasisError, match="ill conditioned; redraw the points"):
         stratonovich_discrete(0.5, np.tile([0.0, 0.0, 1.0], (4, 1)))
     ops = np.array([B[0], B[0], B[1], B[2]])
     with pytest.raises(SingularBasisError, match="Gram matrix condition number"):
-        gram_dual(Frame(labels=tuple(range(4)), operators=ops))
+        gram_dual(Frame(tuple(range(4)), ops))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -277,9 +278,9 @@ def test_family_rejects_non_hermitian_stacks(eps, rejected):
     ops[1, 0, 1] += eps  # F - F^dag has entries eps and -eps: Frobenius norm sqrt(2) eps
     if rejected:
         with pytest.raises(DimensionMismatchError, match="non-Hermitian"):
-            Frame(labels=(0, 1), operators=ops)
+            Frame((0, 1), ops)
     else:
-        assert Frame(labels=(0, 1), operators=ops).skew == eps
+        assert Frame((0, 1), ops).skew == eps
 
 
 # per-family invariants and read-only stacks
@@ -301,7 +302,7 @@ def test_flat_view_is_zero_copy_and_stacks_are_read_only(case):
 def test_family_freezes_the_stack_it_is_given():
     ops = np.array(wootters(3).dual.operators)
     assert ops.flags.writeable
-    family = Frame(labels=tuple(range(9)), operators=ops)
+    family = Frame(tuple(range(9)), ops)
     assert family.operators is ops
     with pytest.raises(ValueError):
         ops[0, 0, 0] = 1
@@ -309,8 +310,8 @@ def test_family_freezes_the_stack_it_is_given():
 
 def test_invariants_checked_once_still_warn_on_every_call():
     rep = wootters(3)
-    doubled = Frame(labels=rep.labels, operators=2 * rep.frame.operators)
-    halved = Frame(labels=rep.labels, operators=rep.dual.operators / 2)
+    doubled = Frame(rep.labels, 2 * rep.frame.operators)
+    halved = Frame(rep.labels, rep.dual.operators / 2)
     for _ in range(2):
         assert represent_state(np.eye(3) / 3, doubled).warnings == ("frame-sum-not-identity",)
         assert represent_effect(np.eye(3) / 2, halved).warnings == ("dual-traces-not-one",)
@@ -371,7 +372,7 @@ def test_frame_bounds_and_duality_match_oracle(case):
     want_ok, want_residual = frame_oracle.is_dual_pair(ops, rep.dual.operators)
     assert ok == want_ok is True
     assert residual <= ORACLE_TOL and want_residual <= ORACLE_TOL
-    rolled = Frame(labels=rep.labels, operators=np.roll(rep.dual.operators, 1, axis=0))
+    rolled = Frame(rep.labels, np.roll(rep.dual.operators, 1, axis=0))
     assert is_dual_pair(rep.frame, rolled)[0] == frame_oracle.is_dual_pair(ops, rolled.operators)[0] is False
 
 
@@ -390,16 +391,16 @@ STREAM_FAMILIES = {
 
 def _matmul_analyze(family, A):
     """Single ``analyze`` in its ``@`` form: the flat GEMV, or the label map's grid-ordered tables."""
-    lm = family.label_map
-    if lm is None:
+    lm = family.pairing
+    if not isinstance(lm, _LabelMap):
         return (family.flat @ A.T.reshape(-1)).real
     Y = (A.ravel()[lm.gather].view(float) @ lm.dft).view(complex)
     return (Y.T if lm.transposed else Y).ravel().real
 
 
 def _matmul_synthesize(family, v):
-    lm, d = family.label_map, family.dim
-    if lm is None:
+    lm, d = family.pairing, family.dim
+    if not isinstance(lm, _LabelMap):
         return (v @ family.flat).reshape(d, d)
     mirror, sign = lm.mirror
     V = v.reshape(d, d)
@@ -409,8 +410,8 @@ def _matmul_synthesize(family, v):
 
 
 def _matmul_synthesize_stack(family, v):
-    lm, d, k = family.label_map, family.dim, len(v)
-    if lm is None:
+    lm, d, k = family.pairing, family.dim, len(v)
+    if not isinstance(lm, _LabelMap):
         return (v @ family.flat).reshape(k, d, d)
     mirror, sign = lm.mirror
     V = v.reshape(k, d, d)
@@ -418,6 +419,21 @@ def _matmul_synthesize_stack(family, v):
     M = (np.stack([row[mirror] for row in (V @ lm.half_dft).reshape(k, -1)]) * sign).view(complex)
     M[:, ::d + 1].imag = 0.0
     return M.reshape(k, d, d)
+
+
+@pytest.mark.parametrize("build", [lambda: hardy_rep(3), lambda: wootters(3)], ids=["dense", "label-map"])
+def test_synthesize_refuses_complex_values_and_reads_int_bool_and_float32_as_float(build):
+    rep = build()
+    rng = np.random.default_rng(3)
+    for family in (rep.frame, rep.dual):
+        n = len(family)
+        for shape in ((n,), (2, n)):
+            with pytest.raises(DimensionMismatchError, match="values must be real"):
+                family.synthesize(np.ones(shape) * (1 + 1j) / n)
+            ints = rng.integers(-3, 4, size=shape)
+            for values in (ints, ints > 0, rng.standard_normal(shape).astype(np.float32)):
+                want = family.synthesize(values.astype(float))
+                np.testing.assert_array_equal(family.synthesize(values), want)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_FAMILIES))

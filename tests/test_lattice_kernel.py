@@ -18,6 +18,8 @@ import lattice_oracle as oracle
 from qframe.errors import DimensionMismatchError
 from qframe.frames import (
     Frame,
+    _LabelMap,
+    _Stack,
     canonical_dual,
     is_dual_pair,
     parity_pair,
@@ -117,7 +119,7 @@ def test_whole_stack_matches_dense_oracle(family, d):
     if d % 2 == 0:
         # the even case keeps the canonical dual of the oracle's frame
         ops = oracle.dense_ops(family, d, rep.labels)
-        ref = canonical_dual(Frame(labels=rep.labels, operators=ops))
+        ref = canonical_dual(Frame(rep.labels, ops))
         np.testing.assert_allclose(rep.dual.operators, ref.operators, rtol=0, atol=ORACLE_TOL)
 
 
@@ -252,7 +254,7 @@ def test_label_map_pairs_like_the_dense_stack(fd, k, seed):
     rng = np.random.default_rng(seed)
     A = _hermitian(rng, k, d)
     for fam in (rep.frame, rep.dual):
-        assert fam.label_map is not None
+        assert isinstance(fam.pairing, _LabelMap)
         check_pairings_against_dense(fam, A, rng.standard_normal((k, len(fam))))
     rho = random_state(d, seed=seed % 1000)
     np.testing.assert_allclose(rep.reconstruct(rep.represent(rho)), rho, rtol=0, atol=ORACLE_TOL)
@@ -293,7 +295,7 @@ def test_the_matrix_builds_the_label_pairs_family_bit_for_bit(fd, seed):
         assert got.labels == ref.labels and got.name == ref.name
         _same_bits(got.operators, dense)
         _same_bits(got.operators, ref.operators)
-        lm, ref_lm = got.label_map, ref.label_map
+        lm, ref_lm = got.pairing, ref.pairing
         assert lm.transposed == ref_lm.transposed
         for table in ("rows", "cols", "gather", "dft", "half_dft"):
             _same_bits(getattr(lm, table), getattr(ref_lm, table))
@@ -332,7 +334,7 @@ def test_the_label_map_holds_the_factorys_kernel_labels(family, d):
     n = np.arange(d * d)
     i, j = (n % d, n // d) if family == "ruzzi" else (n // d, n % d)
     for fam, scale in ((rep.frame, d), (rep.dual, 1)):
-        lm = fam.label_map
+        lm = fam.pairing
         assert lm.transposed == (family == "ruzzi")
         np.testing.assert_array_equal(lm.rows[i], s % d)
         np.testing.assert_array_equal(lm.cols[j], t % d)
@@ -360,7 +362,7 @@ def test_the_checks_measured_on_the_map_equal_the_dense_ones(family, d):
     rep = FACTORY[family](d)  # a fresh build: the cached ones may have made their stacks
     for fam in (rep.frame, rep.dual):
         measured = (fam.skew, fam.resolves_identity, fam.unit_traces)
-        assert "operators" not in vars(fam)
+        assert "stack" not in vars(fam.pairing)
         dense = Frame(fam.labels, fam.operators.copy(), fam.name)
         assert measured == (dense.skew, dense.resolves_identity, dense.unit_traces)
         np.testing.assert_allclose(fam.sum(), dense.sum(), rtol=0, atol=ORACLE_TOL)
@@ -370,14 +372,14 @@ def test_the_checks_measured_on_the_map_equal_the_dense_ones(family, d):
 
 @pytest.mark.parametrize("family,d", [("wootters", 5), ("ruzzi", 9)])
 def test_the_map_refuses_what_the_dense_checks_refuse(family, d):
-    lm = build(family, d).frame.label_map
+    lm = build(family, d).frame.pairing
     labels = build(family, d).labels
     rows = {"non-finite": (0, np.nan), "non-Hermitian": (2, 1e-6)}
     for why, (u, entry) in rows.items():
         dft = lm.dft.copy()
         dft[2 * u, 0] += entry  # Z[u, 0]: Z[-u, 0] is not its conjugate any more, or it is NaN
         with pytest.raises(DimensionMismatchError, match="finite" if why == "non-finite" else "non-Hermitian"):
-            Frame(labels, None, family, label_map=replace(lm, dft=dft))
+            Frame(labels, replace(lm, dft=dft), family)
 
 
 @pytest.mark.parametrize("build_rep", [
@@ -385,7 +387,7 @@ def test_the_map_refuses_what_the_dense_checks_refuse(family, d):
 ], ids=["wootters-2", "composite-3x5", "leonhardt-4", "havel-2"])
 def test_other_families_carry_no_label_map(build_rep):
     rep = build_rep()
-    assert rep.frame.label_map is None and rep.dual.label_map is None
+    assert isinstance(rep.frame.pairing, _Stack) and isinstance(rep.dual.pairing, _Stack)
 
 
 @pytest.mark.parametrize("n,relabel,message", [

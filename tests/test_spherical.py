@@ -290,7 +290,7 @@ def test_kernel_stack_is_the_per_point_build(s, seed):
     kernel = SphericalKernel(s, (1.0,) * rep.dim)
     want = np.array([oracle.spherical_point(kernel, n) for n in pts])
     assert np.array_equal(rep.frame.operators, want)
-    dual = gram_dual(Frame(labels=rep.labels, operators=want, name="stratonovich"))
+    dual = gram_dual(Frame(rep.labels, want, "stratonovich"))
     assert np.array_equal(rep.dual.operators, dual.operators)
 
 

@@ -142,9 +142,9 @@ def test_each_family_check_draws_from_its_own_stream():
 def test_corrupted_dual_fails_duality():
     rep = wootters(2)
     bad_dual = rep.dual.__class__(
-        labels=rep.dual.labels,
-        operators=rep.dual.operators * 1.001,
-        name=rep.dual.name,
+        rep.dual.labels,
+        rep.dual.operators * 1.001,
+        rep.dual.name,
     )
     broken = Representation(
         frame=rep.frame,
@@ -163,7 +163,7 @@ def test_corrupted_frame_fails_hermiticity():
     rep = wootters(2)
     ops = rep.frame.operators.copy()
     ops[0] = ops[0] + 5e-10 * np.array([[0, 1j], [0, 0]])
-    bad_frame = rep.frame.__class__(labels=rep.frame.labels, operators=ops, name=rep.frame.name)
+    bad_frame = rep.frame.__class__(rep.frame.labels, ops, rep.frame.name)
     broken = Representation(
         frame=bad_frame,
         dual=rep.dual,
